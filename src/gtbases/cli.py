@@ -154,6 +154,10 @@ def cmd_branch(args):
 
 def _build(kind, data, lam, convention, max_dim):
     if kind == "gl":
+        dim = branching.weyl_dim("A", patterns.check_dominant("A", lam))
+        if dim > max_dim:
+            raise DeskScaleError("gl_%d module of dimension %d exceeds the cap %d"
+                                 % (len(lam), dim, max_dim))
         return gln.build_irrep(len(lam), lam)
     if kind == "sp":
         return build_bcd_irrep("C", lam, max_dim=max_dim)

@@ -325,6 +325,85 @@ def solve_in_span(basis_cols, target):
     return tuple(coeffs)
 
 
+class SpanSolver:
+    """Factor-once form of ``solve_in_span`` for one list of basis columns.
+
+    The columns are reduced, in order, to an echelon basis of sparse rows
+    ``(p, u, x)``: ``u`` is a dict vector with ``u[p] == 1`` that vanishes
+    at the pivots of the rows before it, and ``x`` (a dict over column
+    indices) writes ``u`` as a combination of the columns.  A column that
+    reduces to zero depends on the earlier ones and gets no row, so the
+    rows use exactly the pivot columns of ``rref`` on the basis matrix, and
+    ``solve(t)`` returns what ``solve_in_span(basis_cols, t)`` returns.
+    Factoring costs O(k * nnz) per column and a solve one reduction of t
+    against at most k sparse rows, against a dense n x (k+1) rref per call
+    for ``solve_in_span``.
+    """
+
+    __slots__ = ("n", "ncols", "_rows")
+
+    def __init__(self, basis_cols, n):
+        self.n = n
+        self.ncols = 0
+        self._rows = []
+        for col in basis_cols:
+            self.add(col)
+
+    def _reduce(self, vec):
+        """Residual of vec against the rows and the factor of each row."""
+        if len(vec) != self.n:
+            raise ValueError("vector length %d != %d" % (len(vec), self.n))
+        res = {i: v for i, v in enumerate(vec) if v}
+        factors = []
+        for p, u, _ in self._rows:
+            f = res.get(p)
+            factors.append(f)
+            if f:
+                for i, v in u.items():
+                    w = res.get(i, _ZERO) - f * v
+                    if w:
+                        res[i] = w
+                    else:
+                        del res[i]
+        return res, factors
+
+    def spans(self, vec) -> bool:
+        """True iff vec lies in the span of the columns."""
+        return not self._reduce(vec)[0]
+
+    def add(self, col) -> bool:
+        """Append col as the next basis column; True iff it is independent
+        of the columns before it."""
+        res, factors = self._reduce(col)
+        j = self.ncols
+        self.ncols += 1
+        if not res:
+            return False
+        p = min(res)
+        inv = _ONE / res[p]
+        x = {j: inv}
+        for f, (_, _, xr) in zip(factors, self._rows):
+            if f:
+                g = f * inv
+                for c, v in xr.items():
+                    x[c] = x.get(c, _ZERO) - g * v
+        self._rows.append((p, {i: v * inv for i, v in res.items()}, x))
+        return True
+
+    def solve(self, target):
+        """Coefficient tuple of target over the columns; None if target is
+        not in their span.  Dependent columns get coefficient 0."""
+        res, factors = self._reduce(target)
+        if res:
+            return None
+        coeffs = [_ZERO] * self.ncols
+        for f, (_, _, x) in zip(factors, self._rows):
+            if f:
+                for c, v in x.items():
+                    coeffs[c] += f * v
+        return tuple(coeffs)
+
+
 def solve_linear(a_rows, b):
     """Solve A x = b exactly for one solution; None if inconsistent."""
     rows = [list(r) + [bv] for r, bv in zip(a_rows, b)]

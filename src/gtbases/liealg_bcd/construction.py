@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..exact import SparseMat, commutator, rref, solve_in_span
+from ..exact import SpanSolver, SparseMat, commutator, rref
 
 
 class DeskScaleError(RuntimeError):
@@ -116,42 +116,43 @@ class HWModule:
 
     def _algebra_span(self):
         """Bracket closure of the realized simple generators, paired with
-        their realization counterparts."""
+        their realization counterparts, and a solver over the flattened
+        realization matrices of the pairs."""
         if self._span is not None:
             return self._span
         real = self.realization
+        n = len(real.labels)
         pairs = []
-        vecs = []
+        solver = SpanSolver([], n * n)
 
-        def vecof(m):
-            n = len(real.labels)
-            return tuple(m.get(r, c) for r in range(n) for c in range(n))
-
-        def try_add(rm, mm):
-            if solve_in_span(vecs, vecof(rm)) is not None:
+        def accept(rm):
+            v = _flat(rm, n)
+            if solver.spans(v):
                 return False
-            pairs.append((rm, mm))
-            vecs.append(vecof(rm))
+            solver.add(v)
             return True
 
         for c in real.cartan:
-            try_add(real.fdef(c, c), self.cartan_matrix(c))
+            rm = real.fdef(c, c)
+            if accept(rm):
+                pairs.append((rm, self.cartan_matrix(c)))
         frontier = []
         for s, (i, j) in enumerate(real.simples):
             for rm, mm in ((real.fdef(i, j), self._e[s]), (real.fdef(j, i), self._f[s])):
-                if try_add(rm, mm):
+                if accept(rm):
+                    pairs.append((rm, mm))
                     frontier.append((rm, mm))
         while frontier:
             new = []
             for ra, ma in frontier:
                 for rb, mb in list(pairs):
                     rc = commutator(ra, rb)
-                    if rc.is_zero():
-                        continue
-                    if try_add(rc, commutator(ma, mb)):
-                        new.append((rc, commutator(ma, mb)))
+                    if accept(rc):
+                        pair = (rc, commutator(ma, mb))
+                        pairs.append(pair)
+                        new.append(pair)
             frontier = new
-        self._span = (pairs, vecs)
+        self._span = (pairs, solver)
         return self._span
 
     def F(self, i, j) -> SparseMat:
@@ -163,16 +164,17 @@ class HWModule:
 
     def realize(self, real_mat: SparseMat) -> SparseMat:
         """Transport an arbitrary realization element to the module."""
-        pairs, vecs = self._algebra_span()
-        n = len(self.realization.labels)
-        target = tuple(real_mat.get(r, c) for r in range(n) for c in range(n))
-        coeffs = solve_in_span(vecs, target)
+        pairs, solver = self._algebra_span()
+        coeffs = solver.solve(_flat(real_mat, len(self.realization.labels)))
         if coeffs is None:
             raise ValueError("element is not in the realized algebra span")
-        out = SparseMat.zero(self.dim, self.dim)
-        for c, (rm, mm) in zip(coeffs, pairs):
+        ent = {}
+        for c, (_, mm) in zip(coeffs, pairs):
             if c:
-                out = out + mm.scale(c)
+                for key, v in mm.entries.items():
+                    ent[key] = ent.get(key, 0) + c * v
+        out = SparseMat(self.dim, self.dim)
+        out.entries = {key: v for key, v in ent.items() if v}
         return out
 
     def weight_slices(self):
@@ -330,6 +332,11 @@ def build_module(real: Realization, lam, max_dim=600) -> HWModule:
         f_mats.append(SparseMat(dim, dim, ent_f))
 
     return HWModule(real, lam, weights, blocks, e_mats, f_mats)
+
+
+def _flat(m: SparseMat, n):
+    """Row-major entries of an n x n realization matrix."""
+    return tuple(m.get(r, c) for r in range(n) for c in range(n))
 
 
 def _greedy_psd_pivots(gram):

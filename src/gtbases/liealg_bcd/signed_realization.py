@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..exact import (OpPoly, SparseMat, rank, solve_in_span, vec_add,
+from ..exact import (OpPoly, SpanSolver, SparseMat, rank, vec_add,
                      vec_scale, vec_unit, vec_zero)
 from .. import patterns as _patterns
 from .. import branching as _branching
@@ -384,12 +384,11 @@ def v_plus_mu(rep: BCDIrrep, mu):
 
 def lowering_zia(rep: BCDIrrep, i, a) -> SparseMat:
     """Matrix of z_ia on the ordered basis of V(lam)^+."""
-    basis = v_plus_basis(rep)
-    cols = [v for _, v in basis]
+    cols = [v for _, v in v_plus_basis(rep)]
+    solver = SpanSolver(cols, rep.dim)
     out_cols = []
-    for _, v in basis:
-        img = apply_z(rep, i, a, v)
-        coeffs = solve_in_span(cols, img)
+    for v in cols:
+        coeffs = solver.solve(apply_z(rep, i, a, v))
         if coeffs is None:
             raise ArithmeticError("z_ia image left V(lam)^+")
         out_cols.append(coeffs)
@@ -398,12 +397,11 @@ def lowering_zia(rep: BCDIrrep, i, a) -> SparseMat:
 
 def z_interp(rep: BCDIrrep, u0) -> SparseMat:
     """Matrix of Z_{n,-n}(u0) on the ordered basis of V(lam)^+."""
-    basis = v_plus_basis(rep)
-    cols = [v for _, v in basis]
+    cols = [v for _, v in v_plus_basis(rep)]
+    solver = SpanSolver(cols, rep.dim)
     out_cols = []
-    for _, v in basis:
-        img = apply_z_interp(rep, u0, v)
-        coeffs = solve_in_span(cols, img)
+    for v in cols:
+        coeffs = solver.solve(apply_z_interp(rep, u0, v))
         if coeffs is None:
             raise ArithmeticError("Z_{n,-n} image left V(lam)^+")
         out_cols.append(coeffs)
@@ -636,9 +634,10 @@ def zab_operators(rep: BCDIrrep, mu):
     tuples, vecs = multiplicity_basis(rep, mu)
     d = len(vecs)
     out = {}
+    solver = SpanSolver(vecs, rep.dim)
 
     def to_coords(img):
-        coeffs = solve_in_span(vecs, img)
+        coeffs = solver.solve(img)
         if coeffs is None:
             raise ArithmeticError("Z_ab image left V^+_mu")
         return coeffs

@@ -69,6 +69,13 @@ class TestExitCodes:
         code, _, err = run_capture(capsys, ["build", "sp", "0,0,0,0"])
         assert code == 3 and "cap" in err
 
+    def test_gl_honours_max_dim(self, capsys):
+        code, out, err = run_capture(capsys, ["--max-dim", "5", "build", "gl", "2,1,0"])
+        assert code == 3 and out == ""
+        assert "dimension 8" in err and "cap 5" in err
+        code, out, _ = run_capture(capsys, ["--max-dim", "8", "build", "gl", "2,1,0"])
+        assert code == 0 and "dim: 8" in out
+
     def test_verify_all_pass_exit_0(self, capsys):
         code, out, _ = run_capture(capsys, ["verify", "gl", "1,0"])
         assert code == 0

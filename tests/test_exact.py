@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gtbases.exact import (OpPoly, SparseMat, factorial, nullspace,
-                           op_poly_eval_left, rank, rref, solve_in_span)
+from gtbases.exact import (OpPoly, SpanSolver, SparseMat, factorial,
+                           nullspace, op_poly_eval_left, rank, rref,
+                           solve_in_span)
 
 
 def F(x, y=1):
@@ -87,6 +88,56 @@ class TestSolvers:
     def test_rref_pivots(self):
         rows = [[F(0), F(1)], [F(1), F(0)]]
         assert rref(rows) == [0, 1]
+
+    def test_span_solver_examples(self):
+        cols = [(F(0), F(0), F(0)), (F(1), F(2), F(0)), (F(2), F(4), F(0)),
+                (F(0), F(1), F(0))]
+        solver = SpanSolver(cols, 3)
+        assert solver.solve((F(3), F(5), F(0))) == (F(0), F(3), F(0), F(-1))
+        assert solver.solve((F(0), F(0), F(1))) is None
+        assert solver.spans((F(1), F(1), F(0)))
+        assert not solver.spans((F(1), F(1), F(1)))
+        assert SpanSolver([], 2).solve((F(0), F(0))) == ()
+        assert SpanSolver([], 2).solve((F(0), F(1))) is None
+        with pytest.raises(ValueError):
+            solver.solve((F(1), F(2)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 5), st.data())
+    def test_span_solver_matches_solve_in_span(self, n, k, data):
+        """SpanSolver agrees with the one-shot reference on random columns,
+        zero and dependent ones included, and on targets in and out of
+        the span."""
+        rat = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+        def rand_vec():
+            return tuple(data.draw(rat) for _ in range(n))
+
+        def combination(vecs):
+            out = (F(0),) * n
+            for v in vecs:
+                c = data.draw(rat)
+                out = tuple(a + c * b for a, b in zip(out, v))
+            return out
+
+        cols = []
+        for _ in range(k):
+            kind = data.draw(st.sampled_from(["random", "zero", "dependent"]))
+            if kind == "zero":
+                cols.append((F(0),) * n)
+            elif kind == "dependent":
+                cols.append(combination(cols))
+            else:
+                cols.append(rand_vec())
+        solver = SpanSolver([], n)
+        for j, col in enumerate(cols):
+            independent = solver.add(col)
+            assert independent == (solve_in_span(cols[:j], col) is None)
+        for target in (combination(cols), rand_vec()):
+            want = solve_in_span(cols, target)
+            assert solver.solve(target) == want
+            assert SpanSolver(cols, n).solve(target) == want
+            assert solver.spans(target) == (want is not None)
 
 
 class TestOpPoly:

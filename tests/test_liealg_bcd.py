@@ -416,6 +416,46 @@ class TestZab:
                         assert lhs == rhs
 
 
+def _realize_one_shot(module, real_mat):
+    """HWModule.realize by the reference path: the span pairs and one
+    solve_in_span of the flattened realization matrices per call."""
+    n = len(module.realization.labels)
+
+    def flat(m):
+        return tuple(m.get(r, c) for r in range(n) for c in range(n))
+
+    pairs = module._algebra_span()[0]
+    coeffs = solve_in_span([flat(rm) for rm, _ in pairs], flat(real_mat))
+    out = SparseMat.zero(module.dim, module.dim)
+    for c, (_, mm) in zip(coeffs, pairs):
+        if c:
+            out = out + mm.scale(c)
+    return out
+
+
+class TestRealize:
+    @pytest.mark.parametrize("series,lam", [
+        ("C", d(-1, -1)), ("C", d(0, 0, -1)), ("B", (-1, -1)), ("B", d(0, 0, -1)),
+    ])
+    def test_signed_generators_match_one_shot_solve(self, series, lam):
+        rep = build_bcd_irrep(series, lam)
+        alg = rep.algebra
+        for i in alg.indices:
+            for j in alg.indices:
+                assert rep.F(i, j) == _realize_one_shot(rep.module, alg.fdef(i, j))
+        with pytest.raises(ValueError, match="not in the realized algebra span"):
+            rep.module.realize(SparseMat.identity(len(alg.indices)))
+
+    def test_chain_generators_match_one_shot_solve(self):
+        ch = OrthogonalChain(5, d(1, 0))
+        for i in range(1, 6):
+            for j in range(1, 6):
+                rm = ch._fdef(i, j)
+                assert ch.module.F(i, j) == _realize_one_shot(ch.module, rm)
+        with pytest.raises(ValueError, match="not in the realized algebra span"):
+            ch.module.realize(SparseMat.identity(5))
+
+
 class TestOrthogonalChain:
     def test_o3(self):
         ch = OrthogonalChain(3, d(1))
