@@ -404,19 +404,6 @@ class SpanSolver:
         return tuple(coeffs)
 
 
-def solve_linear(a_rows, b):
-    """Solve A x = b exactly for one solution; None if inconsistent."""
-    rows = [list(r) + [bv] for r, bv in zip(a_rows, b)]
-    ncols = len(a_rows[0]) if a_rows else 0
-    pivots = rref(rows)
-    if ncols in pivots:
-        return None
-    x = [_ZERO] * ncols
-    for prow, pcol in enumerate(pivots):
-        x[pcol] = rows[prow][ncols]
-    return tuple(x)
-
-
 # -- scalar polynomials (coefficient lists, index = power of u) -------------
 
 def spoly_trim(p):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..exact import SpanSolver, SparseMat, commutator, rref
+from ..exact import SpanSolver, SparseMat, commutator
 
 
 class DeskScaleError(RuntimeError):
@@ -267,12 +267,14 @@ def build_module(real: Realization, lam, max_dim=600) -> HWModule:
             sub = [[gram[a][b] for b in chosen] for a in chosen]
             grams[wd] = sub
             sizes[wd] = size
-            # expansion of every candidate in the chosen basis
-            expansions = []
-            for b in range(m):
-                rhs = [gram[a][b] for a in chosen]
-                sol = _solve_sym(sub, rhs)
-                expansions.append(sol)
+            # expansion of every candidate in the chosen basis: solve
+            # sub x = rhs against one factorization of the nondegenerate
+            # block (sub is symmetric, so its rows are its columns)
+            solver = SpanSolver([], size)
+            independent = [solver.add(col) for col in sub]
+            assert all(independent), "degenerate Gram block"
+            expansions = [solver.solve([gram[a][b] for a in chosen]) for b in range(m)]
+            assert None not in expansions, "candidate outside the Gram block span"
             for s in sorted(cand_weights[wd]):
                 up = tuple(a + b for a, b in zip(wd, alphas[s]))
                 if up not in sizes:
@@ -375,14 +377,3 @@ def _greedy_psd_pivots(gram):
                     work[a][b] -= fa * work[pick][b]
     return chosen
 
-
-def _solve_sym(sub, rhs):
-    """Solve the nondegenerate symmetric system sub x = rhs exactly."""
-    n = len(sub)
-    rows = [list(sub[i]) + [rhs[i]] for i in range(n)]
-    piv = rref(rows)
-    assert len(piv) == n and n not in piv
-    out = [Fraction(0)] * n
-    for r, c in enumerate(piv):
-        out[c] = rows[r][n]
-    return tuple(out)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..exact import (OpPoly, SpanSolver, SparseMat, rank, vec_add,
-                     vec_scale, vec_unit, vec_zero)
+from ..exact import (OpPoly, SpanSolver, SparseMat, nullspace, rank,
+                     spoly_from_roots, vec_add, vec_scale, vec_unit, vec_zero)
 from .. import patterns as _patterns
 from .. import branching as _branching
 from .construction import DeskScaleError, HWModule, Realization, build_module
@@ -347,31 +347,22 @@ def v_plus_basis(rep: BCDIrrep):
         for j in alg.indices:
             if i < j and abs(i) < n and abs(j) < n:
                 raising.append(rep.F(i, j))
+    # the raising operators stacked into one matrix, entries by column
+    stacked = {}
+    for t, m in enumerate(raising):
+        for (r, c), v in m.entries.items():
+            stacked.setdefault(c, []).append((t * rep.dim + r, v))
     out = []
     for w, (off, size) in sorted(rep.module.weight_slices().items(), reverse=True):
-        rows = []
-        for m in raising:
-            for r in range(rep.dim):
-                row = [m.get(r, off + c) for c in range(size)]
-                if any(row):
-                    rows.append(row)
-        if rows:
-            from ..exact import rref
-            piv = set()
-            rr = [row[:] for row in rows]
-            pivots = rref(rr)
-            piv = set(pivots)
-            free = [c for c in range(size) if c not in piv]
-            loc = {p: r for r, p in enumerate(pivots)}
-            for fcol in free:
-                v = [Fraction(0)] * rep.dim
-                v[off + fcol] = Fraction(1)
-                for pcol in pivots:
-                    v[off + pcol] = -rr[loc[pcol]][fcol]
-                out.append((tuple(int(2 * x) for x in w), tuple(v)))
-        else:
-            for c in range(size):
-                out.append((tuple(int(2 * x) for x in w), vec_unit(rep.dim, off + c)))
+        # the block's columns, on the stacked rows that meet them (in order)
+        ent = {(r, c - off): v for c in range(off, off + size) for r, v in stacked.get(c, ())}
+        rows = {r: i for i, r in enumerate(sorted({r for r, _ in ent}))}
+        block = SparseMat(len(rows), size, {(rows[r], c): v for (r, c), v in ent.items()})
+        wd = tuple(int(2 * x) for x in w)
+        for k in nullspace(block):
+            v = [Fraction(0)] * rep.dim
+            v[off:off + size] = k
+            out.append((wd, tuple(v)))
     rep._vplus = out
     return out
 
@@ -418,29 +409,33 @@ def z_interp_poly(rep: BCDIrrep) -> OpPoly:
     top = alg.n if alg.series in ("B", "C") else alg.n - 1
     deg = 2 * (top - 1)
     pts = [Fraction(3 * t + 1, 1) for t in range(deg + 1)]
-    mats = [z_interp(rep, u0) for u0 in pts]
-    d = mats[0].nrows
-    # Lagrange interpolation in u
-    coeffs = [SparseMat.zero(d, d) for _ in range(deg + 1)]
+    return _lagrange(pts)([z_interp(rep, u0) for u0 in pts])
+
+
+def _lagrange(pts):
+    """Lagrange interpolation through the points pts.
+
+    Returns a function that takes the d x d matrices at pts (in order) to
+    the OpPoly of degree < len(pts) through them.  The basis polynomials
+    are computed once here, for every matrix list interpolated later.
+    """
+    basis = []
     for t, u0 in enumerate(pts):
-        basis_poly = [Fraction(1)]
+        others = pts[:t] + pts[t + 1:]
         den = Fraction(1)
-        for s, u1 in enumerate(pts):
-            if s == t:
-                continue
-            basis_poly = _poly_mul(basis_poly, [-u1, Fraction(1)])
+        for u1 in others:
             den *= u0 - u1
-        for j, c in enumerate(basis_poly):
-            coeffs[j] = coeffs[j] + mats[t].scale(c / den)
-    return OpPoly(d, d, coeffs)
+        basis.append([c / den for c in spoly_from_roots([-u1 for u1 in others])])
 
+    def interpolate(mats):
+        d = mats[0].nrows
+        coeffs = [SparseMat.zero(d, d) for _ in pts]
+        for mat, poly in zip(mats, basis):
+            for j, c in enumerate(poly):
+                coeffs[j] = coeffs[j] + mat.scale(c)
+        return OpPoly(d, d, coeffs)
 
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
+    return interpolate
 
 
 # ---------------------------------------------------------------------------
@@ -625,9 +620,9 @@ def fnn_action_check(rep: BCDIrrep, mu) -> bool:
 def zab_operators(rep: BCDIrrep, mu):
     """The operators Z_ab(u), a, b in {-n, n}, on the basis of V^+_mu.
 
-    Returns (tuples, vectors, {(a,b): OpPoly}); the homomorphism prefactors
-    (-u^-2n, (u+1/2)u^-2n, -2u^-2n+2) are recorded in the .prefactor
-    attribute on the dict.
+    Returns (tuples, vectors, {(a,b): OpPoly}).  The polynomials are Z_ab(u)
+    itself: the series prefactors of the twisted-Yangian homomorphism
+    (-u^-2n for B, (u+1/2) u^-2n for C, -2 u^-2n+2 for D) are not applied.
     """
     alg = rep.algebra
     n = alg.n
@@ -642,28 +637,15 @@ def zab_operators(rep: BCDIrrep, mu):
             raise ArithmeticError("Z_ab image left V^+_mu")
         return coeffs
 
+    # Z_ab(u) has degree at most 2n: interpolate through 2n + 1 points
+    pts = [Fraction(2 * t + 1, 2) for t in range(2 * n + 1)]
+    interpolate = _lagrange(pts)
     for a in (-n, n):
         for b in (-n, n):
-            deg = 2 * n - 1 + 1
-            pts = [Fraction(2 * t + 1, 2) for t in range(deg + 1)]
-            mats = []
-            for u0 in pts:
-                cols = []
-                for v in vecs:
-                    img = _apply_zab_point(rep, a, b, u0, v)
-                    cols.append(to_coords(img))
-                mats.append(SparseMat.from_columns(cols, d))
-            coeffs = [SparseMat.zero(d, d) for _ in range(deg + 1)]
-            for t, u0 in enumerate(pts):
-                bp = [Fraction(1)]
-                den = Fraction(1)
-                for s, u1 in enumerate(pts):
-                    if s != t:
-                        bp = _poly_mul(bp, [-u1, Fraction(1)])
-                        den *= u0 - u1
-                for j, c in enumerate(bp):
-                    coeffs[j] = coeffs[j] + mats[t].scale(c / den)
-            out[(a, b)] = OpPoly(d, d, coeffs)
+            mats = [SparseMat.from_columns(
+                        [to_coords(_apply_zab_point(rep, a, b, u0, v)) for v in vecs], d)
+                    for u0 in pts]
+            out[(a, b)] = interpolate(mats)
     return tuples, vecs, out
 
 

@@ -16,6 +16,7 @@ doubled value 3 means the entry 3/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 FAMILIES = ("A", "B3", "C3", "D3", "B4", "D4")
 
@@ -362,199 +363,132 @@ def validate(p) -> bool:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _desc_range(hi, lo):
-    """Doubled values hi, hi-2, ..., down to lo (same parity assumed)."""
-    return range(hi, lo - 1, -2)
+def _choose(bounds):
+    """Candidate rows, largest first: entry i runs from hi down to lo in
+    doubled steps, for each (hi, lo) in bounds."""
+    return product(*(range(hi, lo - 1, -2) for hi, lo in bounds))
 
 
-def _walk(bounds, emit):
-    """Choose entries left to right, each descending within [lo, hi].
-
-    bounds is a list of (hi, lo) pairs; emit receives the chosen tuple.
-    Choosing in this order yields descending lexicographic output.
-    """
-    row = [0] * len(bounds)
-
-    def rec(i):
-        if i == len(bounds):
-            emit(tuple(row))
-            return
-        hi, lo = bounds[i]
-        for v in _desc_range(hi, lo):
-            row[i] = v
-            rec(i + 1)
-
-    rec(0)
+def _interlace(row):
+    """Rows x with row[i] >= x_i >= row[i+1]."""
+    return _choose(zip(row, row[1:]))
 
 
-def _walk_iter(bounds):
-    out = []
-    _walk(bounds, out.append)
-    return out
+# Steps shared by several families; each takes the rows chosen so far.
+
+def _below(rows):
+    """Rows interlacing the last row chosen."""
+    return _interlace(rows[-1])
 
 
-def _cap_par(cap, anchor):
-    """Largest doubled value <= cap with the parity of anchor."""
-    return cap if (cap - anchor) % 2 == 0 else cap - 1
+def _signed_tail(rows):
+    """Rows x interlacing the last row r, plus a last entry r[-1] >= x >= -r[-1]."""
+    r = rows[-1]
+    return _choose([*zip(r, r[1:]), (r[-1], -r[-1])])
+
+
+def _abs_tail(rows):
+    """Rows interlacing the last row with its last entry taken by modulus."""
+    r = rows[-1]
+    return _interlace(r[:-1] + (abs(r[-1]),))
+
+
+def _build_pairs(cls):
+    """Pattern from rows chosen as lambda_n, primed, lambda_{n-1}, primed, ..."""
+    return lambda rows: cls(tuple(rows[0::2][::-1]), tuple(rows[1::2][::-1]))
+
+
+# A plan is (steps, build): steps[i] maps the rows chosen so far (top row
+# first) to the candidates for the next one; build makes the pattern.
+
+def _plan_A(lam):
+    return [_below] * (len(lam) - 1), lambda rows: GTPatternA(tuple(rows))
+
+
+def _plan_B3(lam):
+    # level k: sigma_k; lambda'_k as for C3, its first entry capped (doubled)
+    # by -1 for half-integer weights, and for integer ones by 0, or by -2
+    # when sigma_k = 1; then lambda_{k-1} interlacing lambda'_k
+    integer_case = lam[0] % 2 == 0
+
+    def primed(rows):
+        cap = -2 * rows[-1][0] if integer_case else -1
+        return _interlace((cap,) + rows[-2])
+
+    def build(rows):
+        return PatternB3(tuple(s for (s,) in rows[1::3][::-1]),
+                         tuple(rows[0::3][::-1]), tuple(rows[2::3][::-1]))
+
+    steps = [lambda rows: ((1,), (0,)), primed, _below]
+    return (steps * len(lam))[:-1], build
+
+
+def _plan_C3(lam):
+    # 0 >= lambda'_k1 >= lambda_k1 >= lambda'_k2 >= ... >= lambda_kk, then
+    # lambda_{k-1} interlacing lambda'_k
+    steps = [lambda rows: _interlace((0,) + rows[-1]), _below]
+    return (steps * len(lam))[:-1], _build_pairs(PatternC3)
+
+
+def _plan_D3(lam):
+    # -|lambda_k1| >= p_1 >= lambda_k2 >= p_2 >= ... >= p_{k-1} >= lambda_kk;
+    # then lambda_{k-1}: -|r_1| >= p_1 (r_1 in [p_1, -p_1]), p_{i-1} >= r_i >= p_i
+    def primed(rows):
+        top = rows[-1]
+        return _interlace((-abs(top[0]),) + top[1:])
+
+    def unprimed(rows):
+        p = rows[-1]
+        return _choose([(-p[0], p[0]), *zip(p, p[1:])])
+
+    return [primed, unprimed] * (len(lam) - 1), _build_pairs(PatternD3)
+
+
+def _plan_B4(lam):
+    # lambda'_k: lambda_ki >= p_i >= lambda_k,i+1, lambda_kk >= |p_k|; then
+    # lambda_{k-1}: p_i >= r_i >= p_{i+1}, p_{k-1} >= r_{k-1} >= |p_k|
+    return ([_signed_tail, _abs_tail] * len(lam))[:-1], _build_pairs(PatternB4)
+
+
+def _plan_D4(lam):
+    # lambda'_{k-1}: lambda_ki >= p_i >= lambda_k,i+1, lambda_k,k-1 >= p_{k-1}
+    # >= |lambda_kk|; then lambda_{k-1}: p_i >= r_i >= p_{i+1}, |r_{k-1}| <= p_{k-1}
+    return [_abs_tail, _signed_tail] * (len(lam) - 1), _build_pairs(PatternD4)
+
+
+_PLANS = {"A": _plan_A, "B3": _plan_B3, "C3": _plan_C3,
+          "D3": _plan_D3, "B4": _plan_B4, "D4": _plan_D4}
 
 
 def enumerate_patterns(family, lam):
-    """All valid patterns with top row lam, in descending lexicographic order
-    of the flattened array (top row first, larger entries first).
+    """All valid patterns with top row lam.
+
+    Each family's plan lists its choice steps, top level first; a step maps
+    the rows chosen so far to the candidates for the next row, largest
+    first.  The output is therefore in descending lexicographic order of the
+    rows in the order they are chosen.  For A, C3, D3, B4 and D4 that is the
+    order of flatten(); for B3 the rows of level k are chosen as sigma_k,
+    lambda'_k, lambda_{k-1}, so sigma_k comes after lambda_k and not before
+    it as in flatten().
 
     The position in this list is the canonical basis index everywhere else.
     """
     lam = check_dominant(family, tuple(lam))
-    dispatch = {"A": _enumerate_A, "B3": _enumerate_B3, "C3": _enumerate_C3,
-                "D3": _enumerate_D3, "B4": _enumerate_B4, "D4": _enumerate_D4}
-    out = dispatch[family](lam)
-    assert all(validate(p) for p in out)
-    return out
-
-
-def _enumerate_A(lam):
-    n = len(lam)
+    steps, build = _PLANS[family](lam)
     out = []
     rows = [lam]
 
-    def rec(k):
-        if k == 1:
-            out.append(GTPatternA(tuple(rows)))
+    def descend(i):
+        if i == len(steps):
+            out.append(build(rows))
             return
-        upper = rows[-1]
-        for row in _walk_iter([(upper[i], upper[i + 1]) for i in range(k - 1)]):
+        for row in steps[i](rows):
             rows.append(row)
-            rec(k - 1)
+            descend(i + 1)
             rows.pop()
 
-    rec(n)
-    return out
-
-
-def _enumerate_B3(lam):
-    n = len(lam)
-    integer_case = lam[0] % 2 == 0
-    out = []
-    lam_rows, lamp_rows, sig = [None] * n, [None] * n, [None] * n
-    lam_rows[n - 1] = tuple(lam)
-
-    def rec(k):
-        # flatten order within level k: sigma_k, (lam_k fixed), lamp_k
-        lamk = lam_rows[k - 1]
-        for s in (1, 0):
-            sig[k - 1] = s
-            # lamp_k: 0 >= lamp_k1 >= ... interleaving lam_k from above
-            bounds = [(_cap_par(0, lamk[0]) if i == 0 else lamk[i - 1], lamk[i])
-                      for i in range(k)]
-            if s == 1 and integer_case:
-                bounds[0] = (min(bounds[0][0], -2), bounds[0][1])
-            for lampk in _walk_iter(bounds):
-                lamp_rows[k - 1] = lampk
-                if k == 1:
-                    out.append(PatternB3(tuple(sig), tuple(lam_rows), tuple(lamp_rows)))
-                    continue
-                for row in _walk_iter([(lampk[i], lampk[i + 1]) for i in range(k - 1)]):
-                    lam_rows[k - 2] = row
-                    rec(k - 1)
-
-    rec(n)
-    return out
-
-
-def _enumerate_C3(lam):
-    n = len(lam)
-    out = []
-    lam_rows, lamp_rows = [None] * n, [None] * n
-    lam_rows[n - 1] = tuple(lam)
-
-    def rec(k):
-        lamk = lam_rows[k - 1]
-        bounds = [(0 if i == 0 else lamk[i - 1], lamk[i]) for i in range(k)]
-        for lampk in _walk_iter(bounds):
-            lamp_rows[k - 1] = lampk
-            if k == 1:
-                out.append(PatternC3(tuple(lam_rows), tuple(lamp_rows)))
-                continue
-            for row in _walk_iter([(lampk[i], lampk[i + 1]) for i in range(k - 1)]):
-                lam_rows[k - 2] = row
-                rec(k - 1)
-
-    rec(n)
-    return out
-
-
-def _enumerate_D3(lam):
-    n = len(lam)
-    out = []
-    lam_rows, lamp_rows = [None] * n, [None] * max(n - 1, 0)
-    lam_rows[n - 1] = tuple(lam)
-
-    def rec(k):
-        if k == 1:
-            out.append(PatternD3(tuple(lam_rows), tuple(lamp_rows)))
-            return
-        lamk = lam_rows[k - 1]
-        # lamp_{k-1}: -|lam_k1| >= p_1 >= lam_k2 >= p_2 >= ... >= p_{k-1} >= lam_kk
-        bounds = [(-abs(lamk[0]) if i == 0 else lamk[i], lamk[i + 1]) for i in range(k - 1)]
-        for p in _walk_iter(bounds):
-            lamp_rows[k - 2] = p
-            # lam_{k-1}: -|r_1| >= p_1 (so r_1 in [p_1, -p_1]), p_{i-1} >= r_i >= p_i
-            row_bounds = [(-p[0], p[0]) if i == 0 else (p[i - 1], p[i]) for i in range(k - 1)]
-            for row in _walk_iter(row_bounds):
-                lam_rows[k - 2] = row
-                rec(k - 1)
-
-    rec(n)
-    return out
-
-
-def _enumerate_B4(lam):
-    n = len(lam)
-    out = []
-    lam_rows, lamp_rows = [None] * n, [None] * n
-    lam_rows[n - 1] = tuple(lam)
-
-    def rec(k):
-        lamk = lam_rows[k - 1]
-        # lamp_k: lam_ki >= p_i >= lam_k,i+1 for i < k; lam_kk >= |p_k|
-        bounds = [(lamk[i], lamk[i + 1] if i + 1 < k else -lamk[k - 1]) for i in range(k)]
-        for p in _walk_iter(bounds):
-            lamp_rows[k - 1] = p
-            if k == 1:
-                out.append(PatternB4(tuple(lam_rows), tuple(lamp_rows)))
-                continue
-            # lam_{k-1}: p_i >= r_i >= p_{i+1} for i < k-1; p_{k-1} >= r_{k-1} >= |p_k|
-            row_bounds = [(p[i], p[i + 1] if i + 2 < k else abs(p[k - 1])) for i in range(k - 1)]
-            for row in _walk_iter(row_bounds):
-                lam_rows[k - 2] = row
-                rec(k - 1)
-
-    rec(n)
-    return out
-
-
-def _enumerate_D4(lam):
-    n = len(lam)
-    out = []
-    lam_rows, lamp_rows = [None] * n, [None] * max(n - 1, 0)
-    lam_rows[n - 1] = tuple(lam)
-
-    def rec(k):
-        if k == 1:
-            out.append(PatternD4(tuple(lam_rows), tuple(lamp_rows)))
-            return
-        lamk = lam_rows[k - 1]
-        # lamp_{k-1}: lam_ki >= p_i >= lam_k,i+1 for i < k-1; lam_{k,k-1} >= p_{k-1} >= |lam_kk|
-        bounds = [(lamk[i], lamk[i + 1] if i + 2 < k else abs(lamk[k - 1])) for i in range(k - 1)]
-        for p in _walk_iter(bounds):
-            lamp_rows[k - 2] = p
-            # lam_{k-1}: p_i >= r_i >= p_{i+1} for i < k-1; p_{k-1} >= r_{k-1} >= -p_{k-1}
-            row_bounds = [(p[i], p[i + 1] if i + 2 < k else -p[k - 2]) for i in range(k - 1)]
-            for row in _walk_iter(row_bounds):
-                lam_rows[k - 2] = row
-                rec(k - 1)
-
-    rec(n)
+    descend(0)
+    assert all(validate(p) for p in out)
     return out
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .exact import (OpPoly, SparseMat, kron, rank, spoly_from_roots,
-                    vec_is_zero, vec_unit)
+                    spoly_mul, vec_is_zero, vec_unit)
 from . import gln
 
 PLUS, MINUS = 1, -1
@@ -255,22 +255,12 @@ def eta_action_checks(module: YTensorModule) -> bool:
         # T_{-n,-n}(u) display, cleared of the denominators prod(u+gamma_i+1)
         den = spoly_from_roots([g + 1 for g in gvals])
         lhs = tmm.mul_scalar_poly(den)
-        num = spoly_from_roots([a + 1 for a in alphas])
-        num = [c for c in num]
-        num2 = spoly_from_roots(betas)
-        prod = OpPoly.from_scalar_poly(_spmul(num, num2), module.dim)
+        num = spoly_mul(spoly_from_roots([a + 1 for a in alphas]), spoly_from_roots(betas))
+        prod = OpPoly.from_scalar_poly(num, module.dim)
         rhs = prod + tmp @ tpm.shift_u(1)
         if lhs.apply_to(v) != rhs.apply_to(v):
             return False
     return True
-
-
-def _spmul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1) if p and q else []
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +283,7 @@ def quantum_det_scalar_check(module: YTensorModule) -> bool:
     """d(u) acts as prod (u+alpha_i+1)(u+beta_i) on the whole module."""
     d = quantum_det(module)
     spoly = spoly_from_roots([Fraction(f.alpha2, 2) + 1 for f in module.factors])
-    spoly = _spmul(spoly, spoly_from_roots([Fraction(f.beta2, 2) for f in module.factors]))
+    spoly = spoly_mul(spoly, spoly_from_roots([Fraction(f.beta2, 2) for f in module.factors]))
     for t in range(module.dim):
         if not _is_scalar_action(d, vec_unit(module.dim, t), spoly):
             return False

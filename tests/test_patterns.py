@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -73,12 +75,63 @@ def test_count_equals_weyl_oracle(family, lam):
         assert cnt == branching.weyl_dim(family[0], lam)
 
 
+def _choice_key(p):
+    """Entries in the order enumeration chooses them, top level first.
+
+    This is flatten() for every family but B3, where sigma_k is chosen
+    after lambda_k and before lambda'_k.
+    """
+    if isinstance(p, PatternB3):
+        return tuple(x for k in range(p.n, 0, -1)
+                     for x in (*p.lam[k - 1], p.sigma[k - 1], *p.lamp[k - 1]))
+    return p.flatten()
+
+
 def test_enumeration_is_sorted_descending():
-    for family, lam, _ in COUNTS:
-        pats = enumerate_patterns(family, lam)
-        flats = [p.flatten() for p in pats]
-        assert flats == sorted(flats, reverse=True)
-        assert len(set(flats)) == len(flats)
+    for family, lam, _ in COUNTS + [("B3", (-1, -3, -5), 512)]:
+        keys = [_choice_key(p) for p in enumerate_patterns(family, lam)]
+        assert keys == sorted(keys, reverse=True)
+        assert len(set(keys)) == len(keys)
+
+
+# (family, doubled top row, count, sha256 of repr([p.flatten() for p in
+# enumerate_patterns(family, lam)])), recorded from the per-family
+# recursions that the single enumeration driver replaced.  The list position
+# is the canonical basis index of build_irrep, gt_basis_bcd, orth_gt_basis,
+# the gt-export/1 files and `gt patterns`, so it must never move.
+CANONICAL_ORDER = [
+    ("A", (4,), 1, "644529242992d924f97b1c5d3fe495d7d43e117a2cdd2be529a13dcdba650160"),
+    ("A", (1, -1), 2, "fae2d50735b4987185c0ed34c3245ee667be87af34025e50ed940a6ebdced2bc"),
+    ("A", (6, 4, 2, 0), 64, "0be58575d29ea3634a5f8399ae96178478181d1abda2b94b9ca7ebd63d7ab73f"),
+    ("A", (8, 4, 2, 0, 0), 700, "ef83f4f06d0dab15b174f9fc3bad5903381329ded5e4e3334c56f9a273628c87"),
+    ("B3", (-1,), 2, "dc1480b582cf35f804a26ffc2445f991bf52612192d0bd393d9c81704b689e91"),
+    ("B3", (-2, -2), 10, "3b6634ceed69b84e074c366868c2cd0ac782b311c04f31c4fedf3e6f8ccc88fd"),
+    ("B3", (-1, -3, -5), 512, "145e230c8b055f1ded1346ea63e43f50fc578ac479a6206fb48f40b4847b4cd4"),
+    ("B3", (-2, -6, -6), 2079, "c4081d4edeee493ff8041c138d9ad370da2b8526a44ad84ffb06c63bd1755509"),
+    ("C3", (-4,), 3, "bb42edc10604563fc692c4905d130c3093fa0eb185a42a3aa7221d213c77a796"),
+    ("C3", (0, -2), 4, "4c7c9088a8d2b3c699c10a35d008e86afe2ad720694a3ba4fb4a8470e683b0b0"),
+    ("C3", (-2, -2, -4), 70, "4e0ff1633de412a4139dd046d6c8d617a6bbf1fff72e71f9433c890774ac15e2"),
+    ("C3", (-2, -4, -6), 512, "682a051fa10111caae72eb3c9415bab43b34bc69c84451ba349dc22ca3b0c4bd"),
+    ("D3", (-3,), 1, "08a89697767dfa4a11d5bb5c231d9d6733193352b7f2505ad9c4cfffadaec5f8"),
+    ("D3", (-2, -4), 8, "c005787f82659e456a4f0b03f2411fc0b9f6002be7b37f4947c96e291e573fae"),
+    ("D3", (1, -1, -3), 20, "e5e3f31f825a0c32e27eae63459eb7684643ac98423448a6fa49be6a276f8110"),
+    ("D3", (2, -2, -4), 45, "289e56cc6a4d27a82afb2b8b114253c3cc85f8060ef425e8e0c1019b28604e9d"),
+    ("B4", (2,), 3, "487b6e303a112358987f7d3dc0b32df86b4595546bd1a02289aa9a417b9b725d"),
+    ("B4", (4, 2), 35, "481a4b1a25698bd3fb4ad7052e1b96e3bd2122a8bdd9fe15e4f34aadd88c953d"),
+    ("B4", (3, 1, 1), 48, "4b3cb6e14d126cb231f9e0bf63098dfa5ca7bde20f12af62e41e08089f6682b4"),
+    ("B4", (6, 4, 2), 1617, "dfe332baa196163f76533c9a0081317541e3a1d0a01f7e9c1a47ed8524b6d8cb"),
+    ("D4", (2,), 1, "8dde432d11c82e14565157bed26ac5e716927570aadc359f91610d98f7682b17"),
+    ("D4", (3, 1, 1), 20, "1b4d24757b6d872e7b7df28f010181482c66867887075803cd9a7ef07af874aa"),
+    ("D4", (4, 2, -2), 45, "a408b19eb1ef76048af558cb6a5f91abbd629b5a6de08de0f998b807807a12b0"),
+    ("D4", (5, 3, 1, 1), 840, "53c683010b65009e1bdbb91e4f69cf5fc67bffcad43f6826e2cca86fab0bbbab"),
+]
+
+
+@pytest.mark.parametrize("family,lam,count,digest", CANONICAL_ORDER)
+def test_canonical_order_is_pinned(family, lam, count, digest):
+    flats = [p.flatten() for p in enumerate_patterns(family, lam)]
+    assert len(flats) == count
+    assert hashlib.sha256(repr(flats).encode()).hexdigest() == digest
 
 
 def test_dominance_rejected():
