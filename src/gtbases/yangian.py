@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .exact import (OpPoly, SparseMat, kron, rank, spoly_from_roots,
-                    spoly_mul, vec_is_zero, vec_unit)
+from .exact import (OpPoly, SpanSolver, SparseMat, kron, rank, rref,
+                    spoly_from_roots, spoly_mul, vec_is_zero, vec_unit)
 from . import gln
 
 PLUS, MINUS = 1, -1
@@ -463,45 +463,45 @@ def snn_commutativity_check(module: YTensorModule, sign, points, delta2=None) ->
 
 
 # ---------------------------------------------------------------------------
-# brute-force irreducibility over QQ (valid for absolutely irreducible
-# modules, which is the situation the predicates describe)
+# brute-force irreducibility over QQ.  By Burnside's theorem a module over a
+# field of characteristic 0 is absolutely irreducible iff the unital algebra
+# generated by the action is all of M_n; absolute irreducibility is the
+# situation the string predicates describe.
 # ---------------------------------------------------------------------------
 
-def _mat_to_vec(m: SparseMat):
-    return tuple(m.get(r, c) for r in range(m.nrows) for c in range(m.ncols))
-
-
 def algebra_closure(gens, n):
-    """Basis of the unital matrix algebra generated by gens (n x n)."""
-    basis = []
-    rows = []
+    """Basis of the unital matrix algebra generated by gens (n x n).
 
-    def reduce_add(m):
-        v = list(_mat_to_vec(m))
-        for pivot_col, row in rows:
-            if v[pivot_col]:
-                f = v[pivot_col]
-                v = [x - f * y for x, y in zip(v, row)]
-        for c, x in enumerate(v):
-            if x:
-                v = [y / x for y in v]
-                rows.append((c, v))
-                basis.append(m)
-                return True
+    Spin order: the identity, then the generators in order, then, breadth
+    first, each newly kept element left-multiplied by each kept generator.
+    Every word in the generators is then in the span, since the span is
+    closed under left multiplication by them.  Independence is tested on
+    the row-major n*n vector, and the spin stops once n*n elements are kept.
+    """
+    solver = SpanSolver((), n * n)
+    basis = []
+
+    def keep(m):
+        vec = [0] * (n * n)
+        for (r, c), x in m.entries.items():
+            vec[r * n + c] = x
+        if solver.add(vec):
+            basis.append(m)
+            return True
         return False
 
-    reduce_add(SparseMat.identity(n))
-    frontier = []
-    for g in gens:
-        if reduce_add(g):
-            frontier.append(g)
-    while frontier:
+    keep(SparseMat.identity(n))
+    kept = [g for g in gens if keep(g)]
+    frontier = kept
+    while frontier and len(basis) < n * n:
         new = []
-        for f in frontier:
-            for b in list(basis):
-                for prod in (f @ b, b @ f):
-                    if reduce_add(prod):
-                        new.append(prod)
+        for b in frontier:
+            for g in kept:
+                prod = g @ b
+                if keep(prod):
+                    new.append(prod)
+                    if len(basis) == n * n:
+                        return basis
         frontier = new
     return basis
 
@@ -521,7 +521,6 @@ def commutant_dimension(gens, n) -> int:
                     rows.append(row)
     if not rows:
         return n * n
-    from .exact import rref
     return n * n - len(rref(rows))
 
 
@@ -534,16 +533,13 @@ def algebra_is_semisimple(basis) -> bool:
             prod = basis[i] @ basis[j]
             tr = sum(prod.get(t, t) for t in range(prod.nrows))
             gram[i][j] = gram[j][i] = tr
-    from .exact import rref
     return len(rref(gram)) == m
 
 
 def brute_force_irreducible(gens, n) -> bool:
-    """Absolutely irreducible iff the generated algebra is semisimple and
-    the commutant is the scalars."""
-    if commutant_dimension(gens, n) != 1:
-        return False
-    return algebra_is_semisimple(algebra_closure(gens, n))
+    """Absolutely irreducible iff the generated algebra is all of M_n
+    (Burnside), i.e. the spin closure of ``algebra_closure`` reaches n*n."""
+    return len(algebra_closure(gens, n)) == n * n
 
 
 def brute_force_irreducible_Y2(module: YTensorModule) -> bool:

@@ -325,6 +325,12 @@ class TestZab:
         assert len(vecs) == 1
         assert zab[(2, -2)].is_zero() and zab[(-2, 2)].is_zero()
 
+    @pytest.mark.xfail(strict=True, raises=ZeroDivisionError,
+                       reason="known defect: _apply_zab_point meets a vanishing "
+                              "Cartan denominator on integer-weight B modules")
+    def test_integer_weight_b_module(self):
+        zab_operators(build_bcd_irrep("B", (-2, -2)), (0,))
+
     def test_interpolated_polys_reproduce_values(self, sp4_vec):
         tups, vecs, zab = zab_operators(sp4_vec, (0,))
         for (a, b), poly in zab.items():

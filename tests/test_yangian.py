@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gtbases import yangian as y
-from gtbases.exact import SparseMat, spoly_from_roots
+from gtbases.exact import SparseMat, rank, spoly_from_roots
 
 RTT_PAIRS = [(Fraction(1), Fraction(2)), (Fraction(1, 2), Fraction(3)),
              (Fraction(5), Fraction(-7, 3)), (Fraction(2), Fraction(9)),
@@ -248,38 +249,151 @@ class TestTwistedBasis:
             y.twisted_basis(m, "-")
 
 
+Y2_CASES = [
+    ([S(1, 0)], True),
+    ([S(2, 0), S(4, 3)], True),
+    ([S(2, 0), S(3, 2)], False),
+    ([S(1, 0), S(3, 2), S(5, 4)], True),
+    ([S(1, 0), S(1, 0)], True),       # equal strings: containment
+    ([S(2, 0), S(1, 0)], True),
+    ([S(2, 1), S(1, 0)], False),
+]
+YMINUS_CASES = [
+    [S(1, 0)], [S(1, 0), S(3, 2)], [S(1, 0), S(1, -1)],
+    [S(1, 0), S(1, 0)],   # Y2-irreducible but meets a reflected string
+    [S(2, 1), S(-1, -2)],
+]
+YPLUS_CASES = [
+    ([S(1, 0)], 3), ([S(1, 0)], 0), ([S(1, 0), S(3, 2)], 5),
+    ([S(1, 0), S(3, 2)], -2),
+]
+
+
 class TestBruteForce:
-    @pytest.mark.parametrize("factors,expect", [
-        ([S(1, 0)], True),
-        ([S(2, 0), S(4, 3)], True),
-        ([S(2, 0), S(3, 2)], False),
-        ([S(1, 0), S(3, 2), S(5, 4)], True),
-        ([S(1, 0), S(1, 0)], True),       # equal strings: containment
-        ([S(2, 0), S(1, 0)], True),
-        ([S(2, 1), S(1, 0)], False),
-    ])
+    @pytest.mark.parametrize("factors,expect", Y2_CASES)
     def test_y2_agreement(self, factors, expect):
         m = y.build_tensor_module(factors)
         assert m.dim <= 8
         assert y.irreducible_Y2(factors) == expect
         assert y.brute_force_irreducible_Y2(m) == expect
 
-    @pytest.mark.parametrize("factors", [
-        [S(1, 0)], [S(1, 0), S(3, 2)], [S(1, 0), S(1, -1)],
-        [S(1, 0), S(1, 0)],   # Y2-irreducible but meets a reflected string
-        [S(2, 1), S(-1, -2)],
-    ])
+    @pytest.mark.parametrize("factors", YMINUS_CASES)
     def test_yminus_agreement(self, factors):
         m = y.build_tensor_module(factors)
         assert m.dim <= 8
         assert y.brute_force_irreducible_twisted(m, "-") == y.irreducible_Yminus(factors)
 
-    @pytest.mark.parametrize("factors,delta", [
-        ([S(1, 0)], 3), ([S(1, 0)], 0), ([S(1, 0), S(3, 2)], 5),
-        ([S(1, 0), S(3, 2)], -2),
-    ])
+    @pytest.mark.parametrize("factors,delta", YPLUS_CASES)
     def test_yplus_agreement(self, factors, delta):
         m = y.build_tensor_module(factors)
         assert m.dim <= 8
         assert y.brute_force_irreducible_twisted(m, "+", delta2=2 * delta) == \
             y.irreducible_Yplus(factors, 2 * delta)
+
+
+# ---------------------------------------------------------------------------
+# the spin closure against a two-sided reference closure
+# ---------------------------------------------------------------------------
+
+def _vec(m):
+    return [m.get(r, c) for r in range(m.nrows) for c in range(m.ncols)]
+
+
+def reference_closure(gens, n):
+    """Two-sided closure: every new element times the whole basis, on both
+    sides, until nothing new appears or all of M_n is reached (dense
+    echelon independence test)."""
+    basis = []
+    rows = []
+
+    def reduce_add(m):
+        v = _vec(m)
+        for pivot_col, row in rows:
+            if v[pivot_col]:
+                f = v[pivot_col]
+                v = [x - f * y for x, y in zip(v, row)]
+        for c, x in enumerate(v):
+            if x:
+                v = [y / x for y in v]
+                rows.append((c, v))
+                basis.append(m)
+                return True
+        return False
+
+    reduce_add(SparseMat.identity(n))
+    frontier = [g for g in gens if reduce_add(g)]
+    while frontier:
+        new = []
+        for f in frontier:
+            for b in list(basis):
+                for prod in (f @ b, b @ f):
+                    if reduce_add(prod):
+                        new.append(prod)
+                if len(basis) == n * n:
+                    return basis
+        frontier = new
+    return basis
+
+
+def _span_rank(mats):
+    return rank(SparseMat.from_rows([_vec(m) for m in mats])) if mats else 0
+
+
+@st.composite
+def generator_sets(draw):
+    """Small integer n x n generator sets, n <= 4: random, zero, duplicated
+    and block upper triangular (a common invariant subspace) ones."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["random", "zero", "duplicate", "block"]))
+    split = draw(st.integers(1, n - 1)) if kind == "block" and n > 1 else n
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2))
+
+    def mat():
+        return SparseMat(n, n, {(r, c): draw(entry) for r in range(n) for c in range(n)
+                                if r < split or c >= split})
+
+    gens = [mat() for _ in range(draw(st.integers(0, 3)))]
+    if kind == "zero":
+        gens.insert(draw(st.integers(0, len(gens))), SparseMat.zero(n, n))
+    elif kind == "duplicate" and gens:
+        gens.append(gens[draw(st.integers(0, len(gens) - 1))])
+    return gens, n
+
+
+class TestSpinClosure:
+    @settings(max_examples=150, deadline=None)
+    @given(generator_sets())
+    def test_spans_the_reference_closure(self, case):
+        gens, n = case
+        spin = y.algebra_closure(gens, n)
+        ref = reference_closure(gens, n)
+        assert len(spin) == _span_rank(spin) <= n * n
+        assert _span_rank(spin) == _span_rank(ref) == _span_rank(spin + ref)
+
+    def test_empty_set_is_the_scalars(self):
+        assert len(y.algebra_closure([], 3)) == 1
+        assert not y.brute_force_irreducible([], 2)
+        assert y.brute_force_irreducible([], 1)
+
+    @pytest.mark.parametrize("kind,factors,delta2",
+                             [("y2", f, None) for f, _ in Y2_CASES]
+                             + [("-", f, None) for f in YMINUS_CASES]
+                             + [("+", f, 2 * dl) for f, dl in YPLUS_CASES])
+    def test_burnside_matches_commutant_and_semisimple(self, kind, factors, delta2,
+                                                       monkeypatch):
+        calls = []
+        burnside = y.brute_force_irreducible
+
+        def spy(gens, n):
+            calls.append((gens, n))
+            return burnside(gens, n)
+
+        monkeypatch.setattr(y, "brute_force_irreducible", spy)
+        m = y.build_tensor_module(factors)
+        if kind == "y2":
+            got = y.brute_force_irreducible_Y2(m)
+        else:
+            got = y.brute_force_irreducible_twisted(m, kind, delta2)
+        [(gens, n)] = calls
+        assert got == (y.commutant_dimension(gens, n) == 1
+                       and y.algebra_is_semisimple(reference_closure(gens, n)))
