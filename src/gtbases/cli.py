@@ -107,9 +107,7 @@ def _dimension(kind, data, lam, convention):
         cnt = len(patterns.enumerate_patterns("A", lam))
         oracle = branching.weyl_dim("A", lam)
     else:
-        series = _series_of(kind, data if kind == "sp" else data)
-        if kind == "sp":
-            series = "C"
+        series = _series_of(kind, data)
         fam = _family(kind, data, convention)
         cnt = len(patterns.enumerate_patterns(fam, lam))
         if convention == "s4":
@@ -170,41 +168,23 @@ def export_dict(kind, data, lam, convention, rep):
     if kind == "gl":
         out = gln.export_json(rep)
     else:
-        alg_name = "sp" if kind == "sp" else "so"
-        if convention == "s4":
-            fam = _family(kind, data, convention)
-            gens = {}
-            n = rep.n
-            for i in range(1, rep.N + 1):
-                for j in range(1, rep.N + 1):
-                    m = rep.module.realize(rep._fdef(i, j))
-                    if not m.is_zero():
-                        gens["F_%d_%d" % (i, j)] = _entries(m)
-            out = {
-                "algebra": alg_name, "n": n, "lambda": list(lam),
-                "dim": rep.dim, "convention": "s4",
-                "patterns": [patterns.to_json(p)
-                             for p in patterns.enumerate_patterns(fam, lam)],
-                "generators": gens,
-                "gram": _entries(rep.module.gram_matrix()),
-            }
-        else:
-            alg = rep.algebra
-            gens = {}
-            for i in alg.indices:
-                for j in alg.indices:
-                    m = rep.F(i, j)
-                    if not m.is_zero():
-                        gens["F_%d_%d" % (i, j)] = _entries(m)
-            fam = _family(kind, data, convention)
-            out = {
-                "algebra": alg_name, "n": alg.n, "lambda": list(lam),
-                "dim": rep.dim, "convention": "s3",
-                "patterns": [patterns.to_json(p)
-                             for p in patterns.enumerate_patterns(fam, lam)],
-                "generators": gens,
-                "gram": _entries(rep.module.gram_matrix()),
-            }
+        labels = rep.module.realization.labels
+        gens = {}
+        for i in labels:
+            for j in labels:
+                m = rep.module.F(i, j)
+                if not m.is_zero():
+                    gens["F_%d_%d" % (i, j)] = _entries(m)
+        fam = _family(kind, data, convention)
+        out = {
+            "algebra": "sp" if kind == "sp" else "so", "n": len(lam),
+            "lambda": list(lam), "dim": rep.dim,
+            "convention": "s4" if isinstance(rep, OrthogonalChain) else "s3",
+            "patterns": [patterns.to_json(p)
+                         for p in patterns.enumerate_patterns(fam, lam)],
+            "generators": gens,
+            "gram": _entries(rep.module.gram_matrix()),
+        }
     out["schema"] = SCHEMA
     return out
 
@@ -283,10 +263,14 @@ def _bcd_verify_checks(rep):
     def commutation():
         alg = rep.algebra
         pairs = [(i, j) for i in alg.indices for j in alg.indices]
+        realized = {}       # each distinct bracket is realized once
         for (i, j) in pairs:
             for (k, l) in pairs:
-                want = rep.module.realize(commutator(alg.fdef(i, j), alg.fdef(k, l)))
-                if commutator(rep.F(i, j), rep.F(k, l)) != want:
+                rm = commutator(alg.fdef(i, j), alg.fdef(k, l))
+                key = tuple(sorted(rm.entries.items()))
+                if key not in realized:
+                    realized[key] = rep.module.realize(rm)
+                if commutator(rep.F(i, j), rep.F(k, l)) != realized[key]:
                     return False
         return True
     yield "commutation", commutation
@@ -297,7 +281,6 @@ def _bcd_verify_checks(rep):
         for mu, spec in branching.branch_children_BCD(series, rep.lam):
             if len(v_plus_mu(rep, mu)) != spec.multiplicity:
                 return False
-            child = "A" if rep.algebra.n == 1 else series
             if rep.algebra.n == 1:
                 dim_child = 1
             else:

@@ -250,7 +250,8 @@ def rref(rows):
     """Reduced row echelon form in place; returns list of pivot columns.
 
     Pivots are chosen in column order (smallest column first), scanning rows
-    top to bottom, so the result is deterministic.
+    top to bottom, so the result is deterministic.  This is the dense
+    reference; the library eliminates with ``SpanSolver``.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
@@ -278,55 +279,47 @@ def rref(rows):
     return pivots
 
 
+def _columns(m: SparseMat):
+    cols = [[_ZERO] * m.nrows for _ in range(m.ncols)]
+    for (r, c), v in m.entries.items():
+        cols[c][r] = v
+    return cols
+
+
 def nullspace(m: SparseMat):
     """Exact basis of the right kernel {v : m v = 0}.
 
-    The basis is deterministic: one vector per free column (in increasing
-    column order), with entry 1 at the free column.
+    The basis is deterministic: one vector per dependent column j (in
+    increasing column order), e_j minus the coefficients of column j over
+    the columns before it; this is the basis read off the RREF.
     """
-    rows = m.to_rows()
-    if not rows:
-        return [vec_unit(m.ncols, j) for j in range(m.ncols)]
-    pivots = rref(rows)
-    pivot_set = set(pivots)
+    solver = SpanSolver([], m.nrows)
     basis = []
-    for free in range(m.ncols):
-        if free in pivot_set:
-            continue
-        v = [_ZERO] * m.ncols
-        v[free] = _ONE
-        for prow, pcol in enumerate(pivots):
-            v[pcol] = -rows[prow][free]
-        basis.append(tuple(v))
+    for j, col in enumerate(_columns(m)):
+        if not solver.add(col):
+            v = [-c for c in solver.solve(col)] + [_ZERO] * (m.ncols - j - 1)
+            v[j] = _ONE
+            basis.append(tuple(v))
     return basis
 
 
 def rank(m: SparseMat) -> int:
-    rows = m.to_rows()
-    if not rows:
-        return 0
-    return len(rref(rows))
+    solver = SpanSolver([], m.nrows)
+    return sum(solver.add(col) for col in _columns(m))
 
 
 def solve_in_span(basis_cols, target):
     """Write target as a combination of basis columns; None if impossible.
 
-    basis_cols is a list of vectors (tuples); returns the coefficient tuple.
+    basis_cols is a list of vectors (tuples); returns the coefficient tuple
+    (dependent columns get 0).  One-shot form of ``SpanSolver``.
     """
-    n = len(target)
-    rows = [[basis_cols[j][i] for j in range(len(basis_cols))] + [target[i]] for i in range(n)]
-    pivots = rref(rows)
-    ncols = len(basis_cols)
-    if ncols in pivots:
-        return None
-    coeffs = [_ZERO] * ncols
-    for prow, pcol in enumerate(pivots):
-        coeffs[pcol] = rows[prow][ncols]
-    return tuple(coeffs)
+    return SpanSolver(basis_cols, len(target)).solve(target)
 
 
 class SpanSolver:
-    """Factor-once form of ``solve_in_span`` for one list of basis columns.
+    """The elimination kernel: a factor-once solver over a list of basis
+    columns, behind ``rank``, ``nullspace`` and ``solve_in_span``.
 
     The columns are reduced, in order, to an echelon basis of sparse rows
     ``(p, u, x)``: ``u`` is a dict vector with ``u[p] == 1`` that vanishes
@@ -334,10 +327,9 @@ class SpanSolver:
     indices) writes ``u`` as a combination of the columns.  A column that
     reduces to zero depends on the earlier ones and gets no row, so the
     rows use exactly the pivot columns of ``rref`` on the basis matrix, and
-    ``solve(t)`` returns what ``solve_in_span(basis_cols, t)`` returns.
-    Factoring costs O(k * nnz) per column and a solve one reduction of t
-    against at most k sparse rows, against a dense n x (k+1) rref per call
-    for ``solve_in_span``.
+    ``solve(t)`` returns the coefficients ``rref`` gives.  Factoring costs
+    O(k * nnz) per column and a solve one reduction of t against at most k
+    sparse rows.
     """
 
     __slots__ = ("n", "ncols", "_rows")

@@ -81,16 +81,16 @@ class OrthogonalChain:
         realization counterpart is also returned)."""
         ea = self.level_entry(M, a)
         eb = self.level_entry(M, b)
+        F = self.module.F
         if ea[0] == "pure" and eb[0] == "pure":
-            rm = self._fdef(ea[1], eb[1])
-            return self.module.realize(rm), rm
+            return F(ea[1], eb[1]), self._fdef(ea[1], eb[1])
         if ea[0] == "combo" and eb[0] == "combo":
             z = SparseMat.zero(self.N, self.N)
             return SparseMat.zero(self.dim, self.dim), z
         if ea[0] == "combo":
             p, q = ea[1], ea[2]
             rm = self._fdef(p, eb[1]) - self._fdef(q, eb[1])
-            return self.module.realize(rm), rm
+            return F(p, eb[1]) - F(q, eb[1]), rm
         # middle as the column index: F_{a, mid} = -F_{mid, a'} at level M
         ap = M + 1 - a
         mat_mod, mat_real = self.f_level(M, b, ap)

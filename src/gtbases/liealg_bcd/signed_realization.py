@@ -259,23 +259,14 @@ def apply_z_nminus(rep: BCDIrrep, vec, rank_k=None):
     if alg.series == "D":
         vec = _apply_inv_diag([2 * x for x in fk], vec)
     out = vec_zero(rep.dim)
-    chains = [()]
-    for t in pool:
-        chains += [c + (t,) for c in chains if not c or c[-1] > t]
-    for chain in chains:
+    for chain in _chain_indices(k, alg.series, k):
         coeff = [Fraction(1)] * rep.dim
         for j in pool:
             if j not in chain:
                 fj = _f_diag(rep, j)
                 coeff = [c * (x - y) for c, x, y in zip(coeff, fk, fj)]
-        w = _apply_diag(coeff, vec)
-        prev = k
-        mono = None
-        for t in chain:
-            mono = rep.F(prev, t) if mono is None else mono @ rep.F(prev, t)
-            prev = t
-        mono = rep.F(prev, -k) if mono is None else mono @ rep.F(prev, -k)
-        out = vec_add(out, mono.apply(w))
+        mono = _chain_monomial(rep, k, -k, chain)
+        out = vec_add(out, mono.apply(_apply_diag(coeff, vec)))
     return out
 
 
@@ -446,58 +437,50 @@ def _halves(x):
     return Fraction(x, 2)
 
 
+def _level_word(rep: BCDIrrep, v, k, top, prime, below, sigma=0):
+    """Apply the level-k factor of a GT basis vector to v.
+
+    top, prime and below are the doubled rows lambda_k, lambda'_k and
+    lambda_{k-1} (for D, prime is lambda'_{k-1}, of length k-1).  The
+    factor is the evaluated Z_{k,-k}(u) chain from l(top_k) up to
+    l(prime_k) - 1 (D: l(prime_{k-1}) - 2), then for i = k-1..1 the powers
+    of z_{i,-k} and z_{ki}, then z_{k0} when sigma is set (B only).  In D
+    the derived entry max(top_1, below_1) is prepended to prime.
+    """
+    alg = rep.algebra
+    if alg.series == "D":
+        stop = _halves(prime[-1]) + alg.rho(k - 1) + Fraction(1, 2) - 2
+        prime = (max(top[0], below[0]),) + tuple(prime)
+    else:
+        stop = _halves(prime[-1]) + alg.rho(k) + Fraction(1, 2) - 1
+    arg = _halves(top[-1]) + alg.rho(k) + Fraction(1, 2)
+    while arg <= stop:
+        v = apply_z_interp(rep, arg, v, rank_k=k)
+        arg += 1
+    for i in range(k - 1, 0, -1):
+        for _ in range((prime[i - 1] - top[i - 1]) // 2):
+            v = apply_z(rep, i, -k, v, rank_k=k)
+        for _ in range((prime[i - 1] - below[i - 1]) // 2):
+            v = apply_z_ai(rep, k, i, v, rank_k=k)
+    if sigma:
+        v = apply_z_ai(rep, k, 0, v, rank_k=k)
+    return v
+
+
 def multiplicity_basis(rep: BCDIrrep, mu):
-    """The vectors xi_nu spanning V(lam)^+_mu, per the series display.
+    """The vectors xi_nu spanning V(lam)^+_mu: the top-level factor of the
+    GT basis vectors, one per branching tuple.
 
     Returns (tuples, vectors); tuples as produced by the branching module
     ((sigma, nu...) for B).  Vectors are asserted independent.
     """
     alg = rep.algebra
-    n = alg.n
-    lam = rep.lam
     mu = tuple(mu)
-    spec = _branching.branch_BCD(alg.series, lam, mu)
+    spec = _branching.branch_BCD(alg.series, rep.lam, mu)
     vecs = []
     for tup in spec.data:
-        if alg.series == "B":
-            sigma, nu = tup[0], tup[1:]
-        else:
-            sigma, nu = 0, tup
-        v = rep.highest_vector
-        if alg.series == "D":
-            # Z-chain from l_n to gamma_{n-1}-2, then the z-powers with nu_0
-            ln = _halves(lam[-1]) + alg.rho(n) + Fraction(1, 2)
-            gtop = _halves(nu[-1]) + alg.rho(n - 1) + Fraction(1, 2)
-            arg = ln
-            while arg <= gtop - 2:
-                v = apply_z_interp(rep, arg, v)
-                arg += 1
-            nu0 = max(lam[0], mu[0])
-            ext = (nu0,) + nu
-            for i in range(n - 1, 0, -1):
-                e = (ext[i - 1] - lam[i - 1]) // 2
-                for _ in range(e):
-                    v = apply_z(rep, i, -n, v)
-                e = (ext[i - 1] - mu[i - 1]) // 2
-                for _ in range(e):
-                    v = apply_z_ai(rep, n, i, v)
-        else:
-            ln = _halves(lam[-1]) + alg.rho(n) + Fraction(1, 2)
-            gn = _halves(nu[-1]) + alg.rho(n) + Fraction(1, 2)
-            arg = ln
-            while arg <= gn - 1:
-                v = apply_z_interp(rep, arg, v)
-                arg += 1
-            for i in range(n - 1, 0, -1):
-                e = (nu[i - 1] - lam[i - 1]) // 2
-                for _ in range(e):
-                    v = apply_z(rep, i, -n, v)
-                e = (nu[i - 1] - mu[i - 1]) // 2
-                for _ in range(e):
-                    v = apply_z_ai(rep, n, i, v)
-            if sigma:
-                v = apply_z_ai(rep, n, 0, v)
-        vecs.append(v)
+        sigma, nu = (tup[0], tup[1:]) if alg.series == "B" else (0, tup)
+        vecs.append(_level_word(rep, rep.highest_vector, alg.n, rep.lam, nu, mu, sigma))
     if vecs:
         mat = SparseMat.from_columns(vecs, rep.dim)
         assert rank(mat) == len(vecs), "multiplicity vectors are dependent"
@@ -513,43 +496,14 @@ def gt_basis_bcd(rep: BCDIrrep):
     out = []
     for p in pats:
         v = rep.highest_vector
-        if alg.series in ("B", "C"):
-            for k in range(n, 0, -1):
-                lamk = p.lam[k - 1]
-                lampk = p.lamp[k - 1]
-                lkk = _halves(lamk[k - 1]) + alg.rho(k) + Fraction(1, 2)
-                lpkk = _halves(lampk[k - 1]) + alg.rho(k) + Fraction(1, 2)
-                arg = lkk
-                while arg <= lpkk - 1:
-                    v = apply_z_interp(rep, arg, v, rank_k=k)
-                    arg += 1
-                for i in range(k - 1, 0, -1):
-                    e = (lampk[i - 1] - lamk[i - 1]) // 2
-                    for _ in range(e):
-                        v = apply_z(rep, i, -k, v, rank_k=k)
-                    e = (lampk[i - 1] - p.lam[k - 2][i - 1]) // 2
-                    for _ in range(e):
-                        v = apply_z_ai(rep, k, i, v, rank_k=k)
-                if alg.series == "B" and p.sigma[k - 1]:
-                    v = apply_z_ai(rep, k, 0, v, rank_k=k)
-        else:
+        if alg.series == "D":
             for k in range(n, 1, -1):
-                lamk = p.lam[k - 1]
-                lampk = p.lamp[k - 2]
-                lkk = _halves(lamk[k - 1]) + alg.rho(k) + Fraction(1, 2)
-                lp = _halves(lampk[k - 2]) + alg.rho(k - 1) + Fraction(1, 2)
-                arg = lkk
-                while arg <= lp - 2:
-                    v = apply_z_interp(rep, arg, v, rank_k=k)
-                    arg += 1
-                ext = (p.derived_prime0(k),) + lampk
-                for i in range(k - 1, 0, -1):
-                    e = (ext[i - 1] - lamk[i - 1]) // 2
-                    for _ in range(e):
-                        v = apply_z(rep, i, -k, v, rank_k=k)
-                    e = (ext[i - 1] - p.lam[k - 2][i - 1]) // 2
-                    for _ in range(e):
-                        v = apply_z_ai(rep, k, i, v, rank_k=k)
+                v = _level_word(rep, v, k, p.lam[k - 1], p.lamp[k - 2], p.lam[k - 2])
+        else:
+            # at k = 1 the below row is never read
+            for k in range(n, 0, -1):
+                sigma = p.sigma[k - 1] if alg.series == "B" else 0
+                v = _level_word(rep, v, k, p.lam[k - 1], p.lamp[k - 1], p.lam[k - 2], sigma)
         out.append(v)
     return pats, out
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from gtbases.exact import (OpPoly, SpanSolver, SparseMat, factorial,
                            nullspace, op_poly_eval_left, rank, rref,
                            solve_in_span)
+from rref_reference import rref_nullspace, rref_rank, rref_solve_in_span
 
 
 def F(x, y=1):
@@ -78,6 +79,34 @@ class TestNullspace:
             assert all(x == 0 for x in m.apply(v))
         assert rank(m) + len(basis) == nc
 
+    def test_empty_shapes(self):
+        assert nullspace(SparseMat.zero(0, 2)) == [(F(1), F(0)), (F(0), F(1))]
+        assert nullspace(SparseMat.zero(2, 0)) == []
+        assert rank(SparseMat.zero(0, 2)) == rank(SparseMat.zero(2, 0)) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 4), st.integers(0, 5), st.data())
+    def test_matches_rref_reference(self, nr, nc, data):
+        """nullspace and rank equal their rref readings element for
+        element, on random, zero and dependent columns and on 0 x k and
+        k x 0 matrices."""
+        rat = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+        cols = []
+        for _ in range(nc):
+            kind = data.draw(st.sampled_from(["random", "zero", "dependent"]))
+            col = (F(0),) * nr
+            if kind == "random":
+                col = tuple(data.draw(rat) for _ in range(nr))
+            elif kind == "dependent":
+                for v in cols:
+                    c = data.draw(rat)
+                    col = tuple(a + c * b for a, b in zip(col, v))
+            cols.append(col)
+        m = SparseMat(nr, nc, {(r, c): v for c, col in enumerate(cols)
+                               for r, v in enumerate(col)})
+        assert nullspace(m) == rref_nullspace(m)
+        assert rank(m) == rref_rank(m)
+
 
 class TestSolvers:
     def test_solve_in_span(self):
@@ -105,7 +134,7 @@ class TestSolvers:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 5), st.data())
     def test_span_solver_matches_solve_in_span(self, n, k, data):
-        """SpanSolver agrees with the one-shot reference on random columns,
+        """SpanSolver agrees with the rref reference on random columns,
         zero and dependent ones included, and on targets in and out of
         the span."""
         rat = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
@@ -132,9 +161,10 @@ class TestSolvers:
         solver = SpanSolver([], n)
         for j, col in enumerate(cols):
             independent = solver.add(col)
-            assert independent == (solve_in_span(cols[:j], col) is None)
+            assert independent == (rref_solve_in_span(cols[:j], col) is None)
         for target in (combination(cols), rand_vec()):
-            want = solve_in_span(cols, target)
+            want = rref_solve_in_span(cols, target)
+            assert solve_in_span(cols, target) == want
             assert solver.solve(target) == want
             assert SpanSolver(cols, n).solve(target) == want
             assert solver.spans(target) == (want is not None)

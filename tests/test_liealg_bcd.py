@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import product
 
@@ -13,8 +14,10 @@ from gtbases.liealg_bcd import (DeskScaleError, OrthogonalChain, apply_z,
                                 lowering_zia, multiplicity_basis,
                                 orth_basis_checks, orth_gt_basis, v_plus_basis,
                                 v_plus_mu, z_interp_poly, zab_operators)
-from gtbases.liealg_bcd.signed_realization import (_apply_zab_point,
-                                                    apply_znizin, apply_pf)
+from gtbases.liealg_bcd.signed_realization import (_apply_zab_point, _f_diag,
+                                                    apply_pf, apply_z_nminus,
+                                                    apply_znizin)
+from rref_reference import rref_solve_in_span
 
 
 def d(*xs):
@@ -297,6 +300,147 @@ class TestGTBasis:
         assert vecs == [rep.highest_vector]
 
 
+# (series, doubled lam, dim, sha256 of repr(gt_basis_bcd vectors), sha256 of
+# repr([(mu, multiplicity_basis(rep, mu)) for each branching child mu])),
+# recorded from the per-series lowering words that _level_word replaced.
+BASIS_PINS = [
+    ("B", (-1,), 2,
+     "da6371fddff8fca60378073cab6a7603367adcbfdaba550d5c27b2a4d3c4c2d1",
+     "3e43adc90154f5d761189cc0ba4e111ffad12ae5195b09273ac315addf1bf6d2"),
+    ("B", (-4,), 5,
+     "56993987a5cb5e6b89a8df31616e4f5970a0f4ef4081a01fe9bfd21bd99c3a2d",
+     "89656a6b4ac72ebe679af842c317b8bfb56d8ad31d37bafead788d083718a91a"),
+    ("B", (-1, -1), 4,
+     "f5520be217a7113c477d907954d804982620ee6696dc9fe167a15c29c578d7b7",
+     "a8018a13b73bff534e027b2fd7a0737eb8a2c48ae216393cb2e58acef24e96d7"),
+    ("B", (-2, -2), 10,
+     "857817bc6c5232ccb582daa0e5f0704829c3e65c44afb6cfdf8d49931f8f1a40",
+     "906475590fc2273e7f8291f84763dddeb1da9709d94877e9a6990660204aebc6"),
+    ("B", (-1, -3), 16,
+     "324cca9f70ddd031a6d8138c50e50afb1b1d453998ce5258dd18dfad22fd1cca",
+     "aaf6309436e3793c60f3a93c13841346dbbf1fd28e7e01ea943309f337200443"),
+    ("B", (0, -2), 5,
+     "fe4a4a3b938a8e90bc16bdc3e648b068f7b45c93014ac91ede77d4f3fccf4ac5",
+     "06025ce1f8dfe880fca2f43220db792079d815ae05359e0cecf9232aa5e11ff7"),
+    ("B", (-1, -1, -1), 8,
+     "71ac1d5243a8cfb309ffe1d1ccea102d6aee4a02f2ec07957e4fba1a75320c96",
+     "5a40d1eb42756bcef286d330bb4882eed906cc9b0a72affbc48466c45ae2f18e"),
+    ("B", (0, 0, -2), 7,
+     "b7fd6377637df1ec37c7c7586cbb6c4a7fff37218be2a8a85f81fb8d5684aa94",
+     "9f138806f3eda7d08876eac521a71e0c62d62121ba9ae66f94640689c60202ff"),
+    ("B", (-1, -1, -3), 48,
+     "abb0a0065f3f19f0283578b24a0239d73ec9b9a1a63b8d5443f6d64c8e16b937",
+     "05dd80d3154a05ec51ab0d3143d9304720452a49dc96a1b5843de01d25635547"),
+    ("C", (-4,), 3,
+     "63db4e7edee306bc65318c82462ae6bd31ead8ad2288bd24f12f44b88d1157b1",
+     "a67e56ea5fea1366c74164fd88ff6d5b8358f485d35cb22b614bae0267a19e18"),
+    ("C", (-6,), 4,
+     "c6c3b3e24bef5006480e51c97049c2620f43465d32ebb86d47eb35af5c853fc8",
+     "8d4228689b1f796b8cf7802a65908f5c9a13c00ed3499d4e39dc89b62090c7e3"),
+    ("C", (0, -2), 4,
+     "a9fed30e46e5fe94070ef5b258ec09581e8e7f713e0a667745d5fb4ee0b1dc9a",
+     "4e87859e37718b095244f9196218f3a378bcc2f303c2fdc8ed1e3109d828e641"),
+    ("C", (-2, -2), 5,
+     "9991eeb288c512a110c2242dc934264f05330895eaea8f6b61628be43789ced7",
+     "b5da95f242643d2f47160a2ad65b9d04de68e035e6c6bd24a58f5fba32fc556a"),
+    ("C", (-2, -4), 16,
+     "5d73e1eddd7233a195f2f66bea2a01a5d960c1a0b5fbca0387ba91d44e1b9fc3",
+     "6dce27b37b0783e9714c82c9103b92d0ee211a488058e5f9621de7ed8234e88f"),
+    ("C", (-4, -4), 14,
+     "d9dc34292be271ce8b28f2c7b062ba5503d000c0d143bbd3c896f3c3587092c1",
+     "1268218d3be24615ad50613e8d6ea660bf434593d2bbe6f66b53ac17a6002020"),
+    ("C", (0, 0, -2), 6,
+     "3bf62f9734ad549556135545a9f46e382eb87ea3e1912e4c1a1c1f7e6b18b453",
+     "4f8cfdb373cdc831003a236d36f83df0c1600b56e1d01e31fd8967161d0746b0"),
+    ("D", (2, -2), 3,
+     "55cfec64b2042705beb0905ef1f0fd32574b682b45dc773554526ab98b766934",
+     "87224355bd14002e33edb3b7e348967f6e5d65eec831c7f80f0cd59cb0d6ae93"),
+    ("D", (4, -4), 5,
+     "6154557504bd3a7ab0cbd5cb8febad57a58e1832c4c97970ed34c29e9ee431f6",
+     "a9c63c9b777fd4df5162cca3e8df81b4ea396945c5ed2a1adf1ffb2762489596"),
+    ("D", (0, -2), 4,
+     "f0987c15553029108dd6590123aa62ebc67a2fb16db8084f881b3ee141decd47",
+     "78abb12ee0be25959ac37bf7e9873f5c9c4b46e0e09eab6875e661a5aea12b39"),
+    ("D", (-2, -2), 3,
+     "63db4e7edee306bc65318c82462ae6bd31ead8ad2288bd24f12f44b88d1157b1",
+     "3d7faa33ad16e45da84fed464a03aa920cf229b3798a3a6fa970eb81e6909240"),
+    ("D", (-2, -4), 8,
+     "5e0411d42a18f18cfe4475ef1573a0dec72346d3e2eed6c3503712a6216ae368",
+     "d9597971cfe6394a39405ea718e17edf7cb5bd552c59d91ebd01b1401ee5eba4"),
+    ("D", (0, -2, -2), 15,
+     "acd7a20cbabe7757d248cb1221eb99a51520388cfb5de4efe72c5626b3bd9689",
+     "946bdce4a38cf02abe72d2ab6e323163822a3857cccb2a304699b43371511c21"),
+    ("D", (2, -2, -2), 10,
+     "05e912646fb5cef26c5adef0ef50d5450d1cd99a56a1e002986f4d0884e92d0a",
+     "f735851a188d98868a61372ec38fc54d21a639f722bf5bc19bbfd0a7a1233dd2"),
+    ("D", (0, 0, -2), 6,
+     "1ce4d564291f8bea1d1b75fb280e1f81dec175768fe70f8988b94d0302f6311c",
+     "b5cdc58149afcc0c0b53e82e667284495146efeede50c75027ce0ec85a4604d3"),
+    ("D", (-2, -2, -4), 45,
+     "585a6875bdff2931d9b0775fe8a077d552e727e0589c9eec8ead4ccc6e89de1c",
+     "854991569f15112b7d414c0a16a6f3c82a27facd6b954ec4f9de47c365051368"),
+]
+
+
+def _sha(x):
+    return hashlib.sha256(repr(x).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("series,lam,dim,gt_digest,mult_digest", BASIS_PINS)
+def test_bases_are_pinned(series, lam, dim, gt_digest, mult_digest):
+    rep = build_bcd_irrep(series, lam)
+    assert rep.dim == dim
+    assert _sha(gt_basis_bcd(rep)[1]) == gt_digest
+    mult = [(mu, multiplicity_basis(rep, mu))
+            for mu, _ in branching.branch_children_BCD(series, lam)]
+    assert _sha(mult) == mult_digest
+
+
+def _z_nminus_reference(rep, vec, k):
+    """z_{k,-k} with its own chain sum, as apply_z_nminus once wrote it."""
+    alg = rep.algebra
+    pool = [t for t in range(k - 1, -k, -1) if t != 0 or alg.series == "B"]
+    fk = _f_diag(rep, k)
+    if alg.series == "D":
+        vec = tuple(x / (2 * f) if x else x for x, f in zip(vec, fk))
+    out = vec_zero(rep.dim)
+    chains = [()]
+    for t in pool:
+        chains += [c + (t,) for c in chains if not c or c[-1] > t]
+    for chain in chains:
+        coeff = [Fraction(1)] * rep.dim
+        for j in pool:
+            if j not in chain:
+                coeff = [c * (x - y) for c, x, y in zip(coeff, fk, _f_diag(rep, j))]
+        w = tuple(c * x for c, x in zip(coeff, vec))
+        prev, mono = k, None
+        for t in chain + (-k,):
+            mono = rep.F(prev, t) if mono is None else mono @ rep.F(prev, t)
+            prev = t
+        out = vec_add(out, mono.apply(w))
+    return out
+
+
+@pytest.mark.parametrize("series,lam", [
+    ("B", (-1, -3)), ("B", d(-1, -1)), ("B", d(0, 0, -1)), ("C", d(-1, -2)),
+    ("C", d(0, 0, -1)), ("D", d(1, -1, -1)), ("D", d(-1, -2)), ("D", d(0, -1, -1)),
+])
+def test_z_nminus_matches_chain_sum(series, lam):
+    """apply_z_nminus equals the inline chain sum on every basis vector at
+    every level at which the D-case division is regular."""
+    rep = build_bcd_irrep(series, lam)
+    nonzero = 0
+    for k in range(1, rep.algebra.n + 1):
+        for t in range(rep.dim):
+            if series == "D" and not _f_diag(rep, k)[t]:
+                continue
+            v = vec_unit(rep.dim, t)
+            got = apply_z_nminus(rep, v, rank_k=k)
+            assert got == _z_nminus_reference(rep, v, k)
+            nonzero += not vec_is_zero(got)
+    assert nonzero
+
+
 class TestDiagonalActionFormulas:
     def test_fnn_all_children(self, sp4_vec, sp4_5):
         for rep in (sp4_vec, sp4_5):
@@ -424,14 +568,14 @@ class TestZab:
 
 def _realize_one_shot(module, real_mat):
     """HWModule.realize by the reference path: the span pairs and one
-    solve_in_span of the flattened realization matrices per call."""
+    rref solve of the flattened realization matrices per call."""
     n = len(module.realization.labels)
 
     def flat(m):
         return tuple(m.get(r, c) for r in range(n) for c in range(n))
 
     pairs = module._algebra_span()[0]
-    coeffs = solve_in_span([flat(rm) for rm, _ in pairs], flat(real_mat))
+    coeffs = rref_solve_in_span([flat(rm) for rm, _ in pairs], flat(real_mat))
     out = SparseMat.zero(module.dim, module.dim)
     for c, (_, mm) in zip(coeffs, pairs):
         if c:
