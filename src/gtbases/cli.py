@@ -309,7 +309,8 @@ def cmd_verify(args):
     rep = _build(kind, data, lam, args.convention, args.max_dim)
     if kind == "gl":
         checks = _gl_verify_checks(rep)
-    elif args.convention == "s4":
+    elif isinstance(rep, OrthogonalChain):
+        # sp has no s4 chain: _build returns its s3 module, as for export
         checks = _orth_verify_checks(rep)
     else:
         checks = _bcd_verify_checks(rep)

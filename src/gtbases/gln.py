@@ -10,7 +10,8 @@ operator polynomials on top of those.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations
+from math import prod
 
 from .exact import (OpPoly, SparseMat, commutator, factorial, nullspace,
                     spoly_from_roots, vec_is_zero, vec_unit)
@@ -318,41 +319,35 @@ def _entry_poly(rep, a, b, shift) -> OpPoly:
     return OpPoly(d, d, [const])
 
 
-def _sgn(perm):
-    s = 1
-    for x in range(len(perm)):
-        for y in range(x + 1, len(perm)):
-            if perm[x] > perm[y]:
-                s = -s
-    return s
-
-
 def quantum_minor(rep: GlnIrrep, rows, cols) -> OpPoly:
-    """Quantum minor of E(u); both displayed expansions are computed and
-    must agree, which is asserted."""
+    """Quantum minor of E(u) in its column-ordered expansion
+
+        sum_p sgn(p) E(u)_{rows[p(1)], cols[1]} ... E(u - s + 1)_{rows[p(s)], cols[s]}
+
+    (rows and cols taken in the given order), computed by Laplace expansion
+    along the columns with shared sub-minors: about s 2^(s-1) products
+    instead of s! (s-1).  The row-ordered expansion is the same polynomial
+    (Molev, Yangians and classical Lie algebras, 2007, section 1.6); the
+    tests check that."""
     rows = tuple(rows)
     cols = tuple(cols)
-    if len(rows) != len(cols):
-        raise ValueError("row and column sets must have equal size")
+    if not rows or len(rows) != len(cols):
+        raise ValueError("row and column sets must be nonempty and of equal size")
     s = len(rows)
-    d = rep.dim
-    first = OpPoly(d, d, [])
-    second = OpPoly(d, d, [])
-    for perm in permutations(range(s)):
-        sgn = _sgn(perm)
-        t1 = _entry_poly(rep, rows[perm[0]], cols[0], 0)
-        t2 = _entry_poly(rep, rows[0], cols[perm[0]], -(s - 1))
-        for t in range(1, s):
-            t1 = t1 @ _entry_poly(rep, rows[perm[t]], cols[t], -t)
-            t2 = t2 @ _entry_poly(rep, rows[t], cols[perm[t]], -(s - 1) + t)
-        if sgn == 1:
-            first = first + t1
-            second = second + t2
-        else:
-            first = first - t1
-            second = second - t2
-    assert first == second, "the two quantum-minor expansions disagree"
-    return first
+    # level[pos]: the minor on the row positions pos (ascending) and the last
+    # len(pos) columns, whose first column t = s - len(pos) has shift -t
+    level = {(p,): _entry_poly(rep, rows[p], cols[s - 1], 1 - s) for p in range(s)}
+    for t in range(s - 2, -1, -1):
+        entry = [_entry_poly(rep, a, cols[t], -t) for a in rows]
+        nxt = {}
+        for pos in combinations(range(s), s - t):
+            acc = entry[pos[0]] @ level[pos[1:]]
+            for k in range(1, len(pos)):
+                term = entry[pos[k]] @ level[pos[:k] + pos[k + 1:]]
+                acc = acc - term if k % 2 else acc + term
+            nxt[pos] = acc
+        level = nxt
+    return level[tuple(range(s))]
 
 
 def capelli_det(rep: GlnIrrep, m=None) -> OpPoly:
@@ -365,18 +360,17 @@ def capelli_det(rep: GlnIrrep, m=None) -> OpPoly:
 
 def capelli_scalar_check(rep: GlnIrrep) -> bool:
     """C(u) acts on every basis vector as prod(u + l_i)."""
-    c = capelli_det(rep)
     lam_l = [Fraction(rep.lam[i], 2) - i for i in range(rep.n)]
-    want = spoly_from_roots(lam_l)
-    zero = (Fraction(0),) * rep.dim
-    for t in range(rep.dim):
-        vec = vec_unit(rep.dim, t)
-        coeffs = c.apply_to(vec)
-        for j in range(max(len(coeffs), len(want))):
-            scal = want[j] if j < len(want) else Fraction(0)
-            got = coeffs[j] if j < len(coeffs) else zero
-            if got != tuple(scal * x for x in vec):
-                return False
+    return _acts_diagonally(capelli_det(rep), [spoly_from_roots(lam_l)] * rep.dim)
+
+
+def _acts_diagonally(poly: OpPoly, scalars) -> bool:
+    """poly(u) acts on basis vector t as the scalar polynomial scalars[t]:
+    each coefficient matrix is the diagonal matrix of those coefficients."""
+    for j in range(max(len(poly.coeffs), max(len(w) for w in scalars))):
+        want = SparseMat.diag([w[j] if j < len(w) else 0 for w in scalars])
+        if poly.coeff(j) != want:
+            return False
     return True
 
 
@@ -455,50 +449,46 @@ def drinfeld_action(rep: GlnIrrep, m, which, u0) -> SparseMat:
 
 
 def drinfeld_checks(rep: GlnIrrep, m) -> bool:
-    """Eigenvalue and shift displays for A_m, B_m, C_m on every pattern."""
+    """Eigenvalue and shift displays for A_m, B_m, C_m on every pattern.
+
+    A_m(u) is compared coefficient by coefficient with the diagonal matrix
+    of the eigenvalue polynomials.  B_m and C_m are evaluated once at each
+    distinct point u0 = -l_mj and compared column by column with the shift
+    displays of the patterns that have that point."""
     n = rep.n
-    a_poly = drinfeld_poly(rep, m, "A")
-    b_poly = drinfeld_poly(rep, m, "B") if m < n else None
-    c_poly = drinfeld_poly(rep, m, "C") if m < n else None
+    lms = [_lvals(p, m) for p in rep.basis]
+    if not _acts_diagonally(drinfeld_poly(rep, m, "A"), [spoly_from_roots(lm) for lm in lms]):
+        return False
+    if m == n:
+        return True
+    want_b, want_c = {}, {}     # u0 -> {pattern index: expected column}
     for t, p in enumerate(rep.basis):
-        vec = vec_unit(rep.dim, t)
-        lm = _lvals(p, m)
-        want = spoly_from_roots(lm)
-        got = a_poly.apply_to(vec)
-        for j in range(max(len(got), len(want))):
-            scal = want[j] if j < len(want) else Fraction(0)
-            gv = got[j] if j < len(got) else (Fraction(0),) * rep.dim
-            if gv != tuple(scal * x for x in vec):
-                return False
-        if m == n:
-            continue
         lm1 = _lvals(p, m + 1)
         lmm = _lvals(p, m - 1) if m > 1 else []
-        for j in range(1, m + 1):
-            u0 = -lm[j - 1]
-            got_b = b_poly.eval_at(u0).apply(vec)
-            plus = p.shift(m, j, 2)
-            coeff = Fraction(-1)
-            for i in range(1, m + 2):
-                coeff *= lm1[i - 1] - lm[j - 1]
-            if validate(plus):
-                want_b = tuple(coeff * x for x in vec_unit(rep.dim, rep.index[plus]))
-            else:
-                # the zero-vector convention for invalid arrays
-                want_b = (Fraction(0),) * rep.dim
-            if got_b != want_b:
-                return False
-            got_c = c_poly.eval_at(u0).apply(vec)
-            minus = p.shift(m, j, -2)
-            coeff = Fraction(1)
-            for i in range(1, m):
-                coeff *= lmm[i - 1] - lm[j - 1]
-            if validate(minus):
-                want_c = tuple(coeff * x for x in vec_unit(rep.dim, rep.index[minus]))
-            else:
-                want_c = (Fraction(0),) * rep.dim
-            if got_c != want_c:
-                return False
+        for j, x in enumerate(lms[t], 1):
+            want_b.setdefault(-x, {})[t] = _shifted_column(
+                rep, p.shift(m, j, 2), -prod(y - x for y in lm1))
+            want_c.setdefault(-x, {})[t] = _shifted_column(
+                rep, p.shift(m, j, -2), prod(y - x for y in lmm))
+    return (_columns_match(drinfeld_poly(rep, m, "B"), want_b)
+            and _columns_match(drinfeld_poly(rep, m, "C"), want_c))
+
+
+def _shifted_column(rep, q, coeff):
+    """The column coeff * e_q as {row: value}; the zero column when the
+    array q is not a pattern (the zero-vector convention)."""
+    return {rep.index[q]: coeff} if coeff and validate(q) else {}
+
+
+def _columns_match(poly: OpPoly, want) -> bool:
+    """poly(u0) has the columns want[u0][t], with one evaluation per point."""
+    for u0, columns in want.items():
+        got = {t: {} for t in columns}
+        for (r, c), v in poly.eval_at(u0).entries.items():
+            if c in got:
+                got[c][r] = v
+        if got != columns:
+            return False
     return True
 
 
@@ -511,6 +501,7 @@ def kappa_basis(rep: GlnIrrep):
     n = rep.n
     cpolys = {m: drinfeld_poly(rep, m, "C") for m in range(1, n)}
     lam_l = [Fraction(rep.lam[i], 2) - i for i in range(n)]
+    evaluated = {}      # (m, arg) -> C_m(arg)
     out = []
     for t, p in enumerate(rep.basis):
         v = vec_unit(rep.dim, rep.highest_index)
@@ -519,7 +510,9 @@ def kappa_basis(rep: GlnIrrep):
                 l_target = Fraction(p.entry(m, k), 2) - k + 1
                 arg = -lam_l[k - 1]
                 while arg <= -l_target - 1:
-                    v = cpolys[m].eval_at(arg).apply(v)
+                    if (m, arg) not in evaluated:
+                        evaluated[(m, arg)] = cpolys[m].eval_at(arg)
+                    v = evaluated[(m, arg)].apply(v)
                     arg += 1
         assert not vec_is_zero(v), "kappa vector vanished"
         unit = vec_unit(rep.dim, t)
@@ -569,39 +562,36 @@ def _big_e(rep: GlnIrrep) -> SparseMat:
 
 def characteristic_identity_check(rep: GlnIrrep) -> bool:
     """prod_r (E - alpha_r) = 0 on L* (x) L(lam), with idempotent spectral
-    projectors that sum to the identity and reassemble E."""
+    projectors that sum to the identity and reassemble E.
+
+    The factors E - alpha_s commute, so the projector P_r is the product of
+    the factors before r and the factors after r, scaled: the suffix
+    products are made once and the prefix runs along r.  Each projector is
+    checked as it is made; the last prefix is the full product."""
     n, d = rep.n, rep.dim
     big = _big_e(rep)
     nd = n * d
     ident = SparseMat.identity(nd)
     alphas = [Fraction(rep.lam[r - 1], 2) + n - r for r in range(1, n + 1)]
-    prod = ident
-    for a in alphas:
-        prod = prod @ (big - ident.scale(a))
-    if not prod.is_zero():
-        return False
-    projs = []
-    for r in range(n):
-        pr = ident
-        for s in range(n):
-            if s != r:
-                pr = pr @ (big - ident.scale(alphas[s]))
-                pr = pr.scale(1 / (alphas[r] - alphas[s]))
-        projs.append(pr)
+    factors = [big - ident.scale(a) for a in alphas]
+    suffixes = [ident]      # suffixes.pop() is the product of the factors after r
+    for f in reversed(factors[1:]):
+        suffixes.append(f @ suffixes[-1])
+    prefix = ident          # the product of the factors before r
     total = SparseMat.zero(nd, nd)
     recon = SparseMat.zero(nd, nd)
-    for r, pr in enumerate(projs):
+    for r in range(n):
+        pr = (prefix @ suffixes.pop()).scale(
+            1 / prod(alphas[r] - a for s, a in enumerate(alphas) if s != r))
         if pr @ pr != pr:
+            return False
+        # summands killed by equal consecutive weights vanish
+        if r < n - 1 and rep.lam[r] == rep.lam[r + 1] and not pr.is_zero():
             return False
         total = total + pr
         recon = recon + pr.scale(alphas[r])
-    if total != ident or recon != big:
-        return False
-    # summands killed by equal consecutive weights vanish
-    for r in range(n - 1):
-        if rep.lam[r] == rep.lam[r + 1] and not projs[r].is_zero():
-            return False
-    return True
+        prefix = prefix @ factors[r]
+    return prefix.is_zero() and total == ident and recon == big
 
 
 # ---------------------------------------------------------------------------
@@ -609,19 +599,21 @@ def characteristic_identity_check(rep: GlnIrrep) -> bool:
 # ---------------------------------------------------------------------------
 
 def commutation_check(rep: GlnIrrep) -> bool:
-    """[E_ij, E_kl] = d_jk E_il - d_li E_kj for all index pairs."""
+    """[E_ij, E_kl] = d_jk E_il - d_li E_kj for all index pairs.
+
+    Both sides change sign when the two pairs swap, so only the ordered
+    pairs (i, j) <= (k, l) are compared."""
     n, d = rep.n, rep.dim
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    want = SparseMat.zero(d, d)
-                    if j == k:
-                        want = want + rep.gen(i, l)
-                    if l == i:
-                        want = want - rep.gen(k, j)
-                    if commutator(rep.gen(i, j), rep.gen(k, l)) != want:
-                        return False
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    for a, (i, j) in enumerate(pairs):
+        for k, l in pairs[a:]:
+            want = SparseMat.zero(d, d)
+            if j == k:
+                want = want + rep.gen(i, l)
+            if l == i:
+                want = want - rep.gen(k, j)
+            if commutator(rep.gen(i, j), rep.gen(k, l)) != want:
+                return False
     return True
 
 

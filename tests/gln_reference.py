@@ -1,0 +1,198 @@
+"""Direct forms of the gl_n operator identities of ``gtbases.gln``.
+
+The library expands each quantum minor once, by Laplace along the columns,
+and checks each Drinfeld, Capelli and characteristic identity once per
+evaluation point or coefficient.  These are the plain readings that the
+differential tests compare them against: both s! expansions of a quantum
+minor, the checks applied basis vector by basis vector, the Lagrange
+projectors as separate products, and the commutation relations over all
+ordered pairs of generators.
+
+The reference checks use the column-ordered expansion alone, so that they
+return a verdict (rather than fail on the equality of the two expansions)
+on a corrupted copy of a module.
+"""
+
+from fractions import Fraction
+from itertools import permutations
+
+from gtbases.exact import (OpPoly, SparseMat, commutator, spoly_from_roots,
+                           vec_unit)
+from gtbases.gln import _big_e, _entry_poly, _lvals
+from gtbases.patterns import validate
+
+
+def _sgn(perm):
+    s = 1
+    for x in range(len(perm)):
+        for y in range(x + 1, len(perm)):
+            if perm[x] > perm[y]:
+                s = -s
+    return s
+
+
+def quantum_minor_expansions(rep, rows, cols):
+    """(column-ordered, row-ordered) expansions of the quantum minor."""
+    rows = tuple(rows)
+    cols = tuple(cols)
+    if len(rows) != len(cols):
+        raise ValueError("row and column sets must have equal size")
+    s = len(rows)
+    d = rep.dim
+    first = OpPoly(d, d, [])
+    second = OpPoly(d, d, [])
+    for perm in permutations(range(s)):
+        sgn = _sgn(perm)
+        t1 = _entry_poly(rep, rows[perm[0]], cols[0], 0)
+        t2 = _entry_poly(rep, rows[0], cols[perm[0]], -(s - 1))
+        for t in range(1, s):
+            t1 = t1 @ _entry_poly(rep, rows[perm[t]], cols[t], -t)
+            t2 = t2 @ _entry_poly(rep, rows[t], cols[perm[t]], -(s - 1) + t)
+        if sgn == 1:
+            first = first + t1
+            second = second + t2
+        else:
+            first = first - t1
+            second = second - t2
+    return first, second
+
+
+def quantum_minor(rep, rows, cols):
+    """Quantum minor of E(u); both expansions must agree, which is asserted."""
+    first, second = quantum_minor_expansions(rep, rows, cols)
+    assert first == second, "the two quantum-minor expansions disagree"
+    return first
+
+
+def _column_minor(rep, rows, cols):
+    return quantum_minor_expansions(rep, rows, cols)[0]
+
+
+def drinfeld_poly(rep, m, which):
+    if which == "A":
+        return _column_minor(rep, tuple(range(1, m + 1)), tuple(range(1, m + 1)))
+    if which == "B":
+        return _column_minor(rep, tuple(range(1, m + 1)), tuple(range(1, m)) + (m + 1,))
+    if which == "C":
+        return _column_minor(rep, tuple(range(1, m)) + (m + 1,), tuple(range(1, m + 1)))
+    raise ValueError("which must be A, B or C")
+
+
+def capelli_scalar_check(rep):
+    """C(u) acts on every basis vector as prod(u + l_i)."""
+    idx = tuple(range(1, rep.n + 1))
+    c = _column_minor(rep, idx, idx)
+    lam_l = [Fraction(rep.lam[i], 2) - i for i in range(rep.n)]
+    want = spoly_from_roots(lam_l)
+    zero = (Fraction(0),) * rep.dim
+    for t in range(rep.dim):
+        vec = vec_unit(rep.dim, t)
+        coeffs = c.apply_to(vec)
+        for j in range(max(len(coeffs), len(want))):
+            scal = want[j] if j < len(want) else Fraction(0)
+            got = coeffs[j] if j < len(coeffs) else zero
+            if got != tuple(scal * x for x in vec):
+                return False
+    return True
+
+
+def drinfeld_checks(rep, m):
+    """Eigenvalue and shift displays for A_m, B_m, C_m on every pattern."""
+    n = rep.n
+    a_poly = drinfeld_poly(rep, m, "A")
+    b_poly = drinfeld_poly(rep, m, "B") if m < n else None
+    c_poly = drinfeld_poly(rep, m, "C") if m < n else None
+    for t, p in enumerate(rep.basis):
+        vec = vec_unit(rep.dim, t)
+        lm = _lvals(p, m)
+        want = spoly_from_roots(lm)
+        got = a_poly.apply_to(vec)
+        for j in range(max(len(got), len(want))):
+            scal = want[j] if j < len(want) else Fraction(0)
+            gv = got[j] if j < len(got) else (Fraction(0),) * rep.dim
+            if gv != tuple(scal * x for x in vec):
+                return False
+        if m == n:
+            continue
+        lm1 = _lvals(p, m + 1)
+        lmm = _lvals(p, m - 1) if m > 1 else []
+        for j in range(1, m + 1):
+            u0 = -lm[j - 1]
+            got_b = b_poly.eval_at(u0).apply(vec)
+            plus = p.shift(m, j, 2)
+            coeff = Fraction(-1)
+            for i in range(1, m + 2):
+                coeff *= lm1[i - 1] - lm[j - 1]
+            if validate(plus):
+                want_b = tuple(coeff * x for x in vec_unit(rep.dim, rep.index[plus]))
+            else:
+                # the zero-vector convention for invalid arrays
+                want_b = (Fraction(0),) * rep.dim
+            if got_b != want_b:
+                return False
+            got_c = c_poly.eval_at(u0).apply(vec)
+            minus = p.shift(m, j, -2)
+            coeff = Fraction(1)
+            for i in range(1, m):
+                coeff *= lmm[i - 1] - lm[j - 1]
+            if validate(minus):
+                want_c = tuple(coeff * x for x in vec_unit(rep.dim, rep.index[minus]))
+            else:
+                want_c = (Fraction(0),) * rep.dim
+            if got_c != want_c:
+                return False
+    return True
+
+
+def characteristic_identity_check(rep):
+    """prod_r (E - alpha_r) = 0 on L* (x) L(lam), with idempotent spectral
+    projectors that sum to the identity and reassemble E."""
+    n, d = rep.n, rep.dim
+    big = _big_e(rep)
+    nd = n * d
+    ident = SparseMat.identity(nd)
+    alphas = [Fraction(rep.lam[r - 1], 2) + n - r for r in range(1, n + 1)]
+    prod = ident
+    for a in alphas:
+        prod = prod @ (big - ident.scale(a))
+    if not prod.is_zero():
+        return False
+    projs = []
+    for r in range(n):
+        pr = ident
+        for s in range(n):
+            if s != r:
+                pr = pr @ (big - ident.scale(alphas[s]))
+                pr = pr.scale(1 / (alphas[r] - alphas[s]))
+        projs.append(pr)
+    total = SparseMat.zero(nd, nd)
+    recon = SparseMat.zero(nd, nd)
+    for r, pr in enumerate(projs):
+        if pr @ pr != pr:
+            return False
+        total = total + pr
+        recon = recon + pr.scale(alphas[r])
+    if total != ident or recon != big:
+        return False
+    # summands killed by equal consecutive weights vanish
+    for r in range(n - 1):
+        if rep.lam[r] == rep.lam[r + 1] and not projs[r].is_zero():
+            return False
+    return True
+
+
+def commutation_check(rep):
+    """[E_ij, E_kl] = d_jk E_il - d_li E_kj for all index pairs."""
+    n, d = rep.n, rep.dim
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                for l in range(1, n + 1):
+                    want = SparseMat.zero(d, d)
+                    if j == k:
+                        want = want + rep.gen(i, l)
+                    if l == i:
+                        want = want - rep.gen(k, j)
+                    if commutator(rep.gen(i, j), rep.gen(k, l)) != want:
+                        return False
+    return True

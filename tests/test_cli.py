@@ -139,3 +139,24 @@ class TestYangianDemo:
     def test_bad_strings(self, capsys):
         code, _, _ = run_capture(capsys, ["yangian-demo", "--strings", "0,1"])
         assert code == 3
+
+
+GRID_WEIGHTS = {"gl": ["1,0"], "sp": ["0,-1", "1,0"], "so4": ["0,-1", "1,0"],
+                "so5": ["-1/2,-1/2", "1,0"]}
+
+
+class TestVerbGrid:
+    @pytest.mark.parametrize("convention", ["s3", "s4"])
+    @pytest.mark.parametrize("algebra", sorted(GRID_WEIGHTS))
+    @pytest.mark.parametrize("verb", ["build", "verify", "export", "dims", "patterns", "branch"])
+    def test_ends_in_an_exit_code(self, tmp_path, capsys, verb, algebra, convention):
+        for weight in GRID_WEIGHTS[algebra]:
+            argv = [verb, algebra, weight, "--convention", convention]
+            if verb == "export":
+                argv += ["--json", str(tmp_path / "out.json")]
+            assert run_capture(capsys, argv)[0] in (0, 1, 2, 3), argv
+
+    def test_verify_sp_s4_runs_the_s3_checks(self, capsys):
+        s3 = run_capture(capsys, ["verify", "sp", "0,-1"])
+        s4 = run_capture(capsys, ["verify", "sp", "0,-1", "--convention", "s4"])
+        assert s4 == s3 and s3[0] == 0 and "fnn-action: PASS" in s3[1]

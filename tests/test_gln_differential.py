@@ -1,0 +1,156 @@
+"""The gl_n operator identities against their direct forms in gln_reference:
+the Laplace quantum minor against both s! expansions, and the per-point,
+per-coefficient and streaming checks against the per-vector checks, on
+intact modules and on corrupted copies of them."""
+
+from itertools import combinations
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import gln_reference as ref
+from gtbases import branching, gln
+from gtbases.exact import SparseMat
+
+
+def d(*xs):
+    return tuple(2 * x for x in xs)
+
+
+def _subset_pairs(n):
+    for s in range(1, n + 1):
+        for rows in combinations(range(1, n + 1), s):
+            for cols in combinations(range(1, n + 1), s):
+                yield rows, cols
+
+
+class TestLaplaceMinor:
+    @pytest.mark.parametrize("n,lam", [(3, d(2, 1, 0)), (3, (3, 1, -1)), (4, d(3, 2, 1, 0))])
+    def test_equals_both_expansions(self, n, lam):
+        rep = gln.build_irrep(n, lam)
+        for rows, cols in _subset_pairs(n):
+            for order in (rows, rows[::-1]):
+                first, second = ref.quantum_minor_expansions(rep, order, cols)
+                assert gln.quantum_minor(rep, order, cols) == first == second, (order, cols)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_random_weights(self, data):
+        n = data.draw(st.sampled_from([3, 4]), label="n")
+        gaps = data.draw(st.lists(st.integers(0, 2 if n == 3 else 1),
+                                  min_size=n - 1, max_size=n - 1), label="gaps")
+        low = data.draw(st.integers(-4, 4), label="doubled lowest entry")
+        lam = [low]
+        for g in reversed(gaps):
+            lam.insert(0, lam[0] + 2 * g)
+        assume(branching.weyl_dim("A", tuple(lam)) <= 20)
+        rep = gln.build_irrep(n, tuple(lam))
+        s = data.draw(st.integers(1, n), label="size")
+        rows = data.draw(st.permutations(range(1, n + 1)), label="rows")[:s]
+        cols = data.draw(st.permutations(range(1, n + 1)), label="cols")[:s]
+        first, second = ref.quantum_minor_expansions(rep, rows, cols)
+        assert gln.quantum_minor(rep, rows, cols) == first == second
+
+    def test_rejects_empty_and_ragged(self):
+        rep = gln.build_irrep(2, d(1, 0))
+        for rows, cols in [((), ()), ((1, 2), (1,))]:
+            with pytest.raises(ValueError):
+                gln.quantum_minor(rep, rows, cols)
+
+
+# name -> (new check, reference check)
+CHECKS = {
+    "commutation": (gln.commutation_check, ref.commutation_check),
+    "capelli-scalar": (gln.capelli_scalar_check, ref.capelli_scalar_check),
+    "characteristic-identity": (gln.characteristic_identity_check,
+                                ref.characteristic_identity_check),
+}
+for _m in (1, 2, 3):
+    CHECKS["drinfeld-%d" % _m] = (
+        lambda rep, m=_m: gln.drinfeld_checks(rep, m),
+        lambda rep, m=_m: ref.drinfeld_checks(rep, m))
+
+INTACT = [(2, d(1, 0)), (3, d(2, 1, 0)), (3, d(1, 1, 0)), (3, (3, 1, -1)), (3, d(2, 2, 2))]
+
+
+def _copy(rep, gens=None, normsq=None):
+    near = {(i, j): rep.gen(i, j) for i in range(1, rep.n + 1)
+            for j in range(1, rep.n + 1) if abs(i - j) <= 1}
+    near.update(gens or {})
+    return gln.GlnIrrep(rep.n, rep.lam, rep.basis, near,
+                        rep.normsq if normsq is None else normsq)
+
+
+def corrupted_copies(n, lam):
+    """Copies of L(lam), each with one change: an entry of E_{k,k+1} or
+    E_{k+1,k} doubled, a diagonal entry 1 put into one of them (where the
+    module has none), an entry of E_kk shifted by 1, or a normsq doubled."""
+    rep = gln.build_irrep(n, lam)
+    out = []
+    for key in [(k, k + 1) for k in range(1, n)] + [(k + 1, k) for k in range(1, n)]:
+        m = rep.gen(*key)
+        for pos, v in sorted(m.entries.items()):
+            ent = dict(m.entries)
+            ent[pos] = 2 * v
+            out.append(("E_%d%d %s x2" % (key + (pos,)),
+                        _copy(rep, {key: SparseMat(rep.dim, rep.dim, ent)})))
+        for t in range(rep.dim):
+            bump = SparseMat(rep.dim, rep.dim, {(t, t): 1})
+            out.append(("E_%d%d (%d,%d) = 1" % (key + (t, t)), _copy(rep, {key: m + bump})))
+    for k in range(1, n + 1):
+        for t in range(rep.dim):
+            bump = SparseMat(rep.dim, rep.dim, {(t, t): 1})
+            out.append(("E_%d%d (%d,%d) +1" % (k, k, t, t),
+                        _copy(rep, {(k, k): rep.gen(k, k) + bump})))
+    for t in range(rep.dim):
+        normsq = list(rep.normsq)
+        normsq[t] *= 2
+        out.append(("normsq[%d] x2" % t, _copy(rep, normsq=normsq)))
+    return out
+
+
+class TestVerdicts:
+    @pytest.mark.parametrize("n,lam", INTACT)
+    def test_intact_modules_pass_both(self, n, lam):
+        rep = gln.build_irrep(n, lam)
+        for name, (new, old) in CHECKS.items():
+            if name.startswith("drinfeld-") and int(name[-1]) > n:
+                continue
+            assert new(rep) is True and old(rep) is True, name
+
+    @pytest.mark.parametrize("name", sorted(CHECKS))
+    def test_corrupted_copies_get_the_reference_verdict(self, name):
+        new, old = CHECKS[name]
+        verdicts = []
+        for n, lam in [(3, d(2, 1, 0)), (3, (3, 1, -1))]:
+            for label, rep in corrupted_copies(n, lam):
+                want = old(rep)
+                assert new(rep) == want, (n, lam, label)
+                verdicts.append(want)
+        assert False in verdicts and True in verdicts
+
+    def test_commutation_covers_every_pair(self, monkeypatch):
+        rep = gln.build_irrep(3, d(2, 1, 0))
+        pairs = [(i, j) for i in range(1, 4) for j in range(1, 4)]
+        names = {id(rep.gen(*p)): p for p in pairs}
+        seen = set()
+        real = gln.commutator
+
+        def spy(a, b):
+            seen.add(frozenset((names[id(a)], names[id(b)])))
+            return real(a, b)
+        monkeypatch.setattr(gln, "commutator", spy)
+        assert gln.commutation_check(rep)
+        assert seen == {frozenset((p, q)) for p in pairs for q in pairs}
+
+    @pytest.mark.parametrize("eigen,want", [((1, 0), False), ((1, 1), False), ((0, 0), True)])
+    def test_zero_summand_rule(self, monkeypatch, eigen, want):
+        # lam = (0, 0) has alpha = (1, 0): E = diag(eigen) satisfies every
+        # projector identity, and only the summand rule sees eigenvalue 1
+        rep = SimpleNamespace(n=2, dim=1, lam=(0, 0))
+        big = SparseMat.diag(eigen)
+        monkeypatch.setattr(gln, "_big_e", lambda r: big)
+        monkeypatch.setattr(ref, "_big_e", lambda r: big)
+        assert gln.characteristic_identity_check(rep) is want
+        assert ref.characteristic_identity_check(rep) is want
