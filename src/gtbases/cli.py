@@ -110,7 +110,7 @@ def _dimension(kind, data, lam, convention):
         series = _series_of(kind, data)
         fam = _family(kind, data, convention)
         cnt = len(patterns.enumerate_patterns(fam, lam))
-        if convention == "s4":
+        if fam.endswith("4"):
             oracle = branching.weyl_dim(series, lam)
         else:
             oracle = branching.weyl_dim_s3(series, lam)
@@ -138,12 +138,13 @@ def cmd_patterns(args):
 def cmd_branch(args):
     lam = parse_weight(args.weight)
     kind, data = parse_algebra(args.algebra, len(lam), args.convention, args.series)
+    if kind != "gl" and args.convention == "s4":
+        raise CliError("branch tables are emitted in the s3 convention", 2)
+    patterns.check_dominant(_family(kind, data, args.convention), lam)
     if kind == "gl":
         for mu in branching.branch_A(lam):
             print("%s  1" % format_weight(mu))
         return 0
-    if args.convention == "s4":
-        raise CliError("branch tables are emitted in the s3 convention", 2)
     series = _series_of(kind, data)
     for mu, spec in branching.branch_children_BCD(series, lam):
         print("%s  %d" % (format_weight(mu), spec.multiplicity))

@@ -2,13 +2,16 @@
 
 Everything downstream (representation matrices, lowering operators, quantum
 minors) is built on top of the three types defined here: ``Rat`` (an alias of
-``fractions.Fraction``), ``SparseMat`` and ``OpPoly``.  No floating point
+``fractions.Fraction``), ``SparseMat`` and ``OpPoly``.  A ``SparseMat`` keeps
+integer numerators over one common denominator, so its products and sums run
+on plain ints; every value it hands out is a ``Fraction``.  No floating point
 arithmetic is used anywhere in the package.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 
 Rat = Fraction
@@ -25,14 +28,48 @@ def factorial(n) -> Fraction:
     return Fraction(math.factorial(int(f)))
 
 
-class SparseMat:
-    """Immutable-by-convention sparse matrix over Fraction.
+class FractionView(Mapping):
+    """Read-only ``{(row, col): Fraction}`` view of a ``SparseMat``.
 
-    Only nonzero entries are stored, keyed by (row, col).  Do not mutate
-    ``entries`` after construction; all operations return new matrices.
+    Each value is made on access from the integer numerator and the common
+    denominator; ``len`` and membership read the numerators alone.
     """
 
-    __slots__ = ("nrows", "ncols", "entries")
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num, den):
+        self._num = num
+        self._den = den
+
+    def __getitem__(self, key):
+        return Fraction(self._num[key], self._den)
+
+    def __contains__(self, key):
+        return key in self._num
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self):
+        return len(self._num)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class SparseMat:
+    """Immutable-by-convention sparse matrix over the rationals.
+
+    The nonzero entries are stored as Python-int numerators ``num[(r, c)]``
+    over one common denominator ``den > 0``, kept in lowest terms
+    (``gcd(den, *num.values()) == 1``, and ``den == 1`` when the matrix is
+    zero).  The form is unique, so equal matrices have equal ``num`` and
+    ``den``.  Products and sums run on plain ints; ``entries``, ``get``,
+    ``row_list``, ``col_vector`` and ``apply`` give ``Fraction``s.  All
+    operations return new matrices.
+    """
+
+    __slots__ = ("nrows", "ncols", "num", "den")
 
     def __init__(self, nrows, ncols, entries=None):
         if nrows < 0 or ncols < 0:
@@ -41,24 +78,56 @@ class SparseMat:
         self.ncols = ncols
         ent = {}
         if entries:
-            items = entries.items() if isinstance(entries, dict) else entries
+            items = entries.items() if isinstance(entries, Mapping) else entries
             for (r, c), v in items:
                 if not (0 <= r < nrows and 0 <= c < ncols):
                     raise IndexError("entry (%d, %d) out of range" % (r, c))
                 v = Fraction(v)
-                if v != 0:
+                if v:
                     ent[(r, c)] = v
-        self.entries = ent
+        # the least common denominator leaves the numerators coprime to it
+        den = math.lcm(*(v.denominator for v in ent.values()))
+        self.num = {k: v.numerator * (den // v.denominator) for k, v in ent.items()}
+        self.den = den
+
+    @staticmethod
+    def from_num(nrows, ncols, num, den=1):
+        """The matrix num / den from int numerators (no zero values) and a
+        positive int denominator, reduced to lowest terms.  Takes ownership
+        of num."""
+        if num and den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {k: v // g for k, v in num.items()}
+                den //= g
+        elif not num:
+            den = 1
+        return SparseMat._lowest(nrows, ncols, num, den)
+
+    @staticmethod
+    def _lowest(nrows, ncols, num, den):
+        """The matrix num / den, which the caller knows to be in lowest terms."""
+        out = SparseMat.__new__(SparseMat)
+        out.nrows = nrows
+        out.ncols = ncols
+        out.num = num
+        out.den = den
+        return out
+
+    @property
+    def entries(self):
+        """The nonzero entries as a read-only {(row, col): Fraction} view."""
+        return FractionView(self.num, self.den)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(nrows, ncols):
-        return SparseMat(nrows, ncols)
+        return SparseMat._lowest(nrows, ncols, {}, 1)
 
     @staticmethod
     def identity(n):
-        return SparseMat(n, n, {(i, i): _ONE for i in range(n)})
+        return SparseMat._lowest(n, n, {(i, i): 1 for i in range(n)}, 1)
 
     @staticmethod
     def diag(values):
@@ -94,66 +163,101 @@ class SparseMat:
                     ent[(r, c)] = Fraction(v)
         return SparseMat(nrows, len(cols), ent)
 
+    @staticmethod
+    def combination(nrows, ncols, terms):
+        """Sum of c * m over the (scalar c, SparseMat m) pairs of terms, with
+        every m of shape nrows x ncols; one pass over one denominator."""
+        terms = [(Fraction(c), m) for c, m in terms if c]
+        for _, m in terms:
+            if (m.nrows, m.ncols) != (nrows, ncols):
+                raise ValueError("shape mismatch: %r in a %dx%d combination"
+                                 % (m, nrows, ncols))
+        den = math.lcm(*(c.denominator * m.den for c, m in terms))
+        ent = {}
+        get = ent.get
+        for c, m in terms:
+            f = c.numerator * (den // (c.denominator * m.den))
+            for k, v in m.num.items():
+                ent[k] = get(k, 0) + f * v
+        return SparseMat.from_num(nrows, ncols, {k: v for k, v in ent.items() if v}, den)
+
     # -- basic access ------------------------------------------------------
 
     def get(self, r, c) -> Fraction:
-        return self.entries.get((r, c), _ZERO)
+        v = self.num.get((r, c))
+        return Fraction(v, self.den) if v else _ZERO
 
     def row_list(self, r):
-        return [self.entries.get((r, c), _ZERO) for c in range(self.ncols)]
+        return [self.get(r, c) for c in range(self.ncols)]
 
     def col_vector(self, c):
-        return tuple(self.entries.get((r, c), _ZERO) for r in range(self.nrows))
+        return tuple(self.get(r, c) for r in range(self.nrows))
 
     def to_rows(self):
         return [self.row_list(r) for r in range(self.nrows)]
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.num
 
     def nnz(self) -> int:
-        return len(self.entries)
+        return len(self.num)
 
     def __eq__(self, other):
         if not isinstance(other, SparseMat):
             return NotImplemented
-        return (self.nrows, self.ncols) == (other.nrows, other.ncols) and self.entries == other.entries
+        # both sides are in lowest terms, whose form is unique
+        return ((self.nrows, self.ncols, self.den) == (other.nrows, other.ncols, other.den)
+                and self.num == other.num)
 
     def __hash__(self):
         raise TypeError("SparseMat is not hashable")
 
     def __repr__(self):
-        return "SparseMat(%d, %d, nnz=%d)" % (self.nrows, self.ncols, len(self.entries))
+        return "SparseMat(%d, %d, nnz=%d)" % (self.nrows, self.ncols, len(self.num))
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         self._require_shape(other)
-        ent = dict(self.entries)
-        for k, v in other.entries.items():
-            w = ent.get(k, _ZERO) + v
-            if w:
-                ent[k] = w
-            else:
-                ent.pop(k, None)
-        out = SparseMat(self.nrows, self.ncols)
-        out.entries = ent
-        return out
+        if not self.num:
+            return other
+        if not other.num:
+            return self
+        da, db = self.den, other.den
+        if da == db:
+            ent = dict(self.num)
+            fb = 1
+        else:
+            g = math.gcd(da, db)
+            fa, fb = db // g, da // g
+            ent = {k: v * fa for k, v in self.num.items()}
+            da *= fa
+        get = ent.get
+        for k, v in other.num.items():
+            ent[k] = get(k, 0) + v * fb
+        return SparseMat.from_num(self.nrows, self.ncols,
+                                  {k: v for k, v in ent.items() if v}, da)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        out = SparseMat(self.nrows, self.ncols)
-        out.entries = {k: -v for k, v in self.entries.items()}
-        return out
+        return SparseMat._lowest(self.nrows, self.ncols,
+                                 {k: -v for k, v in self.num.items()}, self.den)
 
     def scale(self, a):
         a = Fraction(a)
-        out = SparseMat(self.nrows, self.ncols)
-        if a:
-            out.entries = {k: a * v for k, v in self.entries.items()}
-        return out
+        p, q = a.numerator, a.denominator
+        if not p or not self.num:
+            return SparseMat.zero(self.nrows, self.ncols)
+        # num/den is in lowest terms and so is p/q, so the product num*p /
+        # (den*q) reduces by gcd(den, p) * gcd(q, num) alone
+        g = math.gcd(self.den, p)
+        h = math.gcd(q, *self.num.values()) if q != 1 else 1
+        p //= g
+        return SparseMat._lowest(self.nrows, self.ncols,
+                                 {k: v // h * p for k, v in self.num.items()},
+                                 self.den // g * (q // h))
 
     def __mul__(self, a):
         return self.scale(a)
@@ -164,35 +268,51 @@ class SparseMat:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matmul: %r @ %r" % (self, other))
         by_row = {}
-        for (r, c), v in other.entries.items():
+        for (r, c), v in other.num.items():
             by_row.setdefault(r, []).append((c, v))
-        ent = {}
-        for (r, k), v in self.entries.items():
-            for c, w in by_row.get(k, ()):
-                key = (r, c)
-                s = ent.get(key, _ZERO) + v * w
-                if s:
-                    ent[key] = s
-                else:
-                    ent.pop(key, None)
-        out = SparseMat(self.nrows, other.ncols)
-        out.entries = ent
-        return out
+        rows = {}           # result row r -> {c: numerator}
+        for (r, k), v in self.num.items():
+            row = by_row.get(k)
+            if row:
+                acc = rows.get(r)
+                if acc is None:
+                    acc = rows[r] = {}
+                get = acc.get
+                for c, w in row:
+                    acc[c] = get(c, 0) + v * w
+        return SparseMat.from_num(
+            self.nrows, other.ncols,
+            {(r, c): v for r, acc in rows.items() for c, v in acc.items() if v},
+            self.den * other.den)
 
     def transpose(self):
-        out = SparseMat(self.ncols, self.nrows)
-        out.entries = {(c, r): v for (r, c), v in self.entries.items()}
-        return out
+        return SparseMat._lowest(self.ncols, self.nrows,
+                                 {(c, r): v for (r, c), v in self.num.items()}, self.den)
 
     def apply(self, vec):
-        """Matrix-vector product; vec is a sequence, result a tuple."""
+        """Matrix-vector product; vec is a sequence, result a tuple of
+        Fractions."""
         if len(vec) != self.ncols:
             raise ValueError("vector length %d != ncols %d" % (len(vec), self.ncols))
+        # the entries that meet a nonzero of vec, then those nonzeros as int
+        # numerators over their least common denominator
+        terms = []
+        nz = {}
+        for (r, c), v in self.num.items():
+            x = vec[c]
+            if x:
+                terms.append((r, c, v))
+                nz[c] = x
+        vden = math.lcm(*(x.denominator for x in nz.values()))
+        ivec = {c: x.numerator * (vden // x.denominator) for c, x in nz.items()}
+        acc = {}
+        for r, c, v in terms:
+            acc[r] = acc.get(r, 0) + v * ivec[c]
+        den = self.den * vden
         out = [_ZERO] * self.nrows
-        for (r, c), v in self.entries.items():
-            w = vec[c]
-            if w:
-                out[r] += v * w
+        for r, x in acc.items():
+            if x:
+                out[r] = Fraction(x, den)
         return tuple(out)
 
     def _require_shape(self, other):
@@ -207,10 +327,10 @@ def commutator(a: SparseMat, b: SparseMat) -> SparseMat:
 def kron(a: SparseMat, b: SparseMat) -> SparseMat:
     """Kronecker product, row/col index = i_a * nrows_b + i_b."""
     ent = {}
-    for (ra, ca), va in a.entries.items():
-        for (rb, cb), vb in b.entries.items():
+    for (ra, ca), va in a.num.items():
+        for (rb, cb), vb in b.num.items():
             ent[(ra * b.nrows + rb, ca * b.ncols + cb)] = va * vb
-    return SparseMat(a.nrows * b.nrows, a.ncols * b.ncols, ent)
+    return SparseMat.from_num(a.nrows * b.nrows, a.ncols * b.ncols, ent, a.den * b.den)
 
 
 # -- vectors (plain tuples of Fraction) -------------------------------------
@@ -280,8 +400,10 @@ def rref(rows):
 
 
 def _columns(m: SparseMat):
-    cols = [[_ZERO] * m.nrows for _ in range(m.ncols)]
-    for (r, c), v in m.entries.items():
+    """Columns of den * m: the numerators, which have the same kernel and
+    the same dependencies among columns as m."""
+    cols = [[0] * m.nrows for _ in range(m.ncols)]
+    for (r, c), v in m.num.items():
         cols[c][r] = v
     return cols
 

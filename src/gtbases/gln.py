@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import prod
 
-from .exact import (OpPoly, SparseMat, commutator, factorial, nullspace,
+from .exact import (OpPoly, SparseMat, commutator, factorial, kron, nullspace,
                     spoly_from_roots, vec_is_zero, vec_unit)
 from .patterns import GTPatternA, enumerate_patterns, validate, weight
 from . import patterns as _patterns
@@ -481,13 +481,16 @@ def _shifted_column(rep, q, coeff):
 
 
 def _columns_match(poly: OpPoly, want) -> bool:
-    """poly(u0) has the columns want[u0][t], with one evaluation per point."""
+    """poly(u0) has the columns want[u0][t], with one evaluation per point.
+
+    The integer numerators of poly(u0) are compared with den * want."""
     for u0, columns in want.items():
+        m = poly.eval_at(u0)
         got = {t: {} for t in columns}
-        for (r, c), v in poly.eval_at(u0).entries.items():
+        for (r, c), v in m.num.items():
             if c in got:
                 got[c][r] = v
-        if got != columns:
+        if got != {t: {r: v * m.den for r, v in col.items()} for t, col in columns.items()}:
             return False
     return True
 
@@ -550,14 +553,11 @@ def gt_eigenvalues(pattern: GTPatternA):
 # ---------------------------------------------------------------------------
 
 def _big_e(rep: GlnIrrep) -> SparseMat:
+    """E = sum of e_ij (x) E_ij: block (i, j) holds the generator E_ij."""
     n, d = rep.n, rep.dim
-    ent = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            block = rep.gen(i, j)
-            for (r, c), v in block.entries.items():
-                ent[((i - 1) * d + r, (j - 1) * d + c)] = v
-    return SparseMat(n * d, n * d, ent)
+    return SparseMat.combination(n * d, n * d, (
+        (1, kron(SparseMat(n, n, {(i - 1, j - 1): 1}), rep.gen(i, j)))
+        for i in range(1, n + 1) for j in range(1, n + 1)))
 
 
 def characteristic_identity_check(rep: GlnIrrep) -> bool:

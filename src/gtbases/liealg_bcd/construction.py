@@ -168,14 +168,8 @@ class HWModule:
         coeffs = solver.solve(_flat(real_mat, len(self.realization.labels)))
         if coeffs is None:
             raise ValueError("element is not in the realized algebra span")
-        ent = {}
-        for c, (_, mm) in zip(coeffs, pairs):
-            if c:
-                for key, v in mm.entries.items():
-                    ent[key] = ent.get(key, 0) + c * v
-        out = SparseMat(self.dim, self.dim)
-        out.entries = {key: v for key, v in ent.items() if v}
-        return out
+        return SparseMat.combination(self.dim, self.dim,
+                                     ((c, mm) for c, (_, mm) in zip(coeffs, pairs)))
 
     def weight_slices(self):
         return {w: (off, size) for w, (off, size, _) in self.blocks.items()}

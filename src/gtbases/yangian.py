@@ -476,14 +476,16 @@ def algebra_closure(gens, n):
     first, each newly kept element left-multiplied by each kept generator.
     Every word in the generators is then in the span, since the span is
     closed under left multiplication by them.  Independence is tested on
-    the row-major n*n vector, and the spin stops once n*n elements are kept.
+    the row-major n*n vector of integer numerators (a multiple of the
+    matrix, which is independent of the others exactly when the matrix
+    is), and the spin stops once n*n elements are kept.
     """
     solver = SpanSolver((), n * n)
     basis = []
 
     def keep(m):
         vec = [0] * (n * n)
-        for (r, c), x in m.entries.items():
+        for (r, c), x in m.num.items():
             vec[r * n + c] = x
         if solver.add(vec):
             basis.append(m)

@@ -1,0 +1,371 @@
+"""The dict-of-``Fraction`` ``SparseMat`` and its ``OpPoly``, kept verbatim
+as the reference for the differential tests of ``gtbases.exact``.
+
+The library stores a matrix as integer numerators over one common
+denominator; these classes store every nonzero entry as a ``Fraction``.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+class SparseMat:
+    """Immutable-by-convention sparse matrix over Fraction.
+
+    Only nonzero entries are stored, keyed by (row, col).  Do not mutate
+    ``entries`` after construction; all operations return new matrices.
+    """
+
+    __slots__ = ("nrows", "ncols", "entries")
+
+    def __init__(self, nrows, ncols, entries=None):
+        if nrows < 0 or ncols < 0:
+            raise ValueError("negative matrix dimensions")
+        self.nrows = nrows
+        self.ncols = ncols
+        ent = {}
+        if entries:
+            items = entries.items() if isinstance(entries, dict) else entries
+            for (r, c), v in items:
+                if not (0 <= r < nrows and 0 <= c < ncols):
+                    raise IndexError("entry (%d, %d) out of range" % (r, c))
+                v = Fraction(v)
+                if v != 0:
+                    ent[(r, c)] = v
+        self.entries = ent
+
+    # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def zero(nrows, ncols):
+        return SparseMat(nrows, ncols)
+
+    @staticmethod
+    def identity(n):
+        return SparseMat(n, n, {(i, i): _ONE for i in range(n)})
+
+    @staticmethod
+    def diag(values):
+        vals = [Fraction(v) for v in values]
+        return SparseMat(len(vals), len(vals), {(i, i): v for i, v in enumerate(vals)})
+
+    @staticmethod
+    def from_rows(rows):
+        nrows = len(rows)
+        ncols = len(rows[0]) if nrows else 0
+        ent = {}
+        for r, row in enumerate(rows):
+            if len(row) != ncols:
+                raise ValueError("ragged rows")
+            for c, v in enumerate(row):
+                v = Fraction(v)
+                if v != 0:
+                    ent[(r, c)] = v
+        return SparseMat(nrows, ncols, ent)
+
+    @staticmethod
+    def column(vec):
+        return SparseMat(len(vec), 1, {(i, 0): v for i, v in enumerate(vec) if v != 0})
+
+    @staticmethod
+    def from_columns(cols, nrows=None):
+        if nrows is None:
+            nrows = len(cols[0]) if cols else 0
+        ent = {}
+        for c, col in enumerate(cols):
+            for r, v in enumerate(col):
+                if v != 0:
+                    ent[(r, c)] = Fraction(v)
+        return SparseMat(nrows, len(cols), ent)
+
+    # -- basic access ------------------------------------------------------
+
+    def get(self, r, c) -> Fraction:
+        return self.entries.get((r, c), _ZERO)
+
+    def row_list(self, r):
+        return [self.entries.get((r, c), _ZERO) for c in range(self.ncols)]
+
+    def col_vector(self, c):
+        return tuple(self.entries.get((r, c), _ZERO) for r in range(self.nrows))
+
+    def to_rows(self):
+        return [self.row_list(r) for r in range(self.nrows)]
+
+    def is_zero(self) -> bool:
+        return not self.entries
+
+    def nnz(self) -> int:
+        return len(self.entries)
+
+    def __eq__(self, other):
+        if not isinstance(other, SparseMat):
+            return NotImplemented
+        return (self.nrows, self.ncols) == (other.nrows, other.ncols) and self.entries == other.entries
+
+    def __hash__(self):
+        raise TypeError("SparseMat is not hashable")
+
+    def __repr__(self):
+        return "SparseMat(%d, %d, nnz=%d)" % (self.nrows, self.ncols, len(self.entries))
+
+    # -- arithmetic --------------------------------------------------------
+
+    def __add__(self, other):
+        self._require_shape(other)
+        ent = dict(self.entries)
+        for k, v in other.entries.items():
+            w = ent.get(k, _ZERO) + v
+            if w:
+                ent[k] = w
+            else:
+                ent.pop(k, None)
+        out = SparseMat(self.nrows, self.ncols)
+        out.entries = ent
+        return out
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        out = SparseMat(self.nrows, self.ncols)
+        out.entries = {k: -v for k, v in self.entries.items()}
+        return out
+
+    def scale(self, a):
+        a = Fraction(a)
+        out = SparseMat(self.nrows, self.ncols)
+        if a:
+            out.entries = {k: a * v for k, v in self.entries.items()}
+        return out
+
+    def __mul__(self, a):
+        return self.scale(a)
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        if self.ncols != other.nrows:
+            raise ValueError("shape mismatch in matmul: %r @ %r" % (self, other))
+        by_row = {}
+        for (r, c), v in other.entries.items():
+            by_row.setdefault(r, []).append((c, v))
+        ent = {}
+        for (r, k), v in self.entries.items():
+            for c, w in by_row.get(k, ()):
+                key = (r, c)
+                s = ent.get(key, _ZERO) + v * w
+                if s:
+                    ent[key] = s
+                else:
+                    ent.pop(key, None)
+        out = SparseMat(self.nrows, other.ncols)
+        out.entries = ent
+        return out
+
+    def transpose(self):
+        out = SparseMat(self.ncols, self.nrows)
+        out.entries = {(c, r): v for (r, c), v in self.entries.items()}
+        return out
+
+    def apply(self, vec):
+        """Matrix-vector product; vec is a sequence, result a tuple."""
+        if len(vec) != self.ncols:
+            raise ValueError("vector length %d != ncols %d" % (len(vec), self.ncols))
+        out = [_ZERO] * self.nrows
+        for (r, c), v in self.entries.items():
+            w = vec[c]
+            if w:
+                out[r] += v * w
+        return tuple(out)
+
+    def _require_shape(self, other):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch: %r vs %r" % (self, other))
+
+
+def commutator(a: SparseMat, b: SparseMat) -> SparseMat:
+    return a @ b - b @ a
+
+
+def kron(a: SparseMat, b: SparseMat) -> SparseMat:
+    """Kronecker product, row/col index = i_a * nrows_b + i_b."""
+    ent = {}
+    for (ra, ca), va in a.entries.items():
+        for (rb, cb), vb in b.entries.items():
+            ent[(ra * b.nrows + rb, ca * b.ncols + cb)] = va * vb
+    return SparseMat(a.nrows * b.nrows, a.ncols * b.ncols, ent)
+
+
+class OpPoly:
+    """Polynomial in a formal variable u with SparseMat coefficients.
+
+    coeffs[j] is the matrix coefficient of u**j; all coefficients share one
+    shape.  Evaluation at a diagonal matrix argument keeps coefficients to
+    the LEFT of the powers (see ``eval_left``), which is the convention used
+    throughout for substituting Cartan elements for u.
+    """
+
+    __slots__ = ("nrows", "ncols", "coeffs")
+
+    def __init__(self, nrows, ncols, coeffs=()):
+        self.nrows = nrows
+        self.ncols = ncols
+        cs = list(coeffs)
+        for c in cs:
+            if (c.nrows, c.ncols) != (nrows, ncols):
+                raise ValueError("coefficient shape mismatch")
+        while cs and cs[-1].is_zero():
+            cs.pop()
+        self.coeffs = cs
+
+    @staticmethod
+    def from_scalar_poly(p, n):
+        ident = SparseMat.identity(n)
+        return OpPoly(n, n, [ident.scale(c) for c in p])
+
+    @staticmethod
+    def constant(m: SparseMat):
+        return OpPoly(m.nrows, m.ncols, [m])
+
+    @staticmethod
+    def variable(n):
+        """The polynomial u * Id of size n."""
+        return OpPoly(n, n, [SparseMat.zero(n, n), SparseMat.identity(n)])
+
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def coeff(self, j) -> SparseMat:
+        if 0 <= j < len(self.coeffs):
+            return self.coeffs[j]
+        return SparseMat.zero(self.nrows, self.ncols)
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __eq__(self, other):
+        if not isinstance(other, OpPoly):
+            return NotImplemented
+        return (self.nrows, self.ncols) == (other.nrows, other.ncols) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        raise TypeError("OpPoly is not hashable")
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        out = []
+        for j in range(n):
+            out.append(self.coeff(j) + other.coeff(j))
+        return OpPoly(self.nrows, self.ncols, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return OpPoly(self.nrows, self.ncols, [-c for c in self.coeffs])
+
+    def scale(self, a):
+        return OpPoly(self.nrows, self.ncols, [c.scale(a) for c in self.coeffs])
+
+    def __matmul__(self, other):
+        """Product; left factor coefficients stay on the left."""
+        if self.ncols != other.nrows:
+            raise ValueError("shape mismatch")
+        if self.is_zero() or other.is_zero():
+            return OpPoly(self.nrows, other.ncols, [])
+        out = [SparseMat.zero(self.nrows, other.ncols)
+               for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
+        for i, a in enumerate(self.coeffs):
+            if a.is_zero():
+                continue
+            for j, b in enumerate(other.coeffs):
+                if not b.is_zero():
+                    out[i + j] = out[i + j] + a @ b
+        return OpPoly(self.nrows, other.ncols, out)
+
+    def mul_scalar_poly(self, p):
+        out = OpPoly(self.nrows, self.ncols, [])
+        for j, c in enumerate(p):
+            if c:
+                shifted = [SparseMat.zero(self.nrows, self.ncols)] * j + [m.scale(c) for m in self.coeffs]
+                out = out + OpPoly(self.nrows, self.ncols, shifted)
+        return out
+
+    def shift_u(self, s):
+        """Substitute u -> u + s for a scalar s."""
+        s = Fraction(s)
+        d = self.degree()
+        if d < 0:
+            return self
+        out = [SparseMat.zero(self.nrows, self.ncols) for _ in range(d + 1)]
+        for j, c in enumerate(self.coeffs):
+            if c.is_zero():
+                continue
+            # (u + s)^j expanded by binomials
+            pw = _ONE
+            for t in range(j, -1, -1):
+                out[t] = out[t] + c.scale(math.comb(j, j - t) * pw)
+                pw *= s
+        return OpPoly(self.nrows, self.ncols, out)
+
+    def negate_u(self):
+        """Substitute u -> -u."""
+        return OpPoly(self.nrows, self.ncols,
+                      [c if j % 2 == 0 else -c for j, c in enumerate(self.coeffs)])
+
+    def eval_at(self, u0) -> SparseMat:
+        u0 = Fraction(u0)
+        acc = SparseMat.zero(self.nrows, self.ncols)
+        pw = _ONE
+        for c in self.coeffs:
+            acc = acc + c.scale(pw)
+            pw *= u0
+        return acc
+
+    def eval_left(self, h: SparseMat) -> SparseMat:
+        """Evaluate at a matrix argument, coefficients left of powers."""
+        if h.nrows != h.ncols or h.ncols != self.ncols:
+            raise ValueError("shape mismatch in eval_left")
+        acc = SparseMat.zero(self.nrows, self.ncols)
+        hp = SparseMat.identity(h.nrows)
+        for j, c in enumerate(self.coeffs):
+            if j > 0:
+                hp = hp @ h
+            acc = acc + c @ hp
+        return acc
+
+    def divide_by_u(self) -> "OpPoly":
+        """Exact division by u; raises if the constant term is nonzero."""
+        if self.coeffs and not self.coeffs[0].is_zero():
+            raise ArithmeticError("polynomial not divisible by u")
+        return OpPoly(self.nrows, self.ncols, self.coeffs[1:])
+
+    def divide_linear(self, a, b) -> "OpPoly":
+        """Exact division by the scalar polynomial (a*u + b); raises if inexact."""
+        a = Fraction(a)
+        b = Fraction(b)
+        if a == 0:
+            raise ZeroDivisionError
+        rem = list(self.coeffs)
+        out = [SparseMat.zero(self.nrows, self.ncols) for _ in range(max(len(rem) - 1, 0))]
+        for j in range(len(rem) - 1, 0, -1):
+            q = rem[j].scale(1 / a)
+            out[j - 1] = q
+            rem[j] = SparseMat.zero(self.nrows, self.ncols)
+            rem[j - 1] = rem[j - 1] - q.scale(b)
+        if rem and not rem[0].is_zero():
+            raise ArithmeticError("inexact division by linear factor")
+        return OpPoly(self.nrows, self.ncols, out)
+
+    def apply_to(self, vec):
+        """Apply to a vector: list of vector coefficients per power of u."""
+        return [c.apply(vec) for c in self.coeffs]
+
+    def __repr__(self):
+        return "OpPoly(%dx%d, deg=%d)" % (self.nrows, self.ncols, self.degree())

@@ -1,3 +1,9 @@
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from gtbases import cli
@@ -160,3 +166,54 @@ class TestVerbGrid:
         s3 = run_capture(capsys, ["verify", "sp", "0,-1"])
         s4 = run_capture(capsys, ["verify", "sp", "0,-1", "--convention", "s4"])
         assert s4 == s3 and s3[0] == 0 and "fnn-action: PASS" in s3[1]
+
+
+class TestBranchValidatesWeight:
+    @pytest.mark.parametrize("argv", [
+        ["branch", "sp", "1,0"], ["branch", "so5", "1,0"], ["branch", "so4", "1,0"],
+        ["branch", "gl", "0,1"]])
+    def test_non_dominant_is_2(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 2 and out == ""
+        dims = run_capture(capsys, ["dims"] + argv[1:])
+        assert dims[0] == 2 and err == dims[2]
+
+
+def test_dims_sp_s4_follows_the_s3_rule(capsys):
+    s3 = run_capture(capsys, ["dims", "sp", "0,-1"])
+    s4 = run_capture(capsys, ["dims", "sp", "0,-1", "--convention", "s4"])
+    assert s4 == s3 == (0, "4\n", "")
+
+
+# sha256 of the gt-export/1 bytes and of the verify report, recorded before
+# SparseMat moved to integer numerators; any change breaks the contract.
+EXPORT_SHA256 = {
+    ("gl", "3,1,0"): "8d26f37044f098fee216ec93fdfc10724b6879a12da7e0b563b2bc9fa20e8a3c",
+    ("sp", "-1,-2"): "2ea5e17d4e3091e2cebd15f0d2b1f1267f68ef920e5f97d83cfea089033d66f1",
+    ("so5", "1,0", "--convention", "s4"):
+        "8f76d2582d32479b9dcd43c8cec848ea355231b3d1b33dbc3743fd5f4fc8eef7",
+}
+VERIFY_GL_3210_SHA256 = "3fdfd89a8358659495671ea12fce4b52fac4a357be3781d2e063150a7e11bea2"
+
+
+class TestContractPins:
+    @pytest.mark.parametrize("args", sorted(EXPORT_SHA256))
+    def test_export_bytes(self, tmp_path, capsys, args):
+        path = tmp_path / "out.json"
+        assert run_capture(capsys, ["export", *args, "--json", str(path)])[0] == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPORT_SHA256[args]
+
+    def test_verify_report(self, capsys):
+        code, out, _ = run_capture(capsys, ["verify", "gl", "3,2,1,0"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_GL_3210_SHA256
+
+
+def test_runs_from_a_fresh_checkout():
+    """`python -m gtbases.cli` with only PYTHONPATH=src: catches import-time
+    breakage that the in-process tests, sharing one interpreter, can hide."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "gtbases.cli", "dims", "gl", "2,1,0"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stdout == "8\n"

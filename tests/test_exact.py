@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gtbases.exact import (OpPoly, SpanSolver, SparseMat, factorial,
+import exact_reference as ref
+from gtbases.exact import (OpPoly, SpanSolver, SparseMat, factorial, kron,
                            nullspace, op_poly_eval_left, rank, rref,
                            solve_in_span)
 from rref_reference import rref_nullspace, rref_rank, rref_solve_in_span
@@ -229,3 +231,155 @@ class TestOpPoly:
         assert q == OpPoly(2, 2, [ident.scale(3), ident])
         with pytest.raises(ArithmeticError):
             OpPoly(2, 2, [ident]).divide_linear(1, -1)
+
+
+# -- the integer-numerator core against the dict-of-Fraction reference ------
+
+def in_lowest_terms(m):
+    """The stored form: no zero numerator, den > 0, gcd(den, num) == 1."""
+    return (m.den > 0 and all(m.num.values())
+            and math.gcd(m.den, *m.num.values()) == 1 and (m.num or m.den == 1))
+
+
+def same(m, ref):
+    """m and the reference matrix hold the same entries, as Fractions."""
+    assert in_lowest_terms(m)
+    assert (m.nrows, m.ncols) == (ref.nrows, ref.ncols)
+    ent = dict(m.entries.items())
+    assert ent == ref.entries and all(type(v) is Fraction for v in ent.values())
+    assert len(m.entries) == m.nnz() == len(ref.entries)
+    for r in range(m.nrows):
+        for c in range(m.ncols):
+            assert m.get(r, c) == ref.get(r, c) and type(m.get(r, c)) is Fraction
+    return True
+
+
+def same_poly(p, ref):
+    assert (p.nrows, p.ncols, p.degree()) == (ref.nrows, ref.ncols, ref.degree())
+    return all(same(a, b) for a, b in zip(p.coeffs, ref.coeffs))
+
+
+# denominators with common factors (2, 4, 6, 12) and coprime ones (5, 7)
+DENS = [1, 2, 3, 4, 5, 6, 7, 12]
+RAT = st.builds(Fraction, st.integers(-6, 6), st.sampled_from(DENS))
+
+
+@st.composite
+def mat_pair(draw, nrows, ncols, density=0.6):
+    """A SparseMat and its reference twin.  The entries either share one
+    denominator or each draw their own; zeros are passed in too."""
+    shared = draw(st.booleans())
+    den = draw(st.sampled_from(DENS))
+    ent = {}
+    for r in range(nrows):
+        for c in range(ncols):
+            if draw(st.floats(0, 1)) < density:
+                ent[(r, c)] = (Fraction(draw(st.integers(-6, 6)), den) if shared
+                               else draw(RAT))
+    return SparseMat(nrows, ncols, ent), ref.SparseMat(nrows, ncols, ent)
+
+
+SHAPE = st.integers(0, 4)
+
+
+class TestIntegerCoreMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(SHAPE, SHAPE, SHAPE, st.data())
+    def test_products_sums_and_scaling(self, n, k, m, data):
+        a, ra = data.draw(mat_pair(n, k))
+        b, rb = data.draw(mat_pair(n, k))
+        c, rc = data.draw(mat_pair(k, m))
+        assert same(a, ra) and same(b, rb) and same(c, rc)
+        assert same(a @ c, ra @ rc)
+        assert same(a + b, ra + rb)
+        assert same(a - b, ra - rb)
+        assert same(-a, -ra)
+        for s in (0, -1, Fraction(-3, 4), Fraction(5, 6), data.draw(RAT)):
+            assert same(a.scale(s), ra.scale(s)) and same(s * a, s * ra)
+        assert same(a.transpose(), ra.transpose())
+        assert same(kron(a, c), ref.kron(ra, rc))
+        x = tuple(data.draw(RAT) for _ in range(k))
+        assert a.apply(x) == ra.apply(x)
+        assert all(type(v) is Fraction for v in a.apply(x))
+        assert a.to_rows() == ra.to_rows()
+        assert (a == b) == (ra == rb)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_cancellation_to_zero(self, n, k, data):
+        a, ra = data.draw(mat_pair(n, k))
+        x, rx = data.draw(mat_pair(k, 1, density=1))
+        assert same(a - a, ra - ra) and (a - a).is_zero() and (a - a).den == 1
+        assert same(a + (-a), ra + (-ra))
+        # d = [x | x] and e = (1, -1)^T: every entry of a @ d @ e is a sum
+        # of terms that cancel
+        e, re = SparseMat.from_rows([[1], [-1]]), ref.SparseMat.from_rows([[1], [-1]])
+        d = SparseMat.from_columns([x.col_vector(0)] * 2)
+        rd = ref.SparseMat.from_columns([rx.col_vector(0)] * 2)
+        assert same(a @ d @ e, ra @ rd @ re) and (a @ d @ e).is_zero()
+        assert same(a @ (d @ e), ra @ (rd @ re))
+
+    @settings(max_examples=100, deadline=None)
+    @given(SHAPE, SHAPE, st.data())
+    def test_equal_matrices_by_different_paths(self, n, k, data):
+        """Equality is exact whatever denominators the paths carry on the
+        way (a.scale(s) has a larger one than a; from_num gets an unreduced
+        one)."""
+        a, ra = data.draw(mat_pair(n, k))
+        b, _ = data.draw(mat_pair(n, k))
+        s = data.draw(RAT.filter(bool))
+        t = data.draw(RAT.filter(bool))
+        paths = [a, a.scale(s).scale(1 / s), (a + b) - b, a.scale(s * t) + a.scale(1 - s * t),
+                 SparseMat.from_num(n, k, {key: 35 * v for key, v in a.num.items()}, 35 * a.den),
+                 a.transpose().transpose()]
+        for p in paths:
+            assert p == a and same(p, ra)
+        # an unreduced input with a different denominator is reduced on entry
+        assert SparseMat.from_num(1, 1, {(0, 0): 6}, 4).den == 2
+        if a.num:
+            assert a.scale(2) != a and not (ra.scale(2) == ra)
+            assert SparseMat.from_num(n, k, dict(a.num), a.den + 1) != a
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.data())
+    def test_oppoly(self, n, data):
+        def poly_pair(deg):
+            pairs = [data.draw(mat_pair(n, n)) for _ in range(deg + 1)]
+            return (OpPoly(n, n, [p for p, _ in pairs]),
+                    ref.OpPoly(n, n, [r for _, r in pairs]))
+        p, rp = poly_pair(data.draw(st.integers(0, 2)))
+        q, rq = poly_pair(data.draw(st.integers(0, 2)))
+        h, rh = data.draw(mat_pair(n, n))
+        s = data.draw(RAT)
+        assert same_poly(p @ q, rp @ rq)
+        assert same(p.eval_left(h), rp.eval_left(rh))
+        assert same(p.eval_at(s), rp.eval_at(s))
+        assert same_poly(p.shift_u(s), rp.shift_u(s))
+        # q (a u + s) divides by a u + s; a nonzero constant q does not
+        a = data.draw(RAT.filter(bool))
+        lin, rlin = (OpPoly.from_scalar_poly([s, a], n),
+                     ref.OpPoly.from_scalar_poly([s, a], n))
+        assert same_poly((q @ lin).divide_linear(a, s), (rq @ rlin).divide_linear(a, s))
+        if not q.is_zero() and q.degree() == 0:
+            for m in (q, rq):
+                with pytest.raises(ArithmeticError):
+                    m.divide_linear(a, s)
+
+    def test_entries_is_a_read_only_fraction_view(self):
+        m = SparseMat(2, 2, {(0, 1): Fraction(2, 4), (1, 0): 3})
+        assert m.num == {(0, 1): 1, (1, 0): 6} and m.den == 2
+        assert dict(m.entries) == {(0, 1): Fraction(1, 2), (1, 0): Fraction(3)}
+        assert (0, 1) in m.entries and (0, 0) not in m.entries and len(m.entries) == 2
+        with pytest.raises(TypeError):
+            m.entries[(0, 0)] = 1
+        with pytest.raises(AttributeError):
+            m.entries = {}
+
+    def test_combination(self):
+        a = SparseMat(2, 2, {(0, 0): Fraction(1, 2), (1, 1): 1})
+        b = SparseMat(2, 2, {(0, 0): Fraction(1, 3), (0, 1): 2})
+        got = SparseMat.combination(2, 2, [(Fraction(2, 3), a), (0, b), (-1, b)])
+        assert got == a.scale(Fraction(2, 3)) - b and in_lowest_terms(got)
+        assert SparseMat.combination(2, 2, []) == SparseMat.zero(2, 2)
+        with pytest.raises(ValueError):
+            SparseMat.combination(2, 3, [(1, a)])
