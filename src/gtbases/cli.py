@@ -262,11 +262,13 @@ def _bcd_verify_checks(rep):
     yield "dimension-oracle", lambda: rep.dim == branching.weyl_dim_s3(series, rep.lam)
 
     def commutation():
+        # both sides change sign when the two pairs swap (realize is
+        # linear), so only the ordered pairs (i, j) <= (k, l) are compared
         alg = rep.algebra
         pairs = [(i, j) for i in alg.indices for j in alg.indices]
         realized = {}       # each distinct bracket is realized once
-        for (i, j) in pairs:
-            for (k, l) in pairs:
+        for a, (i, j) in enumerate(pairs):
+            for (k, l) in pairs[a:]:
                 rm = commutator(alg.fdef(i, j), alg.fdef(k, l))
                 key = tuple(sorted(rm.entries.items()))
                 if key not in realized:

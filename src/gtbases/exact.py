@@ -347,10 +347,6 @@ def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_scale(a, u):
     a = Fraction(a)
     return tuple(a * x for x in u)
@@ -358,10 +354,6 @@ def vec_scale(a, u):
 
 def vec_is_zero(u):
     return all(x == 0 for x in u)
-
-
-def vec_dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), _ZERO)
 
 
 # -- exact elimination -------------------------------------------------------
@@ -454,12 +446,13 @@ class SpanSolver:
     sparse rows.
     """
 
-    __slots__ = ("n", "ncols", "_rows")
+    __slots__ = ("n", "ncols", "_rows", "_pivot")
 
     def __init__(self, basis_cols, n):
         self.n = n
         self.ncols = 0
         self._rows = []
+        self._pivot = None
         for col in basis_cols:
             self.add(col)
 
@@ -494,6 +487,7 @@ class SpanSolver:
         if not res:
             return False
         p = min(res)
+        self._pivot = (p, res[p])
         inv = _ONE / res[p]
         x = {j: inv}
         for f, (_, _, xr) in zip(factors, self._rows):
@@ -503,6 +497,13 @@ class SpanSolver:
                     x[c] = x.get(c, _ZERO) - g * v
         self._rows.append((p, {i: v * inv for i, v in res.items()}, x))
         return True
+
+    @property
+    def last_pivot(self):
+        """(row, value) of the pivot of the row ``add`` appended last: its
+        first nonzero position and the residual entry there before scaling
+        to 1.  None while no column has been independent."""
+        return self._pivot
 
     def solve(self, target):
         """Coefficient tuple of target over the columns; None if target is
@@ -526,16 +527,6 @@ def spoly_trim(p):
     return p
 
 
-def spoly_add(p, q):
-    n = max(len(p), len(q))
-    out = [_ZERO] * n
-    for i, v in enumerate(p):
-        out[i] += v
-    for i, v in enumerate(q):
-        out[i] += v
-    return spoly_trim(out)
-
-
 def spoly_mul(p, q):
     if not p or not q:
         return []
@@ -546,13 +537,6 @@ def spoly_mul(p, q):
                 if b:
                     out[i + j] += a * b
     return spoly_trim(out)
-
-
-def spoly_eval(p, u0):
-    acc = _ZERO
-    for c in reversed(p):
-        acc = acc * u0 + c
-    return acc
 
 
 def spoly_from_roots(roots):

@@ -176,41 +176,29 @@ def lowering_operator(rep: GlnIrrep, i, kind="lowering", m=None) -> SparseMat:
     key = (kind, i, m)
     if key in rep._lowering:
         return rep._lowering[key]
+    # raising: E_{i t1} E_{t1 t2} ... E_{tk m} over descending chains;
+    # lowering: E_{t1 i} E_{t2 t1} ... E_{m tk} over ascending ones
+    if kind == "raising":
+        pool, step = list(range(1, i)), 1
+    elif kind == "lowering":
+        pool, step = list(range(i + 1, m)), -1
+    else:
+        raise ValueError("kind must be 'lowering' or 'raising'")
     d = rep.dim
     ident = SparseMat.identity(d)
     hs = {j: rep.h_matrix(j) for j in range(1, m + 1)}
     total = SparseMat.zero(d, d)
-    if kind == "raising":
-        pool = list(range(1, i))
-        for chain in _subsets_desc(pool):
-            mono = ident
-            prev = i
-            for t in chain:
-                mono = mono @ rep.gen(prev, t)
-                prev = t
-            mono = mono @ rep.gen(prev, m)
-            diag = ident
-            for j in pool:
-                if j not in chain:
-                    diag = diag @ (hs[i] - hs[j])
-            total = total + mono @ diag
-    elif kind == "lowering":
-        pool = list(range(i + 1, m))
-        for chain in _subsets_desc(pool):
-            chain = tuple(sorted(chain))
-            mono = ident
-            prev = i
-            for t in chain:
-                mono = mono @ rep.gen(t, prev)
-                prev = t
-            mono = mono @ rep.gen(m, prev)
-            diag = ident
-            for j in pool:
-                if j not in chain:
-                    diag = diag @ (hs[i] - hs[j])
-            total = total + mono @ diag
-    else:
-        raise ValueError("kind must be 'lowering' or 'raising'")
+    for chain in _subsets_desc(pool):
+        mono = ident
+        prev = i
+        for t in chain[::step] + (m,):
+            mono = mono @ rep.gen(*(prev, t)[::step])
+            prev = t
+        diag = ident
+        for j in pool:
+            if j not in chain:
+                diag = diag @ (hs[i] - hs[j])
+        total = total + mono @ diag
     rep._lowering[key] = total
     return total
 

@@ -9,6 +9,11 @@ Each weight space is spanned by simple lowerings of the spaces one level
 up; the contravariant form is computed recursively and the space is cut to
 the rank of its Gram matrix (the kernel of the form is exactly the maximal
 submodule of the Verma module, so the quotient is the irreducible module).
+One ``SpanSolver`` pass over the Gram columns picks the basis, expands
+every lowering in it and checks that the form is positive semidefinite:
+each independent column must pivot on its own diagonal entry, with a
+positive value.  Blocks are accepted in basis order (depth, then weight),
+so each one's offset and its e/f entries are written when it is accepted.
 Finally every generator of the realization is transported to the module by
 closing the simple generators under commutators.
 """
@@ -191,13 +196,10 @@ def build_module(real: Realization, lam, max_dim=600) -> HWModule:
     h_real = [commutator(e_real[s], f_real[s]) for s in range(nsimple)]
     alphas = [real.root_of(e_real[s]) for s in range(nsimple)]
 
-    # per-weight records
-    grams = {lam: [[Fraction(1)]]}
-    sizes = {lam: 1}
-    raise_act = {}           # (s, w) -> rows: e_s of basis of w in basis of w+alpha_s
-    lower_exp = {}           # (s, w) -> columns: f_s of basis of w expanded one level down
-    levels = [[lam]]
-    total = 1
+    blocks = {lam: (0, 1, [[Fraction(1)]])}     # weight -> (offset, size, gram)
+    weights = [lam]
+    ent_e = [{} for _ in range(nsimple)]        # simple index -> global entries
+    ent_f = [{} for _ in range(nsimple)]
 
     current = [lam]
     while current:
@@ -209,165 +211,109 @@ def build_module(real: Realization, lam, max_dim=600) -> HWModule:
                 cand_weights.setdefault(wd, set()).add(s)
         next_level = []
         for wd in sorted(cand_weights, reverse=True):
-            cands = []
+            cands = []          # (s, t, up): f_s applied to basis vector t of up
             for s in sorted(cand_weights[wd]):
                 up = tuple(a + b for a, b in zip(wd, alphas[s]))
-                for t in range(sizes.get(up, 0)):
-                    cands.append((s, t))
+                if up in blocks:
+                    cands.extend((s, t, up) for t in range(blocks[up][1]))
             if not cands:
                 continue
-            # raising action on candidates: e_j (f_s b_t)
+            # raising action on candidates: e_j (f_s b_t), read off the
+            # entries of the blocks above
             raises = {}
             for j in range(nsimple):
                 wj = tuple(a + b for a, b in zip(wd, alphas[j]))
-                if wj not in sizes:
+                if wj not in blocks:
                     continue
+                oj, nj, _ = blocks[wj]
                 cols = []
-                for (s, t) in cands:
-                    up = tuple(a + b for a, b in zip(wd, alphas[s]))
-                    col = [Fraction(0)] * sizes[wj]
+                for (s, t, up) in cands:
+                    col = [Fraction(0)] * nj
                     if s == j:
                         col[t] += real.weight_pairing(h_real[s], up)
                     upup = tuple(a + b for a, b in zip(up, alphas[j]))
-                    if upup in sizes and (j, up) in raise_act:
-                        rcol = [raise_act[(j, up)][r][t] for r in range(sizes[upup])]
-                        lexp = lower_exp.get((s, upup))
-                        if lexp is not None:
-                            for r, cval in enumerate(rcol):
-                                if cval:
-                                    for q in range(sizes[wj]):
-                                        col[q] += cval * lexp[q][r]
+                    if upup in blocks:
+                        ou = blocks[up][0]
+                        ouu, nuu, _ = blocks[upup]
+                        for r in range(nuu):
+                            cval = ent_e[j].get((ouu + r, ou + t))
+                            if cval:
+                                for q in range(nj):
+                                    fval = ent_f[s].get((oj + q, ouu + r))
+                                    if fval:
+                                        col[q] += cval * fval
                     cols.append(col)
                 raises[j] = cols
             # Gram of candidates via <f_s b, c> = <b, e_s c>
             m = len(cands)
             gram = [[Fraction(0)] * m for _ in range(m)]
-            for a, (s, t) in enumerate(cands):
-                up = tuple(x + y for x, y in zip(wd, alphas[s]))
-                gup = grams[up]
+            for a, (s, t, up) in enumerate(cands):
+                _, nu, gup = blocks[up]
                 for b in range(m):
                     col = raises[s][b]
-                    gram[a][b] = sum((gup[t][r] * col[r] for r in range(sizes[up])), Fraction(0))
+                    gram[a][b] = sum((gup[t][r] * col[r] for r in range(nu)), Fraction(0))
             for a in range(m):
                 for b in range(a):
                     assert gram[a][b] == gram[b][a], "asymmetric Gram block"
-            chosen = _greedy_psd_pivots(gram)
+            chosen, expansions = _gram_basis(gram)
             if not chosen:
                 continue
-            size = len(chosen)
-            total += size
-            if total > max_dim:
+            # blocks are accepted in basis order: place this one next
+            off, size = len(weights), len(chosen)
+            if off + size > max_dim:
                 raise DeskScaleError("module dimension exceeds the cap %d" % max_dim)
-            sub = [[gram[a][b] for b in chosen] for a in chosen]
-            grams[wd] = sub
-            sizes[wd] = size
-            # expansion of every candidate in the chosen basis: solve
-            # sub x = rhs against one factorization of the nondegenerate
-            # block (sub is symmetric, so its rows are its columns)
-            solver = SpanSolver([], size)
-            independent = [solver.add(col) for col in sub]
-            assert all(independent), "degenerate Gram block"
-            expansions = [solver.solve([gram[a][b] for a in chosen]) for b in range(m)]
-            assert None not in expansions, "candidate outside the Gram block span"
-            for s in sorted(cand_weights[wd]):
-                up = tuple(a + b for a, b in zip(wd, alphas[s]))
-                if up not in sizes:
-                    continue
-                cols = [[Fraction(0)] * sizes[up] for _ in range(size)]
-                for b, (s2, t) in enumerate(cands):
-                    if s2 == s:
-                        for q in range(size):
-                            cols[q][t] = expansions[b][q]
-                lower_exp[(s, up)] = cols
-            for j in range(nsimple):
-                if j in raises:
-                    rows = [[raises[j][b][r] for b in chosen] for r in range(len(raises[j][0]))]
-                    raise_act[(j, wd)] = rows
+            blocks[wd] = (off, size, [[gram[a][b] for b in chosen] for a in chosen])
+            weights.extend([wd] * size)
+            for j, cols in raises.items():
+                oj, nj, _ = blocks[tuple(a + b for a, b in zip(wd, alphas[j]))]
+                for r in range(nj):
+                    for c, b in enumerate(chosen):
+                        if cols[b][r]:
+                            ent_e[j][(oj + r, off + c)] = cols[b][r]
+            for q in range(size):
+                for (s, t, up), x in zip(cands, expansions):
+                    if x[q]:
+                        ent_f[s][(off + q, blocks[up][0] + t)] = x[q]
             next_level.append(wd)
-        if next_level:
-            levels.append(next_level)
         current = next_level
 
-    # global assembly
-    offsets = {}
-    weights = []
-    blocks = {}
-    off = 0
-    for level in levels:
-        for w in level:
-            offsets[w] = off
-            blocks[w] = (off, sizes[w], grams[w])
-            weights.extend([w] * sizes[w])
-            off += sizes[w]
-    dim = off
-
-    e_mats = []
-    f_mats = []
-    for s in range(nsimple):
-        ent_e = {}
-        ent_f = {}
-        for w in offsets:
-            up = tuple(a + b for a, b in zip(w, alphas[s]))
-            if (s, w) in raise_act and up in offsets:
-                rows = raise_act[(s, w)]
-                for r in range(sizes[up]):
-                    for c in range(sizes[w]):
-                        if rows[r][c]:
-                            ent_e[(offsets[up] + r, offsets[w] + c)] = rows[r][c]
-        for (s2, up), cols in lower_exp.items():
-            if s2 != s or up not in offsets:
-                continue
-            wd = tuple(a - b for a, b in zip(up, alphas[s]))
-            if wd not in offsets:
-                continue
-            for q in range(sizes[wd]):
-                for t in range(sizes[up]):
-                    if cols[q][t]:
-                        ent_f[(offsets[wd] + q, offsets[up] + t)] = cols[q][t]
-        e_mats.append(SparseMat(dim, dim, ent_e))
-        f_mats.append(SparseMat(dim, dim, ent_f))
-
+    dim = len(weights)
+    e_mats = [SparseMat(dim, dim, ent) for ent in ent_e]
+    f_mats = [SparseMat(dim, dim, ent) for ent in ent_f]
     return HWModule(real, lam, weights, blocks, e_mats, f_mats)
+
+
+def _gram_basis(gram):
+    """Basis and expansions of a positive semidefinite Gram block.
+
+    The columns go in order through one SpanSolver: the independent ones
+    are the chosen basis, and expansions[b] writes column b over them (a
+    unit vector for a chosen column).  In a symmetric matrix the residual of
+    column j vanishes on every earlier row, so the form is positive
+    semidefinite exactly when each independent column pivots at its own
+    row with a positive value; any other pivot raises ArithmeticError.
+    """
+    solver = SpanSolver([], len(gram))
+    chosen = []
+    for j, col in enumerate(gram):          # symmetric: row j is column j
+        if solver.add(col):
+            p, v = solver.last_pivot
+            if p != j or v < 0:
+                raise ArithmeticError("contravariant form is not positive semidefinite")
+            chosen.append(j)
+    unit = {b: c for c, b in enumerate(chosen)}
+    expansions = []
+    for b, col in enumerate(gram):
+        if b in unit:
+            x = [Fraction(0)] * len(chosen)
+            x[unit[b]] = Fraction(1)
+        else:
+            coeffs = solver.solve(col)
+            x = [coeffs[c] for c in chosen]
+        expansions.append(x)
+    return chosen, expansions
 
 
 def _flat(m: SparseMat, n):
     """Row-major entries of an n x n realization matrix."""
     return tuple(m.get(r, c) for r in range(n) for c in range(n))
-
-
-def _greedy_psd_pivots(gram):
-    """Indices of a maximal principal positive-definite block.
-
-    The form is positive semidefinite on a real weight space, so greedy
-    Cholesky pivoting (Schur complement diagonal > 0) finds the rank; once
-    every remaining diagonal vanishes the whole remaining block must vanish.
-    """
-    m = len(gram)
-    work = [row[:] for row in gram]
-    chosen = []
-    active = list(range(m))
-    while True:
-        pick = None
-        for idx in active:
-            if work[idx][idx] > 0:
-                pick = idx
-                break
-            if work[idx][idx] < 0:
-                raise ArithmeticError("contravariant form is not positive semidefinite")
-        if pick is None:
-            for a in active:
-                for b in active:
-                    if work[a][b] != 0:
-                        raise ArithmeticError("contravariant form is not positive semidefinite")
-            break
-        chosen.append(pick)
-        active.remove(pick)
-        d = work[pick][pick]
-        col = {a: work[a][pick] for a in active}
-        for a in active:
-            if col[a]:
-                fa = col[a] / d
-                for b in active:
-                    work[a][b] -= fa * work[pick][b]
-    return chosen
-

@@ -2,7 +2,9 @@
 
 The library computes ``rank``, ``nullspace`` and ``solve_in_span`` with
 ``SpanSolver``; these are the direct readings of one ``rref`` that the
-differential tests compare them against.
+differential tests compare them against.  ``_greedy_psd_pivots`` is dense
+Schur-complement pivoting on a Gram block, the reference for the one-pass
+``_gram_basis`` of ``build_module``.
 """
 
 from fractions import Fraction
@@ -46,3 +48,40 @@ def rref_nullspace(m):
 def rref_rank(m):
     rows = m.to_rows()
     return len(rref(rows)) if rows else 0
+
+
+def _greedy_psd_pivots(gram):
+    """Indices of a maximal principal positive-definite block.
+
+    The form is positive semidefinite on a real weight space, so greedy
+    Cholesky pivoting (Schur complement diagonal > 0) finds the rank; once
+    every remaining diagonal vanishes the whole remaining block must vanish.
+    """
+    m = len(gram)
+    work = [row[:] for row in gram]
+    chosen = []
+    active = list(range(m))
+    while True:
+        pick = None
+        for idx in active:
+            if work[idx][idx] > 0:
+                pick = idx
+                break
+            if work[idx][idx] < 0:
+                raise ArithmeticError("contravariant form is not positive semidefinite")
+        if pick is None:
+            for a in active:
+                for b in active:
+                    if work[a][b] != 0:
+                        raise ArithmeticError("contravariant form is not positive semidefinite")
+            break
+        chosen.append(pick)
+        active.remove(pick)
+        d = work[pick][pick]
+        col = {a: work[a][pick] for a in active}
+        for a in active:
+            if col[a]:
+                fa = col[a] / d
+                for b in active:
+                    work[a][b] -= fa * work[pick][b]
+    return chosen

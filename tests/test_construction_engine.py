@@ -4,10 +4,13 @@ independently built modules."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gtbases import branching, gln
 from gtbases.exact import SparseMat, commutator
 from gtbases.liealg_bcd import OrthogonalChain, Realization, build_bcd_irrep, build_module
+from gtbases.liealg_bcd.construction import _gram_basis
+from rref_reference import _greedy_psd_pivots, rref_solve_in_span
 
 
 def d(*xs):
@@ -104,3 +107,88 @@ class TestConventionsAgree:
         w3 = sorted(tuple(-x for x in reversed(w)) for w in rep.module.weights)
         assert w4 == w3
         assert ch.dim == branching.weyl_dim(series, lam4)
+
+
+def greedy_then_solve(gram):
+    """The parent construction of a Gram block: dense greedy pivots, then
+    the expansion of every column over the chosen principal sub-block."""
+    chosen = _greedy_psd_pivots(gram)
+    sub_cols = [tuple(gram[a][c] for a in chosen) for c in chosen]
+    return chosen, [rref_solve_in_span(sub_cols, tuple(gram[a][b] for a in chosen))
+                    for b in range(len(gram))]
+
+
+def gram_of(rows, m):
+    """A^T A for the integer matrix A with the given rows of length m."""
+    return [[Fraction(sum(r[a] * r[b] for r in rows)) for b in range(m)] for a in range(m)]
+
+
+class TestGramBasis:
+    """_gram_basis (one SpanSolver pass, diagonal-pivot PSD rule) against
+    greedy Schur-complement pivoting followed by a dense solve."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 5), st.data())
+    def test_psd_matches_greedy_then_solve(self, m, k, data):
+        entry = st.integers(-2, 2)
+        rows = []
+        for _ in range(k):
+            kind = data.draw(st.sampled_from(["random", "zero", "repeat", "dependent"]))
+            if kind == "zero" or (kind != "random" and not rows):
+                rows.append([0] * m)
+            elif kind == "repeat":
+                rows.append(list(data.draw(st.sampled_from(rows))))
+            elif kind == "dependent":
+                row = [0] * m
+                for r in rows:
+                    c = data.draw(entry)
+                    row = [x + c * y for x, y in zip(row, r)]
+                rows.append(row)
+            else:
+                rows.append([data.draw(entry) for _ in range(m)])
+        # zero and repeated columns of A give zero and repeated Gram columns
+        for c in range(m):
+            kind = data.draw(st.sampled_from(["keep", "zero", "copy"]))
+            for r in rows:
+                if kind == "zero":
+                    r[c] = 0
+                elif kind == "copy" and c:
+                    r[c] = r[c - 1]
+        gram = gram_of(rows, m)
+        chosen, expansions = _gram_basis(gram)
+        want_chosen, want_exp = greedy_then_solve(gram)
+        assert chosen == want_chosen
+        assert [tuple(x) for x in expansions] == want_exp
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_refusal_matches_greedy(self, m, data):
+        kind = data.draw(st.sampled_from(["random", "perturbed"]))
+        if kind == "random":
+            upper = {(a, b): data.draw(st.integers(-3, 3)) for a in range(m) for b in range(a, m)}
+        else:
+            # a PSD matrix with one symmetric pair of entries moved: often
+            # still PSD, often indefinite only past the first pivots
+            rows = [[data.draw(st.integers(-2, 2)) for _ in range(m)]
+                    for _ in range(data.draw(st.integers(0, m)))]
+            gram = gram_of(rows, m)
+            upper = {(a, b): int(gram[a][b]) for a in range(m) for b in range(a, m)}
+            a = data.draw(st.integers(0, m - 1))
+            b = data.draw(st.integers(a, m - 1))
+            upper[(a, b)] += data.draw(st.integers(-2, 2))
+        gram = [[Fraction(upper[min(a, b), max(a, b)]) for b in range(m)] for a in range(m)]
+        try:
+            want = greedy_then_solve(gram)
+        except ArithmeticError:
+            with pytest.raises(ArithmeticError, match="not positive semidefinite"):
+                _gram_basis(gram)
+        else:
+            chosen, expansions = _gram_basis(gram)
+            assert (chosen, [tuple(x) for x in expansions]) == want
+
+
+class TestRefusesNonDominant:
+    @pytest.mark.parametrize("n,lam", [(2, (0, 1)), (3, (0, 0, 2))])
+    def test_form_not_positive_semidefinite(self, n, lam):
+        with pytest.raises(ArithmeticError, match="not positive semidefinite"):
+            build_module(gl_realization(n), [Fraction(x) for x in lam])

@@ -133,6 +133,18 @@ class TestSolvers:
         with pytest.raises(ValueError):
             solver.solve((F(1), F(2)))
 
+    def test_span_solver_last_pivot(self):
+        solver = SpanSolver([], 3)
+        assert solver.last_pivot is None
+        assert solver.add((F(0), F(2), F(4)))
+        assert solver.last_pivot == (1, F(2))
+        # residual (3, 0, -2) of the next column: first nonzero at row 0
+        assert solver.add((F(3), F(1), F(0)))
+        assert solver.last_pivot == (0, F(3))
+        # a dependent column appends no row and leaves the pivot as it was
+        assert not solver.add((F(3), F(3), F(4)))
+        assert solver.last_pivot == (0, F(3))
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 5), st.data())
     def test_span_solver_matches_solve_in_span(self, n, k, data):
