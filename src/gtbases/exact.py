@@ -410,10 +410,9 @@ def nullspace(m: SparseMat):
     solver = SpanSolver([], m.nrows)
     basis = []
     for j, col in enumerate(_columns(m)):
-        if not solver.add(col):
-            v = [-c for c in solver.solve(col)] + [_ZERO] * (m.ncols - j - 1)
-            v[j] = _ONE
-            basis.append(tuple(v))
+        coeffs = solver._add_or_solve(col)
+        if coeffs is not None:
+            basis.append(tuple([-c for c in coeffs] + [_ONE] + [_ZERO] * (m.ncols - j - 1)))
     return basis
 
 
@@ -435,15 +434,20 @@ class SpanSolver:
     """The elimination kernel: a factor-once solver over a list of basis
     columns, behind ``rank``, ``nullspace`` and ``solve_in_span``.
 
-    The columns are reduced, in order, to an echelon basis of sparse rows
-    ``(p, u, x)``: ``u`` is a dict vector with ``u[p] == 1`` that vanishes
-    at the pivots of the rows before it, and ``x`` (a dict over column
-    indices) writes ``u`` as a combination of the columns.  A column that
-    reduces to zero depends on the earlier ones and gets no row, so the
-    rows use exactly the pivot columns of ``rref`` on the basis matrix, and
-    ``solve(t)`` returns the coefficients ``rref`` gives.  Factoring costs
-    O(k * nnz) per column and a solve one reduction of t against at most k
-    sparse rows.
+    Fraction-free, after Bareiss (1968): each column is scaled to integers
+    once, by the lcm of its denominators, and reduced, in order, to an
+    echelon basis of sparse integer rows ``(p, u, x, d)``.  ``u`` is a dict vector with
+    content 1 and ``u[p] > 0`` that vanishes at the pivots of the rows
+    before it, and ``d * u`` is the combination of the columns with the
+    integer coefficients ``x`` (a dict over column indices).  A reduction
+    step against a row is ``res <- a * res - b * u`` with
+    ``a / b = u[p] / res[p]`` in lowest terms.  A column that reduces to
+    zero depends on the earlier ones and gets no row, so the rows use
+    exactly the pivot columns of ``rref`` on the basis matrix, and
+    ``solve(t)`` returns the coefficients ``rref`` gives; ``Fraction``s are
+    made only for those coefficients and for ``last_pivot``.  Factoring
+    costs O(k * nnz) per column and a solve one reduction of t against at
+    most k sparse rows.
     """
 
     __slots__ = ("n", "ncols", "_rows", "_pivot")
@@ -457,22 +461,62 @@ class SpanSolver:
             self.add(col)
 
     def _reduce(self, vec):
-        """Residual of vec against the rows and the factor of each row."""
+        """Integer residual of vec against the rows.
+
+        Returns (res, k, steps) with k * vec == res + (the sum of w * u over
+        the rows the reduction used), where k is a positive int and the
+        weights w are read off steps by ``_combine``.
+        """
         if len(vec) != self.n:
             raise ValueError("vector length %d != %d" % (len(vec), self.n))
-        res = {i: v for i, v in enumerate(vec) if v}
-        factors = []
-        for p, u, _ in self._rows:
+        nz = [(i, v) for i, v in enumerate(vec) if v]
+        k = math.lcm(*(v.denominator for _, v in nz))
+        res = {i: v.numerator * (k // v.denominator) for i, v in nz}
+        steps = []
+        for row in self._rows:
+            p, u = row[0], row[1]
             f = res.get(p)
-            factors.append(f)
             if f:
+                piv = u[p]
+                g = math.gcd(piv, f)
+                a, b = piv // g, f // g
+                if a != 1:
+                    res = {i: a * v for i, v in res.items()}
+                    k *= a
+                get = res.get
                 for i, v in u.items():
-                    w = res.get(i, _ZERO) - f * v
+                    w = get(i, 0) - b * v
                     if w:
                         res[i] = w
                     else:
                         del res[i]
-        return res, factors
+                steps.append((row, a, b))
+        return res, k, steps
+
+    def _append(self, res, k, steps):
+        """Count a reduced column; if it is independent (res is nonzero),
+        append its row.  True iff a row was appended."""
+        j = self.ncols
+        self.ncols += 1
+        if not res:
+            return False
+        p = min(res)
+        g = math.gcd(*res.values())
+        acc, den = _combine(steps)
+        # den * res == den * k * col_j - sum of acc[c] * col_c, and u = res / ±g
+        sign = 1 if res[p] > 0 else -1
+        x = {c: -sign * v for c, v in acc.items() if v}
+        x[j] = sign * den * k
+        d = den * g
+        h = math.gcd(d, *x.values())
+        if h != 1:
+            x = {c: v // h for c, v in x.items()}
+            d //= h
+        self._pivot = (p, Fraction(res[p], k))
+        if sign * g != 1:
+            res = {i: v // (sign * g) for i, v in res.items()}
+        self._rows.append((p, res, x, d))
+        return True
 
     def spans(self, vec) -> bool:
         """True iff vec lies in the span of the columns."""
@@ -481,42 +525,63 @@ class SpanSolver:
     def add(self, col) -> bool:
         """Append col as the next basis column; True iff it is independent
         of the columns before it."""
-        res, factors = self._reduce(col)
-        j = self.ncols
-        self.ncols += 1
-        if not res:
-            return False
-        p = min(res)
-        self._pivot = (p, res[p])
-        inv = _ONE / res[p]
-        x = {j: inv}
-        for f, (_, _, xr) in zip(factors, self._rows):
-            if f:
-                g = f * inv
-                for c, v in xr.items():
-                    x[c] = x.get(c, _ZERO) - g * v
-        self._rows.append((p, {i: v * inv for i, v in res.items()}, x))
-        return True
+        return self._append(*self._reduce(col))
+
+    def _add_or_solve(self, col):
+        """Append col as ``add`` does.  None if it is independent, else its
+        coefficient tuple over the columns before it, from the same
+        reduction that found it dependent."""
+        res, k, steps = self._reduce(col)
+        if self._append(res, k, steps):
+            return None
+        return self._coefficients(k, steps, self.ncols - 1)
 
     @property
     def last_pivot(self):
         """(row, value) of the pivot of the row ``add`` appended last: its
-        first nonzero position and the residual entry there before scaling
-        to 1.  None while no column has been independent."""
+        first nonzero position and the residual entry there, as a
+        ``Fraction``, before scaling to 1.  None while no column has been
+        independent."""
         return self._pivot
 
     def solve(self, target):
         """Coefficient tuple of target over the columns; None if target is
         not in their span.  Dependent columns get coefficient 0."""
-        res, factors = self._reduce(target)
+        res, k, steps = self._reduce(target)
         if res:
             return None
-        coeffs = [_ZERO] * self.ncols
-        for f, (_, _, x) in zip(factors, self._rows):
-            if f:
-                for c, v in x.items():
-                    coeffs[c] += f * v
+        return self._coefficients(k, steps, self.ncols)
+
+    @staticmethod
+    def _coefficients(k, steps, ncols):
+        """Coefficients over ncols columns of a vector whose reduction
+        (k, steps) left no residual."""
+        acc, den = _combine(steps)
+        den *= k
+        coeffs = [_ZERO] * ncols
+        for c, v in acc.items():
+            if v:
+                coeffs[c] = Fraction(v, den)
         return tuple(coeffs)
+
+
+def _combine(steps):
+    """(acc, den) with the sum of w * u over the rows of a reduction equal
+    to the combination of the columns with coefficients acc / den.
+
+    A step (row, a, b) scales the residual by a and subtracts b * u, so the
+    row's weight is b times the scalings a of the steps after it.
+    """
+    den = math.lcm(*(row[3] for row, _, _ in steps))
+    acc = {}
+    get = acc.get
+    later = 1
+    for row, a, b in reversed(steps):
+        f = b * later * (den // row[3])
+        later *= a
+        for c, v in row[2].items():
+            acc[c] = get(c, 0) + f * v
+    return acc, den
 
 
 # -- scalar polynomials (coefficient lists, index = power of u) -------------

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import factorial, prod
 
-from .exact import (OpPoly, SparseMat, commutator, factorial, kron, nullspace,
+from .exact import (OpPoly, SparseMat, commutator, kron, nullspace,
                     spoly_from_roots, vec_is_zero, vec_unit)
 from .patterns import GTPatternA, enumerate_patterns, validate, weight
 from . import patterns as _patterns
@@ -128,21 +128,27 @@ def gen_matrix(rep: GlnIrrep, i, j) -> SparseMat:
 
 
 def norms_of_patterns(basis):
-    """Squared norms N_Lambda by the double-product factorial formula."""
+    """Squared norms N_Lambda by the double-product factorial formula.
+
+    The entries of a pattern have uniform parity, so every factorial
+    argument is an integer: each norm is one Fraction of two int products.
+    """
     out = []
     for p in basis:
-        n = p.n
-        val = Fraction(1)
-        for k in range(2, n + 1):
-            lk = _lvals(p, k)
-            lk1 = _lvals(p, k - 1)
-            for i in range(1, k):
-                for j in range(i, k):
-                    val *= factorial(lk[i - 1] - lk1[j - 1]) / factorial(lk1[i - 1] - lk1[j - 1])
-            for i in range(1, k + 1):
-                for j in range(i + 1, k + 1):
-                    val *= factorial(lk[i - 1] - lk[j - 1] - 1) / factorial(lk1[i - 1] - lk[j - 1] - 1)
-        out.append(val)
+        num = den = 1
+        for k in range(2, p.n + 1):
+            # doubled l_{ki}; the difference of two of them is even
+            lk = [x - 2 * i for i, x in enumerate(p.row(k))]
+            lk1 = [x - 2 * i for i, x in enumerate(p.row(k - 1))]
+            for i in range(k - 1):
+                for j in range(i, k - 1):
+                    num *= factorial((lk[i] - lk1[j]) // 2)
+                    den *= factorial((lk1[i] - lk1[j]) // 2)
+            for i in range(k):
+                for j in range(i + 1, k):
+                    num *= factorial((lk[i] - lk[j]) // 2 - 1)
+                    den *= factorial((lk1[i] - lk[j]) // 2 - 1)
+        out.append(Fraction(num, den))
     return out
 
 

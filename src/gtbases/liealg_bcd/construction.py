@@ -9,13 +9,18 @@ Each weight space is spanned by simple lowerings of the spaces one level
 up; the contravariant form is computed recursively and the space is cut to
 the rank of its Gram matrix (the kernel of the form is exactly the maximal
 submodule of the Verma module, so the quotient is the irreducible module).
-One ``SpanSolver`` pass over the Gram columns picks the basis, expands
-every lowering in it and checks that the form is positive semidefinite:
-each independent column must pivot on its own diagonal entry, with a
-positive value.  Blocks are accepted in basis order (depth, then weight),
-so each one's offset and its e/f entries are written when it is accepted.
-Finally every generator of the realization is transported to the module by
-closing the simple generators under commutators.
+A weight lam - sum_s k_s alpha_s is keyed internally by its integer root
+coordinates k.  The raising action on the candidates is read off the
+nonzeros of the stored e and f columns, and since the Gram block is
+symmetric only its entries on and above the diagonal are summed.  One
+``SpanSolver`` pass over the Gram columns picks the basis, expands every
+lowering in it (from the reduction that finds the column dependent) and
+checks that the form is positive semidefinite: each independent column
+must pivot on its own diagonal entry, with a positive value.  Blocks are
+accepted in basis order (depth, then weight), so each one's offset and its
+e/f entries are written when it is accepted.  Finally every generator of
+the realization is transported to the module by closing the simple
+generators under commutators.
 """
 
 from __future__ import annotations
@@ -23,6 +28,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..exact import SpanSolver, SparseMat, commutator
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class DeskScaleError(RuntimeError):
@@ -195,66 +203,76 @@ def build_module(real: Realization, lam, max_dim=600) -> HWModule:
     f_real = [real.fdef(j, i) for i, j in real.simples]
     h_real = [commutator(e_real[s], f_real[s]) for s in range(nsimple)]
     alphas = [real.root_of(e_real[s]) for s in range(nsimple)]
+    # a weight lam - sum_t k_t alpha_t is keyed by its root coordinates k;
+    # h_s takes the value h_lam[s] - sum_t k_t h_alpha[s][t] on it
+    h_lam = [real.weight_pairing(h, lam) for h in h_real]
+    h_alpha = [[real.weight_pairing(h, a) for a in alphas] for h in h_real]
+    unit = [tuple(int(t == s) for t in range(nsimple)) for s in range(nsimple)]
 
-    blocks = {lam: (0, 1, [[Fraction(1)]])}     # weight -> (offset, size, gram)
+    def down(k, s):
+        return tuple(x + y for x, y in zip(k, unit[s]))
+
+    def up(k, s):
+        return tuple(x - y for x, y in zip(k, unit[s]))
+
+    top = (0,) * nsimple
+    index = {top: (0, 1, [[Fraction(1)]])}      # k -> (offset, size, gram)
+    blocks = {lam: index[top]}                  # weight -> (offset, size, gram)
     weights = [lam]
-    ent_e = [{} for _ in range(nsimple)]        # simple index -> global entries
-    ent_f = [{} for _ in range(nsimple)]
+    # simple index -> global column -> [(global row, value)]
+    e_cols = [{} for _ in range(nsimple)]
+    f_cols = [{} for _ in range(nsimple)]
 
-    current = [lam]
+    current = [top]
     while current:
-        # gather candidate lower weights
-        cand_weights = {}
-        for w in current:
+        # candidate lower weights, placed in decreasing weight order
+        cand = {}
+        for k in current:
             for s in range(nsimple):
-                wd = tuple(a - b for a, b in zip(w, alphas[s]))
-                cand_weights.setdefault(wd, set()).add(s)
+                cand.setdefault(down(k, s), set()).add(s)
+        cand_weight = {kd: tuple(x - sum(kt * a[i] for kt, a in zip(kd, alphas))
+                                 for i, x in enumerate(lam)) for kd in cand}
         next_level = []
-        for wd in sorted(cand_weights, reverse=True):
-            cands = []          # (s, t, up): f_s applied to basis vector t of up
-            for s in sorted(cand_weights[wd]):
-                up = tuple(a + b for a, b in zip(wd, alphas[s]))
-                if up in blocks:
-                    cands.extend((s, t, up) for t in range(blocks[up][1]))
+        for kd in sorted(cand, key=cand_weight.get, reverse=True):
+            cands = []          # (s, t, up block, global index of b_t): f_s b_t
+            h_val = {}          # s -> value of h_s on the weight of f_s's source
+            for s in sorted(cand[kd]):
+                ku = up(kd, s)
+                if ku in index:
+                    ou, nu, _ = index[ku]
+                    cands.extend((s, t, ku, ou + t) for t in range(nu))
+                    h_val[s] = h_lam[s] - sum(x * a for x, a in zip(ku, h_alpha[s]))
             if not cands:
                 continue
-            # raising action on candidates: e_j (f_s b_t), read off the
-            # entries of the blocks above
+            # raising action on candidates, e_j f_s b_t = f_s e_j b_t (+ h_s b_t
+            # if s == j), over the nonzeros of the stored e and f columns
             raises = {}
             for j in range(nsimple):
-                wj = tuple(a + b for a, b in zip(wd, alphas[j]))
-                if wj not in blocks:
+                kj = up(kd, j)
+                if kj not in index:
                     continue
-                oj, nj, _ = blocks[wj]
+                oj, nj, _ = index[kj]
                 cols = []
-                for (s, t, up) in cands:
-                    col = [Fraction(0)] * nj
+                for (s, t, _, g) in cands:
+                    col = [_ZERO] * nj
                     if s == j:
-                        col[t] += real.weight_pairing(h_real[s], up)
-                    upup = tuple(a + b for a, b in zip(up, alphas[j]))
-                    if upup in blocks:
-                        ou = blocks[up][0]
-                        ouu, nuu, _ = blocks[upup]
-                        for r in range(nuu):
-                            cval = ent_e[j].get((ouu + r, ou + t))
-                            if cval:
-                                for q in range(nj):
-                                    fval = ent_f[s].get((oj + q, ouu + r))
-                                    if fval:
-                                        col[q] += cval * fval
+                        col[t] = h_val[s]
+                    fs = f_cols[s]
+                    for r, cval in e_cols[j].get(g, ()):
+                        for q, fval in fs[r]:
+                            col[q - oj] += cval * fval
                     cols.append(col)
                 raises[j] = cols
-            # Gram of candidates via <f_s b, c> = <b, e_s c>
+            # Gram of candidates via <f_s b, c> = <b, e_s c>; it is symmetric,
+            # so the entries with b >= a are summed and mirrored
             m = len(cands)
-            gram = [[Fraction(0)] * m for _ in range(m)]
-            for a, (s, t, up) in enumerate(cands):
-                _, nu, gup = blocks[up]
-                for b in range(m):
-                    col = raises[s][b]
-                    gram[a][b] = sum((gup[t][r] * col[r] for r in range(nu)), Fraction(0))
-            for a in range(m):
-                for b in range(a):
-                    assert gram[a][b] == gram[b][a], "asymmetric Gram block"
+            gram = [[None] * m for _ in range(m)]
+            for a, (s, t, ku, _) in enumerate(cands):
+                gup = index[ku][2][t]
+                cols = raises[s]
+                for b in range(a, m):
+                    gram[a][b] = gram[b][a] = sum(
+                        (x * y for x, y in zip(gup, cols[b]) if y), _ZERO)
             chosen, expansions = _gram_basis(gram)
             if not chosen:
                 continue
@@ -262,25 +280,25 @@ def build_module(real: Realization, lam, max_dim=600) -> HWModule:
             off, size = len(weights), len(chosen)
             if off + size > max_dim:
                 raise DeskScaleError("module dimension exceeds the cap %d" % max_dim)
-            blocks[wd] = (off, size, [[gram[a][b] for b in chosen] for a in chosen])
+            wd = cand_weight[kd]
+            index[kd] = blocks[wd] = (off, size, [[gram[a][b] for b in chosen] for a in chosen])
             weights.extend([wd] * size)
             for j, cols in raises.items():
-                oj, nj, _ = blocks[tuple(a + b for a, b in zip(wd, alphas[j]))]
-                for r in range(nj):
-                    for c, b in enumerate(chosen):
-                        if cols[b][r]:
-                            ent_e[j][(oj + r, off + c)] = cols[b][r]
-            for q in range(size):
-                for (s, t, up), x in zip(cands, expansions):
-                    if x[q]:
-                        ent_f[s][(off + q, blocks[up][0] + t)] = x[q]
-            next_level.append(wd)
+                oj = index[up(kd, j)][0]
+                for c, b in enumerate(chosen):
+                    e_cols[j][off + c] = [(oj + r, v) for r, v in enumerate(cols[b]) if v]
+            for (s, _, _, g), x in zip(cands, expansions):
+                f_cols[s][g] = [(off + q, v) for q, v in enumerate(x) if v]
+            next_level.append(kd)
         current = next_level
 
     dim = len(weights)
-    e_mats = [SparseMat(dim, dim, ent) for ent in ent_e]
-    f_mats = [SparseMat(dim, dim, ent) for ent in ent_f]
-    return HWModule(real, lam, weights, blocks, e_mats, f_mats)
+
+    def assemble(cols):
+        return SparseMat(dim, dim, {(r, c): v for c, col in cols.items() for r, v in col})
+
+    return HWModule(real, lam, weights, blocks,
+                    [assemble(c) for c in e_cols], [assemble(c) for c in f_cols])
 
 
 def _gram_basis(gram):
@@ -288,32 +306,36 @@ def _gram_basis(gram):
 
     The columns go in order through one SpanSolver: the independent ones
     are the chosen basis, and expansions[b] writes column b over them (a
-    unit vector for a chosen column).  In a symmetric matrix the residual of
-    column j vanishes on every earlier row, so the form is positive
-    semidefinite exactly when each independent column pivots at its own
-    row with a positive value; any other pivot raises ArithmeticError.
+    unit vector for a chosen column), from the reduction that found column
+    b dependent.  In a symmetric matrix the residual of column j vanishes
+    on every earlier row, so the form is positive semidefinite exactly when
+    each independent column pivots at its own row with a positive value;
+    any other pivot raises ArithmeticError.
     """
     solver = SpanSolver([], len(gram))
     chosen = []
+    coeffs = []
     for j, col in enumerate(gram):          # symmetric: row j is column j
-        if solver.add(col):
+        x = solver._add_or_solve(col)
+        if x is None:
             p, v = solver.last_pivot
             if p != j or v < 0:
                 raise ArithmeticError("contravariant form is not positive semidefinite")
             chosen.append(j)
-    unit = {b: c for c, b in enumerate(chosen)}
+        coeffs.append(x)
     expansions = []
-    for b, col in enumerate(gram):
-        if b in unit:
-            x = [Fraction(0)] * len(chosen)
-            x[unit[b]] = Fraction(1)
+    for b, x in enumerate(coeffs):
+        if x is None:
+            expansions.append([_ONE if c == b else _ZERO for c in chosen])
         else:
-            coeffs = solver.solve(col)
-            x = [coeffs[c] for c in chosen]
-        expansions.append(x)
+            expansions.append([x[c] if c < b else _ZERO for c in chosen])
     return chosen, expansions
 
 
 def _flat(m: SparseMat, n):
-    """Row-major entries of an n x n realization matrix."""
-    return tuple(m.get(r, c) for r in range(n) for c in range(n))
+    """Row-major entries of an n x n realization matrix: ints if it is
+    integral, else Fractions."""
+    out = [0] * (n * n)
+    for (r, c), v in m.num.items():
+        out[r * n + c] = v if m.den == 1 else Fraction(v, m.den)
+    return out

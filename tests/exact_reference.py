@@ -1,8 +1,10 @@
-"""The dict-of-``Fraction`` ``SparseMat`` and its ``OpPoly``, kept verbatim
-as the reference for the differential tests of ``gtbases.exact``.
+"""The dict-of-``Fraction`` ``SparseMat``, its ``OpPoly`` and the
+``Fraction`` ``SpanSolver``, kept verbatim as the references for the
+differential tests of ``gtbases.exact``.
 
 The library stores a matrix as integer numerators over one common
-denominator; these classes store every nonzero entry as a ``Fraction``.
+denominator and reduces integer-scaled echelon rows; these classes store
+every nonzero entry as a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -369,3 +371,91 @@ class OpPoly:
 
     def __repr__(self):
         return "OpPoly(%dx%d, deg=%d)" % (self.nrows, self.ncols, self.degree())
+
+
+class SpanSolver:
+    """The elimination kernel: a factor-once solver over a list of basis
+    columns, behind ``rank``, ``nullspace`` and ``solve_in_span``.
+
+    The columns are reduced, in order, to an echelon basis of sparse rows
+    ``(p, u, x)``: ``u`` is a dict vector with ``u[p] == 1`` that vanishes
+    at the pivots of the rows before it, and ``x`` (a dict over column
+    indices) writes ``u`` as a combination of the columns.  A column that
+    reduces to zero depends on the earlier ones and gets no row, so the
+    rows use exactly the pivot columns of ``rref`` on the basis matrix, and
+    ``solve(t)`` returns the coefficients ``rref`` gives.  Factoring costs
+    O(k * nnz) per column and a solve one reduction of t against at most k
+    sparse rows.
+    """
+
+    __slots__ = ("n", "ncols", "_rows", "_pivot")
+
+    def __init__(self, basis_cols, n):
+        self.n = n
+        self.ncols = 0
+        self._rows = []
+        self._pivot = None
+        for col in basis_cols:
+            self.add(col)
+
+    def _reduce(self, vec):
+        """Residual of vec against the rows and the factor of each row."""
+        if len(vec) != self.n:
+            raise ValueError("vector length %d != %d" % (len(vec), self.n))
+        res = {i: v for i, v in enumerate(vec) if v}
+        factors = []
+        for p, u, _ in self._rows:
+            f = res.get(p)
+            factors.append(f)
+            if f:
+                for i, v in u.items():
+                    w = res.get(i, _ZERO) - f * v
+                    if w:
+                        res[i] = w
+                    else:
+                        del res[i]
+        return res, factors
+
+    def spans(self, vec) -> bool:
+        """True iff vec lies in the span of the columns."""
+        return not self._reduce(vec)[0]
+
+    def add(self, col) -> bool:
+        """Append col as the next basis column; True iff it is independent
+        of the columns before it."""
+        res, factors = self._reduce(col)
+        j = self.ncols
+        self.ncols += 1
+        if not res:
+            return False
+        p = min(res)
+        self._pivot = (p, res[p])
+        inv = _ONE / res[p]
+        x = {j: inv}
+        for f, (_, _, xr) in zip(factors, self._rows):
+            if f:
+                g = f * inv
+                for c, v in xr.items():
+                    x[c] = x.get(c, _ZERO) - g * v
+        self._rows.append((p, {i: v * inv for i, v in res.items()}, x))
+        return True
+
+    @property
+    def last_pivot(self):
+        """(row, value) of the pivot of the row ``add`` appended last: its
+        first nonzero position and the residual entry there before scaling
+        to 1.  None while no column has been independent."""
+        return self._pivot
+
+    def solve(self, target):
+        """Coefficient tuple of target over the columns; None if target is
+        not in their span.  Dependent columns get coefficient 0."""
+        res, factors = self._reduce(target)
+        if res:
+            return None
+        coeffs = [_ZERO] * self.ncols
+        for f, (_, _, x) in zip(factors, self._rows):
+            if f:
+                for c, v in x.items():
+                    coeffs[c] += f * v
+        return tuple(coeffs)

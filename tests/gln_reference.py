@@ -5,8 +5,9 @@ and checks each Drinfeld, Capelli and characteristic identity once per
 evaluation point or coefficient.  These are the plain readings that the
 differential tests compare them against: both s! expansions of a quantum
 minor, the checks applied basis vector by basis vector, the Lagrange
-projectors as separate products, and the commutation relations over all
-ordered pairs of generators.
+projectors as separate products, the commutation relations over all
+ordered pairs of generators, and the squared norms as products of
+``Fraction`` factorial quotients.
 
 The reference checks use the column-ordered expansion alone, so that they
 return a verdict (rather than fail on the equality of the two expansions)
@@ -16,8 +17,8 @@ on a corrupted copy of a module.
 from fractions import Fraction
 from itertools import permutations
 
-from gtbases.exact import (OpPoly, SparseMat, commutator, spoly_from_roots,
-                           vec_unit)
+from gtbases.exact import (OpPoly, SparseMat, commutator, factorial,
+                           spoly_from_roots, vec_unit)
 from gtbases.gln import _big_e, _entry_poly, _lvals
 from gtbases.patterns import validate
 
@@ -196,3 +197,22 @@ def commutation_check(rep):
                     if commutator(rep.gen(i, j), rep.gen(k, l)) != want:
                         return False
     return True
+
+
+def norms_of_patterns(basis):
+    """Squared norms N_Lambda by the double-product factorial formula."""
+    out = []
+    for p in basis:
+        n = p.n
+        val = Fraction(1)
+        for k in range(2, n + 1):
+            lk = _lvals(p, k)
+            lk1 = _lvals(p, k - 1)
+            for i in range(1, k):
+                for j in range(i, k):
+                    val *= factorial(lk[i - 1] - lk1[j - 1]) / factorial(lk1[i - 1] - lk1[j - 1])
+            for i in range(1, k + 1):
+                for j in range(i + 1, k + 1):
+                    val *= factorial(lk[i - 1] - lk[j - 1] - 1) / factorial(lk1[i - 1] - lk[j - 1] - 1)
+        out.append(val)
+    return out

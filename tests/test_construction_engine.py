@@ -1,6 +1,7 @@
 """Cross-checks of the generic highest-weight construction engine against
 independently built modules."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -192,3 +193,63 @@ class TestRefusesNonDominant:
     def test_form_not_positive_semidefinite(self, n, lam):
         with pytest.raises(ArithmeticError, match="not positive semidefinite"):
             build_module(gl_realization(n), [Fraction(x) for x in lam])
+
+
+def module_dump(mod):
+    """Canonical text of a built module: weights, blocks (offsets, sizes and
+    Gram rows, in dict order, with their types) and the e/f entries as
+    sorted (row, col, num/den)."""
+    lines = [repr(mod.weights)]
+    lines += [repr((w, blk)) for w, blk in mod.blocks.items()]
+    for name, mats in (("e", mod._e), ("f", mod._f)):
+        for s, m in enumerate(mats):
+            lines.append("%s%d %s" % (name, s, " ".join(
+                "%d,%d,%d/%d" % (r, c, v.numerator, v.denominator)
+                for (r, c), v in sorted(m.entries.items()))))
+    return "\n".join(lines)
+
+
+# sha256 of module_dump, recorded before build_module moved to the integer
+# SpanSolver and half Gram blocks; weights doubled for build_bcd_irrep and
+# OrthogonalChain
+PINNED_MODULES = {
+    "C -2,-2,-6": (lambda: build_bcd_irrep("C", (-2, -2, -6)).module,
+                   "61aaf2f1f4ff9c500345c6d5ec959554eadf0669b7c96441a281e82665722c9d"),
+    "C 0,0,-2": (lambda: build_bcd_irrep("C", (0, 0, -2)).module,
+                 "99446bf325a38d02554fef0d0fede61f351f5679d97a02b571f4c32aa875f7fb"),
+    "B -1,-3,-3": (lambda: build_bcd_irrep("B", (-1, -3, -3)).module,
+                   "43dc1fbfda7b92c011e9107da85f55b9fd54e9eeeba1a52a72c3dbf4ac49e98b"),
+    "B 0,-2,-2": (lambda: build_bcd_irrep("B", (0, -2, -2)).module,
+                  "331c5c6282d2c457b2b96f499961889671b17ae10a857207ac4e9f9c602be66d"),
+    "D 0,-2,-2": (lambda: build_bcd_irrep("D", (0, -2, -2)).module,
+                  "e252e676393ac51a0525d58c403bc9450edfa1d0c0723e46b086bd0f8d2f15d7"),
+    "D -1,-1,-3": (lambda: build_bcd_irrep("D", (-1, -1, -3)).module,
+                   "6d8b8819a5d38fffab877e29b7dc272115d7b8ddf313c67542521d873fe4083c"),
+    "o7 4,2,0": (lambda: OrthogonalChain(7, (4, 2, 0)).module,
+                 "c3c737f5acb6b5bcf9d864277714ed385f99705cd03243c6de3560544151166f"),
+    "o6 2,2,0": (lambda: OrthogonalChain(6, (2, 2, 0)).module,
+                 "3b35f1043afae0b61538a124e6a268eb9ed73a9ff3152547940dc296c46329d6"),
+    "gl3 4,0,-2": (lambda: build_module(gl_realization(3), [Fraction(x) for x in (4, 0, -2)]),
+                   "df127f288a142f607ad55e6fbb9489ddc298a20076c12ae9be44ce2f39bd5d99"),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(PINNED_MODULES))
+def pinned(request):
+    build, digest = PINNED_MODULES[request.param]
+    return build(), digest
+
+
+class TestBuildModulePins:
+    def test_dump_matches_pin(self, pinned):
+        mod, digest = pinned
+        assert hashlib.sha256(module_dump(mod).encode()).hexdigest() == digest
+
+    def test_form_is_contravariant(self, pinned):
+        """The stored form is symmetric and f_s is the adjoint of e_s under
+        it: gram @ F_s == E_s^T @ gram for every simple s."""
+        mod, _ = pinned
+        gram = mod.gram_matrix()
+        assert gram == gram.transpose()
+        for e, f in zip(mod._e, mod._f):
+            assert gram @ f == e.transpose() @ gram

@@ -183,6 +183,61 @@ class TestSolvers:
             assert SpanSolver(cols, n).solve(target) == want
             assert solver.spans(target) == (want is not None)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 7), st.data())
+    def test_span_solver_matches_fraction_reference(self, n, k, data):
+        """The integer SpanSolver against the Fraction one it replaced:
+        columns of ints, of mixed small and large denominators, zero and
+        dependent columns, negative pivots; every add, ncols, last_pivot,
+        spans and solve agree, and _add_or_solve returns what the
+        reference's add and solve give."""
+        big = st.integers(1, 10 ** 12)
+        entry = st.one_of(
+            st.integers(-9, 9),
+            st.builds(Fraction, st.integers(-6, 6), st.sampled_from(DENS)),
+            st.builds(Fraction, st.integers(-10 ** 15, 10 ** 15), big))
+
+        def rand_vec():
+            return tuple(data.draw(entry) for _ in range(n))
+
+        def combination(vecs):
+            out = (0,) * n
+            for v in vecs:
+                c = data.draw(entry)
+                out = tuple(a + c * b for a, b in zip(out, v))
+            return out
+
+        cols = []
+        for _ in range(k):
+            kind = data.draw(st.sampled_from(["random", "zero", "dependent", "negated"]))
+            if kind == "zero":
+                cols.append((0,) * n)
+            elif kind == "dependent":
+                cols.append(combination(cols))
+            elif kind == "negated" and cols:
+                cols.append(tuple(-x for x in data.draw(st.sampled_from(cols))))
+            else:
+                cols.append(rand_vec())
+        solver, twin, want = SpanSolver([], n), SpanSolver([], n), ref.SpanSolver([], n)
+        for j, col in enumerate(cols):
+            independent = want.add(col)
+            assert solver.add(col) == independent
+            expansion = twin._add_or_solve(col)
+            if independent:
+                assert expansion is None
+            else:
+                assert expansion == want.solve(col)[:j]
+            assert solver.ncols == twin.ncols == want.ncols
+            assert solver.last_pivot == twin.last_pivot == want.last_pivot
+            if want.last_pivot is not None:
+                assert type(solver.last_pivot[1]) is Fraction
+        for target in (combination(cols), rand_vec(), (0,) * n):
+            expected = want.solve(target)
+            assert solver.solve(target) == twin.solve(target) == expected
+            assert solver.spans(target) == (expected is not None)
+            if expected is not None:
+                assert all(type(c) is Fraction for c in solver.solve(target))
+
 
 class TestOpPoly:
     def test_eval_left_identity_coefficient(self):

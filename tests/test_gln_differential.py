@@ -1,8 +1,10 @@
 """The gl_n operator identities against their direct forms in gln_reference:
-the Laplace quantum minor against both s! expansions, and the per-point,
-per-coefficient and streaming checks against the per-vector checks, on
-intact modules and on corrupted copies of them."""
+the Laplace quantum minor against both s! expansions, the integer norm
+formula against the Fraction one, and the per-point, per-coefficient and
+streaming checks against the per-vector checks, on intact modules and on
+corrupted copies of them."""
 
+from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -12,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 import gln_reference as ref
 from gtbases import branching, gln
 from gtbases.exact import SparseMat
+from gtbases.patterns import enumerate_patterns
 
 
 def d(*xs):
@@ -154,3 +157,15 @@ class TestVerdicts:
         monkeypatch.setattr(ref, "_big_e", lambda r: big)
         assert gln.characteristic_identity_check(rep) is want
         assert ref.characteristic_identity_check(rep) is want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-2, 3), min_size=1, max_size=4), st.integers(0, 1))
+def test_norms_match_fraction_formula(parts, odd):
+    """The int-product norms equal the Fraction factorial quotients, type
+    included, on integer and half-integer (odd doubled) weights."""
+    lam = tuple(sorted((2 * x + odd for x in parts), reverse=True))
+    basis = enumerate_patterns("A", lam)
+    got = gln.norms_of_patterns(basis)
+    assert got == ref.norms_of_patterns(basis)
+    assert all(type(v) is Fraction for v in got)

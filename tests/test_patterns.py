@@ -251,9 +251,30 @@ def test_json_round_trip():
             assert from_json(to_json(p)) == p
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.integers(0, 3), min_size=2, max_size=3))
-def test_enumerated_patterns_all_valid(parts):
-    lam = tuple(sorted((2 * x for x in parts), reverse=True))
-    for p in enumerate_patterns("A", lam):
+# the sign condition of each family's top weight (doubled), and the step
+# that moves a weight towards it without changing parity or differences
+DOMINANT_SHIFT = {
+    "A": (lambda lam: True, 0),
+    "B3": (lambda lam: lam[0] <= 0, -2),
+    "C3": (lambda lam: lam[0] <= 0, -2),
+    "D3": (lambda lam: len(lam) < 2 or lam[0] + lam[1] <= 0, -2),
+    "B4": (lambda lam: lam[-1] >= 0, 2),
+    "D4": (lambda lam: len(lam) < 2 or lam[-2] + lam[-1] >= 0, 2),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(DOMINANT_SHIFT)),
+       st.lists(st.integers(-2, 1), min_size=1, max_size=3), st.integers(0, 1))
+def test_enumerated_patterns_all_valid(family, parts, odd):
+    """Every enumerated pattern passes validate, for small dominant weights
+    of every family, half-integer ones (odd doubled entries) included
+    except for C3, whose weights are integers."""
+    if family == "C3":
+        odd = 0
+    lam = tuple(sorted((2 * x + odd for x in parts), reverse=True))
+    holds, step = DOMINANT_SHIFT[family]
+    while not holds(lam):
+        lam = tuple(x + step for x in lam)
+    for p in enumerate_patterns(family, lam):
         assert validate(p)
