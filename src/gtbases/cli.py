@@ -16,6 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import branching, gln, patterns, yangian
+from .exact import SparseMat, commutator, entry_strings
 from .liealg_bcd import (DeskScaleError, OrthogonalChain, build_bcd_irrep,
                          fnn_action_check, gt_basis_checks, orth_basis_checks)
 
@@ -175,7 +176,7 @@ def export_dict(kind, data, lam, convention, rep):
             for j in labels:
                 m = rep.module.F(i, j)
                 if not m.is_zero():
-                    gens["F_%d_%d" % (i, j)] = _entries(m)
+                    gens["F_%d_%d" % (i, j)] = entry_strings(m)
         fam = _family(kind, data, convention)
         out = {
             "algebra": "sp" if kind == "sp" else "so", "n": len(lam),
@@ -184,15 +185,10 @@ def export_dict(kind, data, lam, convention, rep):
             "patterns": [patterns.to_json(p)
                          for p in patterns.enumerate_patterns(fam, lam)],
             "generators": gens,
-            "gram": _entries(rep.module.gram_matrix()),
+            "gram": entry_strings(rep.module.gram_matrix()),
         }
     out["schema"] = SCHEMA
     return out
-
-
-def _entries(m):
-    return [[r, c, "%d/%d" % (v.numerator, v.denominator)]
-            for (r, c), v in sorted(m.entries.items())]
 
 
 def load_export(path):
@@ -209,7 +205,6 @@ def load_export(path):
 
 
 def _mat_from_entries(ent, dim):
-    from .exact import SparseMat
     return SparseMat(dim, dim, {(r, c): Fraction(v) for r, c, v in ent})
 
 
@@ -246,8 +241,7 @@ def _gl_verify_checks(rep):
     yield "drinfeld-actions", lambda: all(
         gln.drinfeld_checks(rep, m) for m in range(1, rep.n + 1))
     yield "kappa-basis", lambda: len(gln.kappa_basis(rep)) == rep.dim
-    yield "gt-separation", lambda: len({
-        tuple(tuple(r) for r in gln.gt_eigenvalues(p)) for p in rep.basis}) == rep.dim
+    yield "gt-separation", lambda: gln.gt_separation_check(rep)
     yield "characteristic-identity", lambda: gln.characteristic_identity_check(rep)
 
 
@@ -256,7 +250,6 @@ def _unit(n, t):
 
 
 def _bcd_verify_checks(rep):
-    from .exact import commutator
     from .liealg_bcd import v_plus_mu
     series = rep.algebra.series
     yield "dimension-oracle", lambda: rep.dim == branching.weyl_dim_s3(series, rep.lam)

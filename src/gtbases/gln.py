@@ -10,12 +10,11 @@ operator polynomials on top of those.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import factorial, prod
 
-from .exact import (OpPoly, SparseMat, commutator, kron, nullspace,
+from .exact import (OpPoly, SparseMat, commutator, entry_strings, kron, nullspace,
                     spoly_from_roots, vec_is_zero, vec_unit)
-from .patterns import GTPatternA, enumerate_patterns, validate, weight
+from .patterns import GTPatternA, enumerate_patterns, weight
 from . import patterns as _patterns
 
 
@@ -23,8 +22,9 @@ class GlnIrrep:
     """Constructed irreducible gl_n module with exact generator matrices.
 
     Near-diagonal generators are stored; general E_ij are derived through
-    commutators on demand and cached.  Basis order is the canonical pattern
-    order, so index 0 is the highest vector.
+    commutators on demand and cached, as are the quantum minors and the
+    shift-neighbour table.  Basis order is the canonical pattern order, so
+    index 0 is the highest vector.
     """
 
     def __init__(self, n, lam, basis, gens, normsq):
@@ -36,6 +36,8 @@ class GlnIrrep:
         self.normsq = normsq
         self._gen = dict(gens)
         self._lowering = {}
+        self._minors = {}           # (rows, cols) -> quantum minor, see _minor
+        self._shift_table = None
 
     def gen(self, i, j) -> SparseMat:
         """Matrix of E_ij (1-based indices)."""
@@ -60,66 +62,87 @@ class GlnIrrep:
         """Diagonal matrix of h_i = E_ii - i + 1."""
         return self.gen(i, i) + SparseMat.identity(self.dim).scale(1 - i)
 
+    @property
+    def shift_table(self):
+        """The shift-neighbour table {(k, i, e): column}, 1 <= i <= k < n,
+        e = +-1: column[t] is the index of basis[t] with lambda_ki moved by
+        2e (doubled units), or None when that array is not a pattern.
+
+        Every pattern has the top row lam, so a shifted array with k < n is
+        a pattern exactly when it is in the basis: the table is one dict
+        lookup per entry, with no pattern built and none validated."""
+        if self._shift_table is None:
+            n = self.n
+            at = {p.rows: t for t, p in enumerate(self.basis)}
+            table = {(k, i, e): [] for k in range(1, n) for i in range(1, k + 1)
+                     for e in (1, -1)}
+            for p in self.basis:
+                rows = p.rows
+                for k in range(1, n):
+                    row = rows[n - k]
+                    for i in range(k):
+                        for e in (1, -1):
+                            moved = row[:i] + (row[i] + 2 * e,) + row[i + 1:]
+                            table[(k, i + 1, e)].append(
+                                at.get(rows[:n - k] + (moved,) + rows[n - k + 1:]))
+            self._shift_table = table
+        return self._shift_table
+
     def __repr__(self):
         return "GlnIrrep(n=%d, lam=%s, dim=%d)" % (self.n, self.lam, self.dim)
 
 
-def _lvals(pattern, k):
-    """l_{ki} = lambda_{ki} - i + 1 for the k-entry row, as Fractions."""
-    return [Fraction(x, 2) - i for i, x in enumerate(pattern.row(k))]
+def _doubled_lvals(row):
+    """Doubled l-values 2 l_ki = lambda_ki - 2(i - 1) of a pattern row."""
+    return [x - 2 * i for i, x in enumerate(row)]
 
 
 def build_irrep(n, lam) -> GlnIrrep:
-    """Construct L(lam) for gl_n; lam is a doubled dominant weight."""
+    """Construct L(lam) for gl_n; lam is a doubled dominant weight.
+
+    The matrix elements are int products of doubled l-values L, one
+    Fraction per entry: E_{k,k+1} moves lambda_ki up with the coefficient
+    -prod_j (L_ki - L_{k+1,j}) / (4 prod_{j != i} (L_ki - L_kj)) and
+    E_{k+1,k} moves it down with prod_j (L_ki - L_{k-1,j}) /
+    prod_{j != i} (L_ki - L_kj); the neighbours come from ``shift_table``."""
     lam = _patterns.check_dominant("A", tuple(lam))
     if len(lam) != n:
         raise ValueError("weight length != n")
     basis = enumerate_patterns("A", lam)
-    index = {p: i for i, p in enumerate(basis)}
     dim = len(basis)
+    rep = GlnIrrep(n, lam, basis, {}, norms_of_patterns(basis))
+    table = rep.shift_table
+    gens = rep._gen
 
-    gens = {}
+    weights = [weight(p) for p in basis]
     for k in range(1, n + 1):
-        ent = {}
-        for col, p in enumerate(basis):
-            w = weight(p)[k - 1]
-            if w:
-                ent[(col, col)] = Fraction(w, 2)
-        gens[(k, k)] = SparseMat(dim, dim, ent)
+        gens[(k, k)] = SparseMat.from_num(
+            dim, dim, {(t, t): w[k - 1] for t, w in enumerate(weights) if w[k - 1]}, 2)
 
+    # ls[t][k - 1]: the doubled l-values of row k of pattern t
+    ls = [[_doubled_lvals(row) for row in reversed(p.rows)] for p in basis]
     for k in range(1, n):
         up = {}
         down = {}
-        for col, p in enumerate(basis):
-            lk = _lvals(p, k)
-            lk1 = _lvals(p, k + 1)
-            lkm = _lvals(p, k - 1) if k > 1 else []
-            for i in range(1, k + 1):
-                li = lk[i - 1]
-                den = Fraction(1)
-                for j in range(1, k + 1):
-                    if j != i:
-                        den *= li - lk[j - 1]
-                plus = p.shift(k, i, 2)
-                if validate(plus):
-                    num = Fraction(1)
-                    for j in range(1, k + 2):
-                        num *= li - lk1[j - 1]
-                    c = -num / den
-                    if c:
-                        up[(index[plus], col)] = up.get((index[plus], col), Fraction(0)) + c
-                minus = p.shift(k, i, -2)
-                if validate(minus):
-                    num = Fraction(1)
-                    for j in range(1, k):
-                        num *= li - lkm[j - 1]
-                    c = num / den
-                    if c:
-                        down[(index[minus], col)] = down.get((index[minus], col), Fraction(0)) + c
+        for t, lt in enumerate(ls):
+            lk, lk1 = lt[k - 1], lt[k]
+            lkm = lt[k - 2] if k > 1 else ()
+            for i, x in enumerate(lk, 1):
+                # the entries of a row of l-values are distinct
+                den = prod(x - y for y in lk if y != x)
+                s = table[(k, i, 1)][t]
+                if s is not None:
+                    num = prod(x - y for y in lk1)
+                    if num:
+                        up[(s, t)] = Fraction(-num, 4 * den)
+                s = table[(k, i, -1)][t]
+                if s is not None:
+                    num = prod(x - y for y in lkm)
+                    if num:
+                        down[(s, t)] = Fraction(num, den)
         gens[(k, k + 1)] = SparseMat(dim, dim, up)
         gens[(k + 1, k)] = SparseMat(dim, dim, down)
-
-    return GlnIrrep(n, lam, basis, gens, norms_of_patterns(basis))
+    return rep
 
 
 def gen_matrix(rep: GlnIrrep, i, j) -> SparseMat:
@@ -138,8 +161,8 @@ def norms_of_patterns(basis):
         num = den = 1
         for k in range(2, p.n + 1):
             # doubled l_{ki}; the difference of two of them is even
-            lk = [x - 2 * i for i, x in enumerate(p.row(k))]
-            lk1 = [x - 2 * i for i, x in enumerate(p.row(k - 1))]
+            lk = _doubled_lvals(p.row(k))
+            lk1 = _doubled_lvals(p.row(k - 1))
             for i in range(k - 1):
                 for j in range(i, k - 1):
                     num *= factorial((lk[i] - lk1[j]) // 2)
@@ -318,30 +341,51 @@ def quantum_minor(rep: GlnIrrep, rows, cols) -> OpPoly:
 
         sum_p sgn(p) E(u)_{rows[p(1)], cols[1]} ... E(u - s + 1)_{rows[p(s)], cols[s]}
 
-    (rows and cols taken in the given order), computed by Laplace expansion
-    along the columns with shared sub-minors: about s 2^(s-1) products
-    instead of s! (s-1).  The row-ordered expansion is the same polynomial
-    (Molev, Yangians and classical Lie algebras, 2007, section 1.6); the
-    tests check that."""
+    (rows and cols taken in the given order).  The row-ordered expansion is
+    the same polynomial (Molev, Yangians and classical Lie algebras, 2007,
+    section 1.6); the tests check that.
+
+    It is a Laplace expansion along the last column: each sub-minor sits on
+    the rows less one and the column prefix cols[:s - 1], with the shifts
+    0, ..., -(s - 2), so it is itself a quantum minor.  Minors are memoized
+    on the rep, keyed by (rows, cols) in the given order, so A_m, B_m, C_m,
+    the Capelli determinant and the tau polynomials share their sub-minors
+    and each distinct minor is expanded once per module."""
     rows = tuple(rows)
     cols = tuple(cols)
     if not rows or len(rows) != len(cols):
         raise ValueError("row and column sets must be nonempty and of equal size")
+    return _minor(rep, rows, cols)
+
+
+def _minor(rep, rows, cols) -> OpPoly:
+    """The quantum minor on the row and column tuples, from the memo."""
+    key = (rows, cols)
+    out = rep._minors.get(key)
+    if out is None:
+        out = rep._minors[key] = _expand_last_column(rep, rows, cols)
+    return out
+
+
+def _expand_last_column(rep, rows, cols) -> OpPoly:
+    """sum_a (-1)^(s - a) M_a(u) E(u - s + 1)_{rows[a], cols[s]}, with M_a
+    the minor on the rows without rows[a] and the first s - 1 columns."""
     s = len(rows)
-    # level[pos]: the minor on the row positions pos (ascending) and the last
-    # len(pos) columns, whose first column t = s - len(pos) has shift -t
-    level = {(p,): _entry_poly(rep, rows[p], cols[s - 1], 1 - s) for p in range(s)}
-    for t in range(s - 2, -1, -1):
-        entry = [_entry_poly(rep, a, cols[t], -t) for a in rows]
-        nxt = {}
-        for pos in combinations(range(s), s - t):
-            acc = entry[pos[0]] @ level[pos[1:]]
-            for k in range(1, len(pos)):
-                term = entry[pos[k]] @ level[pos[:k] + pos[k + 1:]]
-                acc = acc - term if k % 2 else acc + term
-            nxt[pos] = acc
-        level = nxt
-    return level[tuple(range(s))]
+    if s == 1:
+        return _entry_poly(rep, rows[0], cols[0], 0)
+    d = rep.dim
+    c = cols[-1]
+    terms = [[] for _ in range(s + 1)]      # power of u -> [(scalar, matrix)]
+    for a, r in enumerate(rows):
+        sign = -1 if (s - 1 - a) % 2 else 1
+        e = rep.gen(r, c)
+        for j, m in enumerate(_minor(rep, rows[:a] + rows[a + 1:], cols[:-1]).coeffs):
+            terms[j].append((sign, m @ e))
+            if r == c:
+                # the diagonal entry also carries u - s + 1
+                terms[j].append((sign * (1 - s), m))
+                terms[j + 1].append((sign, m))
+    return OpPoly(d, d, [SparseMat.combination(d, d, t) for t in terms])
 
 
 def capelli_det(rep: GlnIrrep, m=None) -> OpPoly:
@@ -446,32 +490,37 @@ def drinfeld_checks(rep: GlnIrrep, m) -> bool:
     """Eigenvalue and shift displays for A_m, B_m, C_m on every pattern.
 
     A_m(u) is compared coefficient by coefficient with the diagonal matrix
-    of the eigenvalue polynomials.  B_m and C_m are evaluated once at each
-    distinct point u0 = -l_mj and compared column by column with the shift
-    displays of the patterns that have that point."""
+    of the eigenvalue polynomials, made once per distinct row m.  B_m and
+    C_m are evaluated once at each distinct point u0 = -l_mj and compared
+    column by column with the shift displays of the patterns that have
+    that point; the shifted patterns come from ``shift_table``."""
     n = rep.n
-    lms = [_lvals(p, m) for p in rep.basis]
-    if not _acts_diagonally(drinfeld_poly(rep, m, "A"), [spoly_from_roots(lm) for lm in lms]):
+    eigen = {}      # row m -> eigenvalue polynomial of A_m
+    for p in rep.basis:
+        row = p.row(m)
+        if row not in eigen:
+            eigen[row] = spoly_from_roots([Fraction(x, 2) for x in _doubled_lvals(row)])
+    if not _acts_diagonally(drinfeld_poly(rep, m, "A"), [eigen[p.row(m)] for p in rep.basis]):
         return False
     if m == n:
         return True
+    table = rep.shift_table
     want_b, want_c = {}, {}     # u0 -> {pattern index: expected column}
     for t, p in enumerate(rep.basis):
-        lm1 = _lvals(p, m + 1)
-        lmm = _lvals(p, m - 1) if m > 1 else []
-        for j, x in enumerate(lms[t], 1):
-            want_b.setdefault(-x, {})[t] = _shifted_column(
-                rep, p.shift(m, j, 2), -prod(y - x for y in lm1))
-            want_c.setdefault(-x, {})[t] = _shifted_column(
-                rep, p.shift(m, j, -2), prod(y - x for y in lmm))
+        # doubled l-values: a product of r differences carries 2^r
+        lm1 = _doubled_lvals(p.row(m + 1))
+        lmm = _doubled_lvals(p.row(m - 1)) if m > 1 else ()
+        for j, x in enumerate(_doubled_lvals(p.row(m)), 1):
+            u0 = Fraction(-x, 2)
+            up, down = table[(m, j, 1)][t], table[(m, j, -1)][t]
+            b = -prod(y - x for y in lm1)
+            c = prod(y - x for y in lmm)
+            want_b.setdefault(u0, {})[t] = (
+                {up: Fraction(b, 2 ** (m + 1))} if b and up is not None else {})
+            want_c.setdefault(u0, {})[t] = (
+                {down: Fraction(c, 2 ** (m - 1))} if c and down is not None else {})
     return (_columns_match(drinfeld_poly(rep, m, "B"), want_b)
             and _columns_match(drinfeld_poly(rep, m, "C"), want_c))
-
-
-def _shifted_column(rep, q, coeff):
-    """The column coeff * e_q as {row: value}; the zero column when the
-    array q is not a pattern (the zero-vector convention)."""
-    return {rep.index[q]: coeff} if coeff and validate(q) else {}
 
 
 def _columns_match(poly: OpPoly, want) -> bool:
@@ -529,17 +578,32 @@ def kappa_basis(rep: GlnIrrep):
 def gt_eigenvalues(pattern: GTPatternA):
     """Triangular list of elementary symmetric values alpha_{mi} of the
     row l-values, for 1 <= i <= m <= n."""
-    out = []
-    for m in range(1, pattern.n + 1):
-        lm = _lvals(pattern, m)
-        es = [Fraction(1)]
-        for x in lm:
-            nxt = es + [Fraction(0)]
-            for i in range(len(es), 0, -1):
-                nxt[i] = nxt[i] + x * es[i - 1]
-            es = nxt
-        out.append(es[1:])
-    return out
+    return [_row_eigenvalues(pattern.row(m)) for m in range(1, pattern.n + 1)]
+
+
+def _row_eigenvalues(row):
+    """Elementary symmetric values e_1..e_m of the l-values of a row: the
+    int e_i of the doubled l-values, over 2^i."""
+    es = [1]
+    for x in _doubled_lvals(row):
+        es = [1] + [a + x * b for a, b in zip(es[1:], es)] + [x * es[-1]]
+    return [Fraction(e, 2 ** i) for i, e in enumerate(es) if i]
+
+
+def gt_separation_check(rep: GlnIrrep) -> bool:
+    """The Gelfand-Tsetlin subalgebra separates the basis: the patterns have
+    pairwise distinct ``gt_eigenvalues``.  The values of a row depend on
+    that row alone and are made once per distinct row."""
+    values = {}
+    seen = set()
+    for p in rep.basis:
+        key = []
+        for row in p.rows:
+            if row not in values:
+                values[row] = tuple(_row_eigenvalues(row))
+            key.append(values[row])
+        seen.add(tuple(key))
+    return len(seen) == rep.dim
 
 
 # ---------------------------------------------------------------------------
@@ -640,10 +704,7 @@ def export_json(rep: GlnIrrep):
         for j in range(1, rep.n + 1):
             if abs(i - j) > 1:
                 continue
-            mat = rep.gen(i, j)
-            items = sorted(mat.entries.items())
-            gens["E_%d_%d" % (i, j)] = [[r, c, "%d/%d" % (v.numerator, v.denominator)]
-                                        for (r, c), v in items]
+            gens["E_%d_%d" % (i, j)] = entry_strings(rep.gen(i, j))
     return {
         "algebra": "gl",
         "n": rep.n,

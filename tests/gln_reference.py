@@ -1,13 +1,15 @@
 """Direct forms of the gl_n operator identities of ``gtbases.gln``.
 
-The library expands each quantum minor once, by Laplace along the columns,
-and checks each Drinfeld, Capelli and characteristic identity once per
-evaluation point or coefficient.  These are the plain readings that the
-differential tests compare them against: both s! expansions of a quantum
-minor, the checks applied basis vector by basis vector, the Lagrange
-projectors as separate products, the commutation relations over all
-ordered pairs of generators, and the squared norms as products of
-``Fraction`` factorial quotients.
+The library expands each quantum minor once per module, by Laplace along
+the last column, builds the generators from int products over a table of
+shifted patterns, and checks each Drinfeld, Capelli and characteristic
+identity once per evaluation point or coefficient.  These are the plain
+readings that the differential tests compare them against: both s!
+expansions of a quantum minor, the matrix elements on ``Fraction``
+l-values with every shifted array validated, the checks applied basis
+vector by basis vector, the Lagrange projectors as separate products, the
+commutation relations over all ordered pairs of generators, and the
+squared norms and eigenvalues as ``Fraction`` products.
 
 The reference checks use the column-ordered expansion alone, so that they
 return a verdict (rather than fail on the equality of the two expansions)
@@ -19,8 +21,13 @@ from itertools import permutations
 
 from gtbases.exact import (OpPoly, SparseMat, commutator, factorial,
                            spoly_from_roots, vec_unit)
-from gtbases.gln import _big_e, _entry_poly, _lvals
-from gtbases.patterns import validate
+from gtbases.gln import _big_e, _entry_poly
+from gtbases.patterns import validate, weight
+
+
+def _lvals(pattern, k):
+    """l_{ki} = lambda_{ki} - i + 1 for the k-entry row, as Fractions."""
+    return [Fraction(x, 2) - i for i, x in enumerate(pattern.row(k))]
 
 
 def _sgn(perm):
@@ -215,4 +222,56 @@ def norms_of_patterns(basis):
                 for j in range(i + 1, k + 1):
                     val *= factorial(lk[i - 1] - lk[j - 1] - 1) / factorial(lk1[i - 1] - lk[j - 1] - 1)
         out.append(val)
+    return out
+
+
+def near_diagonal_generators(n, basis):
+    """E_kk, E_{k,k+1}, E_{k+1,k} by the matrix-element formulas on Fraction
+    l-values, with each shifted array built and validated."""
+    index = {p: i for i, p in enumerate(basis)}
+    dim = len(basis)
+    gens = {}
+    for k in range(1, n + 1):
+        gens[(k, k)] = SparseMat(dim, dim, {(t, t): Fraction(weight(p)[k - 1], 2)
+                                            for t, p in enumerate(basis)})
+    for k in range(1, n):
+        up, down = {}, {}
+        for col, p in enumerate(basis):
+            lk = _lvals(p, k)
+            lk1 = _lvals(p, k + 1)
+            lkm = _lvals(p, k - 1) if k > 1 else []
+            for i in range(1, k + 1):
+                li = lk[i - 1]
+                den = Fraction(1)
+                for j in range(1, k + 1):
+                    if j != i:
+                        den *= li - lk[j - 1]
+                plus = p.shift(k, i, 2)
+                if validate(plus):
+                    num = Fraction(1)
+                    for x in lk1:
+                        num *= li - x
+                    up[(index[plus], col)] = -num / den
+                minus = p.shift(k, i, -2)
+                if validate(minus):
+                    num = Fraction(1)
+                    for x in lkm:
+                        num *= li - x
+                    down[(index[minus], col)] = num / den
+        gens[(k, k + 1)] = SparseMat(dim, dim, up)
+        gens[(k + 1, k)] = SparseMat(dim, dim, down)
+    return gens
+
+
+def gt_eigenvalues(pattern):
+    """Elementary symmetric values of the Fraction l-values of each row."""
+    out = []
+    for m in range(1, pattern.n + 1):
+        es = [Fraction(1)]
+        for x in _lvals(pattern, m):
+            nxt = es + [Fraction(0)]
+            for i in range(len(es), 0, -1):
+                nxt[i] = nxt[i] + x * es[i - 1]
+            es = nxt
+        out.append(es[1:])
     return out

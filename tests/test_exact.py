@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import exact_reference as ref
-from gtbases.exact import (OpPoly, SpanSolver, SparseMat, factorial, kron,
-                           nullspace, op_poly_eval_left, rank, rref,
+from gtbases.exact import (OpPoly, SpanSolver, SparseMat, entry_strings, factorial,
+                           kron, nullspace, op_poly_eval_left, rank, rref,
                            solve_in_span)
 from rref_reference import rref_nullspace, rref_rank, rref_solve_in_span
 
@@ -450,3 +450,11 @@ class TestIntegerCoreMatchesReference:
         assert SparseMat.combination(2, 2, []) == SparseMat.zero(2, 2)
         with pytest.raises(ValueError):
             SparseMat.combination(2, 3, [(1, a)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(SHAPE, SHAPE, st.data())
+    def test_entry_strings_format_each_fraction(self, n, k, data):
+        a, _ = data.draw(mat_pair(n, k))
+        a = a.scale(data.draw(RAT))
+        assert entry_strings(a) == [[r, c, "%d/%d" % (v.numerator, v.denominator)]
+                                    for (r, c), v in sorted(a.entries.items())]
