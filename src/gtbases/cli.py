@@ -21,6 +21,7 @@ from .liealg_bcd import (DeskScaleError, OrthogonalChain, build_bcd_irrep,
                          fnn_action_check, gt_basis_checks, orth_basis_checks)
 
 SCHEMA = "gt-export/1"
+GL_MAX_RANK = 4     # the desk-scale rank cap of gl_n; o_N and sp_2n stop at 3
 
 
 class CliError(Exception):
@@ -154,6 +155,8 @@ def cmd_branch(args):
 
 def _build(kind, data, lam, convention, max_dim):
     if kind == "gl":
+        if len(lam) > GL_MAX_RANK:
+            raise DeskScaleError("rank %d exceeds the cap %d" % (len(lam), GL_MAX_RANK))
         dim = branching.weyl_dim("A", patterns.check_dominant("A", lam))
         if dim > max_dim:
             raise DeskScaleError("gl_%d module of dimension %d exceeds the cap %d"
@@ -231,8 +234,11 @@ def _gl_verify_checks(rep):
     yield "adjointness", lambda: gln.adjointness_check(rep)
     yield "highest-vector", lambda: gln.highest_vector_check(rep)
     yield "dimension-oracle", lambda: rep.dim == branching.weyl_dim("A", rep.lam)
+    # each vector is the coordinate vector of its pattern: entry t is 1 and
+    # every other entry is 0
     yield "lowering-basis", lambda: all(
-        v == _unit(rep.dim, t) for t, v in enumerate(gln.basis_via_lowering(rep)))
+        v[t] == 1 and not any(v[:t]) and not any(v[t + 1:])
+        for t, v in enumerate(gln.basis_via_lowering(rep)))
     yield "capelli-scalar", lambda: gln.capelli_scalar_check(rep)
     yield "capelli-interpolation", lambda: gln.capelli_interpolation_check(rep)
     yield "z-relations", lambda: gln.zrelation_checks(rep)
@@ -243,10 +249,6 @@ def _gl_verify_checks(rep):
     yield "kappa-basis", lambda: len(gln.kappa_basis(rep)) == rep.dim
     yield "gt-separation", lambda: gln.gt_separation_check(rep)
     yield "characteristic-identity", lambda: gln.characteristic_identity_check(rep)
-
-
-def _unit(n, t):
-    return tuple(Fraction(1) if j == t else Fraction(0) for j in range(n))
 
 
 def _bcd_verify_checks(rep):

@@ -235,17 +235,38 @@ def lowering_operator(rep: GlnIrrep, i, kind="lowering", m=None) -> SparseMat:
 def basis_via_lowering(rep: GlnIrrep):
     """Vectors z_{k1}^.. z_{k,k-1}^.. applied to the highest vector, per
     pattern, with the level-n factors acting first."""
-    out = []
-    xi = vec_unit(rep.dim, rep.highest_index)
+    words = []
     for p in rep.basis:
-        v = xi
+        word = []
         for k in range(rep.n, 1, -1):
             for i in range(k - 1, 0, -1):
-                e = (p.entry(k, i) - p.entry(k - 1, i)) // 2
-                if e:
-                    z = lowering_operator(rep, i, "lowering", m=k)
-                    for _ in range(e):
-                        v = z.apply(v)
+                word += [(i, k)] * ((p.entry(k, i) - p.entry(k - 1, i)) // 2)
+        words.append(word)
+    return _apply_words(rep, words,
+                        lambda letter: lowering_operator(rep, letter[0], "lowering", m=letter[1]))
+
+
+def _apply_words(rep, words, operator):
+    """The vectors w xi for the words w, with xi the highest vector.
+
+    A word is a sequence of letters, the first acting first, and
+    operator(letter) is the matrix of a letter.  The words are walked as a
+    trie, so words that share a prefix share its vector: each distinct
+    prefix is applied once, and each letter's matrix is made once."""
+    ops = {}
+    root = {}       # letter -> (vector of the prefix ending here, subtrie)
+    xi = vec_unit(rep.dim, rep.highest_index)
+    out = []
+    for word in words:
+        v, node = xi, root
+        for letter in word:
+            hit = node.get(letter)
+            if hit is None:
+                op = ops.get(letter)
+                if op is None:
+                    op = ops[letter] = operator(letter)
+                hit = node[letter] = (op.apply(v), {})
+            v, node = hit
         out.append(v)
     return out
 
@@ -412,9 +433,26 @@ def _acts_diagonally(poly: OpPoly, scalars) -> bool:
     return True
 
 
+def _eval_left_on(poly: OpPoly, h: SparseMat, cols: SparseMat) -> SparseMat:
+    """poly.eval_left(h) @ cols, formed as sum_j c_j @ (h^j @ cols).
+
+    Exact arithmetic and the unique lowest-terms form of a SparseMat make
+    the two equal, and every product here has only the columns of cols."""
+    acc = SparseMat.zero(poly.nrows, cols.ncols)
+    hp = cols
+    for j, c in enumerate(poly.coeffs):
+        if j:
+            hp = h @ hp
+        acc = acc + c @ hp
+    return acc
+
+
 def capelli_interpolation_check(rep: GlnIrrep) -> bool:
     """C(-h_i + 1) = (-1)^(n-1) z_in z_ni and C(-h_i) = (-1)^(n-1) z_ni z_in
-    as operators on L(lam)^+."""
+    as operators on L(lam)^+.
+
+    Both sides are multiplied against the L^+ columns first, so no
+    dim x dim product is formed."""
     n = rep.n
     c = capelli_det(rep)
     plus = l_plus_matrix(rep)
@@ -424,10 +462,10 @@ def capelli_interpolation_check(rep: GlnIrrep) -> bool:
         h = rep.h_matrix(i)
         zin = lowering_operator(rep, i, "raising")
         zni = lowering_operator(rep, i, "lowering")
-        lhs1 = c.eval_left(ident - h) @ plus
-        rhs1 = (zin @ zni).scale(sign) @ plus
-        lhs2 = c.eval_left(-h) @ plus
-        rhs2 = (zni @ zin).scale(sign) @ plus
+        lhs1 = _eval_left_on(c, ident - h, plus)
+        rhs1 = (zin @ (zni @ plus)).scale(sign)
+        lhs2 = _eval_left_on(c, -h, plus)
+        rhs2 = (zni @ (zin @ plus)).scale(sign)
         if lhs1 != rhs1 or lhs2 != rhs2:
             return False
     return True
@@ -435,16 +473,22 @@ def capelli_interpolation_check(rep: GlnIrrep) -> bool:
 
 def zrelation_checks(rep: GlnIrrep) -> bool:
     """z_ni z_nj = z_nj z_ni and z_in z_nj = z_nj z_in (i != j) on L^+,
-    plus the long z_in z_ni interpolation relation."""
+    plus the long z_in z_ni interpolation relation.
+
+    Each z is multiplied against the L^+ columns once, and each product
+    of two z's is formed on those columns.  The first relation is
+    symmetric in i and j, so it is compared for i < j alone."""
     n = rep.n
     plus = l_plus_matrix(rep)
     zlow = {i: lowering_operator(rep, i, "lowering") for i in range(1, n)}
     zhigh = {i: lowering_operator(rep, i, "raising") for i in range(1, n)}
+    low_plus = {i: z @ plus for i, z in zlow.items()}
+    high_plus = {i: z @ plus for i, z in zhigh.items()}
     for i in zlow:
         for j in zlow:
-            if (zlow[i] @ zlow[j]) @ plus != (zlow[j] @ zlow[i]) @ plus:
+            if i < j and zlow[i] @ low_plus[j] != zlow[j] @ low_plus[i]:
                 return False
-            if i != j and (zhigh[i] @ zlow[j]) @ plus != (zlow[j] @ zhigh[i]) @ plus:
+            if i != j and zhigh[i] @ low_plus[j] != zlow[j] @ high_plus[i]:
                 return False
     return True
 
@@ -460,15 +504,16 @@ def tau_poly(rep: GlnIrrep, i, kind) -> OpPoly:
 
 
 def tau_equals_z_check(rep: GlnIrrep, i) -> bool:
-    """tau_ni(-h_i - i + 1) = z_ni and tau_in(-h_i) = z_in on L(lam)^+."""
+    """tau_ni(-h_i - i + 1) = z_ni and tau_in(-h_i) = z_in on L(lam)^+,
+    with both sides multiplied against the L^+ columns first."""
     plus = l_plus_matrix(rep)
     h = rep.h_matrix(i)
     ident = SparseMat.identity(rep.dim)
-    lhs = tau_poly(rep, i, "lowering").eval_left(-h + ident.scale(1 - i))
-    if lhs @ plus != lowering_operator(rep, i, "lowering") @ plus:
+    lhs = _eval_left_on(tau_poly(rep, i, "lowering"), -h + ident.scale(1 - i), plus)
+    if lhs != lowering_operator(rep, i, "lowering") @ plus:
         return False
-    lhs = tau_poly(rep, i, "raising").eval_left(-h)
-    return lhs @ plus == lowering_operator(rep, i, "raising") @ plus
+    lhs = _eval_left_on(tau_poly(rep, i, "raising"), -h, plus)
+    return lhs == lowering_operator(rep, i, "raising") @ plus
 
 
 def drinfeld_poly(rep: GlnIrrep, m, which) -> OpPoly:
@@ -542,36 +587,28 @@ def kappa_basis(rep: GlnIrrep):
     """Vectors built by iterated evaluated C_m operators, one per pattern.
 
     Each result is asserted to be a nonzero multiple of the corresponding
-    coordinate basis vector.
+    coordinate basis vector: its entry t is nonzero and every other entry
+    is 0.
     """
     n = rep.n
     cpolys = {m: drinfeld_poly(rep, m, "C") for m in range(1, n)}
-    lam_l = [Fraction(rep.lam[i], 2) - i for i in range(n)]
-    evaluated = {}      # (m, arg) -> C_m(arg)
-    out = []
-    for t, p in enumerate(rep.basis):
-        v = vec_unit(rep.dim, rep.highest_index)
+    words = []
+    for p in rep.basis:
+        word = []
         for k in range(n - 1, 0, -1):
+            # C_m(arg) for arg = -l_k, -l_k + 1, ... while arg <= -l_target - 1,
+            # with l_k = lam_k - k + 1 and l_target = lambda_mk - k + 1; a
+            # letter (m, 2 arg) keeps the argument doubled
+            start = 2 * (k - 1) - rep.lam[k - 1]
             for m in range(k, n):
-                l_target = Fraction(p.entry(m, k), 2) - k + 1
-                arg = -lam_l[k - 1]
-                while arg <= -l_target - 1:
-                    if (m, arg) not in evaluated:
-                        evaluated[(m, arg)] = cpolys[m].eval_at(arg)
-                    v = evaluated[(m, arg)].apply(v)
-                    arg += 1
-        assert not vec_is_zero(v), "kappa vector vanished"
-        unit = vec_unit(rep.dim, t)
-        ratio = None
-        for a, b in zip(v, unit):
-            if (a == 0) != (b == 0):
-                raise AssertionError("kappa vector not proportional to basis vector")
-            if b:
-                if ratio is None:
-                    ratio = a / b
-                elif a / b != ratio:
-                    raise AssertionError("kappa vector not proportional to basis vector")
-        out.append(v)
+                word += [(m, start + 2 * j) for j in range((rep.lam[k - 1] - p.entry(m, k)) // 2)]
+        words.append(word)
+    out = _apply_words(rep, words,
+                       lambda letter: cpolys[letter[0]].eval_at(Fraction(letter[1], 2)))
+    for t, v in enumerate(out):
+        assert any(v), "kappa vector vanished"
+        if not v[t] or any(v[:t]) or any(v[t + 1:]):
+            raise AssertionError("kappa vector not proportional to basis vector")
     return out
 
 
@@ -620,36 +657,31 @@ def _big_e(rep: GlnIrrep) -> SparseMat:
 
 def characteristic_identity_check(rep: GlnIrrep) -> bool:
     """prod_r (E - alpha_r) = 0 on L* (x) L(lam), with idempotent spectral
-    projectors that sum to the identity and reassemble E.
+    projectors P_r = prod_{s != r} (E - alpha_s) / (alpha_r - alpha_s) that
+    sum to the identity and reassemble E, and P_r = 0 for every r with
+    lam_r = lam_{r+1} (the summands killed by equal consecutive weights).
 
-    The factors E - alpha_s commute, so the projector P_r is the product of
-    the factors before r and the factors after r, scaled: the suffix
-    products are made once and the prefix runs along r.  Each projector is
-    checked as it is made; the last prefix is the full product."""
+    All of this is one product.  The alpha_r = lam_r + n - r are distinct,
+    so the P_r are the Lagrange basis polynomials of the alpha_r evaluated
+    at E: sum_r P_r = 1 and sum_r alpha_r P_r = E hold for every E (for
+    n = 1 the second reads E = alpha_1, which is the product itself).  If
+    the full product is 0, the minimal polynomial of E has distinct roots,
+    so E is diagonalizable with spectrum in {alpha_r}, and P_r is the
+    projector onto the alpha_r-eigenspace: P_r^2 = P_r and P_r P_s = 0.
+    Then P_r = 0 says that alpha_r is not an eigenvalue.  So the whole
+    statement holds exactly when E is diagonalizable with spectrum in
+    {alpha_r : r in S}, S the r that are not killed, that is, exactly when
+    prod_{r in S} (E - alpha_r) = 0: |S| - 1 products."""
     n, d = rep.n, rep.dim
     big = _big_e(rep)
-    nd = n * d
-    ident = SparseMat.identity(nd)
-    alphas = [Fraction(rep.lam[r - 1], 2) + n - r for r in range(1, n + 1)]
-    factors = [big - ident.scale(a) for a in alphas]
-    suffixes = [ident]      # suffixes.pop() is the product of the factors after r
-    for f in reversed(factors[1:]):
-        suffixes.append(f @ suffixes[-1])
-    prefix = ident          # the product of the factors before r
-    total = SparseMat.zero(nd, nd)
-    recon = SparseMat.zero(nd, nd)
-    for r in range(n):
-        pr = (prefix @ suffixes.pop()).scale(
-            1 / prod(alphas[r] - a for s, a in enumerate(alphas) if s != r))
-        if pr @ pr != pr:
-            return False
-        # summands killed by equal consecutive weights vanish
-        if r < n - 1 and rep.lam[r] == rep.lam[r + 1] and not pr.is_zero():
-            return False
-        total = total + pr
-        recon = recon + pr.scale(alphas[r])
-        prefix = prefix @ factors[r]
-    return prefix.is_zero() and total == ident and recon == big
+    ident = SparseMat.identity(n * d)
+    out = None
+    for r in range(1, n + 1):
+        if r < n and rep.lam[r - 1] == rep.lam[r]:
+            continue
+        factor = big - ident.scale(Fraction(rep.lam[r - 1], 2) + n - r)
+        out = factor if out is None else out @ factor
+    return out.is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..exact import SparseMat, commutator, rank, vec_add, vec_scale
+from .. import branching as _branching
 from .. import patterns as _patterns
 from .construction import DeskScaleError, Realization, build_module
 
@@ -33,6 +34,10 @@ class OrthogonalChain:
         _patterns.check_dominant(fam, lam)
         if len(lam) != self.n:
             raise ValueError("weight length != rank")
+        dim = _branching.weyl_dim(fam[0], lam)
+        if dim > max_dim:
+            raise DeskScaleError("o_%d module of dimension %d exceeds the cap %d"
+                                 % (N, dim, max_dim))
         self.family = fam
         self.lam = lam
         real = self._realization()

@@ -113,7 +113,8 @@ class BCDIrrep:
 
 def build_bcd_irrep(series_or_algebra, lam, max_dim=600, max_rank=3) -> BCDIrrep:
     """Build V(lam) for the given series; lam doubled, non-positive
-    convention.  Refuses beyond the desk-scale caps."""
+    convention.  Refuses beyond the desk-scale caps, the dimension cap
+    from the Weyl dimension before anything is built."""
     if isinstance(series_or_algebra, ClassicalAlgebra):
         alg = series_or_algebra
     else:
@@ -125,6 +126,10 @@ def build_bcd_irrep(series_or_algebra, lam, max_dim=600, max_rank=3) -> BCDIrrep
     if alg.n > max_rank:
         raise DeskScaleError("rank %d exceeds the cap %d" % (alg.n, max_rank))
     _patterns.check_dominant(_SERIES_FAMILY[alg.series], lam)
+    dim = _branching.weyl_dim_s3(alg.series, lam)
+    if dim > max_dim:
+        raise DeskScaleError("%s_%d module of dimension %d exceeds the cap %d"
+                             % ("sp" if alg.series == "C" else "o", alg.N, dim, max_dim))
     module = build_module(alg.realization(), [Fraction(x, 2) for x in lam], max_dim)
     return BCDIrrep(alg, lam, module)
 

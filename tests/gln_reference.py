@@ -8,8 +8,11 @@ readings that the differential tests compare them against: both s!
 expansions of a quantum minor, the matrix elements on ``Fraction``
 l-values with every shifted array validated, the checks applied basis
 vector by basis vector, the Lagrange projectors as separate products, the
-commutation relations over all ordered pairs of generators, and the
-squared norms and eigenvalues as ``Fraction`` products.
+commutation relations over all ordered pairs of generators, the
+squared norms and eigenvalues as ``Fraction`` products, the lowering-word
+and kappa bases applied pattern by pattern from the highest vector, and
+the L(lam)^+ relations as full dim x dim products restricted to L^+
+afterwards.
 
 The reference checks use the column-ordered expansion alone, so that they
 return a verdict (rather than fail on the equality of the two expansions)
@@ -20,8 +23,9 @@ from fractions import Fraction
 from itertools import permutations
 
 from gtbases.exact import (OpPoly, SparseMat, commutator, factorial,
-                           spoly_from_roots, vec_unit)
-from gtbases.gln import _big_e, _entry_poly
+                           spoly_from_roots, vec_is_zero, vec_unit)
+from gtbases.gln import (_big_e, _entry_poly, capelli_det, l_plus_matrix,
+                         lowering_operator, tau_poly)
 from gtbases.patterns import validate, weight
 
 
@@ -274,4 +278,111 @@ def gt_eigenvalues(pattern):
                 nxt[i] = nxt[i] + x * es[i - 1]
             es = nxt
         out.append(es[1:])
+    return out
+
+
+# Lowering words applied pattern by pattern from the highest vector, and
+# the L^+ relations as full dim x dim products restricted afterwards.
+
+def basis_via_lowering(rep):
+    """Vectors z_{k1}^.. z_{k,k-1}^.. applied to the highest vector, per
+    pattern, with the level-n factors acting first."""
+    out = []
+    xi = vec_unit(rep.dim, rep.highest_index)
+    for p in rep.basis:
+        v = xi
+        for k in range(rep.n, 1, -1):
+            for i in range(k - 1, 0, -1):
+                e = (p.entry(k, i) - p.entry(k - 1, i)) // 2
+                if e:
+                    z = lowering_operator(rep, i, "lowering", m=k)
+                    for _ in range(e):
+                        v = z.apply(v)
+        out.append(v)
+    return out
+
+
+def capelli_interpolation_check(rep) -> bool:
+    """C(-h_i + 1) = (-1)^(n-1) z_in z_ni and C(-h_i) = (-1)^(n-1) z_ni z_in
+    as operators on L(lam)^+."""
+    n = rep.n
+    c = capelli_det(rep)
+    plus = l_plus_matrix(rep)
+    sign = Fraction((-1) ** (n - 1))
+    ident = SparseMat.identity(rep.dim)
+    for i in range(1, n):
+        h = rep.h_matrix(i)
+        zin = lowering_operator(rep, i, "raising")
+        zni = lowering_operator(rep, i, "lowering")
+        lhs1 = c.eval_left(ident - h) @ plus
+        rhs1 = (zin @ zni).scale(sign) @ plus
+        lhs2 = c.eval_left(-h) @ plus
+        rhs2 = (zni @ zin).scale(sign) @ plus
+        if lhs1 != rhs1 or lhs2 != rhs2:
+            return False
+    return True
+
+
+def zrelation_checks(rep) -> bool:
+    """z_ni z_nj = z_nj z_ni and z_in z_nj = z_nj z_in (i != j) on L^+,
+    plus the long z_in z_ni interpolation relation."""
+    n = rep.n
+    plus = l_plus_matrix(rep)
+    zlow = {i: lowering_operator(rep, i, "lowering") for i in range(1, n)}
+    zhigh = {i: lowering_operator(rep, i, "raising") for i in range(1, n)}
+    for i in zlow:
+        for j in zlow:
+            if (zlow[i] @ zlow[j]) @ plus != (zlow[j] @ zlow[i]) @ plus:
+                return False
+            if i != j and (zhigh[i] @ zlow[j]) @ plus != (zlow[j] @ zhigh[i]) @ plus:
+                return False
+    return True
+
+
+def tau_equals_z_check(rep, i) -> bool:
+    """tau_ni(-h_i - i + 1) = z_ni and tau_in(-h_i) = z_in on L(lam)^+."""
+    plus = l_plus_matrix(rep)
+    h = rep.h_matrix(i)
+    ident = SparseMat.identity(rep.dim)
+    lhs = tau_poly(rep, i, "lowering").eval_left(-h + ident.scale(1 - i))
+    if lhs @ plus != lowering_operator(rep, i, "lowering") @ plus:
+        return False
+    lhs = tau_poly(rep, i, "raising").eval_left(-h)
+    return lhs @ plus == lowering_operator(rep, i, "raising") @ plus
+
+
+def kappa_basis(rep):
+    """Vectors built by iterated evaluated C_m operators, one per pattern.
+
+    Each result is asserted to be a nonzero multiple of the corresponding
+    coordinate basis vector.
+    """
+    n = rep.n
+    cpolys = {m: drinfeld_poly(rep, m, "C") for m in range(1, n)}
+    lam_l = [Fraction(rep.lam[i], 2) - i for i in range(n)]
+    evaluated = {}      # (m, arg) -> C_m(arg)
+    out = []
+    for t, p in enumerate(rep.basis):
+        v = vec_unit(rep.dim, rep.highest_index)
+        for k in range(n - 1, 0, -1):
+            for m in range(k, n):
+                l_target = Fraction(p.entry(m, k), 2) - k + 1
+                arg = -lam_l[k - 1]
+                while arg <= -l_target - 1:
+                    if (m, arg) not in evaluated:
+                        evaluated[(m, arg)] = cpolys[m].eval_at(arg)
+                    v = evaluated[(m, arg)].apply(v)
+                    arg += 1
+        assert not vec_is_zero(v), "kappa vector vanished"
+        unit = vec_unit(rep.dim, t)
+        ratio = None
+        for a, b in zip(v, unit):
+            if (a == 0) != (b == 0):
+                raise AssertionError("kappa vector not proportional to basis vector")
+            if b:
+                if ratio is None:
+                    ratio = a / b
+                elif a / b != ratio:
+                    raise AssertionError("kappa vector not proportional to basis vector")
+        out.append(v)
     return out

@@ -8,6 +8,11 @@ import pytest
 
 from gtbases import cli
 from gtbases.exact import commutator
+from gtbases.liealg_bcd import orthogonal_chain, signed_realization
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("called before the cap was checked")
 
 
 def run_capture(capsys, argv):
@@ -81,6 +86,41 @@ class TestExitCodes:
         assert "dimension 8" in err and "cap 5" in err
         code, out, _ = run_capture(capsys, ["--max-dim", "8", "build", "gl", "2,1,0"])
         assert code == 0 and "dim: 8" in out
+
+    @pytest.mark.parametrize("verb", ["build", "verify", "export"])
+    @pytest.mark.parametrize("weight", ["1,0,0,0,0", "0,1,0,0,0", "2,1,0,0,0,0"])
+    def test_gl_rank_cap_is_4(self, capsys, tmp_path, monkeypatch, verb, weight):
+        # refused before any pattern is enumerated, non-dominant weights too
+        monkeypatch.setattr(cli.patterns, "enumerate_patterns", _never)
+        monkeypatch.setattr(cli.gln, "build_irrep", _never)
+        argv = [verb, "gl", weight]
+        if verb == "export":
+            argv += ["--json", str(tmp_path / "out.json")]
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (3, "")
+        assert "rank %d exceeds the cap 4" % len(weight.split(",")) in err
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("argv,dim", [
+        (["verify", "sp", "-4,-6,-8"], 130416),
+        (["verify", "so7", "4,3,2", "--convention", "s4"], 9009),
+        (["build", "so7", "-1,-2,-3"], 1617),
+        (["--max-dim", "13", "build", "sp", "0,-1,-1"], 14),
+        (["--max-dim", "5", "build", "so6", "1,0,0", "--convention", "s4"], 6)])
+    def test_bcd_dimension_cap_before_construction(self, capsys, monkeypatch, argv, dim):
+        monkeypatch.setattr(signed_realization, "build_module", _never)
+        monkeypatch.setattr(orthogonal_chain, "build_module", _never)
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (3, "")
+        cap = int(argv[1]) if argv[0] == "--max-dim" else 600
+        assert "module of dimension %d exceeds the cap %d" % (dim, cap) in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--max-dim", "14", "build", "sp", "0,-1,-1"],
+        ["--max-dim", "6", "build", "so6", "1,0,0", "--convention", "s4"]])
+    def test_bcd_at_the_cap_builds(self, capsys, argv):
+        code, out, _ = run_capture(capsys, argv)
+        assert code == 0 and "dim: %s" % argv[1] in out
 
     def test_verify_all_pass_exit_0(self, capsys):
         code, out, _ = run_capture(capsys, ["verify", "gl", "1,0"])
@@ -194,6 +234,13 @@ EXPORT_SHA256 = {
         "8f76d2582d32479b9dcd43c8cec848ea355231b3d1b33dbc3743fd5f4fc8eef7",
 }
 VERIFY_GL_3210_SHA256 = "3fdfd89a8358659495671ea12fce4b52fac4a357be3781d2e063150a7e11bea2"
+# the reports of weights with repeated entries, whose characteristic identity
+# drops the killed factors; recorded before that check became one product.
+# An all-PASS report lists the same check names, so the digests coincide.
+VERIFY_GL_REPEATED_SHA256 = {
+    "3,1,0,0": "3fdfd89a8358659495671ea12fce4b52fac4a357be3781d2e063150a7e11bea2",
+    "2,2,0,0": "3fdfd89a8358659495671ea12fce4b52fac4a357be3781d2e063150a7e11bea2",
+}
 
 
 class TestContractPins:
@@ -207,6 +254,12 @@ class TestContractPins:
         code, out, _ = run_capture(capsys, ["verify", "gl", "3,2,1,0"])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_GL_3210_SHA256
+
+    @pytest.mark.parametrize("weight", sorted(VERIFY_GL_REPEATED_SHA256))
+    def test_verify_report_repeated_weights(self, capsys, weight):
+        code, out, _ = run_capture(capsys, ["verify", "gl", weight])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_GL_REPEATED_SHA256[weight]
 
 
 def test_runs_from_a_fresh_checkout():

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import gln_reference as ref
-from gtbases import branching, gln
-from gtbases.exact import SparseMat
+from gtbases import branching, cli, gln
+from gtbases.exact import SparseMat, vec_unit
 from gtbases.patterns import enumerate_patterns
 
 
@@ -73,6 +73,32 @@ for _m in (1, 2, 3):
     CHECKS["drinfeld-%d" % _m] = (
         lambda rep, m=_m: gln.drinfeld_checks(rep, m),
         lambda rep, m=_m: ref.drinfeld_checks(rep, m))
+
+
+def _verdict(check):
+    """The verdict of a check that signals failure by AssertionError."""
+    try:
+        return check()
+    except AssertionError:
+        return False
+
+
+def _cli_check(name):
+    return lambda rep: _verdict(dict(cli._gl_verify_checks(rep))[name])
+
+
+CHECKS.update({
+    "capelli-interpolation": (gln.capelli_interpolation_check,
+                              ref.capelli_interpolation_check),
+    "z-relations": (gln.zrelation_checks, ref.zrelation_checks),
+    "tau-equals-z": (
+        lambda rep: all(gln.tau_equals_z_check(rep, i) for i in range(1, rep.n)),
+        lambda rep: all(ref.tau_equals_z_check(rep, i) for i in range(1, rep.n))),
+    "kappa-basis": (_cli_check("kappa-basis"),
+                    lambda rep: _verdict(lambda: len(ref.kappa_basis(rep)) == rep.dim)),
+    "lowering-basis": (_cli_check("lowering-basis"), lambda rep: all(
+        v == vec_unit(rep.dim, t) for t, v in enumerate(ref.basis_via_lowering(rep)))),
+})
 
 INTACT = [(2, d(1, 0)), (3, d(2, 1, 0)), (3, d(1, 1, 0)), (3, (3, 1, -1)), (3, d(2, 2, 2))]
 
@@ -157,6 +183,92 @@ class TestVerdicts:
         monkeypatch.setattr(ref, "_big_e", lambda r: big)
         assert gln.characteristic_identity_check(rep) is want
         assert ref.characteristic_identity_check(rep) is want
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_characteristic_identity_on_random_e(self, data):
+        """The one product of the unkilled factors gets the full reference
+        verdict (product, idempotents, sums, killed summands) on E = Q J Q^-1,
+        with J a Jordan matrix whose eigenvalues are drawn from the alpha_r,
+        killed ones included, and from stray values, and Q an integer
+        unimodular matrix; and on E with random small integer entries."""
+        n = data.draw(st.integers(1, 3), label="n")
+        dim = data.draw(st.integers(1, 2), label="dim")
+        lam = [data.draw(st.integers(-2, 2), label="doubled lowest entry")]
+        for _ in range(n - 1):
+            lam.insert(0, lam[0] + 2 * data.draw(st.integers(0, 1), label="gap"))
+        nd = n * dim
+        alphas = [Fraction(lam[r - 1], 2) + n - r for r in range(1, n + 1)]
+        if data.draw(st.booleans(), label="random entries"):
+            big = SparseMat(nd, nd, {(i, j): data.draw(st.integers(-2, 2))
+                                     for i in range(nd) for j in range(nd)})
+        else:
+            ent = {}
+            i = 0
+            while i < nd:
+                ev = data.draw(st.sampled_from(alphas + [Fraction(-3, 2), Fraction(7)]),
+                               label="eigenvalue")
+                size = data.draw(st.integers(1, min(2, nd - i)), label="Jordan block size")
+                for j in range(i, i + size):
+                    ent[(j, j)] = ev
+                    if j > i:
+                        ent[(j - 1, j)] = 1
+                i += size
+            big = SparseMat(nd, nd, ent)
+            ident = SparseMat.identity(nd)
+            for _ in range(data.draw(st.integers(0, 4), label="conjugations")):
+                a = data.draw(st.integers(0, nd - 1), label="row")
+                b = data.draw(st.integers(0, nd - 1), label="column")
+                if a != b:
+                    step = SparseMat(nd, nd, {(a, b): data.draw(st.integers(-2, 2))})
+                    big = (ident + step) @ big @ (ident - step)
+        rep = SimpleNamespace(n=n, dim=dim, lam=tuple(lam))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gln, "_big_e", lambda r: big)
+            mp.setattr(ref, "_big_e", lambda r: big)
+            want = ref.characteristic_identity_check(rep)
+            assert gln.characteristic_identity_check(rep) is want
+
+
+def _lowering_words(rep):
+    """Per pattern, the z_{ik} (i, k) in the order they act."""
+    return [tuple((i, k) for k in range(rep.n, 1, -1) for i in range(k - 1, 0, -1)
+                  for _ in range((p.entry(k, i) - p.entry(k - 1, i)) // 2))
+            for p in rep.basis]
+
+
+def _kappa_words(rep):
+    """Per pattern, the C_m(arg) (m, arg) in the order they act."""
+    out = []
+    for p in rep.basis:
+        word = []
+        for k in range(rep.n - 1, 0, -1):
+            for m in range(k, rep.n):
+                arg = -(Fraction(rep.lam[k - 1], 2) - k + 1)
+                while arg <= -(Fraction(p.entry(m, k), 2) - k + 1) - 1:
+                    word.append((m, arg))
+                    arg += 1
+        out.append(tuple(word))
+    return out
+
+
+@pytest.mark.parametrize("name,words", [("basis_via_lowering", _lowering_words),
+                                        ("kappa_basis", _kappa_words)])
+@pytest.mark.parametrize("n,lam", INTACT + [(4, d(3, 2, 1, 0)), (4, d(2, 2, 0, 0))])
+def test_one_apply_per_distinct_prefix(monkeypatch, n, lam, name, words):
+    """The word walk gives the per-pattern vectors with one SparseMat.apply
+    per distinct nonempty word prefix."""
+    rep = gln.build_irrep(n, lam)
+    want = getattr(ref, name)(rep)
+    calls = []
+    real = SparseMat.apply
+
+    def spy(self, vec):
+        calls.append(1)
+        return real(self, vec)
+    monkeypatch.setattr(SparseMat, "apply", spy)
+    assert getattr(gln, name)(rep) == want
+    assert len(calls) == len({w[:j] for w in words(rep) for j in range(1, len(w) + 1)})
 
 
 @settings(max_examples=40, deadline=None)
