@@ -194,6 +194,84 @@ def export_dict(kind, data, lam, convention, rep):
     return out
 
 
+# A "p/q" string is written as it stands: encode_basestring_ascii would
+# return it unchanged between quotes.
+_RATIONAL = re.compile(r"-?[0-9]+/[0-9]+")
+_quote = json.encoder.encode_basestring_ascii
+_SCALARS = {True: "true", False: "false", None: "null"}
+
+
+def write_export(payload, fh):
+    """Write payload to fh as the same bytes as json.dump(payload, fh,
+    sort_keys=True, indent=1).
+
+    Only dicts with str keys, lists, ints, bools, None and strs are
+    accepted; anything else, floats included, raises TypeError.  The dicts
+    down to depth 1 are written item by item, so the document is never
+    held whole; each value below them is formatted as one string, a list
+    of [int, int, "p/q"] entries by one template per depth and a list of
+    ints by one join.
+    """
+    _write(payload, fh, 0)
+
+
+def _write(value, fh, depth):
+    if depth < 2 and type(value) is dict and value:
+        ind = "\n" + " " * (depth + 1)
+        fh.write("{")
+        for t, key in enumerate(_sorted_keys(value)):
+            fh.write(("," if t else "") + ind + _quote(key) + ": ")
+            _write(value[key], fh, depth + 1)
+        fh.write("\n" + " " * depth + "}")
+    else:
+        fh.write(_encode(value, depth))
+
+
+def _sorted_keys(dct):
+    for key in dct:
+        if type(key) is not str:
+            raise TypeError("keys must be str, not %s" % type(key).__name__)
+    return sorted(dct)
+
+
+def _is_entry_list(value):
+    for x in value:
+        if not (type(x) is list and len(x) == 3 and type(x[0]) is int
+                and type(x[1]) is int and type(x[2]) is str and _RATIONAL.fullmatch(x[2])):
+            return False
+    return True
+
+
+def _encode(value, depth):
+    """value as json.dumps(value, sort_keys=True, indent=1) writes it, with
+    its first line at the given depth."""
+    t = type(value)
+    if t is str:
+        return '"%s"' % value if _RATIONAL.fullmatch(value) else _quote(value)
+    if t is int:
+        return int.__repr__(value)
+    if t is bool or value is None:
+        return _SCALARS[value]
+    if t is not dict and t is not list:
+        raise TypeError("%s is not a gt-export/1 value" % t.__name__)
+    if not value:
+        return "{}" if t is dict else "[]"
+    close = "\n" + " " * depth
+    ind = close + " "
+    sep = "," + ind
+    if t is dict:
+        body = sep.join(_quote(k) + ": " + _encode(value[k], depth + 1)
+                        for k in _sorted_keys(value))
+    elif all(type(x) is int for x in value):
+        body = sep.join(map(int.__repr__, value))
+    elif _is_entry_list(value):
+        entry = '[{0}%d,{0}%d,{0}"%s"{1}]'.format(ind + " ", ind)
+        body = sep.join([entry % (r, c, v) for r, c, v in value])
+    else:
+        body = sep.join([_encode(x, depth + 1) for x in value])
+    return ("{" if t is dict else "[") + ind + body + close + ("}" if t is dict else "]")
+
+
 def load_export(path):
     """Re-parse an exported JSON file into exact matrices."""
     with open(path) as fh:
@@ -224,7 +302,7 @@ def cmd_build(args, verb="build"):
     if args.json:
         payload = export_dict(kind, data, lam, args.convention, rep)
         with open(args.json, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
+            write_export(payload, fh)
         print("written: %s" % args.json)
     return 0
 
@@ -251,27 +329,46 @@ def _gl_verify_checks(rep):
     yield "characteristic-identity", lambda: gln.characteristic_identity_check(rep)
 
 
+def bcd_commutation_check(rep):
+    """The realized generators satisfy the commutation relations of the
+    realization: [F_ij, F_kl] = realize([F_ij, F_kl]) for all signed index
+    pairs.
+
+    In the realization F_{-j,-i} = -theta_ij F_ij, and F_ij = 0 when
+    (i, j) = (-j, -i) in the B and D cases.  The brackets are therefore
+    compared only over a basis of the algebra, the first nonzero generator
+    of each pair {F_ij, F_{-j,-i}}: both sides are bilinear and realize is
+    linear, so the relations on the basis give all the others.  Each other
+    realized generator must equal -theta_ij times its partner (a zero one
+    must be zero), so that on any module map it implies every relation.
+    """
+    alg = rep.algebra
+    gdef = {(i, j): alg.fdef(i, j) for i in alg.indices for j in alg.indices}
+    basis = []
+    for (i, j), g in gdef.items():
+        if g.is_zero() or (-j, -i) in basis:
+            if rep.F(i, j) != rep.F(-j, -i).scale(-alg.theta(i, j)):
+                return False
+        else:
+            basis.append((i, j))
+    realized = {}       # each distinct bracket is realized once
+    for a, b in enumerate(basis):
+        for c in basis[a:]:
+            rm = commutator(gdef[b], gdef[c])
+            key = (rm.den, tuple(sorted(rm.num.items())))
+            if key not in realized:
+                realized[key] = rep.module.realize(rm)
+            if commutator(rep.F(*b), rep.F(*c)) != realized[key]:
+                return False
+    return True
+
+
 def _bcd_verify_checks(rep):
     from .liealg_bcd import v_plus_mu
     series = rep.algebra.series
     yield "dimension-oracle", lambda: rep.dim == branching.weyl_dim_s3(series, rep.lam)
 
-    def commutation():
-        # both sides change sign when the two pairs swap (realize is
-        # linear), so only the ordered pairs (i, j) <= (k, l) are compared
-        alg = rep.algebra
-        pairs = [(i, j) for i in alg.indices for j in alg.indices]
-        realized = {}       # each distinct bracket is realized once
-        for a, (i, j) in enumerate(pairs):
-            for (k, l) in pairs[a:]:
-                rm = commutator(alg.fdef(i, j), alg.fdef(k, l))
-                key = tuple(sorted(rm.entries.items()))
-                if key not in realized:
-                    realized[key] = rep.module.realize(rm)
-                if commutator(rep.F(i, j), rep.F(k, l)) != realized[key]:
-                    return False
-        return True
-    yield "commutation", commutation
+    yield "commutation", lambda: bcd_commutation_check(rep)
     yield "gt-basis", lambda: gt_basis_checks(rep)
 
     def branching_consistency():

@@ -62,8 +62,9 @@ class ClassicalAlgebra:
             out.append((0, 1))
         elif self.series == "C":
             out.append((-1, 1))
-        else:
+        elif self.n > 1:
             out.append((-2, 1))
+        # o_2 (D, n = 1) is abelian: it has no simple root
         return out
 
     def realization(self) -> Realization:

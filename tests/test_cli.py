@@ -1,14 +1,20 @@
 import hashlib
+import io
+import json
 import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+import bcd_reference
 from gtbases import cli
-from gtbases.exact import commutator
-from gtbases.liealg_bcd import orthogonal_chain, signed_realization
+from gtbases.exact import SparseMat, commutator
+from gtbases.liealg_bcd import build_bcd_irrep, orthogonal_chain, signed_realization
 
 
 def _never(*args, **kwargs):
@@ -232,8 +238,14 @@ EXPORT_SHA256 = {
     ("sp", "-1,-2"): "2ea5e17d4e3091e2cebd15f0d2b1f1267f68ef920e5f97d83cfea089033d66f1",
     ("so5", "1,0", "--convention", "s4"):
         "8f76d2582d32479b9dcd43c8cec848ea355231b3d1b33dbc3743fd5f4fc8eef7",
+    # recorded while json.dump still wrote the exports
+    ("so7", "-1/2,-1/2,-3/2"): "24af67fc5c2403b1dd9af3c501bbb02ba71e1d10c5abba0d855df2d5088bdcb2",
+    ("so6", "0,0,-1"): "f97d846c0c5b59c859c1264b70a391012e27aafc0c56b8774b6f88407b0d9b36",
+    ("sp", "-1,-1,-3"): "7f011ad325ae8cc4d05c5d55e5bb0c5998c5a57d16286c3e4b43f89336d85b7b",
 }
 VERIFY_GL_3210_SHA256 = "3fdfd89a8358659495671ea12fce4b52fac4a357be3781d2e063150a7e11bea2"
+# recorded while the BCD commutation check compared all pairs of generators
+VERIFY_SP_001_SHA256 = "cad3fadfab590cc1168f0dd089fce80b0dd6760ade58fa3886039abf909cbe4b"
 # the reports of weights with repeated entries, whose characteristic identity
 # drops the killed factors; recorded before that check became one product.
 # An all-PASS report lists the same check names, so the digests coincide.
@@ -255,11 +267,154 @@ class TestContractPins:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_GL_3210_SHA256
 
+    def test_verify_report_sp(self, capsys):
+        code, out, _ = run_capture(capsys, ["verify", "sp", "0,0,-1"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SP_001_SHA256
+
     @pytest.mark.parametrize("weight", sorted(VERIFY_GL_REPEATED_SHA256))
     def test_verify_report_repeated_weights(self, capsys, weight):
         code, out, _ = run_capture(capsys, ["verify", "gl", weight])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_GL_REPEATED_SHA256[weight]
+
+
+class TestRankOneD:
+    """o_2 (D, n = 1) has no simple root: its s3 module is one-dimensional,
+    with F_11 acting by lambda_1."""
+
+    @pytest.mark.parametrize("weight", ["0", "-1"])
+    def test_verify(self, capsys, weight):
+        code, out, err = run_capture(capsys, ["verify", "so2", weight])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["dimension-oracle: PASS", "commutation: PASS",
+                                    "gt-basis: PASS", "branching-consistency: PASS"]
+
+    @pytest.mark.parametrize("weight", ["0", "-1"])
+    def test_export(self, tmp_path, capsys, weight):
+        path = tmp_path / "so2.json"
+        code, out, err = run_capture(capsys, ["export", "so2", weight, "--json", str(path)])
+        assert (code, err) == (0, "") and "dim: 1" in out
+        data, mats = cli.load_export(str(path))
+        assert (data["algebra"], data["dim"]) == ("so", 1)
+        lam = int(weight)
+        want = {} if lam == 0 else {"F_1_1": SparseMat(1, 1, {(0, 0): lam}),
+                                    "F_-1_-1": SparseMat(1, 1, {(0, 0): -lam})}
+        assert mats == want
+
+
+# JSON trees of the types gt-export/1 is made of.  The strings include
+# quotes, backslashes, control and non-ASCII characters (a non-ASCII digit
+# among them) and "p/q" look-alikes; the ints go past 2**64.
+_INTS = st.one_of(st.integers(-300, 300), st.integers(2 ** 64, 2 ** 70),
+                  st.integers(-2 ** 70, -2 ** 64))
+_RATIONALS = st.from_regex(r"-?[0-9]{1,4}/[0-9]{1,4}", fullmatch=True)
+_STRINGS = st.one_of(
+    st.text(max_size=8), _RATIONALS,
+    st.sampled_from(["1/2x", "x1/2", "1/2\n", "-/2", "1//2", "+1/2", "1/-2", '"1/2"',
+                     "\\", "\x00\x1f\x7f", "\u00e9/1", "\u0663/4", "\U0001f600"]))
+_SCALARS = st.one_of(_INTS, st.booleans(), st.none(), _STRINGS)
+_ENTRIES = st.lists(st.tuples(_INTS, _INTS, _RATIONALS).map(list), max_size=4)
+_TREES = st.recursive(
+    st.one_of(_SCALARS, _ENTRIES),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        # entry lists mixed with other lists and with non-entry triples
+        st.lists(st.one_of(_ENTRIES, kids, st.lists(_SCALARS, min_size=3, max_size=3)),
+                 max_size=4),
+        st.dictionaries(st.text(max_size=5), kids, max_size=4)),
+    max_leaves=24)
+
+
+def _json_dump(tree):
+    fh = io.StringIO()
+    json.dump(tree, fh, sort_keys=True, indent=1)
+    return fh.getvalue()
+
+
+def _write_export(tree):
+    fh = io.StringIO()
+    cli.write_export(tree, fh)
+    return fh.getvalue()
+
+
+class TestWriteExport:
+    @given(_TREES)
+    def test_same_bytes_as_json_dump(self, tree):
+        assert _write_export(tree) == _json_dump(tree)
+
+    @given(st.dictionaries(st.text(max_size=5), _TREES, max_size=4),
+           st.dictionaries(st.text(max_size=5), _ENTRIES, max_size=4))
+    def test_export_shaped_payloads(self, top, gens):
+        payload = dict(top, generators=gens)
+        assert _write_export(payload) == _json_dump(payload)
+
+    @pytest.mark.parametrize("tree", [{}, [], {"a": {}}, {"a": []}, {"a": {"b": []}},
+                                      [[]], [[0, 1, "1/2"], []]])
+    def test_empty_containers(self, tree):
+        assert _write_export(tree) == _json_dump(tree)
+
+    @pytest.mark.parametrize("tree", [
+        1.5, {"a": 0.5}, {"g": {"F": [[0, 0, 0.5]]}}, {"g": {"F": [[0, 1, 2.0]]}},
+        [0, 1, 2.0], (0, 1), {"a": (0, 1)}, {"a": {1, 2}}, Fraction(1, 2),
+        {"a": [Fraction(1, 2)]}, {1: "x"}, {"a": {None: 0}}])
+    def test_other_types_raise(self, tree):
+        with pytest.raises(TypeError):
+            cli.write_export(tree, io.StringIO())
+
+
+# s3 modules of every series with n <= 3: sp_2, half-integer B, o_2 and o_4
+COMMUTATION_CASES = [
+    ("C", (-2,)), ("C", (0, -2)), ("C", (-2, -2)), ("C", (0, 0, -2)),
+    ("B", (-1,)), ("B", (-2,)), ("B", (-1, -1)), ("B", (0, -2)), ("B", (-1, -1, -1)),
+    ("D", (0,)), ("D", (-2,)), ("D", (0, -2)), ("D", (-2, -2)), ("D", (0, 0, -2)),
+]
+
+
+def _partner_split(rep):
+    """(a basis generator, a generator checked against its partner)."""
+    alg = rep.algebra
+    first = alg.indices[0]
+    return (first, first), (-first, -first)
+
+
+def _corrupt(rep, key):
+    alg = rep.algebra
+    for i in alg.indices:
+        for j in alg.indices:
+            rep.F(i, j)
+    # a projector onto the highest vector does not commute with the lowerings
+    bump = SparseMat(rep.dim, rep.dim, {(0, 0): 1})
+    rep.module._fmat[key] = rep.module._fmat[key] + bump
+
+
+class TestBcdCommutation:
+    @pytest.mark.parametrize("series,lam", COMMUTATION_CASES)
+    def test_same_verdict_as_all_pairs(self, series, lam):
+        rep = build_bcd_irrep(series, lam)
+        assert cli.bcd_commutation_check(rep) is True
+        assert bcd_reference.commutation_all_pairs(rep) is True
+
+    @pytest.mark.parametrize("series,lam", [c for c in COMMUTATION_CASES if len(c[1]) > 1])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_corrupted_generator_fails_both(self, series, lam, which):
+        rep = build_bcd_irrep(series, lam)
+        _corrupt(rep, _partner_split(rep)[which])
+        assert cli.bcd_commutation_check(rep) is False
+        assert bcd_reference.commutation_all_pairs(rep) is False
+
+    def test_fdef_once_per_pair(self, monkeypatch):
+        rep = build_bcd_irrep("C", (0, 0, -2))
+        alg = rep.algebra
+        calls = Counter()
+        fdef = alg.fdef
+
+        def spy(i, j):
+            calls[(i, j)] += 1
+            return fdef(i, j)
+        monkeypatch.setattr(alg, "fdef", spy)
+        assert cli.bcd_commutation_check(rep)
+        assert calls == Counter((i, j) for i in alg.indices for j in alg.indices)
 
 
 def test_runs_from_a_fresh_checkout():
