@@ -132,8 +132,9 @@ def cmd_patterns(args):
     lam = parse_weight(args.weight)
     kind, data = parse_algebra(args.algebra, len(lam), args.convention, args.series)
     fam = _family(kind, data, args.convention)
+    encode = json.JSONEncoder(sort_keys=True).encode     # json.dumps makes one per call
     for p in patterns.enumerate_patterns(fam, lam):
-        print(json.dumps(patterns.to_json(p), sort_keys=True))
+        print(encode(patterns.to_json(p)))
     return 0
 
 

@@ -367,6 +367,28 @@ def vec_is_zero(u):
     return all(x == 0 for x in u)
 
 
+def apply_words(start, words, operator):
+    """The vectors w(start) for the words w, walked as a trie.
+
+    A word is a sequence of hashable letters, the first acting first, and
+    operator(letter) is the function a letter applies to a vector.  Each
+    distinct prefix is applied once, and operator is called once per
+    distinct letter."""
+    ops = {}
+    root = {}       # letter -> (vector of the prefix ending here, subtrie)
+    out = []
+    for word in words:
+        v, node = start, root
+        for letter in word:
+            if letter not in node:
+                if letter not in ops:
+                    ops[letter] = operator(letter)
+                node[letter] = (ops[letter](v), {})
+            v, node = node[letter]
+        out.append(v)
+    return out
+
+
 # -- exact elimination -------------------------------------------------------
 
 def rref(rows):

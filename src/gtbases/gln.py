@@ -12,8 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, prod
 
-from .exact import (OpPoly, SparseMat, commutator, entry_strings, kron, nullspace,
-                    spoly_from_roots, vec_is_zero, vec_unit)
+from .exact import (OpPoly, SparseMat, apply_words, commutator, entry_strings, kron,
+                    nullspace, spoly_from_roots, vec_is_zero, vec_unit)
 from .patterns import GTPatternA, enumerate_patterns, weight
 from . import patterns as _patterns
 
@@ -215,7 +215,7 @@ def lowering_operator(rep: GlnIrrep, i, kind="lowering", m=None) -> SparseMat:
         raise ValueError("kind must be 'lowering' or 'raising'")
     d = rep.dim
     ident = SparseMat.identity(d)
-    hs = {j: rep.h_matrix(j) for j in range(1, m + 1)}
+    diffs = {j: rep.h_matrix(i) - rep.h_matrix(j) for j in pool}
     total = SparseMat.zero(d, d)
     for chain in _subsets_desc(pool):
         mono = ident
@@ -223,11 +223,12 @@ def lowering_operator(rep: GlnIrrep, i, kind="lowering", m=None) -> SparseMat:
         for t in chain[::step] + (m,):
             mono = mono @ rep.gen(*(prev, t)[::step])
             prev = t
-        diag = ident
-        for j in pool:
-            if j not in chain:
-                diag = diag @ (hs[i] - hs[j])
-        total = total + mono @ diag
+        # the Cartan factor as one diagonal: the products of the numerators of
+        # the diagonal matrices h_i - h_j, over the product of their denominators
+        cut = [diffs[j] for j in pool if j not in chain]
+        vals = [prod(f.num.get((r, r), 0) for f in cut) for r in range(d)]
+        total = total + mono @ SparseMat.from_num(
+            d, d, {(r, r): v for r, v in enumerate(vals) if v}, prod(f.den for f in cut))
     rep._lowering[key] = total
     return total
 
@@ -242,33 +243,9 @@ def basis_via_lowering(rep: GlnIrrep):
             for i in range(k - 1, 0, -1):
                 word += [(i, k)] * ((p.entry(k, i) - p.entry(k - 1, i)) // 2)
         words.append(word)
-    return _apply_words(rep, words,
-                        lambda letter: lowering_operator(rep, letter[0], "lowering", m=letter[1]))
-
-
-def _apply_words(rep, words, operator):
-    """The vectors w xi for the words w, with xi the highest vector.
-
-    A word is a sequence of letters, the first acting first, and
-    operator(letter) is the matrix of a letter.  The words are walked as a
-    trie, so words that share a prefix share its vector: each distinct
-    prefix is applied once, and each letter's matrix is made once."""
-    ops = {}
-    root = {}       # letter -> (vector of the prefix ending here, subtrie)
-    xi = vec_unit(rep.dim, rep.highest_index)
-    out = []
-    for word in words:
-        v, node = xi, root
-        for letter in word:
-            hit = node.get(letter)
-            if hit is None:
-                op = ops.get(letter)
-                if op is None:
-                    op = ops[letter] = operator(letter)
-                hit = node[letter] = (op.apply(v), {})
-            v, node = hit
-        out.append(v)
-    return out
+    return apply_words(vec_unit(rep.dim, rep.highest_index), words,
+                       lambda letter: lowering_operator(rep, letter[0], "lowering",
+                                                        m=letter[1]).apply)
 
 
 def l_plus_indices(rep: GlnIrrep):
@@ -603,8 +580,8 @@ def kappa_basis(rep: GlnIrrep):
             for m in range(k, n):
                 word += [(m, start + 2 * j) for j in range((rep.lam[k - 1] - p.entry(m, k)) // 2)]
         words.append(word)
-    out = _apply_words(rep, words,
-                       lambda letter: cpolys[letter[0]].eval_at(Fraction(letter[1], 2)))
+    out = apply_words(vec_unit(rep.dim, rep.highest_index), words,
+                      lambda letter: cpolys[letter[0]].eval_at(Fraction(letter[1], 2)).apply)
     for t, v in enumerate(out):
         assert any(v), "kappa vector vanished"
         if not v[t] or any(v[:t]) or any(v[t + 1:]):

@@ -12,8 +12,9 @@ operators and leaves spans and orthogonality untouched).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
-from ..exact import SparseMat, commutator, rank, vec_add, vec_scale
+from ..exact import SparseMat, apply_words, commutator, vec_add, vec_scale, vec_unit
 from .. import branching as _branching
 from .. import patterns as _patterns
 from .construction import DeskScaleError, Realization, build_module
@@ -277,49 +278,41 @@ def orth_gt_basis(chain: OrthogonalChain):
     """
     pats = _patterns.enumerate_patterns(chain.family, chain.lam)
     n = chain.n
-    out = []
+    s1, s0 = chain.s_prime, chain.s_plain      # a letter (s, k, i) applies s(k, i, .)
+    words = []
     for p in pats:
-        v = tuple(Fraction(1) if t == 0 else Fraction(0) for t in range(chain.dim))
+        word = []
         if chain.family == "B4":
             for k in range(n, 1, -1):
                 for i in range(k, 0, -1):
-                    e = (p.lam[k - 1][i - 1] - p.lamp[k - 1][i - 1]) // 2
-                    for _ in range(e):
-                        v = chain.s_prime(k, i, v)
+                    word += [(s1, k, i)] * ((p.lam[k - 1][i - 1] - p.lamp[k - 1][i - 1]) // 2)
                 for i in range(k - 1, 0, -1):
-                    e = (p.lamp[k - 1][i - 1] - p.lam[k - 2][i - 1]) // 2
-                    for _ in range(e):
-                        v = chain.s_plain(k, i, v)
-            e = (p.lam[0][0] - p.lamp[0][0]) // 2
-            for _ in range(e):
-                v = chain.s_prime(1, 1, v)
+                    word += [(s0, k, i)] * ((p.lamp[k - 1][i - 1] - p.lam[k - 2][i - 1]) // 2)
+            word += [(s1, 1, 1)] * ((p.lam[0][0] - p.lamp[0][0]) // 2)
         else:
             for k in range(n - 1, 0, -1):
                 for i in range(k, 0, -1):
-                    e = (p.lam[k][i - 1] - p.lamp[k - 1][i - 1]) // 2
-                    for _ in range(e):
-                        v = chain.s_plain(k + 1, i, v)
+                    word += [(s0, k + 1, i)] * ((p.lam[k][i - 1] - p.lamp[k - 1][i - 1]) // 2)
                 for i in range(k, 0, -1):
-                    e = (p.lamp[k - 1][i - 1] - p.lam[k - 1][i - 1]) // 2
-                    for _ in range(e):
-                        v = chain.s_prime(k, i, v)
-        out.append(v)
-    return pats, out
+                    word += [(s1, k, i)] * ((p.lamp[k - 1][i - 1] - p.lam[k - 1][i - 1]) // 2)
+        words.append(word)
+    return pats, apply_words(vec_unit(chain.dim, 0), words, lambda letter: partial(*letter))
 
 
 def orth_basis_checks(chain: OrthogonalChain) -> bool:
-    """Count, independence and pairwise orthogonality with positive norms."""
+    """Count, pairwise orthogonality and positive norms.  Independence
+    follows: the form is symmetric, so pairing sum_a c_a v_a = 0 with v_b
+    leaves c_b <v_b, v_b> = 0.  The form pairs distinct weights to 0, so
+    only pairs of vectors that meet a common weight block are summed."""
     pats, vecs = orth_gt_basis(chain)
     if len(vecs) != chain.dim:
         return False
-    if rank(SparseMat.from_columns(vecs, chain.dim)) != chain.dim:
-        return False
-    for a in range(len(vecs)):
-        for b in range(a, len(vecs)):
-            val = chain.module.inner(vecs[a], vecs[b])
-            if a == b:
-                if val <= 0:
-                    return False
-            elif val != 0:
+    slices = chain.module.weight_slices().values()
+    blocks = [{off for off, size in slices if any(v[off:off + size])} for v in vecs]
+    for a, u in enumerate(vecs):
+        if chain.module.inner(u, u) <= 0:
+            return False
+        for b in range(a + 1, len(vecs)):
+            if not blocks[a].isdisjoint(blocks[b]) and chain.module.inner(u, vecs[b]):
                 return False
     return True

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..exact import (OpPoly, SpanSolver, SparseMat, nullspace, rank,
+from ..exact import (OpPoly, SpanSolver, SparseMat, apply_words, nullspace, rank,
                      spoly_from_roots, vec_add, vec_scale, vec_unit, vec_zero)
 from .. import patterns as _patterns
 from .. import branching as _branching
@@ -155,15 +155,11 @@ def _apply_inv_diag(vals, vec):
     return tuple(out)
 
 
-def _f_diag(rep: BCDIrrep, i, shift=0):
-    """Componentwise values of f_i + shift over the module basis."""
+def _f_diag(rep: BCDIrrep, i):
+    """Componentwise values of f_i over the module basis."""
     if i not in rep._fdiag:
-        alg = rep.algebra
-        rep._fdiag[i] = [alg.f_values(w)[i] for w in rep.module.weights]
-    base = rep._fdiag[i]
-    if shift == 0:
-        return base
-    return [x + shift for x in base]
+        rep._fdiag[i] = [rep.algebra.f_values(w)[i] for w in rep.module.weights]
+    return rep._fdiag[i]
 
 
 def _chain_indices(rank_k, series, i):
@@ -443,8 +439,8 @@ def _halves(x):
     return Fraction(x, 2)
 
 
-def _level_word(rep: BCDIrrep, v, k, top, prime, below, sigma=0):
-    """Apply the level-k factor of a GT basis vector to v.
+def _level_word(rep: BCDIrrep, k, top, prime, below, sigma=0):
+    """The letters (see _letter) of the level-k factor of a GT basis vector.
 
     top, prime and below are the doubled rows lambda_k, lambda'_k and
     lambda_{k-1} (for D, prime is lambda'_{k-1}, of length k-1).  The
@@ -460,17 +456,27 @@ def _level_word(rep: BCDIrrep, v, k, top, prime, below, sigma=0):
     else:
         stop = _halves(prime[-1]) + alg.rho(k) + Fraction(1, 2) - 1
     arg = _halves(top[-1]) + alg.rho(k) + Fraction(1, 2)
+    word = []
     while arg <= stop:
-        v = apply_z_interp(rep, arg, v, rank_k=k)
+        word.append(("Z", k, arg))
         arg += 1
     for i in range(k - 1, 0, -1):
-        for _ in range((prime[i - 1] - top[i - 1]) // 2):
-            v = apply_z(rep, i, -k, v, rank_k=k)
-        for _ in range((prime[i - 1] - below[i - 1]) // 2):
-            v = apply_z_ai(rep, k, i, v, rank_k=k)
+        word += [("z", k, i)] * ((prime[i - 1] - top[i - 1]) // 2)
+        word += [("zk", k, i)] * ((prime[i - 1] - below[i - 1]) // 2)
     if sigma:
-        v = apply_z_ai(rep, k, 0, v, rank_k=k)
-    return v
+        word.append(("zk", k, 0))
+    return word
+
+
+def _letter(rep: BCDIrrep, letter):
+    """The function a letter applies: ("Z", k, u0) is Z_{k,-k}(u0), ("z", k, i)
+    is z_{i,-k} and ("zk", k, i) is z_{ki}, all of the rank-k subalgebra."""
+    kind, k, x = letter
+    if kind == "Z":
+        return lambda v: apply_z_interp(rep, x, v, rank_k=k)
+    if kind == "z":
+        return lambda v: apply_z(rep, x, -k, v, rank_k=k)
+    return lambda v: apply_z_ai(rep, k, x, v, rank_k=k)
 
 
 def multiplicity_basis(rep: BCDIrrep, mu):
@@ -483,10 +489,11 @@ def multiplicity_basis(rep: BCDIrrep, mu):
     alg = rep.algebra
     mu = tuple(mu)
     spec = _branching.branch_BCD(alg.series, rep.lam, mu)
-    vecs = []
+    words = []
     for tup in spec.data:
         sigma, nu = (tup[0], tup[1:]) if alg.series == "B" else (0, tup)
-        vecs.append(_level_word(rep, rep.highest_vector, alg.n, rep.lam, nu, mu, sigma))
+        words.append(_level_word(rep, alg.n, rep.lam, nu, mu, sigma))
+    vecs = apply_words(rep.highest_vector, words, lambda letter: _letter(rep, letter))
     if vecs:
         mat = SparseMat.from_columns(vecs, rep.dim)
         assert rank(mat) == len(vecs), "multiplicity vectors are dependent"
@@ -499,19 +506,19 @@ def gt_basis_bcd(rep: BCDIrrep):
     alg = rep.algebra
     n = alg.n
     pats = _patterns.enumerate_patterns(_SERIES_FAMILY[alg.series], rep.lam)
-    out = []
+    words = []
     for p in pats:
-        v = rep.highest_vector
+        word = []
         if alg.series == "D":
             for k in range(n, 1, -1):
-                v = _level_word(rep, v, k, p.lam[k - 1], p.lamp[k - 2], p.lam[k - 2])
+                word += _level_word(rep, k, p.lam[k - 1], p.lamp[k - 2], p.lam[k - 2])
         else:
             # at k = 1 the below row is never read
             for k in range(n, 0, -1):
                 sigma = p.sigma[k - 1] if alg.series == "B" else 0
-                v = _level_word(rep, v, k, p.lam[k - 1], p.lamp[k - 1], p.lam[k - 2], sigma)
-        out.append(v)
-    return pats, out
+                word += _level_word(rep, k, p.lam[k - 1], p.lamp[k - 1], p.lam[k - 2], sigma)
+        words.append(word)
+    return pats, apply_words(rep.highest_vector, words, lambda letter: _letter(rep, letter))
 
 
 def gt_basis_checks(rep: BCDIrrep) -> bool:

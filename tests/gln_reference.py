@@ -12,7 +12,8 @@ commutation relations over all ordered pairs of generators, the
 squared norms and eigenvalues as ``Fraction`` products, the lowering-word
 and kappa bases applied pattern by pattern from the highest vector, and
 the L(lam)^+ relations as full dim x dim products restricted to L^+
-afterwards.
+afterwards, and the lowering operators with their Cartan factors as
+products of diagonal matrices.
 
 The reference checks use the column-ordered expansion alone, so that they
 return a verdict (rather than fail on the equality of the two expansions)
@@ -24,8 +25,8 @@ from itertools import permutations
 
 from gtbases.exact import (OpPoly, SparseMat, commutator, factorial,
                            spoly_from_roots, vec_is_zero, vec_unit)
-from gtbases.gln import (_big_e, _entry_poly, capelli_det, l_plus_matrix,
-                         lowering_operator, tau_poly)
+from gtbases.gln import (_big_e, _entry_poly, _subsets_desc, capelli_det,
+                         l_plus_matrix, lowering_operator, tau_poly)
 from gtbases.patterns import validate, weight
 
 
@@ -386,3 +387,28 @@ def kappa_basis(rep):
                     raise AssertionError("kappa vector not proportional to basis vector")
         out.append(v)
     return out
+
+
+def lowering_operator_by_products(rep, i, kind, m):
+    """z_{mi} or z_{im}, each Cartan factor h_i - h_j multiplied in as a
+    matrix, starting from the identity."""
+    if kind == "raising":
+        pool, step = list(range(1, i)), 1
+    else:
+        pool, step = list(range(i + 1, m)), -1
+    d = rep.dim
+    ident = SparseMat.identity(d)
+    hs = {j: rep.h_matrix(j) for j in range(1, m + 1)}
+    total = SparseMat.zero(d, d)
+    for chain in _subsets_desc(pool):
+        mono = ident
+        prev = i
+        for t in chain[::step] + (m,):
+            mono = mono @ rep.gen(*(prev, t)[::step])
+            prev = t
+        diag = ident
+        for j in pool:
+            if j not in chain:
+                diag = diag @ (hs[i] - hs[j])
+        total = total + mono @ diag
+    return total

@@ -1,0 +1,91 @@
+"""The o_N/sp_2n GT bases and the orthogonal-basis check against their
+direct forms in bcd_reference: the words walked as one trie against every
+pattern's word applied from the highest vector, and the check by weight
+block without a rank test against the rank test plus every pair, on the
+bases themselves and on perturbed copies of them."""
+
+import pytest
+
+import bcd_reference as ref
+from gtbases import branching
+from gtbases.liealg_bcd import (OrthogonalChain, build_bcd_irrep, gt_basis_bcd,
+                                multiplicity_basis, orth_basis_checks, orth_gt_basis,
+                                orthogonal_chain)
+
+
+@pytest.mark.parametrize("series,lam", [
+    ("B", (-1, -3)), ("B", (-1, -1, -1)), ("B", (-2, -2, -2)), ("B", (0, 0, -2)),
+    ("C", (-2, -4)), ("C", (0, -2, -4)), ("C", (-2, -2, -2)),
+    ("D", (2, -2)), ("D", (2, -2, -4)), ("D", (0, -2, -2)), ("D", (-2, -2, -4)),
+])
+def test_signed_bases_match_per_pattern_words(series, lam):
+    rep = build_bcd_irrep(series, lam)
+    assert gt_basis_bcd(rep) == ref.gt_basis_bcd(rep)
+    for mu, _ in branching.branch_children_BCD(series, lam):
+        assert multiplicity_basis(rep, mu) == ref.multiplicity_basis(rep, mu)
+
+
+CHAINS = [(3, (2,)), (4, (2, 2)), (4, (4, -2)), (5, (2, 2)), (5, (3, 1)),
+          (6, (2, 2, 2)), (6, (2, 2, -2)), (6, (4, 2, 0)), (7, (1, 1, 1)), (7, (2, 2, 2))]
+
+
+@pytest.mark.parametrize("N,lam", CHAINS)
+def test_orth_basis_matches_per_pattern_words(N, lam):
+    chain = OrthogonalChain(N, lam)
+    assert orth_gt_basis(chain) == ref.orth_gt_basis(chain)
+
+
+def _zeroed(vecs, a):
+    return vecs[:a] + [tuple(0 * x for x in vecs[a])] + vecs[a + 1:]
+
+
+def _negated(vecs, a):
+    return vecs[:a] + [tuple(-x for x in vecs[a])] + vecs[a + 1:]
+
+
+def _sum_of_two(vecs, a):
+    b, c = (a + 1) % len(vecs), (a + 2) % len(vecs)
+    return vecs[:a] + [tuple(x + y for x, y in zip(vecs[b], vecs[c]))] + vecs[a + 1:]
+
+
+@pytest.mark.parametrize("perturb", [None, _zeroed, _negated, _sum_of_two])
+@pytest.mark.parametrize("N,lam", [(3, (2,)), (4, (4, -2)), (5, (2, 2)), (6, (2, 2, 2)),
+                                   (7, (1, 1, 1))])
+def test_orth_verdicts_match_rank_and_all_pairs(monkeypatch, N, lam, perturb):
+    """Equal verdicts on the basis and on copies with one vector zeroed,
+    negated, or replaced by the sum of two others (of the same or of
+    different weights), at every position."""
+    chain = OrthogonalChain(N, lam)
+    pats, vecs = orth_gt_basis(chain)
+    positions = [None] if perturb is None else range(len(vecs))
+    for a in positions:
+        got = vecs if a is None else perturb(list(vecs), a)
+        monkeypatch.setattr(orthogonal_chain, "orth_gt_basis", lambda ch: (pats, got))
+        want = ref.orth_basis_checks(chain)
+        assert orth_basis_checks(chain) is want
+        assert want is (perturb in (None, _negated))
+
+
+def test_orth_short_basis_fails(monkeypatch):
+    chain = OrthogonalChain(5, (2, 2))
+    pats, vecs = orth_gt_basis(chain)
+    monkeypatch.setattr(orthogonal_chain, "orth_gt_basis", lambda ch: (pats, vecs[1:]))
+    assert orth_basis_checks(chain) is ref.orth_basis_checks(chain) is False
+
+
+def test_orth_basis_makes_one_lowering_per_vector(monkeypatch):
+    """o_7 (4,2,0): every pattern's word extends another pattern's word by
+    one factor, so the walk makes dim - 1 s'/s applications (the
+    per-pattern loop makes 315)."""
+    calls = []
+    for name in ("s_prime", "s_plain"):
+        real = getattr(OrthogonalChain, name)
+
+        def spy(self, k, i, vec, real=real):
+            calls.append((k, i))
+            return real(self, k, i, vec)
+        monkeypatch.setattr(OrthogonalChain, name, spy)
+    chain = OrthogonalChain(7, (4, 2, 0))
+    pats, vecs = orth_gt_basis(chain)
+    assert len(vecs) == chain.dim == 105
+    assert len(calls) == chain.dim - 1

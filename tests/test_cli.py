@@ -254,6 +254,13 @@ VERIFY_GL_REPEATED_SHA256 = {
     "2,2,0,0": "3fdfd89a8358659495671ea12fce4b52fac4a357be3781d2e063150a7e11bea2",
 }
 
+# sha256 of the stdout of `gt patterns`, one JSON object a line, recorded
+# while each line was encoded by its own json.dumps call
+PATTERNS_SHA256 = {
+    ("so7", "-1,-3,-3"): "3d4d3cd644f615cf23572d22834fe73ca7a804db74d3749a5e44adf5f56ff2d2",
+    ("sp", "-1,-1,-3"): "9f6093968fe00c49b4bedc9acc9887d5347fb0d72880be61da701d1ae1efb301",
+}
+
 
 class TestContractPins:
     @pytest.mark.parametrize("args", sorted(EXPORT_SHA256))
@@ -271,6 +278,12 @@ class TestContractPins:
         code, out, _ = run_capture(capsys, ["verify", "sp", "0,0,-1"])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SP_001_SHA256
+
+    @pytest.mark.parametrize("args", sorted(PATTERNS_SHA256))
+    def test_patterns_stdout(self, capsys, args):
+        code, out, _ = run_capture(capsys, ["patterns", *args])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PATTERNS_SHA256[args]
 
     @pytest.mark.parametrize("weight", sorted(VERIFY_GL_REPEATED_SHA256))
     def test_verify_report_repeated_weights(self, capsys, weight):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import exact_reference as ref
-from gtbases.exact import (OpPoly, SpanSolver, SparseMat, entry_strings, factorial,
+from gtbases.exact import (OpPoly, SpanSolver, SparseMat, apply_words, entry_strings, factorial,
                            kron, nullspace, op_poly_eval_left, rank, rref,
                            solve_in_span)
 from rref_reference import rref_nullspace, rref_rank, rref_solve_in_span
@@ -458,3 +458,24 @@ class TestIntegerCoreMatchesReference:
         a = a.scale(data.draw(RAT))
         assert entry_strings(a) == [[r, c, "%d/%d" % (v.numerator, v.denominator)]
                                     for (r, c), v in sorted(a.entries.items())]
+
+
+class TestApplyWords:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from("abcd"), max_size=5), max_size=12))
+    def test_trie_walk(self, words):
+        """Each word's vector, one operator call per distinct letter and one
+        application per distinct nonempty prefix."""
+        made, applied = [], []
+
+        def operator(letter):
+            made.append(letter)
+
+            def act(v):
+                applied.append(v + (letter,))
+                return v + (letter,)
+            return act
+        assert apply_words((), words, operator) == [tuple(w) for w in words]
+        assert sorted(made) == sorted({x for w in words for x in w})
+        assert sorted(applied) == sorted({tuple(w[:j]) for w in words
+                                          for j in range(1, len(w) + 1)})

@@ -382,6 +382,19 @@ BASIS_PINS = [
 ]
 
 
+# sha256 of the orth_gt_basis vectors, recorded while every pattern's word
+# was still applied from the highest vector; (N, doubled lam, dim, digest)
+ORTH_BASIS_PINS = [
+    (4, (2, 2), 3, "0b871a74b41cb55bf1cab147c6b7f3231dceed9cd0328642d3a7c3b28e2d6304"),
+    (5, (2, 2), 10, "efaf7c296cf408e6231025efb044321fec36285f98ba2220c7aeea011b2a7800"),
+    (6, (2, 2, 2), 10, "adb6ea96f89cdaf3f96c30cc257bba3f4dc19745a17e88a7505798bf61e926e8"),
+    (6, (4, 2, 0), 64, "3c2f6bf15ee3061af4de286660bc3be1129f9509f97812e8eb4f6d4293450209"),
+    (7, (1, 1, 1), 8, "77b0f980842f8cc0a395cb135da4489385f6bb153bc78f7c8f0057594982d6d2"),
+    (7, (2, 2, 2), 35, "916227de840f2a30485bc87dfe18db86c56dfa07624e1871b7a4ce122b20443b"),
+    (7, (4, 2, 0), 105, "d7ae561e6be5d808edac3044e56f30f9ff29b98c7bfb82bbc6131695474ee7d3"),
+]
+
+
 def _sha(x):
     return hashlib.sha256(repr(x).encode()).hexdigest()
 
@@ -394,6 +407,13 @@ def test_bases_are_pinned(series, lam, dim, gt_digest, mult_digest):
     mult = [(mu, multiplicity_basis(rep, mu))
             for mu, _ in branching.branch_children_BCD(series, lam)]
     assert _sha(mult) == mult_digest
+
+
+@pytest.mark.parametrize("N,lam,dim,digest", ORTH_BASIS_PINS)
+def test_orth_bases_are_pinned(N, lam, dim, digest):
+    chain = OrthogonalChain(N, lam)
+    assert chain.dim == dim
+    assert _sha(orth_gt_basis(chain)[1]) == digest
 
 
 def _z_nminus_reference(rep, vec, k):
