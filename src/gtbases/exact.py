@@ -367,15 +367,18 @@ def vec_is_zero(u):
     return all(x == 0 for x in u)
 
 
-def apply_words(start, words, operator):
+def apply_words(start, words, operator, root=None):
     """The vectors w(start) for the words w, walked as a trie.
 
     A word is a sequence of hashable letters, the first acting first, and
     operator(letter) is the function a letter applies to a vector.  Each
     distinct prefix is applied once, and operator is called once per
-    distinct letter."""
+    distinct letter.  root, if given, is the trie of earlier walks from the
+    same start with the same operator; the walk extends it in place, so the
+    prefixes they applied are not applied again."""
     ops = {}
-    root = {}       # letter -> (vector of the prefix ending here, subtrie)
+    if root is None:
+        root = {}   # letter -> (vector of the prefix ending here, subtrie)
     out = []
     for word in words:
         v, node = start, root

@@ -9,11 +9,13 @@ Each weight space is spanned by simple lowerings of the spaces one level
 up; the contravariant form is computed recursively and the space is cut to
 the rank of its Gram matrix (the kernel of the form is exactly the maximal
 submodule of the Verma module, so the quotient is the irreducible module).
-A weight lam - sum_s k_s alpha_s is keyed internally by its integer root
-coordinates k.  The raising action on the candidates is read off the
-nonzeros of the stored e and f columns, and since the Gram block is
-symmetric only its entries on and above the diagonal are summed.  One
-``SpanSolver`` pass over the Gram columns picks the basis, expands every
+The loop runs on int numerators: a weight lam - sum_s k_s alpha_s is keyed
+by its root coordinates k and sorted by its ints over one denominator, each
+stored e/f column and each raising of a candidate is (den, ints), and each
+Gram block is int rows over one denominator; ``Fraction``s are made only for
+``weights``, ``blocks`` and the e/f matrices.  The Gram block is symmetric,
+so only its entries on and above the diagonal are summed.  One
+``SpanSolver`` pass over its columns picks the basis, expands every
 lowering in it (from the reduction that finds the column dependent) and
 checks that the form is positive semidefinite: each independent column
 must pivot on its own diagonal entry, with a positive value.  Blocks are
@@ -25,12 +27,11 @@ generators under commutators.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 
-from ..exact import SpanSolver, SparseMat, commutator
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from ..exact import SpanSolver, SparseMat, _combine, commutator
 
 
 class DeskScaleError(RuntimeError):
@@ -113,13 +114,11 @@ class HWModule:
         return total
 
     def gram_matrix(self) -> SparseMat:
-        ent = {}
-        for w, (off, size, gram) in self.blocks.items():
-            for a in range(size):
-                for b in range(size):
-                    if gram[a][b]:
-                        ent[(off + a, off + b)] = gram[a][b]
-        return SparseMat(self.dim, self.dim, ent)
+        ent = {(off + a, off + b): v for off, size, gram in self.blocks.values()
+               for a, row in enumerate(gram) for b, v in enumerate(row) if v}
+        den = math.lcm(*(v.denominator for v in ent.values()))
+        return SparseMat.from_num(self.dim, self.dim, {
+            k: v.numerator * (den // v.denominator) for k, v in ent.items()}, den)
 
     # -- realized generators -------------------------------------------------
 
@@ -139,11 +138,9 @@ class HWModule:
         solver = SpanSolver([], n * n)
 
         def accept(rm):
-            v = _flat(rm, n)
-            if solver.spans(v):
-                return False
-            solver.add(v)
-            return True
+            # one reduction; a dependent rm gets no column
+            res, k, steps = solver._reduce(_flat(rm, n))
+            return bool(res) and solver._append(res, k, steps)
 
         for c in real.cartan:
             rm = real.fdef(c, c)
@@ -204,9 +201,10 @@ def build_module(real: Realization, lam, max_dim=600) -> HWModule:
     h_real = [commutator(e_real[s], f_real[s]) for s in range(nsimple)]
     alphas = [real.root_of(e_real[s]) for s in range(nsimple)]
     # a weight lam - sum_t k_t alpha_t is keyed by its root coordinates k;
-    # h_s takes the value h_lam[s] - sum_t k_t h_alpha[s][t] on it
-    h_lam = [real.weight_pairing(h, lam) for h in h_real]
-    h_alpha = [[real.weight_pairing(h, a) for a in alphas] for h in h_real]
+    # h_s takes the value h[s][0] - sum_t k_t h[s][1 + t] on it (weights are
+    # ints over wden, values of h_s ints over hden)
+    wden, (lam_n, *alpha_n) = _over_lcm([lam] + alphas)
+    hden, h = _over_lcm([[real.weight_pairing(x, w) for w in [lam] + alphas] for x in h_real])
     unit = [tuple(int(t == s) for t in range(nsimple)) for s in range(nsimple)]
 
     def down(k, s):
@@ -216,10 +214,10 @@ def build_module(real: Realization, lam, max_dim=600) -> HWModule:
         return tuple(x - y for x, y in zip(k, unit[s]))
 
     top = (0,) * nsimple
-    index = {top: (0, 1, [[Fraction(1)]])}      # k -> (offset, size, gram)
-    blocks = {lam: index[top]}                  # weight -> (offset, size, gram)
+    index = {top: (0, 1, 1, [[1]])}             # k -> (offset, size, gram den, gram)
+    blocks = {lam: (0, 1, [[Fraction(1)]])}     # weight -> (offset, size, gram rows)
     weights = [lam]
-    # simple index -> global column -> [(global row, value)]
+    # simple index -> global column -> (den, [(global row, int)])
     e_cols = [{} for _ in range(nsimple)]
     f_cols = [{} for _ in range(nsimple)]
 
@@ -230,49 +228,62 @@ def build_module(real: Realization, lam, max_dim=600) -> HWModule:
         for k in current:
             for s in range(nsimple):
                 cand.setdefault(down(k, s), set()).add(s)
-        cand_weight = {kd: tuple(x - sum(kt * a[i] for kt, a in zip(kd, alphas))
-                                 for i, x in enumerate(lam)) for kd in cand}
+        cand_weight = {kd: tuple(x - sum(kt * a[i] for kt, a in zip(kd, alpha_n))
+                                 for i, x in enumerate(lam_n)) for kd in cand}
         next_level = []
         for kd in sorted(cand, key=cand_weight.get, reverse=True):
             cands = []          # (s, t, up block, global index of b_t): f_s b_t
-            h_val = {}          # s -> value of h_s on the weight of f_s's source
+            h_val = {}          # s -> h_s on the weight of f_s's source
             for s in sorted(cand[kd]):
                 ku = up(kd, s)
                 if ku in index:
-                    ou, nu, _ = index[ku]
+                    ou, nu = index[ku][:2]
                     cands.extend((s, t, ku, ou + t) for t in range(nu))
-                    h_val[s] = h_lam[s] - sum(x * a for x, a in zip(ku, h_alpha[s]))
+                    h_val[s] = h[s][0] - sum(map(mul, ku, h[s][1:]))
             if not cands:
                 continue
             # raising action on candidates, e_j f_s b_t = f_s e_j b_t (+ h_s b_t
-            # if s == j), over the nonzeros of the stored e and f columns
+            # if s == j), over the nonzeros of the stored e and f columns, as
+            # (den, ints)
             raises = {}
             for j in range(nsimple):
                 kj = up(kd, j)
                 if kj not in index:
                     continue
-                oj, nj, _ = index[kj]
+                oj, nj = index[kj][:2]
                 cols = []
                 for (s, t, _, g) in cands:
-                    col = [_ZERO] * nj
-                    if s == j:
-                        col[t] = h_val[s]
+                    de, ecol = e_cols[j].get(g, (1, ()))
                     fs = f_cols[s]
-                    for r, cval in e_cols[j].get(g, ()):
-                        for q, fval in fs[r]:
-                            col[q - oj] += cval * fval
-                    cols.append(col)
+                    den = de * math.lcm(*(fs[r][0] for r, _ in ecol))
+                    col = [0] * nj
+                    if s == j:
+                        den = math.lcm(den, hden)
+                        col[t] = h_val[s] * (den // hden)
+                    for r, cval in ecol:
+                        fd, fcol = fs[r]
+                        c = cval * (den // (de * fd))
+                        for q, fval in fcol:
+                            col[q - oj] += c * fval
+                    cols.append((den, col))
                 raises[j] = cols
             # Gram of candidates via <f_s b, c> = <b, e_s c>; it is symmetric,
-            # so the entries with b >= a are summed and mirrored
+            # so the entries with b >= a are summed, each as an int over its
+            # own denominator, and mirrored in L * gram
             m = len(cands)
-            gram = [[None] * m for _ in range(m)]
+            sums = []
             for a, (s, t, ku, _) in enumerate(cands):
-                gup = index[ku][2][t]
+                _, _, gden, grows = index[ku]
+                gup = grows[t]
                 cols = raises[s]
                 for b in range(a, m):
-                    gram[a][b] = gram[b][a] = sum(
-                        (x * y for x, y in zip(gup, cols[b]) if y), _ZERO)
+                    den, col = cols[b]
+                    sums.append((a, b, sum(map(mul, gup, col)), gden * den))
+            L = math.lcm(*(den for _, _, v, den in sums if v))
+            gram = [[0] * m for _ in range(m)]
+            for a, b, v, den in sums:
+                if v:
+                    gram[a][b] = gram[b][a] = v * (L // den)
             chosen, expansions = _gram_basis(gram)
             if not chosen:
                 continue
@@ -280,56 +291,73 @@ def build_module(real: Realization, lam, max_dim=600) -> HWModule:
             off, size = len(weights), len(chosen)
             if off + size > max_dim:
                 raise DeskScaleError("module dimension exceeds the cap %d" % max_dim)
-            wd = cand_weight[kd]
-            index[kd] = blocks[wd] = (off, size, [[gram[a][b] for b in chosen] for a in chosen])
+            sub = [[gram[a][b] for b in chosen] for a in chosen]
+            g = math.gcd(L, *(v for row in sub for v in row))
+            sub = [[v // g for v in row] for row in sub]
+            wd = tuple(Fraction(x, wden) for x in cand_weight[kd])
+            index[kd] = (off, size, L // g, sub)
+            blocks[wd] = (off, size, [[Fraction(v, L // g) for v in row] for row in sub])
             weights.extend([wd] * size)
             for j, cols in raises.items():
                 oj = index[up(kd, j)][0]
                 for c, b in enumerate(chosen):
-                    e_cols[j][off + c] = [(oj + r, v) for r, v in enumerate(cols[b]) if v]
-            for (s, _, _, g), x in zip(cands, expansions):
-                f_cols[s][g] = [(off + q, v) for q, v in enumerate(x) if v]
+                    e_cols[j][off + c] = _column(*cols[b], oj)
+            for (s, _, _, g), (den, x) in zip(cands, expansions):
+                f_cols[s][g] = _column(den, x, off)
             next_level.append(kd)
         current = next_level
 
     dim = len(weights)
 
     def assemble(cols):
-        return SparseMat(dim, dim, {(r, c): v for c, col in cols.items() for r, v in col})
+        den = math.lcm(*(d for d, _ in cols.values()))
+        return SparseMat.from_num(dim, dim, {(r, c): v * (den // d)
+                                             for c, (d, col) in cols.items() for r, v in col}, den)
 
     return HWModule(real, lam, weights, blocks,
                     [assemble(c) for c in e_cols], [assemble(c) for c in f_cols])
+
+
+def _over_lcm(vectors):
+    """(den, int vectors): the Fraction vectors times den, the lcm of their
+    denominators."""
+    den = math.lcm(*(x.denominator for v in vectors for x in v))
+    return den, [[x.numerator * (den // x.denominator) for x in v] for v in vectors]
+
+
+def _column(den, vals, off):
+    """(den, [(off + q, v)]) over the nonzero v of the int column vals / den,
+    in lowest terms."""
+    g = math.gcd(den, *vals)
+    return den // g, [(off + q, v // g) for q, v in enumerate(vals) if v]
 
 
 def _gram_basis(gram):
     """Basis and expansions of a positive semidefinite Gram block.
 
     The columns go in order through one SpanSolver: the independent ones
-    are the chosen basis, and expansions[b] writes column b over them (a
-    unit vector for a chosen column), from the reduction that found column
-    b dependent.  In a symmetric matrix the residual of column j vanishes
-    on every earlier row, so the form is positive semidefinite exactly when
-    each independent column pivots at its own row with a positive value;
-    any other pivot raises ArithmeticError.
+    are the chosen basis, and expansions[b] = (den, ints) writes column b
+    over them, coefficients ints / den (a unit vector for a chosen column),
+    from the reduction that found column b dependent.  In a symmetric
+    matrix the residual of column j vanishes on every earlier row, so the
+    form is positive semidefinite exactly when each independent column
+    pivots at its own row with a positive value; any other pivot raises
+    ArithmeticError.  A positive multiple of gram gives the same result.
     """
     solver = SpanSolver([], len(gram))
-    chosen = []
-    coeffs = []
+    chosen, found = [], []
     for j, col in enumerate(gram):          # symmetric: row j is column j
-        x = solver._add_or_solve(col)
-        if x is None:
+        res, k, steps = solver._reduce(col)
+        if solver._append(res, k, steps):
             p, v = solver.last_pivot
             if p != j or v < 0:
                 raise ArithmeticError("contravariant form is not positive semidefinite")
             chosen.append(j)
-        coeffs.append(x)
-    expansions = []
-    for b, x in enumerate(coeffs):
-        if x is None:
-            expansions.append([_ONE if c == b else _ZERO for c in chosen])
+            found.append(({j: 1}, 1))
         else:
-            expansions.append([x[c] if c < b else _ZERO for c in chosen])
-    return chosen, expansions
+            acc, den = _combine(steps)
+            found.append((acc, den * k))
+    return chosen, [(den, [acc.get(c, 0) for c in chosen]) for acc, den in found]
 
 
 def _flat(m: SparseMat, n):

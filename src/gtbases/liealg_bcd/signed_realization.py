@@ -93,6 +93,7 @@ class BCDIrrep:
         self.dim = module.dim
         self._vplus = None
         self._fdiag = {}
+        self._words = {}        # trie of the lowering words walked so far
 
     def F(self, i, j) -> SparseMat:
         return self.module.F(i, j)
@@ -479,6 +480,14 @@ def _letter(rep: BCDIrrep, letter):
     return lambda v: apply_z_ai(rep, k, x, v, rank_k=k)
 
 
+def _walk(rep: BCDIrrep, words):
+    """The vectors of the words from the highest vector, on the module's
+    trie: a multiplicity word is the top-level factor of GT basis words, so
+    multiplicity_basis after gt_basis_bcd applies no prefix again."""
+    return apply_words(rep.highest_vector, words, lambda letter: _letter(rep, letter),
+                       rep._words)
+
+
 def multiplicity_basis(rep: BCDIrrep, mu):
     """The vectors xi_nu spanning V(lam)^+_mu: the top-level factor of the
     GT basis vectors, one per branching tuple.
@@ -493,7 +502,7 @@ def multiplicity_basis(rep: BCDIrrep, mu):
     for tup in spec.data:
         sigma, nu = (tup[0], tup[1:]) if alg.series == "B" else (0, tup)
         words.append(_level_word(rep, alg.n, rep.lam, nu, mu, sigma))
-    vecs = apply_words(rep.highest_vector, words, lambda letter: _letter(rep, letter))
+    vecs = _walk(rep, words)
     if vecs:
         mat = SparseMat.from_columns(vecs, rep.dim)
         assert rank(mat) == len(vecs), "multiplicity vectors are dependent"
@@ -518,7 +527,7 @@ def gt_basis_bcd(rep: BCDIrrep):
                 sigma = p.sigma[k - 1] if alg.series == "B" else 0
                 word += _level_word(rep, k, p.lam[k - 1], p.lamp[k - 1], p.lam[k - 2], sigma)
         words.append(word)
-    return pats, apply_words(rep.highest_vector, words, lambda letter: _letter(rep, letter))
+    return pats, _walk(rep, words)
 
 
 def gt_basis_checks(rep: BCDIrrep) -> bool:

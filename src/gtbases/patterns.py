@@ -393,16 +393,28 @@ def _abs_tail(rows):
     return _interlace(r[:-1] + (abs(r[-1]),))
 
 
+def _unchecked(cls, *fields):
+    """cls(*fields) without the row checks of __post_init__, which a plan's
+    rows pass by construction.  Fields are set as the dataclass __init__
+    sets them; writing to __dict__ instead would make each instance's
+    attribute dict larger."""
+    p = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, fields):
+        object.__setattr__(p, name, value)
+    return p
+
+
 def _build_pairs(cls):
     """Pattern from rows chosen as lambda_n, primed, lambda_{n-1}, primed, ..."""
-    return lambda rows: cls(tuple(rows[0::2][::-1]), tuple(rows[1::2][::-1]))
+    return lambda rows: _unchecked(cls, tuple(rows[0::2][::-1]), tuple(rows[1::2][::-1]))
 
 
 # A plan is (steps, build): steps[i] maps the rows chosen so far (top row
-# first) to the candidates for the next one; build makes the pattern.
+# first) to the candidates for the next one; build makes the pattern
+# without re-checking its rows.
 
 def _plan_A(lam):
-    return [_below] * (len(lam) - 1), lambda rows: GTPatternA(tuple(rows))
+    return [_below] * (len(lam) - 1), lambda rows: _unchecked(GTPatternA, tuple(rows))
 
 
 def _plan_B3(lam):
@@ -416,8 +428,8 @@ def _plan_B3(lam):
         return _interlace((cap,) + rows[-2])
 
     def build(rows):
-        return PatternB3(tuple(s for (s,) in rows[1::3][::-1]),
-                         tuple(rows[0::3][::-1]), tuple(rows[2::3][::-1]))
+        return _unchecked(PatternB3, tuple(s for (s,) in rows[1::3][::-1]),
+                          tuple(rows[0::3][::-1]), tuple(rows[2::3][::-1]))
 
     steps = [lambda rows: ((1,), (0,)), primed, _below]
     return (steps * len(lam))[:-1], build

@@ -11,14 +11,21 @@ lowering words of all patterns as one trie (``exact.apply_words``), and
 ``orth_basis_checks`` sums the form only over pairs of vectors that meet a
 common weight block, with no rank test.  The functions below apply every
 pattern's word from the highest vector, and check the rank and every pair.
+``construction.build_module`` runs on int numerators: the raising action,
+the Gram blocks and the weight keys are ints over per-block denominators,
+and ``_gram_basis`` returns each expansion as (den, ints).
+``build_module`` and ``_gram_basis`` below are the ``Fraction`` forms they
+replaced.
+
 The differential tests compare the two forms.
 """
 
 from fractions import Fraction
 
 from gtbases import branching, patterns
-from gtbases.exact import SparseMat, commutator, rank
+from gtbases.exact import SpanSolver, SparseMat, commutator, rank
 from gtbases.liealg_bcd import orthogonal_chain
+from gtbases.liealg_bcd.construction import DeskScaleError, HWModule, Realization
 from gtbases.liealg_bcd.signed_realization import (_SERIES_FAMILY, _halves, apply_z,
                                                     apply_z_ai, apply_z_interp)
 
@@ -147,3 +154,150 @@ def orth_basis_checks(chain):
             elif val != 0:
                 return False
     return True
+
+
+# -- the Fraction construction of highest-weight modules -----------------------
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def build_module(real: Realization, lam, max_dim=600) -> HWModule:
+    """Irreducible highest-weight module with highest weight lam.
+
+    lam is a tuple of Fractions (eigenvalues of F_cc on the highest
+    vector in cartan order).  Raises DeskScaleError beyond max_dim.
+    """
+    lam = tuple(Fraction(x) for x in lam)
+    nsimple = len(real.simples)
+    e_real = [real.fdef(i, j) for i, j in real.simples]
+    f_real = [real.fdef(j, i) for i, j in real.simples]
+    h_real = [commutator(e_real[s], f_real[s]) for s in range(nsimple)]
+    alphas = [real.root_of(e_real[s]) for s in range(nsimple)]
+    # a weight lam - sum_t k_t alpha_t is keyed by its root coordinates k;
+    # h_s takes the value h_lam[s] - sum_t k_t h_alpha[s][t] on it
+    h_lam = [real.weight_pairing(h, lam) for h in h_real]
+    h_alpha = [[real.weight_pairing(h, a) for a in alphas] for h in h_real]
+    unit = [tuple(int(t == s) for t in range(nsimple)) for s in range(nsimple)]
+
+    def down(k, s):
+        return tuple(x + y for x, y in zip(k, unit[s]))
+
+    def up(k, s):
+        return tuple(x - y for x, y in zip(k, unit[s]))
+
+    top = (0,) * nsimple
+    index = {top: (0, 1, [[Fraction(1)]])}      # k -> (offset, size, gram)
+    blocks = {lam: index[top]}                  # weight -> (offset, size, gram)
+    weights = [lam]
+    # simple index -> global column -> [(global row, value)]
+    e_cols = [{} for _ in range(nsimple)]
+    f_cols = [{} for _ in range(nsimple)]
+
+    current = [top]
+    while current:
+        # candidate lower weights, placed in decreasing weight order
+        cand = {}
+        for k in current:
+            for s in range(nsimple):
+                cand.setdefault(down(k, s), set()).add(s)
+        cand_weight = {kd: tuple(x - sum(kt * a[i] for kt, a in zip(kd, alphas))
+                                 for i, x in enumerate(lam)) for kd in cand}
+        next_level = []
+        for kd in sorted(cand, key=cand_weight.get, reverse=True):
+            cands = []          # (s, t, up block, global index of b_t): f_s b_t
+            h_val = {}          # s -> value of h_s on the weight of f_s's source
+            for s in sorted(cand[kd]):
+                ku = up(kd, s)
+                if ku in index:
+                    ou, nu, _ = index[ku]
+                    cands.extend((s, t, ku, ou + t) for t in range(nu))
+                    h_val[s] = h_lam[s] - sum(x * a for x, a in zip(ku, h_alpha[s]))
+            if not cands:
+                continue
+            # raising action on candidates, e_j f_s b_t = f_s e_j b_t (+ h_s b_t
+            # if s == j), over the nonzeros of the stored e and f columns
+            raises = {}
+            for j in range(nsimple):
+                kj = up(kd, j)
+                if kj not in index:
+                    continue
+                oj, nj, _ = index[kj]
+                cols = []
+                for (s, t, _, g) in cands:
+                    col = [_ZERO] * nj
+                    if s == j:
+                        col[t] = h_val[s]
+                    fs = f_cols[s]
+                    for r, cval in e_cols[j].get(g, ()):
+                        for q, fval in fs[r]:
+                            col[q - oj] += cval * fval
+                    cols.append(col)
+                raises[j] = cols
+            # Gram of candidates via <f_s b, c> = <b, e_s c>; it is symmetric,
+            # so the entries with b >= a are summed and mirrored
+            m = len(cands)
+            gram = [[None] * m for _ in range(m)]
+            for a, (s, t, ku, _) in enumerate(cands):
+                gup = index[ku][2][t]
+                cols = raises[s]
+                for b in range(a, m):
+                    gram[a][b] = gram[b][a] = sum(
+                        (x * y for x, y in zip(gup, cols[b]) if y), _ZERO)
+            chosen, expansions = _gram_basis(gram)
+            if not chosen:
+                continue
+            # blocks are accepted in basis order: place this one next
+            off, size = len(weights), len(chosen)
+            if off + size > max_dim:
+                raise DeskScaleError("module dimension exceeds the cap %d" % max_dim)
+            wd = cand_weight[kd]
+            index[kd] = blocks[wd] = (off, size, [[gram[a][b] for b in chosen] for a in chosen])
+            weights.extend([wd] * size)
+            for j, cols in raises.items():
+                oj = index[up(kd, j)][0]
+                for c, b in enumerate(chosen):
+                    e_cols[j][off + c] = [(oj + r, v) for r, v in enumerate(cols[b]) if v]
+            for (s, _, _, g), x in zip(cands, expansions):
+                f_cols[s][g] = [(off + q, v) for q, v in enumerate(x) if v]
+            next_level.append(kd)
+        current = next_level
+
+    dim = len(weights)
+
+    def assemble(cols):
+        return SparseMat(dim, dim, {(r, c): v for c, col in cols.items() for r, v in col})
+
+    return HWModule(real, lam, weights, blocks,
+                    [assemble(c) for c in e_cols], [assemble(c) for c in f_cols])
+
+
+def _gram_basis(gram):
+    """Basis and expansions of a positive semidefinite Gram block.
+
+    The columns go in order through one SpanSolver: the independent ones
+    are the chosen basis, and expansions[b] writes column b over them (a
+    unit vector for a chosen column), from the reduction that found column
+    b dependent.  In a symmetric matrix the residual of column j vanishes
+    on every earlier row, so the form is positive semidefinite exactly when
+    each independent column pivots at its own row with a positive value;
+    any other pivot raises ArithmeticError.
+    """
+    solver = SpanSolver([], len(gram))
+    chosen = []
+    coeffs = []
+    for j, col in enumerate(gram):          # symmetric: row j is column j
+        x = solver._add_or_solve(col)
+        if x is None:
+            p, v = solver.last_pivot
+            if p != j or v < 0:
+                raise ArithmeticError("contravariant form is not positive semidefinite")
+            chosen.append(j)
+        coeffs.append(x)
+    expansions = []
+    for b, x in enumerate(coeffs):
+        if x is None:
+            expansions.append([_ONE if c == b else _ZERO for c in chosen])
+        else:
+            expansions.append([x[c] if c < b else _ZERO for c in chosen])
+    return chosen, expansions

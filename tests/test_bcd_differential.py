@@ -7,10 +7,10 @@ bases themselves and on perturbed copies of them."""
 import pytest
 
 import bcd_reference as ref
-from gtbases import branching
+from gtbases import branching, cli
 from gtbases.liealg_bcd import (OrthogonalChain, build_bcd_irrep, gt_basis_bcd,
                                 multiplicity_basis, orth_basis_checks, orth_gt_basis,
-                                orthogonal_chain)
+                                orthogonal_chain, signed_realization)
 
 
 @pytest.mark.parametrize("series,lam", [
@@ -89,3 +89,30 @@ def test_orth_basis_makes_one_lowering_per_vector(monkeypatch):
     pats, vecs = orth_gt_basis(chain)
     assert len(vecs) == chain.dim == 105
     assert len(calls) == chain.dim - 1
+
+
+def test_verify_applies_each_word_prefix_once(monkeypatch, capsys):
+    """In gt verify sp -1,-2,-2 the gt-basis and fnn-action checks walk
+    their lowering words on one trie per module: each distinct prefix of
+    all the words is applied once."""
+    prefixes, applied, walks = set(), [], []
+    walk, letter = signed_realization.apply_words, signed_realization._letter
+
+    def walk_spy(start, words, *rest):
+        words = [tuple(w) for w in words]
+        walks.append(len(words))
+        prefixes.update(w[:j] for w in words for j in range(1, len(w) + 1))
+        return walk(start, words, *rest)
+
+    def letter_spy(rep, x):
+        act = letter(rep, x)
+
+        def counted(v):
+            applied.append(x)
+            return act(v)
+        return counted
+    monkeypatch.setattr(signed_realization, "apply_words", walk_spy)
+    monkeypatch.setattr(signed_realization, "_letter", letter_spy)
+    assert cli.run(["verify", "sp", "-1,-2,-2"]) == 0
+    assert "gt-basis: PASS" in capsys.readouterr().out
+    assert len(walks) > 1 and len(applied) == len(prefixes)

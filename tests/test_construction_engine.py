@@ -10,7 +10,10 @@ from hypothesis import given, settings, strategies as st
 from gtbases import branching, gln
 from gtbases.exact import SparseMat, commutator
 from gtbases.liealg_bcd import OrthogonalChain, Realization, build_bcd_irrep, build_module
+from gtbases.liealg_bcd import construction
 from gtbases.liealg_bcd.construction import _gram_basis
+from gtbases.liealg_bcd.signed_realization import ClassicalAlgebra
+import bcd_reference
 from rref_reference import _greedy_psd_pivots, rref_solve_in_span
 
 
@@ -119,6 +122,11 @@ def greedy_then_solve(gram):
                     for b in range(len(gram))]
 
 
+def fraction_expansions(expansions):
+    """The (den, ints) expansions of _gram_basis as tuples of Fractions."""
+    return [tuple(Fraction(v, den) for v in x) for den, x in expansions]
+
+
 def gram_of(rows, m):
     """A^T A for the integer matrix A with the given rows of length m."""
     return [[Fraction(sum(r[a] * r[b] for r in rows)) for b in range(m)] for a in range(m)]
@@ -159,7 +167,7 @@ class TestGramBasis:
         chosen, expansions = _gram_basis(gram)
         want_chosen, want_exp = greedy_then_solve(gram)
         assert chosen == want_chosen
-        assert [tuple(x) for x in expansions] == want_exp
+        assert fraction_expansions(expansions) == want_exp
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 5), st.data())
@@ -185,7 +193,7 @@ class TestGramBasis:
                 _gram_basis(gram)
         else:
             chosen, expansions = _gram_basis(gram)
-            assert (chosen, [tuple(x) for x in expansions]) == want
+            assert (chosen, fraction_expansions(expansions)) == want
 
 
 class TestRefusesNonDominant:
@@ -253,3 +261,49 @@ class TestBuildModulePins:
         assert gram == gram.transpose()
         for e, f in zip(mod._e, mod._f):
             assert gram @ f == e.transpose() @ gram
+
+
+def build_outcome(build, real, lam, max_dim):
+    """The module dump, e/f matrices and Gram matrix of build(real, lam,
+    max_dim), or the type and message of what it raised."""
+    try:
+        mod = build(real, lam, max_dim)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return module_dump(mod), mod._e, mod._f, mod.gram_matrix()
+
+
+class TestBuildModuleAgainstFractionReference:
+    """build_module on int numerators against the Fraction build_module it
+    replaced (bcd_reference)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from("BCDA"), st.integers(1, 3), st.data())
+    def test_same_module_or_refusal(self, series, n, data):
+        # doubled entries; B and D may be half-integers (odd), C may not
+        odd = series in "BD" and data.draw(st.booleans())
+        lam = [2 * data.draw(st.integers(-3, 1)) + odd for _ in range(n)]
+        if data.draw(st.booleans()):
+            # dominant: decreasing, then shifted down until the first
+            # condition of the family holds
+            lam.sort(reverse=True)
+            while series != "A" and (lam[0] > 0 if series != "D" or n == 1
+                                     else lam[0] + lam[1] > 0):
+                lam = [x - 2 for x in lam]
+        real = gl_realization(n) if series == "A" else ClassicalAlgebra(series, n).realization()
+        lam = [Fraction(x, 2) for x in lam]
+        max_dim = data.draw(st.sampled_from([600, 1, 5, 20, 60]))
+        got = build_outcome(build_module, real, lam, max_dim)
+        want = build_outcome(bcd_reference.build_module, real, lam, max_dim)
+        assert got == want
+
+    @pytest.mark.parametrize("name", sorted(PINNED_MODULES))
+    def test_gram_blocks_reach_gram_basis_as_ints(self, monkeypatch, name):
+        seen = []
+
+        def spy(gram):
+            seen.append(gram)
+            return _gram_basis(gram)
+        monkeypatch.setattr(construction, "_gram_basis", spy)
+        PINNED_MODULES[name][0]()
+        assert seen and all(type(v) is int for gram in seen for row in gram for v in row)

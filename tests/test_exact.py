@@ -479,3 +479,22 @@ class TestApplyWords:
         assert sorted(made) == sorted({x for w in words for x in w})
         assert sorted(applied) == sorted({tuple(w[:j]) for w in words
                                           for j in range(1, len(w) + 1)})
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(st.lists(st.sampled_from("abc"), max_size=4), max_size=6),
+                    max_size=3))
+    def test_shared_root(self, batches):
+        """Walks that share a root apply each distinct prefix of all their
+        words once, and each returns its own words' vectors."""
+        applied = []
+
+        def operator(letter):
+            def act(v):
+                applied.append(v + (letter,))
+                return v + (letter,)
+            return act
+        root = {}
+        for words in batches:
+            assert apply_words((), words, operator, root) == [tuple(w) for w in words]
+        assert sorted(applied) == sorted({tuple(w[:j]) for words in batches for w in words
+                                          for j in range(1, len(w) + 1)})

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import pytest
@@ -269,7 +270,9 @@ DOMINANT_SHIFT = {
 def test_enumerated_patterns_all_valid(family, parts, odd):
     """Every enumerated pattern passes validate, for small dominant weights
     of every family, half-integer ones (odd doubled entries) included
-    except for C3, whose weights are integers."""
+    except for C3, whose weights are integers.  enumerate_patterns builds
+    them without the row checks; each also passes the public constructor
+    (dataclasses.replace runs it) and equals its rebuilt copy."""
     if family == "C3":
         odd = 0
     lam = tuple(sorted((2 * x + odd for x in parts), reverse=True))
@@ -278,3 +281,5 @@ def test_enumerated_patterns_all_valid(family, parts, odd):
         lam = tuple(x + step for x in lam)
     for p in enumerate_patterns(family, lam):
         assert validate(p)
+        copy = dataclasses.replace(p)
+        assert copy == p and hash(copy) == hash(p)
