@@ -44,6 +44,8 @@ class OrthogonalChain:
         real = self._realization()
         self.module = build_module(real, [Fraction(x, 2) for x in lam], max_dim)
         self.dim = self.module.dim
+        self._low = {}          # (kind, k, i) -> first factor of s'/s, pi_i acting first
+        self._p_data = {}       # (M, i, j) -> the data of the factor p_alpha
 
     # -- realization ---------------------------------------------------------
 
@@ -122,33 +124,32 @@ class OrthogonalChain:
             return [Fraction(2 * (r - j) + 1, 2) for j in range(1, r + 1)]
         return [Fraction(r - j) for j in range(1, r + 1)]
 
-    def _apply_p_factor(self, M, e_pair, vec):
-        """Apply one factor p_alpha of the level-M extremal projector.
-
-        e_pair = (A_mod, A_real, B_mod, B_real) with A the raising and B
-        the lowering realization of the root; scales are normalized via
-        t = alpha([A, B]).
+    def _p_factor(self, M, i, j, vec):
+        """Apply the factor p_alpha of the level-M extremal projector for the
+        root alpha of the raising F_ij and the lowering F_ji, with scales
+        normalized via t = alpha([A, B]) for their realizations A and B.
+        The operators, t and the Cartan values are formed once per (M, i, j).
         """
-        a_mod, a_real, b_mod, b_real = e_pair
-        h_real = commutator(a_real, b_real)
-        # alpha(h) via the adjoint action on the raising vector
-        br = commutator(h_real, a_real)
-        key, v0 = next(iter(a_real.entries.items()))
-        t = br.get(*key) / v0
-        assert br == a_real.scale(t) and t != 0
-        rho = self._rho_sub(M)
-        r = M // 2
-        # h_alpha + rho(h_alpha) with h_alpha = (2/t) h, valued on the
-        # weight of the INPUT components (the Cartan fraction acts first)
-        coeffs = [h_real.get(j - 1, j - 1) for j in range(1, r + 1)]
-        rho_h = sum((c * rho[j] for j, c in enumerate(coeffs)), Fraction(0))
-        base = []
-        for w in self.module.weights:
-            val = sum((c * w[j] for j, c in enumerate(coeffs)), Fraction(0)) + rho_h
-            base.append(val * 2 / t)
-        out = vec
-        probe = vec
-        divided = vec
+        key = (M, i, j)
+        if key not in self._p_data:
+            a_mod, a_real = self.f_level(M, i, j)
+            b_mod, b_real = self.f_level(M, j, i)
+            h_real = commutator(a_real, b_real)
+            # alpha(h) via the adjoint action on the raising vector
+            br = commutator(h_real, a_real)
+            k0, v0 = next(iter(a_real.entries.items()))
+            t = br.get(*k0) / v0
+            assert br == a_real.scale(t) and t != 0
+            rho = self._rho_sub(M)
+            # h_alpha + rho(h_alpha) with h_alpha = (2/t) h, valued on the
+            # weight of the INPUT components (the Cartan fraction acts first)
+            coeffs = [h_real.get(c, c) for c in range(M // 2)]
+            rho_h = sum(c * x for c, x in zip(coeffs, rho))
+            base = [(sum(c * x for c, x in zip(coeffs, w)) + rho_h) * 2 / t
+                    for w in self.module.weights]
+            self._p_data[key] = (a_mod, b_mod, t, base)
+        a_mod, b_mod, t, base = self._p_data[key]
+        out = probe = divided = vec
         k = 0
         factor = Fraction(1)
         while True:
@@ -183,9 +184,9 @@ class OrthogonalChain:
         for m in range(1, k + 1):
             if m == i:
                 continue
-            vec = self._p_factor_pair(Msub, i, self._prime(Msub, m), vec)
+            vec = self._p_factor(Msub, i, self._prime(Msub, m), vec)
         for j in range(k, i, -1):
-            vec = self._p_factor_pair(Msub, i, j, vec)
+            vec = self._p_factor(Msub, i, j, vec)
         return vec
 
     def _p_chain_D(self, M, i, vec):
@@ -195,24 +196,16 @@ class OrthogonalChain:
         for m in range(1, k):
             if m == i:
                 continue
-            vec = self._p_factor_pair(Msub, i, self._prime(Msub, m), vec)
-        # the short root factor p_i
-        mid = (Msub + 1) // 2
-        a_mod, a_real = self.f_level(Msub, i, mid)
-        b_mod, b_real = self.f_level(Msub, mid, i)
-        vec = self._apply_p_factor(Msub, (a_mod, a_real, b_mod, b_real), vec)
+            vec = self._p_factor(Msub, i, self._prime(Msub, m), vec)
+        # the short root factor p_i, through the middle index
+        vec = self._p_factor(Msub, i, (Msub + 1) // 2, vec)
         for j in range(k - 1, i, -1):
-            vec = self._p_factor_pair(Msub, i, j, vec)
+            vec = self._p_factor(Msub, i, j, vec)
         return vec
 
     @staticmethod
     def _prime(M, j):
         return M + 1 - j
-
-    def _p_factor_pair(self, M, i, j, vec):
-        a_mod, a_real = self.f_level(M, i, j)
-        b_mod, b_real = self.f_level(M, j, i)
-        return self._apply_p_factor(M, (a_mod, a_real, b_mod, b_real), vec)
 
     # -- the normalized lowering operators -------------------------------------
 
@@ -221,47 +214,46 @@ class OrthogonalChain:
         M = 2 * k + 1
         if M > self.N:
             raise ValueError("level %d exceeds N" % M)
-        # pi_i: product of f_{ij} over j = i+1..k and primed j (skip i')
-        vals = [Fraction(0)] * self.dim
-        for t, w in enumerate(self.module.weights):
-            total = Fraction(1)
-            fi = self.cartan_value(M, i, w)
-            for j in range(i + 1, k + 1):
-                total *= fi - self.cartan_value(M, j, w) + (j - i)
-            for m in range(k, 0, -1):
-                if m == i:
-                    continue
-                total *= fi + self.cartan_value(M, m, w) + 2 * k - i - m
-            vals[t] = total
-        vec = tuple(v * x if x else x for v, x in zip(vals, vec))
-        mid = k + 1
-        comp_mod, _ = self.f_level(M, mid, i)
-        vec = comp_mod.apply(vec)
-        return self._p_chain_B(M, i, vec)
+        key = ("s'", k, i)
+        if key not in self._low:
+            # pi_i: product of f_{ij} over j = i+1..k and primed j (skip i')
+            vals = []
+            for w in self.module.weights:
+                total = Fraction(1)
+                fi = self.cartan_value(M, i, w)
+                for j in range(i + 1, k + 1):
+                    total *= fi - self.cartan_value(M, j, w) + (j - i)
+                for m in range(k, 0, -1):
+                    if m == i:
+                        continue
+                    total *= fi + self.cartan_value(M, m, w) + 2 * k - i - m
+                vals.append(total)
+            self._low[key] = self.f_level(M, k + 1, i)[0] @ SparseMat.diag(vals)
+        return self._p_chain_B(M, i, self._low[key].apply(vec))
 
     def s_plain(self, k, i, vec):
         """s_{ki}: lowering for o_{2k} down to o_{2k-1} (1 <= i <= k-1)."""
         M = 2 * k
         if M > self.N:
             raise ValueError("level %d exceeds N" % M)
-        vals = [Fraction(0)] * self.dim
-        for t, w in enumerate(self.module.weights):
-            fi = self.cartan_value(M, i, w)
-            total = Fraction(1)
-            for j in range(i + 1, k):
-                total *= fi - self.cartan_value(M, j, w) + (j - i)
-            f_short = 2 * (fi + k - i)
-            total *= f_short * (f_short + 1)
-            for m in range(k - 1, 0, -1):
-                if m == i:
-                    continue
-                total *= fi + self.cartan_value(M, m, w) + 2 * k - 1 - i - m
-            vals[t] = total
-        vec = tuple(v * x if x else x for v, x in zip(vals, vec))
-        a_mod, _ = self.f_level(M, k, i)
-        b_mod, _ = self.f_level(M, self._prime(M, k), i)
-        vec = (a_mod + b_mod).apply(vec)
-        return self._p_chain_D(M, i, vec)
+        key = ("s", k, i)
+        if key not in self._low:
+            vals = []
+            for w in self.module.weights:
+                fi = self.cartan_value(M, i, w)
+                total = Fraction(1)
+                for j in range(i + 1, k):
+                    total *= fi - self.cartan_value(M, j, w) + (j - i)
+                f_short = 2 * (fi + k - i)
+                total *= f_short * (f_short + 1)
+                for m in range(k - 1, 0, -1):
+                    if m == i:
+                        continue
+                    total *= fi + self.cartan_value(M, m, w) + 2 * k - 1 - i - m
+                vals.append(total)
+            gen = self.f_level(M, k, i)[0] + self.f_level(M, self._prime(M, k), i)[0]
+            self._low[key] = gen @ SparseMat.diag(vals)
+        return self._p_chain_D(M, i, self._low[key].apply(vec))
 
 
 def orth_gt_basis(chain: OrthogonalChain):

@@ -10,6 +10,7 @@ boundaries.  All weights entering or leaving this module are doubled ints.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 
 from ..exact import (OpPoly, SpanSolver, SparseMat, apply_words, nullspace, rank,
                      spoly_from_roots, vec_add, vec_scale, vec_unit, vec_zero)
@@ -18,6 +19,8 @@ from .. import branching as _branching
 from .construction import DeskScaleError, HWModule, Realization, build_module
 
 _SERIES_FAMILY = {"B": "B3", "C": "C3", "D": "D3"}
+_ZERO = Fraction(0)
+_HALF = Fraction(1, 2)
 
 
 class ClassicalAlgebra:
@@ -92,7 +95,10 @@ class BCDIrrep:
         self.module = module
         self.dim = module.dim
         self._vplus = None
+        self._vsolver = None    # the SpanSolver of the _vplus vectors
         self._fdiag = {}
+        self._nodes = {}        # k -> the interpolation nodes of _interp_nodes
+        self._chains = {}       # (i, a, k, pool) -> the chain sum of _chain_sum
         self._words = {}        # trie of the lowering words walked so far
 
     def F(self, i, j) -> SparseMat:
@@ -140,10 +146,6 @@ def build_bcd_irrep(series_or_algebra, lam, max_dim=600, max_rank=3) -> BCDIrrep
 # raising/lowering operators z_ia and the z_{n,-n} element
 # ---------------------------------------------------------------------------
 
-def _apply_diag(vals, vec):
-    return tuple(v * x if x else x for v, x in zip(vals, vec))
-
-
 def _apply_inv_diag(vals, vec):
     out = []
     for v, x in zip(vals, vec):
@@ -182,27 +184,58 @@ def _chain_monomial(rep: BCDIrrep, i, a, chain) -> SparseMat:
     return rep.F(prev, a) if mono is None else mono @ rep.F(prev, a)
 
 
+def _chain_sum(rep: BCDIrrep, i, a, k, pool):
+    """The function applying the sum over the chains i > i_1 > ... > i_s > -k
+    of F_{i i_1} ... F_{i_s a} times a Cartan factor acting first: the
+    product of (f_i - f_j) over j in pool but not in the chain, over the
+    product of (f_i - f_t) over t in the chain but not in pool.  The sum is
+    formed once per module and key, as int numerators over one denominator.
+    The function raises ZeroDivisionError exactly when its vector meets a
+    column where, for a chain with a nonzero monomial, a denominator
+    vanishes under a nonzero numerator."""
+    key = (i, a, k, pool)
+    if key in rep._chains:
+        return rep._chains[key]
+    d = rep.dim
+    series = rep.algebra.series
+    fi = _f_diag(rep, i)
+    # 2 (f_i - f_j) over the basis, as ints
+    diff = {j: [int(2 * (x - y)) for x, y in zip(fi, _f_diag(rep, j))]
+            for j in range(i - 1, -k, -1) if j or series == "B"}
+    terms = []
+    bad = set()
+    for chain in _chain_indices(k, series, i):
+        mono = _chain_monomial(rep, i, a, chain)
+        if mono.is_zero():
+            continue
+        ups = [j for j in pool if j not in chain]
+        downs = [t for t in chain if t not in pool]
+        up = [prod(xs) for xs in zip([1] * d, *(diff[j] for j in ups))]
+        down = [prod(xs) for xs in zip([1] * d, *(diff[t] for t in downs))]
+        bad.update(c for c in range(d) if up[c] and not down[c])
+        # the factor at column c is up[c] 2^|downs| / (down[c] 2^|ups|)
+        lcd = lcm(*(x for x in down if x))
+        num = [u * (lcd // x) << len(downs) if x else 0 for u, x in zip(up, down)]
+        terms.append((1, SparseMat.from_num(
+            d, d, {(r, c): v * num[c] for (r, c), v in mono.num.items() if num[c]},
+            mono.den * lcd << len(ups))))
+    table = SparseMat.combination(d, d, terms)
+
+    def apply(vec):
+        if any(vec[c] for c in bad):
+            raise ZeroDivisionError("vanishing Cartan denominator")
+        return table.apply(vec)
+    rep._chains[key] = apply
+    return apply
+
+
 def apply_pf(rep: BCDIrrep, i, a, vec, rank_k=None):
     """Apply pF_ia (the extremal-projector image of F_ia) to vec.
 
     The scalar denominators 1/((f_i - f_{i_1})...) act first, evaluated
     componentwise on the input; raises if a needed denominator vanishes."""
-    alg = rep.algebra
-    k = alg.n if rank_k is None else rank_k
-    out = rep.F(i, a).apply(vec)
-    fi = _f_diag(rep, i)
-    for chain in _chain_indices(k, alg.series, i):
-        if not chain:
-            continue
-        mono = _chain_monomial(rep, i, a, chain)
-        if mono.is_zero():
-            continue
-        den = [Fraction(1)] * rep.dim
-        for t in chain:
-            ft = _f_diag(rep, t)
-            den = [d * (x - y) for d, x, y in zip(den, fi, ft)]
-        out = vec_add(out, mono.apply(_apply_inv_diag(den, vec)))
-    return out
+    k = rep.algebra.n if rank_k is None else rank_k
+    return _chain_sum(rep, i, a, k, ())(vec)
 
 
 def apply_z(rep: BCDIrrep, i, a, vec, rank_k=None):
@@ -218,27 +251,9 @@ def apply_z(rep: BCDIrrep, i, a, vec, rank_k=None):
     k = alg.n if rank_k is None else rank_k
     if a not in (k, -k):
         raise ValueError("a must be +-k")
-    fi = _f_diag(rep, i)
-    pi_list = [j for j in range(i - 1, -k, -1)
-               if (j != 0 or alg.series == "B") and not (alg.series == "D" and j == -i)]
-    out = vec_zero(rep.dim)
-    for chain in _chain_indices(k, alg.series, i):
-        mono = _chain_monomial(rep, i, a, chain)
-        if mono.is_zero():
-            continue
-        num = [Fraction(1)] * rep.dim
-        for j in pi_list:
-            if j not in chain:
-                fj = _f_diag(rep, j)
-                num = [p * (x - y) for p, x, y in zip(num, fi, fj)]
-        w = _apply_diag(num, vec)
-        leftover = [t for t in chain if t not in pi_list]
-        for t in leftover:
-            # only the omitted D-case factor can land here
-            ft = _f_diag(rep, t)
-            w = _apply_inv_diag([x - y for x, y in zip(fi, ft)], w)
-        out = vec_add(out, mono.apply(w))
-    return out
+    pi_list = tuple(j for j in range(i - 1, -k, -1)
+                    if (j != 0 or alg.series == "B") and not (alg.series == "D" and j == -i))
+    return _chain_sum(rep, i, a, k, pi_list)(vec)
 
 
 def apply_z_ai(rep: BCDIrrep, a, i, vec, rank_k=None):
@@ -254,23 +269,14 @@ def apply_z_ai(rep: BCDIrrep, a, i, vec, rank_k=None):
 
 def apply_z_nminus(rep: BCDIrrep, vec, rank_k=None):
     """The element z_{k,-k}: chains k > i_1 > ... > i_s > -k with the
-    complementary product of (f_k - f_j) factors (divided by 2 f_k in D)."""
+    complementary product of (f_k - f_j) factors (divided by 2 f_k in D).
+    It is z_ia at i = k, a = -k: there every index of a chain is a factor
+    index, so no chain leaves a denominator."""
     alg = rep.algebra
     k = alg.n if rank_k is None else rank_k
-    pool = [t for t in range(k - 1, -k, -1) if t != 0 or alg.series == "B"]
-    fk = _f_diag(rep, k)
     if alg.series == "D":
-        vec = _apply_inv_diag([2 * x for x in fk], vec)
-    out = vec_zero(rep.dim)
-    for chain in _chain_indices(k, alg.series, k):
-        coeff = [Fraction(1)] * rep.dim
-        for j in pool:
-            if j not in chain:
-                fj = _f_diag(rep, j)
-                coeff = [c * (x - y) for c, x, y in zip(coeff, fk, fj)]
-        mono = _chain_monomial(rep, k, -k, chain)
-        out = vec_add(out, mono.apply(_apply_diag(coeff, vec)))
-    return out
+        vec = _apply_inv_diag([2 * x for x in _f_diag(rep, k)], vec)
+    return apply_z(rep, k, -k, vec, rank_k=k)
 
 
 def apply_znizin(rep: BCDIrrep, i, vec, rank_k=None):
@@ -283,6 +289,21 @@ def apply_znizin(rep: BCDIrrep, i, vec, rank_k=None):
     return apply_z_ai(rep, k, i, w, rank_k=k)
 
 
+def _interp_nodes(rep: BCDIrrep, k):
+    """The nodes of the interpolation form of Z_{k,-k}(u) (i = 1..k for B/C,
+    1..k-1 for D), once per module and k: the squares g_i^2 per node, the
+    node denominators prod_{j != i} (g_i^2 - g_j^2) per component, and the
+    set of components where two nodes collide (g_i^2 = g_j^2)."""
+    if k not in rep._nodes:
+        top = k if rep.algebra.series in ("B", "C") else k - 1
+        sq = [[(x + _HALF) ** 2 for x in _f_diag(rep, i)] for i in range(1, top + 1)]
+        dens = [[prod(x - y for j, y in enumerate(col) if j != i) for i, x in enumerate(col)]
+                for col in zip(*sq)]
+        colliding = frozenset(t for t, ds in enumerate(dens) if not all(ds))
+        rep._nodes[k] = (sq, dens, colliding)
+    return rep._nodes[k]
+
+
 def apply_z_interp(rep: BCDIrrep, u0, vec, rank_k=None):
     """Z_{k,-k}(u0) for a numeric u0.
 
@@ -292,32 +313,19 @@ def apply_z_interp(rep: BCDIrrep, u0, vec, rank_k=None):
     Mickelsson-Zhelobenko generators is used instead (both present the
     same algebra element).
     """
-    alg = rep.algebra
-    k = alg.n if rank_k is None else rank_k
+    k = rep.algebra.n if rank_k is None else rank_k
     u0 = Fraction(u0)
-    top = k if alg.series in ("B", "C") else k - 1
-    gs = {i: [x + Fraction(1, 2) for x in _f_diag(rep, i)] for i in range(1, k + 1)}
-    good = []
-    bad = []
-    for t, x in enumerate(vec):
-        sing = any(gs[i][t] ** 2 == gs[j][t] ** 2
-                   for i in range(1, top + 1) for j in range(i + 1, top + 1))
-        (bad if sing and x else good).append(t)
-    vgood = tuple(x if t in set(good) else Fraction(0) for t, x in enumerate(vec))
+    sq, dens, colliding = _interp_nodes(rep, k)
+    vgood = tuple(_ZERO if t in colliding else x for t, x in enumerate(vec))
     out = vec_zero(rep.dim)
     if any(vgood):
-        for i in range(1, top + 1):
-            coeff = [Fraction(1)] * rep.dim
-            den = [Fraction(1)] * rep.dim
-            for j in range(1, top + 1):
-                if j == i:
-                    continue
-                coeff = [c * (u0 * u0 - gj * gj) for c, gj in zip(coeff, gs[j])]
-                den = [d * (gi * gi - gj * gj) for d, gi, gj in zip(den, gs[i], gs[j])]
-            w = _apply_diag(coeff, _apply_inv_diag(den, vgood))
-            out = vec_add(out, apply_znizin(rep, i, w, rank_k=k))
-    if bad:
-        vbad = tuple(x if t in set(bad) else Fraction(0) for t, x in enumerate(vec))
+        u2 = u0 * u0
+        for i in range(len(sq)):
+            w = tuple(x * prod(u2 - s[t] for j, s in enumerate(sq) if j != i) / dens[t][i]
+                      if x else x for t, x in enumerate(vgood))
+            out = vec_add(out, apply_znizin(rep, i + 1, w, rank_k=k))
+    if any(vec[t] for t in colliding):
+        vbad = tuple(x if t in colliding else _ZERO for t, x in enumerate(vec))
         out = vec_add(out, _apply_zab_point(rep, k, -k, u0, vbad, rank_k=k))
     return out
 
@@ -367,30 +375,38 @@ def v_plus_mu(rep: BCDIrrep, mu):
     return [(w, v) for w, v in v_plus_basis(rep) if w[:len(mu)] == mu]
 
 
+def _matrix_on(solver: SpanSolver, vecs, op, error) -> SparseMat:
+    """Matrix on the basis vecs, factored by solver, of the operator that
+    the function op applies; ArithmeticError(error) if an image leaves
+    their span."""
+    out_cols = []
+    for v in vecs:
+        coeffs = solver.solve(op(v))
+        if coeffs is None:
+            raise ArithmeticError(error)
+        out_cols.append(coeffs)
+    return SparseMat.from_columns(out_cols, len(vecs))
+
+
+def _vplus_solver(rep: BCDIrrep):
+    """The ordered basis vectors of V(lam)^+ and their solver, factored
+    once per module."""
+    vecs = [v for _, v in v_plus_basis(rep)]
+    if rep._vsolver is None:
+        rep._vsolver = SpanSolver(vecs, rep.dim)
+    return rep._vsolver, vecs
+
+
 def lowering_zia(rep: BCDIrrep, i, a) -> SparseMat:
     """Matrix of z_ia on the ordered basis of V(lam)^+."""
-    cols = [v for _, v in v_plus_basis(rep)]
-    solver = SpanSolver(cols, rep.dim)
-    out_cols = []
-    for v in cols:
-        coeffs = solver.solve(apply_z(rep, i, a, v))
-        if coeffs is None:
-            raise ArithmeticError("z_ia image left V(lam)^+")
-        out_cols.append(coeffs)
-    return SparseMat.from_columns(out_cols, len(cols))
+    return _matrix_on(*_vplus_solver(rep), lambda v: apply_z(rep, i, a, v),
+                      "z_ia image left V(lam)^+")
 
 
 def z_interp(rep: BCDIrrep, u0) -> SparseMat:
     """Matrix of Z_{n,-n}(u0) on the ordered basis of V(lam)^+."""
-    cols = [v for _, v in v_plus_basis(rep)]
-    solver = SpanSolver(cols, rep.dim)
-    out_cols = []
-    for v in cols:
-        coeffs = solver.solve(apply_z_interp(rep, u0, v))
-        if coeffs is None:
-            raise ArithmeticError("Z_{n,-n} image left V(lam)^+")
-        out_cols.append(coeffs)
-    return SparseMat.from_columns(out_cols, len(cols))
+    return _matrix_on(*_vplus_solver(rep), lambda v: apply_z_interp(rep, u0, v),
+                      "Z_{n,-n} image left V(lam)^+")
 
 
 def z_interp_poly(rep: BCDIrrep) -> OpPoly:
@@ -603,25 +619,16 @@ def zab_operators(rep: BCDIrrep, mu):
     alg = rep.algebra
     n = alg.n
     tuples, vecs = multiplicity_basis(rep, mu)
-    d = len(vecs)
     out = {}
     solver = SpanSolver(vecs, rep.dim)
-
-    def to_coords(img):
-        coeffs = solver.solve(img)
-        if coeffs is None:
-            raise ArithmeticError("Z_ab image left V^+_mu")
-        return coeffs
-
     # Z_ab(u) has degree at most 2n: interpolate through 2n + 1 points
     pts = [Fraction(2 * t + 1, 2) for t in range(2 * n + 1)]
     interpolate = _lagrange(pts)
     for a in (-n, n):
         for b in (-n, n):
-            mats = [SparseMat.from_columns(
-                        [to_coords(_apply_zab_point(rep, a, b, u0, v)) for v in vecs], d)
-                    for u0 in pts]
-            out[(a, b)] = interpolate(mats)
+            out[(a, b)] = interpolate([_matrix_on(
+                solver, vecs, lambda v: _apply_zab_point(rep, a, b, u0, v),
+                "Z_ab image left V^+_mu") for u0 in pts])
     return tuples, vecs, out
 
 
@@ -632,38 +639,34 @@ def _apply_zab_point(rep: BCDIrrep, a, b, u0, vec, rank_k=None):
     k = alg.n if rank_k is None else rank_k
     u0 = Fraction(u0)
     idx_range = [i for i in range(-k + 1, k) if i != 0 or alg.series == "B"]
-    gs = {i: [x + Fraction(1, 2) for x in _f_diag(rep, i)] for i in idx_range}
+    fs = {i: _f_diag(rep, i) for i in idx_range}
+    # with g_j = f_j + 1/2: u0 + g_j = v + f_j and g_i - g_j = f_i - f_j
+    v = u0 + _HALF
     # F-term: (delta_ab (u0 + rho_k + 1/2) + F_ab) prod_i (u0 + g_i)
     head = rep.F(a, b).apply(vec)
     if a == b:
-        head = vec_add(head, vec_scale(u0 + alg.rho(k) + Fraction(1, 2), vec))
-    prod = [Fraction(1)] * rep.dim
-    for i in idx_range:
-        prod = [p * (u0 + g) for p, g in zip(prod, gs[i])]
-    head = _apply_diag(prod, head)
-    # z-sum
+        head = vec_add(head, vec_scale(v + alg.rho(k), vec))
+    head = tuple(x * prod(v + fs[i][t] for i in idx_range) if x else x
+                 for t, x in enumerate(head))
+    # z-sum: prod_{j != i} (u0 + g_j) / prod_{j != i} (g_i - g_j), in D
+    # without the factor g_i - g_{-i} below
     zsum = vec_zero(rep.dim)
     for i in idx_range:
-        coeff = [Fraction(1)] * rep.dim
-        den = [Fraction(1)] * rep.dim
-        for j in idx_range:
-            if j == i or (alg.series == "D" and j == -i):
-                continue
-            coeff = [c * (u0 + g) for c, g in zip(coeff, gs[j])]
-            den = [dd * (gi - g) for dd, gi, g in zip(den, gs[i], gs[j])]
-        if alg.series == "D":
-            coeff = [c * (u0 + g) for c, g in zip(coeff, gs[-i])]
-        wv = _apply_diag(coeff, _apply_inv_diag(den, vec))
+        others = [j for j in idx_range if j != i]
+        # the denominators on the support of vec alone, where they are read
+        wv = _apply_inv_diag([prod(fs[i][t] - fs[j][t] for j in others
+                                   if alg.series != "D" or j != -i) if x else x
+                              for t, x in enumerate(vec)], vec)
+        wv = tuple(x * prod(v + fs[j][t] for j in others) if x else x
+                   for t, x in enumerate(wv))
         wv = apply_z(rep, i, b, wv, rank_k=k)
         wv = apply_z_ai(rep, a, i, wv, rank_k=k)
         zsum = vec_add(zsum, wv)
     if alg.series == "B":
-        total = vec_add(vec_scale(-1, head), zsum)
-    elif alg.series == "C":
-        total = vec_add(head, vec_scale(-1, zsum))
-    else:
-        if 2 * u0 + 1 == 0:
-            raise ZeroDivisionError("D-case Z_ab cannot be evaluated at -1/2")
-        total = vec_add(head, vec_scale(-1, zsum))
-        total = vec_scale(Fraction(-1) / (2 * u0 + 1), total)
-    return total
+        return vec_add(vec_scale(-1, head), zsum)
+    total = vec_add(head, vec_scale(-1, zsum))
+    if alg.series == "C":
+        return total
+    if 2 * u0 + 1 == 0:
+        raise ZeroDivisionError("D-case Z_ab cannot be evaluated at -1/2")
+    return vec_scale(Fraction(-1) / (2 * u0 + 1), total)

@@ -16,6 +16,9 @@ the Gram blocks and the weight keys are ints over per-block denominators,
 and ``_gram_basis`` returns each expansion as (den, ints).
 ``build_module`` and ``_gram_basis`` below are the ``Fraction`` forms they
 replaced.
+``signed_realization`` forms each chain sum behind ``apply_pf``, ``apply_z``
+and ``apply_z_nminus`` once per module as one operator.  The functions of
+the same names below sum the chains for every vector they are applied to.
 
 The differential tests compare the two forms.
 """
@@ -23,11 +26,12 @@ The differential tests compare the two forms.
 from fractions import Fraction
 
 from gtbases import branching, patterns
-from gtbases.exact import SpanSolver, SparseMat, commutator, rank
-from gtbases.liealg_bcd import orthogonal_chain
+from gtbases.exact import SpanSolver, SparseMat, commutator, rank, vec_add, vec_zero
+from gtbases.liealg_bcd import orthogonal_chain, signed_realization as sr
 from gtbases.liealg_bcd.construction import DeskScaleError, HWModule, Realization
-from gtbases.liealg_bcd.signed_realization import (_SERIES_FAMILY, _halves, apply_z,
-                                                    apply_z_ai, apply_z_interp)
+from gtbases.liealg_bcd.signed_realization import (_SERIES_FAMILY, BCDIrrep, _apply_inv_diag,
+                                                    _chain_indices, _chain_monomial, _f_diag,
+                                                    _halves)
 
 
 def commutation_all_pairs(rep):
@@ -58,15 +62,15 @@ def level_word(rep, v, k, top, prime, below, sigma=0):
         stop = _halves(prime[-1]) + alg.rho(k) + Fraction(1, 2) - 1
     arg = _halves(top[-1]) + alg.rho(k) + Fraction(1, 2)
     while arg <= stop:
-        v = apply_z_interp(rep, arg, v, rank_k=k)
+        v = sr.apply_z_interp(rep, arg, v, rank_k=k)
         arg += 1
     for i in range(k - 1, 0, -1):
         for _ in range((prime[i - 1] - top[i - 1]) // 2):
-            v = apply_z(rep, i, -k, v, rank_k=k)
+            v = sr.apply_z(rep, i, -k, v, rank_k=k)
         for _ in range((prime[i - 1] - below[i - 1]) // 2):
-            v = apply_z_ai(rep, k, i, v, rank_k=k)
+            v = sr.apply_z_ai(rep, k, i, v, rank_k=k)
     if sigma:
-        v = apply_z_ai(rep, k, 0, v, rank_k=k)
+        v = sr.apply_z_ai(rep, k, 0, v, rank_k=k)
     return v
 
 
@@ -154,6 +158,92 @@ def orth_basis_checks(chain):
             elif val != 0:
                 return False
     return True
+
+
+# -- the chain sums, per vector -----------------------------------------------
+
+def _apply_diag(vals, vec):
+    return tuple(v * x if x else x for v, x in zip(vals, vec))
+
+
+def apply_pf(rep: BCDIrrep, i, a, vec, rank_k=None):
+    """Apply pF_ia (the extremal-projector image of F_ia) to vec.
+
+    The scalar denominators 1/((f_i - f_{i_1})...) act first, evaluated
+    componentwise on the input; raises if a needed denominator vanishes."""
+    alg = rep.algebra
+    k = alg.n if rank_k is None else rank_k
+    out = rep.F(i, a).apply(vec)
+    fi = _f_diag(rep, i)
+    for chain in _chain_indices(k, alg.series, i):
+        if not chain:
+            continue
+        mono = _chain_monomial(rep, i, a, chain)
+        if mono.is_zero():
+            continue
+        den = [Fraction(1)] * rep.dim
+        for t in chain:
+            ft = _f_diag(rep, t)
+            den = [d * (x - y) for d, x, y in zip(den, fi, ft)]
+        out = vec_add(out, mono.apply(_apply_inv_diag(den, vec)))
+    return out
+
+
+def apply_z(rep: BCDIrrep, i, a, vec, rank_k=None):
+    """Apply z_ia = pF_ia (f_i - f_{i-1})...(f_i - f_{-k+1}) to vec.
+
+    In the D case the factor (f_i - f_{-i}) is omitted.  i may be negative
+    (and 0 in the B case); a is +-k for the rank-k subalgebra.  The chain
+    denominators of pF_ia are cancelled against the normalizing product
+    symbolically, so only the D-case factor f_i - f_{-i} can ever appear
+    in a denominator.
+    """
+    alg = rep.algebra
+    k = alg.n if rank_k is None else rank_k
+    if a not in (k, -k):
+        raise ValueError("a must be +-k")
+    fi = _f_diag(rep, i)
+    pi_list = [j for j in range(i - 1, -k, -1)
+               if (j != 0 or alg.series == "B") and not (alg.series == "D" and j == -i)]
+    out = vec_zero(rep.dim)
+    for chain in _chain_indices(k, alg.series, i):
+        mono = _chain_monomial(rep, i, a, chain)
+        if mono.is_zero():
+            continue
+        num = [Fraction(1)] * rep.dim
+        for j in pi_list:
+            if j not in chain:
+                fj = _f_diag(rep, j)
+                num = [p * (x - y) for p, x, y in zip(num, fi, fj)]
+        w = _apply_diag(num, vec)
+        leftover = [t for t in chain if t not in pi_list]
+        for t in leftover:
+            # only the omitted D-case factor can land here
+            ft = _f_diag(rep, t)
+            w = _apply_inv_diag([x - y for x, y in zip(fi, ft)], w)
+        out = vec_add(out, mono.apply(w))
+    return out
+
+
+def apply_z_nminus(rep: BCDIrrep, vec, rank_k=None):
+    """The element z_{k,-k}: chains k > i_1 > ... > i_s > -k with the
+    complementary product of (f_k - f_j) factors (divided by 2 f_k in D)."""
+    alg = rep.algebra
+    k = alg.n if rank_k is None else rank_k
+    pool = [t for t in range(k - 1, -k, -1) if t != 0 or alg.series == "B"]
+    fk = _f_diag(rep, k)
+    if alg.series == "D":
+        vec = _apply_inv_diag([2 * x for x in fk], vec)
+    out = vec_zero(rep.dim)
+    for chain in _chain_indices(k, alg.series, k):
+        coeff = [Fraction(1)] * rep.dim
+        for j in pool:
+            if j not in chain:
+                fj = _f_diag(rep, j)
+                coeff = [c * (x - y) for c, x, y in zip(coeff, fk, fj)]
+        mono = _chain_monomial(rep, k, -k, chain)
+        out = vec_add(out, mono.apply(_apply_diag(coeff, vec)))
+    return out
 
 
 # -- the Fraction construction of highest-weight modules -----------------------

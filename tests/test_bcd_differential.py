@@ -1,13 +1,18 @@
-"""The o_N/sp_2n GT bases and the orthogonal-basis check against their
-direct forms in bcd_reference: the words walked as one trie against every
-pattern's word applied from the highest vector, and the check by weight
-block without a rank test against the rank test plus every pair, on the
-bases themselves and on perturbed copies of them."""
+"""The o_N/sp_2n GT bases, the orthogonal-basis check and the z operators
+against their direct forms in bcd_reference: the words walked as one trie
+against every pattern's word applied from the highest vector, the check by
+weight block without a rank test against the rank test plus every pair, on
+the bases themselves and on perturbed copies of them, and the chain sums
+formed once per module against the chain sums summed per vector."""
+
+import functools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bcd_reference as ref
 from gtbases import branching, cli
+from gtbases.exact import vec_unit, vec_zero
 from gtbases.liealg_bcd import (OrthogonalChain, build_bcd_irrep, gt_basis_bcd,
                                 multiplicity_basis, orth_basis_checks, orth_gt_basis,
                                 orthogonal_chain, signed_realization)
@@ -116,3 +121,77 @@ def test_verify_applies_each_word_prefix_once(monkeypatch, capsys):
     assert cli.run(["verify", "sp", "-1,-2,-2"]) == 0
     assert "gt-basis: PASS" in capsys.readouterr().out
     assert len(walks) > 1 and len(applied) == len(prefixes)
+
+
+# modules where some chain sum meets a vanishing Cartan denominator
+RAISING = [("D", (0, -2)), ("D", (2, -2, -2)), ("B", (-2, -2)), ("C", (-2, -4))]
+_rep = functools.cache(build_bcd_irrep)
+
+
+def _chain_calls(rep):
+    """(name, i, a, k) of apply_pf and apply_z at every level k, every index
+    i <= k of the level-k index set and a = +-k, and of apply_z_nminus."""
+    alg = rep.algebra
+    out = []
+    for k in range(1, alg.n + 1):
+        out.append(("apply_z_nminus", k, -k, k))
+        for i in range(-k + 1, k + 1):
+            if i or alg.series == "B":
+                out += [(name, i, a, k) for name in ("apply_pf", "apply_z") for a in (k, -k)]
+    return out
+
+
+def _outcome(lib, rep, call, vec):
+    """The vector and its entry types that call gives on vec through the
+    module lib, or the message of the ZeroDivisionError it raises."""
+    name, i, a, k = call
+    try:
+        if name == "apply_z_nminus":
+            got = lib.apply_z_nminus(rep, vec, rank_k=k)
+        else:
+            got = getattr(lib, name)(rep, i, a, vec, rank_k=k)
+    except ZeroDivisionError as exc:
+        return "raises: %s" % exc
+    return got, [type(x) for x in got]
+
+
+@pytest.mark.parametrize("series,lam", RAISING)
+def test_chain_sums_match_per_vector_sums(series, lam):
+    """Equal values, or equal raises, on every unit vector and the zero
+    vector, for every chain sum of the module."""
+    rep = _rep(series, lam)
+    vecs = [vec_unit(rep.dim, t) for t in range(rep.dim)] + [vec_zero(rep.dim)]
+    raised = 0
+    for call in _chain_calls(rep):
+        for vec in vecs:
+            want = _outcome(ref, rep, call, vec)
+            assert _outcome(signed_realization, rep, call, vec) == want
+            raised += isinstance(want, str)
+    assert raised
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_chain_sums_match_per_vector_sums_on_dense_vectors(data):
+    series, lam = data.draw(st.sampled_from(RAISING), label="module")
+    rep = _rep(series, lam)
+    call = data.draw(st.sampled_from(_chain_calls(rep)), label="(name, i, a, k)")
+    vec = tuple(data.draw(st.lists(st.fractions(-3, 3, max_denominator=6),
+                                   min_size=rep.dim, max_size=rep.dim), label="vector"))
+    assert _outcome(signed_realization, rep, call, vec) == _outcome(ref, rep, call, vec)
+
+
+def test_verify_builds_each_chain_monomial_once(monkeypatch, capsys):
+    """gt verify sp -1,-2,-2 forms each chain sum once per module, so each
+    of its 23 distinct chain monomials is built once (summing the chains per
+    vector built 214)."""
+    calls = []
+    real = signed_realization._chain_monomial
+
+    def spy(rep, i, a, chain):
+        calls.append((i, a, chain))
+        return real(rep, i, a, chain)
+    monkeypatch.setattr(signed_realization, "_chain_monomial", spy)
+    assert cli.run(["verify", "sp", "-1,-2,-2"]) == 0
+    assert "gt-basis: PASS" in capsys.readouterr().out
+    assert len(calls) == len(set(calls)) == 23

@@ -395,8 +395,53 @@ ORTH_BASIS_PINS = [
 ]
 
 
+# (series, doubled lam, dim, sha256 of the zab_operators coefficients of every
+# branching child, sha256 of the z_interp_poly coefficients), each coefficient
+# as (den, sorted num items); recorded while apply_pf, apply_z and
+# apply_z_nminus still summed their chains per vector
+ZAB_PINS = [
+    ("C", (0, -2), 4,
+     "fd4c3c40918839f980da91730e91c3638a67b3494c593ebe42452d0a74509ece",
+     "4e20168193623a564eca0e7b1ef62b2a72387f46200c82b7eb4a3fe4f4a493b1"),
+    ("C", (-2, -4), 16,
+     "384086e530a2a029e89cdf354933f3ff574ce4d3a19d7f0266b1dc3bee8fe375",
+     "61e37b06dec5bb224f925836925e74c115eb421acca10799640ba1889b1f0df7"),
+    ("B", (-1, -1), 4,
+     "9d145a78e449d7087102c124e037a6a86ceb3af3e9877cefe5d59980ba61f721",
+     "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    ("B", (-1, -3), 16,
+     "d6b94f53d8766e5c6a12bf66f1e714cc7f129b6116988667810516b72e44987c",
+     "997670d1b9ba8a50ddbafbf02d1c85c49260eebc714f69e393046ef9b06390f8"),
+    ("D", (-2, -4), 8,
+     "1ff4efa3ca44abd2e6c6b56e29b91e94c8cdda4eb489e0389ae7bda7e07907bb",
+     "9bad9cf40703e79113aa745aa47d10e0d6bce8c6e83f7e6bec6238a819944db8"),
+    ("C", (0, 0, -2), 6,
+     "94c067237f8455d20a26291b6bca405e29e19760a4a3c61ab38de5e8c833dd42",
+     "d7b09e0d2d7d4a285a661f6f8a580a4414f3bbd66f20a2bc4f79bbc4b3f9208b"),
+    ("D", (0, -2, -2), 15,
+     "ad2e55ecd24232c4baa968e2c5b5564215e5cd7c54f54598430d300aec579593",
+     "708175e5562720ee5d6b44e67d2a90366bbcb7a9d1ca0df38f0af660eff6a8b9"),
+]
+
+
 def _sha(x):
     return hashlib.sha256(repr(x).encode()).hexdigest()
+
+
+def _poly_key(p):
+    return [(c.den, sorted(c.num.items())) for c in p.coeffs]
+
+
+@pytest.mark.parametrize("series,lam,dim,zab_digest,interp_digest", ZAB_PINS)
+def test_zab_and_interp_polys_are_pinned(series, lam, dim, zab_digest, interp_digest):
+    rep = build_bcd_irrep(series, lam)
+    assert rep.dim == dim
+    zab = []
+    for mu, _ in branching.branch_children_BCD(series, lam):
+        ops = zab_operators(rep, mu)[2]
+        zab.append((mu, sorted((ab, _poly_key(p)) for ab, p in ops.items())))
+    assert _sha(zab) == zab_digest
+    assert _sha(_poly_key(z_interp_poly(rep))) == interp_digest
 
 
 @pytest.mark.parametrize("series,lam,dim,gt_digest,mult_digest", BASIS_PINS)
