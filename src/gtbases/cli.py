@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import branching, gln, patterns, yangian
-from .exact import SparseMat, commutator, entry_strings
+from .exact import SparseMat, chevalley_serre_check, commutator, entry_strings
 from .liealg_bcd import (DeskScaleError, OrthogonalChain, build_bcd_irrep,
                          fnn_action_check, gt_basis_checks, orth_basis_checks)
 
@@ -335,33 +335,39 @@ def bcd_commutation_check(rep):
     realization: [F_ij, F_kl] = realize([F_ij, F_kl]) for all signed index
     pairs.
 
-    In the realization F_{-j,-i} = -theta_ij F_ij, and F_ij = 0 when
-    (i, j) = (-j, -i) in the B and D cases.  The brackets are therefore
-    compared only over a basis of the algebra, the first nonzero generator
-    of each pair {F_ij, F_{-j,-i}}: both sides are bilinear and realize is
-    linear, so the relations on the basis give all the others.  Each other
-    realized generator must equal -theta_ij times its partner (a zero one
-    must be zero), so that on any module map it implies every relation.
+    Every cached generator must equal a fresh realize(fdef(i, j)), each
+    generator -theta_ij times its partner F_{-j,-i}, and the Cartan F_cc,
+    e_s = F_ij and f_s = F_ji (simple (i, j)), read through rep.F, must
+    pass ``exact.chevalley_serre_check``.  realize is linear, and sums
+    module matrices that are brackets of the Cartan and simple ones along
+    the brackets of the realization; rep.F is realize of fdef (the cached
+    Chevalley generators are compared too: in C the long simple pair is
+    its own partner).  By Serre's theorem the module's Chevalley matrices
+    extend to a representation rho exactly when the Chevalley-Serre
+    relations hold; then realize = rho and
+    [F_x, F_y] = rho([x, y]) = realize([x, y]).  Conversely the all-pairs
+    relations give them when the F_cc are diagonal, as ``build_module``
+    makes them.  So the verdict is the all-pairs one on built modules, and
+    at least as strict on a corrupted cache.  The partner relation holds
+    in the realization, so it follows from the cache comparison; it stays
+    as a check of the matrices rep.F hands out.
     """
     alg = rep.algebra
-    gdef = {(i, j): alg.fdef(i, j) for i in alg.indices for j in alg.indices}
-    basis = []
-    for (i, j), g in gdef.items():
-        if g.is_zero() or (-j, -i) in basis:
-            if rep.F(i, j) != rep.F(-j, -i).scale(-alg.theta(i, j)):
+    real = rep.module.realization
+    if not rep.module.cache_agrees():
+        return False
+    for i in alg.indices:
+        for j in alg.indices:
+            if (-j, -i) >= (i, j) and rep.F(i, j) != rep.F(-j, -i).scale(-alg.theta(i, j)):
                 return False
-        else:
-            basis.append((i, j))
-    realized = {}       # each distinct bracket is realized once
-    for a, b in enumerate(basis):
-        for c in basis[a:]:
-            rm = commutator(gdef[b], gdef[c])
-            key = (rm.den, tuple(sorted(rm.num.items())))
-            if key not in realized:
-                realized[key] = rep.module.realize(rm)
-            if commutator(rep.F(*b), rep.F(*c)) != realized[key]:
-                return False
-    return True
+    roots, coroots = [], []
+    for i, j in real.simples:
+        roots.append(real.root_of(alg.fdef(i, j)))
+        h = commutator(alg.fdef(i, j), alg.fdef(j, i))
+        coroots.append(tuple(h.get(real.pos[c], real.pos[c]) for c in real.cartan))
+    return chevalley_serre_check([rep.F(c, c) for c in real.cartan],
+                                 [rep.F(i, j) for i, j in real.simples],
+                                 [rep.F(j, i) for i, j in real.simples], roots, coroots)
 
 
 def _bcd_verify_checks(rep):

@@ -335,6 +335,58 @@ def commutator(a: SparseMat, b: SparseMat) -> SparseMat:
     return a @ b - b @ a
 
 
+def chevalley_serre_check(cartan, e, f, roots, coroots) -> bool:
+    """The Chevalley-Serre relations on module matrices: the Cartan basis
+    H_c, the simple e_s and f_s, roots[s][c] = alpha_s(H_c) and the coroot
+    h_s = sum_c coroots[s][c] H_c.  Checked: each H_c is diagonal and each
+    nonzero entry (r, c) of e_s (f_s) has weight[r] - weight[c] = alpha_s
+    (-alpha_s), which for diagonal H_c is [H_c, e_s] = alpha_s(H_c) e_s;
+    [e_s, f_t] = delta_st h_s; ad(e_s)^(1 - a_st) e_t = 0 and
+    ad(f_s)^(1 - a_st) f_t = 0 for s != t, a_st = 2 alpha_t(h_s) / alpha_s(h_s).
+    By Serre's theorem (Humphreys 18.3) they hold exactly when the matrices
+    are the images of a representation; for gl_n the extra central H acts
+    with weight 0, so it commutes with every e_s and f_s."""
+    dim = cartan[0].nrows if cartan else 0
+    diags = []
+    for h in cartan:
+        if any(r != c for r, c in h.num):
+            return False
+        diags.append((h.den, {r: v for (r, _), v in h.num.items()}))
+
+    def shifts_by(m, root, sign):
+        for r, c in m.num:
+            for (den, d), a in zip(diags, root):
+                if d.get(r, 0) - d.get(c, 0) != sign * a * den:
+                    return False
+        return True
+
+    def pair(s, t):             # alpha_t(h_s)
+        return sum((Fraction(x) * y for x, y in zip(coroots[s], roots[t])), _ZERO)
+
+    for s in range(len(e)):
+        if not (shifts_by(e[s], roots[s], 1) and shifts_by(f[s], roots[s], -1)):
+            return False
+    for s in range(len(e)):
+        h = SparseMat.combination(dim, dim, zip(coroots[s], cartan))
+        for t in range(len(f)):
+            br = commutator(e[s], f[t])
+            if (br != h) if s == t else not br.is_zero():
+                return False
+    for s in range(len(e)):
+        for t in range(len(e)):
+            if s == t:
+                continue
+            steps = 1 - 2 * pair(s, t) / pair(s, s)
+            for x, y in ((e[s], e[t]), (f[s], f[t])):
+                for _ in range(int(steps)):
+                    if y.is_zero():
+                        break
+                    y = commutator(x, y)
+                if not y.is_zero():
+                    return False
+    return True
+
+
 def kron(a: SparseMat, b: SparseMat) -> SparseMat:
     """Kronecker product, row/col index = i_a * nrows_b + i_b."""
     ent = {}
@@ -472,10 +524,11 @@ class SpanSolver:
 
     Fraction-free, after Bareiss (1968): each column is scaled to integers
     once, by the lcm of its denominators, and reduced, in order, to an
-    echelon basis of sparse integer rows ``(p, u, x, d)``.  ``u`` is a dict vector with
+    echelon basis of sparse integer rows ``[p, u, x, d]``.  ``u`` is a dict vector with
     content 1 and ``u[p] > 0`` that vanishes at the pivots of the rows
     before it, and ``d * u`` is the combination of the columns with the
-    integer coefficients ``x`` (a dict over column indices).  A reduction
+    integer coefficients ``x`` (a dict over column indices), a record
+    built by the first solve after the row is appended.  A reduction
     step against a row is ``res <- a * res - b * u`` with
     ``a / b = u[p] / res[p]`` in lowest terms.  A column that reduces to
     zero depends on the earlier ones and gets no row, so the rows use
@@ -486,12 +539,13 @@ class SpanSolver:
     most k sparse rows.
     """
 
-    __slots__ = ("n", "ncols", "_rows", "_pivot")
+    __slots__ = ("n", "ncols", "_rows", "_pending", "_pivot")
 
     def __init__(self, basis_cols, n):
         self.n = n
         self.ncols = 0
         self._rows = []
+        self._pending = []      # (row, steps, k, s, j) of the rows without a record
         self._pivot = None
         for col in basis_cols:
             self.add(col)
@@ -537,22 +591,33 @@ class SpanSolver:
         if not res:
             return False
         p = min(res)
-        g = math.gcd(*res.values())
-        acc, den = _combine(steps)
-        # den * res == den * k * col_j - sum of acc[c] * col_c, and u = res / ±g
-        sign = 1 if res[p] > 0 else -1
-        x = {c: -sign * v for c, v in acc.items() if v}
-        x[j] = sign * den * k
-        d = den * g
-        h = math.gcd(d, *x.values())
-        if h != 1:
-            x = {c: v // h for c, v in x.items()}
-            d //= h
-        self._pivot = (p, Fraction(res[p], k))
-        if sign * g != 1:
-            res = {i: v // (sign * g) for i, v in res.items()}
-        self._rows.append((p, res, x, d))
+        s = math.gcd(*res.values())
+        if res[p] < 0:
+            s = -s
+        self._pivot = (p, res[p], k)
+        if s != 1:
+            res = {i: v // s for i, v in res.items()}
+        row = [p, res, None, None]
+        self._rows.append(row)
+        self._pending.append((row, steps, k, s, j))
         return True
+
+    def _records(self):
+        """Build the records of the pending rows, in order: a row's
+        reduction used only rows before it, whose records are built."""
+        for row, steps, k, s, j in self._pending:
+            acc, den = _combine(steps)
+            # den * s * u == den * k * col_j - sum of acc[c] * col_c
+            sign = 1 if s > 0 else -1
+            x = {c: -sign * v for c, v in acc.items() if v}
+            x[j] = sign * den * k
+            d = den * abs(s)
+            h = math.gcd(d, *x.values())
+            if h != 1:
+                x = {c: v // h for c, v in x.items()}
+                d //= h
+            row[2], row[3] = x, d
+        self._pending.clear()
 
     def spans(self, vec) -> bool:
         """True iff vec lies in the span of the columns."""
@@ -578,7 +643,10 @@ class SpanSolver:
         first nonzero position and the residual entry there, as a
         ``Fraction``, before scaling to 1.  None while no column has been
         independent."""
-        return self._pivot
+        if self._pivot is None:
+            return None
+        p, v, k = self._pivot
+        return p, Fraction(v, k)
 
     def solve(self, target):
         """Coefficient tuple of target over the columns; None if target is
@@ -588,12 +656,18 @@ class SpanSolver:
             return None
         return self._coefficients(k, steps, self.ncols)
 
-    @staticmethod
-    def _coefficients(k, steps, ncols):
+    def _expansion(self, k, steps):
+        """(acc, den): the vector whose reduction (k, steps) left no
+        residual is the combination of the columns with coefficients
+        acc / den."""
+        self._records()
+        acc, den = _combine(steps)
+        return acc, den * k
+
+    def _coefficients(self, k, steps, ncols):
         """Coefficients over ncols columns of a vector whose reduction
         (k, steps) left no residual."""
-        acc, den = _combine(steps)
-        den *= k
+        acc, den = self._expansion(k, steps)
         coeffs = [_ZERO] * ncols
         for c, v in acc.items():
             if v:

@@ -12,8 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, prod
 
-from .exact import (OpPoly, SparseMat, apply_words, commutator, entry_strings, kron,
-                    nullspace, spoly_from_roots, vec_is_zero, vec_unit)
+from .exact import (OpPoly, SparseMat, apply_words, chevalley_serre_check, commutator,
+                    entry_strings, kron, nullspace, spoly_from_roots, vec_is_zero, vec_unit)
 from .patterns import GTPatternA, enumerate_patterns, weight
 from . import patterns as _patterns
 
@@ -45,11 +45,16 @@ class GlnIrrep:
             raise IndexError("generator index out of range")
         key = (i, j)
         if key not in self._gen:
-            if i < j:
-                self._gen[key] = commutator(self.gen(i, j - 1), self.gen(j - 1, j))
-            else:
-                self._gen[key] = commutator(self.gen(i, i - 1), self.gen(i - 1, j))
+            self._gen[key] = self._bracket(i, j)
         return self._gen[key]
+
+    def _bracket(self, i, j) -> SparseMat:
+        """The bracket that defines E_ij for |i - j| > 1, one step from
+        the diagonal: [E_i,j-1, E_j-1,j] above it, [E_i,i-1, E_i-1,j]
+        below."""
+        if i < j:
+            return commutator(self.gen(i, j - 1), self.gen(j - 1, j))
+        return commutator(self.gen(i, i - 1), self.gen(i - 1, j))
 
     def weight_of(self, idx):
         return weight(self.basis[idx])
@@ -668,20 +673,23 @@ def characteristic_identity_check(rep: GlnIrrep) -> bool:
 def commutation_check(rep: GlnIrrep) -> bool:
     """[E_ij, E_kl] = d_jk E_il - d_li E_kj for all index pairs.
 
-    Both sides change sign when the two pairs swap, so only the ordered
-    pairs (i, j) <= (k, l) are compared."""
-    n, d = rep.n, rep.dim
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    for a, (i, j) in enumerate(pairs):
-        for k, l in pairs[a:]:
-            want = SparseMat.zero(d, d)
-            if j == k:
-                want = want + rep.gen(i, l)
-            if l == i:
-                want = want - rep.gen(k, j)
-            if commutator(rep.gen(i, j), rep.gen(k, l)) != want:
-                return False
-    return True
+    Checked by ``exact.chevalley_serre_check`` on E_kk, E_k,k+1, E_k+1,k,
+    and each cached E_ij with |i - j| > 1 must equal its bracket in
+    ``gen``; by induction on |i - j| every E_ij is then the image of E_ij
+    under the map the Chevalley generators define.  By Serre's theorem
+    that map is a representation exactly when the Chevalley-Serre
+    relations hold, and these follow from the relations above when the
+    E_kk are diagonal, as in every built module.  So the verdict is the
+    all-pairs one on built modules, and at least as strict on a corrupted
+    cache."""
+    n = rep.n
+    for (i, j), m in list(rep._gen.items()):
+        if abs(i - j) > 1 and m != rep._bracket(i, j):
+            return False
+    roots = [tuple(int(c == s) - int(c == s + 1) for c in range(n)) for s in range(n - 1)]
+    return chevalley_serre_check([rep.gen(k, k) for k in range(1, n + 1)],
+                                 [rep.gen(s, s + 1) for s in range(1, n)],
+                                 [rep.gen(s + 1, s) for s in range(1, n)], roots, roots)
 
 
 def adjointness_check(rep: GlnIrrep) -> bool:

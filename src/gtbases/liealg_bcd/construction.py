@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from ..exact import SpanSolver, SparseMat, _combine, commutator
+from ..exact import SpanSolver, SparseMat, commutator
 
 
 class DeskScaleError(RuntimeError):
@@ -171,6 +171,11 @@ class HWModule:
         if key not in self._fmat:
             self._fmat[key] = self.realize(self.realization.fdef(i, j))
         return self._fmat[key]
+
+    def cache_agrees(self) -> bool:
+        """Every cached F(i, j) equals a fresh realize(fdef(i, j))."""
+        fdef = self.realization.fdef
+        return all(m == self.realize(fdef(*key)) for key, m in self._fmat.items())
 
     def realize(self, real_mat: SparseMat) -> SparseMat:
         """Transport an arbitrary realization element to the module."""
@@ -355,8 +360,7 @@ def _gram_basis(gram):
             chosen.append(j)
             found.append(({j: 1}, 1))
         else:
-            acc, den = _combine(steps)
-            found.append((acc, den * k))
+            found.append(solver._expansion(k, steps))
     return chosen, [(den, [acc.get(c, 0) for c in chosen]) for acc, den in found]
 
 

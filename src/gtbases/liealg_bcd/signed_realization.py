@@ -261,10 +261,11 @@ def apply_z_ai(rep: BCDIrrep, a, i, vec, rank_k=None):
     (the sign factor sgn a only in the symplectic case)."""
     alg = rep.algebra
     k = alg.n if rank_k is None else rank_k
-    sign = Fraction((-1) ** ((k - i) % 2))
+    out = apply_z(rep, -i, -a, vec, rank_k=k)
+    negate = (k - i) % 2 == 1
     if alg.series == "C" and a < 0:
-        sign = -sign
-    return vec_scale(sign, apply_z(rep, -i, -a, vec, rank_k=k))
+        negate = not negate
+    return tuple(-x for x in out) if negate else out
 
 
 def apply_z_nminus(rep: BCDIrrep, vec, rank_k=None):

@@ -662,15 +662,3 @@ def from_json(d):
     cls = {"C3": PatternC3, "D3": PatternD3, "B4": PatternB4, "D4": PatternD4}[fam]
     return cls(lam, lamp)
 
-
-def s3_to_dominant(lam):
-    """Bridge from the non-positive convention to a standard dominant weight.
-
-    (lam_1, ..., lam_n) with lam_1 <= 0 maps to (-lam_n, ..., -lam_1).  Used
-    only at interface boundaries (Weyl oracle, CLI); both sides doubled.
-    """
-    return tuple(-x for x in reversed(tuple(lam)))
-
-
-def dominant_to_s3(lam):
-    return tuple(-x for x in reversed(tuple(lam)))

@@ -1,10 +1,9 @@
 """Direct forms of o_N/sp_2n computations that the library does faster.
 
-``cli.bcd_commutation_check`` compares the brackets of the realized
-generators only over a basis of the algebra (one generator of each pair
-{F_ij, F_{-j,-i}}, the zero ones skipped) and checks each other generator
-against its partner.  ``commutation_all_pairs`` is the loop it replaced,
-over every ordered pair of generators.
+``cli.bcd_commutation_check`` checks the Chevalley-Serre relations on the
+realized Cartan and simple generators, the partner relations and the
+cached generators against a fresh ``realize``.  ``commutation_all_pairs``
+is the bracket loop it replaced, over every ordered pair of generators.
 
 ``gt_basis_bcd``, ``multiplicity_basis`` and ``orth_gt_basis`` walk the
 lowering words of all patterns as one trie (``exact.apply_words``), and

@@ -2,8 +2,9 @@
 
 The library expands each quantum minor once per module, by Laplace along
 the last column, builds the generators from int products over a table of
-shifted patterns, and checks each Drinfeld, Capelli and characteristic
-identity once per evaluation point or coefficient.  These are the plain
+shifted patterns, checks each Drinfeld, Capelli and characteristic
+identity once per evaluation point or coefficient, and the commutation
+relations as the Chevalley-Serre relations.  These are the plain
 readings that the differential tests compare them against: both s!
 expansions of a quantum minor, the matrix elements on ``Fraction``
 l-values with every shifted array validated, the checks applied basis

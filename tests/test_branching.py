@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from gtbases import branching
+from gtbases import branching, patterns
 
 
 def d(*xs):
@@ -30,6 +31,26 @@ class TestWeylDim:
         assert branching.weyl_dim_s3("C", d(0, -1)) == 4
         assert branching.weyl_dim_s3("B", (-1, -1)) == 4
         assert branching.weyl_dim_s3("D", d(0, -1)) == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from("BCD"), st.integers(1, 3), st.data())
+    def test_to_dominant_bridges_s3(self, series, n, data):
+        """to_dominant is an involution, and on s3 weights of every series
+        with n <= 3 the Weyl dimension of its image is weyl_dim_s3 and the
+        number of s3 patterns."""
+        odd = series == "B" and data.draw(st.booleans(), label="half-integer")
+        lam = sorted(data.draw(st.lists(st.integers(-3, 0 if series != "D" else 1),
+                                        min_size=n, max_size=n), label="lam"), reverse=True)
+        lam = tuple(2 * x - odd for x in lam)
+        try:
+            patterns.check_dominant(series + "3", lam)
+        except patterns.DominanceError:
+            assume(False)
+        dominant = branching.to_dominant(lam)
+        assert branching.to_dominant(dominant) == lam
+        dim = branching.weyl_dim(series, dominant)
+        assert branching.weyl_dim_s3(series, lam) == dim
+        assert len(patterns.enumerate_patterns(series + "3", lam)) == dim
 
     def test_rejects_non_dominant(self):
         with pytest.raises(ValueError):

@@ -5,14 +5,13 @@ import os
 import pathlib
 import subprocess
 import sys
-from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import bcd_reference
-from gtbases import cli
+from gtbases import branching, cli
 from gtbases.exact import SparseMat, commutator
 from gtbases.liealg_bcd import build_bcd_irrep, orthogonal_chain, signed_realization
 
@@ -416,18 +415,71 @@ class TestBcdCommutation:
         assert cli.bcd_commutation_check(rep) is False
         assert bcd_reference.commutation_all_pairs(rep) is False
 
-    def test_fdef_once_per_pair(self, monkeypatch):
+    @pytest.mark.parametrize("key", [(2, -2), (-2, 2), (-1, 1)])
+    def test_corrupted_self_partner_fails(self, key):
+        """In C each F_{i,-i} and F_{-i,i} is its own partner, so the
+        partner check cannot see a change in its cache; the comparison
+        with a fresh realize does."""
+        rep = build_bcd_irrep("C", (0, -2))
+        rep.module._fmat[key] = rep.F(*key) + SparseMat(rep.dim, rep.dim, {(0, 0): 1})
+        assert cli.bcd_commutation_check(rep) is bcd_reference.commutation_all_pairs(rep) is False
+
+    def test_realizes_each_generator_once(self, monkeypatch):
+        """On a fresh module the check realizes each generator once, when
+        rep.F first reads it, and no bracket."""
         rep = build_bcd_irrep("C", (0, 0, -2))
         alg = rep.algebra
-        calls = Counter()
-        fdef = alg.fdef
+        calls = []
+        realize = rep.module.realize
 
-        def spy(i, j):
-            calls[(i, j)] += 1
-            return fdef(i, j)
-        monkeypatch.setattr(alg, "fdef", spy)
+        def spy(m):
+            calls.append(m)
+            return realize(m)
+        monkeypatch.setattr(rep.module, "realize", spy)
         assert cli.bcd_commutation_check(rep)
-        assert calls == Counter((i, j) for i in alg.indices for j in alg.indices)
+        assert len(calls) == len(alg.indices) ** 2
+        assert all(any(m == alg.fdef(i, j) for i in alg.indices for j in alg.indices)
+                   for m in calls)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_corruptions(self, data):
+        """Against the all-pairs reference on a small module with one entry
+        changed: in a simple e_s or f_s of the module itself, before
+        anything is realized (so every realized generator is built from
+        it), or in a cached Cartan or non-Chevalley generator.  Both fail:
+        given h_s and f_s, e_s is the only matrix with [h_s, e_s] = 2 e_s
+        and [e_s, f_s] = h_s (and so for f_s), and a changed cached
+        generator commutes with all the others only in dimension 1."""
+        series = data.draw(st.sampled_from("BCD"), label="series")
+        n = data.draw(st.integers(1, 3), label="n")
+        lam = sorted(data.draw(st.lists(st.integers(-2, 0), min_size=n, max_size=n),
+                               label="lam"), reverse=True)
+        half = series == "B" and data.draw(st.booleans(), label="half-integer")
+        lam = tuple(2 * x - half for x in lam)
+        assume(series != "D" or n > 1)          # o_2 is abelian
+        assume(1 < branching.weyl_dim_s3(series, lam) <= 20)
+        rep = build_bcd_irrep(series, lam)
+        alg, module = rep.algebra, rep.module
+        r = data.draw(st.integers(0, rep.dim - 1), label="row")
+        c = data.draw(st.integers(0, rep.dim - 1), label="col")
+        bump = SparseMat(rep.dim, rep.dim, {(r, c): data.draw(
+            st.sampled_from([1, -1, Fraction(1, 2)]), label="bump")})
+        kind = data.draw(st.sampled_from(["chevalley", "cartan", "cached"]), label="kind")
+        if kind == "chevalley":
+            s = data.draw(st.integers(0, len(alg.simple_pairs()) - 1), label="simple")
+            mats = data.draw(st.sampled_from([module._e, module._f]), label="e or f")
+            mats[s] = mats[s] + bump
+        else:
+            if kind == "cartan":
+                key = (data.draw(st.integers(1, n), label="c"),) * 2
+            else:
+                chevalley = {(i, i) for i in range(1, n + 1)}
+                chevalley |= {p for i, j in alg.simple_pairs() for p in ((i, j), (j, i))}
+                key = data.draw(st.sampled_from([(i, j) for i in alg.indices for j in alg.indices
+                                                 if (i, j) not in chevalley]), label="key")
+            module._fmat[key] = rep.F(*key) + bump
+        assert cli.bcd_commutation_check(rep) is bcd_reference.commutation_all_pairs(rep) is False
 
 
 def test_runs_from_a_fresh_checkout():

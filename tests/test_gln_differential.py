@@ -159,19 +159,57 @@ class TestVerdicts:
                 verdicts.append(want)
         assert False in verdicts and True in verdicts
 
-    def test_commutation_covers_every_pair(self, monkeypatch):
-        rep = gln.build_irrep(3, d(2, 1, 0))
-        pairs = [(i, j) for i in range(1, 4) for j in range(1, 4)]
-        names = {id(rep.gen(*p)): p for p in pairs}
-        seen = set()
-        real = gln.commutator
-
-        def spy(a, b):
-            seen.add(frozenset((names[id(a)], names[id(b)])))
-            return real(a, b)
-        monkeypatch.setattr(gln, "commutator", spy)
+    def test_commutation_forms_no_bracket(self):
+        """The check reads only the Chevalley generators on a built module:
+        it leaves no E_ij with |i - j| > 1 in the cache."""
+        rep = gln.build_irrep(4, d(3, 2, 1, 0))
+        cached = set(rep._gen)
         assert gln.commutation_check(rep)
-        assert seen == {frozenset((p, q)) for p in pairs for q in pairs}
+        assert set(rep._gen) == cached
+        assert all(abs(i - j) <= 1 for i, j in cached)
+
+    def test_common_off_diagonal_cartan_fails(self):
+        """One off-diagonal entry added to every E_kk leaves each
+        E_ss - E_s+1,s+1 and each diagonal weight as they were; the check
+        that the E_kk are diagonal sees it."""
+        rep = gln.build_irrep(3, d(2, 1, 0))
+        bump = SparseMat(rep.dim, rep.dim, {(0, 1): 1})
+        corrupted = _copy(rep, {(k, k): rep.gen(k, k) + bump for k in (1, 2, 3)})
+        assert gln.commutation_check(corrupted) is ref.commutation_check(corrupted) is False
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_commutation_on_random_corruptions(self, data):
+        """The Chevalley-Serre check against the all-pairs reference on a
+        copy of a small module with one entry changed in a Chevalley, a
+        Cartan or a cached E_ij with |i - j| > 1.  Both fail: a changed E_kk
+        breaks [E_k,k+1, E_k+1,k] = E_kk - E_k+1,k+1 (or the one at k - 1),
+        a changed E_ij its defining bracket, and given h_s and f_s, e_s is
+        the only matrix with [h_s, e_s] = 2 e_s and [e_s, f_s] = h_s (and
+        so for f_s)."""
+        n = data.draw(st.integers(2, 4), label="n")
+        lam = [data.draw(st.integers(-2, 2), label="doubled lowest entry")]
+        for _ in range(n - 1):
+            lam.insert(0, lam[0] + 2 * data.draw(st.integers(0, 2 if n < 4 else 1), label="gap"))
+        assume(branching.weyl_dim("A", tuple(lam)) <= 20)
+        rep = gln.build_irrep(n, tuple(lam))
+        kinds = ["chevalley", "cartan"] + (["cached"] if n > 2 else [])
+        kind = data.draw(st.sampled_from(kinds), label="kind")
+        if kind == "chevalley":
+            k = data.draw(st.integers(1, n - 1), label="k")
+            key = data.draw(st.sampled_from([(k, k + 1), (k + 1, k)]), label="key")
+        elif kind == "cartan":
+            k = data.draw(st.integers(1, n), label="k")
+            key = (k, k)
+        else:
+            key = data.draw(st.sampled_from([(i, j) for i in range(1, n + 1)
+                                             for j in range(1, n + 1) if abs(i - j) > 1]),
+                            label="key")
+        r = data.draw(st.integers(0, rep.dim - 1), label="row")
+        c = data.draw(st.integers(0, rep.dim - 1), label="col")
+        bump = data.draw(st.sampled_from([1, -1, Fraction(1, 2), 3]), label="bump")
+        corrupted = _copy(rep, {key: rep.gen(*key) + SparseMat(rep.dim, rep.dim, {(r, c): bump})})
+        assert gln.commutation_check(corrupted) is ref.commutation_check(corrupted) is False
 
     @pytest.mark.parametrize("eigen,want", [((1, 0), False), ((1, 1), False), ((0, 0), True)])
     def test_zero_summand_rule(self, monkeypatch, eigen, want):
