@@ -19,9 +19,10 @@ from . import branching, gln, patterns, yangian
 from .exact import SparseMat, chevalley_serre_check, commutator, entry_strings
 from .liealg_bcd import (DeskScaleError, OrthogonalChain, build_bcd_irrep,
                          fnn_action_check, gt_basis_checks, orth_basis_checks)
+from .liealg_bcd.construction import refuse_beyond_caps
 
 SCHEMA = "gt-export/1"
-GL_MAX_RANK = 4     # the desk-scale rank cap of gl_n; o_N and sp_2n stop at 3
+GL_MAX_RANK = 4     # the desk-scale rank cap of gl_n; o_N and sp_2n: construction.MAX_RANK
 
 
 class CliError(Exception):
@@ -74,11 +75,15 @@ def parse_algebra(token, nentries, convention, series=None):
         return ("sp", nentries)
     if token.startswith("sp") and token[2:].isdigit():
         size = int(token[2:])
-        if size % 2 or size // 2 != nentries:
+        if size % 2 or size < 2:
+            raise CliError("sp%d: the matrix size of sp must be even and at least 2" % size, 2)
+        if size // 2 != nentries:
             raise CliError("sp%d needs %d weight entries" % (size, size // 2), 2)
         return ("sp", size // 2)
     if token.startswith("so") and token[2:].isdigit():
         size = int(token[2:])
+        if size < 2:
+            raise CliError("so%d: the matrix size of so must be at least 2" % size, 2)
         if size // 2 != nentries:
             raise CliError("so%d needs %d weight entries" % (size, size // 2), 2)
         return ("so", size)
@@ -156,12 +161,9 @@ def cmd_branch(args):
 
 def _build(kind, data, lam, convention, max_dim):
     if kind == "gl":
-        if len(lam) > GL_MAX_RANK:
-            raise DeskScaleError("rank %d exceeds the cap %d" % (len(lam), GL_MAX_RANK))
-        dim = branching.weyl_dim("A", patterns.check_dominant("A", lam))
-        if dim > max_dim:
-            raise DeskScaleError("gl_%d module of dimension %d exceeds the cap %d"
-                                 % (len(lam), dim, max_dim))
+        refuse_beyond_caps("gl_%d" % len(lam), len(lam), GL_MAX_RANK,
+                           lambda: branching.weyl_dim("A", patterns.check_dominant("A", lam)),
+                           max_dim)
         return gln.build_irrep(len(lam), lam)
     if kind == "sp":
         return build_bcd_irrep("C", lam, max_dim=max_dim)
@@ -335,31 +337,25 @@ def bcd_commutation_check(rep):
     realization: [F_ij, F_kl] = realize([F_ij, F_kl]) for all signed index
     pairs.
 
-    Every cached generator must equal a fresh realize(fdef(i, j)), each
-    generator -theta_ij times its partner F_{-j,-i}, and the Cartan F_cc,
-    e_s = F_ij and f_s = F_ji (simple (i, j)), read through rep.F, must
-    pass ``exact.chevalley_serre_check``.  realize is linear, and sums
-    module matrices that are brackets of the Cartan and simple ones along
-    the brackets of the realization; rep.F is realize of fdef (the cached
-    Chevalley generators are compared too: in C the long simple pair is
-    its own partner).  By Serre's theorem the module's Chevalley matrices
-    extend to a representation rho exactly when the Chevalley-Serre
-    relations hold; then realize = rho and
-    [F_x, F_y] = rho([x, y]) = realize([x, y]).  Conversely the all-pairs
-    relations give them when the F_cc are diagonal, as ``build_module``
-    makes them.  So the verdict is the all-pairs one on built modules, and
-    at least as strict on a corrupted cache.  The partner relation holds
-    in the realization, so it follows from the cache comparison; it stays
-    as a check of the matrices rep.F hands out.
+    Every cached generator must equal a fresh realize(fdef(i, j)), and the
+    Cartan F_cc, e_s = F_ij and f_s = F_ji (simple (i, j)), read through
+    rep.F, must pass ``exact.chevalley_serre_check``.  realize is linear,
+    and sums module matrices that are brackets of the Cartan and simple
+    ones along the brackets of the realization; rep.F is realize of fdef.
+    By Serre's theorem the module's Chevalley matrices extend to a
+    representation rho exactly when the Chevalley-Serre relations hold;
+    then realize = rho and [F_x, F_y] = rho([x, y]) = realize([x, y]).
+    Conversely the all-pairs relations give them when the F_cc are
+    diagonal, as ``build_module`` makes them.  So the verdict is the
+    all-pairs one on built modules, and at least as strict on a corrupted
+    cache.  The partner relations F_{-j,-i} = -theta_ij F_ij need no check:
+    fdef(-j, -i) = -theta_ij fdef(i, j), as theta_{-j,-i} = theta_ij, so
+    fresh realizes satisfy them and the cache comparison covers the rest.
     """
     alg = rep.algebra
     real = rep.module.realization
     if not rep.module.cache_agrees():
         return False
-    for i in alg.indices:
-        for j in alg.indices:
-            if (-j, -i) >= (i, j) and rep.F(i, j) != rep.F(-j, -i).scale(-alg.theta(i, j)):
-                return False
     roots, coroots = [], []
     for i, j in real.simples:
         roots.append(real.root_of(alg.fdef(i, j)))

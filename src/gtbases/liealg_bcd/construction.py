@@ -38,6 +38,21 @@ class DeskScaleError(RuntimeError):
     """Construction refused: the request exceeds the configured size caps."""
 
 
+MAX_RANK = 3    # the desk-scale rank cap of o_N and sp_2n
+
+
+def refuse_beyond_caps(name, rank, max_rank, dimension, max_dim):
+    """Raise DeskScaleError when rank exceeds max_rank or, after that, when
+    dimension(), the predicted dimension of the module called name (e.g.
+    "sp_6"), exceeds max_dim; so a refusal comes before anything is built."""
+    if rank > max_rank:
+        raise DeskScaleError("rank %d exceeds the cap %d" % (rank, max_rank))
+    dim = dimension()
+    if dim > max_dim:
+        raise DeskScaleError("%s module of dimension %d exceeds the cap %d"
+                             % (name, dim, max_dim))
+
+
 class Realization:
     """Defining matrix realization used to drive the construction.
 

@@ -17,28 +17,24 @@ from functools import partial
 from ..exact import SparseMat, apply_words, commutator, vec_add, vec_scale, vec_unit
 from .. import branching as _branching
 from .. import patterns as _patterns
-from .construction import DeskScaleError, Realization, build_module
+from .construction import MAX_RANK, Realization, build_module, refuse_beyond_caps
 
 
 class OrthogonalChain:
     """Module over o_N (positive convention) plus the reduction machinery."""
 
-    def __init__(self, N, lam, max_dim=600, max_n=3):
+    def __init__(self, N, lam, max_dim=600):
         if N < 2:
             raise ValueError("need N >= 2")
         self.N = N
         self.n = N // 2
-        if self.n > max_n:
-            raise DeskScaleError("rank %d exceeds the cap %d" % (self.n, max_n))
         lam = tuple(lam)
-        fam = "B4" if N % 2 else "D4"
-        _patterns.check_dominant(fam, lam)
         if len(lam) != self.n:
             raise ValueError("weight length != rank")
-        dim = _branching.weyl_dim(fam[0], lam)
-        if dim > max_dim:
-            raise DeskScaleError("o_%d module of dimension %d exceeds the cap %d"
-                                 % (N, dim, max_dim))
+        fam = "B4" if N % 2 else "D4"
+        refuse_beyond_caps("o_%d" % N, self.n, MAX_RANK,
+                           lambda: _branching.weyl_dim(fam[0], _patterns.check_dominant(fam, lam)),
+                           max_dim)
         self.family = fam
         self.lam = lam
         real = self._realization()

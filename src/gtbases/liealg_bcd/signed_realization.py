@@ -16,7 +16,8 @@ from ..exact import (OpPoly, SpanSolver, SparseMat, apply_words, nullspace, rank
                      spoly_from_roots, vec_add, vec_scale, vec_unit, vec_zero)
 from .. import patterns as _patterns
 from .. import branching as _branching
-from .construction import DeskScaleError, HWModule, Realization, build_module
+from .construction import (MAX_RANK, HWModule, Realization, build_module,
+                           refuse_beyond_caps)
 
 _SERIES_FAMILY = {"B": "B3", "C": "C3", "D": "D3"}
 _ZERO = Fraction(0)
@@ -29,7 +30,7 @@ class ClassicalAlgebra:
     def __init__(self, series, n):
         if series not in ("B", "C", "D"):
             raise ValueError("series must be B, C or D")
-        if series in ("C", "D") and n < 1 or series == "B" and n < 1:
+        if n < 1:
             raise ValueError("rank must be positive")
         self.series = series
         self.n = n
@@ -119,7 +120,7 @@ class BCDIrrep:
             self.algebra.series, self.algebra.n, self.lam, self.dim)
 
 
-def build_bcd_irrep(series_or_algebra, lam, max_dim=600, max_rank=3) -> BCDIrrep:
+def build_bcd_irrep(series_or_algebra, lam, max_dim=600) -> BCDIrrep:
     """Build V(lam) for the given series; lam doubled, non-positive
     convention.  Refuses beyond the desk-scale caps, the dimension cap
     from the Weyl dimension before anything is built."""
@@ -131,13 +132,11 @@ def build_bcd_irrep(series_or_algebra, lam, max_dim=600, max_rank=3) -> BCDIrrep
     lam = tuple(lam)
     if len(lam) != alg.n:
         raise ValueError("weight length != rank")
-    if alg.n > max_rank:
-        raise DeskScaleError("rank %d exceeds the cap %d" % (alg.n, max_rank))
-    _patterns.check_dominant(_SERIES_FAMILY[alg.series], lam)
-    dim = _branching.weyl_dim_s3(alg.series, lam)
-    if dim > max_dim:
-        raise DeskScaleError("%s_%d module of dimension %d exceeds the cap %d"
-                             % ("sp" if alg.series == "C" else "o", alg.N, dim, max_dim))
+    refuse_beyond_caps(
+        "%s_%d" % ("sp" if alg.series == "C" else "o", alg.N), alg.n, MAX_RANK,
+        lambda: _branching.weyl_dim_s3(
+            alg.series, _patterns.check_dominant(_SERIES_FAMILY[alg.series], lam)),
+        max_dim)
     module = build_module(alg.realization(), [Fraction(x, 2) for x in lam], max_dim)
     return BCDIrrep(alg, lam, module)
 

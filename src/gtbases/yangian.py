@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .exact import (OpPoly, SpanSolver, SparseMat, kron, rank, rref,
+from .exact import (OpPoly, SpanSolver, SparseMat, kron, rank,
                     spoly_from_roots, spoly_mul, vec_is_zero, vec_unit)
 from . import gln
 
@@ -281,13 +281,9 @@ def quantum_det(module: YTensorModule) -> OpPoly:
 
 def quantum_det_scalar_check(module: YTensorModule) -> bool:
     """d(u) acts as prod (u+alpha_i+1)(u+beta_i) on the whole module."""
-    d = quantum_det(module)
     spoly = spoly_from_roots([Fraction(f.alpha2, 2) + 1 for f in module.factors])
     spoly = spoly_mul(spoly, spoly_from_roots([Fraction(f.beta2, 2) for f in module.factors]))
-    for t in range(module.dim):
-        if not _is_scalar_action(d, vec_unit(module.dim, t), spoly):
-            return False
-    return True
+    return quantum_det(module) == OpPoly.from_scalar_poly(spoly, module.dim)
 
 
 def qdet_centrality_check(module: YTensorModule, points) -> bool:
@@ -521,9 +517,7 @@ def commutant_dimension(gens, n) -> int:
                     row[t * n + c] -= g.get(r, t)
                 if any(row):
                     rows.append(row)
-    if not rows:
-        return n * n
-    return n * n - len(rref(rows))
+    return n * n - rank(SparseMat.from_rows(rows))
 
 
 def algebra_is_semisimple(basis) -> bool:
@@ -535,7 +529,7 @@ def algebra_is_semisimple(basis) -> bool:
             prod = basis[i] @ basis[j]
             tr = sum(prod.get(t, t) for t in range(prod.nrows))
             gram[i][j] = gram[j][i] = tr
-    return len(rref(gram)) == m
+    return rank(SparseMat.from_rows(gram)) == m
 
 
 def brute_force_irreducible(gens, n) -> bool:

@@ -1,9 +1,9 @@
 """Direct forms of o_N/sp_2n computations that the library does faster.
 
 ``cli.bcd_commutation_check`` checks the Chevalley-Serre relations on the
-realized Cartan and simple generators, the partner relations and the
-cached generators against a fresh ``realize``.  ``commutation_all_pairs``
-is the bracket loop it replaced, over every ordered pair of generators.
+realized Cartan and simple generators and the cached generators against a
+fresh ``realize``.  ``commutation_all_pairs`` is the bracket loop it
+replaced, over every ordered pair of generators.
 
 ``gt_basis_bcd``, ``multiplicity_basis`` and ``orth_gt_basis`` walk the
 lowering words of all patterns as one trie (``exact.apply_words``), and

@@ -78,6 +78,15 @@ class TestExitCodes:
         code, _, _ = run_capture(capsys, ["dims", "gl", "0,1"])
         assert code == 2
 
+    @pytest.mark.parametrize("algebra,weight,want", [
+        ("sp3", "-1", "sp3: the matrix size of sp must be even and at least 2"),
+        ("so1", "0", "so1: the matrix size of so must be at least 2"),
+    ])
+    def test_size_without_rank_is_2(self, capsys, algebra, weight, want):
+        code, out, err = run_capture(capsys, ["dims", algebra, weight])
+        assert code == 2 and out == ""
+        assert want in err and "weight entries" not in err
+
     def test_usage_error_is_2(self, capsys):
         assert cli.run(["dims"]) == 2
 
@@ -425,10 +434,11 @@ class TestBcdCommutation:
         assert cli.bcd_commutation_check(rep) is bcd_reference.commutation_all_pairs(rep) is False
 
     def test_realizes_each_generator_once(self, monkeypatch):
-        """On a fresh module the check realizes each generator once, when
-        rep.F first reads it, and no bracket."""
+        """On a fresh module the check realizes the Cartan and Chevalley
+        generators, each once, when rep.F first reads it, and nothing
+        else: no other generator and no bracket."""
         rep = build_bcd_irrep("C", (0, 0, -2))
-        alg = rep.algebra
+        alg, real = rep.algebra, rep.module.realization
         calls = []
         realize = rep.module.realize
 
@@ -437,9 +447,11 @@ class TestBcdCommutation:
             return realize(m)
         monkeypatch.setattr(rep.module, "realize", spy)
         assert cli.bcd_commutation_check(rep)
-        assert len(calls) == len(alg.indices) ** 2
-        assert all(any(m == alg.fdef(i, j) for i in alg.indices for j in alg.indices)
-                   for m in calls)
+        want = ([alg.fdef(c, c) for c in real.cartan]
+                + [alg.fdef(i, j) for i, j in real.simples]
+                + [alg.fdef(j, i) for i, j in real.simples])
+        assert len(want) == 9 and len(calls) == 9
+        assert all(sum(m == w for m in calls) == 1 for w in want)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from gtbases import branching, patterns
-from gtbases.exact import (SparseMat, commutator, rank, solve_in_span,
+from gtbases.exact import (SpanSolver, SparseMat, commutator, rank, solve_in_span,
                            op_poly_eval_left, vec_add, vec_is_zero, vec_scale,
                            vec_unit, vec_zero)
 from gtbases.liealg_bcd import (DeskScaleError, OrthogonalChain, apply_z,
@@ -14,7 +14,7 @@ from gtbases.liealg_bcd import (DeskScaleError, OrthogonalChain, apply_z,
                                 lowering_zia, multiplicity_basis,
                                 orth_basis_checks, orth_gt_basis, v_plus_basis,
                                 v_plus_mu, z_interp_poly, zab_operators)
-from gtbases.liealg_bcd.signed_realization import (_apply_zab_point, _f_diag,
+from gtbases.liealg_bcd.signed_realization import (_apply_zab_point, _f_diag, _matrix_on,
                                                     apply_pf, apply_z_nminus,
                                                     apply_znizin)
 from rref_reference import rref_solve_in_span
@@ -629,6 +629,75 @@ class TestZab:
                         rhs = s_at(a, b, u0).scale(2 * u0) + \
                             (s_at(a, b, u0) - s_at(a, b, -u0)).scale(pm)
                         assert lhs == rhs
+
+    @pytest.mark.parametrize("series,lam", [
+        ("C", d(0, -1)), ("C", d(-1, -2)), ("B", (-1, -3)), ("B", (-1, -1, -1)),
+        ("D", d(0, -1, -1)), ("D", d(-1, -2)), ("D", d(0, -2)),
+    ])
+    def test_quaternary_relation_on_vplus(self, series, lam):
+        """The twisted-Yangian relation on every V(lam)^+_mu, with Z_ab(u)
+        evaluated at each point by ``_apply_zab_point``."""
+        rep = build_bcd_irrep(series, lam)
+        failed = total = 0
+        for mu, _ in branching.branch_children_BCD(series, lam):
+            _, vecs = multiplicity_basis(rep, mu)
+            solver = SpanSolver(vecs, rep.dim)
+            cache = {}
+
+            def z_at(a, b, u0):
+                if (a, b, u0) not in cache:
+                    cache[(a, b, u0)] = _matrix_on(
+                        solver, vecs, lambda v: _apply_zab_point(rep, a, b, u0, v),
+                        "Z_ab image left V^+_mu")
+                return cache[(a, b, u0)]
+            f, t = _quaternary_failures(rep, z_at)
+            failed, total = failed + f, total + t
+        assert total >= 48 and failed == 0
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="known defect: on D modules with lambda_1 != 0 the "
+                              "zab_operators polynomials equal Z_ab(u) only at the "
+                              "interpolation nodes")
+    def test_quaternary_relation_through_polynomials_d(self):
+        rep = build_bcd_irrep("D", d(-1, -2))
+        failed = total = 0
+        for mu, _ in branching.branch_children_BCD("D", rep.lam):
+            _, _, zab = zab_operators(rep, mu)
+            f, t = _quaternary_failures(rep, lambda a, b, u0: zab[(a, b)].eval_at(u0))
+            failed, total = failed + f, total + t
+        assert total == 240 and failed == 0
+
+
+def _quaternary_failures(rep, z_at):
+    """(failed, total) comparisons of the quaternary relation of the
+    twisted Yangian (Olshanski 1992; Molev, Yangians and Classical Lie
+    Algebras, ch. 2) on one V(lam)^+_mu, where z_at(a, b, u) is the matrix
+    of Z_ab(u) there:
+
+        (u^2 - v^2)[S_ij(u), S_kl(v)]
+          = (u + v)(S_kj(u) S_il(v) - S_kj(v) S_il(u))
+          - (u - v)(theta_{k,-j} S_{i,-k}(u) S_{-j,l}(v)
+                    - theta_{i,-l} S_{k,-i}(v) S_{-l,j}(u))
+          + theta_{i,-j}(S_{k,-i}(u) S_{-j,l}(v) - S_{k,-i}(v) S_{-j,l}(u))
+
+    for i, j, k, l in {-n, n} and S = Z (it holds for Z times any scalar
+    function of u), at three points (u, v); theta_ab = 1 for B and D and
+    sgn a sgn b for C."""
+    n = rep.algebra.n
+    theta = rep.algebra.theta
+    failed = total = 0
+    for u, v in ((Fraction(1), Fraction(2)), (Fraction(5, 3), Fraction(-7, 2)),
+                 (Fraction(3), Fraction(1, 3))):
+        for i, j, k, l in product((-n, n), repeat=4):
+            lhs = commutator(z_at(i, j, u), z_at(k, l, v)).scale(u * u - v * v)
+            rhs = ((z_at(k, j, u) @ z_at(i, l, v) - z_at(k, j, v) @ z_at(i, l, u)).scale(u + v)
+                   - (z_at(i, -k, u) @ z_at(-j, l, v)).scale((u - v) * theta(k, -j))
+                   + (z_at(k, -i, v) @ z_at(-l, j, u)).scale((u - v) * theta(i, -l))
+                   + (z_at(k, -i, u) @ z_at(-j, l, v)
+                      - z_at(k, -i, v) @ z_at(-j, l, u)).scale(theta(i, -j)))
+            failed += lhs != rhs
+            total += 1
+    return failed, total
 
 
 def _realize_one_shot(module, real_mat):
