@@ -68,6 +68,8 @@ def parse_algebra(token, nentries, convention, series=None):
         return ("gl", nentries)
     if token.startswith("gl") and token[2:].isdigit():
         n = int(token[2:])
+        if n < 1:
+            raise CliError("gl%d: the matrix size of gl must be at least 1" % n, 2)
         if n != nentries:
             raise CliError("gl%d needs %d weight entries" % (n, n), 2)
         return ("gl", n)

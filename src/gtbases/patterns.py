@@ -1,6 +1,6 @@
-"""Gelfand-Tsetlin-type pattern families, their validation and enumeration.
+"""Gelfand-Tsetlin-type pattern families, their enumeration and validation.
 
-Five families are supported, identified by a short tag:
+Six families are supported, identified by a short tag:
 
   "A"   triangular arrays for gl_n,
   "B3" / "C3" / "D3"  interleaved double arrays for o_{2n+1} / sp_{2n} / o_{2n}
@@ -11,6 +11,11 @@ Five families are supported, identified by a short tag:
 All entries are stored as DOUBLED integers so that half-integer weights stay
 in pure integer arithmetic; parity uniformity is a checked invariant.  A
 doubled value 3 means the entry 3/2.
+
+Each family's interlacing and parity rules are stated once, in its plan
+(_plan_A ... _plan_D4): the steps that give the candidates for each row
+from the rows above it.  enumerate_patterns walks the plan through every
+candidate; validate walks it along the rows of one array.
 """
 
 from __future__ import annotations
@@ -104,99 +109,61 @@ class PatternB3:
 
 
 @dataclass(frozen=True)
-class PatternC3:
+class _PairPattern:
+    """Array of a two-row family: lam[k-1] is the unprimed row with k
+    entries, lamp[k-1] the primed row with k entries (k = 1..n, or
+    k = 1..n-1 in the D families)."""
+
     lam: tuple
     lamp: tuple
+    _missing_primed = 0     # 1 in the D families, which have n - 1 primed rows
 
     def __post_init__(self):
         n = len(self.lam)
-        _check_rows(self.lam, list(range(1, n + 1)), "C3 unprimed")
-        _check_rows(self.lamp, list(range(1, n + 1)), "C3 primed")
+        family = family_of(self)
+        _check_rows(self.lam, range(1, n + 1), family + " unprimed")
+        _check_rows(self.lamp, range(1, n + 1 - self._missing_primed), family + " primed")
 
     @property
     def n(self):
         return len(self.lam)
 
     def flatten(self):
-        out = []
-        for k in range(self.n, 0, -1):
-            out.extend(self.lam[k - 1])
-            out.extend(self.lamp[k - 1])
-        return tuple(out)
+        return tuple(x for row in _choice_rows(self) for x in row)
 
 
-@dataclass(frozen=True)
-class PatternD3:
-    lam: tuple     # rows k = 1..n
-    lamp: tuple    # rows k = 1..n-1
+class PatternC3(_PairPattern):
+    pass
 
-    def __post_init__(self):
-        n = len(self.lam)
-        _check_rows(self.lam, list(range(1, n + 1)), "D3 unprimed")
-        _check_rows(self.lamp, list(range(1, n)), "D3 primed")
 
-    @property
-    def n(self):
-        return len(self.lam)
-
-    def flatten(self):
-        out = []
-        for k in range(self.n, 1, -1):
-            out.extend(self.lam[k - 1])
-            out.extend(self.lamp[k - 2])
-        out.extend(self.lam[0])
-        return tuple(out)
+class PatternD3(_PairPattern):
+    _missing_primed = 1
 
     def derived_prime0(self, k):
         """lambda'_{k-1,0} = max(lambda_{k1}, lambda_{k-1,1}); computed, never stored."""
         return max(self.lam[k - 1][0], self.lam[k - 2][0])
 
 
-@dataclass(frozen=True)
-class PatternB4:
+class PatternB4(_PairPattern):
     """Positive-convention B array, primed row below row k."""
 
-    lam: tuple
-    lamp: tuple
 
-    def __post_init__(self):
-        n = len(self.lam)
-        _check_rows(self.lam, list(range(1, n + 1)), "B4 unprimed")
-        _check_rows(self.lamp, list(range(1, n + 1)), "B4 primed")
-
-    @property
-    def n(self):
-        return len(self.lam)
-
-    def flatten(self):
-        out = []
-        for k in range(self.n, 0, -1):
-            out.extend(self.lam[k - 1])
-            out.extend(self.lamp[k - 1])
-        return tuple(out)
+class PatternD4(_PairPattern):
+    _missing_primed = 1
 
 
-@dataclass(frozen=True)
-class PatternD4:
-    lam: tuple     # rows k = 1..n
-    lamp: tuple    # rows k = 1..n-1
-
-    def __post_init__(self):
-        n = len(self.lam)
-        _check_rows(self.lam, list(range(1, n + 1)), "D4 unprimed")
-        _check_rows(self.lamp, list(range(1, n)), "D4 primed")
-
-    @property
-    def n(self):
-        return len(self.lam)
-
-    def flatten(self):
-        out = []
-        for k in range(self.n, 1, -1):
-            out.extend(self.lam[k - 1])
-            out.extend(self.lamp[k - 2])
-        out.extend(self.lam[0])
-        return tuple(out)
+def _choice_rows(p):
+    """The rows of p in the order its family's plan chooses them, top row
+    first: the rows of A top down; lambda_k, (sigma_k,), lambda'_k for
+    k = n..1 in B3; lambda_n, lambda'_n (D: lambda'_{n-1}), lambda_{n-1},
+    ... in the two-row families."""
+    if isinstance(p, GTPatternA):
+        return list(p.rows)
+    if isinstance(p, PatternB3):
+        return [row for k in range(p.n, 0, -1)
+                for row in (p.lam[k - 1], (p.sigma[k - 1],), p.lamp[k - 1])]
+    lamp = p.lamp[::-1]
+    return [row for i, top in enumerate(p.lam[::-1]) for row in (top, *lamp[i:i + 1])]
 
 
 # ---------------------------------------------------------------------------
@@ -236,127 +203,6 @@ def check_dominant(family, lam):
     else:
         raise ValueError("unknown family %r" % (family,))
     return lam
-
-
-# ---------------------------------------------------------------------------
-# validation
-# ---------------------------------------------------------------------------
-
-def _chain_ok(seq):
-    return all(a >= b for a, b in zip(seq, seq[1:]))
-
-
-def _interleave(a, b):
-    """a_1 b_1 a_2 b_2 ... for len(a) = len(b) or len(b)+1."""
-    out = []
-    for i in range(len(a)):
-        out.append(a[i])
-        if i < len(b):
-            out.append(b[i])
-    return out
-
-
-def validate(p) -> bool:
-    """True iff the family-specific inequalities and parity rules hold.
-
-    Malformed shapes raise PatternShapeError at construction time, so this
-    only judges the inequality content.
-    """
-    if isinstance(p, GTPatternA):
-        flat = p.flatten()
-        if not _uniform_parity(flat):
-            return False
-        for k in range(p.n, 1, -1):
-            upper = p.row(k)
-            lower = p.row(k - 1)
-            for i in range(k - 1):
-                if not (upper[i] >= lower[i] >= upper[i + 1]):
-                    return False
-        return True
-
-    if isinstance(p, PatternB3):
-        flat = [x for row in p.lam for x in row] + [x for row in p.lamp for x in row]
-        if not _uniform_parity(flat):
-            return False
-        if any(x > 0 for x in flat):
-            return False
-        integer_case = flat[0] % 2 == 0 if flat else True
-        for k in range(1, p.n + 1):
-            lamk = p.lam[k - 1]
-            lampk = p.lamp[k - 1]
-            if not _chain_ok(_interleave(lampk, lamk)):
-                return False
-            if k >= 2:
-                if not _chain_ok(_interleave(lampk, p.lam[k - 2])):
-                    return False
-            if integer_case and p.sigma[k - 1] == 1 and lampk[0] > -2:
-                return False
-        return True
-
-    if isinstance(p, PatternC3):
-        flat = [x for row in p.lam for x in row] + [x for row in p.lamp for x in row]
-        if any(x % 2 != 0 or x > 0 for x in flat):
-            return False
-        for k in range(1, p.n + 1):
-            if not _chain_ok([0] + _interleave(p.lamp[k - 1], p.lam[k - 1])):
-                return False
-            if k >= 2:
-                if not _chain_ok([0] + _interleave(p.lamp[k - 1], p.lam[k - 2])):
-                    return False
-        return True
-
-    if isinstance(p, PatternD3):
-        flat = [x for row in p.lam for x in row] + [x for row in p.lamp for x in row]
-        if not _uniform_parity(flat):
-            return False
-        # primed entries are non-positive; first unprimed entries may have
-        # either sign (they sit inside absolute values below)
-        if any(x > 0 for row in p.lamp for x in row):
-            return False
-        for k in range(2, p.n + 1):
-            lamk = p.lam[k - 1]
-            lamk1 = p.lam[k - 2]
-            lampk = p.lamp[k - 2]
-            if not _chain_ok([-abs(lamk[0])] + _interleave(lampk, lamk[1:])):
-                return False
-            if not _chain_ok([-abs(lamk1[0])] + _interleave(lampk, lamk1[1:])):
-                return False
-        return True
-
-    if isinstance(p, PatternB4):
-        flat = [x for row in p.lam for x in row] + [x for row in p.lamp for x in row]
-        if not _uniform_parity(flat):
-            return False
-        for k in range(1, p.n + 1):
-            lamk = p.lam[k - 1]
-            lampk = p.lamp[k - 1]
-            if not _chain_ok(_interleave(lamk, lampk[:-1]) + [abs(lampk[-1])]):
-                return False
-            if k >= 2:
-                chain = _interleave(lampk[:-1], p.lam[k - 2]) + [abs(lampk[-1])]
-                if not _chain_ok(chain):
-                    return False
-        return True
-
-    if isinstance(p, PatternD4):
-        flat = [x for row in p.lam for x in row] + [x for row in p.lamp for x in row]
-        if not _uniform_parity(flat):
-            return False
-        for k in range(2, p.n + 1):
-            lamk = p.lam[k - 1]
-            lampk = p.lamp[k - 2]
-            chain = _interleave(lamk[:-1], lampk[:-1]) + [lampk[-1], abs(lamk[-1])]
-            if not _chain_ok(chain):
-                return False
-        for k in range(1, p.n):
-            lamk = p.lam[k - 1]
-            lampk = p.lamp[k - 1]
-            chain = _interleave(lampk, lamk[:-1]) + [abs(lamk[-1])]
-            if not _chain_ok(chain):
-                return False
-        return True
-
-    raise TypeError("not a pattern: %r" % (p,))
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +323,13 @@ def enumerate_patterns(family, lam):
 
     Each family's plan lists its choice steps, top level first; a step maps
     the rows chosen so far to the candidates for the next row, largest
-    first.  The output is therefore in descending lexicographic order of the
-    rows in the order they are chosen.  For A, C3, D3, B4 and D4 that is the
-    order of flatten(); for B3 the rows of level k are chosen as sigma_k,
-    lambda'_k, lambda_{k-1}, so sigma_k comes after lambda_k and not before
-    it as in flatten().
+    first.  The plan is the one statement of the family's rules: a pattern
+    is valid exactly when the plan lists it (validate checks one array
+    against the same steps).  The output is in descending lexicographic
+    order of the rows in the order they are chosen (_choice_rows).  For A,
+    C3, D3, B4 and D4 that is the order of flatten(); for B3 the rows of
+    level k are chosen as sigma_k, lambda'_k, lambda_{k-1}, so sigma_k comes
+    after lambda_k and not before it as in flatten().
 
     The position in this list is the canonical basis index everywhere else.
     """
@@ -501,6 +349,32 @@ def enumerate_patterns(family, lam):
 
     descend(0)
     return out
+
+
+def validate(p) -> bool:
+    """True iff p is a pattern of its family: its top row is dominant and
+    every later row, taken in the order the plan chooses them, is among the
+    candidates of its plan step.  These are exactly the patterns that
+    enumerate_patterns lists for p's top row.
+
+    Malformed shapes raise PatternShapeError at construction time, so this
+    only judges the entries.
+    """
+    family = _FAMILY_OF_TYPE.get(type(p))
+    if family is None:
+        raise TypeError("not a pattern: %r" % (p,))
+    rows = [tuple(row) for row in _choice_rows(p)]
+    if not rows:
+        return True     # n = 0: the empty array
+    try:
+        check_dominant(family, rows[0])
+    except DominanceError:
+        return False
+    steps, _ = _PLANS[family](rows[0])
+    for i, step in enumerate(steps):
+        if rows[i + 1] not in step(rows[:i + 1]):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +485,13 @@ def pattern_to_tableau(p: GTPatternA) -> SemistandardTableau:
 
 
 def tableau_to_pattern(t: SemistandardTableau, n=None) -> GTPatternA:
+    """The pattern whose row k is the shape of the entries <= k of t; n
+    defaults to the largest entry, and a smaller n raises ValueError."""
+    largest = max((x for row in t.rows for x in row), default=0)
     if n is None:
-        n = max((x for row in t.rows for x in row), default=1)
+        n = max(largest, 1)
+    if largest > n:
+        raise ValueError("tableau entry %d exceeds n = %d" % (largest, n))
     rows = []
     for k in range(n, 0, -1):
         shape = []

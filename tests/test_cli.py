@@ -81,6 +81,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("algebra,weight,want", [
         ("sp3", "-1", "sp3: the matrix size of sp must be even and at least 2"),
         ("so1", "0", "so1: the matrix size of so must be at least 2"),
+        ("gl0", "1", "gl0: the matrix size of gl must be at least 1"),
     ])
     def test_size_without_rank_is_2(self, capsys, algebra, weight, want):
         code, out, err = run_capture(capsys, ["dims", algebra, weight])

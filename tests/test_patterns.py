@@ -4,8 +4,10 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import patterns_reference as reference
 from gtbases import branching
-from gtbases.patterns import (DominanceError, GTPatternA, PatternB3,
+from gtbases.patterns import (FAMILIES, DominanceError, GTPatternA, PatternB3,
+                              PatternB4, PatternC3, PatternD3, PatternD4,
                               PatternShapeError, SemistandardTableau,
                               enumerate_patterns, from_json, pattern_to_tableau,
                               tableau_to_pattern, to_json, validate, weight)
@@ -148,51 +150,60 @@ def test_dominance_rejected():
         enumerate_patterns("A", (2, 1))  # mixed parity
 
 
+def _moved(rows, k, i, step):
+    """rows with entry i of row k moved by step."""
+    return tuple(tuple(x + step * (r == k and c == i) for c, x in enumerate(row))
+                 for r, row in enumerate(rows))
+
+
 def _perturbations(p):
-    """All patterns obtained by moving one non-top entry by one unit."""
-    if isinstance(p, GTPatternA):
-        for k in range(1, p.n):
-            for i in range(1, k + 1):
-                for step in (2, -2):
-                    yield p.shift(k, i, step)
-        return
-    n = p.n
-    rows = [list(r) for r in p.lam]
-    primes = [list(r) for r in p.lamp]
-    make = type(p)
-    for k in range(len(rows)):
-        for i in range(len(rows[k])):
-            if k == n - 1:
-                continue  # top row is pinned to lam
-            for step in (2, -2):
-                rows[k][i] += step
-                lam = tuple(tuple(r) for r in rows)
-                rows[k][i] -= step
-                if isinstance(p, PatternB3):
-                    yield make(p.sigma, lam, p.lamp)
-                else:
-                    yield make(lam, p.lamp)
-    for k in range(len(primes)):
-        for i in range(len(primes[k])):
-            for step in (2, -2):
-                primes[k][i] += step
-                lamp = tuple(tuple(r) for r in primes)
-                primes[k][i] -= step
-                if isinstance(p, PatternB3):
-                    yield make(p.sigma, p.lam, lamp)
-                else:
-                    yield make(p.lam, lamp)
+    """All arrays obtained by moving one entry by one unit, or one entry of
+    the top row by half a unit (which breaks the parity of that row), and
+    (B3) by flipping one sigma flag."""
+    names = ("rows",) if isinstance(p, GTPatternA) else ("lam", "lamp")
+    top = ("rows", 0) if isinstance(p, GTPatternA) else ("lam", p.n - 1)
+    for name in names:
+        rows = getattr(p, name)
+        for k, row in enumerate(rows):
+            for i in range(len(row)):
+                for step in ((2, -2, 1, -1) if (name, k) == top else (2, -2)):
+                    yield dataclasses.replace(p, **{name: _moved(rows, k, i, step)})
+    if isinstance(p, PatternB3):
+        for k in range(p.n):
+            yield dataclasses.replace(p, sigma=tuple(s ^ (j == k) for j, s in enumerate(p.sigma)))
+
+
+def _top(p):
+    return p.rows[0] if isinstance(p, GTPatternA) else p.lam[-1]
+
+
+# COUNTS plus integer B3 weights, where the sigma flags are constrained
+PERTURBED = [(family, lam) for family, lam, _ in COUNTS] + [
+    ("B3", d(0, -1)), ("B3", d(-1, -2)), ("B3", d(0, 0, -1))]
 
 
 def test_validity_matches_enumeration_at_distance_one():
     # a one-unit perturbation is valid exactly when it appears in the
-    # enumerated list for the same top row
-    for family, lam, _ in COUNTS:
-        pats = enumerate_patterns(family, lam)
-        valid = {p.flatten() for p in pats}
-        for p in pats:
+    # enumerated list for its own top row, and never when that row is not
+    # dominant
+    listed = {}
+
+    def enumerated(family, top):
+        if (family, top) not in listed:
+            try:
+                listed[(family, top)] = set(enumerate_patterns(family, top))
+            except DominanceError:
+                listed[(family, top)] = set()
+        return listed[(family, top)]
+
+    verdicts = set()
+    for family, lam in PERTURBED:
+        for p in enumerate_patterns(family, lam):
             for q in _perturbations(p):
-                assert validate(q) == (q.flatten() in valid)
+                want = q in enumerated(family, _top(q))
+                assert validate(q) == want == reference.validate(q), q
+                verdicts.add((_top(q) == lam, want))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_weight_examples():
@@ -234,6 +245,20 @@ class TestTableauBijection:
             t = pattern_to_tableau(p)
             assert tableau_to_pattern(t, 3) == p
 
+    def test_round_trip_for_every_n_from_the_largest_entry(self):
+        # n below the largest entry raises instead of dropping boxes
+        with pytest.raises(ValueError):
+            tableau_to_pattern(SemistandardTableau(((1, 3),)), 2)
+        for lam in (d(2, 1, 0), d(3, 1, 1, 0)):
+            for p in enumerate_patterns("A", lam):
+                t = pattern_to_tableau(p)
+                largest = max((x for row in t.rows for x in row), default=0)
+                for n in range(max(largest, 1), 6):
+                    assert pattern_to_tableau(tableau_to_pattern(t, n)) == t
+                for n in range(largest):
+                    with pytest.raises(ValueError):
+                        tableau_to_pattern(t, n)
+
     def test_rejects_negative(self):
         p = GTPatternA((d(1, -1), d(0)))
         with pytest.raises(ValueError):
@@ -264,6 +289,18 @@ DOMINANT_SHIFT = {
 }
 
 
+def _dominant(family, parts, odd):
+    """A dominant doubled weight of family made from the plain parts, with
+    odd doubled entries when odd is set and the family allows them."""
+    if family == "C3":
+        odd = 0
+    lam = tuple(sorted((2 * x + odd for x in parts), reverse=True))
+    holds, step = DOMINANT_SHIFT[family]
+    while not holds(lam):
+        lam = tuple(x + step for x in lam)
+    return lam
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(sorted(DOMINANT_SHIFT)),
        st.lists(st.integers(-2, 1), min_size=1, max_size=3), st.integers(0, 1))
@@ -273,13 +310,64 @@ def test_enumerated_patterns_all_valid(family, parts, odd):
     except for C3, whose weights are integers.  enumerate_patterns builds
     them without the row checks; each also passes the public constructor
     (dataclasses.replace runs it) and equals its rebuilt copy."""
-    if family == "C3":
-        odd = 0
-    lam = tuple(sorted((2 * x + odd for x in parts), reverse=True))
-    holds, step = DOMINANT_SHIFT[family]
-    while not holds(lam):
-        lam = tuple(x + step for x in lam)
-    for p in enumerate_patterns(family, lam):
+    for p in enumerate_patterns(family, _dominant(family, parts, odd)):
         assert validate(p)
         copy = dataclasses.replace(p)
         assert copy == p and hash(copy) == hash(p)
+
+
+_CLASSES = {"A": GTPatternA, "B3": PatternB3, "C3": PatternC3,
+            "D3": PatternD3, "B4": PatternB4, "D4": PatternD4}
+
+
+@st.composite
+def _random_arrays(draw):
+    """An array of any family, n <= 3, with doubled entries of both signs,
+    all of one parity but for about one entry in ten, which is off by 1."""
+    family = draw(st.sampled_from(FAMILIES))
+    n = draw(st.integers(1, 3))
+    odd = draw(st.integers(0, 1))
+    entry = st.builds(lambda x, off: 2 * x + odd + (off == 0),
+                      st.integers(-3, 2), st.integers(0, 9))
+
+    def rows(lengths):
+        return tuple(tuple(draw(entry) for _ in range(k)) for k in lengths)
+
+    if family == "A":
+        return GTPatternA(rows(range(n, 0, -1)))
+    lam = rows(range(1, n + 1))
+    lamp = rows(range(1, n + 1 - (family[0] == "D")))
+    if family == "B3":
+        return PatternB3(tuple(draw(st.integers(0, 1)) for _ in range(n)), lam, lamp)
+    return _CLASSES[family](lam, lamp)
+
+
+@st.composite
+def _moved_patterns(draw):
+    """An enumerated pattern of a small dominant weight with up to three
+    entries moved by -3..3 (doubled; odd moves break the parity) and, in
+    B3, the sigma flags drawn afresh."""
+    family = draw(st.sampled_from(FAMILIES))
+    lam = _dominant(family, draw(st.lists(st.integers(-2, 1), min_size=1, max_size=3)),
+                    draw(st.integers(0, 1)))
+    p = draw(st.sampled_from(enumerate_patterns(family, lam)))
+    names = ["rows"] if family == "A" else ["lam", "lamp"]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        name = draw(st.sampled_from(names))
+        rows = getattr(p, name)
+        if not rows:
+            continue
+        k = draw(st.integers(0, len(rows) - 1))
+        i = draw(st.integers(0, len(rows[k]) - 1))
+        p = dataclasses.replace(p, **{name: _moved(rows, k, i, draw(st.integers(-3, 3)))})
+    if family == "B3":
+        p = dataclasses.replace(p, sigma=tuple(draw(st.integers(0, 1)) for _ in range(p.n)))
+    return p
+
+
+@settings(max_examples=600, deadline=None)
+@given(_random_arrays() | _moved_patterns())
+def test_validate_matches_reference(p):
+    """The plan walk of validate gives the verdict of the inequalities
+    written out by hand (tests/patterns_reference.py)."""
+    assert validate(p) == reference.validate(p)
