@@ -1,8 +1,10 @@
 """Branching rules, Schur polynomials and the Weyl dimension oracle.
 
-The dimension oracle is written directly from root-system data and serves as
-ground truth for every dimension claim in the package.  To keep it an
-independent check it must not import the patterns module.
+The branching rules are read off the top level of the pattern plans in
+``patterns``.  The dimension oracle is written directly from root-system
+data and serves as ground truth for every dimension claim in the package;
+to keep them independent checks, the Weyl and Schur oracles use no pattern
+code.
 
 Weight conventions: series "A" takes any doubled dominant weight; "B", "C",
 "D" take doubled weights in the standard positive convention
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
 
 
 def to_dominant(lam):
@@ -121,22 +124,8 @@ def branch_A(lam):
 
     Output in descending lexicographic order; weights doubled.
     """
-    lam = tuple(lam)
-    n = len(lam)
-    out = []
-    mu = [0] * (n - 1)
-
-    def rec(i):
-        if i == n - 1:
-            out.append(tuple(mu))
-            return
-        for v in range(lam[i], lam[i + 1] - 1, -2):
-            mu[i] = v
-            rec(i + 1)
-
-    if n >= 1:
-        rec(0)
-    return out
+    from . import patterns
+    return [mu for mu, _ in patterns.top_levels("A", lam)]
 
 
 @dataclass(frozen=True)
@@ -144,8 +133,11 @@ class BranchSpec:
     """Restriction data for one (parent, child) pair of B/C/D weights.
 
     data holds the admissible tuples (doubled): (sigma, nu_1..nu_n) for B,
-    (nu_1..nu_n) for C, (nu_1..nu_{n-1}) for D.  The multiplicity c(mu) is
-    len(data).
+    (nu_1..nu_n) for C, (nu_1..nu_{n-1}) for D, i.e. the rows (sigma_n,),
+    lambda'_n of the B3 and C3 patterns and lambda'_{n-1} of D3.  C and D
+    tuples come in descending lexicographic order; B tuples descending by
+    (nu'_1, nu_2, ..., nu_n), where nu'_1 = nu_1 if sigma = 0 and -nu_1 if
+    sigma = 1.  The multiplicity c(mu) is len(data).
     """
 
     series: str
@@ -158,134 +150,39 @@ class BranchSpec:
         return len(self.data)
 
 
-def _desc(hi, lo):
-    return range(hi, lo - 1, -2)
+def _children(series, lam):
+    """{mu: admissible tuples} over the children mu of lam, in BranchSpec order."""
+    from . import patterns
+    kids = {}
+    for mu, rows in patterns.top_levels(series + "3", lam):
+        kids.setdefault(mu, []).append(sum(rows, ()))
+    if series == "B":   # the plan lists sigma = 1 first
+        for data in kids.values():
+            data.sort(key=lambda t: (-t[1] if t[0] else t[1], *t[2:]), reverse=True)
+    return kids
 
 
 def branch_BCD(series, lam, mu) -> BranchSpec:
-    """Admissible nu-tuples for the restriction, non-positive convention.
+    """Admissible nu-tuples for the restriction, non-positive convention;
+    no tuples when mu is not a child of lam.
 
     B: (n+1)-tuples (sigma, nu_1, ..., nu_n) with the sign re-encoding of
     the first entry; C: n-tuples; D: (n-1)-tuples.  All entries doubled.
     """
     lam = tuple(lam)
     mu = tuple(mu)
-    n = len(lam)
-    data = []
-
-    if series == "B":
-        if len(mu) != n - 1:
-            raise ValueError("B child weight needs n-1 entries")
-        # nu'_1 with -lam_1 >= nu'_1 >= lam_1 and -mu_1 >= nu'_1 >= mu_1,
-        # then integer/half-integer together with lam
-        hi1 = min(-lam[0], -mu[0]) if n > 1 else -lam[0]
-        lo1 = max(lam[0], mu[0]) if n > 1 else lam[0]
-        nu = [0] * n
-        for nu1p in _desc(hi1, lo1):
-            sigma, nu[0] = (0, nu1p) if nu1p <= 0 else (1, -nu1p)
-
-            def rec(i):
-                # nu_i for i >= 2: lam_{i-1} >= nu_i >= lam_i, mu_{i-1} >= nu_i >= mu_i
-                if i > n:
-                    data.append((sigma, *nu))
-                    return
-                hi = min(lam[i - 2], mu[i - 2])
-                lo = lam[i - 1] if i == n else max(lam[i - 1], mu[i - 1])
-                for v in _desc(hi, lo):
-                    nu[i - 1] = v
-                    rec(i + 1)
-
-            rec(2)
-        return BranchSpec("B", lam, mu, tuple(data))
-
-    if series == "C":
-        if len(mu) != n - 1:
-            raise ValueError("C child weight needs n-1 entries")
-        nu = [0] * n
-
-        def rec(i):
-            if i > n:
-                data.append(tuple(nu))
-                return
-            if i == 1:
-                hi = 0
-                lo = max(lam[0], mu[0]) if n > 1 else lam[0]
-            else:
-                hi = min(lam[i - 2], mu[i - 2])
-                lo = lam[i - 1] if i == n else max(lam[i - 1], mu[i - 1])
-            for v in _desc(hi, lo):
-                nu[i - 1] = v
-                rec(i + 1)
-
-        rec(1)
-        return BranchSpec("C", lam, mu, tuple(data))
-
-    if series == "D":
-        if len(mu) != n - 1:
-            raise ValueError("D child weight needs n-1 entries")
-        if n == 1:
-            # the rank-one orthogonal algebra is abelian; the restriction
-            # to the trivial subalgebra is the single empty tuple
-            return BranchSpec("D", lam, mu, ((),))
-        nu = [0] * (n - 1)
-
-        def rec(i):
-            if i > n - 1:
-                data.append(tuple(nu))
-                return
-            if i == 1:
-                hi = min(-abs(lam[0]), -abs(mu[0]))
-                lo = max(lam[1], mu[1]) if n > 2 else lam[1]
-            else:
-                hi = min(lam[i - 1], mu[i - 1])
-                lo = lam[i] if i == n - 1 else max(lam[i], mu[i])
-            for v in _desc(hi, lo):
-                nu[i - 1] = v
-                rec(i + 1)
-
-        rec(1)
-        return BranchSpec("D", lam, mu, tuple(data))
-
-    raise ValueError("unknown series %r" % (series,))
-
-
-def _cap_same_parity(cap, parity_of):
-    """Largest doubled value <= cap with the parity of parity_of."""
-    return cap if (cap - parity_of) % 2 == 0 else cap - 1
+    if len(mu) != len(lam) - 1:
+        raise ValueError("%s child weight needs n-1 entries" % series)
+    return BranchSpec(series, lam, mu, tuple(_children(series, lam).get(mu, ())))
 
 
 def branch_children_BCD(series, lam):
-    """All (mu, BranchSpec) with positive multiplicity, non-positive convention.
-
-    Candidate child weights are scanned over crude per-entry bounds and
-    filtered by the exact admissible-tuple count; output is in descending
-    lexicographic order of mu.
-    """
+    """All (mu, BranchSpec) with positive multiplicity, non-positive
+    convention, in descending lexicographic order of mu."""
     lam = tuple(lam)
-    n = len(lam)
-    if n == 1:
-        return [((), branch_BCD(series, lam, ()))]
-    out = []
-    mu = [0] * (n - 1)
-
-    def rec(i):
-        if i == n - 1:
-            spec = branch_BCD(series, lam, tuple(mu))
-            if spec.multiplicity:
-                out.append((tuple(mu), spec))
-            return
-        if series == "D" and i == 0:
-            hi, lo = -lam[1], lam[1]
-        elif series == "D":
-            hi, lo = -abs(lam[0]), lam[i + 1]
-        else:
-            hi, lo = _cap_same_parity(0, lam[0]), lam[i + 1]
-        for v in range(hi, lo - 1, -2):
-            mu[i] = v
-            rec(i + 1)
-
-    rec(0)
-    return out
+    kids = _children(series, lam)
+    return [(mu, BranchSpec(series, lam, mu, tuple(kids[mu])))
+            for mu in sorted(kids, reverse=True)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ doubled value 3 means the entry 3/2.
 Each family's interlacing and parity rules are stated once, in its plan
 (_plan_A ... _plan_D4): the steps that give the candidates for each row
 from the rows above it.  enumerate_patterns walks the plan through every
-candidate; validate walks it along the rows of one array.
+candidate; validate walks it along the rows of one array; top_levels walks
+its first level only, and the branching module reads the branching rules
+of gl_n, o_N and sp_2n from there.
 """
 
 from __future__ import annotations
@@ -267,10 +269,8 @@ def _plan_B3(lam):
     # level k: sigma_k; lambda'_k as for C3, its first entry capped (doubled)
     # by -1 for half-integer weights, and for integer ones by 0, or by -2
     # when sigma_k = 1; then lambda_{k-1} interlacing lambda'_k
-    integer_case = lam[0] % 2 == 0
-
     def primed(rows):
-        cap = -2 * rows[-1][0] if integer_case else -1
+        cap = -2 * rows[-1][0] if rows[0][0] % 2 == 0 else -1
         return _interlace((cap,) + rows[-2])
 
     def build(rows):
@@ -335,20 +335,37 @@ def enumerate_patterns(family, lam):
     """
     lam = check_dominant(family, tuple(lam))
     steps, build = _PLANS[family](lam)
-    out = []
-    rows = [lam]
+    if not lam:
+        return [build([])]      # n = 0: the empty array
+    return [build(rows) for rows in _walk(steps, lam)]
 
-    def descend(i):
-        if i == len(steps):
-            out.append(build(rows))
-            return
-        for row in steps[i](rows):
-            rows.append(row)
-            descend(i + 1)
-            rows.pop()
 
-    descend(0)
-    return out
+def _walk(steps, top):
+    """Every way to choose a candidate for each step in turn below the top
+    row, as tuples of rows (top first), in descending lexicographic order:
+    each level extends the walks so far by their step's candidates."""
+    walks = [(top,)]
+    for step in steps:
+        walks = [rows + (row,) for rows in walks for row in step(rows)]
+    return walks
+
+
+# plan steps per level: A chooses lambda_{k-1}; B3 sigma_k, lambda'_k,
+# lambda_{k-1}; C3 lambda'_k, lambda_{k-1}; D3 lambda'_{k-1}, lambda_{k-1}
+_LEVEL_STEPS = {"A": 1, "B3": 3, "C3": 2, "D3": 2}
+
+
+def top_levels(family, lam):
+    """(mu, rows) for the top level of each pattern with top row lam (A, B3,
+    C3 or D3), in enumeration order: mu is the row lambda_{n-1}, or () when
+    n = 1, and rows the rows the plan chooses between lam and mu.  [] when
+    n = 0."""
+    lam = check_dominant(family, tuple(lam))
+    if not lam:
+        return []
+    steps, _ = _PLANS[family](lam)
+    return [(rows[-1], rows[1:-1]) if len(lam) > 1 else ((), rows[1:])
+            for rows in _walk(steps[:_LEVEL_STEPS[family]], lam)]
 
 
 def validate(p) -> bool:

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import branching_reference as reference
 from gtbases import branching, patterns
+from gtbases.patterns import DominanceError
 
 
 def d(*xs):
@@ -102,20 +104,19 @@ class TestBranchBCD:
             total += spec.multiplicity * child
         assert total == branching.weyl_dim_s3(series, lam)
 
-    def test_C_multiplicity_product_formula(self):
-        # c(mu) = prod (alpha_i - beta_i + 1) with the minimax string parameters
-        lam_plain = (0, -1)
-        lam = d(*lam_plain)
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-4, 0), min_size=1, max_size=3))
+    def test_C_multiplicity_product_formula(self, parts):
+        """c(mu) = prod_i ((alpha_i - beta_i)/2 + 1) in doubled units, with
+        alpha_1 = 0, alpha_i = min(lam_{i-1}, mu_{i-1}) for i >= 2,
+        beta_i = max(lam_i, mu_i) for i < n and beta_n = lam_n."""
+        lam = d(*sorted(parts, reverse=True))
         for mu, spec in branching.branch_children_BCD("C", lam):
-            mu_plain = tuple(Fraction(x, 2) for x in mu)
-            lamf = [Fraction(x, 2) for x in lam]
-            alphas = [Fraction(-1, 2)]
-            betas = [max(lamf[0], mu_plain[0]) - Fraction(1, 2)]
-            alphas.append(min(lamf[0], mu_plain[0]) - 2 + Fraction(1, 2))
-            betas.append(lamf[1] - 2 + Fraction(1, 2))  # mu_n = -infinity
+            alphas = [0] + [min(a, b) for a, b in zip(lam, mu)]
+            betas = [max(a, b) for a, b in zip(lam, mu)] + [lam[-1]]
             want = 1
             for a, b in zip(alphas, betas):
-                want *= a - b + 1
+                want *= (a - b) // 2 + 1
             assert spec.multiplicity == want
 
     def test_D_rank_one_is_trivial_restriction(self):
@@ -131,6 +132,86 @@ class TestBranchBCD:
         assert any(t[0] == 1 for t in spec.data)
         for t in spec.data:
             assert all(x <= 0 for x in t[1:])
+
+
+@st.composite
+def _bcd_weights(draw):
+    """(series, lam): a dominant B/C/D weight, non-positive convention, n <= 3."""
+    series = draw(st.sampled_from("BCD"))
+    n = draw(st.integers(1, 3))
+    odd = series != "C" and draw(st.booleans())
+    lam = sorted(draw(st.lists(st.integers(-3, 1), min_size=n, max_size=n)), reverse=True)
+    lam = tuple(2 * x - odd for x in lam)
+    try:
+        patterns.check_dominant(series + "3", lam)
+    except DominanceError:
+        assume(False)
+    return series, lam
+
+
+class TestAgainstReference:
+    """The branching rules read off the pattern plans against the
+    hand-written recursions they replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 4), st.booleans(), st.data())
+    def test_branch_A(self, n, odd, data):
+        lam = sorted(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)),
+                     reverse=True)
+        lam = tuple(2 * x - odd for x in lam)
+        assert branching.branch_A(lam) == reference.branch_A(lam)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_bcd_weights(), st.data())
+    def test_branch_bcd(self, weight, data):
+        """Children, multiplicities and data tuples in the same order; and
+        branch_BCD on a child weight and on a weight of lam's parity that
+        may not be one.  (The reference also lists tuples for some mu of
+        the other parity, which are not children.)"""
+        series, lam = weight
+        kids = branching.branch_children_BCD(series, lam)
+        assert kids == reference.branch_children_BCD(series, lam)
+        for mu, spec in kids:
+            assert branching.branch_BCD(series, lam, mu) == spec
+        parts = data.draw(st.lists(st.integers(-4, 2), min_size=len(lam) - 1,
+                                   max_size=len(lam) - 1), label="mu")
+        mu = tuple(2 * x - lam[0] % 2 for x in parts)
+        assert branching.branch_BCD(series, lam, mu) == reference.branch_BCD(series, lam, mu)
+
+
+def test_branch_functions_reject_non_dominant_weights():
+    with pytest.raises(DominanceError):
+        branching.branch_children_BCD("B", (0, -1))     # entries of mixed parity
+    with pytest.raises(DominanceError):
+        branching.branch_children_BCD("C", d(1, 0))
+    with pytest.raises(DominanceError):
+        branching.branch_BCD("D", d(1, 1), d(0))
+    with pytest.raises(DominanceError):
+        branching.branch_A(d(0, 1))
+    with pytest.raises(ValueError):
+        branching.branch_BCD("C", d(0, -1), d(0, 0))    # mu needs n - 1 entries
+
+
+class _Refuse(dict):
+    """Stands in for pattern code: any call or lookup fails the test."""
+
+    def __getitem__(self, key):
+        raise AssertionError("pattern code was used")
+
+    __call__ = __getitem__
+
+
+def test_oracles_use_no_pattern_code(monkeypatch):
+    monkeypatch.setattr(patterns, "enumerate_patterns", _Refuse())
+    assert branching.branch_A(d(2, 1, 0)) == [d(2, 1), d(2, 0), d(1, 1), d(1, 0)]
+    assert [(mu, spec.multiplicity) for mu, spec in
+            branching.branch_children_BCD("C", d(0, -1))] == [(d(0), 2), (d(-1), 1)]
+    monkeypatch.setattr(patterns, "_PLANS", _Refuse())
+    assert branching.weyl_dim("C", d(1, 0)) == 4
+    assert branching.weyl_dim_s3("B", (-1, -1)) == 4
+    assert branching.schur_exponents((2, 1), 2) == {(2, 1): 1, (1, 2): 1}
+    with pytest.raises(AssertionError):     # the branching rules are the plans'
+        branching.branch_A(d(2, 1, 0))
 
 
 class TestSchur:

@@ -150,6 +150,18 @@ def test_dominance_rejected():
         enumerate_patterns("A", (2, 1))  # mixed parity
 
 
+@pytest.mark.parametrize("family,empty", [
+    ("A", GTPatternA(())), ("B3", PatternB3((), (), ())), ("C3", PatternC3((), ())),
+    ("D3", PatternD3((), ())), ("B4", PatternB4((), ())), ("D4", PatternD4((), ())),
+])
+def test_empty_top_row_gives_the_empty_array(family, empty):
+    """n = 0: the one array is the empty one, which validate accepts, and
+    the count is the Weyl dimension 1."""
+    assert enumerate_patterns(family, ()) == [empty]
+    assert validate(empty)
+    assert branching.weyl_dim(family[0], ()) == 1
+
+
 def _moved(rows, k, i, step):
     """rows with entry i of row k moved by step."""
     return tuple(tuple(x + step * (r == k and c == i) for c, x in enumerate(row))
