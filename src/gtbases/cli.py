@@ -294,8 +294,8 @@ def _mat_from_entries(ent, dim):
     return SparseMat(dim, dim, {(r, c): Fraction(v) for r, c, v in ent})
 
 
-def cmd_build(args, verb="build"):
-    if verb == "export" and not args.json:
+def cmd_build(args):
+    if args.verb == "export" and not args.json:
         raise CliError("export needs --json PATH", 2)
     lam = parse_weight(args.weight)
     kind, data = parse_algebra(args.algebra, len(lam), args.convention, args.series)
@@ -445,10 +445,7 @@ def cmd_yangian_demo(args):
     print("rtt-relation: %s" % ("PASS" if yangian.rtt_check(module, pairs) else "FAIL"))
     print("quantum-determinant-scalar: %s" %
           ("PASS" if yangian.quantum_det_scalar_check(module) else "FAIL"))
-    if yangian.irreducible_Y2(module.factors) and all(
-            not (set(a.values()) & set(b.values()))
-            for i, a in enumerate(module.factors)
-            for b in module.factors[i + 1:]):
+    if yangian.irreducible_Y2(module.factors) and yangian._pairwise_disjoint(module.factors):
         ok = yangian.eta_action_checks(module)
         print("gt-basis-actions: %s" % ("PASS" if ok else "FAIL"))
     return 0
@@ -463,16 +460,18 @@ def make_parser():
     ap.add_argument("--series", choices=["gl", "so", "sp"],
                     help="optional series hint; the positional algebra wins")
     sub = ap.add_subparsers(dest="verb", required=True)
-    for verb, fn in [("build", cmd_build), ("verify", cmd_verify),
-                     ("dims", cmd_dims), ("branch", cmd_branch),
-                     ("patterns", cmd_patterns), ("export", None)]:
+    for verb, cmd in [("build", cmd_build), ("verify", cmd_verify),
+                      ("dims", cmd_dims), ("branch", cmd_branch),
+                      ("patterns", cmd_patterns), ("export", cmd_build)]:
         p = sub.add_parser(verb)
+        p.set_defaults(cmd=cmd)
         p.add_argument("algebra", help="gl | sp | spN | soN")
         p.add_argument("weight", help="comma list, half-integers as p/2")
         p.add_argument("--json", help="write a JSON export to this path")
         p.add_argument("--convention", choices=["s3", "s4"], default="s3",
                        help="orthogonal/symplectic weight convention")
     p = sub.add_parser("yangian-demo")
+    p.set_defaults(cmd=cmd_yangian_demo)
     p.add_argument("--strings", default="1,0;3,2",
                    help="semicolon list of alpha,beta pairs")
     return ap
@@ -490,20 +489,7 @@ def run(argv):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        if args.verb == "build":
-            return cmd_build(args)
-        if args.verb == "export":
-            return cmd_build(args, verb="export")
-        if args.verb == "verify":
-            return cmd_verify(args)
-        if args.verb == "dims":
-            return cmd_dims(args)
-        if args.verb == "branch":
-            return cmd_branch(args)
-        if args.verb == "patterns":
-            return cmd_patterns(args)
-        if args.verb == "yangian-demo":
-            return cmd_yangian_demo(args)
+        return args.cmd(args)
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code
@@ -513,7 +499,6 @@ def run(argv):
     except (patterns.DominanceError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    return 2
 
 
 def main():

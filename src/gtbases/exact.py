@@ -438,6 +438,44 @@ def apply_words(start, words, operator, root=None):
     return out
 
 
+def chain_sum(dim, start, indices, end, gen, pool, diff, den):
+    """The chain sum of a lowering operator and the columns where it is
+    singular.
+
+    The sum runs over the subsequences c of indices, taken in their order:
+    the term of c is gen(start, c_1) @ gen(c_1, c_2) @ ... @ gen(c_s, end)
+    times the diagonal prod_{j in pool, not in c} diff[j] over
+    prod_{t in c, not in pool} diff[t], which acts first.  diff[j] is a list
+    of int numerators over den, one per column.  Returns (matrix, bad): bad
+    is the frozenset of columns where, for a nonzero monomial, a denominator
+    vanishes under a nonzero numerator.  Where a term's denominator
+    vanishes, the matrix leaves that term out."""
+    chains = [()]
+    for x in indices:
+        chains += [c + (x,) for c in chains]
+    terms = []
+    bad = set()
+    for c in chains:
+        path = (start,) + c + (end,)
+        mono = gen(start, path[1])
+        for p, q in zip(path[1:], path[2:]):
+            mono = mono @ gen(p, q)
+        if mono.is_zero():
+            continue
+        ups = [j for j in pool if j not in c]
+        downs = [t for t in c if t not in pool]
+        up = [math.prod(xs) for xs in zip([1] * dim, *(diff[j] for j in ups))]
+        down = [math.prod(xs) for xs in zip([1] * dim, *(diff[t] for t in downs))]
+        bad.update(col for col in range(dim) if up[col] and not down[col])
+        # the factor at a column is up den^|downs| / (down den^|ups|)
+        lcd = math.lcm(*(x for x in down if x))
+        num = [u * (lcd // x) * den ** len(downs) if x else 0 for u, x in zip(up, down)]
+        terms.append((1, SparseMat.from_num(
+            dim, dim, {(r, col): v * num[col] for (r, col), v in mono.num.items() if num[col]},
+            mono.den * lcd * den ** len(ups))))
+    return SparseMat.combination(dim, dim, terms), frozenset(bad)
+
+
 # -- exact elimination -------------------------------------------------------
 
 def rref(rows):

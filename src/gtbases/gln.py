@@ -10,10 +10,11 @@ operator polynomials on top of those.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 
-from .exact import (OpPoly, SparseMat, apply_words, chevalley_serre_check, commutator,
-                    entry_strings, kron, nullspace, spoly_from_roots, vec_is_zero, vec_unit)
+from .exact import (OpPoly, SparseMat, apply_words, chain_sum, chevalley_serre_check,
+                    commutator, entry_strings, kron, nullspace, spoly_from_roots,
+                    vec_is_zero, vec_unit)
 from .patterns import GTPatternA, enumerate_patterns, weight
 from . import patterns as _patterns
 
@@ -188,14 +189,6 @@ def norms(rep: GlnIrrep):
 # lowering and raising operators
 # ---------------------------------------------------------------------------
 
-def _subsets_desc(pool):
-    """All subsets of pool as descending tuples (pool ascending)."""
-    out = [()]
-    for x in pool:
-        out += [s + (x,) for s in out]
-    return [tuple(sorted(s, reverse=True)) for s in out]
-
-
 def lowering_operator(rep: GlnIrrep, i, kind="lowering", m=None) -> SparseMat:
     """Matrix of z_{mi} (kind="lowering") or z_{im} (kind="raising").
 
@@ -213,29 +206,18 @@ def lowering_operator(rep: GlnIrrep, i, kind="lowering", m=None) -> SparseMat:
     # raising: E_{i t1} E_{t1 t2} ... E_{tk m} over descending chains;
     # lowering: E_{t1 i} E_{t2 t1} ... E_{m tk} over ascending ones
     if kind == "raising":
-        pool, step = list(range(1, i)), 1
+        pool, gen = range(i - 1, 0, -1), rep.gen
     elif kind == "lowering":
-        pool, step = list(range(i + 1, m)), -1
+        pool, gen = range(i + 1, m), lambda p, q: rep.gen(q, p)
     else:
         raise ValueError("kind must be 'lowering' or 'raising'")
-    d = rep.dim
-    ident = SparseMat.identity(d)
-    diffs = {j: rep.h_matrix(i) - rep.h_matrix(j) for j in pool}
-    total = SparseMat.zero(d, d)
-    for chain in _subsets_desc(pool):
-        mono = ident
-        prev = i
-        for t in chain[::step] + (m,):
-            mono = mono @ rep.gen(*(prev, t)[::step])
-            prev = t
-        # the Cartan factor as one diagonal: the products of the numerators of
-        # the diagonal matrices h_i - h_j, over the product of their denominators
-        cut = [diffs[j] for j in pool if j not in chain]
-        vals = [prod(f.num.get((r, r), 0) for f in cut) for r in range(d)]
-        total = total + mono @ SparseMat.from_num(
-            d, d, {(r, r): v for r, v in enumerate(vals) if v}, prod(f.den for f in cut))
-    rep._lowering[key] = total
-    return total
+    hi = rep.h_matrix(i)
+    hs = {j: hi - rep.h_matrix(j) for j in pool}
+    den = lcm(*(h.den for h in hs.values()))
+    diff = {j: [h.num.get((r, r), 0) * (den // h.den) for r in range(rep.dim)]
+            for j, h in hs.items()}
+    rep._lowering[key] = chain_sum(rep.dim, i, pool, m, gen, pool, diff, den)[0]
+    return rep._lowering[key]
 
 
 def basis_via_lowering(rep: GlnIrrep):

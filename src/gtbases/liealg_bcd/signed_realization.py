@@ -10,9 +10,9 @@ boundaries.  All weights entering or leaving this module are doubled ints.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
-from ..exact import (OpPoly, SpanSolver, SparseMat, apply_words, nullspace, rank,
+from ..exact import (OpPoly, SpanSolver, SparseMat, apply_words, chain_sum, nullspace, rank,
                      spoly_from_roots, vec_add, vec_scale, vec_unit, vec_zero)
 from .. import patterns as _patterns
 from .. import branching as _branching
@@ -164,61 +164,24 @@ def _f_diag(rep: BCDIrrep, i):
     return rep._fdiag[i]
 
 
-def _chain_indices(rank_k, series, i):
-    """Descending chains i > i_1 > ... > i_s > -rank_k in the subalgebra
-    index set (0 included only for B)."""
-    pool = [t for t in range(i - 1, -rank_k, -1) if t != 0 or series == "B"]
-    chains = [()]
-    for t in pool:
-        chains += [c + (t,) for c in chains if not c or c[-1] > t]
-    return chains
-
-
-def _chain_monomial(rep: BCDIrrep, i, a, chain) -> SparseMat:
-    prev = i
-    mono = None
-    for t in chain:
-        mono = rep.F(prev, t) if mono is None else mono @ rep.F(prev, t)
-        prev = t
-    return rep.F(prev, a) if mono is None else mono @ rep.F(prev, a)
-
-
 def _chain_sum(rep: BCDIrrep, i, a, k, pool):
     """The function applying the sum over the chains i > i_1 > ... > i_s > -k
     of F_{i i_1} ... F_{i_s a} times a Cartan factor acting first: the
     product of (f_i - f_j) over j in pool but not in the chain, over the
     product of (f_i - f_t) over t in the chain but not in pool.  The sum is
-    formed once per module and key, as int numerators over one denominator.
-    The function raises ZeroDivisionError exactly when its vector meets a
-    column where, for a chain with a nonzero monomial, a denominator
-    vanishes under a nonzero numerator."""
+    formed once per module and key by exact.chain_sum.  The function raises
+    ZeroDivisionError exactly when its vector meets a column where, for a
+    chain with a nonzero monomial, a denominator vanishes under a nonzero
+    numerator."""
     key = (i, a, k, pool)
     if key in rep._chains:
         return rep._chains[key]
-    d = rep.dim
-    series = rep.algebra.series
     fi = _f_diag(rep, i)
+    # the chain indices of the rank-k subalgebra (0 only for B), and
     # 2 (f_i - f_j) over the basis, as ints
-    diff = {j: [int(2 * (x - y)) for x, y in zip(fi, _f_diag(rep, j))]
-            for j in range(i - 1, -k, -1) if j or series == "B"}
-    terms = []
-    bad = set()
-    for chain in _chain_indices(k, series, i):
-        mono = _chain_monomial(rep, i, a, chain)
-        if mono.is_zero():
-            continue
-        ups = [j for j in pool if j not in chain]
-        downs = [t for t in chain if t not in pool]
-        up = [prod(xs) for xs in zip([1] * d, *(diff[j] for j in ups))]
-        down = [prod(xs) for xs in zip([1] * d, *(diff[t] for t in downs))]
-        bad.update(c for c in range(d) if up[c] and not down[c])
-        # the factor at column c is up[c] 2^|downs| / (down[c] 2^|ups|)
-        lcd = lcm(*(x for x in down if x))
-        num = [u * (lcd // x) << len(downs) if x else 0 for u, x in zip(up, down)]
-        terms.append((1, SparseMat.from_num(
-            d, d, {(r, c): v * num[c] for (r, c), v in mono.num.items() if num[c]},
-            mono.den * lcd << len(ups))))
-    table = SparseMat.combination(d, d, terms)
+    indices = [j for j in range(i - 1, -k, -1) if j or rep.algebra.series == "B"]
+    diff = {j: [int(2 * (x - y)) for x, y in zip(fi, _f_diag(rep, j))] for j in indices}
+    table, bad = chain_sum(rep.dim, i, indices, a, rep.F, pool, diff, 2)
 
     def apply(vec):
         if any(vec[c] for c in bad):
@@ -413,10 +376,13 @@ def z_interp_poly(rep: BCDIrrep) -> OpPoly:
     """Z_{n,-n}(u) as an operator polynomial on V(lam)^+ (even in u).
 
     Interpolating through deg+1 evaluation points recovers the coefficient
-    matrices exactly.
+    matrices exactly.  On o_2 there are no nodes, and Z_{1,-1}(u) is 0.
     """
     alg = rep.algebra
     top = alg.n if alg.series in ("B", "C") else alg.n - 1
+    if not top:
+        d = len(v_plus_basis(rep))
+        return OpPoly(d, d)
     deg = 2 * (top - 1)
     pts = [Fraction(3 * t + 1, 1) for t in range(deg + 1)]
     return _lagrange(pts)([z_interp(rep, u0) for u0 in pts])
@@ -464,10 +430,13 @@ def _level_word(rep: BCDIrrep, k, top, prime, below, sigma=0):
     factor is the evaluated Z_{k,-k}(u) chain from l(top_k) up to
     l(prime_k) - 1 (D: l(prime_{k-1}) - 2), then for i = k-1..1 the powers
     of z_{i,-k} and z_{ki}, then z_{k0} when sigma is set (B only).  In D
-    the derived entry max(top_1, below_1) is prepended to prime.
+    the derived entry max(top_1, below_1) is prepended to prime.  The D
+    word at k = 1 is empty, as in gt_basis_bcd: o_2 is abelian.
     """
     alg = rep.algebra
     if alg.series == "D":
+        if k == 1:
+            return []
         stop = _halves(prime[-1]) + alg.rho(k - 1) + Fraction(1, 2) - 2
         prime = (max(top[0], below[0]),) + tuple(prime)
     else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .exact import (OpPoly, SpanSolver, SparseMat, kron, rank,
+from .exact import (OpPoly, SpanSolver, SparseMat, apply_words, kron, rank,
                     spoly_from_roots, spoly_mul, vec_is_zero, vec_unit)
 from . import gln
 
@@ -206,19 +206,22 @@ def eta_basis(module: YTensorModule):
         raise ValueError("module is not irreducible")
     if not _pairwise_disjoint(module.factors):
         raise ValueError("strings are not pairwise disjoint")
-    tn = module.T[(PLUS, MINUS)]
-    out = {}
-    for gamma in gamma_tuples(module.factors):
-        v = module.eta
-        for i, f in enumerate(module.factors):
-            val = f.beta2
-            while val < gamma[i]:
-                v = tn.eval_at(Fraction(-val, 2)).apply(v)
-                val += 2
-        out[gamma] = v
+    out = _walk_strings(module, module.T[(PLUS, MINUS)], -1)
     mat = SparseMat.from_columns(list(out.values()), module.dim)
     assert rank(mat) == module.dim, "eta vectors do not form a basis"
     return out
+
+
+def _walk_strings(module: YTensorModule, op: OpPoly, sign):
+    """{gamma: v_gamma} in gamma_tuples order: v_gamma is op(sign * val/2)
+    applied to eta for each doubled val = beta_i, beta_i + 2, ..., gamma_i - 2,
+    factor by factor.  The words are walked with exact.apply_words, so each
+    distinct point is evaluated once and each prefix applied once."""
+    gammas = gamma_tuples(module.factors)
+    words = [[Fraction(sign * val, 2) for f, g in zip(module.factors, gamma)
+              for val in range(f.beta2, g, 2)] for gamma in gammas]
+    return dict(zip(gammas, apply_words(module.eta, words,
+                                        lambda u0: op.eval_at(u0).apply)))
 
 
 def eta_action_checks(module: YTensorModule) -> bool:
@@ -389,16 +392,7 @@ def twisted_basis(module: YTensorModule, sign, delta2=None):
     else:
         if delta2 is None or not irreducible_Yplus(facts, delta2):
             raise ValueError("module is not irreducible over the twisted Yangian")
-    s = twisted_snn(module, sign, delta2)
-    out = {}
-    for gamma in gamma_tuples(facts):
-        v = module.eta
-        for i, f in enumerate(facts):
-            val = f.beta2
-            while val < gamma[i]:
-                v = s.eval_at(Fraction(val, 2)).apply(v)
-                val += 2
-        out[gamma] = v
+    out = _walk_strings(module, twisted_snn(module, sign, delta2), 1)
     mat = SparseMat.from_columns(list(out.values()), module.dim)
     assert rank(mat) == module.dim, "twisted basis is not linearly independent"
     return out

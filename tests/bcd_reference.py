@@ -18,19 +18,22 @@ replaced.
 ``signed_realization`` forms each chain sum behind ``apply_pf``, ``apply_z``
 and ``apply_z_nminus`` once per module as one operator.  The functions of
 the same names below sum the chains for every vector they are applied to.
+``chain_sum_by_columns`` is the form ``signed_realization._chain_sum`` had
+before ``exact.chain_sum``: each chain monomial built on its own, with its
+Cartan factor and vanishing denominators worked out in place.
 
 The differential tests compare the two forms.
 """
 
 from fractions import Fraction
+from math import lcm, prod
 
 from gtbases import branching, patterns
 from gtbases.exact import SpanSolver, SparseMat, commutator, rank, vec_add, vec_zero
 from gtbases.liealg_bcd import orthogonal_chain, signed_realization as sr
 from gtbases.liealg_bcd.construction import DeskScaleError, HWModule, Realization
 from gtbases.liealg_bcd.signed_realization import (_SERIES_FAMILY, BCDIrrep, _apply_inv_diag,
-                                                    _chain_indices, _chain_monomial, _f_diag,
-                                                    _halves)
+                                                    _f_diag, _halves)
 
 
 def commutation_all_pairs(rep):
@@ -160,6 +163,66 @@ def orth_basis_checks(chain):
 
 
 # -- the chain sums, per vector -----------------------------------------------
+
+def _chain_indices(rank_k, series, i):
+    """Descending chains i > i_1 > ... > i_s > -rank_k in the subalgebra
+    index set (0 included only for B)."""
+    pool = [t for t in range(i - 1, -rank_k, -1) if t != 0 or series == "B"]
+    chains = [()]
+    for t in pool:
+        chains += [c + (t,) for c in chains if not c or c[-1] > t]
+    return chains
+
+
+def _chain_monomial(rep: BCDIrrep, i, a, chain) -> SparseMat:
+    prev = i
+    mono = None
+    for t in chain:
+        mono = rep.F(prev, t) if mono is None else mono @ rep.F(prev, t)
+        prev = t
+    return rep.F(prev, a) if mono is None else mono @ rep.F(prev, a)
+
+
+def chain_sum_by_columns(rep: BCDIrrep, i, a, k, pool):
+    """The function applying the sum over the chains i > i_1 > ... > i_s > -k
+    of F_{i i_1} ... F_{i_s a} times a Cartan factor acting first: the
+    product of (f_i - f_j) over j in pool but not in the chain, over the
+    product of (f_i - f_t) over t in the chain but not in pool.  The sum is
+    formed as int numerators over one denominator, with no cache.  The
+    function raises ZeroDivisionError exactly when its vector meets a column
+    where, for a chain with a nonzero monomial, a denominator vanishes under
+    a nonzero numerator."""
+    d = rep.dim
+    series = rep.algebra.series
+    fi = _f_diag(rep, i)
+    # 2 (f_i - f_j) over the basis, as ints
+    diff = {j: [int(2 * (x - y)) for x, y in zip(fi, _f_diag(rep, j))]
+            for j in range(i - 1, -k, -1) if j or series == "B"}
+    terms = []
+    bad = set()
+    for chain in _chain_indices(k, series, i):
+        mono = _chain_monomial(rep, i, a, chain)
+        if mono.is_zero():
+            continue
+        ups = [j for j in pool if j not in chain]
+        downs = [t for t in chain if t not in pool]
+        up = [prod(xs) for xs in zip([1] * d, *(diff[j] for j in ups))]
+        down = [prod(xs) for xs in zip([1] * d, *(diff[t] for t in downs))]
+        bad.update(c for c in range(d) if up[c] and not down[c])
+        # the factor at column c is up[c] 2^|downs| / (down[c] 2^|ups|)
+        lcd = lcm(*(x for x in down if x))
+        num = [u * (lcd // x) << len(downs) if x else 0 for u, x in zip(up, down)]
+        terms.append((1, SparseMat.from_num(
+            d, d, {(r, c): v * num[c] for (r, c), v in mono.num.items() if num[c]},
+            mono.den * lcd << len(ups))))
+    table = SparseMat.combination(d, d, terms)
+
+    def apply(vec):
+        if any(vec[c] for c in bad):
+            raise ZeroDivisionError("vanishing Cartan denominator")
+        return table.apply(vec)
+    return apply
+
 
 def _apply_diag(vals, vec):
     return tuple(v * x if x else x for v, x in zip(vals, vec))

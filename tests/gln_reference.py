@@ -14,7 +14,9 @@ squared norms and eigenvalues as ``Fraction`` products, the lowering-word
 and kappa bases applied pattern by pattern from the highest vector, and
 the L(lam)^+ relations as full dim x dim products restricted to L^+
 afterwards, and the lowering operators with their Cartan factors as
-products of diagonal matrices.
+products of diagonal matrices.  ``lowering_operator_by_chain_adds`` is the
+form that ``gln.lowering_operator`` had before ``exact.chain_sum``: one
+integer diagonal and one sum per chain.
 
 The reference checks use the column-ordered expansion alone, so that they
 return a verdict (rather than fail on the equality of the two expansions)
@@ -23,10 +25,11 @@ on a corrupted copy of a module.
 
 from fractions import Fraction
 from itertools import permutations
+from math import prod
 
 from gtbases.exact import (OpPoly, SparseMat, commutator, factorial,
                            spoly_from_roots, vec_is_zero, vec_unit)
-from gtbases.gln import (_big_e, _entry_poly, _subsets_desc, capelli_det,
+from gtbases.gln import (_big_e, _entry_poly, capelli_det,
                          l_plus_matrix, lowering_operator, tau_poly)
 from gtbases.patterns import validate, weight
 
@@ -388,6 +391,40 @@ def kappa_basis(rep):
                     raise AssertionError("kappa vector not proportional to basis vector")
         out.append(v)
     return out
+
+
+def _subsets_desc(pool):
+    """All subsets of pool as descending tuples (pool ascending)."""
+    out = [()]
+    for x in pool:
+        out += [s + (x,) for s in out]
+    return [tuple(sorted(s, reverse=True)) for s in out]
+
+
+def lowering_operator_by_chain_adds(rep, i, kind, m):
+    """z_{mi} or z_{im}, each chain's Cartan factor formed as one integer
+    diagonal and its term added to the running sum."""
+    if kind == "raising":
+        pool, step = list(range(1, i)), 1
+    else:
+        pool, step = list(range(i + 1, m)), -1
+    d = rep.dim
+    ident = SparseMat.identity(d)
+    diffs = {j: rep.h_matrix(i) - rep.h_matrix(j) for j in pool}
+    total = SparseMat.zero(d, d)
+    for chain in _subsets_desc(pool):
+        mono = ident
+        prev = i
+        for t in chain[::step] + (m,):
+            mono = mono @ rep.gen(*(prev, t)[::step])
+            prev = t
+        # the Cartan factor as one diagonal: the products of the numerators of
+        # the diagonal matrices h_i - h_j, over the product of their denominators
+        cut = [diffs[j] for j in pool if j not in chain]
+        vals = [prod(f.num.get((r, r), 0) for f in cut) for r in range(d)]
+        total = total + mono @ SparseMat.from_num(
+            d, d, {(r, r): v for r, v in enumerate(vals) if v}, prod(f.den for f in cut))
+    return total
 
 
 def lowering_operator_by_products(rep, i, kind, m):

@@ -3,9 +3,11 @@ against their direct forms in bcd_reference: the words walked as one trie
 against every pattern's word applied from the highest vector, the check by
 weight block without a rank test against the rank test plus every pair, on
 the bases themselves and on perturbed copies of them, and the chain sums
-formed once per module against the chain sums summed per vector."""
+formed once per module by exact.chain_sum against the chain sums summed per
+vector and against those formed chain by chain."""
 
 import functools
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,10 +157,25 @@ def _outcome(lib, rep, call, vec):
     return got, [type(x) for x in got]
 
 
+@functools.cache
+def _by_columns(series, lam, i, a, k, pool):
+    return ref.chain_sum_by_columns(_rep(series, lam), i, a, k, pool)
+
+
+def _by_columns_outcome(rep, call, vec):
+    """_outcome through signed_realization with each chain sum formed by
+    bcd_reference.chain_sum_by_columns, once per module and key."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(signed_realization, "_chain_sum",
+                   lambda rep, *key: _by_columns(rep.algebra.series, rep.lam, *key))
+        return _outcome(signed_realization, rep, call, vec)
+
+
 @pytest.mark.parametrize("series,lam", RAISING)
 def test_chain_sums_match_per_vector_sums(series, lam):
     """Equal values, or equal raises, on every unit vector and the zero
-    vector, for every chain sum of the module."""
+    vector, for every chain sum of the module, also with each chain sum
+    formed chain by chain."""
     rep = _rep(series, lam)
     vecs = [vec_unit(rep.dim, t) for t in range(rep.dim)] + [vec_zero(rep.dim)]
     raised = 0
@@ -166,6 +183,7 @@ def test_chain_sums_match_per_vector_sums(series, lam):
         for vec in vecs:
             want = _outcome(ref, rep, call, vec)
             assert _outcome(signed_realization, rep, call, vec) == want
+            assert _by_columns_outcome(rep, call, vec) == want
             raised += isinstance(want, str)
     assert raised
 
@@ -178,20 +196,24 @@ def test_chain_sums_match_per_vector_sums_on_dense_vectors(data):
     call = data.draw(st.sampled_from(_chain_calls(rep)), label="(name, i, a, k)")
     vec = tuple(data.draw(st.lists(st.fractions(-3, 3, max_denominator=6),
                                    min_size=rep.dim, max_size=rep.dim), label="vector"))
-    assert _outcome(signed_realization, rep, call, vec) == _outcome(ref, rep, call, vec)
+    want = _outcome(ref, rep, call, vec)
+    assert _outcome(signed_realization, rep, call, vec) == want
+    assert _by_columns_outcome(rep, call, vec) == want
 
 
 def test_verify_builds_each_chain_monomial_once(monkeypatch, capsys):
     """gt verify sp -1,-2,-2 forms each chain sum once per module, so each
     of its 23 distinct chain monomials is built once (summing the chains per
-    vector built 214)."""
+    vector built 214).  exact.chain_sum forms one monomial per subsequence
+    of its indices, so the spy records those."""
     calls = []
-    real = signed_realization._chain_monomial
+    real = signed_realization.chain_sum
 
-    def spy(rep, i, a, chain):
-        calls.append((i, a, chain))
-        return real(rep, i, a, chain)
-    monkeypatch.setattr(signed_realization, "_chain_monomial", spy)
+    def spy(dim, i, indices, a, *rest):
+        calls.extend((i, a, chain) for s in range(len(indices) + 1)
+                     for chain in combinations(indices, s))
+        return real(dim, i, indices, a, *rest)
+    monkeypatch.setattr(signed_realization, "chain_sum", spy)
     assert cli.run(["verify", "sp", "-1,-2,-2"]) == 0
     assert "gt-basis: PASS" in capsys.readouterr().out
     assert len(calls) == len(set(calls)) == 23

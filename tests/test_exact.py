@@ -1,13 +1,14 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import exact_reference as ref
-from gtbases.exact import (OpPoly, SpanSolver, SparseMat, apply_words, entry_strings, factorial,
-                           kron, nullspace, op_poly_eval_left, rank, rref,
-                           solve_in_span)
+from gtbases.exact import (OpPoly, SpanSolver, SparseMat, apply_words, chain_sum,
+                           entry_strings, factorial, kron, nullspace, op_poly_eval_left, rank,
+                           rref, solve_in_span)
 from rref_reference import rref_nullspace, rref_rank, rref_solve_in_span
 
 
@@ -498,3 +499,69 @@ class TestApplyWords:
             assert apply_words((), words, operator, root) == [tuple(w) for w in words]
         assert sorted(applied) == sorted({tuple(w[:j]) for words in batches for w in words
                                           for j in range(1, len(w) + 1)})
+
+
+class TestChainSum:
+    """exact.chain_sum on hand-made 3 x 3 matrices, indices 1, 2, ..., start
+    0 and end 9."""
+
+    A = SparseMat.from_rows([[1, 2, 0], [0, 1, -1], [3, 0, 1]])
+    B = SparseMat.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+
+    def test_no_indices(self):
+        """gen(start, end) @ diag(prod over pool of diff / den)."""
+        diff = {1: [2, 4, 6], 2: [1, -1, 3]}
+        got = chain_sum(3, 0, [], 9, lambda p, q: self.A, [1, 2], diff, 2)
+        assert got == (self.A @ SparseMat.diag([F(2, 4), F(-4, 4), F(18, 4)]), frozenset())
+
+    def test_zero_monomial_marks_no_column(self):
+        """The chain (1,) has the denominator diff[1], 0 at column 0, but
+        its monomial gen(0, 1) @ gen(1, 9) is zero."""
+        gens = {(0, 9): self.A, (0, 1): self.B, (1, 9): self.B @ self.B}
+        got = chain_sum(3, 0, [1], 9, lambda p, q: gens[(p, q)], [], {1: [0, 2, 2]}, 2)
+        assert self.B @ self.B @ self.B == SparseMat.zero(3, 3)
+        assert got == (self.A, frozenset())
+
+    def test_vanishing_denominator_is_reported(self):
+        """The chain (1,) has the factor diff[2] / diff[1] and a nonzero
+        monomial: column 0, where only the denominator vanishes, is
+        reported, column 2, where the numerator vanishes too, is not, and
+        the chain's term is left out at both."""
+        gens = {(0, 9): self.A, (0, 1): self.B, (1, 9): self.A}
+        diff = {1: [0, 2, 0], 2: [3, 3, 0]}
+        table, bad = chain_sum(3, 0, [1], 9, lambda p, q: gens[(p, q)], [2], diff, 2)
+        assert bad == {0}
+        assert table == (self.A @ SparseMat.diag([F(3, 2), F(3, 2), 0])
+                         + self.B @ self.A @ SparseMat.diag([0, F(3, 2), 0]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_the_formula(self, data):
+        """Every subsequence's term, with Fraction factors, against the
+        kernel, on random int matrices and factors with zeros."""
+        mat = st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                       min_size=3, max_size=3)
+        ints = st.sampled_from([0, 1, -1, 2])
+        indices = [1, 2, 3]
+        gens = {(p, q): SparseMat.from_rows(data.draw(mat))
+                for p in [0] + indices for q in indices + [9] if p < q or q == 9}
+        pool = data.draw(st.lists(st.sampled_from(indices), unique=True))
+        diff = {j: data.draw(st.lists(ints, min_size=3, max_size=3)) for j in indices}
+        table, bad = chain_sum(3, 0, indices, 9, lambda p, q: gens[(p, q)], pool, diff, 3)
+        want, want_bad = SparseMat.zero(3, 3), set()
+        for s in range(len(indices) + 1):
+            for c in combinations(indices, s):
+                mono = gens[(0, 9)] if not c else gens[(c[-1], 9)]
+                for p, q in reversed(list(zip((0,) + c, c))):
+                    mono = gens[(p, q)] @ mono
+                if mono.is_zero():
+                    continue
+                factor = []
+                for col in range(3):
+                    up = math.prod(F(diff[j][col], 3) for j in pool if j not in c)
+                    down = math.prod(F(diff[t][col], 3) for t in c if t not in pool)
+                    if not down and up:
+                        want_bad.add(col)
+                    factor.append(up / down if down else 0)
+                want = want + mono @ SparseMat.diag(factor)
+        assert (table, bad) == (want, want_bad)

@@ -324,10 +324,12 @@ def test_norms_match_fraction_formula(parts, odd):
 @pytest.mark.parametrize("n,lam", INTACT + [(4, d(3, 2, 1, 0)), (4, d(2, 2, 0, 0))])
 def test_lowering_operator_matches_diagonal_products(n, lam):
     """Every z_{mi} and z_{im}, with its Cartan factor formed as one
-    diagonal, equals the product of the factors h_i - h_j as matrices."""
+    diagonal, equals the product of the factors h_i - h_j as matrices, and
+    the sum formed one chain at a time."""
     rep = gln.build_irrep(n, lam)
     for m in range(2, n + 1):
         for i in range(1, m):
             for kind in ("lowering", "raising"):
-                assert (gln.lowering_operator(rep, i, kind, m=m)
-                        == ref.lowering_operator_by_products(rep, i, kind, m))
+                z = gln.lowering_operator(rep, i, kind, m=m)
+                assert z == ref.lowering_operator_by_products(rep, i, kind, m)
+                assert z == ref.lowering_operator_by_chain_adds(rep, i, kind, m)

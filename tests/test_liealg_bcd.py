@@ -14,7 +14,7 @@ from gtbases.liealg_bcd import (DeskScaleError, OrthogonalChain, apply_z,
                                 fnn_action_check, gt_basis_bcd, gt_basis_checks,
                                 lowering_zia, multiplicity_basis,
                                 orth_basis_checks, orth_gt_basis, v_plus_basis,
-                                v_plus_mu, z_interp_poly, zab_operators)
+                                v_plus_mu, z_interp, z_interp_poly, zab_operators)
 from gtbases.liealg_bcd.signed_realization import (_apply_zab_point, _f_diag, _matrix_on,
                                                     apply_pf, apply_z_nminus,
                                                     apply_znizin)
@@ -234,6 +234,15 @@ class TestInterpolation:
         # one interpolation node for n = 2: constant in u
         assert z_interp_poly(rep).degree() == 0
 
+    @pytest.mark.parametrize("lam", [(-2,), (0,), (3,)])
+    def test_o2_has_no_nodes(self, lam):
+        """On o_2, Z_{1,-1}(u) has no interpolation node: it is 0 at every
+        point, and its polynomial is the zero polynomial on V(lam)^+."""
+        rep = build_bcd_irrep("D", lam)
+        p = z_interp_poly(rep)
+        assert (p.nrows, p.ncols) == (1, 1) and p.is_zero()
+        assert all(z_interp(rep, u0).is_zero() for u0 in (0, Fraction(1, 2), 3))
+
     def test_even_in_u(self, sp4_vec):
         p = z_interp_poly(sp4_vec)
         assert all(c.is_zero() for j, c in enumerate(p.coeffs) if j % 2 == 1)
@@ -267,6 +276,16 @@ class TestMultiplicityBasis:
         rep = build_bcd_irrep("C", d(0, 0))
         tups, vecs = multiplicity_basis(rep, (0,))
         assert len(vecs) == 1 and vecs[0] == rep.highest_vector
+
+    @pytest.mark.parametrize("lam", [(-2,), (0,), (3,)])
+    def test_o2_is_the_highest_vector(self, lam):
+        """o_2 has no level-1 factor: its one multiplicity vector is the
+        highest vector, and the Z_ab(u) of its child are formed."""
+        rep = build_bcd_irrep("D", lam)
+        assert multiplicity_basis(rep, ()) == ([()], [rep.highest_vector])
+        tups, vecs, ops = zab_operators(rep, ())
+        assert (tups, vecs) == ([()], [rep.highest_vector])
+        assert sorted(ops) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
 
     def test_vectors_live_in_vplus_mu(self, sp4_5):
         for mu, spec in branching.branch_children_BCD("C", sp4_5.lam):
