@@ -95,12 +95,7 @@ class BCDIrrep:
         self.lam = tuple(lam)
         self.module = module
         self.dim = module.dim
-        self._vplus = None
-        self._vsolver = None    # the SpanSolver of the _vplus vectors
-        self._fdiag = {}
-        self._nodes = {}        # k -> the interpolation nodes of _interp_nodes
-        self._chains = {}       # (i, a, k, pool) -> the chain sum of _chain_sum
-        self._words = {}        # trie of the lowering words walked so far
+        self._tables = {}       # key -> what _cached built for it
 
     def F(self, i, j) -> SparseMat:
         return self.module.F(i, j)
@@ -142,53 +137,86 @@ def build_bcd_irrep(series_or_algebra, lam, max_dim=600) -> BCDIrrep:
 
 
 # ---------------------------------------------------------------------------
-# raising/lowering operators z_ia and the z_{n,-n} element
+# tables of the operators z_ia and Z_ab(u)
 # ---------------------------------------------------------------------------
+#
+# A table (matrix, raise columns) raises ZeroDivisionError on a vector that
+# meets a raise column.  A form is a list of (table, p) terms, the sum of
+# table @ diag(p(u)); p holds a coefficient list per weight (in block order).
 
-def _apply_inv_diag(vals, vec):
-    out = []
-    for v, x in zip(vals, vec):
-        if x == 0:
-            out.append(x)
-        elif v == 0:
-            raise ZeroDivisionError("vanishing Cartan denominator")
-        else:
-            out.append(x / v)
-    return tuple(out)
+def _apply(table, vec):
+    mat, bad = table
+    if any(vec[c] for c in bad):
+        raise ZeroDivisionError("vanishing Cartan denominator")
+    return mat.apply(vec)
 
 
-def _f_diag(rep: BCDIrrep, i):
-    """Componentwise values of f_i over the module basis."""
-    if i not in rep._fdiag:
-        rep._fdiag[i] = [rep.algebra.f_values(w)[i] for w in rep.module.weights]
-    return rep._fdiag[i]
+def _columns(rep: BCDIrrep, values):
+    """Values per weight of the module spread over its columns."""
+    col = [0] * rep.dim
+    for (off, size, _), x in zip(rep.module.blocks.values(), values):
+        col[off:off + size] = [x] * size
+    return col
+
+
+def _column_sum(rep: BCDIrrep, terms):
+    """The table of the sum of t @ diag(s) over the (table t, scale s) terms,
+    s a value per weight, None where a denominator vanishes: it raises
+    where s is None, and where t raises under a nonzero s."""
+    mats, bad = [], set()
+    for (mat, raises), s in terms:
+        col = _columns(rep, s)
+        bad.update(c for c, x in enumerate(col) if x is None or x and c in raises)
+        mats.append((1, mat @ SparseMat.diag([x or 0 for x in col])))
+    return SparseMat.combination(rep.dim, rep.dim, mats), frozenset(bad)
+
+
+def _at(form, u0, div=1):
+    """The (table, scale) terms of a form at u = u0, divided by div."""
+    def value(p):
+        if not p or not div:
+            return p and None   # a zero polynomial stays 0, a pole is None
+        x = _ZERO
+        for c in reversed(p):
+            x = x * u0 + c
+        return x / div
+    return [(t, [value(p) for p in ps]) for t, ps in form]
+
+
+def _poly_on(rep: BCDIrrep, solver: SpanSolver, vecs, form, error) -> OpPoly:
+    """The OpPoly of a form on the basis vecs, factored by solver."""
+    deg = max((len(p) for _, ps in form for p in ps if p), default=0)
+    tables = (_column_sum(rep, [(t, [p and (p[j] if j < len(p) else 0) for p in ps])
+                                for t, ps in form]) for j in range(deg))
+    return OpPoly(len(vecs), len(vecs), [
+        _matrix_on(solver, vecs, lambda v: _apply(table, v), error) for table in tables])
+
+
+def _cached(rep: BCDIrrep, key, build):
+    if key not in rep._tables:
+        rep._tables[key] = build()
+    return rep._tables[key]
+
+
+def _f_values(rep: BCDIrrep):
+    """The f values of each weight of the module, in block order."""
+    return [rep.algebra.f_values(w) for w in rep.module.blocks]
 
 
 def _chain_sum(rep: BCDIrrep, i, a, k, pool):
-    """The function applying the sum over the chains i > i_1 > ... > i_s > -k
-    of F_{i i_1} ... F_{i_s a} times a Cartan factor acting first: the
-    product of (f_i - f_j) over j in pool but not in the chain, over the
-    product of (f_i - f_t) over t in the chain but not in pool.  The sum is
-    formed once per module and key by exact.chain_sum.  The function raises
-    ZeroDivisionError exactly when its vector meets a column where, for a
-    chain with a nonzero monomial, a denominator vanishes under a nonzero
-    numerator."""
-    key = (i, a, k, pool)
-    if key in rep._chains:
-        return rep._chains[key]
-    fi = _f_diag(rep, i)
-    # the chain indices of the rank-k subalgebra (0 only for B), and
-    # 2 (f_i - f_j) over the basis, as ints
-    indices = [j for j in range(i - 1, -k, -1) if j or rep.algebra.series == "B"]
-    diff = {j: [int(2 * (x - y)) for x, y in zip(fi, _f_diag(rep, j))] for j in indices}
-    table, bad = chain_sum(rep.dim, i, indices, a, rep.F, pool, diff, 2)
-
-    def apply(vec):
-        if any(vec[c] for c in bad):
-            raise ZeroDivisionError("vanishing Cartan denominator")
-        return table.apply(vec)
-    rep._chains[key] = apply
-    return apply
+    """The table of the sum over the chains i > i_1 > ... > i_s > -k of
+    F_{i i_1} ... F_{i_s a} times a Cartan factor acting first: the product
+    of (f_i - f_j) over j in pool but not in the chain, over the product of
+    (f_i - f_t) over t in the chain but not in pool, formed once per module
+    and key by exact.chain_sum."""
+    def build():
+        # the chain indices of the rank-k subalgebra (0 only for B), and
+        # 2 (f_i - f_j) over the basis, as ints
+        indices = [j for j in range(i - 1, -k, -1) if j or rep.algebra.series == "B"]
+        fs = _f_values(rep)
+        diff = {j: _columns(rep, [int(2 * (f[i] - f[j])) for f in fs]) for j in indices}
+        return chain_sum(rep.dim, i, indices, a, rep.F, pool, diff, 2)
+    return _cached(rep, (i, a, k, pool), build)
 
 
 def apply_pf(rep: BCDIrrep, i, a, vec, rank_k=None):
@@ -197,7 +225,30 @@ def apply_pf(rep: BCDIrrep, i, a, vec, rank_k=None):
     The scalar denominators 1/((f_i - f_{i_1})...) act first, evaluated
     componentwise on the input; raises if a needed denominator vanishes."""
     k = rep.algebra.n if rank_k is None else rank_k
-    return _chain_sum(rep, i, a, k, ())(vec)
+    return _apply(_chain_sum(rep, i, a, k, ()), vec)
+
+
+def _z(rep: BCDIrrep, i, a, k):
+    alg = rep.algebra
+    if a not in (k, -k):
+        raise ValueError("a must be +-k")
+    pi_list = tuple(j for j in range(i - 1, -k, -1)
+                    if (j != 0 or alg.series == "B") and not (alg.series == "D" and j == -i))
+    return _chain_sum(rep, i, a, k, pi_list)
+
+
+def _zai(rep: BCDIrrep, a, i, k):
+    mat, bad = _z(rep, -i, -a, k)
+    return (-mat if (k - i) % 2 != (rep.algebra.series == "C" and a < 0) else mat), bad
+
+
+def _zz(rep: BCDIrrep, a, i, b, k):
+    """The table of z_ai z_ib.  A @ B raises on B's raise columns, and on
+    the columns whose B-image meets A's raise columns."""
+    def build():
+        (ma, ra), (mb, rb) = _zai(rep, a, i, k), _z(rep, i, b, k)
+        return ma @ mb, rb | {c for r, c in mb.num if r in ra}
+    return _cached(rep, ("zz", a, i, b, k), build)
 
 
 def apply_z(rep: BCDIrrep, i, a, vec, rank_k=None):
@@ -209,88 +260,105 @@ def apply_z(rep: BCDIrrep, i, a, vec, rank_k=None):
     symbolically, so only the D-case factor f_i - f_{-i} can ever appear
     in a denominator.
     """
-    alg = rep.algebra
-    k = alg.n if rank_k is None else rank_k
-    if a not in (k, -k):
-        raise ValueError("a must be +-k")
-    pi_list = tuple(j for j in range(i - 1, -k, -1)
-                    if (j != 0 or alg.series == "B") and not (alg.series == "D" and j == -i))
-    return _chain_sum(rep, i, a, k, pi_list)(vec)
+    return _apply(_z(rep, i, a, rep.algebra.n if rank_k is None else rank_k), vec)
 
 
 def apply_z_ai(rep: BCDIrrep, a, i, vec, rank_k=None):
     """z_{ai} through the reflection z_{ai} = (-1)^(k-i) (sgn a) z_{-i,-a}
     (the sign factor sgn a only in the symplectic case)."""
-    alg = rep.algebra
-    k = alg.n if rank_k is None else rank_k
-    out = apply_z(rep, -i, -a, vec, rank_k=k)
-    negate = (k - i) % 2 == 1
-    if alg.series == "C" and a < 0:
-        negate = not negate
-    return tuple(-x for x in out) if negate else out
+    return _apply(_zai(rep, a, i, rep.algebra.n if rank_k is None else rank_k), vec)
 
 
 def apply_z_nminus(rep: BCDIrrep, vec, rank_k=None):
-    """The element z_{k,-k}: chains k > i_1 > ... > i_s > -k with the
-    complementary product of (f_k - f_j) factors (divided by 2 f_k in D).
-    It is z_ia at i = k, a = -k: there every index of a chain is a factor
-    index, so no chain leaves a denominator."""
-    alg = rep.algebra
-    k = alg.n if rank_k is None else rank_k
-    if alg.series == "D":
-        vec = _apply_inv_diag([2 * x for x in _f_diag(rep, k)], vec)
-    return apply_z(rep, k, -k, vec, rank_k=k)
+    """The element z_{k,-k} = z_ia at i = k, a = -k, divided by 2 f_k (acting
+    first) in D: no chain leaves a denominator."""
+    k = rep.algebra.n if rank_k is None else rank_k
+    table = _z(rep, k, -k, k)
+    if rep.algebra.series == "D":
+        table = _column_sum(rep, [(table, [1 / (2 * f[k]) if f[k] else None
+                                           for f in _f_values(rep)])])
+    return _apply(table, vec)
 
 
-def apply_znizin(rep: BCDIrrep, i, vec, rank_k=None):
-    """z_{ki} z_{i,-k} with the convention z_{kk} = 1 at i = k."""
-    alg = rep.algebra
-    k = alg.n if rank_k is None else rank_k
-    if i == k:
-        return apply_z_nminus(rep, vec, rank_k=k)
-    w = apply_z(rep, i, -k, vec, rank_k=k)
-    return apply_z_ai(rep, k, i, w, rank_k=k)
+def _poly(roots, c):
+    """c prod_r (u + r)."""
+    return [c * x for x in spoly_from_roots(roots)]
 
 
-def _interp_nodes(rep: BCDIrrep, k):
-    """The nodes of the interpolation form of Z_{k,-k}(u) (i = 1..k for B/C,
-    1..k-1 for D), once per module and k: the squares g_i^2 per node, the
-    node denominators prod_{j != i} (g_i^2 - g_j^2) per component, and the
-    set of components where two nodes collide (g_i^2 = g_j^2)."""
-    if k not in rep._nodes:
+def _display(rep: BCDIrrep, a, b, k):
+    """The form of P = Z_ab(u) (D: (2u + 1) Z_ab(u)), a, b in {-k, k}, of
+    the rank-k subalgebra, in the display form: with g_j = f_j + 1/2 over
+    the indices j of the rank-(k-1) subalgebra and s = 1 for C, else -1,
+
+        s P = prod_j (u + g_j) (F_ab + delta_ab (u + rho_k + 1/2))
+              - sum_i z_ai z_ib prod_{j != i} (u + g_j) / (g_i - g_j)
+
+    (in D without g_i - g_{-i} below).  F_ab moves only the k-th weight
+    coordinate, so the product over j commutes with it."""
+    def build():
+        alg = rep.algebra
+        idx = [j for j in range(-k + 1, k) if j or alg.series == "B"]
+        sign = 1 if alg.series == "C" else -1
+        fs = _f_values(rep)
+        gs = [[f[j] + _HALF for j in idx] for f in fs]
+        form = [((rep.F(a, b), frozenset()), [_poly(g, sign) for g in gs])]
+        if a == b:
+            form.append(((SparseMat.identity(rep.dim), frozenset()),
+                         [_poly(g + [alg.rho(k) + _HALF], sign) for g in gs]))
+        for t, i in enumerate(idx):
+            polys = []
+            for f, g in zip(fs, gs):
+                den = prod(f[i] - f[j] for j in idx if j != i and (alg.series != "D" or j != -i))
+                polys.append(_poly(g[:t] + g[t + 1:], Fraction(-sign) / den) if den else None)
+            form.append((_zz(rep, a, i, b, k), polys))
+        return form
+    return _cached(rep, ("display", a, b, k), build)
+
+
+def _interp(rep: BCDIrrep, k):
+    """The interpolation form of Z_{k,-k}(u) through the nodes g_i (i = 1..k
+    for B/C, 1..k-1 for D), sum_i z_ki z_{i,-k} prod_{j != i} (u^2 - g_j^2) /
+    (g_i^2 - g_j^2) with z_kk z_{k,-k} = z_{k,-k}, 0 on the weights where two
+    nodes collide; and there, the display form of Z_{k,-k}(u), 0 elsewhere."""
+    def build():
         top = k if rep.algebra.series in ("B", "C") else k - 1
-        sq = [[(x + _HALF) ** 2 for x in _f_diag(rep, i)] for i in range(1, top + 1)]
-        dens = [[prod(x - y for j, y in enumerate(col) if j != i) for i, x in enumerate(col)]
-                for col in zip(*sq)]
-        colliding = frozenset(t for t, ds in enumerate(dens) if not all(ds))
-        rep._nodes[k] = (sq, dens, colliding)
-    return rep._nodes[k]
+        nodes = [[f[i] + _HALF for i in range(1, top + 1)] for f in _f_values(rep)]
+        colliding = {w for w, g in enumerate(nodes) if len({x * x for x in g}) < top}
+        form = []
+        for i in range(top):
+            polys = [0 if w in colliding else _poly(
+                [s * x for x in g[:i] + g[i + 1:] for s in (1, -1)],
+                Fraction(1) / prod(g[i] ** 2 - x ** 2 for x in g[:i] + g[i + 1:]))
+                for w, g in enumerate(nodes)]
+            form.append((_z(rep, k, -k, k) if i + 1 == k else _zz(rep, k, i + 1, -k, k), polys))
+        shown = [(t, [p if w in colliding else 0 for w, p in enumerate(ps)])
+                 for t, ps in _display(rep, k, -k, k)] if colliding else []
+        return form, shown
+    return _cached(rep, ("interp", k), build)
+
+
+def _div(rep: BCDIrrep, u0):
+    """The divisor of the display form at u0."""
+    return 2 * u0 + 1 if rep.algebra.series == "D" else 1
 
 
 def apply_z_interp(rep: BCDIrrep, u0, vec, rank_k=None):
-    """Z_{k,-k}(u0) for a numeric u0.
-
-    The interpolation form through the nodes g_i (i = 1..k for B/C,
-    1..k-1 for D) is used where its node denominators are regular; on
-    components where two nodes collide the expression through the
-    Mickelsson-Zhelobenko generators is used instead (both present the
-    same algebra element).
-    """
+    """Z_{k,-k}(u0): the interpolation form where its nodes are regular, the
+    display form where two collide; one table per module, k and u0."""
     k = rep.algebra.n if rank_k is None else rank_k
     u0 = Fraction(u0)
-    sq, dens, colliding = _interp_nodes(rep, k)
-    vgood = tuple(_ZERO if t in colliding else x for t, x in enumerate(vec))
-    out = vec_zero(rep.dim)
-    if any(vgood):
-        u2 = u0 * u0
-        for i in range(len(sq)):
-            w = tuple(x * prod(u2 - s[t] for j, s in enumerate(sq) if j != i) / dens[t][i]
-                      if x else x for t, x in enumerate(vgood))
-            out = vec_add(out, apply_znizin(rep, i + 1, w, rank_k=k))
-    if any(vec[t] for t in colliding):
-        vbad = tuple(x if t in colliding else _ZERO for t, x in enumerate(vec))
-        out = vec_add(out, _apply_zab_point(rep, k, -k, u0, vbad, rank_k=k))
-    return out
+
+    def build():
+        form, shown = _interp(rep, k)
+        return _column_sum(rep, _at(form, u0) + _at(shown, u0, _div(rep, u0)))
+    return _apply(_cached(rep, ("Z", k, u0), build), vec)
+
+
+def _apply_zab_point(rep: BCDIrrep, a, b, u0, vec, rank_k=None):
+    """Z_ab(u0) applied to a vector, by the display form (a, b in {-k, k})."""
+    k = rep.algebra.n if rank_k is None else rank_k
+    u0 = Fraction(u0)
+    return _apply(_column_sum(rep, _at(_display(rep, a, b, k), u0, _div(rep, u0))), vec)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +371,10 @@ def v_plus_basis(rep: BCDIrrep):
     Returns a list of (weight_doubled, vector) pairs; the g_{n-1}-weight mu
     is the first n-1 coordinates of the full weight.
     """
-    if rep._vplus is not None:
-        return rep._vplus
+    return _cached(rep, "vplus", lambda: _v_plus_basis(rep))
+
+
+def _v_plus_basis(rep: BCDIrrep):
     alg = rep.algebra
     n = alg.n
     raising = []
@@ -328,7 +398,6 @@ def v_plus_basis(rep: BCDIrrep):
             v = [Fraction(0)] * rep.dim
             v[off:off + size] = k
             out.append((wd, tuple(v)))
-    rep._vplus = out
     return out
 
 
@@ -355,9 +424,7 @@ def _vplus_solver(rep: BCDIrrep):
     """The ordered basis vectors of V(lam)^+ and their solver, factored
     once per module."""
     vecs = [v for _, v in v_plus_basis(rep)]
-    if rep._vsolver is None:
-        rep._vsolver = SpanSolver(vecs, rep.dim)
-    return rep._vsolver, vecs
+    return _cached(rep, "vsolver", lambda: SpanSolver(vecs, rep.dim)), vecs
 
 
 def lowering_zia(rep: BCDIrrep, i, a) -> SparseMat:
@@ -373,45 +440,12 @@ def z_interp(rep: BCDIrrep, u0) -> SparseMat:
 
 
 def z_interp_poly(rep: BCDIrrep) -> OpPoly:
-    """Z_{n,-n}(u) as an operator polynomial on V(lam)^+ (even in u).
-
-    Interpolating through deg+1 evaluation points recovers the coefficient
-    matrices exactly.  On o_2 there are no nodes, and Z_{1,-1}(u) is 0.
-    """
-    alg = rep.algebra
-    top = alg.n if alg.series in ("B", "C") else alg.n - 1
-    if not top:
-        d = len(v_plus_basis(rep))
-        return OpPoly(d, d)
-    deg = 2 * (top - 1)
-    pts = [Fraction(3 * t + 1, 1) for t in range(deg + 1)]
-    return _lagrange(pts)([z_interp(rep, u0) for u0 in pts])
-
-
-def _lagrange(pts):
-    """Lagrange interpolation through the points pts.
-
-    Returns a function that takes the d x d matrices at pts (in order) to
-    the OpPoly of degree < len(pts) through them.  The basis polynomials
-    are computed once here, for every matrix list interpolated later.
-    """
-    basis = []
-    for t, u0 in enumerate(pts):
-        others = pts[:t] + pts[t + 1:]
-        den = Fraction(1)
-        for u1 in others:
-            den *= u0 - u1
-        basis.append([c / den for c in spoly_from_roots([-u1 for u1 in others])])
-
-    def interpolate(mats):
-        d = mats[0].nrows
-        coeffs = [SparseMat.zero(d, d) for _ in pts]
-        for mat, poly in zip(mats, basis):
-            for j, c in enumerate(poly):
-                coeffs[j] = coeffs[j] + mat.scale(c)
-        return OpPoly(d, d, coeffs)
-
-    return interpolate
+    """Z_{n,-n}(u) as an operator polynomial on V(lam)^+ (even in u): the
+    interpolation form, and where two nodes collide the display form (in D
+    divided by 2u + 1, exactly on V(lam)^+).  On o_2 it is 0."""
+    form, shown = [_poly_on(rep, *_vplus_solver(rep), f, "Z_{n,-n} image left V(lam)^+")
+                   for f in _interp(rep, rep.algebra.n)]
+    return form + (shown.divide_linear(2, 1) if rep.algebra.series == "D" else shown)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +504,7 @@ def _walk(rep: BCDIrrep, words):
     trie: a multiplicity word is the top-level factor of GT basis words, so
     multiplicity_basis after gt_basis_bcd applies no prefix again."""
     return apply_words(rep.highest_vector, words, lambda letter: _letter(rep, letter),
-                       rep._words)
+                       _cached(rep, "words", dict))
 
 
 def multiplicity_basis(rep: BCDIrrep, mu):
@@ -581,61 +615,14 @@ def fnn_action_check(rep: BCDIrrep, mu) -> bool:
 def zab_operators(rep: BCDIrrep, mu):
     """The operators Z_ab(u), a, b in {-n, n}, on the basis of V^+_mu.
 
-    Returns (tuples, vectors, {(a,b): OpPoly}).  The polynomials are Z_ab(u)
-    itself: the series prefactors of the twisted-Yangian homomorphism
-    (-u^-2n for B, (u+1/2) u^-2n for C, -2 u^-2n+2 for D) are not applied.
+    Returns (tuples, vectors, {(a,b): OpPoly}): Z_ab(u) for B and C, and
+    (2u + 1) Z_ab(u) for D, where Z_ab(u) has a pole at u = -1/2 when
+    lambda_1 != 0.  The twisted-Yangian generator S_ab(u) is the polynomial
+    times -u^-2n for B, (u+1/2) u^-2n for C and -2 u^(-2n+2) / (2u+1) for D.
     """
-    alg = rep.algebra
-    n = alg.n
+    n = rep.algebra.n
     tuples, vecs = multiplicity_basis(rep, mu)
-    out = {}
     solver = SpanSolver(vecs, rep.dim)
-    # Z_ab(u) has degree at most 2n: interpolate through 2n + 1 points
-    pts = [Fraction(2 * t + 1, 2) for t in range(2 * n + 1)]
-    interpolate = _lagrange(pts)
-    for a in (-n, n):
-        for b in (-n, n):
-            out[(a, b)] = interpolate([_matrix_on(
-                solver, vecs, lambda v: _apply_zab_point(rep, a, b, u0, v),
-                "Z_ab image left V^+_mu") for u0 in pts])
-    return tuples, vecs, out
-
-
-def _apply_zab_point(rep: BCDIrrep, a, b, u0, vec, rank_k=None):
-    """Z_ab(u0) applied to a vector, by the series-specific display
-    through the z_ai z_ib products (a, b in {-k, k})."""
-    alg = rep.algebra
-    k = alg.n if rank_k is None else rank_k
-    u0 = Fraction(u0)
-    idx_range = [i for i in range(-k + 1, k) if i != 0 or alg.series == "B"]
-    fs = {i: _f_diag(rep, i) for i in idx_range}
-    # with g_j = f_j + 1/2: u0 + g_j = v + f_j and g_i - g_j = f_i - f_j
-    v = u0 + _HALF
-    # F-term: (delta_ab (u0 + rho_k + 1/2) + F_ab) prod_i (u0 + g_i)
-    head = rep.F(a, b).apply(vec)
-    if a == b:
-        head = vec_add(head, vec_scale(v + alg.rho(k), vec))
-    head = tuple(x * prod(v + fs[i][t] for i in idx_range) if x else x
-                 for t, x in enumerate(head))
-    # z-sum: prod_{j != i} (u0 + g_j) / prod_{j != i} (g_i - g_j), in D
-    # without the factor g_i - g_{-i} below
-    zsum = vec_zero(rep.dim)
-    for i in idx_range:
-        others = [j for j in idx_range if j != i]
-        # the denominators on the support of vec alone, where they are read
-        wv = _apply_inv_diag([prod(fs[i][t] - fs[j][t] for j in others
-                                   if alg.series != "D" or j != -i) if x else x
-                              for t, x in enumerate(vec)], vec)
-        wv = tuple(x * prod(v + fs[j][t] for j in others) if x else x
-                   for t, x in enumerate(wv))
-        wv = apply_z(rep, i, b, wv, rank_k=k)
-        wv = apply_z_ai(rep, a, i, wv, rank_k=k)
-        zsum = vec_add(zsum, wv)
-    if alg.series == "B":
-        return vec_add(vec_scale(-1, head), zsum)
-    total = vec_add(head, vec_scale(-1, zsum))
-    if alg.series == "C":
-        return total
-    if 2 * u0 + 1 == 0:
-        raise ZeroDivisionError("D-case Z_ab cannot be evaluated at -1/2")
-    return vec_scale(Fraction(-1) / (2 * u0 + 1), total)
+    return tuples, vecs, {(a, b): _poly_on(rep, solver, vecs, _display(rep, a, b, n),
+                                           "Z_ab image left V^+_mu")
+                          for a in (-n, n) for b in (-n, n)}

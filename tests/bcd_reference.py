@@ -21,19 +21,24 @@ the same names below sum the chains for every vector they are applied to.
 ``chain_sum_by_columns`` is the form ``signed_realization._chain_sum`` had
 before ``exact.chain_sum``: each chain monomial built on its own, with its
 Cartan factor and vanishing denominators worked out in place.
+``signed_realization`` applies Z_ab(u0) and z_{ki} z_{i,-k} as tables formed
+once per module from the display and interpolation forms of Z_ab(u).
+``_apply_zab_point``, ``apply_z_interp`` and ``apply_znizin`` below apply
+them to one vector at a time, through the z operators, with the Cartan
+factors evaluated on the vector's support.
 
 The differential tests compare the two forms.
 """
 
+import functools
 from fractions import Fraction
 from math import lcm, prod
 
 from gtbases import branching, patterns
-from gtbases.exact import SpanSolver, SparseMat, commutator, rank, vec_add, vec_zero
+from gtbases.exact import SpanSolver, SparseMat, commutator, rank, vec_add, vec_scale, vec_zero
 from gtbases.liealg_bcd import orthogonal_chain, signed_realization as sr
 from gtbases.liealg_bcd.construction import DeskScaleError, HWModule, Realization
-from gtbases.liealg_bcd.signed_realization import (_SERIES_FAMILY, BCDIrrep, _apply_inv_diag,
-                                                    _f_diag, _halves)
+from gtbases.liealg_bcd.signed_realization import _SERIES_FAMILY, BCDIrrep, _halves
 
 
 def commutation_all_pairs(rep):
@@ -184,14 +189,13 @@ def _chain_monomial(rep: BCDIrrep, i, a, chain) -> SparseMat:
 
 
 def chain_sum_by_columns(rep: BCDIrrep, i, a, k, pool):
-    """The function applying the sum over the chains i > i_1 > ... > i_s > -k
-    of F_{i i_1} ... F_{i_s a} times a Cartan factor acting first: the
-    product of (f_i - f_j) over j in pool but not in the chain, over the
-    product of (f_i - f_t) over t in the chain but not in pool.  The sum is
-    formed as int numerators over one denominator, with no cache.  The
-    function raises ZeroDivisionError exactly when its vector meets a column
-    where, for a chain with a nonzero monomial, a denominator vanishes under
-    a nonzero numerator."""
+    """The table (matrix, raise columns) of the sum over the chains
+    i > i_1 > ... > i_s > -k of F_{i i_1} ... F_{i_s a} times a Cartan
+    factor acting first: the product of (f_i - f_j) over j in pool but not
+    in the chain, over the product of (f_i - f_t) over t in the chain but
+    not in pool.  The sum is formed as int numerators over one denominator,
+    with no cache.  The raise columns are those where, for a chain with a
+    nonzero monomial, a denominator vanishes under a nonzero numerator."""
     d = rep.dim
     series = rep.algebra.series
     fi = _f_diag(rep, i)
@@ -215,17 +219,29 @@ def chain_sum_by_columns(rep: BCDIrrep, i, a, k, pool):
         terms.append((1, SparseMat.from_num(
             d, d, {(r, c): v * num[c] for (r, c), v in mono.num.items() if num[c]},
             mono.den * lcd << len(ups))))
-    table = SparseMat.combination(d, d, terms)
+    return SparseMat.combination(d, d, terms), frozenset(bad)
 
-    def apply(vec):
-        if any(vec[c] for c in bad):
-            raise ZeroDivisionError("vanishing Cartan denominator")
-        return table.apply(vec)
-    return apply
+
+@functools.cache
+def _f_diag(rep: BCDIrrep, i):
+    """Componentwise values of f_i over the module basis."""
+    return [rep.algebra.f_values(w)[i] for w in rep.module.weights]
 
 
 def _apply_diag(vals, vec):
     return tuple(v * x if x else x for v, x in zip(vals, vec))
+
+
+def _apply_inv_diag(vals, vec):
+    out = []
+    for v, x in zip(vals, vec):
+        if x == 0:
+            out.append(x)
+        elif v == 0:
+            raise ZeroDivisionError("vanishing Cartan denominator")
+        else:
+            out.append(x / v)
+    return tuple(out)
 
 
 def apply_pf(rep: BCDIrrep, i, a, vec, rank_k=None):
@@ -306,6 +322,84 @@ def apply_z_nminus(rep: BCDIrrep, vec, rank_k=None):
         mono = _chain_monomial(rep, k, -k, chain)
         out = vec_add(out, mono.apply(_apply_diag(coeff, vec)))
     return out
+
+
+# -- Z_ab(u0) and z_{ki} z_{i,-k}, per vector -----------------------------------
+
+def apply_znizin(rep: BCDIrrep, i, vec, rank_k=None):
+    """z_{ki} z_{i,-k} with the convention z_{kk} = 1 at i = k."""
+    k = rep.algebra.n if rank_k is None else rank_k
+    if i == k:
+        return apply_z_nminus(rep, vec, rank_k=k)
+    w = sr.apply_z(rep, i, -k, vec, rank_k=k)
+    return sr.apply_z_ai(rep, k, i, w, rank_k=k)
+
+
+def apply_z_interp(rep: BCDIrrep, u0, vec, rank_k=None):
+    """Z_{k,-k}(u0): the interpolation form through the nodes g_i (i = 1..k
+    for B/C, 1..k-1 for D) on the components where its node denominators
+    are regular, the display form _apply_zab_point on the components where
+    two nodes collide."""
+    alg = rep.algebra
+    k = alg.n if rank_k is None else rank_k
+    u0 = Fraction(u0)
+    top = k if alg.series in ("B", "C") else k - 1
+    sq = [[(x + Fraction(1, 2)) ** 2 for x in _f_diag(rep, i)] for i in range(1, top + 1)]
+    dens = [[prod(x - y for j, y in enumerate(col) if j != i) for i, x in enumerate(col)]
+            for col in zip(*sq)]
+    colliding = frozenset(t for t, ds in enumerate(dens) if not all(ds))
+    vgood = tuple(Fraction(0) if t in colliding else x for t, x in enumerate(vec))
+    out = vec_zero(rep.dim)
+    if any(vgood):
+        u2 = u0 * u0
+        for i in range(len(sq)):
+            w = tuple(x * prod(u2 - s[t] for j, s in enumerate(sq) if j != i) / dens[t][i]
+                      if x else x for t, x in enumerate(vgood))
+            out = vec_add(out, apply_znizin(rep, i + 1, w, rank_k=k))
+    if any(vec[t] for t in colliding):
+        vbad = tuple(x if t in colliding else Fraction(0) for t, x in enumerate(vec))
+        out = vec_add(out, _apply_zab_point(rep, k, -k, u0, vbad, rank_k=k))
+    return out
+
+
+def _apply_zab_point(rep: BCDIrrep, a, b, u0, vec, rank_k=None):
+    """Z_ab(u0) applied to a vector, by the series-specific display
+    through the z_ai z_ib products (a, b in {-k, k})."""
+    alg = rep.algebra
+    k = alg.n if rank_k is None else rank_k
+    u0 = Fraction(u0)
+    idx_range = [i for i in range(-k + 1, k) if i != 0 or alg.series == "B"]
+    fs = {i: _f_diag(rep, i) for i in idx_range}
+    # with g_j = f_j + 1/2: u0 + g_j = v + f_j and g_i - g_j = f_i - f_j
+    v = u0 + Fraction(1, 2)
+    # F-term: (delta_ab (u0 + rho_k + 1/2) + F_ab) prod_i (u0 + g_i)
+    head = rep.F(a, b).apply(vec)
+    if a == b:
+        head = vec_add(head, vec_scale(v + alg.rho(k), vec))
+    head = tuple(x * prod(v + fs[i][t] for i in idx_range) if x else x
+                 for t, x in enumerate(head))
+    # z-sum: prod_{j != i} (u0 + g_j) / prod_{j != i} (g_i - g_j), in D
+    # without the factor g_i - g_{-i} below
+    zsum = vec_zero(rep.dim)
+    for i in idx_range:
+        others = [j for j in idx_range if j != i]
+        # the denominators on the support of vec alone, where they are read
+        wv = _apply_inv_diag([prod(fs[i][t] - fs[j][t] for j in others
+                                   if alg.series != "D" or j != -i) if x else x
+                              for t, x in enumerate(vec)], vec)
+        wv = tuple(x * prod(v + fs[j][t] for j in others) if x else x
+                   for t, x in enumerate(wv))
+        wv = sr.apply_z(rep, i, b, wv, rank_k=k)
+        wv = sr.apply_z_ai(rep, a, i, wv, rank_k=k)
+        zsum = vec_add(zsum, wv)
+    if alg.series == "B":
+        return vec_add(vec_scale(-1, head), zsum)
+    total = vec_add(head, vec_scale(-1, zsum))
+    if alg.series == "C":
+        return total
+    if 2 * u0 + 1 == 0:
+        raise ZeroDivisionError("D-case Z_ab cannot be evaluated at -1/2")
+    return vec_scale(Fraction(-1) / (2 * u0 + 1), total)
 
 
 # -- the Fraction construction of highest-weight modules -----------------------

@@ -4,13 +4,16 @@ against every pattern's word applied from the highest vector, the check by
 weight block without a rank test against the rank test plus every pair, on
 the bases themselves and on perturbed copies of them, and the chain sums
 formed once per module by exact.chain_sum against the chain sums summed per
-vector and against those formed chain by chain."""
+vector and against those formed chain by chain, and the tables of Z_ab(u0)
+and of the "Z" letter against the display and interpolation forms applied
+per vector."""
 
 import functools
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import bcd_reference as ref
 from gtbases import branching, cli
@@ -217,3 +220,84 @@ def test_verify_builds_each_chain_monomial_once(monkeypatch, capsys):
     assert cli.run(["verify", "sp", "-1,-2,-2"]) == 0
     assert "gt-basis: PASS" in capsys.readouterr().out
     assert len(calls) == len(set(calls)) == 23
+
+
+# integer-weight B modules (display denominators that vanish), modules with
+# colliding interpolation nodes, and D modules with and without the pole of
+# Z_ab(u) at u = -1/2
+ZAB_MODULES = [("B", (0, -2)), ("B", (0, 0, -2)), ("B", (-2, -2)), ("B", (-1, -3)),
+               ("C", (-2, -4)), ("D", (-2, -4)), ("D", (0, -2, -2))]
+POINTS = [Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2),
+          Fraction(-2), Fraction(7, 3)]
+
+
+def _z_calls(rep):
+    """(a, b, k) of Z_ab(u0) at every (a, b) at k = n, and of the "Z" letter
+    Z_{k,-k}(u0) (a = "Z") at every level k."""
+    n = rep.algebra.n
+    return [(a, b, n) for a in (-n, n) for b in (-n, n)] + [("Z", -k, k) for k in range(1, n + 1)]
+
+
+def _z_outcome(lib, rep, call, u0, vec):
+    """The vector call gives at u0 on vec through the module lib, or
+    "raises" if it raises ZeroDivisionError."""
+    a, b, k = call
+    try:
+        if a == "Z":
+            return lib.apply_z_interp(rep, u0, vec, rank_k=k)
+        return lib._apply_zab_point(rep, a, b, u0, vec, rank_k=k)
+    except ZeroDivisionError:
+        return "raises"
+
+
+@pytest.mark.parametrize("series,lam", ZAB_MODULES)
+def test_z_tables_match_per_vector_forms(series, lam):
+    """Equal values, or a ZeroDivisionError from both, of Z_ab(u0) and the
+    "Z" letter, on every unit vector at every point."""
+    rep = _rep(series, lam)
+    outcomes = set()
+    for call in _z_calls(rep):
+        for u0 in POINTS:
+            for t in range(rep.dim):
+                vec = vec_unit(rep.dim, t)
+                want = _z_outcome(ref, rep, call, u0, vec)
+                assert _z_outcome(signed_realization, rep, call, u0, vec) == want
+                outcomes.add(want == "raises")
+    assert outcomes == {True, False}
+
+
+def test_z_products_raise_where_the_inner_image_meets_a_raise_column():
+    """On D (-2,-4,-4) some z_ai z_ib product meets a raise column of z_ai
+    only through the image of z_ib, under a nonzero display coefficient:
+    Z_ab(1) at k = 3 raises on exactly the unit vectors where the per-vector
+    display form raises."""
+    rep = _rep("D", (-2, -4, -4))
+    raised = 0
+    for a in (-3, 3):
+        for b in (-3, 3):
+            for t in range(rep.dim):
+                vec = vec_unit(rep.dim, t)
+                want = _z_outcome(ref, rep, (a, b, 3), 1, vec)
+                assert _z_outcome(signed_realization, rep, (a, b, 3), 1, vec) == want
+                raised += want == "raises"
+    assert raised
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_z_tables_match_per_vector_forms_on_weight_vectors(data):
+    """As above on random nonzero vectors of one weight.  (On the zero
+    vector the per-vector display form raises at the D pole u0 = -1/2, and
+    a table, which raises only on the columns a vector meets, does not.)"""
+    series, lam = data.draw(st.sampled_from(ZAB_MODULES), label="module")
+    rep = _rep(series, lam)
+    call = data.draw(st.sampled_from(_z_calls(rep)), label="(a, b, k)")
+    u0 = data.draw(st.sampled_from(POINTS), label="u0")
+    off, size = data.draw(st.sampled_from(sorted(rep.module.weight_slices().values())),
+                          label="weight block")
+    block = data.draw(st.lists(st.fractions(-3, 3, max_denominator=6),
+                               min_size=size, max_size=size), label="entries")
+    assume(any(block))
+    vec = (Fraction(0),) * off + tuple(block) + (Fraction(0),) * (rep.dim - off - size)
+    assert _z_outcome(signed_realization, rep, call, u0, vec) == \
+        _z_outcome(ref, rep, call, u0, vec)

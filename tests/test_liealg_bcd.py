@@ -1,3 +1,4 @@
+import functools
 import hashlib
 from fractions import Fraction
 from itertools import product
@@ -15,9 +16,9 @@ from gtbases.liealg_bcd import (DeskScaleError, OrthogonalChain, apply_z,
                                 lowering_zia, multiplicity_basis,
                                 orth_basis_checks, orth_gt_basis, v_plus_basis,
                                 v_plus_mu, z_interp, z_interp_poly, zab_operators)
-from gtbases.liealg_bcd.signed_realization import (_apply_zab_point, _f_diag, _matrix_on,
-                                                    apply_pf, apply_z_nminus,
-                                                    apply_znizin)
+from gtbases.liealg_bcd.signed_realization import (_apply_zab_point, _matrix_on, apply_pf,
+                                                    apply_z_nminus)
+from bcd_reference import _f_diag, apply_znizin
 from rref_reference import rref_solve_in_span
 
 
@@ -418,7 +419,8 @@ ORTH_BASIS_PINS = [
 # (series, doubled lam, dim, sha256 of the zab_operators coefficients of every
 # branching child, sha256 of the z_interp_poly coefficients), each coefficient
 # as (den, sorted num items); recorded while apply_pf, apply_z and
-# apply_z_nminus still summed their chains per vector
+# apply_z_nminus still summed their chains per vector, except the two D zab
+# digests, recorded when zab_operators began to return (2u + 1) Z_ab(u) on D
 ZAB_PINS = [
     ("C", (0, -2), 4,
      "fd4c3c40918839f980da91730e91c3638a67b3494c593ebe42452d0a74509ece",
@@ -433,13 +435,13 @@ ZAB_PINS = [
      "d6b94f53d8766e5c6a12bf66f1e714cc7f129b6116988667810516b72e44987c",
      "997670d1b9ba8a50ddbafbf02d1c85c49260eebc714f69e393046ef9b06390f8"),
     ("D", (-2, -4), 8,
-     "1ff4efa3ca44abd2e6c6b56e29b91e94c8cdda4eb489e0389ae7bda7e07907bb",
+     "f3458049bd28abf07eb0029322b1f29f3afd530defbfae701e1a56831250776a",
      "9bad9cf40703e79113aa745aa47d10e0d6bce8c6e83f7e6bec6238a819944db8"),
     ("C", (0, 0, -2), 6,
      "94c067237f8455d20a26291b6bca405e29e19760a4a3c61ab38de5e8c833dd42",
      "d7b09e0d2d7d4a285a661f6f8a580a4414f3bbd66f20a2bc4f79bbc4b3f9208b"),
     ("D", (0, -2, -2), 15,
-     "ad2e55ecd24232c4baa968e2c5b5564215e5cd7c54f54598430d300aec579593",
+     "13f7f903c98cbc04cf3ffede6750ebe0dba61454336e2cfba38240b47790b456",
      "708175e5562720ee5d6b44e67d2a90366bbcb7a9d1ca0df38f0af660eff6a8b9"),
 ]
 
@@ -547,6 +549,13 @@ class TestDiagonalActionFormulas:
             assert fnn_action_check(o5_spin, mu)
 
 
+_sp4 = functools.cache(lambda lam: build_bcd_irrep("C", lam))
+
+# every child mu of sp_4 V(lam), doubled
+SP4_CHILDREN = [(lam, mu) for lam in [(0, -2), (-2, -4), (-2, -2), (0, -4), (-4, -6), (-2, -6)]
+                for mu, _ in branching.branch_children_BCD("C", lam)]
+
+
 class TestZab:
     def test_trivial_module_offdiagonal_vanish(self):
         rep = build_bcd_irrep("C", d(0, 0))
@@ -561,13 +570,22 @@ class TestZab:
         zab_operators(build_bcd_irrep("B", (-2, -2)), (0,))
 
     def test_interpolated_polys_reproduce_values(self, sp4_vec):
-        tups, vecs, zab = zab_operators(sp4_vec, (0,))
-        for (a, b), poly in zab.items():
-            for u0 in (Fraction(-3), Fraction(7, 3)):
-                m = poly.eval_at(u0)
-                for c, v in enumerate(vecs):
-                    img = _apply_zab_point(sp4_vec, a, b, u0, v)
-                    assert tuple(m.col_vector(c)) == solve_in_span(vecs, img)
+        """The zab_operators polynomials, read through 1/(2u + 1) on D, give
+        the values of the display form: on sp_4 at mu = (0,), and on
+        D (-1, -2), where Z_ab(u) has a pole at u = -1/2, at every child."""
+        o4 = build_bcd_irrep("D", d(-1, -2))
+        checked = 0
+        for rep, mu in [(sp4_vec, (0,))] + [
+                (o4, mu) for mu, _ in branching.branch_children_BCD("D", o4.lam)]:
+            tups, vecs, zab = zab_operators(rep, mu)
+            for (a, b), poly in zab.items():
+                for u0 in (Fraction(-3), Fraction(7, 3)):
+                    m = _z_value(rep, poly, u0)
+                    for c, v in enumerate(vecs):
+                        img = _apply_zab_point(rep, a, b, u0, v)
+                        assert tuple(m.col_vector(c)) == solve_in_span(vecs, img)
+                        checked += 1
+        assert checked
 
     def test_znminusn_matches_interp(self, sp4_vec):
         n = 2
@@ -625,13 +643,13 @@ class TestZab:
                 raised += 1
         assert raised == failing
 
-    def test_yangian_highest_weight_match(self, sp4_vec):
+    @pytest.mark.parametrize("lam,mu", SP4_CHILDREN)
+    def test_yangian_highest_weight_match(self, lam, mu):
         # V^+_mu is the predicted tensor module: the Y-highest vector is
         # annihilated by Z_{-n,n}(u) and has the product eigenvalue under
         # (u + 1/2) Z_{nn}(u)
         from gtbases.exact import spoly_from_roots, spoly_mul
-        lam, mu = d(0, -1), (0,)
-        tups, vecs, zab = zab_operators(sp4_vec, mu)
+        tups, vecs, zab = zab_operators(_sp4(lam), mu)
         alphas = [Fraction(-1, 2), min(Fraction(lam[0], 2), Fraction(mu[0], 2))
                   - 2 + Fraction(1, 2)]
         betas = [max(Fraction(lam[0], 2), Fraction(mu[0], 2)) - Fraction(1, 2),
@@ -656,26 +674,25 @@ class TestZab:
             assert g == tuple(w * x for x in unit)
 
     @pytest.mark.parametrize("series,lam", [
-        ("B", (-1, -1)), ("C", d(0, -1)), ("D", d(0, -1)),
+        ("B", (-1, -1)), ("C", d(0, -1)), ("D", d(0, -1)), ("D", d(-1, -2)),
     ])
     def test_twisted_symmetry_on_vplus(self, series, lam):
+        """The symmetry relation through the zab_operators polynomials, read
+        through 1/(2u + 1) on D."""
         rep = build_bcd_irrep(series, lam)
         failed = total = 0
         for mu, _ in branching.branch_children_BCD(series, lam):
             tups, vecs, zab = zab_operators(rep, mu)
             if not vecs:
                 continue
-            f, t = _symmetry_failures(rep, lambda a, b, u0: zab[(a, b)].eval_at(u0))
+            f, t = _symmetry_failures(rep, lambda a, b, u0: _z_value(rep, zab[(a, b)], u0))
             failed, total = failed + f, total + t
         assert total > 0 and failed == 0
 
     @pytest.mark.parametrize("lam,count", [(d(-1, -2), 60), (d(-1, -3), 84)])
     def test_twisted_symmetry_through_display_d(self, lam, count):
         """The symmetry relation on D modules with lambda_1 != 0, with Z_ab(u)
-        evaluated at each point by ``_apply_zab_point``.  (Through the
-        ``zab_operators`` polynomials 24 of the 60 comparisons on D (-1, -2)
-        and 36 of the 84 on D (-1, -3) fail, the defect that
-        test_quaternary_relation_through_polynomials_d marks.)"""
+        evaluated at each point by ``_apply_zab_point``."""
         rep = build_bcd_irrep("D", lam)
         failed = total = 0
         for mu, _ in branching.branch_children_BCD("D", lam):
@@ -697,18 +714,23 @@ class TestZab:
             failed, total = failed + f, total + t
         assert total >= 48 and failed == 0
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="known defect: on D modules with lambda_1 != 0 the "
-                              "zab_operators polynomials equal Z_ab(u) only at the "
-                              "interpolation nodes")
     def test_quaternary_relation_through_polynomials_d(self):
+        """On D (-1, -2), where Z_ab(u) has a pole at u = -1/2, the
+        zab_operators polynomials (2u + 1) Z_ab(u) read through 1/(2u + 1)."""
         rep = build_bcd_irrep("D", d(-1, -2))
         failed = total = 0
         for mu, _ in branching.branch_children_BCD("D", rep.lam):
             _, _, zab = zab_operators(rep, mu)
-            f, t = _quaternary_failures(rep, lambda a, b, u0: zab[(a, b)].eval_at(u0))
+            f, t = _quaternary_failures(rep, lambda a, b, u0: _z_value(rep, zab[(a, b)], u0))
             failed, total = failed + f, total + t
         assert total == 240 and failed == 0
+
+
+def _z_value(rep, poly, u0):
+    """The matrix of Z_ab(u0) from its zab_operators polynomial: the value,
+    divided by 2 u0 + 1 on D."""
+    m = poly.eval_at(u0)
+    return m.scale(1 / (2 * u0 + 1)) if rep.algebra.series == "D" else m
 
 
 def _display_z_at(rep, mu):
