@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
 
 from . import branching, gln, patterns, yangian
-from .exact import SparseMat, chevalley_serre_check, commutator, entry_strings
+from .exact import SparseMat, chevalley_serre_check, commutator
 from .liealg_bcd import (DeskScaleError, OrthogonalChain, build_bcd_irrep,
                          fnn_action_check, gt_basis_checks, orth_basis_checks)
 from .liealg_bcd.construction import refuse_beyond_caps
@@ -184,7 +185,7 @@ def export_dict(kind, data, lam, convention, rep):
             for j in labels:
                 m = rep.module.F(i, j)
                 if not m.is_zero():
-                    gens["F_%d_%d" % (i, j)] = entry_strings(m)
+                    gens["F_%d_%d" % (i, j)] = m
         fam = _family(kind, data, convention)
         out = {
             "algebra": "sp" if kind == "sp" else "so", "n": len(lam),
@@ -193,29 +194,27 @@ def export_dict(kind, data, lam, convention, rep):
             "patterns": [patterns.to_json(p)
                          for p in patterns.enumerate_patterns(fam, lam)],
             "generators": gens,
-            "gram": entry_strings(rep.module.gram_matrix()),
+            "gram": rep.module.gram_matrix(),
         }
     out["schema"] = SCHEMA
     return out
 
 
-# A "p/q" string is written as it stands: encode_basestring_ascii would
-# return it unchanged between quotes.
-_RATIONAL = re.compile(r"-?[0-9]+/[0-9]+")
 _quote = json.encoder.encode_basestring_ascii
 _SCALARS = {True: "true", False: "false", None: "null"}
 
 
 def write_export(payload, fh):
     """Write payload to fh as the same bytes as json.dump(payload, fh,
-    sort_keys=True, indent=1).
+    sort_keys=True, indent=1), with each ``SparseMat`` in it written as its
+    [row, col, "p/q"] entries in position order, in lowest terms.
 
-    Only dicts with str keys, lists, ints, bools, None and strs are
-    accepted; anything else, floats included, raises TypeError.  The dicts
-    down to depth 1 are written item by item, so the document is never
-    held whole; each value below them is formatted as one string, a list
-    of [int, int, "p/q"] entries by one template per depth and a list of
-    ints by one join.
+    Only dicts with str keys, lists, ints, bools, None, strs and
+    ``SparseMat``s are accepted; anything else, floats included, raises
+    TypeError.  The dicts down to depth 1 are written item by item, so the
+    document is never held whole; each value below them is formatted as
+    one string, a ``SparseMat`` straight from its numerators by one gcd and
+    one template per entry.
     """
     _write(payload, fh, 0)
 
@@ -239,39 +238,37 @@ def _sorted_keys(dct):
     return sorted(dct)
 
 
-def _is_entry_list(value):
-    for x in value:
-        if not (type(x) is list and len(x) == 3 and type(x[0]) is int
-                and type(x[1]) is int and type(x[2]) is str and _RATIONAL.fullmatch(x[2])):
-            return False
-    return True
-
-
 def _encode(value, depth):
-    """value as json.dumps(value, sort_keys=True, indent=1) writes it, with
-    its first line at the given depth."""
+    """value as write_export writes it, with its first line at the given
+    depth."""
     t = type(value)
     if t is str:
-        return '"%s"' % value if _RATIONAL.fullmatch(value) else _quote(value)
+        return _quote(value)
     if t is int:
         return int.__repr__(value)
     if t is bool or value is None:
         return _SCALARS[value]
-    if t is not dict and t is not list:
+    if t is SparseMat:
+        items = sorted(value.num.items())
+    elif t is dict or t is list:
+        items = value
+    else:
         raise TypeError("%s is not a gt-export/1 value" % t.__name__)
-    if not value:
+    if not items:
         return "{}" if t is dict else "[]"
     close = "\n" + " " * depth
     ind = close + " "
     sep = "," + ind
-    if t is dict:
+    if t is SparseMat:
+        den = value.den
+        entry = '[{0}%d,{0}%d,{0}"%d/%d"{1}]'.format(ind + " ", ind)
+        body = sep.join([entry % (r, c, v // g, den // g)
+                         for (r, c), v in items for g in [math.gcd(v, den)]])
+    elif t is dict:
         body = sep.join(_quote(k) + ": " + _encode(value[k], depth + 1)
                         for k in _sorted_keys(value))
     elif all(type(x) is int for x in value):
         body = sep.join(map(int.__repr__, value))
-    elif _is_entry_list(value):
-        entry = '[{0}%d,{0}%d,{0}"%s"{1}]'.format(ind + " ", ind)
-        body = sep.join([entry % (r, c, v) for r, c, v in value])
     else:
         body = sep.join([_encode(x, depth + 1) for x in value])
     return ("{" if t is dict else "[") + ind + body + close + ("}" if t is dict else "]")

@@ -320,17 +320,6 @@ class SparseMat:
             raise ValueError("shape mismatch: %r vs %r" % (self, other))
 
 
-def entry_strings(m: SparseMat):
-    """The nonzero entries of m as [row, col, "p/q"] lists in position
-    order, each in lowest terms: one gcd per entry, no Fraction made."""
-    den = m.den
-    out = []
-    for (r, c), v in sorted(m.num.items()):
-        g = math.gcd(v, den)
-        out.append([r, c, "%d/%d" % (v // g, den // g)])
-    return out
-
-
 def commutator(a: SparseMat, b: SparseMat) -> SparseMat:
     return a @ b - b @ a
 

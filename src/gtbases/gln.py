@@ -13,8 +13,7 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 
 from .exact import (OpPoly, SparseMat, apply_words, chain_sum, chevalley_serre_check,
-                    commutator, entry_strings, kron, nullspace, spoly_from_roots,
-                    vec_is_zero, vec_unit)
+                    commutator, kron, nullspace, spoly_from_roots, vec_is_zero, vec_unit)
 from .patterns import GTPatternA, enumerate_patterns, weight
 from . import patterns as _patterns
 
@@ -697,13 +696,14 @@ def highest_vector_check(rep: GlnIrrep) -> bool:
 
 
 def export_json(rep: GlnIrrep):
-    """Deterministic JSON-ready dict with row-major sparse entries."""
+    """Deterministic dict for ``cli.write_export``: the generators are
+    ``SparseMat``s, which it writes as row-major sparse entries."""
     gens = {}
     for i in range(1, rep.n + 1):
         for j in range(1, rep.n + 1):
             if abs(i - j) > 1:
                 continue
-            gens["E_%d_%d" % (i, j)] = entry_strings(rep.gen(i, j))
+            gens["E_%d_%d" % (i, j)] = rep.gen(i, j)
     return {
         "algebra": "gl",
         "n": rep.n,

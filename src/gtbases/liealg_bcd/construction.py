@@ -22,14 +22,14 @@ must pivot on its own diagonal entry, with a positive value.  Blocks are
 accepted in basis order (depth, then weight), so each one's offset and its
 e/f entries are written when it is accepted.  Finally every generator of
 the realization is transported to the module by closing the simple
-generators under commutators.
+generators under commutators with them, one bracket per root.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from ..exact import SpanSolver, SparseMat, commutator
 
@@ -142,42 +142,40 @@ class HWModule:
         return SparseMat.diag([w[t] for w in self.weights])
 
     def _algebra_span(self):
-        """Bracket closure of the realized simple generators, paired with
-        their realization counterparts, and a solver over the flattened
-        realization matrices of the pairs."""
+        """(realization, module) pairs over a basis of the algebra, and a
+        solver over the flattened realization matrices of the pairs.
+
+        The basis is the Cartan and one vector per root: root spaces are
+        lines, each reached from a simple one by brackets with the simple
+        e_s and f_s, and a bracket of root vectors is zero only if the sum
+        of their roots is not a root (Humphreys 8.4, 10.2).  So a bracket
+        is formed only when the sum is a root not seen.
+        """
         if self._span is not None:
             return self._span
         real = self.realization
-        n = len(real.labels)
-        pairs = []
-        solver = SpanSolver([], n * n)
-
-        def accept(rm):
-            # one reduction; a dependent rm gets no column
-            res, k, steps = solver._reduce(_flat(rm, n))
-            return bool(res) and solver._append(res, k, steps)
-
-        for c in real.cartan:
-            rm = real.fdef(c, c)
-            if accept(rm):
-                pairs.append((rm, self.cartan_matrix(c)))
-        frontier = []
-        for s, (i, j) in enumerate(real.simples):
-            for rm, mm in ((real.fdef(i, j), self._e[s]), (real.fdef(j, i), self._f[s])):
-                if accept(rm):
-                    pairs.append((rm, mm))
-                    frontier.append((rm, mm))
+        simple = []
+        for (i, j), me, mf in zip(real.simples, self._e, self._f):
+            e = real.fdef(i, j)
+            root = real.root_of(e)
+            simple += [(root, e, me), (tuple(-x for x in root), real.fdef(j, i), mf)]
+        pairs = [(real.fdef(c, c), self.cartan_matrix(c)) for c in real.cartan]
+        seen = {(0,) * real.rank, *(root for root, _, _ in simple)}
+        frontier = simple
         while frontier:
+            pairs += [(rm, mm) for _, rm, mm in frontier]
             new = []
-            for ra, ma in frontier:
-                for rb, mb in list(pairs):
-                    rc = commutator(ra, rb)
-                    if accept(rc):
-                        pair = (rc, commutator(ma, mb))
-                        pairs.append(pair)
-                        new.append(pair)
+            for ra, rm, mm in frontier:
+                for rb, rs, ms in simple:
+                    root = tuple(map(add, ra, rb))
+                    if root not in seen:
+                        seen.add(root)
+                        rc = commutator(rm, rs)
+                        if not rc.is_zero():
+                            new.append((root, rc, commutator(mm, ms)))
             frontier = new
-        self._span = (pairs, solver)
+        n = len(real.labels)
+        self._span = (pairs, SpanSolver([_flat(rm, n) for rm, _ in pairs], n * n))
         return self._span
 
     def F(self, i, j) -> SparseMat:

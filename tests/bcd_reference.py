@@ -26,6 +26,10 @@ once per module from the display and interpolation forms of Z_ab(u).
 ``_apply_zab_point``, ``apply_z_interp`` and ``apply_znizin`` below apply
 them to one vector at a time, through the z operators, with the Cartan
 factors evaluated on the vector's support.
+``HWModule._algebra_span`` brackets only with the simple generators and
+forms one bracket per root; ``algebra_span_all_pairs`` is the closure it
+replaced, which brackets every frontier pair with every accepted pair and
+keeps a bracket when it is independent of the earlier ones.
 
 The differential tests compare the two forms.
 """
@@ -37,7 +41,7 @@ from math import lcm, prod
 from gtbases import branching, patterns
 from gtbases.exact import SpanSolver, SparseMat, commutator, rank, vec_add, vec_scale, vec_zero
 from gtbases.liealg_bcd import orthogonal_chain, signed_realization as sr
-from gtbases.liealg_bcd.construction import DeskScaleError, HWModule, Realization
+from gtbases.liealg_bcd.construction import DeskScaleError, HWModule, Realization, _flat
 from gtbases.liealg_bcd.signed_realization import _SERIES_FAMILY, BCDIrrep, _halves
 
 
@@ -547,3 +551,54 @@ def _gram_basis(gram):
         else:
             expansions.append([x[c] if c < b else _ZERO for c in chosen])
     return chosen, expansions
+
+
+# -- the all-pairs algebra span behind HWModule.realize ------------------------
+
+def algebra_span_all_pairs(module: HWModule):
+    """Bracket closure of the realized simple generators, paired with
+    their realization counterparts, and a solver over the flattened
+    realization matrices of the pairs: every frontier pair is bracketed
+    with every accepted pair, and each realization bracket is kept if it
+    is independent of the pairs before it."""
+    real = module.realization
+    n = len(real.labels)
+    pairs = []
+    solver = SpanSolver([], n * n)
+
+    def accept(rm):
+        # one reduction; a dependent rm gets no column
+        res, k, steps = solver._reduce(_flat(rm, n))
+        return bool(res) and solver._append(res, k, steps)
+
+    for c in real.cartan:
+        rm = real.fdef(c, c)
+        if accept(rm):
+            pairs.append((rm, module.cartan_matrix(c)))
+    frontier = []
+    for s, (i, j) in enumerate(real.simples):
+        for rm, mm in ((real.fdef(i, j), module._e[s]), (real.fdef(j, i), module._f[s])):
+            if accept(rm):
+                pairs.append((rm, mm))
+                frontier.append((rm, mm))
+    while frontier:
+        new = []
+        for ra, ma in frontier:
+            for rb, mb in list(pairs):
+                rc = commutator(ra, rb)
+                if accept(rc):
+                    pair = (rc, commutator(ma, mb))
+                    pairs.append(pair)
+                    new.append(pair)
+        frontier = new
+    return pairs, solver
+
+
+def realize_over(span, module: HWModule, real_mat: SparseMat) -> SparseMat:
+    """HWModule.realize over span, a (pairs, solver) of module."""
+    pairs, solver = span
+    coeffs = solver.solve(_flat(real_mat, len(module.realization.labels)))
+    if coeffs is None:
+        raise ValueError("element is not in the realized algebra span")
+    return SparseMat.combination(module.dim, module.dim,
+                                 ((c, mm) for c, (_, mm) in zip(coeffs, pairs)))

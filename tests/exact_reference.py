@@ -5,6 +5,10 @@ differential tests of ``gtbases.exact``.
 The library stores a matrix as integer numerators over one common
 denominator and reduces integer-scaled echelon rows; these classes store
 every nonzero entry as a ``Fraction``.
+
+``entry_strings`` is the list form of a library matrix that the export
+writer once built for every matrix; ``cli.write_export`` now writes a
+``SparseMat`` straight from its numerators, and its test compares the two.
 """
 
 from __future__ import annotations
@@ -193,6 +197,18 @@ class SparseMat:
 
 def commutator(a: SparseMat, b: SparseMat) -> SparseMat:
     return a @ b - b @ a
+
+
+def entry_strings(m):
+    """The nonzero entries of a ``gtbases.exact.SparseMat`` m as
+    [row, col, "p/q"] lists in position order, each in lowest terms: one
+    gcd per entry, no Fraction made."""
+    den = m.den
+    out = []
+    for (r, c), v in sorted(m.num.items()):
+        g = math.gcd(v, den)
+        out.append([r, c, "%d/%d" % (v // g, den // g)])
+    return out
 
 
 def kron(a: SparseMat, b: SparseMat) -> SparseMat:

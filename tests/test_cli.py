@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import bcd_reference
+import exact_reference
 from gtbases import branching, cli
 from gtbases.exact import SparseMat, commutator
 from gtbases.liealg_bcd import build_bcd_irrep, orthogonal_chain, signed_realization
@@ -348,6 +349,33 @@ _TREES = st.recursive(
     max_leaves=24)
 
 
+# SparseMats as num / den: the zero matrix, den == 1, negative and big
+# numerators and denominators
+_MATS = st.builds(
+    lambda shape, num, den: SparseMat.from_num(
+        *shape, {k: v for k, v in num.items() if v and k[0] < shape[0] and k[1] < shape[1]},
+        den),
+    st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), _INTS, max_size=6),
+    st.one_of(st.just(1), st.integers(1, 12), st.integers(2 ** 64, 2 ** 66)))
+_MAT_TREES = st.recursive(
+    st.one_of(_SCALARS, _MATS),
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.dictionaries(st.text(max_size=5), kids, max_size=4)),
+    max_leaves=12)
+
+
+def _entry_lists(tree):
+    """tree with each SparseMat replaced by its entry_strings list."""
+    if type(tree) is SparseMat:
+        return exact_reference.entry_strings(tree)
+    if type(tree) is dict:
+        return {k: _entry_lists(v) for k, v in tree.items()}
+    if type(tree) is list:
+        return [_entry_lists(x) for x in tree]
+    return tree
+
+
 def _json_dump(tree):
     fh = io.StringIO()
     json.dump(tree, fh, sort_keys=True, indent=1)
@@ -371,6 +399,28 @@ class TestWriteExport:
         payload = dict(top, generators=gens)
         assert _write_export(payload) == _json_dump(payload)
 
+    @settings(max_examples=150, deadline=None)
+    @given(_MAT_TREES)
+    def test_matrices_as_their_entry_lists(self, tree):
+        assert _write_export(tree) == _json_dump(_entry_lists(tree))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_MATS, st.lists(st.one_of(st.text(max_size=3), st.none()), max_size=3))
+    def test_a_matrix_at_each_depth(self, mat, path):
+        """A matrix wrapped in 0 to 3 dicts (a str key) or lists (None)."""
+        tree = mat
+        for key in reversed(path):
+            tree = [tree] if key is None else {key: tree}
+        assert _write_export(tree) == _json_dump(_entry_lists(tree))
+
+    @pytest.mark.parametrize("mat", [
+        SparseMat.zero(2, 3), SparseMat.identity(2), SparseMat(1, 2, {(0, 1): -7}),
+        SparseMat(2, 2, {(1, 0): Fraction(-3, 4), (0, 1): Fraction(2 ** 70, 3)}),
+        SparseMat.from_num(3, 1, {(2, 0): -2 ** 66, (0, 0): 6}, 2 ** 65)])
+    def test_matrix_leaves(self, mat):
+        tree = {"generators": {"F": mat, "G": [mat]}, "gram": mat}
+        assert _write_export(tree) == _json_dump(_entry_lists(tree))
+
     @pytest.mark.parametrize("tree", [{}, [], {"a": {}}, {"a": []}, {"a": {"b": []}},
                                       [[]], [[0, 1, "1/2"], []]])
     def test_empty_containers(self, tree):
@@ -379,7 +429,8 @@ class TestWriteExport:
     @pytest.mark.parametrize("tree", [
         1.5, {"a": 0.5}, {"g": {"F": [[0, 0, 0.5]]}}, {"g": {"F": [[0, 1, 2.0]]}},
         [0, 1, 2.0], (0, 1), {"a": (0, 1)}, {"a": {1, 2}}, Fraction(1, 2),
-        {"a": [Fraction(1, 2)]}, {1: "x"}, {"a": {None: 0}}])
+        {"a": [Fraction(1, 2)]}, {1: "x"}, {"a": {None: 0}}, {"a": (SparseMat.identity(1),)},
+        {"a": [SparseMat.identity(1).entries]}])
     def test_other_types_raise(self, tree):
         with pytest.raises(TypeError):
             cli.write_export(tree, io.StringIO())

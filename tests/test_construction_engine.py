@@ -307,3 +307,49 @@ class TestBuildModuleAgainstFractionReference:
         monkeypatch.setattr(construction, "_gram_basis", spy)
         PINNED_MODULES[name][0]()
         assert seen and all(type(v) is int for gram in seen for row in gram for v in row)
+
+
+# (series, or N for the s4 chain o_N, doubled weight): B/C/D of rank 1 to
+# 3 with sp_2, o_2, o_4 and half-integer B among them, and N = 2..7
+CLOSURE_CASES = [
+    ("C", (-2,)), ("C", (0, -2)), ("C", (-2, -2)), ("C", (0, 0, -2)), ("C", (-2, -2, -4)),
+    ("B", (-1,)), ("B", (-1, -1)), ("B", (0, -2)), ("B", (-1, -1, -1)), ("B", (-2, -2, -2)),
+    ("D", (0,)), ("D", (-2,)), ("D", (0, -2)), ("D", (-2, -2)), ("D", (0, 0, -2)),
+    ("D", (-2, -2, -4)),
+    (2, (2,)), (3, (2,)), (4, (2, 2)), (5, (3, 1)), (6, (4, 2, 0)), (7, (4, 2, 0)),
+]
+
+
+class TestAlgebraSpan:
+    @pytest.mark.parametrize("family,lam", CLOSURE_CASES)
+    def test_root_closure_matches_all_pairs(self, monkeypatch, family, lam):
+        """A basis of g; one nonzero realization bracket of root vectors and
+        one module bracket per non-simple root; and every F(i, j) equal to
+        its realization over the all-pairs closure."""
+        if family in ("B", "C", "D"):
+            mod = build_bcd_irrep(family, lam).module
+        else:
+            mod = OrthogonalChain(family, lam).module
+        real = mod.realization
+        N, r = len(real.labels), len(real.simples)
+        brackets = {"module": 0, "realization": 0}
+
+        def counting(a, b):
+            out = commutator(a, b)
+            if a.nrows == mod.dim:
+                brackets["module"] += 1
+            # root_of brackets a diagonal Cartan element
+            if a.nrows == N and any(i != j for i, j in a.num) and not out.is_zero():
+                brackets["realization"] += 1
+            return out
+        monkeypatch.setattr(construction, "commutator", counting)
+        pairs, _ = mod._algebra_span()
+        monkeypatch.undo()
+        dim_g = N * (N + 1) // 2 if family == "C" else N * (N - 1) // 2
+        assert len(pairs) == dim_g
+        if mod.dim != N:        # else the two sides cannot be told apart
+            assert brackets == dict.fromkeys(brackets, dim_g - real.rank - 2 * r)
+        span = bcd_reference.algebra_span_all_pairs(mod)
+        for i in real.labels:
+            for j in real.labels:
+                assert mod.F(i, j) == bcd_reference.realize_over(span, mod, real.fdef(i, j))

@@ -1,9 +1,11 @@
+import io
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gtbases import branching, gln
+from gtbases import branching, cli, gln
 from gtbases.exact import SparseMat, commutator, vec_is_zero, vec_unit
 from gtbases.patterns import GTPatternA
 
@@ -301,5 +303,13 @@ class TestExport:
         assert set(data["generators"]) == {
             "E_1_1", "E_2_2", "E_3_3", "E_1_2", "E_2_1", "E_2_3", "E_3_2"}
         assert data["normsq"][0] == "1/1"
-        for ent in data["generators"].values():
-            assert ent == sorted(ent, key=lambda e: (e[0], e[1]))
+        for name, m in data["generators"].items():
+            i, j = map(int, name.split("_")[1:])
+            assert type(m) is SparseMat and m == rep210.gen(i, j)
+        fh = io.StringIO()
+        cli.write_export(data, fh)
+        written = json.loads(fh.getvalue())
+        assert set(written["generators"]) == set(data["generators"])
+        for name, ent in written["generators"].items():
+            assert ent and ent == sorted(ent, key=lambda e: (e[0], e[1]))
+            assert {(r, c): Fraction(v) for r, c, v in ent} == data["generators"][name].entries
