@@ -1,20 +1,28 @@
 """Command line front end.
 
-Verbs: build, verify, dims, branch, patterns, yangian-demo, export.  The
+    gt [--max-dim N] [--series gl|so|sp] VERB ...
+    gt build|verify|dims|branch|patterns|export ALGEBRA WEIGHT
+        [--json PATH] [--convention s3|s4]
+    gt yangian-demo [--strings S]
+
+The global options go before the verb and the verb's options anywhere
+after it, as "--opt value" or "--opt=value", by their exact names.  The
 algebra argument is "gl", "sp" or "soN" (orthogonal algebras carry their
 matrix size, e.g. so5); weights are comma lists with half-integers written
-as p/2.  Exit codes: 0 success, 2 usage/parse errors, 3 refusals (size
-caps or theorem hypotheses), 1 failed verification.
+as p/2, and a negative weight such as -1,-3 is a plain token.  -h or
+--help prints the usage.  One table (make_parser) states the grammar and
+one loop over argv (parse_args) reads it.  Exit codes: 0 success, 2
+usage/parse errors, 3 refusals (size caps or theorem hypotheses), 1 failed
+verification.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
-import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import branching, gln, patterns, yangian
 from .exact import SparseMat, chevalley_serre_check, commutator
@@ -114,12 +122,12 @@ def _family(kind, size, convention):
 
 def _dimension(kind, data, lam, convention):
     if kind == "gl":
-        cnt = len(patterns.enumerate_patterns("A", lam))
+        cnt = patterns.count_patterns("A", lam)
         oracle = branching.weyl_dim("A", lam)
     else:
         series = _series_of(kind, data)
         fam = _family(kind, data, convention)
-        cnt = len(patterns.enumerate_patterns(fam, lam))
+        cnt = patterns.count_patterns(fam, lam)
         if fam.endswith("4"):
             oracle = branching.weyl_dim(series, lam)
         else:
@@ -448,43 +456,154 @@ def cmd_yangian_demo(args):
     return 0
 
 
+# gt's grammar.  An option maps to (default, kind, help): kind is int
+# for an integer, the tuple of accepted values, or the metavar of a free
+# string.  A verb maps to (command, positionals, options), each positional
+# a (name, help) pair.
+_GLOBAL_OPTIONS = {
+    "--max-dim": (600, int, "desk-scale dimension cap"),
+    "--series": (None, ("gl", "so", "sp"), "optional series hint; the positional algebra wins"),
+}
+_ALGEBRA_ARGS = (("algebra", "gl | sp | spN | soN"),
+                 ("weight", "comma list, half-integers as p/2"))
+_ALGEBRA_OPTIONS = {
+    "--json": (None, "PATH", "write a JSON export to this path"),
+    "--convention": ("s3", ("s3", "s4"), "orthogonal/symplectic weight convention"),
+}
+
+
 def make_parser():
-    ap = argparse.ArgumentParser(
-        prog="gt",
-        description="exact Gelfand-Tsetlin constructions for classical Lie algebras")
-    ap.add_argument("--max-dim", type=int, default=600,
-                    help="desk-scale dimension cap (default 600)")
-    ap.add_argument("--series", choices=["gl", "so", "sp"],
-                    help="optional series hint; the positional algebra wins")
-    sub = ap.add_subparsers(dest="verb", required=True)
-    for verb, cmd in [("build", cmd_build), ("verify", cmd_verify),
-                      ("dims", cmd_dims), ("branch", cmd_branch),
-                      ("patterns", cmd_patterns), ("export", cmd_build)]:
-        p = sub.add_parser(verb)
-        p.set_defaults(cmd=cmd)
-        p.add_argument("algebra", help="gl | sp | spN | soN")
-        p.add_argument("weight", help="comma list, half-integers as p/2")
-        p.add_argument("--json", help="write a JSON export to this path")
-        p.add_argument("--convention", choices=["s3", "s4"], default="s3",
-                       help="orthogonal/symplectic weight convention")
-    p = sub.add_parser("yangian-demo")
-    p.set_defaults(cmd=cmd_yangian_demo)
-    p.add_argument("--strings", default="1,0;3,2",
-                   help="semicolon list of alpha,beta pairs")
-    return ap
+    """gt's grammar as parse_args reads it: (the options before the verb,
+    {verb: (command, positionals, options)})."""
+    verbs = {verb: (cmd, _ALGEBRA_ARGS, _ALGEBRA_OPTIONS)
+             for verb, cmd in [("build", cmd_build), ("verify", cmd_verify),
+                               ("dims", cmd_dims), ("branch", cmd_branch),
+                               ("patterns", cmd_patterns), ("export", cmd_build)]}
+    verbs["yangian-demo"] = (cmd_yangian_demo, (), {
+        "--strings": ("1,0;3,2", "S", "semicolon list of alpha,beta pairs")})
+    return _GLOBAL_OPTIONS, verbs
 
 
-_WEIGHTLIKE = re.compile(r"^-\d+(/\d+)?(,-?\d+(/\d+)?)*$")
+_HELP = ("-h", "--help")
+
+
+def _is_option(token):
+    """-x and --xx are options; "-", the tokens that start with "-" and a
+    digit or ".", such as the weight -1,-3, and those holding a space are
+    values."""
+    return (len(token) > 1 and token[0] == "-" and token[1] not in "0123456789."
+            and " " not in token)
+
+
+def parse_args(parser, argv):
+    """The namespace argv gives under parser (from make_parser): verb, cmd,
+    the verb's positionals and every option, with the defaults filled in.
+
+    The global options go before the verb and the verb's options anywhere
+    after it, as "--opt value" or "--opt=value"; a token is read as an
+    option when its name before any "=" is one, or else when _is_option
+    says so, and after a "--" token every token is a positional.  Raises CliError with code 0 and the help text
+    on -h/--help, and with code 2 and the usage on a usage error.  A
+    missing or bad option value and an unknown verb stop the parse where
+    they stand; unknown options and missing or extra positionals are
+    reported at the end, so an -h after them still gives the help.
+    """
+    options, verbs = parser
+    verb = None
+    values = {"verb": None, "cmd": None}
+    values.update((_dest(name), spec[0]) for name, spec in options.items())
+    wanted = ["verb"]
+    extras = []
+    positionals_only = False
+    tokens = iter(argv)
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if token == "--" and not positionals_only:
+            positionals_only = True
+        elif positionals_only or not (name in options or name in _HELP or _is_option(token)):
+            if not wanted:
+                extras.append(token)
+                continue
+            values[wanted.pop(0)] = token
+            if verb is None:
+                if token not in verbs:
+                    raise _usage_error(parser, None, "invalid verb %r (choose from %s)"
+                                       % (token, ", ".join(verbs)))
+                verb = token
+                values["cmd"], positionals, options = verbs[verb]
+                wanted = [name for name, _ in positionals]
+                values.update((_dest(name), spec[0]) for name, spec in options.items())
+        else:
+            if name in _HELP:
+                if eq:
+                    raise _usage_error(parser, verb, "%s takes no value" % name)
+                raise CliError(_usage(parser, verb, full=True), 0)
+            if name not in options:
+                extras.append(token)
+                continue
+            if not eq:
+                value = next(tokens, None)
+                if value is None or _is_option(value):
+                    raise _usage_error(parser, verb, "%s needs a value" % name)
+            kind = options[name][1]
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise _usage_error(parser, verb, "%s: invalid int value %r" % (name, value))
+            elif type(kind) is tuple and value not in kind:
+                raise _usage_error(parser, verb, "%s: invalid choice %r (choose from %s)"
+                                   % (name, value, ", ".join(kind)))
+            values[_dest(name)] = value
+    if wanted:
+        raise _usage_error(parser, verb, "missing %s" % ", ".join(wanted))
+    if extras:
+        raise _usage_error(parser, verb, "unrecognized arguments: %s" % " ".join(extras))
+    return SimpleNamespace(**values)
+
+
+def _dest(option):
+    return option[2:].replace("-", "_")
+
+
+def _usage(parser, verb, full=False):
+    """The usage line of gt, or of one of its verbs; if full, the help: a
+    line more for each positional and option."""
+    options, verbs = parser
+    if verb is None:
+        head = "gt"
+        positionals = [("VERB ...", "%s (gt VERB -h for its arguments)"
+                        % " | ".join(verbs))]
+    else:
+        head = "gt " + verb
+        _, positionals, options = verbs[verb]
+    words = ["usage:", head, "[-h]"]
+    rows = list(positionals)
+    for name, (default, kind, text) in options.items():
+        if kind is int:
+            kind = "N"
+        elif type(kind) is tuple:
+            kind = "{%s}" % ",".join(kind)
+        words.append("[%s %s]" % (name, kind))
+        rows.append(("%s %s" % (name, kind),
+                     text if default is None else "%s (default %s)" % (text, default)))
+    line = " ".join(words + [name for name, _ in positionals])
+    if not full:
+        return line
+    rows.append(("-h, --help", "show this help and exit"))
+    return "\n".join([line, ""] + ["  %-21s %s" % row for row in rows])
+
+
+def _usage_error(parser, verb, message):
+    return CliError("%s\ngt: error: %s" % (_usage(parser, verb), message), 2)
 
 
 def run(argv):
-    ap = make_parser()
-    # keep argparse from reading negative weights as option flags
-    argv = [(" " + t) if _WEIGHTLIKE.match(t) else t for t in argv]
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else 2
+        args = parse_args(make_parser(), argv)
+    except CliError as exc:     # -h (code 0) or a usage error (code 2)
+        print(exc, file=sys.stderr if exc.code else sys.stdout)
+        return exc.code
     try:
         return args.cmd(args)
     except CliError as exc:

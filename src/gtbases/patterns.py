@@ -15,9 +15,10 @@ doubled value 3 means the entry 3/2.
 Each family's interlacing and parity rules are stated once, in its plan
 (_plan_A ... _plan_D4): the steps that give the candidates for each row
 from the rows above it.  enumerate_patterns walks the plan through every
-candidate; validate walks it along the rows of one array; top_levels walks
-its first level only, and the branching module reads the branching rules
-of gl_n, o_N and sp_2n from there.
+candidate and count_patterns counts those walks; validate walks it along
+the rows of one array; top_levels walks its first level only, and the
+branching module reads the branching rules of gl_n, o_N and sp_2n from
+there.
 """
 
 from __future__ import annotations
@@ -338,6 +339,14 @@ def enumerate_patterns(family, lam):
     if not lam:
         return [build([])]      # n = 0: the empty array
     return [build(rows) for rows in _walk(steps, lam)]
+
+
+def count_patterns(family, lam):
+    """len(enumerate_patterns(family, lam)) without making the patterns:
+    the number of walks through the plan, 1 for n = 0 (the empty array)."""
+    lam = check_dominant(family, tuple(lam))
+    steps, _ = _PLANS[family](lam)
+    return len(_walk(steps, lam))
 
 
 def _walk(steps, top):

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import bcd_reference
+import cli_reference
 import exact_reference
 from gtbases import branching, cli
 from gtbases.exact import SparseMat, commutator
@@ -49,6 +51,179 @@ class TestParsing:
             cli.parse_algebra("so", 2, "s3")
         with pytest.raises(cli.CliError):
             cli.parse_algebra("so5", 3, "s3")
+
+
+# The command-line grammar, drawn as token groups: positionals (algebra
+# tokens and weights, negative and p/2 entries included), options with good
+# and bad values, and flags.  Unknown options are never prefixes of real
+# ones: argparse's abbreviations are left out of the draw.
+_WEIGHTS = st.lists(st.integers(-4, 4).map(str) | st.integers(-4, 3).map(lambda p: "%d/2" % (2 * p + 1)),
+                    min_size=1, max_size=4).map(",".join)
+_POSITIONALS = st.sampled_from(["gl", "sp", "so5", "so7", "gl3", "zz", "", "-"]) | _WEIGHTS
+_GOOD = {
+    "--max-dim": st.sampled_from(["5", "600", "-5", "0"]),
+    "--series": st.sampled_from(["gl", "so", "sp"]),
+    "--json": st.sampled_from(["out.json", "a b.json", "-", ""]),
+    "--convention": st.sampled_from(["s3", "s4"]),
+    "--strings": st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1,
+                          max_size=3).map(lambda pairs: ";".join("%d,%d" % p for p in pairs)),
+    "--foo": st.nothing(),
+}
+_BAD = {"--max-dim": ["x", "1.5", "-1.5", ""], "--series": ["zz", "GL"], "--json": ["-o.json"],
+        "--convention": ["s5", "S4", ""], "--strings": ["x"], "--foo": ["1", "x"]}
+_FLAGS = st.sampled_from([["-h"], ["--help"], ["-x"], ["--verbose"], ["--help=x"]])
+_VERBS = ["build", "verify", "dims", "branch", "patterns", "export", "yangian-demo"]
+_FIELDS = ("verb", "algebra", "weight", "json", "convention", "series", "max_dim",
+           "strings", "cmd")
+
+
+@st.composite
+def _option(draw, names, good):
+    """--opt value or --opt=value; unless good, also a bad value or a bare
+    --opt, whose value, if any, is the next token."""
+    name = draw(st.sampled_from(names))
+    if good:
+        value = draw(_GOOD[name])
+        return draw(st.sampled_from([[name, value], [name + "=" + value]]))
+    value = draw(_GOOD[name] | st.sampled_from(_BAD[name]))
+    return draw(st.sampled_from([[name, value], [name + "=" + value], [name]]))
+
+
+@st.composite
+def _argv(draw):
+    """Half the draws are well formed: global options, a verb, and the
+    verb's positionals and options in any order.  The others mix in bad
+    values, bare options, unknown verbs and options, global options after
+    the verb, missing and extra positionals, and -h."""
+    good = draw(st.booleans())
+    head = draw(st.lists(_option(["--max-dim", "--series"] + (not good) * ["--json", "--foo"],
+                                 good), max_size=2))
+    verb = draw(st.sampled_from(_VERBS if good else _VERBS + ["zz", None]))
+    wanted = 0 if verb == "yangian-demo" else 2
+    if good:
+        npos = wanted
+        names = ["--strings"] if verb == "yangian-demo" else ["--json", "--convention"]
+    else:
+        npos = draw(st.sampled_from([wanted] * 4 + [0, 1, 2, 3]))
+        names = sorted(_GOOD)
+    groups = [[draw(_POSITIONALS)] for _ in range(npos)]
+    groups += draw(st.lists(_option(names, good), max_size=3))
+    if not good and draw(st.integers(0, 2)) == 0:
+        groups.append(draw(_FLAGS))
+    groups = draw(st.permutations(groups))
+    return ([t for g in head for t in g] + ([verb] if verb else [])
+            + [t for g in groups for t in g])
+
+
+def _for_reference(argv):
+    """argv with a --strings value that starts with "-" and holds ";" joined
+    to it by "=".  argparse reads such a token as an option, as neither its
+    negative-number rule nor the weight shim covers it; gt reads it as the
+    value (test_strings_value_may_start_with_a_minus)."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--strings" and token[:1] == "-" and ";" in token:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
+def _unshim(value):
+    """A reference value without the space the weight shim put before it."""
+    if isinstance(value, str) and value[:1] == " " and cli_reference._WEIGHTLIKE.match(value[1:]):
+        return value[1:]
+    return value
+
+
+def _reference(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli_reference.parse(argv)
+
+
+def _parse(argv):
+    try:
+        return cli.parse_args(cli.make_parser(), argv)
+    except cli.CliError as exc:
+        return exc.code
+
+
+def _assert_parses_as_reference(argv):
+    ref, new = _reference(_for_reference(argv)), _parse(argv)
+    if isinstance(ref, int):
+        assert new == ref, argv
+    else:
+        assert not isinstance(new, int), argv
+        for name in _FIELDS:
+            assert getattr(new, name, None) == _unshim(getattr(ref, name, None)), (argv, name)
+
+
+class TestParser:
+    """cli.parse_args against the argparse parser it replaced
+    (tests/cli_reference.py)."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_argv())
+    def test_same_parse_or_exit_code_as_argparse(self, argv):
+        _assert_parses_as_reference(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["dims", "gl", "2,1,0"], ["dims", "so5", "-1/2,-1/2"],
+        ["dims", "so5", "1,0", "--convention", "s4"], ["branch", "sp", "0,-1"],
+        ["patterns", "gl", "2,1,0"], ["build", "sp", "0,-1", "--json", "out.json"],
+        ["verify", "so5", "1,0", "--convention", "s4"], ["yangian-demo", "--strings", "1,0;3,2"],
+        ["yangian-demo"], ["--max-dim", "5", "build", "gl", "2,1,0"],
+        ["--series", "sp", "dims", "--convention=s4", "sp", "-1,-1,-3"],
+        ["--max-dim=-5", "dims", "gl", "-1,-3"], ["dims", "gl", "--", "-1,-3"],
+        ["dims", "--", "gl", "1,0"], ["dims", "gl", "1,0", "--"], ["dims", "gl", "-.5"],
+        [], ["-h"], ["dims", "-h"], ["yangian-demo", "--help"], ["zz", "-h"],
+        ["--foo", "-h"], ["dims", "gl", "1,0", "extra", "-h"], ["dims", "--help=x", "-h"],
+        ["dims", "gl"], ["dims", "gl", "1,0", "--max-dim", "5"], ["--max-dim", "x", "-h"],
+        ["dims", "gl", "1,0", "--json"], ["dims", "gl", "1,0", "--json", "-o"],
+        ["--json=a b", "dims", "gl", "1,0", "-h"], ["dims", "gl", "1,0", "--json=a b", "-h"],
+        ["dims", "gl", "1,0", "--json", "-a b"], ["dims", "--help=a b", "gl", "1,0"],
+    ])
+    def test_examples(self, argv):
+        _assert_parses_as_reference(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["dims", "so5", "1,0", "--conv", "s4"], ["dims", "so5", "1,0", "--conv=s4"],
+        ["--max", "5", "dims", "gl", "1,0"], ["--ser", "gl", "dims", "gl", "1,0"],
+        ["export", "gl", "1,0", "--js", "out.json"], ["yangian-demo", "--str", "1,0"],
+        ["dims", "--he"],
+    ])
+    def test_abbreviations_are_rejected(self, capsys, argv):
+        """argparse took a unique prefix of an option for the option; gt
+        takes only the exact name."""
+        ref = _reference(argv)
+        assert ref == 0 or not isinstance(ref, int)
+        assert run_capture(capsys, argv)[:2] == (2, "")
+
+    def test_strings_value_may_start_with_a_minus(self):
+        argv = ["yangian-demo", "--strings", "-1,0;3,2"]
+        assert _reference(argv) == 2
+        assert _parse(argv).strings == "-1,0;3,2"
+
+    @pytest.mark.parametrize("argv,usage", [
+        (["-h"], "usage: gt [-h]"), (["--help"], "usage: gt [-h]"),
+        (["dims", "gl", "-h"], "usage: gt dims [-h]"),
+        (["yangian-demo", "--help"], "usage: gt yangian-demo [-h]"),
+    ])
+    def test_help_goes_to_stdout(self, capsys, argv, usage):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 0 and out.startswith(usage + " ") and err == ""
+
+    @pytest.mark.parametrize("argv,usage", [
+        ([], "usage: gt [-h]"), (["zz"], "usage: gt [-h]"),
+        (["--max-dim", "x", "dims", "gl", "1,0"], "usage: gt [-h]"),
+        (["dims", "gl"], "usage: gt dims [-h]"),
+        (["dims", "gl", "1,0", "--convention", "s5"], "usage: gt dims [-h]"),
+        (["yangian-demo", "extra"], "usage: gt yangian-demo [-h]"),
+    ])
+    def test_usage_errors_go_to_stderr(self, capsys, argv, usage):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith(usage + " ") and "\ngt: error: " in err
 
 
 class TestDims:
@@ -544,6 +719,18 @@ class TestBcdCommutation:
                                                  if (i, j) not in chevalley]), label="key")
             module._fmat[key] = rep.F(*key) + bump
         assert cli.bcd_commutation_check(rep) is bcd_reference.commutation_all_pairs(rep) is False
+
+
+def test_run_imports_no_argparse():
+    """A gt call leaves argparse, gettext and locale unimported.  The check
+    runs in a fresh interpreter, because pytest imports argparse itself."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = ("import sys; from gtbases import cli; rc = cli.run(['dims', 'gl', '2,1,0']); "
+            "print(rc, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout == "8\n0 []\n", proc.stderr
 
 
 def test_runs_from_a_fresh_checkout():

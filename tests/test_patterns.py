@@ -8,7 +8,7 @@ import patterns_reference as reference
 from gtbases import branching
 from gtbases.patterns import (FAMILIES, DominanceError, GTPatternA, PatternB3,
                               PatternB4, PatternC3, PatternD3, PatternD4,
-                              PatternShapeError, SemistandardTableau,
+                              PatternShapeError, SemistandardTableau, count_patterns,
                               enumerate_patterns, from_json, pattern_to_tableau,
                               tableau_to_pattern, to_json, validate, weight)
 
@@ -326,6 +326,24 @@ def test_enumerated_patterns_all_valid(family, parts, odd):
         assert validate(p)
         copy = dataclasses.replace(p)
         assert copy == p and hash(copy) == hash(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FAMILIES), st.lists(st.integers(-2, 1), max_size=3), st.integers(0, 1))
+def test_count_patterns_is_the_enumeration_length(family, parts, odd):
+    """count_patterns counts the patterns enumerate_patterns lists, for
+    small dominant weights of every family with n = 0..3."""
+    lam = _dominant(family, parts, odd) if parts else ()
+    assert count_patterns(family, lam) == len(enumerate_patterns(family, lam))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_count_patterns_edges(family):
+    """n = 0 has one pattern, the empty array, and a weight that is not
+    dominant raises as it does for enumerate_patterns."""
+    assert count_patterns(family, ()) == 1 == len(enumerate_patterns(family, ()))
+    with pytest.raises(DominanceError):
+        count_patterns(family, (1, 2))
 
 
 _CLASSES = {"A": GTPatternA, "B3": PatternB3, "C3": PatternC3,
