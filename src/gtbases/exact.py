@@ -381,21 +381,8 @@ def kron(a: SparseMat, b: SparseMat) -> SparseMat:
 
 # -- vectors (plain tuples of Fraction) -------------------------------------
 
-def vec_zero(n):
-    return (_ZERO,) * n
-
-
 def vec_unit(n, i):
     return tuple(_ONE if j == i else _ZERO for j in range(n))
-
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(a, u):
-    a = Fraction(a)
-    return tuple(a * x for x in u)
 
 
 def vec_is_zero(u):

@@ -180,10 +180,6 @@ def norms_of_patterns(basis):
     return out
 
 
-def norms(rep: GlnIrrep):
-    return list(rep.normsq)
-
-
 # ---------------------------------------------------------------------------
 # lowering and raising operators
 # ---------------------------------------------------------------------------

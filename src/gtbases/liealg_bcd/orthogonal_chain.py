@@ -7,17 +7,26 @@ the odd members acquire a middle index realized by differences of two
 generators of the even member above (the 1/sqrt(2) normalizations of
 those combinations are dropped, which only rescales the lowering
 operators and leaves spans and orthogonality untouched).
+
+The lowering operators s'_{ki} and s_{ki} are the extremal projector of the
+level below applied after a generator and a Cartan factor pi_i.  On a
+finite-dimensional module that projector is the projection onto the vectors
+its raising operators kill, along the image of its lowering ones
+(Asherova-Smirnov-Tolstoy), so each s'/s is one table per chain, formed from
+the kernel and the Gram matrix group by group of weight blocks; at an odd
+level below the top a group joins the blocks that differ only in the weight
+coordinate the middle index mixes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 
-from ..exact import SparseMat, apply_words, commutator, vec_add, vec_scale, vec_unit
+from ..exact import SpanSolver, SparseMat, apply_words, vec_unit
 from .. import branching as _branching
 from .. import patterns as _patterns
 from .construction import MAX_RANK, Realization, build_module, refuse_beyond_caps
+from .signed_realization import raising_kernel
 
 
 class OrthogonalChain:
@@ -40,8 +49,8 @@ class OrthogonalChain:
         real = self._realization()
         self.module = build_module(real, [Fraction(x, 2) for x in lam], max_dim)
         self.dim = self.module.dim
-        self._low = {}          # (kind, k, i) -> first factor of s'/s, pi_i acting first
-        self._p_data = {}       # (M, i, j) -> the data of the factor p_alpha
+        self._low = {}          # (kind, k, i) -> the table of s'/s
+        self._proj = {}         # level L -> the extremal projector of o_L
 
     # -- realization ---------------------------------------------------------
 
@@ -80,25 +89,20 @@ class OrthogonalChain:
             return ("pure", r + 1)
         return ("combo", r + 1, self.N - r)
 
-    def f_level(self, M, a, b):
-        """Realized module matrix of the level-M generator F_ab (its
-        realization counterpart is also returned)."""
+    def f_level(self, M, a, b) -> SparseMat:
+        """Realized module matrix of the level-M generator F_ab."""
         ea = self.level_entry(M, a)
         eb = self.level_entry(M, b)
         F = self.module.F
         if ea[0] == "pure" and eb[0] == "pure":
-            return F(ea[1], eb[1]), self._fdef(ea[1], eb[1])
+            return F(ea[1], eb[1])
         if ea[0] == "combo" and eb[0] == "combo":
-            z = SparseMat.zero(self.N, self.N)
-            return SparseMat.zero(self.dim, self.dim), z
+            return SparseMat.zero(self.dim, self.dim)
         if ea[0] == "combo":
             p, q = ea[1], ea[2]
-            rm = self._fdef(p, eb[1]) - self._fdef(q, eb[1])
-            return F(p, eb[1]) - F(q, eb[1]), rm
+            return F(p, eb[1]) - F(q, eb[1])
         # middle as the column index: F_{a, mid} = -F_{mid, a'} at level M
-        ap = M + 1 - a
-        mat_mod, mat_real = self.f_level(M, b, ap)
-        return -mat_mod, -mat_real
+        return -self.f_level(M, b, M + 1 - a)
 
     def cartan_value(self, M, j, w):
         """Value of the level-M Cartan element F_jj on a weight w."""
@@ -111,145 +115,87 @@ class OrthogonalChain:
             return -w[self.N - label]
         return Fraction(0)
 
-    # -- extremal projector factors ------------------------------------------
+    # -- the extremal projector ------------------------------------------------
 
-    def _rho_sub(self, M):
-        """rho of the level-M subalgebra in its epsilon coordinates."""
-        r = M // 2
-        if M % 2:
-            return [Fraction(2 * (r - j) + 1, 2) for j in range(1, r + 1)]
-        return [Fraction(r - j) for j in range(1, r + 1)]
+    def projector(self, L) -> SparseMat:
+        """The extremal projector of the level-L algebra o_L.
 
-    def _p_factor(self, M, i, j, vec):
-        """Apply the factor p_alpha of the level-M extremal projector for the
-        root alpha of the raising F_ij and the lowering F_ji, with scales
-        normalized via t = alpha([A, B]) for their realizations A and B.
-        The operators, t and the Cartan values are formed once per (M, i, j).
+        On a finite-dimensional module it is the projection onto V^+, the
+        joint kernel of the raising F_ab (a < b) of o_L, along n_- V.  The
+        adjoint of a raising operator under the contravariant form is a
+        lowering one, so V^+ is orthogonal to n_- V, and the form is
+        positive definite: with H a basis of V^+ and G the Gram matrix the
+        projector is H (H^T G H)^-1 H^T G.  It commutes with the Cartan
+        elements of o_N that commute with o_L, so it acts within groups of
+        weight blocks: single blocks, except at an odd level below the top,
+        whose middle index mixes weight coordinate (L + 1)/2, so that a
+        group joins the blocks that differ only there.
         """
-        key = (M, i, j)
-        if key not in self._p_data:
-            a_mod, a_real = self.f_level(M, i, j)
-            b_mod, b_real = self.f_level(M, j, i)
-            h_real = commutator(a_real, b_real)
-            # alpha(h) via the adjoint action on the raising vector
-            br = commutator(h_real, a_real)
-            k0, v0 = next(iter(a_real.entries.items()))
-            t = br.get(*k0) / v0
-            assert br == a_real.scale(t) and t != 0
-            rho = self._rho_sub(M)
-            # h_alpha + rho(h_alpha) with h_alpha = (2/t) h, valued on the
-            # weight of the INPUT components (the Cartan fraction acts first)
-            coeffs = [h_real.get(c, c) for c in range(M // 2)]
-            rho_h = sum(c * x for c, x in zip(coeffs, rho))
-            base = [(sum(c * x for c, x in zip(coeffs, w)) + rho_h) * 2 / t
-                    for w in self.module.weights]
-            self._p_data[key] = (a_mod, b_mod, t, base)
-        a_mod, b_mod, t, base = self._p_data[key]
-        out = probe = divided = vec
-        k = 0
-        factor = Fraction(1)
-        while True:
-            k += 1
-            probe = a_mod.apply(probe)
-            if all(x == 0 for x in probe):
-                break
-            factor *= Fraction(-2) / t / k
-            red = []
-            for x, b0 in zip(divided, base):
-                if x == 0:
-                    red.append(x)
-                elif b0 + k == 0:
-                    raise ZeroDivisionError("vanishing extremal-projector denominator")
-                else:
-                    red.append(x / (b0 + k))
-            divided = tuple(red)
-            piece = divided
-            for _ in range(k):
-                piece = a_mod.apply(piece)
-            for _ in range(k):
-                piece = b_mod.apply(piece)
-            out = vec_add(out, vec_scale(factor, piece))
-        return out
-
-    def _p_chain_B(self, M, i, vec):
-        """p-factors of the even subalgebra o_{2k} below the odd level
-        M = 2k + 1, applied in the printed order (rightmost first)."""
-        k = M // 2
-        Msub = M - 1
-        # rightmost first: primed columns 1'..k' (skip i'), then k..i+1
-        for m in range(1, k + 1):
-            if m == i:
-                continue
-            vec = self._p_factor(Msub, i, self._prime(Msub, m), vec)
-        for j in range(k, i, -1):
-            vec = self._p_factor(Msub, i, j, vec)
-        return vec
-
-    def _p_chain_D(self, M, i, vec):
-        """p-factors of o_{M-1} (odd) below the even level M = 2k."""
-        k = M // 2
-        Msub = M - 1
-        for m in range(1, k):
-            if m == i:
-                continue
-            vec = self._p_factor(Msub, i, self._prime(Msub, m), vec)
-        # the short root factor p_i, through the middle index
-        vec = self._p_factor(Msub, i, (Msub + 1) // 2, vec)
-        for j in range(k - 1, i, -1):
-            vec = self._p_factor(Msub, i, j, vec)
-        return vec
-
-    @staticmethod
-    def _prime(M, j):
-        return M + 1 - j
+        if L not in self._proj:
+            r = L // 2
+            key = (lambda w: w[:r] + w[r + 1:]) if L % 2 and L < self.N else None
+            raising = [self.f_level(L, a, b) for a in range(1, L + 1) for b in range(a + 1, L + 1)]
+            blocks = sorted(self.module.blocks.values())
+            ent = {}
+            for _, cols, kernel in raising_kernel(self.module, raising, key):
+                if not kernel:
+                    continue
+                pos = {c: j for j, c in enumerate(cols)}
+                g = SparseMat(len(cols), len(cols), {
+                    (pos[off + a], pos[off + b]): v for off, _, gram in blocks if off in pos
+                    for a, row in enumerate(gram) for b, v in enumerate(row)})
+                h = SparseMat.from_columns(kernel, len(cols))
+                gh = g @ h
+                # h^T g h is symmetric, so its rows are its columns; and
+                # h^T g = (g h)^T, so the rows of g h are the columns to solve
+                solver = SpanSolver((h.transpose() @ gh).to_rows(), h.ncols)
+                p = h @ SparseMat.from_columns([solver.solve(row) for row in gh.to_rows()],
+                                               h.ncols)
+                ent.update(((cols[i], cols[j]), v) for (i, j), v in p.entries.items())
+            self._proj[L] = SparseMat(self.dim, self.dim, ent)
+        return self._proj[L]
 
     # -- the normalized lowering operators -------------------------------------
 
-    def s_prime(self, k, i, vec):
-        """s'_{ki}: lowering for o_{2k+1} down to o_{2k} (1 <= i <= k)."""
-        M = 2 * k + 1
-        if M > self.N:
-            raise ValueError("level %d exceeds N" % M)
-        key = ("s'", k, i)
+    def lowering(self, kind, k, i) -> SparseMat:
+        """The table of s'_{ki} (kind "s'", level M = 2k + 1) or s_{ki}
+        (kind "s", M = 2k): the extremal projector of level M - 1 after the
+        generator and the Cartan factor pi_i, which acts first."""
+        key = (kind, k, i)
         if key not in self._low:
-            # pi_i: product of f_{ij} over j = i+1..k and primed j (skip i')
+            M = 2 * k + 1 if kind == "s'" else 2 * k
+            if M > self.N:
+                raise ValueError("level %d exceeds N" % M)
+            # pi_i: the f_{ij} over j = i+1..top and primed j (skip i'),
+            # and for s the short root factor
+            top = k if kind == "s'" else k - 1
             vals = []
             for w in self.module.weights:
-                total = Fraction(1)
                 fi = self.cartan_value(M, i, w)
-                for j in range(i + 1, k + 1):
+                total = Fraction(1)
+                for j in range(i + 1, top + 1):
                     total *= fi - self.cartan_value(M, j, w) + (j - i)
-                for m in range(k, 0, -1):
-                    if m == i:
-                        continue
-                    total *= fi + self.cartan_value(M, m, w) + 2 * k - i - m
+                for m in range(top, 0, -1):
+                    if m != i:
+                        total *= fi + self.cartan_value(M, m, w) + M - 1 - i - m
+                if kind == "s":
+                    f_short = 2 * (fi + k - i)
+                    total *= f_short * (f_short + 1)
                 vals.append(total)
-            self._low[key] = self.f_level(M, k + 1, i)[0] @ SparseMat.diag(vals)
-        return self._p_chain_B(M, i, self._low[key].apply(vec))
+            if kind == "s'":
+                gen = self.f_level(M, k + 1, i)
+            else:
+                gen = self.f_level(M, k, i) + self.f_level(M, M + 1 - k, i)
+            self._low[key] = self.projector(M - 1) @ gen @ SparseMat.diag(vals)
+        return self._low[key]
+
+    def s_prime(self, k, i, vec):
+        """s'_{ki}: lowering for o_{2k+1} down to o_{2k} (1 <= i <= k)."""
+        return self.lowering("s'", k, i).apply(vec)
 
     def s_plain(self, k, i, vec):
         """s_{ki}: lowering for o_{2k} down to o_{2k-1} (1 <= i <= k-1)."""
-        M = 2 * k
-        if M > self.N:
-            raise ValueError("level %d exceeds N" % M)
-        key = ("s", k, i)
-        if key not in self._low:
-            vals = []
-            for w in self.module.weights:
-                fi = self.cartan_value(M, i, w)
-                total = Fraction(1)
-                for j in range(i + 1, k):
-                    total *= fi - self.cartan_value(M, j, w) + (j - i)
-                f_short = 2 * (fi + k - i)
-                total *= f_short * (f_short + 1)
-                for m in range(k - 1, 0, -1):
-                    if m == i:
-                        continue
-                    total *= fi + self.cartan_value(M, m, w) + 2 * k - 1 - i - m
-                vals.append(total)
-            gen = self.f_level(M, k, i)[0] + self.f_level(M, self._prime(M, k), i)[0]
-            self._low[key] = gen @ SparseMat.diag(vals)
-        return self._p_chain_D(M, i, self._low[key].apply(vec))
+        return self.lowering("s", k, i).apply(vec)
 
 
 def orth_gt_basis(chain: OrthogonalChain):
@@ -266,25 +212,25 @@ def orth_gt_basis(chain: OrthogonalChain):
     """
     pats = _patterns.enumerate_patterns(chain.family, chain.lam)
     n = chain.n
-    s1, s0 = chain.s_prime, chain.s_plain      # a letter (s, k, i) applies s(k, i, .)
     words = []
     for p in pats:
         word = []
         if chain.family == "B4":
             for k in range(n, 1, -1):
                 for i in range(k, 0, -1):
-                    word += [(s1, k, i)] * ((p.lam[k - 1][i - 1] - p.lamp[k - 1][i - 1]) // 2)
+                    word += [("s'", k, i)] * ((p.lam[k - 1][i - 1] - p.lamp[k - 1][i - 1]) // 2)
                 for i in range(k - 1, 0, -1):
-                    word += [(s0, k, i)] * ((p.lamp[k - 1][i - 1] - p.lam[k - 2][i - 1]) // 2)
-            word += [(s1, 1, 1)] * ((p.lam[0][0] - p.lamp[0][0]) // 2)
+                    word += [("s", k, i)] * ((p.lamp[k - 1][i - 1] - p.lam[k - 2][i - 1]) // 2)
+            word += [("s'", 1, 1)] * ((p.lam[0][0] - p.lamp[0][0]) // 2)
         else:
             for k in range(n - 1, 0, -1):
                 for i in range(k, 0, -1):
-                    word += [(s0, k + 1, i)] * ((p.lam[k][i - 1] - p.lamp[k - 1][i - 1]) // 2)
+                    word += [("s", k + 1, i)] * ((p.lam[k][i - 1] - p.lamp[k - 1][i - 1]) // 2)
                 for i in range(k, 0, -1):
-                    word += [(s1, k, i)] * ((p.lamp[k - 1][i - 1] - p.lam[k - 1][i - 1]) // 2)
+                    word += [("s'", k, i)] * ((p.lamp[k - 1][i - 1] - p.lam[k - 1][i - 1]) // 2)
         words.append(word)
-    return pats, apply_words(vec_unit(chain.dim, 0), words, lambda letter: partial(*letter))
+    return pats, apply_words(vec_unit(chain.dim, 0), words,
+                             lambda letter: chain.lowering(*letter).apply)
 
 
 def orth_basis_checks(chain: OrthogonalChain) -> bool:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import prod
 
 from ..exact import (OpPoly, SpanSolver, SparseMat, apply_words, chain_sum, nullspace, rank,
-                     spoly_from_roots, vec_add, vec_scale, vec_unit, vec_zero)
+                     spoly_from_roots, vec_unit)
 from .. import patterns as _patterns
 from .. import branching as _branching
 from .construction import (MAX_RANK, HWModule, Realization, build_module,
@@ -382,22 +382,41 @@ def _v_plus_basis(rep: BCDIrrep):
         for j in alg.indices:
             if i < j and abs(i) < n and abs(j) < n:
                 raising.append(rep.F(i, j))
-    # the raising operators stacked into one matrix, entries by column
+    out = []
+    for w, cols, kernel in raising_kernel(rep.module, raising):
+        wd = tuple(int(2 * x) for x in w)
+        for k in kernel:
+            v = [Fraction(0)] * rep.dim
+            v[cols[0]:cols[-1] + 1] = k
+            out.append((wd, tuple(v)))
+    return out
+
+
+def raising_kernel(module: HWModule, raising, key=None):
+    """[(group, columns, kernel)]: per group of weight blocks, in
+    decreasing order, its basis indices (increasing) and a basis of the
+    joint kernel of the raising matrices on them, ``nullspace`` of the
+    stacked matrices restricted to those columns.  key maps a weight to
+    its group; without it each block is its own group, keyed by its
+    weight."""
+    # each matrix's numerators: scaling a matrix leaves the kernel and
+    # the basis nullspace reads off it as they are
     stacked = {}
     for t, m in enumerate(raising):
-        for (r, c), v in m.entries.items():
-            stacked.setdefault(c, []).append((t * rep.dim + r, v))
+        for (r, c), v in m.num.items():
+            stacked.setdefault(c, []).append((t * module.dim + r, v))
+    groups = {}
+    for w, (off, size) in module.weight_slices().items():
+        groups.setdefault(w if key is None else key(w), []).extend(range(off, off + size))
     out = []
-    for w, (off, size) in sorted(rep.module.weight_slices().items(), reverse=True):
-        # the block's columns, on the stacked rows that meet them (in order)
-        ent = {(r, c - off): v for c in range(off, off + size) for r, v in stacked.get(c, ())}
+    for g, cols in sorted(groups.items(), reverse=True):
+        cols.sort()
+        # the group's columns, on the stacked rows that meet them (in order)
+        ent = {(r, j): v for j, c in enumerate(cols) for r, v in stacked.get(c, ())}
         rows = {r: i for i, r in enumerate(sorted({r for r, _ in ent}))}
-        block = SparseMat(len(rows), size, {(rows[r], c): v for (r, c), v in ent.items()})
-        wd = tuple(int(2 * x) for x in w)
-        for k in nullspace(block):
-            v = [Fraction(0)] * rep.dim
-            v[off:off + size] = k
-            out.append((wd, tuple(v)))
+        block = SparseMat.from_num(len(rows), len(cols),
+                                   {(rows[r], j): v for (r, j), v in ent.items()})
+        out.append((g, cols, nullspace(block)))
     return out
 
 
@@ -588,15 +607,15 @@ def fnn_action_check(rep: BCDIrrep, mu) -> bool:
             ev = Fraction(2 * sum(ext) - sum(lam) - sum(mu), 2)
         else:
             ev = Fraction(2 * sum(nu) - sum(lam) - sum(mu) + 2 * sigma, 2)
-        if fnn.apply(v) != vec_scale(ev, v):
+        if fnn.apply(v) != tuple(ev * x for x in v):
             return False
     if alg.series != "C":
         return True
     fnm = rep.F(n, -n)
+    basis = SparseMat.from_columns(vecs, rep.dim)
     for tup, v in zip(tuples, vecs):
         gammas = [_halves(tup[i - 1]) + alg.rho(i) + Fraction(1, 2) for i in range(1, n + 1)]
-        got = fnm.apply(v)
-        want = vec_zero(rep.dim)
+        coeffs = [_ZERO] * len(vecs)
         for i in range(1, n + 1):
             up = list(tup)
             up[i - 1] += 2
@@ -606,8 +625,8 @@ def fnn_action_check(rep: BCDIrrep, mu) -> bool:
             for a in range(1, n + 1):
                 if a != i:
                     coeff /= gammas[i - 1] ** 2 - gammas[a - 1] ** 2
-            want = vec_add(want, vec_scale(coeff, vecs[index[tuple(up)]]))
-        if got != want:
+            coeffs[index[tuple(up)]] = coeff
+        if fnm.apply(v) != basis.apply(coeffs):
             return False
     return True
 

@@ -26,6 +26,12 @@ once per module from the display and interpolation forms of Z_ab(u).
 ``_apply_zab_point``, ``apply_z_interp`` and ``apply_znizin`` below apply
 them to one vector at a time, through the z operators, with the Cartan
 factors evaluated on the vector's support.
+``OrthogonalChain`` applies each s'/s as one table, the extremal projector
+of the level below (the projection onto the kernel of its raising
+operators) after the first factor.  ``PerVectorChain`` is the chain as it
+applied them before: the first factor, then the printed chain of
+extremal-projector factors p_alpha, each a truncated series run on the
+vector.
 ``HWModule._algebra_span`` brackets only with the simple generators and
 forms one bracket per root; ``algebra_span_all_pairs`` is the closure it
 replaced, which brackets every frontier pair with every accepted pair and
@@ -39,10 +45,12 @@ from fractions import Fraction
 from math import lcm, prod
 
 from gtbases import branching, patterns
-from gtbases.exact import SpanSolver, SparseMat, commutator, rank, vec_add, vec_scale, vec_zero
+from gtbases.exact import SpanSolver, SparseMat, commutator, rank
 from gtbases.liealg_bcd import orthogonal_chain, signed_realization as sr
 from gtbases.liealg_bcd.construction import DeskScaleError, HWModule, Realization, _flat
 from gtbases.liealg_bcd.signed_realization import _SERIES_FAMILY, BCDIrrep, _halves
+
+from exact_reference import vec_add, vec_scale, vec_zero
 
 
 def commutation_all_pairs(rep):
@@ -169,6 +177,185 @@ def orth_basis_checks(chain):
             elif val != 0:
                 return False
     return True
+
+
+# -- the orthogonal chain's lowering operators, per vector ---------------------
+
+class PerVectorChain:
+    """The s'/s lowering operators of an OrthogonalChain as the chain applied
+    them before its projector tables: the first factor of each s'/s as a
+    table, then the printed chain of extremal-projector factors p_alpha of
+    the level below, each a truncated series run on the vector.  The
+    methods are the chain's old ones; every other attribute is read from
+    the chain."""
+
+    def __init__(self, chain):
+        self.chain = chain
+        self._low = {}          # (kind, k, i) -> first factor of s'/s, pi_i acting first
+        self._p_data = {}       # (M, i, j) -> the data of the factor p_alpha
+
+    def __getattr__(self, name):
+        return getattr(self.chain, name)
+
+    def f_level(self, M, a, b):
+        """Realized module matrix of the level-M generator F_ab (its
+        realization counterpart is also returned)."""
+        ea = self.level_entry(M, a)
+        eb = self.level_entry(M, b)
+        F = self.module.F
+        if ea[0] == "pure" and eb[0] == "pure":
+            return F(ea[1], eb[1]), self._fdef(ea[1], eb[1])
+        if ea[0] == "combo" and eb[0] == "combo":
+            z = SparseMat.zero(self.N, self.N)
+            return SparseMat.zero(self.dim, self.dim), z
+        if ea[0] == "combo":
+            p, q = ea[1], ea[2]
+            rm = self._fdef(p, eb[1]) - self._fdef(q, eb[1])
+            return F(p, eb[1]) - F(q, eb[1]), rm
+        # middle as the column index: F_{a, mid} = -F_{mid, a'} at level M
+        ap = M + 1 - a
+        mat_mod, mat_real = self.f_level(M, b, ap)
+        return -mat_mod, -mat_real
+
+    # -- extremal projector factors ------------------------------------------
+
+    def _rho_sub(self, M):
+        """rho of the level-M subalgebra in its epsilon coordinates."""
+        r = M // 2
+        if M % 2:
+            return [Fraction(2 * (r - j) + 1, 2) for j in range(1, r + 1)]
+        return [Fraction(r - j) for j in range(1, r + 1)]
+
+    def _p_factor(self, M, i, j, vec):
+        """Apply the factor p_alpha of the level-M extremal projector for the
+        root alpha of the raising F_ij and the lowering F_ji, with scales
+        normalized via t = alpha([A, B]) for their realizations A and B.
+        The operators, t and the Cartan values are formed once per (M, i, j).
+        """
+        key = (M, i, j)
+        if key not in self._p_data:
+            a_mod, a_real = self.f_level(M, i, j)
+            b_mod, b_real = self.f_level(M, j, i)
+            h_real = commutator(a_real, b_real)
+            # alpha(h) via the adjoint action on the raising vector
+            br = commutator(h_real, a_real)
+            k0, v0 = next(iter(a_real.entries.items()))
+            t = br.get(*k0) / v0
+            assert br == a_real.scale(t) and t != 0
+            rho = self._rho_sub(M)
+            # h_alpha + rho(h_alpha) with h_alpha = (2/t) h, valued on the
+            # weight of the INPUT components (the Cartan fraction acts first)
+            coeffs = [h_real.get(c, c) for c in range(M // 2)]
+            rho_h = sum(c * x for c, x in zip(coeffs, rho))
+            base = [(sum(c * x for c, x in zip(coeffs, w)) + rho_h) * 2 / t
+                    for w in self.module.weights]
+            self._p_data[key] = (a_mod, b_mod, t, base)
+        a_mod, b_mod, t, base = self._p_data[key]
+        out = probe = divided = vec
+        k = 0
+        factor = Fraction(1)
+        while True:
+            k += 1
+            probe = a_mod.apply(probe)
+            if all(x == 0 for x in probe):
+                break
+            factor *= Fraction(-2) / t / k
+            red = []
+            for x, b0 in zip(divided, base):
+                if x == 0:
+                    red.append(x)
+                elif b0 + k == 0:
+                    raise ZeroDivisionError("vanishing extremal-projector denominator")
+                else:
+                    red.append(x / (b0 + k))
+            divided = tuple(red)
+            piece = divided
+            for _ in range(k):
+                piece = a_mod.apply(piece)
+            for _ in range(k):
+                piece = b_mod.apply(piece)
+            out = vec_add(out, vec_scale(factor, piece))
+        return out
+
+    def _p_chain_B(self, M, i, vec):
+        """p-factors of the even subalgebra o_{2k} below the odd level
+        M = 2k + 1, applied in the printed order (rightmost first)."""
+        k = M // 2
+        Msub = M - 1
+        # rightmost first: primed columns 1'..k' (skip i'), then k..i+1
+        for m in range(1, k + 1):
+            if m == i:
+                continue
+            vec = self._p_factor(Msub, i, self._prime(Msub, m), vec)
+        for j in range(k, i, -1):
+            vec = self._p_factor(Msub, i, j, vec)
+        return vec
+
+    def _p_chain_D(self, M, i, vec):
+        """p-factors of o_{M-1} (odd) below the even level M = 2k."""
+        k = M // 2
+        Msub = M - 1
+        for m in range(1, k):
+            if m == i:
+                continue
+            vec = self._p_factor(Msub, i, self._prime(Msub, m), vec)
+        # the short root factor p_i, through the middle index
+        vec = self._p_factor(Msub, i, (Msub + 1) // 2, vec)
+        for j in range(k - 1, i, -1):
+            vec = self._p_factor(Msub, i, j, vec)
+        return vec
+
+    @staticmethod
+    def _prime(M, j):
+        return M + 1 - j
+
+    # -- the normalized lowering operators -------------------------------------
+
+    def s_prime(self, k, i, vec):
+        """s'_{ki}: lowering for o_{2k+1} down to o_{2k} (1 <= i <= k)."""
+        M = 2 * k + 1
+        if M > self.N:
+            raise ValueError("level %d exceeds N" % M)
+        key = ("s'", k, i)
+        if key not in self._low:
+            # pi_i: product of f_{ij} over j = i+1..k and primed j (skip i')
+            vals = []
+            for w in self.module.weights:
+                total = Fraction(1)
+                fi = self.cartan_value(M, i, w)
+                for j in range(i + 1, k + 1):
+                    total *= fi - self.cartan_value(M, j, w) + (j - i)
+                for m in range(k, 0, -1):
+                    if m == i:
+                        continue
+                    total *= fi + self.cartan_value(M, m, w) + 2 * k - i - m
+                vals.append(total)
+            self._low[key] = self.f_level(M, k + 1, i)[0] @ SparseMat.diag(vals)
+        return self._p_chain_B(M, i, self._low[key].apply(vec))
+
+    def s_plain(self, k, i, vec):
+        """s_{ki}: lowering for o_{2k} down to o_{2k-1} (1 <= i <= k-1)."""
+        M = 2 * k
+        if M > self.N:
+            raise ValueError("level %d exceeds N" % M)
+        key = ("s", k, i)
+        if key not in self._low:
+            vals = []
+            for w in self.module.weights:
+                fi = self.cartan_value(M, i, w)
+                total = Fraction(1)
+                for j in range(i + 1, k):
+                    total *= fi - self.cartan_value(M, j, w) + (j - i)
+                f_short = 2 * (fi + k - i)
+                total *= f_short * (f_short + 1)
+                for m in range(k - 1, 0, -1):
+                    if m == i:
+                        continue
+                    total *= fi + self.cartan_value(M, m, w) + 2 * k - 1 - i - m
+                vals.append(total)
+            gen = self.f_level(M, k, i)[0] + self.f_level(M, self._prime(M, k), i)[0]
+            self._low[key] = gen @ SparseMat.diag(vals)
+        return self._p_chain_D(M, i, self._low[key].apply(vec))
 
 
 # -- the chain sums, per vector -----------------------------------------------

@@ -6,6 +6,10 @@ The library stores a matrix as integer numerators over one common
 denominator and reduces integer-scaled echelon rows; these classes store
 every nonzero entry as a ``Fraction``.
 
+``vec_zero``, ``vec_add`` and ``vec_scale`` are the dense vector helpers
+the library once summed combinations of vectors with; it now applies
+``SparseMat.from_columns(vectors).apply(coefficients)``.
+
 ``entry_strings`` is the list form of a library matrix that the export
 writer once built for every matrix; ``cli.write_export`` now writes a
 ``SparseMat`` straight from its numerators, and its test compares the two.
@@ -209,6 +213,21 @@ def entry_strings(m):
         g = math.gcd(v, den)
         out.append([r, c, "%d/%d" % (v // g, den // g)])
     return out
+
+
+# -- vectors (plain tuples of Fraction) -------------------------------------
+
+def vec_zero(n):
+    return (_ZERO,) * n
+
+
+def vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vec_scale(a, u):
+    a = Fraction(a)
+    return tuple(a * x for x in u)
 
 
 def kron(a: SparseMat, b: SparseMat) -> SparseMat:

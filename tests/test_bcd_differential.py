@@ -17,10 +17,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 import bcd_reference as ref
 from gtbases import branching, cli
-from gtbases.exact import vec_unit, vec_zero
+from exact_reference import vec_zero
+from gtbases.exact import SparseMat, nullspace, vec_unit
 from gtbases.liealg_bcd import (OrthogonalChain, build_bcd_irrep, gt_basis_bcd,
                                 multiplicity_basis, orth_basis_checks, orth_gt_basis,
                                 orthogonal_chain, signed_realization)
+from test_liealg_bcd import ORTH_BASIS_PINS
 
 
 @pytest.mark.parametrize("series,lam", [
@@ -83,22 +85,85 @@ def test_orth_short_basis_fails(monkeypatch):
     assert orth_basis_checks(chain) is ref.orth_basis_checks(chain) is False
 
 
+def _spy_walk(monkeypatch):
+    """The (letter, vector, image) of every table application of the
+    orth_gt_basis walks that follow, and the letters whose table the walks
+    fetched, in order."""
+    applied, fetched = [], []
+    walk = orthogonal_chain.apply_words
+
+    def walk_spy(start, words, operator):
+        def spied(letter):
+            fetched.append(letter)
+            table = operator(letter)
+
+            def apply(v):
+                out = table(v)
+                applied.append((letter, v, out))
+                return out
+            return apply
+        return walk(start, words, spied)
+    monkeypatch.setattr(orthogonal_chain, "apply_words", walk_spy)
+    return applied, fetched
+
+
 def test_orth_basis_makes_one_lowering_per_vector(monkeypatch):
     """o_7 (4,2,0): every pattern's word extends another pattern's word by
-    one factor, so the walk makes dim - 1 s'/s applications (the
-    per-pattern loop makes 315)."""
-    calls = []
-    for name in ("s_prime", "s_plain"):
-        real = getattr(OrthogonalChain, name)
-
-        def spy(self, k, i, vec, real=real):
-            calls.append((k, i))
-            return real(self, k, i, vec)
-        monkeypatch.setattr(OrthogonalChain, name, spy)
+    one factor, so the walk makes dim - 1 table applications (the
+    per-pattern loop makes 315), and builds one table per distinct
+    letter."""
+    applied, fetched = _spy_walk(monkeypatch)
     chain = OrthogonalChain(7, (4, 2, 0))
     pats, vecs = orth_gt_basis(chain)
     assert len(vecs) == chain.dim == 105
-    assert len(calls) == chain.dim - 1
+    assert len(applied) == chain.dim - 1
+    letters = {letter for letter, _, _ in applied}
+    assert sorted(fetched) == sorted(letters) == sorted(chain._low)
+
+
+ORTH_MODULES = sorted(set(CHAINS) | {(N, lam) for N, lam, _, _ in ORTH_BASIS_PINS})
+
+
+@pytest.mark.parametrize("N,lam", ORTH_MODULES)
+def test_orth_tables_match_per_vector_projector_chains(monkeypatch, N, lam):
+    """On every (letter, vector) the walk applies, the table's image equals
+    that of the letter's printed chain of extremal-projector factors run on
+    the vector.  Only walk vectors are drawn: on an arbitrary vector the
+    partial chain is not the projection."""
+    applied, _ = _spy_walk(monkeypatch)
+    chain = OrthogonalChain(N, lam)
+    orth_gt_basis(chain)
+    old = ref.PerVectorChain(chain)
+    lowering = {"s'": old.s_prime, "s": old.s_plain}
+    for (kind, k, i), vec, got in applied:
+        assert got == lowering[kind](k, i, vec)
+    assert len(applied) == chain.dim - 1
+
+
+def _kernel(mats, dim):
+    """A basis of the joint kernel of the dim x dim matrices, with no
+    grouping by weight."""
+    stacked = SparseMat(len(mats) * dim, dim, {(t * dim + r, c): v for t, m in enumerate(mats)
+                                              for (r, c), v in m.entries.items()})
+    return nullspace(stacked)
+
+
+@pytest.mark.parametrize("N,lam", ORTH_MODULES)
+def test_orth_projectors_are_extremal(N, lam):
+    """At every level L below the top the projector P is idempotent, each
+    raising F_ab (a < b) of o_L kills its image, it kills the image of each
+    lowering F_ba, and it fixes the joint kernel of the raising operators,
+    found on the whole module."""
+    chain = OrthogonalChain(N, lam)
+    for L in range(2, N):
+        p = chain.projector(L)
+        assert p @ p == p
+        pairs = [(a, b) for a in range(1, L + 1) for b in range(a + 1, L + 1)]
+        for a, b in pairs:
+            assert (chain.f_level(L, a, b) @ p).is_zero()
+            assert (p @ chain.f_level(L, b, a)).is_zero()
+        for v in _kernel([chain.f_level(L, a, b) for a, b in pairs], chain.dim):
+            assert p.apply(v) == v
 
 
 def test_verify_applies_each_word_prefix_once(monkeypatch, capsys):

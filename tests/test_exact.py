@@ -372,6 +372,18 @@ class TestIntegerCoreMatchesReference:
         assert a.to_rows() == ra.to_rows()
         assert (a == b) == (ra == rb)
 
+    @settings(max_examples=100, deadline=None)
+    @given(SHAPE, st.integers(1, 4), st.data())
+    def test_combinations_of_vectors(self, n, k, data):
+        """A combination of vectors as from_columns(...).apply, as the
+        library forms it, against the dense sum of scaled vectors."""
+        vecs = [tuple(data.draw(RAT) for _ in range(n)) for _ in range(k)]
+        coeffs = [data.draw(RAT) for _ in range(k)]
+        want = ref.vec_zero(n)
+        for c, v in zip(coeffs, vecs):
+            want = ref.vec_add(want, ref.vec_scale(c, v))
+        assert SparseMat.from_columns(vecs, n).apply(coeffs) == want
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 4), st.data())
     def test_cancellation_to_zero(self, n, k, data):

@@ -7,8 +7,7 @@ import pytest
 
 from gtbases import branching, patterns
 from gtbases.exact import (SpanSolver, SparseMat, commutator, rank, solve_in_span,
-                           op_poly_eval_left, vec_add, vec_is_zero, vec_scale,
-                           vec_unit, vec_zero)
+                           op_poly_eval_left, vec_is_zero, vec_unit)
 from gtbases.liealg_bcd import signed_realization
 from gtbases.liealg_bcd import (DeskScaleError, OrthogonalChain, apply_z,
                                 apply_z_interp, build_bcd_irrep,
@@ -19,6 +18,7 @@ from gtbases.liealg_bcd import (DeskScaleError, OrthogonalChain, apply_z,
 from gtbases.liealg_bcd.signed_realization import (_apply_zab_point, _matrix_on, apply_pf,
                                                     apply_z_nminus)
 from bcd_reference import _f_diag, apply_znizin
+from exact_reference import vec_add, vec_scale, vec_zero
 from rref_reference import rref_solve_in_span
 
 
