@@ -6,14 +6,23 @@ Row and column labels of the 2x2 generator matrix are +1 ("n") and -1
 by :mod:`gtbases.gln` with the label -1 mapped to the first gl_2 index, so
 that the highest vector has t_{-1,-1}-eigenvalue built from alpha.
 
+T(u) on L(alpha_1, beta_1) (x) ... (x) L(alpha_k, beta_k) folds the
+coproduct Delta(t_ab(u)) = sum_c t_ac(u) (x) t_cb(u) one factor at a time.
+The twisted generators are stated once, as the polynomial forms
+Sigma_ab(u) = sum_d w_d(u) theta_bd T_ad(u) T_{-b,-d}(-u) of
+S(u) = T(u) T^t(-u) (w_d = 1 untwisted; the orthogonal W(delta) twist
+gives w_n = u + delta, w_{-n} = u - delta + 1), and S_{n,-n}(u) is read
+off Sigma_{n,-n}(u).
+
 All string parameters (alpha, beta, gamma, delta) are doubled integers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 from .exact import (OpPoly, SpanSolver, SparseMat, apply_words, kron, rank,
                     spoly_from_roots, spoly_mul, vec_is_zero, vec_unit)
@@ -21,6 +30,7 @@ from . import gln
 
 PLUS, MINUS = 1, -1
 _LABELS = (MINUS, PLUS)
+_KEYS = ((MINUS, MINUS), (MINUS, PLUS), (PLUS, MINUS), (PLUS, PLUS))
 
 
 @dataclass(frozen=True)
@@ -65,27 +75,21 @@ def string_general_position(s1: HWString, s2: HWString) -> bool:
     return not _is_string_set(v1 | v2)
 
 
+def _all_pairs(factors, test) -> bool:
+    return all(test(f, g) for f, g in combinations(factors, 2))
+
+
 def irreducible_Y2(factors) -> bool:
-    factors = list(factors)
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            if not string_general_position(factors[i], factors[j]):
-                return False
-    return True
+    return _all_pairs(factors, string_general_position)
 
 
 def irreducible_Yminus(factors) -> bool:
-    factors = list(factors)
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            if not string_general_position(factors[i], factors[j]):
-                return False
-            if not string_general_position(factors[i], factors[j].reflected()):
-                return False
-    return True
+    return _all_pairs(factors, lambda f, g: string_general_position(f, g)
+                      and string_general_position(f, g.reflected()))
 
 
 def irreducible_Yplus(factors, delta2) -> bool:
+    factors = list(factors)
     if not irreducible_Yminus(factors):
         return False
     for f in factors:
@@ -101,42 +105,24 @@ class YTensorModule:
     def __init__(self, factors):
         self.factors = tuple(HWString(f.alpha2, f.beta2) for f in factors)
         self.k = len(self.factors)
+        if not self.k:
+            raise ValueError("need at least one factor")
         reps = [gln.build_irrep(2, (f.alpha2, f.beta2)) for f in self.factors]
         self.dims = [r.dim for r in reps]
-        self.dim = 1
-        for d in self.dims:
-            self.dim *= d
-        # slot operators E^{(s)}_{ab} on the full tensor space
-        full = []
-        for s, r in enumerate(reps):
-            mats = {}
-            for a in _LABELS:
-                for b in _LABELS:
-                    m = r.gen(_gl2_index(a), _gl2_index(b))
-                    big = None
-                    for t in range(self.k):
-                        piece = m if t == s else SparseMat.identity(self.dims[t])
-                        big = piece if big is None else kron(big, piece)
-                    mats[(a, b)] = big
-            full.append(mats)
-        self._slot_full = full
+        self.dim = math.prod(self.dims)
+        # fold the coproduct: T = slot_1, then T_ab <- sum_c T_ac slot_s(c, b)
+        # with slot_s(c, d) = E^{(s)}_cd + delta_cd u on the full tensor space
         ident = SparseMat.identity(self.dim)
-        self.T = {}
-        for a in _LABELS:
-            for b in _LABELS:
-                total = OpPoly(self.dim, self.dim, [])
-                for mid in iproduct(_LABELS, repeat=self.k - 1):
-                    chain = (a,) + mid + (b,)
-                    term = None
-                    for s in range(self.k):
-                        c, d = chain[s], chain[s + 1]
-                        coeffs = [full[s][(c, d)]]
-                        if c == d:
-                            coeffs.append(ident)
-                        fac = OpPoly(self.dim, self.dim, coeffs)
-                        term = fac if term is None else term @ fac
-                    total = total + term
-                self.T[(a, b)] = total
+        for s, r in enumerate(reps):
+            before = SparseMat.identity(math.prod(self.dims[:s]))
+            after = SparseMat.identity(math.prod(self.dims[s + 1:]))
+            slot = {(c, d): OpPoly(self.dim, self.dim,
+                                   [kron(kron(before, r.gen(_gl2_index(c), _gl2_index(d))), after)]
+                                   + [ident] * (c == d))
+                    for c, d in _KEYS}
+            self.T = slot if s == 0 else {
+                (a, b): self.T[(a, MINUS)] @ slot[(MINUS, b)] + self.T[(a, PLUS)] @ slot[(PLUS, b)]
+                for a, b in _KEYS}
         self.eta = vec_unit(self.dim, 0)
         self._check_highest()
 
@@ -190,13 +176,11 @@ def gamma_tuples(factors):
     return [g for g in iproduct(*ranges)]
 
 
-def _pairwise_disjoint(factors):
-    factors = list(factors)
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            if set(factors[i].values()) & set(factors[j].values()):
-                return False
-    return True
+def _pairwise_disjoint(factors, reflected=False):
+    """No two strings meet; with ``reflected``, no string meets the
+    reflection of another."""
+    return _all_pairs(factors, lambda f, g: not set(f.values()).intersection(
+        (g.reflected() if reflected else g).values()))
 
 
 def eta_basis(module: YTensorModule):
@@ -235,6 +219,9 @@ def eta_action_checks(module: YTensorModule) -> bool:
     alphas = [Fraction(f.alpha2, 2) for f in module.factors]
     betas = [Fraction(f.beta2, 2) for f in module.factors]
     zero = (Fraction(0),) * module.dim
+    # T_{-n,-n}(u) display, cleared of the denominators prod(u+gamma_i+1)
+    num = spoly_mul(spoly_from_roots([a + 1 for a in alphas]), spoly_from_roots(betas))
+    rhs = OpPoly.from_scalar_poly(num, module.dim) + tmp @ tpm.shift_u(1)
     for gamma, v in basis.items():
         gvals = [Fraction(g, 2) for g in gamma]
         if not _is_scalar_action(tpp, v, spoly_from_roots(gvals)):
@@ -255,12 +242,7 @@ def eta_action_checks(module: YTensorModule) -> bool:
             want = basis.get(tuple(down), zero)
             if got != tuple(coeff * x for x in want):
                 return False
-        # T_{-n,-n}(u) display, cleared of the denominators prod(u+gamma_i+1)
-        den = spoly_from_roots([g + 1 for g in gvals])
-        lhs = tmm.mul_scalar_poly(den)
-        num = spoly_mul(spoly_from_roots([a + 1 for a in alphas]), spoly_from_roots(betas))
-        prod = OpPoly.from_scalar_poly(num, module.dim)
-        rhs = prod + tmp @ tpm.shift_u(1)
+        lhs = tmm.mul_scalar_poly(spoly_from_roots([g + 1 for g in gvals]))
         if lhs.apply_to(v) != rhs.apply_to(v):
             return False
     return True
@@ -323,30 +305,59 @@ def rtt_check(module: YTensorModule, pairs) -> bool:
 # twisted Yangian operators
 # ---------------------------------------------------------------------------
 
+def _twist(sign, delta2, need_delta=True):
+    """The weights {d: w_d(u)} of Sigma_ab(u) as scalar polynomials, or None
+    for the untwisted form: sign "-" is the symplectic case; sign "+" is the
+    orthogonal case, twisted by W(delta) when delta is given."""
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    if sign == "-":
+        return None
+    if delta2 is None:
+        if need_delta:
+            raise ValueError("the orthogonal case needs delta")
+        return None
+    dlt = Fraction(delta2, 2)
+    return {PLUS: (dlt, Fraction(1)), MINUS: (1 - dlt, Fraction(1))}
+
+
+def _sigma(module: YTensorModule, sign, weights, keys):
+    """{(a, b): Sigma_ab(u)} = sum_d w_d(u) theta_bd T_ad(u) T_{-b,-d}(-u)."""
+    out = {}
+    for a, b in keys:
+        total = OpPoly(module.dim, module.dim, [])
+        for d in (PLUS, MINUS):
+            term = (module.T[(a, d)] @ module.T[(-b, -d)].negate_u()).scale(_theta(sign, b, d))
+            total = total + (term if weights is None else term.mul_scalar_poly(weights[d]))
+        out[(a, b)] = total
+    return out
+
+
+def sigma_operators(module: YTensorModule, sign, delta2=None):
+    """Polynomial forms Sigma_ab(u) of the twisted generators s_ab(u).
+
+    Untwisted, s_ab(u) = (-1)^k u^{-2k} Sigma_ab(u) with all w_d = 1.  With
+    delta (sign "+"), s_ab(u) acts on L (x) W(delta), identified with L, by
+    the coproduct with the W values s_nn = (u+delta)/(u+1/2),
+    s_{-n,-n} = (u-delta+1)/(u+1/2) and zero off-diagonal; cleared of
+    (-1)^k u^{-2k} / (u+1/2), that is w_n = u+delta and w_{-n} = u-delta+1.
+    """
+    return _sigma(module, sign, _twist(sign, delta2, need_delta=False), _KEYS)
+
+
 def twisted_snn(module: YTensorModule, sign, delta2=None) -> OpPoly:
-    """S_{n,-n}(u): even polynomial of degree <= 2k-2.
+    """S_{n,-n}(u) = (-1)^k Sigma_{n,-n}(u) / (u + 1/2): even polynomial of
+    degree <= 2k-2.
 
     sign "-" is the symplectic case; sign "+" (orthogonal) carries the
     one-dimensional twist W(delta) and requires delta.
     """
-    tpm = module.T[(PLUS, MINUS)]
-    tpp = module.T[(PLUS, PLUS)]
-    k = module.k
-    if sign == "-":
-        raw = tpm @ tpp.negate_u() - tpm.negate_u() @ tpp
-    elif sign == "+":
-        if delta2 is None:
-            raise ValueError("the orthogonal case needs delta")
-        dlt = Fraction(delta2, 2)
-        um = OpPoly.from_scalar_poly([-dlt, Fraction(1)], module.dim)
-        up = OpPoly.from_scalar_poly([dlt, Fraction(1)], module.dim)
-        raw = um @ tpm @ tpp.negate_u() + up @ tpm.negate_u() @ tpp
-    else:
-        raise ValueError("sign must be '+' or '-'")
-    out = raw.divide_by_u().scale(Fraction((-1) ** k))
+    key = (PLUS, MINUS)
+    sig = _sigma(module, sign, _twist(sign, delta2), [key])[key]
+    out = sig.divide_linear(1, Fraction(1, 2)).scale(Fraction((-1) ** module.k))
     assert all(c.is_zero() for j, c in enumerate(out.coeffs) if j % 2 == 1), \
         "S_{n,-n} is not even"
-    assert out.degree() <= 2 * k - 2
+    assert out.degree() <= 2 * module.k - 2
     return out
 
 
@@ -380,40 +391,16 @@ def twisted_basis(module: YTensorModule, sign, delta2=None):
     strings are pairwise disjoint, also from the reflected strings.
     """
     facts = module.factors
-    for i in range(len(facts)):
-        for j in range(i + 1, len(facts)):
-            if set(facts[i].values()) & set(facts[j].values()):
-                raise ValueError("strings are not pairwise disjoint")
-            if set(facts[i].values()) & set(facts[j].reflected().values()):
-                raise ValueError("strings meet the reflected strings")
-    if sign == "-":
-        if not irreducible_Yminus(facts):
-            raise ValueError("module is not irreducible over the twisted Yangian")
-    else:
-        if delta2 is None or not irreducible_Yplus(facts, delta2):
-            raise ValueError("module is not irreducible over the twisted Yangian")
+    _twist(sign, delta2)
+    if not _pairwise_disjoint(facts):
+        raise ValueError("strings are not pairwise disjoint")
+    if not _pairwise_disjoint(facts, reflected=True):
+        raise ValueError("strings meet the reflected strings")
+    if not (irreducible_Yminus(facts) if sign == "-" else irreducible_Yplus(facts, delta2)):
+        raise ValueError("module is not irreducible over the twisted Yangian")
     out = _walk_strings(module, twisted_snn(module, sign, delta2), 1)
     mat = SparseMat.from_columns(list(out.values()), module.dim)
     assert rank(mat) == module.dim, "twisted basis is not linearly independent"
-    return out
-
-
-def sigma_operators(module: YTensorModule, sign, delta2=None):
-    """Polynomial forms Sigma_ab(u) of the twisted generators s_ab(u).
-
-    s_ab(u) = (-1)^k u^{-2k} Sigma_ab(u); the minus case is the plain
-    combination theta t t, the plus case is taken with the W(delta) twist
-    for (a,b) = (n,-n) and (-n,n) left untouched elsewhere.
-    """
-    out = {}
-    for a in _LABELS:
-        for b in _LABELS:
-            # theta_{nb} t_{an}(u) t_{-b,-n}(-u) + theta_{-n,b} t_{a,-n}(u) t_{-b,n}(-u)
-            th1 = _theta(sign, PLUS, b)
-            th2 = _theta(sign, MINUS, b)
-            term1 = (module.T[(a, PLUS)] @ module.T[(-b, MINUS)].negate_u()).scale(th1)
-            term2 = (module.T[(a, MINUS)] @ module.T[(-b, PLUS)].negate_u()).scale(th2)
-            out[(a, b)] = term1 + term2
     return out
 
 
@@ -537,36 +524,5 @@ def brute_force_irreducible_Y2(module: YTensorModule) -> bool:
 
 
 def brute_force_irreducible_twisted(module: YTensorModule, sign, delta2=None) -> bool:
-    if sign == "-":
-        sig = sigma_operators(module, sign)
-        gens = [c for p in sig.values() for c in p.coeffs]
-    else:
-        # the W(delta)-twisted action: s_{n,-n} via the modified display;
-        # the diagonal s use the isomorphism scaling, realized on the same
-        # space through the plus-case operators
-        sig = sigma_operators_plus(module, delta2)
-        gens = [c for p in sig.values() for c in p.coeffs]
-    return brute_force_irreducible(gens, module.dim)
-
-
-def sigma_operators_plus(module: YTensorModule, delta2) -> dict:
-    """Polynomial forms of the Y+(2) action on L itself (through the
-    isomorphism L (x) W(delta) -> L).
-
-    By the coproduct, s_ab(u) acts on L (x) W(delta) as
-    sum_{cd} theta_bd t_ac(u) t_{-b,-d}(-u) (x) s_cd(u)|_W with the W values
-    s_nn = (u+delta)/(u+1/2), s_{-n,-n} = (u-delta+1)/(u+1/2) and zero
-    off-diagonal.  Cleared of (-1)^k u^{-2k} / (u+1/2), the polynomial form is
-    Sigma+_ab(u) = (u+delta) t~_ab^{(n)} + (u-delta+1) t~_ab^{(-n)} with
-    t~_ab^{(d)} = theta_bd T_{a d}(u) T_{-b,-d}(-u).
-    """
-    dlt = Fraction(delta2, 2)
-    out = {}
-    for a in _LABELS:
-        for b in _LABELS:
-            tn = module.T[(a, PLUS)] @ module.T[(-b, MINUS)].negate_u()
-            tm = module.T[(a, MINUS)] @ module.T[(-b, PLUS)].negate_u()
-            un = OpPoly.from_scalar_poly([dlt, Fraction(1)], module.dim)
-            um = OpPoly.from_scalar_poly([1 - dlt, Fraction(1)], module.dim)
-            out[(a, b)] = un @ tn + um @ tm
-    return out
+    sig = _sigma(module, sign, _twist(sign, delta2), _KEYS)
+    return brute_force_irreducible([c for p in sig.values() for c in p.coeffs], module.dim)

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from gtbases import yangian as y
 from gtbases.exact import SparseMat, rank, spoly_from_roots
 
+import yangian_reference as ref
+
 RTT_PAIRS = [(Fraction(1), Fraction(2)), (Fraction(1, 2), Fraction(3)),
              (Fraction(5), Fraction(-7, 3)), (Fraction(2), Fraction(9)),
              (Fraction(11, 7), Fraction(3, 5))]
@@ -54,6 +56,7 @@ class TestIrreduciblePredicates:
         assert y.irreducible_Yplus(fs, 6)
         # -delta = beta_1 = 0 lies in the string
         assert not y.irreducible_Yplus(fs, 0)
+        assert not y.irreducible_Yplus(iter(fs), 0)
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +82,10 @@ class TestTensorModule:
         m = y.build_tensor_module([S(1, 1)])
         assert m.dim == 1
         assert m.T[(y.PLUS, y.MINUS)].is_zero()
+
+    def test_needs_a_factor(self):
+        with pytest.raises(ValueError, match="at least one factor"):
+            y.build_tensor_module([])
 
     def test_tnn_on_eta_k1(self, mod1):
         got = mod1.T[(y.PLUS, y.PLUS)].apply_to(mod1.eta)
@@ -190,9 +197,9 @@ class TestTwisted:
         assert y.twisted_symmetry_check(mod2, sign, SYM_POINTS)
 
     def test_sigma_consistent_with_snn(self, mod2):
-        # Sigma_{n,-n}(u) = (-1)^k (u + 1/2) S_{n,-n}(u)
+        # Sigma_{n,-n}(u) = (-1)^k (u + 1/2) S_{n,-n}(u), S from its display
         sig = y.sigma_operators(mod2, "-")[(y.PLUS, y.MINUS)]
-        s = y.twisted_snn(mod2, "-")
+        s = ref.twisted_snn_display(mod2, "-")
         lhs = s.mul_scalar_poly([Fraction(1, 2), Fraction(1)]).scale(Fraction((-1) ** mod2.k))
         assert sig == lhs
 
@@ -203,8 +210,8 @@ class TestTwisted:
         # the coproduct route through W(delta) and the rewritten display for
         # S_{n,-n} must agree as polynomials, up to (-1)^k (u + 1/2)
         m = y.build_tensor_module(factors)
-        sig = y.sigma_operators_plus(m, delta2)[(y.PLUS, y.MINUS)]
-        s = y.twisted_snn(m, "+", delta2)
+        sig = y.sigma_operators(m, "+", delta2)[(y.PLUS, y.MINUS)]
+        s = ref.twisted_snn_display(m, "+", delta2)
         want = s.mul_scalar_poly([Fraction(1, 2), Fraction(1)]).scale(Fraction((-1) ** m.k))
         assert sig == want
 
@@ -212,7 +219,7 @@ class TestTwisted:
         # the abstract symmetry relation holds for the W(delta)-twisted
         # action once the non-even prefactor is evaluated honestly
         delta2 = 9
-        sig = y.sigma_operators_plus(mod2, delta2)
+        sig = y.sigma_operators(mod2, "+", delta2)
         k = mod2.k
 
         def s_at(a, b, u0):
@@ -247,6 +254,22 @@ class TestTwistedBasis:
         m = y.build_tensor_module([S(2, 0), S(1, -1)])
         with pytest.raises(ValueError):
             y.twisted_basis(m, "-")
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda m: y.brute_force_irreducible_twisted(m, "+"), "needs delta"),
+    (lambda m: y.brute_force_irreducible_twisted(m, "x", delta2=4), "sign"),
+    (lambda m: y.sigma_operators(m, "x"), "sign"),
+    (lambda m: y.twisted_basis(m, "+"), "needs delta"),
+    (lambda m: y.twisted_basis(m, "x", delta2=9), "sign"),
+    (lambda m: y.twisted_snn(m, "x"), "sign"),
+], ids=["brute-force-delta", "brute-force-sign", "sigma-sign", "basis-delta",
+        "basis-sign", "snn-sign"])
+def test_sign_and_delta_are_checked(mod2, call, match):
+    # a sign other than "+" or "-", and a missing delta where the orthogonal
+    # case needs one, raise ValueError on every twisted entry point
+    with pytest.raises(ValueError, match=match):
+        call(mod2)
 
 
 Y2_CASES = [

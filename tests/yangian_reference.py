@@ -1,0 +1,129 @@
+"""Direct forms of the Y(2) operators of ``gtbases.yangian``.
+
+The library builds T(u) by folding the coproduct one tensor factor at a
+time and states the twisted generators Sigma_ab(u) once, with S_{n,-n}(u)
+read off Sigma_{n,-n}(u).  These are the readings that the differential
+tests compare them against: T_ab(u) expanded over every chain of
+intermediate labels a = c_0, c_1, ..., c_k = b, the untwisted Sigma_ab(u)
+and its W(delta)-twisted orthogonal form written out separately, the
+displayed formula for S_{n,-n}(u) in each sign, and the brute-force
+irreducibility test that picks its generators by the sign.
+"""
+
+from fractions import Fraction
+from itertools import product as iproduct
+
+from gtbases import gln
+from gtbases.exact import OpPoly, SparseMat, kron
+from gtbases.yangian import (MINUS, PLUS, _LABELS, _gl2_index, _theta,
+                             brute_force_irreducible)
+
+
+def chain_expansion_T(module):
+    """{(a, b): T_ab(u)} summed over all 2^(k-1) label chains, each chain a
+    product of slot operators E^{(s)}_{c_s c_{s+1}} + delta u."""
+    reps = [gln.build_irrep(2, (f.alpha2, f.beta2)) for f in module.factors]
+    dims = [r.dim for r in reps]
+    k = len(reps)
+    dim = module.dim
+    # slot operators E^{(s)}_{ab} on the full tensor space
+    full = []
+    for s, r in enumerate(reps):
+        mats = {}
+        for a in _LABELS:
+            for b in _LABELS:
+                m = r.gen(_gl2_index(a), _gl2_index(b))
+                big = None
+                for t in range(k):
+                    piece = m if t == s else SparseMat.identity(dims[t])
+                    big = piece if big is None else kron(big, piece)
+                mats[(a, b)] = big
+        full.append(mats)
+    ident = SparseMat.identity(dim)
+    T = {}
+    for a in _LABELS:
+        for b in _LABELS:
+            total = OpPoly(dim, dim, [])
+            for mid in iproduct(_LABELS, repeat=k - 1):
+                chain = (a,) + mid + (b,)
+                term = None
+                for s in range(k):
+                    c, d = chain[s], chain[s + 1]
+                    coeffs = [full[s][(c, d)]]
+                    if c == d:
+                        coeffs.append(ident)
+                    fac = OpPoly(dim, dim, coeffs)
+                    term = fac if term is None else term @ fac
+                total = total + term
+            T[(a, b)] = total
+    return T
+
+
+def sigma_operators(module, sign):
+    """Untwisted Sigma_ab(u) = sum_d theta_bd T_ad(u) T_{-b,-d}(-u)."""
+    out = {}
+    for a in _LABELS:
+        for b in _LABELS:
+            # theta_{nb} t_{an}(u) t_{-b,-n}(-u) + theta_{-n,b} t_{a,-n}(u) t_{-b,n}(-u)
+            th1 = _theta(sign, PLUS, b)
+            th2 = _theta(sign, MINUS, b)
+            term1 = (module.T[(a, PLUS)] @ module.T[(-b, MINUS)].negate_u()).scale(th1)
+            term2 = (module.T[(a, MINUS)] @ module.T[(-b, PLUS)].negate_u()).scale(th2)
+            out[(a, b)] = term1 + term2
+    return out
+
+
+def sigma_operators_plus(module, delta2) -> dict:
+    """Polynomial forms of the Y+(2) action on L itself (through the
+    isomorphism L (x) W(delta) -> L).
+
+    By the coproduct, s_ab(u) acts on L (x) W(delta) as
+    sum_{cd} theta_bd t_ac(u) t_{-b,-d}(-u) (x) s_cd(u)|_W with the W values
+    s_nn = (u+delta)/(u+1/2), s_{-n,-n} = (u-delta+1)/(u+1/2) and zero
+    off-diagonal.  Cleared of (-1)^k u^{-2k} / (u+1/2), the polynomial form is
+    Sigma+_ab(u) = (u+delta) t~_ab^{(n)} + (u-delta+1) t~_ab^{(-n)} with
+    t~_ab^{(d)} = theta_bd T_{a d}(u) T_{-b,-d}(-u).
+    """
+    dlt = Fraction(delta2, 2)
+    out = {}
+    for a in _LABELS:
+        for b in _LABELS:
+            tn = module.T[(a, PLUS)] @ module.T[(-b, MINUS)].negate_u()
+            tm = module.T[(a, MINUS)] @ module.T[(-b, PLUS)].negate_u()
+            un = OpPoly.from_scalar_poly([dlt, Fraction(1)], module.dim)
+            um = OpPoly.from_scalar_poly([1 - dlt, Fraction(1)], module.dim)
+            out[(a, b)] = un @ tn + um @ tm
+    return out
+
+
+def twisted_snn_display(module, sign, delta2=None) -> OpPoly:
+    """S_{n,-n}(u) from its displayed formula in T_{n,-n} and T_{n,n}."""
+    tpm = module.T[(PLUS, MINUS)]
+    tpp = module.T[(PLUS, PLUS)]
+    k = module.k
+    if sign == "-":
+        raw = tpm @ tpp.negate_u() - tpm.negate_u() @ tpp
+    elif sign == "+":
+        if delta2 is None:
+            raise ValueError("the orthogonal case needs delta")
+        dlt = Fraction(delta2, 2)
+        um = OpPoly.from_scalar_poly([-dlt, Fraction(1)], module.dim)
+        up = OpPoly.from_scalar_poly([dlt, Fraction(1)], module.dim)
+        raw = um @ tpm @ tpp.negate_u() + up @ tpm.negate_u() @ tpp
+    else:
+        raise ValueError("sign must be '+' or '-'")
+    out = raw.divide_by_u().scale(Fraction((-1) ** k))
+    assert all(c.is_zero() for j, c in enumerate(out.coeffs) if j % 2 == 1), \
+        "S_{n,-n} is not even"
+    assert out.degree() <= 2 * k - 2
+    return out
+
+
+def brute_force_irreducible_twisted(module, sign, delta2=None) -> bool:
+    if sign == "-":
+        sig = sigma_operators(module, sign)
+        gens = [c for p in sig.values() for c in p.coeffs]
+    else:
+        sig = sigma_operators_plus(module, delta2)
+        gens = [c for p in sig.values() for c in p.coeffs]
+    return brute_force_irreducible(gens, module.dim)
