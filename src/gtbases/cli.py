@@ -148,10 +148,37 @@ def cmd_patterns(args):
     lam = parse_weight(args.weight)
     kind, data = parse_algebra(args.algebra, len(lam), args.convention, args.series)
     fam = _family(kind, data, args.convention)
-    encode = json.JSONEncoder(sort_keys=True).encode     # json.dumps makes one per call
-    for p in patterns.enumerate_patterns(fam, lam):
-        print(encode(patterns.to_json(p)))
+    # each line is json.JSONEncoder(sort_keys=True).encode(patterns.to_json(p))
+    line = '{"family": "%s"%s}\n' % (fam, "".join(', "%s": [%%s]' % key
+                                                   for key in patterns.JSON_KEYS[fam]))
+    text = _Memo(_line_item).__getitem__
+    join = ", ".join
+
+    def value(items):
+        return join(map(text, items))
+
+    sys.stdout.writelines(line % tuple(map(value, fields))
+                          for fields in patterns.pattern_fields(fam, lam))
     return 0
+
+
+class _Memo(dict):
+    """{key: make(key)}, each value made on the first lookup of its key."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _line_item(item):
+    """The one-line JSON text of an int or of a row of ints."""
+    if type(item) is int:
+        return int.__repr__(item)
+    return "[%s]" % ", ".join(map(int.__repr__, item))
 
 
 def cmd_branch(args):
@@ -221,22 +248,62 @@ def write_export(payload, fh):
     ``SparseMat``s are accepted; anything else, floats included, raises
     TypeError.  The dicts down to depth 1 are written item by item, so the
     document is never held whole; each value below them is formatted as
-    one string, a ``SparseMat`` straight from its numerators by one gcd and
-    one template per entry.
+    one string, a ``SparseMat`` straight from its numerators.  The texts
+    that repeat are made once per call: that of each list of ints, and the
+    row, column and value pieces of matrix entries.
     """
-    _write(payload, fh, 0)
+    _ExportWriter(fh).write(payload, 0)
 
 
-def _write(value, fh, depth):
-    if depth < 2 and type(value) is dict and value:
-        ind = "\n" + " " * (depth + 1)
-        fh.write("{")
-        for t, key in enumerate(_sorted_keys(value)):
-            fh.write(("," if t else "") + ind + _quote(key) + ": ")
-            _write(value[key], fh, depth + 1)
-        fh.write("\n" + " " * depth + "}")
-    else:
-        fh.write(_encode(value, depth))
+class _ExportWriter:
+    """One write_export call: the file, and the texts made so far, kept
+    per depth, as the indent of a value depends on it."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.int_lists = _Memo(lambda depth: _Memo(
+            lambda ints: _block(list(map(int.__repr__, ints)), depth, "[]")))
+        self.entry_pieces = _Memo(_entry_pieces)
+
+    def write(self, value, depth):
+        fh = self.fh
+        if depth < 2 and type(value) is dict and value:
+            ind = "\n" + " " * (depth + 1)
+            fh.write("{")
+            for t, key in enumerate(_sorted_keys(value)):
+                fh.write(("," if t else "") + ind + _quote(key) + ": ")
+                self.write(value[key], depth + 1)
+            fh.write("\n" + " " * depth + "}")
+        else:
+            fh.write(self.encode(value, depth))
+
+    def encode(self, value, depth):
+        """value as write_export writes it, with its first line at depth."""
+        t = type(value)
+        if t is str:
+            return _quote(value)
+        if t is int:
+            return int.__repr__(value)
+        if t is bool or value is None:
+            return _SCALARS[value]
+        if t is SparseMat:
+            num = value.num
+            if not num:
+                return "[]"
+            rows, cols, values = self.entry_pieces[depth]
+            text = values(value.den)
+            return _block([rows[k[0]] + cols[k[1]] + text[num[k]] for k in sorted(num)],
+                          depth, "[]")
+        if t is not dict and t is not list:
+            raise TypeError("%s is not a gt-export/1 value" % t.__name__)
+        if not value:
+            return "{}" if t is dict else "[]"
+        if t is dict:
+            return _block([_quote(k) + ": " + self.encode(value[k], depth + 1)
+                           for k in _sorted_keys(value)], depth, "{}")
+        if all(type(x) is int for x in value):
+            return self.int_lists[depth][tuple(value)]
+        return _block([self.encode(x, depth + 1) for x in value], depth, "[]")
 
 
 def _sorted_keys(dct):
@@ -246,40 +313,35 @@ def _sorted_keys(dct):
     return sorted(dct)
 
 
-def _encode(value, depth):
-    """value as write_export writes it, with its first line at the given
-    depth."""
-    t = type(value)
-    if t is str:
-        return _quote(value)
-    if t is int:
-        return int.__repr__(value)
-    if t is bool or value is None:
-        return _SCALARS[value]
-    if t is SparseMat:
-        items = sorted(value.num.items())
-    elif t is dict or t is list:
-        items = value
-    else:
-        raise TypeError("%s is not a gt-export/1 value" % t.__name__)
-    if not items:
-        return "{}" if t is dict else "[]"
-    close = "\n" + " " * depth
-    ind = close + " "
-    sep = "," + ind
-    if t is SparseMat:
-        den = value.den
-        entry = '[{0}%d,{0}%d,{0}"%d/%d"{1}]'.format(ind + " ", ind)
-        body = sep.join([entry % (r, c, v // g, den // g)
-                         for (r, c), v in items for g in [math.gcd(v, den)]])
-    elif t is dict:
-        body = sep.join(_quote(k) + ": " + _encode(value[k], depth + 1)
-                        for k in _sorted_keys(value))
-    elif all(type(x) is int for x in value):
-        body = sep.join(map(int.__repr__, value))
-    else:
-        body = sep.join([_encode(x, depth + 1) for x in value])
-    return ("{" if t is dict else "[") + ind + body + close + ("}" if t is dict else "]")
+def _block(items, depth, brackets):
+    """The texts in the nonempty list items one per line between brackets
+    ("[]" or "{}"), as json.dump with indent=1 writes a container whose
+    first line is at depth.  The brackets are joined onto the first and the
+    last item in place, so that no second copy of the body is made."""
+    ind = "\n" + " " * (depth + 1)
+    items[0] = brackets[0] + ind + items[0]
+    items[-1] += "\n" + " " * depth + brackets[1]
+    return ("," + ind).join(items)
+
+
+def _entry_pieces(depth):
+    """The pieces of the entries [r, c, "p/q"] of a matrix whose first line
+    is at depth: {r: the text up to the comma after r}, {c: c, its comma
+    and the line break after it}, and for a denominator a new {numerator:
+    the fraction in lowest terms as a JSON string, and the entry's close},
+    one per matrix, so that the values of one are not held while writing
+    the next."""
+    inner = "\n" + " " * (depth + 2)
+    close = "\n" + " " * (depth + 1) + "]"
+
+    def values(den):
+        def text(v):
+            g = math.gcd(v, den)
+            return '"%d/%d"%s' % (v // g, den // g, close)
+        return _Memo(text)
+
+    return (_Memo(lambda r: "[%s%d,%s" % (inner, r, inner)),
+            _Memo(lambda c: "%d,%s" % (c, inner)), values)
 
 
 def load_export(path):

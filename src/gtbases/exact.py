@@ -132,7 +132,10 @@ class SparseMat:
     @staticmethod
     def diag(values):
         vals = [Fraction(v) for v in values]
-        return SparseMat(len(vals), len(vals), {(i, i): v for i, v in enumerate(vals)})
+        # the least common denominator leaves the numerators coprime to it
+        den = math.lcm(*(v.denominator for v in vals))
+        return SparseMat._lowest(len(vals), len(vals), {
+            (i, i): v.numerator * (den // v.denominator) for i, v in enumerate(vals) if v}, den)
 
     @staticmethod
     def from_rows(rows):

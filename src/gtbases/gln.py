@@ -384,11 +384,17 @@ def capelli_scalar_check(rep: GlnIrrep) -> bool:
 
 def _acts_diagonally(poly: OpPoly, scalars) -> bool:
     """poly(u) acts on basis vector t as the scalar polynomial scalars[t]:
-    each coefficient matrix is the diagonal matrix of those coefficients."""
+    each coefficient matrix num/den is the diagonal matrix of those
+    coefficients x, read off the numerators as num_tt x.den = x.num den."""
     for j in range(max(len(poly.coeffs), max(len(w) for w in scalars))):
-        want = SparseMat.diag([w[j] if j < len(w) else 0 for w in scalars])
-        if poly.coeff(j) != want:
+        c = poly.coeff(j)
+        num, den = c.num, c.den
+        if any(r != col for r, col in num):
             return False
+        for t, w in enumerate(scalars):
+            x = w[j] if j < len(w) else 0
+            if num.get((t, t), 0) * x.denominator != x.numerator * den:
+                return False
     return True
 
 
@@ -670,12 +676,21 @@ def commutation_check(rep: GlnIrrep) -> bool:
 
 
 def adjointness_check(rep: GlnIrrep) -> bool:
-    """N_M (E_ij)_{M,Lam} = N_Lam (E_ji)_{Lam,M} for every entry."""
-    dmat = SparseMat.diag(rep.normsq)
+    """N_M (E_ij)_{M,Lam} = N_Lam (E_ji)_{Lam,M} for every entry.
+
+    Compared on the numerators: with E_ij = a/p, E_ji = b/q and the norms
+    N_r = m_r/s over one denominator, an entry's equation is
+    m_r a_rc q = m_c b_cr p.  The equations of (j, i) are those of (i, j)
+    transposed, so i <= j suffices."""
+    s = lcm(*(v.denominator for v in rep.normsq))
+    m = [v.numerator * (s // v.denominator) for v in rep.normsq]
     for i in range(1, rep.n + 1):
-        for j in range(1, rep.n + 1):
-            if dmat @ rep.gen(i, j) != rep.gen(j, i).transpose() @ dmat:
-                return False
+        for j in range(i, rep.n + 1):
+            e, f = rep.gen(i, j), rep.gen(j, i)
+            a, b = e.num, f.num
+            for r, c in a.keys() | {(c, r) for r, c in b}:
+                if m[r] * a.get((r, c), 0) * f.den != m[c] * b.get((c, r), 0) * e.den:
+                    return False
     return True
 
 

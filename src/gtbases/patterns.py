@@ -14,8 +14,9 @@ doubled value 3 means the entry 3/2.
 
 Each family's interlacing and parity rules are stated once, in its plan
 (_plan_A ... _plan_D4): the steps that give the candidates for each row
-from the rows above it.  enumerate_patterns walks the plan through every
-candidate and count_patterns counts those walks; validate walks it along
+from the rows above it.  pattern_fields walks the plan through every
+candidate, enumerate_patterns builds a pattern from each walk and
+count_patterns counts the walks; validate walks it along
 the rows of one array; top_levels walks its first level only, and the
 branching module reads the branching rules of gl_n, o_N and sp_2n from
 there.
@@ -242,28 +243,31 @@ def _abs_tail(rows):
     return _interlace(r[:-1] + (abs(r[-1]),))
 
 
-def _unchecked(cls, *fields):
-    """cls(*fields) without the row checks of __post_init__, which a plan's
-    rows pass by construction.  Fields are set as the dataclass __init__
-    sets them; writing to __dict__ instead would make each instance's
-    attribute dict larger."""
+def _unchecked(cls, fields):
+    """The cls pattern whose to_json values other than "family" are fields
+    (in key order; see JSON_KEYS), without the row checks of
+    __post_init__, which a plan's rows pass by construction.  Fields are
+    set as the dataclass __init__ sets them; writing to __dict__ instead
+    would make each instance's attribute dict larger."""
     p = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, fields):
+    for name, value in zip(cls.__dataclass_fields__, reversed(fields)):
         object.__setattr__(p, name, value)
     return p
 
 
-def _build_pairs(cls):
-    """Pattern from rows chosen as lambda_n, primed, lambda_{n-1}, primed, ..."""
-    return lambda rows: _unchecked(cls, tuple(rows[0::2][::-1]), tuple(rows[1::2][::-1]))
+def _pair_fields(rows):
+    """(primed, rows) from rows chosen as lambda_n, primed, lambda_{n-1},
+    primed, ..."""
+    return rows[1::2][::-1], rows[0::2][::-1]
 
 
-# A plan is (steps, build): steps[i] maps the rows chosen so far (top row
-# first) to the candidates for the next one; build makes the pattern
-# without re-checking its rows.
+# A plan is (steps, fields): steps[i] maps the rows chosen so far (top row
+# first) to the candidates for the next one; fields maps a tuple of chosen
+# rows to to_json's values other than "family", in key order (JSON_KEYS),
+# each a tuple of rows, or for sigma a tuple of ints.
 
 def _plan_A(lam):
-    return [_below] * (len(lam) - 1), lambda rows: _unchecked(GTPatternA, tuple(rows))
+    return [_below] * (len(lam) - 1), lambda rows: (rows,)
 
 
 def _plan_B3(lam):
@@ -274,19 +278,18 @@ def _plan_B3(lam):
         cap = -2 * rows[-1][0] if rows[0][0] % 2 == 0 else -1
         return _interlace((cap,) + rows[-2])
 
-    def build(rows):
-        return _unchecked(PatternB3, tuple(s for (s,) in rows[1::3][::-1]),
-                          tuple(rows[0::3][::-1]), tuple(rows[2::3][::-1]))
+    def fields(rows):
+        return rows[2::3][::-1], rows[0::3][::-1], tuple(s for (s,) in rows[1::3][::-1])
 
     steps = [lambda rows: ((1,), (0,)), primed, _below]
-    return (steps * len(lam))[:-1], build
+    return (steps * len(lam))[:-1], fields
 
 
 def _plan_C3(lam):
     # 0 >= lambda'_k1 >= lambda_k1 >= lambda'_k2 >= ... >= lambda_kk, then
     # lambda_{k-1} interlacing lambda'_k
     steps = [lambda rows: _interlace((0,) + rows[-1]), _below]
-    return (steps * len(lam))[:-1], _build_pairs(PatternC3)
+    return (steps * len(lam))[:-1], _pair_fields
 
 
 def _plan_D3(lam):
@@ -300,19 +303,19 @@ def _plan_D3(lam):
         p = rows[-1]
         return _choose([(-p[0], p[0]), *zip(p, p[1:])])
 
-    return [primed, unprimed] * (len(lam) - 1), _build_pairs(PatternD3)
+    return [primed, unprimed] * (len(lam) - 1), _pair_fields
 
 
 def _plan_B4(lam):
     # lambda'_k: lambda_ki >= p_i >= lambda_k,i+1, lambda_kk >= |p_k|; then
     # lambda_{k-1}: p_i >= r_i >= p_{i+1}, p_{k-1} >= r_{k-1} >= |p_k|
-    return ([_signed_tail, _abs_tail] * len(lam))[:-1], _build_pairs(PatternB4)
+    return ([_signed_tail, _abs_tail] * len(lam))[:-1], _pair_fields
 
 
 def _plan_D4(lam):
     # lambda'_{k-1}: lambda_ki >= p_i >= lambda_k,i+1, lambda_k,k-1 >= p_{k-1}
     # >= |lambda_kk|; then lambda_{k-1}: p_i >= r_i >= p_{i+1}, |r_{k-1}| <= p_{k-1}
-    return [_abs_tail, _signed_tail] * (len(lam) - 1), _build_pairs(PatternD4)
+    return [_abs_tail, _signed_tail] * (len(lam) - 1), _pair_fields
 
 
 _PLANS = {"A": _plan_A, "B3": _plan_B3, "C3": _plan_C3,
@@ -334,11 +337,21 @@ def enumerate_patterns(family, lam):
 
     The position in this list is the canonical basis index everywhere else.
     """
+    walks = pattern_fields(family, lam)
+    cls = _TYPE_OF_FAMILY[family]
+    return [_unchecked(cls, fields) for fields in walks]
+
+
+def pattern_fields(family, lam):
+    """An iterator over to_json's values other than "family" for each
+    pattern with top row lam, in the order of enumerate_patterns, without
+    making the patterns: one tuple per pattern in key order
+    (JSON_KEYS[family]), each value a tuple of rows, or for sigma a tuple
+    of ints.  The weight is checked, and the walks made, on the call."""
     lam = check_dominant(family, tuple(lam))
-    steps, build = _PLANS[family](lam)
-    if not lam:
-        return [build([])]      # n = 0: the empty array
-    return [build(rows) for rows in _walk(steps, lam)]
+    steps, fields = _PLANS[family](lam)
+    # n = 0: one pattern, the empty array, with no rows chosen
+    return map(fields, _walk(steps, lam) if lam else [()])
 
 
 def count_patterns(family, lam):
@@ -537,6 +550,13 @@ _FAMILY_OF_TYPE = {
     GTPatternA: "A", PatternB3: "B3", PatternC3: "C3",
     PatternD3: "D3", PatternB4: "B4", PatternD4: "D4",
 }
+_TYPE_OF_FAMILY = {family: cls for cls, family in _FAMILY_OF_TYPE.items()}
+
+# to_json's keys after "family", in sorted order.  They name the dataclass
+# fields of the family's pattern type in reverse order: rows; lamp, lam;
+# lamp, lam, sigma.
+JSON_KEYS = {"A": ("rows",), "B3": ("primed", "rows", "sigma"), "C3": ("primed", "rows"),
+             "D3": ("primed", "rows"), "B4": ("primed", "rows"), "D4": ("primed", "rows")}
 
 
 def family_of(p):
@@ -545,25 +565,16 @@ def family_of(p):
 
 def to_json(p):
     """JSON-ready dict: family tag plus nested arrays of doubled integers."""
-    d = {"family": family_of(p)}
-    if isinstance(p, GTPatternA):
-        d["rows"] = [list(r) for r in p.rows]
-    else:
-        d["rows"] = [list(r) for r in p.lam]
-        d["primed"] = [list(r) for r in p.lamp]
-        if isinstance(p, PatternB3):
-            d["sigma"] = list(p.sigma)
+    family = family_of(p)
+    d = {"family": family}
+    for key, name in zip(JSON_KEYS[family], reversed(p.__dataclass_fields__)):
+        value = getattr(p, name)
+        d[key] = list(value) if key == "sigma" else [list(r) for r in value]
     return d
 
 
 def from_json(d):
-    fam = d["family"]
-    if fam == "A":
-        return GTPatternA(tuple(tuple(r) for r in d["rows"]))
-    lam = tuple(tuple(r) for r in d["rows"])
-    lamp = tuple(tuple(r) for r in d["primed"])
-    if fam == "B3":
-        return PatternB3(tuple(d["sigma"]), lam, lamp)
-    cls = {"C3": PatternC3, "D3": PatternD3, "B4": PatternB4, "D4": PatternD4}[fam]
-    return cls(lam, lamp)
-
+    family = d["family"]
+    values = [tuple(d[key]) if key == "sigma" else tuple(tuple(r) for r in d[key])
+              for key in JSON_KEYS[family]]
+    return _TYPE_OF_FAMILY[family](*reversed(values))

@@ -285,17 +285,23 @@ def qdet_centrality_check(module: YTensorModule, points) -> bool:
 
 def rtt_check(module: YTensorModule, pairs) -> bool:
     """(u-v)[T_ab(u), T_cd(v)] = T_cb(u)T_ad(v) - T_cb(v)T_ad(u) at sample
-    points (the cleared form of the defining relations)."""
+    points (the cleared form of the defining relations).
+
+    Every term is T_x(u)T_y(v) or T_y(v)T_x(u) for label pairs x, y, so
+    the 16 products of each kind are formed once per sample pair."""
+    keys = list(module.T)
     for u0, v0 in pairs:
         u0, v0 = Fraction(u0), Fraction(v0)
         tu = {key: p.eval_at(u0) for key, p in module.T.items()}
         tv = {key: p.eval_at(v0) for key, p in module.T.items()}
+        uv = {(x, y): tu[x] @ tv[y] for x in keys for y in keys}
+        vu = {(x, y): tv[y] @ tu[x] for x in keys for y in keys}
         for a in _LABELS:
             for b in _LABELS:
                 for c in _LABELS:
                     for d in _LABELS:
-                        lhs = (tu[(a, b)] @ tv[(c, d)] - tv[(c, d)] @ tu[(a, b)]).scale(u0 - v0)
-                        rhs = tu[(c, b)] @ tv[(a, d)] - tv[(c, b)] @ tu[(a, d)]
+                        lhs = (uv[(a, b), (c, d)] - vu[(a, b), (c, d)]).scale(u0 - v0)
+                        rhs = uv[(c, b), (a, d)] - vu[(a, d), (c, b)]
                         if lhs != rhs:
                             return False
     return True

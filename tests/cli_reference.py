@@ -1,17 +1,29 @@
-"""The argparse front end that ``gtbases.cli`` replaced.
+"""Forms of ``gtbases.cli`` that it replaced, for the differential tests
+in tests/test_cli.py.
 
-``make_parser`` and ``_WEIGHTLIKE`` are kept verbatim: a main parser with
-one sub-parser per verb, and the shim that prefixes a space to a negative
-weight so that argparse does not read ``-1,-3`` as an option.  ``parse``
-is the parsing half of the old ``cli.run``.  The differential tests in
-tests/test_cli.py compare ``cli.parse_args`` with it.
+The argparse front end: ``make_parser`` and ``_WEIGHTLIKE`` are kept
+verbatim, a main parser with one sub-parser per verb, and the shim that
+prefixes a space to a negative weight so that argparse does not read
+``-1,-3`` as an option.  ``parse`` is the parsing half of the old
+``cli.run``; the tests compare ``cli.parse_args`` with it.
+
+The output writers: ``cmd_patterns`` builds every pattern and encodes
+``patterns.to_json`` of each with one ``json.JSONEncoder``, and
+``write_export`` formats every value below depth 1 afresh, by the
+recursive ``_encode``.  ``cli.cmd_patterns`` and ``cli.write_export`` must
+write the same bytes.
 """
 
 import argparse
+import json
+import math
 import re
 
-from gtbases.cli import (cmd_branch, cmd_build, cmd_dims, cmd_patterns, cmd_verify,
-                         cmd_yangian_demo)
+from gtbases import cli, patterns
+from gtbases.cli import (_SCALARS, _family, _quote, _sorted_keys, cmd_branch, cmd_build,
+                         cmd_dims, cmd_verify, cmd_yangian_demo, parse_algebra,
+                         parse_weight)
+from gtbases.exact import SparseMat
 
 
 def make_parser():
@@ -25,7 +37,7 @@ def make_parser():
     sub = ap.add_subparsers(dest="verb", required=True)
     for verb, cmd in [("build", cmd_build), ("verify", cmd_verify),
                       ("dims", cmd_dims), ("branch", cmd_branch),
-                      ("patterns", cmd_patterns), ("export", cmd_build)]:
+                      ("patterns", cli.cmd_patterns), ("export", cmd_build)]:
         p = sub.add_parser(verb)
         p.set_defaults(cmd=cmd)
         p.add_argument("algebra", help="gl | sp | spN | soN")
@@ -53,3 +65,65 @@ def parse(argv):
         return ap.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
+
+
+def cmd_patterns(args):
+    lam = parse_weight(args.weight)
+    kind, data = parse_algebra(args.algebra, len(lam), args.convention, args.series)
+    fam = _family(kind, data, args.convention)
+    encode = json.JSONEncoder(sort_keys=True).encode     # json.dumps makes one per call
+    for p in patterns.enumerate_patterns(fam, lam):
+        print(encode(patterns.to_json(p)))
+    return 0
+
+
+def write_export(payload, fh):
+    _write(payload, fh, 0)
+
+
+def _write(value, fh, depth):
+    if depth < 2 and type(value) is dict and value:
+        ind = "\n" + " " * (depth + 1)
+        fh.write("{")
+        for t, key in enumerate(_sorted_keys(value)):
+            fh.write(("," if t else "") + ind + _quote(key) + ": ")
+            _write(value[key], fh, depth + 1)
+        fh.write("\n" + " " * depth + "}")
+    else:
+        fh.write(_encode(value, depth))
+
+
+def _encode(value, depth):
+    """value as write_export writes it, with its first line at the given
+    depth."""
+    t = type(value)
+    if t is str:
+        return _quote(value)
+    if t is int:
+        return int.__repr__(value)
+    if t is bool or value is None:
+        return _SCALARS[value]
+    if t is SparseMat:
+        items = sorted(value.num.items())
+    elif t is dict or t is list:
+        items = value
+    else:
+        raise TypeError("%s is not a gt-export/1 value" % t.__name__)
+    if not items:
+        return "{}" if t is dict else "[]"
+    close = "\n" + " " * depth
+    ind = close + " "
+    sep = "," + ind
+    if t is SparseMat:
+        den = value.den
+        entry = '[{0}%d,{0}%d,{0}"%d/%d"{1}]'.format(ind + " ", ind)
+        body = sep.join([entry % (r, c, v // g, den // g)
+                         for (r, c), v in items for g in [math.gcd(v, den)]])
+    elif t is dict:
+        body = sep.join(_quote(k) + ": " + _encode(value[k], depth + 1)
+                        for k in _sorted_keys(value))
+    elif all(type(x) is int for x in value):
+        body = sep.join(map(int.__repr__, value))
+    else:
+        body = sep.join([_encode(x, depth + 1) for x in value])
+    return ("{" if t is dict else "[") + ind + body + close + ("}" if t is dict else "]")

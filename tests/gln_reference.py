@@ -13,8 +13,10 @@ commutation relations over all ordered pairs of generators, the
 squared norms and eigenvalues as ``Fraction`` products, the lowering-word
 and kappa bases applied pattern by pattern from the highest vector, and
 the L(lam)^+ relations as full dim x dim products restricted to L^+
-afterwards, and the lowering operators with their Cartan factors as
-products of diagonal matrices.  ``lowering_operator_by_chain_adds`` is the
+afterwards, the lowering operators with their Cartan factors as
+products of diagonal matrices, the adjointness relations as products with
+the diagonal norm matrix, and the scalar actions of an operator
+polynomial as comparisons with diagonal matrices.  ``lowering_operator_by_chain_adds`` is the
 form that ``gln.lowering_operator`` had before ``exact.chain_sum``: one
 integer diagonal and one sum per chain.
 
@@ -450,3 +452,23 @@ def lowering_operator_by_products(rep, i, kind, m):
                 diag = diag @ (hs[i] - hs[j])
         total = total + mono @ diag
     return total
+
+
+def adjointness_check(rep) -> bool:
+    """N_M (E_ij)_{M,Lam} = N_Lam (E_ji)_{Lam,M} for every entry."""
+    dmat = SparseMat.diag(rep.normsq)
+    for i in range(1, rep.n + 1):
+        for j in range(1, rep.n + 1):
+            if dmat @ rep.gen(i, j) != rep.gen(j, i).transpose() @ dmat:
+                return False
+    return True
+
+
+def acts_diagonally(poly, scalars) -> bool:
+    """poly(u) acts on basis vector t as the scalar polynomial scalars[t]:
+    each coefficient matrix is the diagonal matrix of those coefficients."""
+    for j in range(max(len(poly.coeffs), max(len(w) for w in scalars))):
+        want = SparseMat.diag([w[j] if j < len(w) else 0 for w in scalars])
+        if poly.coeff(j) != want:
+            return False
+    return True

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 import bcd_reference
 import cli_reference
 import exact_reference
-from gtbases import branching, cli
+from gtbases import branching, cli, patterns
 from gtbases.exact import SparseMat, commutator
 from gtbases.liealg_bcd import build_bcd_irrep, orthogonal_chain, signed_realization
 
@@ -440,10 +440,18 @@ VERIFY_GL_REPEATED_SHA256 = {
 }
 
 # sha256 of the stdout of `gt patterns`, one JSON object a line, recorded
-# while each line was encoded by its own json.dumps call
+# while each line was encoded by its own json.dumps call; the last five
+# while it was encoded by one JSONEncoder from the pattern objects
 PATTERNS_SHA256 = {
     ("so7", "-1,-3,-3"): "3d4d3cd644f615cf23572d22834fe73ca7a804db74d3749a5e44adf5f56ff2d2",
     ("sp", "-1,-1,-3"): "9f6093968fe00c49b4bedc9acc9887d5347fb0d72880be61da701d1ae1efb301",
+    ("gl", "4,3,1,0"): "33d32e5ca960b7749023e3a4ab49fda0d7fe17f90dd6ea63f8a6e6fea6592e2c",
+    ("so6", "0,-2,-2"): "d965fd2bfe95fcc932e28d8fe5794552981eb87263ca7ccc7c2379959fc3d66d",
+    ("so7", "-1/2,-3/2,-5/2"): "8685ed97000c2283cfdd7973fc8c30e0c4bc25724fc75c959ba9b7836997d72f",
+    ("so9", "2,1,1,0", "--convention", "s4"):
+        "88ff2dba9bf19c1997523bd3c10c90ff16f16f58c7e0605b192f75df18f6e622",
+    ("so8", "2,1,1,-1", "--convention", "s4"):
+        "14353d425008e33ea089ae25629386a40c0a769cc8e1069fccf3419596a5e713",
 }
 
 
@@ -475,6 +483,72 @@ class TestContractPins:
         code, out, _ = run_capture(capsys, ["verify", "gl", weight])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_GL_REPEATED_SHA256[weight]
+
+
+def _gt_args(family, lam):
+    """The algebra, weight and options that name family's patterns of top
+    row lam (doubled, n >= 1) on gt's command line."""
+    n = len(lam)
+    algebra = {"A": "gl", "C3": "sp"}.get(family, "so%d" % (2 * n + (family[0] == "B")))
+    return [algebra, cli.format_weight(lam)] + (["--convention", "s4"] if family[1:] == "4" else [])
+
+
+@st.composite
+def _family_weights(draw):
+    """(family, lam): a dominant doubled weight lam of family, n = 1..3,
+    half-integer (odd doubled entries) for about half of the families
+    other than C3."""
+    family = draw(st.sampled_from(patterns.FAMILIES))
+    odd = 0 if family == "C3" else draw(st.integers(0, 1))
+    lam = sorted((2 * x + odd for x in draw(st.lists(st.integers(-1, 1), min_size=1,
+                                                     max_size=3))), reverse=True)
+    # an even shift keeps the parity: the s3 families need entries <= 0, B4
+    # and D4 entries >= 0
+    if family in ("B3", "C3", "D3") and lam[0] > 0:
+        lam = [x - lam[0] - lam[0] % 2 for x in lam]
+    if family in ("B4", "D4") and lam[-1] < 0:
+        lam = [x - lam[-1] + lam[-1] % 2 for x in lam]
+    return family, tuple(lam)
+
+
+def _stdout(call, *args):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert call(*args) == 0
+    return buf.getvalue()
+
+
+class TestPatternText:
+    """`gt patterns` writes its lines from the plan walk's rows, and
+    write_export memoizes the text of each list of ints; both write what
+    the json encoders write for patterns.to_json."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_family_weights())
+    def test_lines_and_export_text_are_the_json_encodings(self, family_lam):
+        family, lam = family_lam
+        argv = ["patterns"] + _gt_args(family, lam)
+        out = _stdout(cli.run, argv)
+        pats = [patterns.to_json(p) for p in patterns.enumerate_patterns(family, lam)]
+        encode = json.JSONEncoder(sort_keys=True).encode
+        assert out == "".join(encode(d) + "\n" for d in pats)
+        assert out == _stdout(cli_reference.cmd_patterns, cli.parse_args(cli.make_parser(), argv))
+        payload = {"patterns": pats, "lambda": list(lam)}
+        assert _write_export(payload) == _json_dump(payload)
+
+    @pytest.mark.parametrize("family,lam", [
+        ("A", (4, 2, 0)), ("B3", (-1, -3)), ("C3", (0, -2, -2)), ("D3", (0, -2, -2)),
+        ("B4", (4, 2)), ("D4", (2, 2, -2))])
+    def test_no_pattern_object_is_made(self, monkeypatch, family, lam):
+        argv = ["patterns"] + _gt_args(family, lam)
+        want = _stdout(cli_reference.cmd_patterns, cli.parse_args(cli.make_parser(), argv))
+        monkeypatch.setattr(patterns, "enumerate_patterns", _never)
+        monkeypatch.setattr(patterns, "_unchecked", _never)
+        for cls in (patterns.GTPatternA, patterns.PatternB3, patterns._PairPattern):
+            monkeypatch.setattr(cls, "__post_init__", _never)
+        assert _stdout(cli.run, argv) == want
+        with pytest.raises(AssertionError):
+            patterns.enumerate_patterns(family, lam)
 
 
 class TestRankOneD:

@@ -465,6 +465,25 @@ class TestIntegerCoreMatchesReference:
             SparseMat.combination(2, 3, [(1, a)])
 
     @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(RAT, st.integers(-3, 3)), max_size=5))
+    def test_diag(self, values):
+        """diag in lowest terms, zeros dropped, against the reference."""
+        assert same(SparseMat.diag(values), ref.SparseMat.diag(values))
+
+    def test_diag_makes_each_fraction_once(self, monkeypatch):
+        import gtbases.exact as exact
+        made = []
+
+        def spy(*args):
+            made.append(args)
+            return Fraction(*args)
+        monkeypatch.setattr(exact, "Fraction", spy)
+        values = [Fraction(1, 2), 0, 3, Fraction(-5, 6)]
+        m = SparseMat.diag(values)
+        assert len(made) == len(values)
+        assert (m.num, m.den) == ({(0, 0): 3, (2, 2): 18, (3, 3): -5}, 6)
+
+    @settings(max_examples=100, deadline=None)
     @given(SHAPE, SHAPE, st.data())
     def test_entry_strings_format_each_fraction(self, n, k, data):
         a, _ = data.draw(mat_pair(n, k))

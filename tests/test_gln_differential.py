@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import gln_reference as ref
 from gtbases import branching, cli, gln
-from gtbases.exact import SparseMat, vec_unit
+from gtbases.exact import OpPoly, SparseMat, spoly_from_roots, vec_unit
 from gtbases.patterns import enumerate_patterns
 
 
@@ -65,6 +65,7 @@ class TestLaplaceMinor:
 # name -> (new check, reference check)
 CHECKS = {
     "commutation": (gln.commutation_check, ref.commutation_check),
+    "adjointness": (gln.adjointness_check, ref.adjointness_check),
     "capelli-scalar": (gln.capelli_scalar_check, ref.capelli_scalar_check),
     "characteristic-identity": (gln.characteristic_identity_check,
                                 ref.characteristic_identity_check),
@@ -333,3 +334,73 @@ def test_lowering_operator_matches_diagonal_products(n, lam):
                 z = gln.lowering_operator(rep, i, kind, m=m)
                 assert z == ref.lowering_operator_by_products(rep, i, kind, m)
                 assert z == ref.lowering_operator_by_chain_adds(rep, i, kind, m)
+
+
+def _small_irrep(data):
+    """A built gl_n module, n = 1..3, of dimension at most 15."""
+    n = data.draw(st.integers(1, 3), label="n")
+    lam = [data.draw(st.integers(-3, 3), label="doubled lowest entry")]
+    for _ in range(n - 1):
+        lam.insert(0, lam[0] + 2 * data.draw(st.integers(0, 2), label="gap"))
+    assume(branching.weyl_dim("A", tuple(lam)) <= 15)
+    return gln.build_irrep(n, tuple(lam))
+
+
+_BUMPS = st.sampled_from([1, -1, Fraction(1, 2), Fraction(-2, 3), 5])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_adjointness_on_random_corruptions(data):
+    """The numerator form of the adjointness check against the product form
+    N E_ij = E_ji^T N on a copy of a small module with up to two changes:
+    an entry of any E_ij bumped (a cached |i - j| > 1 one included), a
+    norm scaled, or a norm set to zero."""
+    rep = _small_irrep(data)
+    n, dim = rep.n, rep.dim
+    gens, normsq = {}, list(rep.normsq)
+    for _ in range(data.draw(st.integers(0, 2), label="changes")):
+        kind = data.draw(st.sampled_from(["entry", "scale norm", "zero norm"]), label="kind")
+        t = data.draw(st.integers(0, dim - 1), label="index")
+        if kind == "entry":
+            key = (data.draw(st.integers(1, n), label="i"), data.draw(st.integers(1, n), label="j"))
+            c = data.draw(st.integers(0, dim - 1), label="col")
+            bump = SparseMat(dim, dim, {(t, c): data.draw(_BUMPS, label="bump")})
+            gens[key] = gens.get(key, rep.gen(*key)) + bump
+        elif kind == "scale norm":
+            normsq[t] *= data.draw(st.sampled_from([2, Fraction(1, 3), -1]), label="factor")
+        else:
+            normsq[t] = Fraction(0)
+    corrupted = _copy(rep, normsq=normsq)
+    corrupted._gen.update(gens)
+    assert gln.adjointness_check(corrupted) is ref.adjointness_check(corrupted)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_acts_diagonally_on_random_polynomials(data):
+    """The numerator form of the scalar-action test against the comparison
+    with diagonal matrices, on the Capelli determinant of a small module
+    with up to two entries of its coefficients changed, off the diagonal
+    or on it, and on scalar polynomials of several lengths."""
+    rep = _small_irrep(data)
+    dim = rep.dim
+    poly = gln.capelli_det(rep)
+    coeffs = list(poly.coeffs)
+    for _ in range(data.draw(st.integers(0, 2), label="changes")):
+        j = data.draw(st.integers(0, len(coeffs)), label="coefficient")
+        r = data.draw(st.integers(0, dim - 1), label="row")
+        c = r if data.draw(st.booleans(), label="diagonal") else \
+            data.draw(st.integers(0, dim - 1), label="col")
+        bump = SparseMat(dim, dim, {(r, c): data.draw(_BUMPS, label="bump")})
+        if j == len(coeffs):
+            coeffs.append(bump)
+        else:
+            coeffs[j] = coeffs[j] + bump
+    changed = OpPoly(dim, dim, coeffs)
+    lam_l = [Fraction(rep.lam[i], 2) - i for i in range(rep.n)]
+    want = spoly_from_roots(lam_l)
+    scalars = [data.draw(st.sampled_from([want, want[:-1], want + [Fraction(1)]]),
+                         label="scalar polynomial") for _ in range(dim)]
+    assert gln._acts_diagonally(changed, scalars) is ref.acts_diagonally(changed, scalars)
+    assert gln._acts_diagonally(poly, [want] * dim) is True

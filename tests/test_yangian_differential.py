@@ -2,12 +2,17 @@
 folded from the coproduct against T(u) summed over every label chain, the
 one Sigma_ab(u) against the untwisted and the W(delta)-twisted forms
 written out separately, S_{n,-n}(u) read off Sigma_{n,-n}(u) against its
-displayed formula, and the brute-force verdicts on the generators of each."""
+displayed formula, the brute-force verdicts on the generators of each, and
+the RTT check against the loop that forms every product afresh."""
+
+import copy
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 import yangian_reference as ref
 from gtbases import yangian as y
+from gtbases.exact import OpPoly, SparseMat
 
 DELTAS = (-3, 0, 2, 4, 9)
 
@@ -45,3 +50,49 @@ def test_brute_force_verdicts_match_the_reference(factors, delta2):
         ref.brute_force_irreducible_twisted(m, "-")
     assert y.brute_force_irreducible_twisted(m, "+", delta2) == \
         ref.brute_force_irreducible_twisted(m, "+", delta2)
+
+
+RTT_PAIRS = [(1, 2), (Fraction(1, 2), 3), (5, Fraction(-7, 3)), (2, 9), (Fraction(11, 7), Fraction(3, 5))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(string_lists(), st.data())
+def test_rtt_verdict_matches_the_reference(factors, data):
+    """rtt_check, which forms each product T_x(u)T_y(v) and T_y(v)T_x(u)
+    once per sample pair, against the loop that forms the four products of
+    each relation afresh, on T(u) as built and with one entry of one
+    coefficient of one T_ab(u) changed."""
+    m = y.build_tensor_module(factors)
+    pairs = data.draw(st.lists(st.sampled_from(RTT_PAIRS), min_size=1, max_size=2), label="pairs")
+    assert y.rtt_check(m, pairs) is ref.rtt_check(m, pairs) is True
+    key = data.draw(st.sampled_from(sorted(m.T)), label="T entry")
+    poly = m.T[key]
+    j = data.draw(st.integers(0, len(poly.coeffs)), label="coefficient")
+    r = data.draw(st.integers(0, m.dim - 1), label="row")
+    c = data.draw(st.integers(0, m.dim - 1), label="col")
+    bump = data.draw(st.sampled_from([1, -1, Fraction(1, 2)]), label="bump")
+    coeffs = list(poly.coeffs) + [SparseMat.zero(m.dim, m.dim)]
+    coeffs[j] = coeffs[j] + SparseMat(m.dim, m.dim, {(r, c): bump})
+    corrupted = copy.copy(m)
+    corrupted.T = dict(m.T)
+    corrupted.T[key] = OpPoly(m.dim, m.dim, coeffs)
+    assert y.rtt_check(corrupted, pairs) is ref.rtt_check(corrupted, pairs)
+
+
+def test_rtt_forms_32_products_per_sample_pair(monkeypatch):
+    """On the dim-8 module L(1,0) x L(3,2) x L(5,4) with the five sample
+    pairs of `gt yangian-demo`, rtt_check makes 160 SparseMat products
+    against the reference loop's 320, with the same verdict."""
+    m = y.build_tensor_module([y.HWString(2, 0), y.HWString(6, 4), y.HWString(10, 8)])
+    calls = []
+    real = SparseMat.__matmul__
+
+    def spy(self, other):
+        calls.append(1)
+        return real(self, other)
+    monkeypatch.setattr(SparseMat, "__matmul__", spy)
+    assert ref.rtt_check(m, RTT_PAIRS) is True
+    assert len(calls) == 320
+    calls.clear()
+    assert y.rtt_check(m, RTT_PAIRS) is True
+    assert len(calls) == 32 * len(RTT_PAIRS) == 160

@@ -6,8 +6,9 @@ read off Sigma_{n,-n}(u).  These are the readings that the differential
 tests compare them against: T_ab(u) expanded over every chain of
 intermediate labels a = c_0, c_1, ..., c_k = b, the untwisted Sigma_ab(u)
 and its W(delta)-twisted orthogonal form written out separately, the
-displayed formula for S_{n,-n}(u) in each sign, and the brute-force
-irreducibility test that picks its generators by the sign.
+displayed formula for S_{n,-n}(u) in each sign, the brute-force
+irreducibility test that picks its generators by the sign, and the RTT
+check that forms the four products of each relation afresh.
 """
 
 from fractions import Fraction
@@ -127,3 +128,21 @@ def brute_force_irreducible_twisted(module, sign, delta2=None) -> bool:
         sig = sigma_operators_plus(module, delta2)
         gens = [c for p in sig.values() for c in p.coeffs]
     return brute_force_irreducible(gens, module.dim)
+
+
+def rtt_check(module, pairs) -> bool:
+    """(u-v)[T_ab(u), T_cd(v)] = T_cb(u)T_ad(v) - T_cb(v)T_ad(u) at sample
+    points (the cleared form of the defining relations)."""
+    for u0, v0 in pairs:
+        u0, v0 = Fraction(u0), Fraction(v0)
+        tu = {key: p.eval_at(u0) for key, p in module.T.items()}
+        tv = {key: p.eval_at(v0) for key, p in module.T.items()}
+        for a in _LABELS:
+            for b in _LABELS:
+                for c in _LABELS:
+                    for d in _LABELS:
+                        lhs = (tu[(a, b)] @ tv[(c, d)] - tv[(c, d)] @ tu[(a, b)]).scale(u0 - v0)
+                        rhs = tu[(c, b)] @ tv[(a, d)] - tv[(c, b)] @ tu[(a, d)]
+                        if lhs != rhs:
+                            return False
+    return True
