@@ -148,16 +148,14 @@ def cmd_patterns(args):
     lam = parse_weight(args.weight)
     kind, data = parse_algebra(args.algebra, len(lam), args.convention, args.series)
     fam = _family(kind, data, args.convention)
-    # each line is json.JSONEncoder(sort_keys=True).encode(patterns.to_json(p))
-    line = '{"family": "%s"%s}\n' % (fam, "".join(', "%s": [%%s]' % key
-                                                   for key in patterns.JSON_KEYS[fam]))
-    text = _Memo(_line_item).__getitem__
-    join = ", ".join
-
-    def value(items):
-        return join(map(text, items))
-
-    sys.stdout.writelines(line % tuple(map(value, fields))
+    # each line is json.JSONEncoder(sort_keys=True).encode(patterns.to_json(p)),
+    # filled in from the pattern's field values in the order of their keys
+    keys = [patterns.JSON_KEY[name] for name in patterns.PATTERN_TYPES[fam].__dataclass_fields__]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    line = '{"family": "%s"%s}\n' % (fam, "".join(', "%s": [%%s]' % keys[i] for i in order))
+    # the text of a row of ints, or of an int of sigma
+    text = _Memo(lambda x: repr(list(x)) if type(x) is tuple else repr(x)).__getitem__
+    sys.stdout.writelines(line % tuple([", ".join(map(text, fields[i])) for i in order])
                           for fields in patterns.pattern_fields(fam, lam))
     return 0
 
@@ -172,13 +170,6 @@ class _Memo(dict):
     def __missing__(self, key):
         value = self[key] = self.make(key)
         return value
-
-
-def _line_item(item):
-    """The one-line JSON text of an int or of a row of ints."""
-    if type(item) is int:
-        return int.__repr__(item)
-    return "[%s]" % ", ".join(map(int.__repr__, item))
 
 
 def cmd_branch(args):
@@ -252,58 +243,49 @@ def write_export(payload, fh):
     that repeat are made once per call: that of each list of ints, and the
     row, column and value pieces of matrix entries.
     """
-    _ExportWriter(fh).write(payload, 0)
+    _write(payload, fh, 0, _Memo(_texts))
 
 
-class _ExportWriter:
-    """One write_export call: the file, and the texts made so far, kept
-    per depth, as the indent of a value depends on it."""
+def _write(value, fh, depth, texts):
+    if depth < 2 and type(value) is dict and value:
+        ind = "\n" + " " * (depth + 1)
+        fh.write("{")
+        for t, key in enumerate(_sorted_keys(value)):
+            fh.write(("," if t else "") + ind + _quote(key) + ": ")
+            _write(value[key], fh, depth + 1, texts)
+        fh.write("\n" + " " * depth + "}")
+    else:
+        fh.write(_encode(value, depth, texts))
 
-    def __init__(self, fh):
-        self.fh = fh
-        self.int_lists = _Memo(lambda depth: _Memo(
-            lambda ints: _block(list(map(int.__repr__, ints)), depth, "[]")))
-        self.entry_pieces = _Memo(_entry_pieces)
 
-    def write(self, value, depth):
-        fh = self.fh
-        if depth < 2 and type(value) is dict and value:
-            ind = "\n" + " " * (depth + 1)
-            fh.write("{")
-            for t, key in enumerate(_sorted_keys(value)):
-                fh.write(("," if t else "") + ind + _quote(key) + ": ")
-                self.write(value[key], depth + 1)
-            fh.write("\n" + " " * depth + "}")
-        else:
-            fh.write(self.encode(value, depth))
-
-    def encode(self, value, depth):
-        """value as write_export writes it, with its first line at depth."""
-        t = type(value)
-        if t is str:
-            return _quote(value)
-        if t is int:
-            return int.__repr__(value)
-        if t is bool or value is None:
-            return _SCALARS[value]
-        if t is SparseMat:
-            num = value.num
-            if not num:
-                return "[]"
-            rows, cols, values = self.entry_pieces[depth]
-            text = values(value.den)
-            return _block([rows[k[0]] + cols[k[1]] + text[num[k]] for k in sorted(num)],
-                          depth, "[]")
-        if t is not dict and t is not list:
-            raise TypeError("%s is not a gt-export/1 value" % t.__name__)
-        if not value:
-            return "{}" if t is dict else "[]"
-        if t is dict:
-            return _block([_quote(k) + ": " + self.encode(value[k], depth + 1)
-                           for k in _sorted_keys(value)], depth, "{}")
-        if all(type(x) is int for x in value):
-            return self.int_lists[depth][tuple(value)]
-        return _block([self.encode(x, depth + 1) for x in value], depth, "[]")
+def _encode(value, depth, texts):
+    """value as write_export writes it, with its first line at the given
+    depth; texts[depth] holds the texts made so far there (see _texts)."""
+    t = type(value)
+    if t is str:
+        return _quote(value)
+    if t is int:
+        return int.__repr__(value)
+    if t is bool or value is None:
+        return _SCALARS[value]
+    if t is SparseMat:
+        num = value.num
+        if not num:
+            return "[]"
+        _, rows, cols, fractions = texts[depth]
+        text = fractions(value.den)
+        return _block([rows[k[0]] + cols[k[1]] + text[num[k]] for k in sorted(num)],
+                      depth, "[]")
+    if t is not dict and t is not list:
+        raise TypeError("%s is not a gt-export/1 value" % t.__name__)
+    if not value:
+        return "{}" if t is dict else "[]"
+    if t is dict:
+        return _block([_quote(k) + ": " + _encode(value[k], depth + 1, texts)
+                       for k in _sorted_keys(value)], depth, "{}")
+    if all(type(x) is int for x in value):
+        return texts[depth][0][tuple(value)]
+    return _block([_encode(x, depth + 1, texts) for x in value], depth, "[]")
 
 
 def _sorted_keys(dct):
@@ -324,24 +306,26 @@ def _block(items, depth, brackets):
     return ("," + ind).join(items)
 
 
-def _entry_pieces(depth):
-    """The pieces of the entries [r, c, "p/q"] of a matrix whose first line
-    is at depth: {r: the text up to the comma after r}, {c: c, its comma
-    and the line break after it}, and for a denominator a new {numerator:
-    the fraction in lowest terms as a JSON string, and the entry's close},
-    one per matrix, so that the values of one are not held while writing
-    the next."""
+def _texts(depth):
+    """The texts of a value whose first line is at depth, each made on its
+    first use: {ints: the text of a list of ints}, the pieces of a matrix
+    entry [r, c, "p/q"] {r: the text up to the comma after r} and {c: c,
+    its comma and the line break after it}, and for a denominator a new
+    {numerator: the fraction in lowest terms as a JSON string and the
+    entry's close}, one per matrix, so that one matrix's values are not
+    held while writing the next."""
     inner = "\n" + " " * (depth + 2)
     close = "\n" + " " * (depth + 1) + "]"
 
-    def values(den):
+    def fractions(den):
         def text(v):
             g = math.gcd(v, den)
             return '"%d/%d"%s' % (v // g, den // g, close)
         return _Memo(text)
 
-    return (_Memo(lambda r: "[%s%d,%s" % (inner, r, inner)),
-            _Memo(lambda c: "%d,%s" % (c, inner)), values)
+    return (_Memo(lambda ints: _block(list(map(int.__repr__, ints)), depth, "[]")),
+            _Memo(lambda r: "[%s%d,%s" % (inner, r, inner)),
+            _Memo(lambda c: "%d,%s" % (c, inner)), fractions)
 
 
 def load_export(path):

@@ -244,27 +244,24 @@ def _abs_tail(rows):
 
 
 def _unchecked(cls, fields):
-    """The cls pattern whose to_json values other than "family" are fields
-    (in key order; see JSON_KEYS), without the row checks of
-    __post_init__, which a plan's rows pass by construction.  Fields are
-    set as the dataclass __init__ sets them; writing to __dict__ instead
-    would make each instance's attribute dict larger."""
+    """cls(*fields) without the row checks of __post_init__, which a plan's
+    rows pass by construction.  Fields are set as the dataclass __init__
+    sets them; writing to __dict__ instead would make each instance's
+    attribute dict larger."""
     p = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, reversed(fields)):
+    for name, value in zip(cls.__dataclass_fields__, fields):
         object.__setattr__(p, name, value)
     return p
 
 
 def _pair_fields(rows):
-    """(primed, rows) from rows chosen as lambda_n, primed, lambda_{n-1},
-    primed, ..."""
-    return rows[1::2][::-1], rows[0::2][::-1]
+    """(lam, lamp) from rows chosen as lambda_n, primed, lambda_{n-1}, primed, ..."""
+    return rows[0::2][::-1], rows[1::2][::-1]
 
 
 # A plan is (steps, fields): steps[i] maps the rows chosen so far (top row
 # first) to the candidates for the next one; fields maps a tuple of chosen
-# rows to to_json's values other than "family", in key order (JSON_KEYS),
-# each a tuple of rows, or for sigma a tuple of ints.
+# rows to the values of the pattern's dataclass fields, in field order.
 
 def _plan_A(lam):
     return [_below] * (len(lam) - 1), lambda rows: (rows,)
@@ -279,7 +276,7 @@ def _plan_B3(lam):
         return _interlace((cap,) + rows[-2])
 
     def fields(rows):
-        return rows[2::3][::-1], rows[0::3][::-1], tuple(s for (s,) in rows[1::3][::-1])
+        return tuple(s for (s,) in rows[1::3][::-1]), rows[0::3][::-1], rows[2::3][::-1]
 
     steps = [lambda rows: ((1,), (0,)), primed, _below]
     return (steps * len(lam))[:-1], fields
@@ -338,16 +335,15 @@ def enumerate_patterns(family, lam):
     The position in this list is the canonical basis index everywhere else.
     """
     walks = pattern_fields(family, lam)
-    cls = _TYPE_OF_FAMILY[family]
+    cls = PATTERN_TYPES[family]
     return [_unchecked(cls, fields) for fields in walks]
 
 
 def pattern_fields(family, lam):
-    """An iterator over to_json's values other than "family" for each
-    pattern with top row lam, in the order of enumerate_patterns, without
-    making the patterns: one tuple per pattern in key order
-    (JSON_KEYS[family]), each value a tuple of rows, or for sigma a tuple
-    of ints.  The weight is checked, and the walks made, on the call."""
+    """An iterator over the dataclass field values of each pattern with top
+    row lam, in the order of enumerate_patterns, without making the
+    patterns: one tuple per pattern, in field order.  The weight is
+    checked, and the walks made, on the call."""
     lam = check_dominant(family, tuple(lam))
     steps, fields = _PLANS[family](lam)
     # n = 0: one pattern, the empty array, with no rows chosen
@@ -550,13 +546,9 @@ _FAMILY_OF_TYPE = {
     GTPatternA: "A", PatternB3: "B3", PatternC3: "C3",
     PatternD3: "D3", PatternB4: "B4", PatternD4: "D4",
 }
-_TYPE_OF_FAMILY = {family: cls for cls, family in _FAMILY_OF_TYPE.items()}
-
-# to_json's keys after "family", in sorted order.  They name the dataclass
-# fields of the family's pattern type in reverse order: rows; lamp, lam;
-# lamp, lam, sigma.
-JSON_KEYS = {"A": ("rows",), "B3": ("primed", "rows", "sigma"), "C3": ("primed", "rows"),
-             "D3": ("primed", "rows"), "B4": ("primed", "rows"), "D4": ("primed", "rows")}
+PATTERN_TYPES = {family: cls for cls, family in _FAMILY_OF_TYPE.items()}
+# to_json's key for each dataclass field of a pattern type
+JSON_KEY = {"rows": "rows", "lam": "rows", "lamp": "primed", "sigma": "sigma"}
 
 
 def family_of(p):
@@ -565,16 +557,25 @@ def family_of(p):
 
 def to_json(p):
     """JSON-ready dict: family tag plus nested arrays of doubled integers."""
-    family = family_of(p)
-    d = {"family": family}
-    for key, name in zip(JSON_KEYS[family], reversed(p.__dataclass_fields__)):
-        value = getattr(p, name)
-        d[key] = list(value) if key == "sigma" else [list(r) for r in value]
+    d = {"family": family_of(p)}
+    if isinstance(p, GTPatternA):
+        d["rows"] = [list(r) for r in p.rows]
+    else:
+        d["rows"] = [list(r) for r in p.lam]
+        d["primed"] = [list(r) for r in p.lamp]
+        if isinstance(p, PatternB3):
+            d["sigma"] = list(p.sigma)
     return d
 
 
 def from_json(d):
-    family = d["family"]
-    values = [tuple(d[key]) if key == "sigma" else tuple(tuple(r) for r in d[key])
-              for key in JSON_KEYS[family]]
-    return _TYPE_OF_FAMILY[family](*reversed(values))
+    fam = d["family"]
+    if fam == "A":
+        return GTPatternA(tuple(tuple(r) for r in d["rows"]))
+    lam = tuple(tuple(r) for r in d["rows"])
+    lamp = tuple(tuple(r) for r in d["primed"])
+    if fam == "B3":
+        return PatternB3(tuple(d["sigma"]), lam, lamp)
+    cls = {"C3": PatternC3, "D3": PatternD3, "B4": PatternB4, "D4": PatternD4}[fam]
+    return cls(lam, lamp)
+

@@ -5,14 +5,10 @@ plan: the top row must be dominant and every later row must be among the
 candidates of its plan step.  ``validate`` below is the form it replaced,
 which restates each family's interlacing and parity rules directly.  The
 differential tests compare the two.
-
-``patterns.to_json`` and ``from_json`` read the keys of each family from
-``JSON_KEYS``; ``to_json`` and ``from_json`` below are the forms they
-replaced, which name the keys of each family by hand.
 """
 
 from gtbases.patterns import (GTPatternA, PatternB3, PatternB4, PatternC3,
-                              PatternD3, PatternD4, _uniform_parity, family_of)
+                              PatternD3, PatternD4, _uniform_parity)
 
 
 def _chain_ok(seq):
@@ -130,28 +126,3 @@ def validate(p) -> bool:
         return True
 
     raise TypeError("not a pattern: %r" % (p,))
-
-
-def to_json(p):
-    """JSON-ready dict: family tag plus nested arrays of doubled integers."""
-    d = {"family": family_of(p)}
-    if isinstance(p, GTPatternA):
-        d["rows"] = [list(r) for r in p.rows]
-    else:
-        d["rows"] = [list(r) for r in p.lam]
-        d["primed"] = [list(r) for r in p.lamp]
-        if isinstance(p, PatternB3):
-            d["sigma"] = list(p.sigma)
-    return d
-
-
-def from_json(d):
-    fam = d["family"]
-    if fam == "A":
-        return GTPatternA(tuple(tuple(r) for r in d["rows"]))
-    lam = tuple(tuple(r) for r in d["rows"])
-    lamp = tuple(tuple(r) for r in d["primed"])
-    if fam == "B3":
-        return PatternB3(tuple(d["sigma"]), lam, lamp)
-    cls = {"C3": PatternC3, "D3": PatternD3, "B4": PatternB4, "D4": PatternD4}[fam]
-    return cls(lam, lamp)

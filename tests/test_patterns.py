@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 import patterns_reference as reference
 from gtbases import branching
-from gtbases.patterns import (FAMILIES, JSON_KEYS, DominanceError, GTPatternA, PatternB3,
+from gtbases.patterns import (FAMILIES, DominanceError, GTPatternA, PatternB3,
                               PatternB4, PatternC3, PatternD3, PatternD4,
                               PatternShapeError, SemistandardTableau, count_patterns,
-                              enumerate_patterns, family_of, from_json, pattern_to_tableau,
+                              enumerate_patterns, from_json, pattern_to_tableau,
                               tableau_to_pattern, to_json, validate, weight)
 
 
@@ -401,26 +401,3 @@ def test_validate_matches_reference(p):
     """The plan walk of validate gives the verdict of the inequalities
     written out by hand (tests/patterns_reference.py)."""
     assert validate(p) == reference.validate(p)
-
-
-def _outcome(call, *args):
-    try:
-        return call(*args)
-    except PatternShapeError as exc:
-        return type(exc)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_random_arrays())
-def test_json_forms_match_reference(p):
-    """to_json and from_json, which read each family's keys off JSON_KEYS,
-    against the forms that name them by hand: the same dict, the same array
-    back, and the same array or refusal from a value with its last row or
-    flag dropped."""
-    got = to_json(p)
-    assert got == reference.to_json(p)
-    assert sorted(got) == ["family", *JSON_KEYS[family_of(p)]]
-    assert from_json(got) == reference.from_json(got) == p
-    for key in JSON_KEYS[family_of(p)]:
-        broken = dict(got, **{key: got[key][:-1]})
-        assert _outcome(from_json, broken) == _outcome(reference.from_json, broken)
