@@ -234,11 +234,6 @@ def schur_exponents(lam, n):
     return out
 
 
-def schur_poly(lam, n):
-    """Alias: the Schur polynomial as its monomial-exponent multiset."""
-    return schur_exponents(lam, n)
-
-
 def schur(lam, xs) -> Fraction:
     """s_lam evaluated at the point xs, by direct tableau summation."""
     n = len(xs)

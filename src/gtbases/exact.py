@@ -152,10 +152,6 @@ class SparseMat:
         return SparseMat(nrows, ncols, ent)
 
     @staticmethod
-    def column(vec):
-        return SparseMat(len(vec), 1, {(i, 0): v for i, v in enumerate(vec) if v != 0})
-
-    @staticmethod
     def from_columns(cols, nrows=None):
         if nrows is None:
             nrows = len(cols[0]) if cols else 0
@@ -900,8 +896,3 @@ class OpPoly:
 
     def __repr__(self):
         return "OpPoly(%dx%d, deg=%d)" % (self.nrows, self.ncols, self.degree())
-
-
-def op_poly_eval_left(p: OpPoly, h: SparseMat) -> SparseMat:
-    """Sum of coeff_j @ h**j with coefficients multiplied on the left."""
-    return p.eval_left(h)

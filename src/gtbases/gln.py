@@ -150,11 +150,6 @@ def build_irrep(n, lam) -> GlnIrrep:
     return rep
 
 
-def gen_matrix(rep: GlnIrrep, i, j) -> SparseMat:
-    """Matrix of E_ij, derived through commutators for |i - j| > 1."""
-    return rep.gen(i, j)
-
-
 def norms_of_patterns(basis):
     """Squared norms N_Lambda by the double-product factorial formula.
 
@@ -695,9 +690,11 @@ def adjointness_check(rep: GlnIrrep) -> bool:
 
 
 def highest_vector_check(rep: GlnIrrep) -> bool:
+    """The raising E_ij (i < j) kill the highest vector, and each E_ii
+    scales it by lambda_i."""
     xi = vec_unit(rep.dim, rep.highest_index)
     for i in range(1, rep.n + 1):
-        for j in range(1, rep.n + 1):
+        for j in range(i, rep.n + 1):
             got = rep.gen(i, j).apply(xi)
             if i < j and not vec_is_zero(got):
                 return False

@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 from operator import add, mul
 
-from ..exact import SpanSolver, SparseMat, commutator
+from ..exact import SpanSolver, SparseMat, commutator, nullspace
 
 
 class DeskScaleError(RuntimeError):
@@ -204,6 +204,34 @@ class HWModule:
 
     def __repr__(self):
         return "HWModule(lam=%s, dim=%d)" % (self.lam, self.dim)
+
+
+def raising_kernel(module: HWModule, raising, key=None):
+    """[(group, columns, kernel)]: per group of weight blocks, in
+    decreasing order, its basis indices (increasing) and a basis of the
+    joint kernel of the raising matrices on them, ``nullspace`` of the
+    stacked matrices restricted to those columns.  key maps a weight to
+    its group; without it each block is its own group, keyed by its
+    weight."""
+    # each matrix's numerators: scaling a matrix leaves the kernel and
+    # the basis nullspace reads off it as they are
+    stacked = {}
+    for t, m in enumerate(raising):
+        for (r, c), v in m.num.items():
+            stacked.setdefault(c, []).append((t * module.dim + r, v))
+    groups = {}
+    for w, (off, size) in module.weight_slices().items():
+        groups.setdefault(w if key is None else key(w), []).extend(range(off, off + size))
+    out = []
+    for g, cols in sorted(groups.items(), reverse=True):
+        cols.sort()
+        # the group's columns, on the stacked rows that meet them (in order)
+        ent = {(r, j): v for j, c in enumerate(cols) for r, v in stacked.get(c, ())}
+        rows = {r: i for i, r in enumerate(sorted({r for r, _ in ent}))}
+        block = SparseMat.from_num(len(rows), len(cols),
+                                   {(rows[r], j): v for (r, j), v in ent.items()})
+        out.append((g, cols, nullspace(block)))
+    return out
 
 
 def build_module(real: Realization, lam, max_dim=600) -> HWModule:

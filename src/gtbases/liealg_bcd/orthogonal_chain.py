@@ -25,8 +25,7 @@ from fractions import Fraction
 from ..exact import SpanSolver, SparseMat, apply_words, vec_unit
 from .. import branching as _branching
 from .. import patterns as _patterns
-from .construction import MAX_RANK, Realization, build_module, refuse_beyond_caps
-from .signed_realization import raising_kernel
+from .construction import MAX_RANK, Realization, build_module, raising_kernel, refuse_beyond_caps
 
 
 class OrthogonalChain:
@@ -135,15 +134,18 @@ class OrthogonalChain:
             r = L // 2
             key = (lambda w: w[:r] + w[r + 1:]) if L % 2 and L < self.N else None
             raising = [self.f_level(L, a, b) for a in range(1, L + 1) for b in range(a + 1, L + 1)]
-            blocks = sorted(self.module.blocks.values())
+            # G's numerators row by row: a positive scale of G leaves the
+            # projector as it is, and G pairs only columns of one group
+            gram = {}
+            for (i, j), v in self.module.gram_matrix().num.items():
+                gram.setdefault(i, []).append((j, v))
             ent = {}
             for _, cols, kernel in raising_kernel(self.module, raising, key):
                 if not kernel:
                     continue
                 pos = {c: j for j, c in enumerate(cols)}
-                g = SparseMat(len(cols), len(cols), {
-                    (pos[off + a], pos[off + b]): v for off, _, gram in blocks if off in pos
-                    for a, row in enumerate(gram) for b, v in enumerate(row)})
+                g = SparseMat.from_num(len(cols), len(cols), {
+                    (pos[i], pos[j]): v for i in cols for j, v in gram.get(i, ())})
                 h = SparseMat.from_columns(kernel, len(cols))
                 gh = g @ h
                 # h^T g h is symmetric, so its rows are its columns; and
@@ -234,19 +236,12 @@ def orth_gt_basis(chain: OrthogonalChain):
 
 
 def orth_basis_checks(chain: OrthogonalChain) -> bool:
-    """Count, pairwise orthogonality and positive norms.  Independence
-    follows: the form is symmetric, so pairing sum_a c_a v_a = 0 with v_b
-    leaves c_b <v_b, v_b> = 0.  The form pairs distinct weights to 0, so
-    only pairs of vectors that meet a common weight block are summed."""
+    """Count, and B^T G B diagonal with a positive diagonal, B the basis as
+    columns and G the Gram matrix: pairwise orthogonality and positive
+    norms.  Independence follows, since B^T G B is then invertible."""
     pats, vecs = orth_gt_basis(chain)
     if len(vecs) != chain.dim:
         return False
-    slices = chain.module.weight_slices().values()
-    blocks = [{off for off, size in slices if any(v[off:off + size])} for v in vecs]
-    for a, u in enumerate(vecs):
-        if chain.module.inner(u, u) <= 0:
-            return False
-        for b in range(a + 1, len(vecs)):
-            if not blocks[a].isdisjoint(blocks[b]) and chain.module.inner(u, vecs[b]):
-                return False
-    return True
+    b = SparseMat.from_columns(vecs, chain.dim)
+    d = b.transpose() @ (chain.module.gram_matrix() @ b)
+    return len(d.num) == chain.dim and all(r == c and v > 0 for (r, c), v in d.num.items())

@@ -12,11 +12,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
-from ..exact import (OpPoly, SpanSolver, SparseMat, apply_words, chain_sum, nullspace, rank,
+from ..exact import (OpPoly, SpanSolver, SparseMat, apply_words, chain_sum, rank,
                      spoly_from_roots, vec_unit)
 from .. import patterns as _patterns
 from .. import branching as _branching
-from .construction import (MAX_RANK, HWModule, Realization, build_module,
+from .construction import (MAX_RANK, HWModule, Realization, build_module, raising_kernel,
                            refuse_beyond_caps)
 
 _SERIES_FAMILY = {"B": "B3", "C": "C3", "D": "D3"}
@@ -103,9 +103,6 @@ class BCDIrrep:
     def weight_doubled(self, idx):
         return tuple(int(2 * x) for x in self.module.weights[idx])
 
-    def inner(self, u, v) -> Fraction:
-        return self.module.inner(u, v)
-
     @property
     def highest_vector(self):
         return vec_unit(self.dim, 0)
@@ -154,7 +151,7 @@ def _apply(table, vec):
 def _columns(rep: BCDIrrep, values):
     """Values per weight of the module spread over its columns."""
     col = [0] * rep.dim
-    for (off, size, _), x in zip(rep.module.blocks.values(), values):
+    for (off, size), x in zip(rep.module.weight_slices().values(), values):
         col[off:off + size] = [x] * size
     return col
 
@@ -392,34 +389,6 @@ def _v_plus_basis(rep: BCDIrrep):
     return out
 
 
-def raising_kernel(module: HWModule, raising, key=None):
-    """[(group, columns, kernel)]: per group of weight blocks, in
-    decreasing order, its basis indices (increasing) and a basis of the
-    joint kernel of the raising matrices on them, ``nullspace`` of the
-    stacked matrices restricted to those columns.  key maps a weight to
-    its group; without it each block is its own group, keyed by its
-    weight."""
-    # each matrix's numerators: scaling a matrix leaves the kernel and
-    # the basis nullspace reads off it as they are
-    stacked = {}
-    for t, m in enumerate(raising):
-        for (r, c), v in m.num.items():
-            stacked.setdefault(c, []).append((t * module.dim + r, v))
-    groups = {}
-    for w, (off, size) in module.weight_slices().items():
-        groups.setdefault(w if key is None else key(w), []).extend(range(off, off + size))
-    out = []
-    for g, cols in sorted(groups.items(), reverse=True):
-        cols.sort()
-        # the group's columns, on the stacked rows that meet them (in order)
-        ent = {(r, j): v for j, c in enumerate(cols) for r, v in stacked.get(c, ())}
-        rows = {r: i for i, r in enumerate(sorted({r for r, _ in ent}))}
-        block = SparseMat.from_num(len(rows), len(cols),
-                                   {(rows[r], j): v for (r, j), v in ent.items()})
-        out.append((g, cols, nullspace(block)))
-    return out
-
-
 def v_plus_mu(rep: BCDIrrep, mu):
     """Vectors of V^+ whose g_{n-1} weight equals mu (doubled)."""
     mu = tuple(mu)
@@ -570,18 +539,17 @@ def gt_basis_bcd(rep: BCDIrrep):
 
 def gt_basis_checks(rep: BCDIrrep) -> bool:
     """Full rank, matching dimension, and the predicted weight on each
-    basis vector."""
+    basis vector: every stored entry (r, c) of B, the basis as columns,
+    lies on the weight of pattern c."""
     pats, vecs = gt_basis_bcd(rep)
     if len(vecs) != rep.dim:
         return False
-    if rank(SparseMat.from_columns(vecs, rep.dim)) != rep.dim:
+    b = SparseMat.from_columns(vecs, rep.dim)
+    if rank(b) != rep.dim:
         return False
-    for p, v in zip(pats, vecs):
-        want = _patterns.weight(p)
-        for idx, x in enumerate(v):
-            if x and rep.weight_doubled(idx) != want:
-                return False
-    return True
+    weights = [rep.weight_doubled(r) for r in range(rep.dim)]
+    want = [_patterns.weight(p) for p in pats]
+    return all(weights[r] == want[c] for r, c in b.num)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +558,8 @@ def gt_basis_checks(rep: BCDIrrep) -> bool:
 
 def fnn_action_check(rep: BCDIrrep, mu) -> bool:
     """F_nn eigenvalue and (C case) the F_{n,-n} shift formula on the
-    multiplicity basis of V^+_mu."""
+    multiplicity basis of V^+_mu, B as columns: F_nn B = B diag(ev) and
+    F_{n,-n} B = B S, S the shift coefficients."""
     alg = rep.algebra
     n = alg.n
     tuples, vecs = multiplicity_basis(rep, mu)
@@ -598,24 +567,23 @@ def fnn_action_check(rep: BCDIrrep, mu) -> bool:
         return True
     lam = rep.lam
     mu = tuple(mu)
-    index = {t: i for i, t in enumerate(tuples)}
-    fnn = rep.F(n, n)
-    for tup, v in zip(tuples, vecs):
+    evs = []
+    for tup in tuples:
         sigma, nu = (tup[0], tup[1:]) if alg.series == "B" else (0, tup)
         if alg.series == "D":
             ext = (max(lam[0], mu[0]),) + nu
-            ev = Fraction(2 * sum(ext) - sum(lam) - sum(mu), 2)
+            evs.append(Fraction(2 * sum(ext) - sum(lam) - sum(mu), 2))
         else:
-            ev = Fraction(2 * sum(nu) - sum(lam) - sum(mu) + 2 * sigma, 2)
-        if fnn.apply(v) != tuple(ev * x for x in v):
-            return False
+            evs.append(Fraction(2 * sum(nu) - sum(lam) - sum(mu) + 2 * sigma, 2))
+    basis = SparseMat.from_columns(vecs, rep.dim)
+    if rep.F(n, n) @ basis != basis @ SparseMat.diag(evs):
+        return False
     if alg.series != "C":
         return True
-    fnm = rep.F(n, -n)
-    basis = SparseMat.from_columns(vecs, rep.dim)
-    for tup, v in zip(tuples, vecs):
+    index = {t: i for i, t in enumerate(tuples)}
+    shift = {}
+    for c, tup in enumerate(tuples):
         gammas = [_halves(tup[i - 1]) + alg.rho(i) + Fraction(1, 2) for i in range(1, n + 1)]
-        coeffs = [_ZERO] * len(vecs)
         for i in range(1, n + 1):
             up = list(tup)
             up[i - 1] += 2
@@ -625,10 +593,8 @@ def fnn_action_check(rep: BCDIrrep, mu) -> bool:
             for a in range(1, n + 1):
                 if a != i:
                     coeff /= gammas[i - 1] ** 2 - gammas[a - 1] ** 2
-            coeffs[index[tuple(up)]] = coeff
-        if fnm.apply(v) != basis.apply(coeffs):
-            return False
-    return True
+            shift[(index[tuple(up)], c)] = coeff
+    return rep.F(n, -n) @ basis == basis @ SparseMat(len(vecs), len(vecs), shift)
 
 
 def zab_operators(rep: BCDIrrep, mu):

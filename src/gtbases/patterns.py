@@ -486,17 +486,6 @@ class SemistandardTableau:
             if any(upper[c] >= lower[c] for c in range(len(lower))):
                 raise ValueError("columns must strictly increase")
 
-    @property
-    def shape(self):
-        return tuple(len(row) for row in self.rows)
-
-    def content(self, n):
-        out = [0] * n
-        for row in self.rows:
-            for x in row:
-                out[x - 1] += 1
-        return tuple(out)
-
 
 def pattern_to_tableau(p: GTPatternA) -> SemistandardTableau:
     """Fill the boxes of row-k/row-(k-1) skew strips with the entry k."""

@@ -6,10 +6,15 @@ fresh ``realize``.  ``commutation_all_pairs`` is the bracket loop it
 replaced, over every ordered pair of generators.
 
 ``gt_basis_bcd``, ``multiplicity_basis`` and ``orth_gt_basis`` walk the
-lowering words of all patterns as one trie (``exact.apply_words``), and
-``orth_basis_checks`` sums the form only over pairs of vectors that meet a
-common weight block, with no rank test.  The functions below apply every
-pattern's word from the highest vector, and check the rank and every pair.
+lowering words of all patterns as one trie (``exact.apply_words``).  The
+functions below apply every pattern's word from the highest vector.
+``orth_basis_checks``, ``gt_basis_checks`` and ``fnn_action_check`` check
+one matrix B, the basis as columns: B^T G B is diagonal and positive, the
+stored entries of B sit on the weights of their patterns, and F_nn B and
+F_{n,-n} B equal B times the diagonal and shift matrices.  The functions of
+the same names below are the loops they replaced: the rank and the form on
+every pair, the weight of every entry of every vector, and each operator
+applied to one vector at a time.
 ``construction.build_module`` runs on int numerators: the raising action,
 the Gram blocks and the weight keys are ints over per-block denominators,
 and ``_gram_basis`` returns each expansion as (den, ints).
@@ -176,6 +181,68 @@ def orth_basis_checks(chain):
                     return False
             elif val != 0:
                 return False
+    return True
+
+
+def gt_basis_checks(rep):
+    """Count, rank, and the predicted weight on every nonzero entry of
+    every vector, scanned vector by vector; the vectors come from the
+    library's signed_realization.gt_basis_bcd (looked up at call time)."""
+    pats, vecs = sr.gt_basis_bcd(rep)
+    if len(vecs) != rep.dim:
+        return False
+    if rank(SparseMat.from_columns(vecs, rep.dim)) != rep.dim:
+        return False
+    for p, v in zip(pats, vecs):
+        want = patterns.weight(p)
+        for idx, x in enumerate(v):
+            if x and rep.weight_doubled(idx) != want:
+                return False
+    return True
+
+
+def fnn_action_check(rep, mu):
+    """F_nn on each vector of the multiplicity basis of V^+_mu against its
+    eigenvalue, and (C case) F_{n,-n} on each against the shift formula;
+    the basis comes from the library's signed_realization.multiplicity_basis
+    (looked up at call time)."""
+    alg = rep.algebra
+    n = alg.n
+    tuples, vecs = sr.multiplicity_basis(rep, mu)
+    if not vecs:
+        return True
+    lam = rep.lam
+    mu = tuple(mu)
+    index = {t: i for i, t in enumerate(tuples)}
+    fnn = rep.F(n, n)
+    for tup, v in zip(tuples, vecs):
+        sigma, nu = (tup[0], tup[1:]) if alg.series == "B" else (0, tup)
+        if alg.series == "D":
+            ext = (max(lam[0], mu[0]),) + nu
+            ev = Fraction(2 * sum(ext) - sum(lam) - sum(mu), 2)
+        else:
+            ev = Fraction(2 * sum(nu) - sum(lam) - sum(mu) + 2 * sigma, 2)
+        if fnn.apply(v) != tuple(ev * x for x in v):
+            return False
+    if alg.series != "C":
+        return True
+    fnm = rep.F(n, -n)
+    basis = SparseMat.from_columns(vecs, rep.dim)
+    for tup, v in zip(tuples, vecs):
+        gammas = [_halves(tup[i - 1]) + alg.rho(i) + Fraction(1, 2) for i in range(1, n + 1)]
+        coeffs = [Fraction(0)] * len(vecs)
+        for i in range(1, n + 1):
+            up = list(tup)
+            up[i - 1] += 2
+            if tuple(up) not in index:
+                continue
+            coeff = Fraction(1)
+            for a in range(1, n + 1):
+                if a != i:
+                    coeff /= gammas[i - 1] ** 2 - gammas[a - 1] ** 2
+            coeffs[index[tuple(up)]] = coeff
+        if fnm.apply(v) != basis.apply(coeffs):
+            return False
     return True
 
 

@@ -1,12 +1,13 @@
-"""The o_N/sp_2n GT bases, the orthogonal-basis check and the z operators
-against their direct forms in bcd_reference: the words walked as one trie
-against every pattern's word applied from the highest vector, the check by
-weight block without a rank test against the rank test plus every pair, on
-the bases themselves and on perturbed copies of them, and the chain sums
-formed once per module by exact.chain_sum against the chain sums summed per
-vector and against those formed chain by chain, and the tables of Z_ab(u0)
-and of the "Z" letter against the display and interpolation forms applied
-per vector."""
+"""The o_N/sp_2n GT bases, their checks and the z operators against their
+direct forms in bcd_reference: the words walked as one trie against every
+pattern's word applied from the highest vector, the orthogonal-basis,
+gt-basis and fnn-action checks on the basis as one matrix against the rank
+test plus every pair, a dense weight scan and per-vector actions, on the
+bases themselves, on perturbed copies of them and on corrupted generators,
+and the chain sums formed once per module by exact.chain_sum against the
+chain sums summed per vector and against those formed chain by chain, and
+the tables of Z_ab(u0) and of the "Z" letter against the display and
+interpolation forms applied per vector."""
 
 import functools
 from fractions import Fraction
@@ -47,35 +48,131 @@ def test_orth_basis_matches_per_pattern_words(N, lam):
     assert orth_gt_basis(chain) == ref.orth_gt_basis(chain)
 
 
-def _zeroed(vecs, a):
+# Each perturbation replaces vector a of a basis; weights holds the weight
+# (or the coordinate a check reads) of each basis index of the module.
+
+def _zeroed(vecs, a, weights):
     return vecs[:a] + [tuple(0 * x for x in vecs[a])] + vecs[a + 1:]
 
 
-def _negated(vecs, a):
+def _negated(vecs, a, weights):
     return vecs[:a] + [tuple(-x for x in vecs[a])] + vecs[a + 1:]
 
 
-def _sum_of_two(vecs, a):
+def _sum_of_two(vecs, a, weights):
     b, c = (a + 1) % len(vecs), (a + 2) % len(vecs)
     return vecs[:a] + [tuple(x + y for x, y in zip(vecs[b], vecs[c]))] + vecs[a + 1:]
 
 
-@pytest.mark.parametrize("perturb", [None, _zeroed, _negated, _sum_of_two])
+def _moved(vecs, a, weights):
+    """Vector a with an entry 1 added at the first basis index whose weight
+    differs from its own: moved partly onto another weight block.  A basis
+    keeps its rank, since the vectors are weight vectors."""
+    w = weights[next(t for t, x in enumerate(vecs[a]) if x)]
+    t = weights.index(next(u for u in weights if u != w))
+    return vecs[:a] + [tuple(x + (s == t) for s, x in enumerate(vecs[a]))] + vecs[a + 1:]
+
+
+PERTURBATIONS = [None, _zeroed, _negated, _sum_of_two, _moved]
+
+
+def _perturbed(vecs, weights, perturb):
+    """The basis itself, or its copies with perturb applied at each
+    position."""
+    if perturb is None:
+        return [vecs]
+    return [perturb(list(vecs), a, weights) for a in range(len(vecs))]
+
+
+@pytest.mark.parametrize("perturb", PERTURBATIONS)
 @pytest.mark.parametrize("N,lam", [(3, (2,)), (4, (4, -2)), (5, (2, 2)), (6, (2, 2, 2)),
                                    (7, (1, 1, 1))])
 def test_orth_verdicts_match_rank_and_all_pairs(monkeypatch, N, lam, perturb):
     """Equal verdicts on the basis and on copies with one vector zeroed,
-    negated, or replaced by the sum of two others (of the same or of
-    different weights), at every position."""
+    negated, replaced by the sum of two others (of the same or of
+    different weights), or moved onto another weight block, at every
+    position."""
     chain = OrthogonalChain(N, lam)
     pats, vecs = orth_gt_basis(chain)
-    positions = [None] if perturb is None else range(len(vecs))
-    for a in positions:
-        got = vecs if a is None else perturb(list(vecs), a)
+    for got in _perturbed(vecs, chain.module.weights, perturb):
         monkeypatch.setattr(orthogonal_chain, "orth_gt_basis", lambda ch: (pats, got))
         want = ref.orth_basis_checks(chain)
         assert orth_basis_checks(chain) is want
         assert want is (perturb in (None, _negated))
+
+
+# integer, half-integer and spinor B, then C and D (a spinor D last)
+SIGNED_MODULES = [("B", (-2, -4)), ("B", (-1, -3)), ("B", (-1, -1, -1)), ("C", (-2, -4)),
+                  ("C", (0, -2, -2)), ("D", (0, -2, -2)), ("D", (1, -1, -3))]
+
+
+@pytest.mark.parametrize("perturb", PERTURBATIONS)
+@pytest.mark.parametrize("series,lam", SIGNED_MODULES)
+def test_gt_basis_verdicts_match_rank_and_dense_weights(monkeypatch, series, lam, perturb):
+    """gt_basis_checks, which reads B's stored entries, against the rank
+    and a dense weight scan of every vector, on the basis and on copies
+    with one vector perturbed at every position."""
+    rep = build_bcd_irrep(series, lam)
+    pats, vecs = gt_basis_bcd(rep)
+    weights = [rep.weight_doubled(t) for t in range(rep.dim)]
+    for got in _perturbed(vecs, weights, perturb):
+        monkeypatch.setattr(signed_realization, "gt_basis_bcd", lambda r: (pats, got))
+        want = ref.gt_basis_checks(rep)
+        assert signed_realization.gt_basis_checks(rep) is want
+        assert want is (perturb in (None, _negated))
+
+
+def _mult_bases(monkeypatch, rep):
+    """The children mu of rep with their multiplicity bases, built before
+    multiplicity_basis is patched to return them."""
+    out = [(mu, multiplicity_basis(rep, mu))
+           for mu, _ in branching.branch_children_BCD(rep.algebra.series, rep.lam)]
+    bases = dict(out)
+    monkeypatch.setattr(signed_realization, "multiplicity_basis",
+                        lambda r, mu: bases[tuple(mu)])
+    return out
+
+
+@pytest.mark.parametrize("perturb", PERTURBATIONS)
+@pytest.mark.parametrize("series,lam", SIGNED_MODULES)
+def test_fnn_verdicts_match_per_vector_actions(monkeypatch, series, lam, perturb):
+    """fnn_action_check, two matrix products, against F_nn and F_{n,-n}
+    applied vector by vector, on every child's multiplicity basis and on
+    copies with one vector perturbed at every position.  F_nn alone (B and
+    D) is blind to zeroing and negating; moving a vector onto another
+    eigenvalue of F_nn always fails."""
+    rep = build_bcd_irrep(series, lam)
+    n = rep.algebra.n
+    fnn = [rep.weight_doubled(t)[n - 1] for t in range(rep.dim)]
+    for mu, (tuples, vecs) in _mult_bases(monkeypatch, rep):
+        for got in _perturbed(vecs, fnn, perturb):
+            monkeypatch.setattr(signed_realization, "multiplicity_basis",
+                                lambda r, m: (tuples, got))
+            want = ref.fnn_action_check(rep, mu)
+            assert signed_realization.fnn_action_check(rep, mu) is want
+            if perturb is None or series != "C" and perturb in (_zeroed, _negated):
+                assert want
+            if perturb is _moved:
+                assert not want
+
+
+@pytest.mark.parametrize("series,lam", SIGNED_MODULES)
+def test_fnn_verdicts_match_on_corrupted_generators(monkeypatch, series, lam):
+    """Equal verdicts when one entry of F_nn (or, for C, of F_{n,-n}) is
+    corrupted, at every entry on or next to the support of the basis."""
+    rep = build_bcd_irrep(series, lam)
+    n = rep.algebra.n
+    bases = _mult_bases(monkeypatch, rep)
+    real = rep.F
+    support = sorted({t for _, (_, vecs) in bases for v in vecs for t, x in enumerate(v) if x})
+    for key in [(n, n)] + [(n, -n)] * (series == "C"):
+        good = real(*key)
+        for r, c in {(r, c) for c in support for r in (c, (c + 1) % rep.dim)}:
+            bad = good + SparseMat(rep.dim, rep.dim, {(r, c): 1})
+            monkeypatch.setattr(rep, "F", lambda i, j: bad if (i, j) == key else real(i, j))
+            got = [signed_realization.fnn_action_check(rep, mu) for mu, _ in bases]
+            assert got == [ref.fnn_action_check(rep, mu) for mu, _ in bases]
+            assert not all(got)
 
 
 def test_orth_short_basis_fails(monkeypatch):

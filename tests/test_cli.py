@@ -438,6 +438,15 @@ VERIFY_GL_REPEATED_SHA256 = {
     "3,1,0,0": "3fdfd89a8358659495671ea12fce4b52fac4a357be3781d2e063150a7e11bea2",
     "2,2,0,0": "3fdfd89a8358659495671ea12fce4b52fac4a357be3781d2e063150a7e11bea2",
 }
+# the o_N/sp_2n reports of cases that run the orthogonal-basis, gt-basis and
+# fnn-action checks, recorded while those checks looped over dense vectors
+VERIFY_BCD_SHA256 = {
+    ("so7", "2,1,0", "--convention", "s4"):
+        "e02659772465732818844b46a45d4ddd21ce89d7ac13ab15f8bf59f9f185596e",
+    ("sp", "-1,-2,-2"): "cad3fadfab590cc1168f0dd089fce80b0dd6760ade58fa3886039abf909cbe4b",
+    ("so7", "-1/2,-3/2,-3/2"): "4eb546a25838e8df7a330e463fcadb2e5e7c2d5ab7e5ef522e6001707e2565e2",
+    ("so6", "-1,-1,-2"): "4eb546a25838e8df7a330e463fcadb2e5e7c2d5ab7e5ef522e6001707e2565e2",
+}
 
 # sha256 of the stdout of `gt patterns`, one JSON object a line, recorded
 # while each line was encoded by its own json.dumps call; the last five
@@ -471,6 +480,12 @@ class TestContractPins:
         code, out, _ = run_capture(capsys, ["verify", "sp", "0,0,-1"])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SP_001_SHA256
+
+    @pytest.mark.parametrize("args", sorted(VERIFY_BCD_SHA256))
+    def test_verify_report_bcd(self, capsys, args):
+        code, out, _ = run_capture(capsys, ["verify", *args])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_BCD_SHA256[args]
 
     @pytest.mark.parametrize("args", sorted(PATTERNS_SHA256))
     def test_patterns_stdout(self, capsys, args):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import exact_reference as ref
 from gtbases.exact import (OpPoly, SpanSolver, SparseMat, apply_words, chain_sum,
-                           factorial, kron, nullspace, op_poly_eval_left, rank, rref,
+                           factorial, kron, nullspace, rank, rref,
                            solve_in_span)
 from rref_reference import rref_nullspace, rref_rank, rref_solve_in_span
 
@@ -244,12 +244,12 @@ class TestOpPoly:
     def test_eval_left_identity_coefficient(self):
         h = SparseMat.diag([2, 3])
         p = OpPoly.variable(2)
-        assert op_poly_eval_left(p, h) == h
+        assert p.eval_left(h) == h
 
     def test_constant(self):
         a = SparseMat.from_rows([[0, 1], [1, 0]])
         p = OpPoly.constant(a)
-        assert op_poly_eval_left(p, SparseMat.diag([5, 7])) == a
+        assert p.eval_left(SparseMat.diag([5, 7])) == a
 
     def test_left_of_powers(self):
         # p = A u + B evaluated at diag(d) is A diag(d) + B
@@ -257,13 +257,13 @@ class TestOpPoly:
         b = SparseMat.from_rows([[1, 1], [0, 1]])
         h = SparseMat.diag([2, 3])
         p = OpPoly(2, 2, [b, a])
-        assert op_poly_eval_left(p, h) == a @ h + b
+        assert p.eval_left(h) == a @ h + b
 
     def test_matches_scalar_eval_on_scalar_coeffs(self):
         ident = SparseMat.identity(2)
         p = OpPoly(2, 2, [ident.scale(3), ident.scale(-1), ident.scale(2)])
         h = SparseMat.diag([F(1, 2), F(5)])
-        got = op_poly_eval_left(p, h)
+        got = p.eval_left(h)
         for t, u0 in enumerate([F(1, 2), F(5)]):
             assert got.get(t, t) == 3 - u0 + 2 * u0 ** 2
 
@@ -276,7 +276,7 @@ class TestOpPoly:
                                      for _ in range(2)]) for _ in range(3)])
         p, q = rand_poly(), rand_poly()
         h = SparseMat.from_rows([[1, 1], [0, 2]])
-        assert op_poly_eval_left(p + q, h) == op_poly_eval_left(p, h) + op_poly_eval_left(q, h)
+        assert (p + q).eval_left(h) == p.eval_left(h) + q.eval_left(h)
 
     def test_product_and_shift(self):
         a = SparseMat.from_rows([[0, 1], [0, 0]])

@@ -7,7 +7,7 @@ import pytest
 
 from gtbases import branching, patterns
 from gtbases.exact import (SpanSolver, SparseMat, commutator, rank, solve_in_span,
-                           op_poly_eval_left, vec_is_zero, vec_unit)
+                           vec_is_zero, vec_unit)
 from gtbases.liealg_bcd import signed_realization
 from gtbases.liealg_bcd import (DeskScaleError, OrthogonalChain, apply_z,
                                 apply_z_interp, build_bcd_irrep,
@@ -222,7 +222,7 @@ class TestInterpolation:
         for i in (1, 2):
             gdiag = SparseMat.diag([Fraction(w[i - 1], 2) + rep.algebra.rho(i)
                                     + Fraction(1, 2) for w, _ in basis])
-            m = op_poly_eval_left(p, gdiag)
+            m = p.eval_left(gdiag)
             for c, (_, v) in enumerate(basis):
                 lin = vec_zero(rep.dim)
                 for r, coeff in enumerate(m.col_vector(c)):
