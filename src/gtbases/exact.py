@@ -28,6 +28,14 @@ def factorial(n) -> Fraction:
     return Fraction(math.factorial(int(f)))
 
 
+def _over_lcm(ent):
+    """(num, den): the nonzero int or Fraction values of the dict ent as int
+    numerators over the lcm of their denominators, which leaves them
+    coprime to it."""
+    den = math.lcm(*(v.denominator for v in ent.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in ent.items()}, den
+
+
 class FractionView(Mapping):
     """Read-only ``{(row, col): Fraction}`` view of a ``SparseMat``.
 
@@ -85,10 +93,7 @@ class SparseMat:
                 v = Fraction(v)
                 if v:
                     ent[(r, c)] = v
-        # the least common denominator leaves the numerators coprime to it
-        den = math.lcm(*(v.denominator for v in ent.values()))
-        self.num = {k: v.numerator * (den // v.denominator) for k, v in ent.items()}
-        self.den = den
+        self.num, self.den = _over_lcm(ent)
 
     @staticmethod
     def from_num(nrows, ncols, num, den=1):
@@ -132,10 +137,8 @@ class SparseMat:
     @staticmethod
     def diag(values):
         vals = [Fraction(v) for v in values]
-        # the least common denominator leaves the numerators coprime to it
-        den = math.lcm(*(v.denominator for v in vals))
-        return SparseMat._lowest(len(vals), len(vals), {
-            (i, i): v.numerator * (den // v.denominator) for i, v in enumerate(vals) if v}, den)
+        return SparseMat._lowest(len(vals), len(vals),
+                                 *_over_lcm({(i, i): v for i, v in enumerate(vals) if v}))
 
     @staticmethod
     def from_rows(rows):
@@ -146,10 +149,9 @@ class SparseMat:
             if len(row) != ncols:
                 raise ValueError("ragged rows")
             for c, v in enumerate(row):
-                v = Fraction(v)
-                if v != 0:
+                if v:
                     ent[(r, c)] = v
-        return SparseMat(nrows, ncols, ent)
+        return SparseMat._lowest(nrows, ncols, *_over_lcm(ent))
 
     @staticmethod
     def from_columns(cols, nrows=None):
@@ -157,10 +159,12 @@ class SparseMat:
             nrows = len(cols[0]) if cols else 0
         ent = {}
         for c, col in enumerate(cols):
+            if len(col) > nrows and any(col[nrows:]):
+                raise IndexError("column %d has a nonzero past row %d" % (c, nrows))
             for r, v in enumerate(col):
-                if v != 0:
-                    ent[(r, c)] = Fraction(v)
-        return SparseMat(nrows, len(cols), ent)
+                if v:
+                    ent[(r, c)] = v
+        return SparseMat._lowest(nrows, len(cols), *_over_lcm(ent))
 
     @staticmethod
     def combination(nrows, ncols, terms):
@@ -171,6 +175,8 @@ class SparseMat:
             if (m.nrows, m.ncols) != (nrows, ncols):
                 raise ValueError("shape mismatch: %r in a %dx%d combination"
                                  % (m, nrows, ncols))
+        if len(terms) == 1:
+            return terms[0][1].scale(terms[0][0])
         den = math.lcm(*(c.denominator * m.den for c, m in terms))
         ent = {}
         get = ent.get
@@ -320,7 +326,27 @@ class SparseMat:
 
 
 def commutator(a: SparseMat, b: SparseMat) -> SparseMat:
-    return a @ b - b @ a
+    """[a, b] = a @ b - b @ a of square matrices of one size, in one pass
+    over the entries of a: both products go into one int accumulator over
+    a.den * b.den, reduced once."""
+    n = a.nrows
+    if (a.ncols, b.nrows, b.ncols) != (n, n, n):
+        raise ValueError("commutator of non-square or mismatched matrices: %r, %r" % (a, b))
+    rows_b, cols_b = {}, {}
+    for (r, c), v in b.num.items():
+        rows_b.setdefault(r, []).append((c, v))
+        cols_b.setdefault(c, []).append((r, v))
+    acc = {}
+    get = acc.get
+    for (r, k), v in a.num.items():
+        # a[r, k] b[k, c] into (r, c), and b[s, r] a[r, k] out of (s, k)
+        for c, w in rows_b.get(k, ()):
+            key = (r, c)
+            acc[key] = get(key, 0) + v * w
+        for s, w in cols_b.get(r, ()):
+            key = (s, k)
+            acc[key] = get(key, 0) - v * w
+    return SparseMat.from_num(n, n, {k: v for k, v in acc.items() if v}, a.den * b.den)
 
 
 def chevalley_serre_check(cartan, e, f, roots, coroots) -> bool:

@@ -105,11 +105,13 @@ def _doubled_lvals(row):
 def build_irrep(n, lam) -> GlnIrrep:
     """Construct L(lam) for gl_n; lam is a doubled dominant weight.
 
-    The matrix elements are int products of doubled l-values L, one
-    Fraction per entry: E_{k,k+1} moves lambda_ki up with the coefficient
+    The matrix elements are ratios of int products of doubled l-values L:
+    E_{k,k+1} moves lambda_ki up with the coefficient
     -prod_j (L_ki - L_{k+1,j}) / (4 prod_{j != i} (L_ki - L_kj)) and
     E_{k+1,k} moves it down with prod_j (L_ki - L_{k-1,j}) /
-    prod_{j != i} (L_ki - L_kj); the neighbours come from ``shift_table``."""
+    prod_{j != i} (L_ki - L_kj); the neighbours come from ``shift_table``.
+    Each matrix is made from int numerators over the lcm of its entries'
+    denominators, with no Fraction per entry."""
     lam = _patterns.check_dominant("A", tuple(lam))
     if len(lam) != n:
         raise ValueError("weight length != n")
@@ -127,8 +129,8 @@ def build_irrep(n, lam) -> GlnIrrep:
     # ls[t][k - 1]: the doubled l-values of row k of pattern t
     ls = [[_doubled_lvals(row) for row in reversed(p.rows)] for p in basis]
     for k in range(1, n):
-        up = {}
-        down = {}
+        up = []     # ((row, col), numerator, denominator) per entry
+        down = []
         for t, lt in enumerate(ls):
             lk, lk1 = lt[k - 1], lt[k]
             lkm = lt[k - 2] if k > 1 else ()
@@ -139,15 +141,22 @@ def build_irrep(n, lam) -> GlnIrrep:
                 if s is not None:
                     num = prod(x - y for y in lk1)
                     if num:
-                        up[(s, t)] = Fraction(-num, 4 * den)
+                        up.append(((s, t), -num, 4 * den))
                 s = table[(k, i, -1)][t]
                 if s is not None:
                     num = prod(x - y for y in lkm)
                     if num:
-                        down[(s, t)] = Fraction(num, den)
-        gens[(k, k + 1)] = SparseMat(dim, dim, up)
-        gens[(k + 1, k)] = SparseMat(dim, dim, down)
+                        down.append(((s, t), num, den))
+        gens[(k, k + 1)] = _from_ratios(dim, up)
+        gens[(k + 1, k)] = _from_ratios(dim, down)
     return rep
+
+
+def _from_ratios(dim, entries):
+    """The dim x dim matrix with the entry p / q at each (key, p, q) of
+    entries, from int numerators over the lcm of the qs."""
+    den = lcm(*(q for _, _, q in entries))
+    return SparseMat.from_num(dim, dim, {key: p * (den // q) for key, p, q in entries}, den)
 
 
 def norms_of_patterns(basis):

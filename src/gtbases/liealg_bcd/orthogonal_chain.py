@@ -131,8 +131,7 @@ class OrthogonalChain:
         group joins the blocks that differ only there.
         """
         if L not in self._proj:
-            r = L // 2
-            key = (lambda w: w[:r] + w[r + 1:]) if L % 2 and L < self.N else None
+            key = (lambda w, r=L // 2: w[:r] + w[r + 1:]) if L % 2 and L < self.N else None
             raising = [self.f_level(L, a, b) for a in range(1, L + 1) for b in range(a + 1, L + 1)]
             # G's numerators row by row: a positive scale of G leaves the
             # projector as it is, and G pairs only columns of one group

@@ -40,7 +40,9 @@ vector.
 ``HWModule._algebra_span`` brackets only with the simple generators and
 forms one bracket per root; ``algebra_span_all_pairs`` is the closure it
 replaced, which brackets every frontier pair with every accepted pair and
-keeps a bracket when it is independent of the earlier ones.
+keeps a bracket when it is independent of the earlier ones.  Every bracket
+here is the two-product ``exact_reference.commutator``, not the one-pass
+``exact.commutator`` of the library.
 
 The differential tests compare the two forms.
 """
@@ -50,12 +52,12 @@ from fractions import Fraction
 from math import lcm, prod
 
 from gtbases import branching, patterns
-from gtbases.exact import SpanSolver, SparseMat, commutator, rank
+from gtbases.exact import SpanSolver, SparseMat, rank
 from gtbases.liealg_bcd import orthogonal_chain, signed_realization as sr
 from gtbases.liealg_bcd.construction import DeskScaleError, HWModule, Realization, _flat
 from gtbases.liealg_bcd.signed_realization import _SERIES_FAMILY, BCDIrrep, _halves
 
-from exact_reference import vec_add, vec_scale, vec_zero
+from exact_reference import commutator, vec_add, vec_scale, vec_zero
 
 
 def commutation_all_pairs(rep):

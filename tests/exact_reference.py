@@ -13,12 +13,21 @@ the library once summed combinations of vectors with; it now applies
 ``entry_strings`` is the list form of a library matrix that the export
 writer once built for every matrix; ``cli.write_export`` now writes a
 ``SparseMat`` straight from its numerators, and its test compares the two.
+
+``commutator`` is the two-product form a @ b - b @ a; on library matrices
+it is the reference for ``gtbases.exact.commutator``, which sums both
+products in one pass.  ``from_rows`` and ``from_columns`` are the forms of
+the library constructors that tested each entry with ``v != 0`` and built
+the matrix through the ``Fraction`` constructor; the library now keeps the
+int or ``Fraction`` entries as numerators over one lcm.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from gtbases import exact as _exact
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -201,6 +210,33 @@ class SparseMat:
 
 def commutator(a: SparseMat, b: SparseMat) -> SparseMat:
     return a @ b - b @ a
+
+
+def from_rows(rows):
+    """``gtbases.exact.SparseMat.from_rows`` through the Fraction path."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    ent = {}
+    for r, row in enumerate(rows):
+        if len(row) != ncols:
+            raise ValueError("ragged rows")
+        for c, v in enumerate(row):
+            v = Fraction(v)
+            if v != 0:
+                ent[(r, c)] = v
+    return _exact.SparseMat(nrows, ncols, ent)
+
+
+def from_columns(cols, nrows=None):
+    """``gtbases.exact.SparseMat.from_columns`` through the Fraction path."""
+    if nrows is None:
+        nrows = len(cols[0]) if cols else 0
+    ent = {}
+    for c, col in enumerate(cols):
+        for r, v in enumerate(col):
+            if v != 0:
+                ent[(r, c)] = Fraction(v)
+    return _exact.SparseMat(nrows, len(cols), ent)
 
 
 def entry_strings(m):

@@ -353,3 +353,20 @@ class TestAlgebraSpan:
         for i in real.labels:
             for j in real.labels:
                 assert mod.F(i, j) == bcd_reference.realize_over(span, mod, real.fdef(i, j))
+
+    # sp -1,-1,-3; so7 2,1,0 --convention s4; so6 -1,-1,-2; so7 -1/2,-1/2,-3/2
+    @pytest.mark.parametrize("family,lam", [("C", (-2, -2, -6)), (7, (4, 2, 0)),
+                                            ("D", (-2, -2, -4)), ("B", (-1, -1, -3))])
+    def test_generators_match_the_reference_span(self, family, lam):
+        """Every F(i, j), formed with the one-pass brackets and one-term
+        combinations, equals its realization over the all-pairs closure
+        bracketed as a @ b - b @ a."""
+        if family in ("B", "C", "D"):
+            mod = build_bcd_irrep(family, lam).module
+        else:
+            mod = OrthogonalChain(family, lam).module
+        real = mod.realization
+        span = bcd_reference.algebra_span_all_pairs(mod)
+        for i in real.labels:
+            for j in real.labels:
+                assert mod.F(i, j) == bcd_reference.realize_over(span, mod, real.fdef(i, j))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import exact_reference as ref
 from gtbases.exact import (OpPoly, SpanSolver, SparseMat, apply_words, chain_sum,
-                           factorial, kron, nullspace, rank, rref,
+                           commutator, factorial, kron, nullspace, rank, rref,
                            solve_in_span)
 from rref_reference import rref_nullspace, rref_rank, rref_solve_in_span
 
@@ -463,6 +463,79 @@ class TestIntegerCoreMatchesReference:
         assert SparseMat.combination(2, 2, []) == SparseMat.zero(2, 2)
         with pytest.raises(ValueError):
             SparseMat.combination(2, 3, [(1, a)])
+
+    @pytest.mark.parametrize("c", [1, -1, Fraction(2, 3)])
+    def test_one_term_combination_is_a_scale(self, c):
+        a = SparseMat(2, 2, {(0, 0): Fraction(1, 2), (0, 1): 3, (1, 1): Fraction(-4, 9)})
+        b = SparseMat(2, 2, {(0, 1): Fraction(1, 5), (1, 0): 2})
+        one = SparseMat.combination(2, 2, [(c, a)])
+        assert one == a.scale(c) and in_lowest_terms(one)
+        assert one == SparseMat.combination(2, 2, [(c, a), (1, b), (-1, b)])
+        # a zero coefficient drops out before the count of terms
+        assert SparseMat.combination(2, 2, [(0, b), (c, a), (Fraction(0), b)]) == one
+
+    @settings(max_examples=150, deadline=None)
+    @given(SHAPE, st.data())
+    def test_commutator(self, n, data):
+        """The one-pass commutator against a @ b - b @ a, on operands with
+        distinct denominators, zero operands and a is b."""
+        a, _ = data.draw(mat_pair(n, n))
+        b, _ = data.draw(mat_pair(n, n))
+        b = b.scale(data.draw(RAT.filter(bool)))
+        zero = SparseMat.zero(n, n)
+        for x, y in ((a, b), (b, a), (a, a), (a, zero), (zero, b), (zero, zero)):
+            got = commutator(x, y)
+            assert got == ref.commutator(x, y) and in_lowest_terms(got)
+        assert commutator(a, a).is_zero() and commutator(a, b) == -commutator(b, a)
+
+    @pytest.mark.parametrize("shapes", [((2, 3), (3, 2)), ((2, 2), (3, 3)), ((2, 2), (2, 3)),
+                                        ((3, 2), (2, 2))])
+    def test_commutator_needs_square_operands_of_one_size(self, shapes):
+        (p, q), (r, s) = shapes
+        a = SparseMat(p, q, {(0, 0): 1, (1, 1): 2})
+        b = SparseMat(r, s, {(0, 1): 3, (1, 0): 1})
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError):
+                commutator(x, y)
+            with pytest.raises(ValueError):
+                ref.commutator(x, y)
+
+    def test_commutator_forms_no_product_or_difference(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("commutator made a SparseMat product or sum")
+        for name in ("__matmul__", "__sub__", "__add__", "__neg__"):
+            monkeypatch.setattr(SparseMat, name, refuse)
+        a = SparseMat(2, 2, {(0, 1): Fraction(1, 2), (1, 1): 3})
+        b = SparseMat(2, 2, {(1, 0): Fraction(2, 3)})
+        assert commutator(a, b) == SparseMat(2, 2, {(0, 0): Fraction(1, 3), (1, 0): 2,
+                                                    (1, 1): Fraction(-1, 3)})
+
+    @settings(max_examples=150, deadline=None)
+    @given(SHAPE, SHAPE, st.data())
+    def test_from_rows_and_columns(self, n, k, data):
+        """from_rows and from_columns against their Fraction-path forms and
+        the dict-of-Fraction reference: int, Fraction and zero entries,
+        empty lists and an explicit nrows."""
+        entry = st.one_of(RAT, st.integers(-3, 3), st.sampled_from([0, Fraction(0)]))
+        rows = [[data.draw(entry) for _ in range(k)] for _ in range(n)]
+        got = SparseMat.from_rows(rows)
+        assert got == ref.from_rows(rows) and same(got, ref.SparseMat.from_rows(rows))
+        cols = [[data.draw(entry) for _ in range(n)] for _ in range(k)]
+        for nrows in (None, n, n + data.draw(st.integers(1, 2))):
+            got = SparseMat.from_columns(cols, nrows)
+            assert got == ref.from_columns(cols, nrows)
+            assert same(got, ref.SparseMat.from_columns(cols, nrows))
+
+    def test_from_columns_rows_out_of_range(self):
+        cols = [[1, Fraction(1, 2), 0, Fraction(0)]]
+        assert SparseMat.from_columns(cols, 2) == ref.from_columns(cols, 2)
+        assert SparseMat.from_columns([], 3) == SparseMat.zero(3, 0) == ref.from_columns([], 3)
+        for build in (SparseMat.from_columns, ref.from_columns):
+            with pytest.raises(IndexError):
+                build([[0, 0, Fraction(1, 3)]], 2)
+        for build in (SparseMat.from_rows, ref.from_rows):
+            with pytest.raises(ValueError):
+                build([[1, 2], [3]])
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.one_of(RAT, st.integers(-3, 3)), max_size=5))

@@ -4,12 +4,14 @@ against plain readings and against sha256 pins of the module outputs."""
 
 import hashlib
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import gln_reference as ref
 from gtbases import branching, cli, gln
+from gtbases.exact import SparseMat
 from gtbases.patterns import validate
 
 
@@ -107,6 +109,26 @@ class TestShiftTable:
         want = ref.near_diagonal_generators(rep.n, rep.basis)
         for key, m in want.items():
             assert rep.gen(*key) == m, key
+
+    def test_generators_make_no_fraction_per_entry(self, monkeypatch):
+        """E_{k,k+-1} come from int numerators over one lcm: the only
+        Fractions build_irrep makes are the squared norms, one per pattern,
+        and no matrix goes through the Fraction constructor path."""
+        made = []
+
+        def spy(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a generator went through SparseMat.__init__")
+        monkeypatch.setattr(gln, "Fraction", spy)
+        monkeypatch.setattr(SparseMat, "__init__", refuse)
+        rep = gln.build_irrep(4, (6, 4, 2, 0))
+        monkeypatch.undo()
+        assert len(made) == rep.dim == 64
+        want = ref.near_diagonal_generators(rep.n, rep.basis)
+        assert all(rep.gen(*key) == m for key, m in want.items())
 
     def test_built_on_a_copy(self):
         # a module assembled from its parts builds the same table lazily
