@@ -567,19 +567,18 @@ class SpanSolver:
     zero depends on the earlier ones and gets no row, so the rows use
     exactly the pivot columns of ``rref`` on the basis matrix, and
     ``solve(t)`` returns the coefficients ``rref`` gives; ``Fraction``s are
-    made only for those coefficients and for ``last_pivot``.  Factoring
+    made only for those coefficients.  Factoring
     costs O(k * nnz) per column and a solve one reduction of t against at
     most k sparse rows.
     """
 
-    __slots__ = ("n", "ncols", "_rows", "_pending", "_pivot")
+    __slots__ = ("n", "ncols", "_rows", "_pending")
 
     def __init__(self, basis_cols, n):
         self.n = n
         self.ncols = 0
         self._rows = []
         self._pending = []      # (row, steps, k, s, j) of the rows without a record
-        self._pivot = None
         for col in basis_cols:
             self.add(col)
 
@@ -627,7 +626,6 @@ class SpanSolver:
         s = math.gcd(*res.values())
         if res[p] < 0:
             s = -s
-        self._pivot = (p, res[p], k)
         if s != 1:
             res = {i: v // s for i, v in res.items()}
         row = [p, res, None, None]
@@ -670,17 +668,6 @@ class SpanSolver:
             return None
         return self._coefficients(k, steps, self.ncols - 1)
 
-    @property
-    def last_pivot(self):
-        """(row, value) of the pivot of the row ``add`` appended last: its
-        first nonzero position and the residual entry there, as a
-        ``Fraction``, before scaling to 1.  None while no column has been
-        independent."""
-        if self._pivot is None:
-            return None
-        p, v, k = self._pivot
-        return p, Fraction(v, k)
-
     def solve(self, target):
         """Coefficient tuple of target over the columns; None if target is
         not in their span.  Dependent columns get coefficient 0."""
@@ -689,18 +676,12 @@ class SpanSolver:
             return None
         return self._coefficients(k, steps, self.ncols)
 
-    def _expansion(self, k, steps):
-        """(acc, den): the vector whose reduction (k, steps) left no
-        residual is the combination of the columns with coefficients
-        acc / den."""
-        self._records()
-        acc, den = _combine(steps)
-        return acc, den * k
-
     def _coefficients(self, k, steps, ncols):
         """Coefficients over ncols columns of a vector whose reduction
         (k, steps) left no residual."""
-        acc, den = self._expansion(k, steps)
+        self._records()
+        acc, den = _combine(steps)
+        den *= k
         coeffs = [_ZERO] * ncols
         for c, v in acc.items():
             if v:

@@ -12,13 +12,13 @@ submodule of the Verma module, so the quotient is the irreducible module).
 The loop runs on int numerators: a weight lam - sum_s k_s alpha_s is keyed
 by its root coordinates k and sorted by its ints over one denominator, each
 stored e/f column and each raising of a candidate is (den, ints), and each
-Gram block is int rows over one denominator; ``Fraction``s are made only for
-``weights``, ``blocks`` and the e/f matrices.  The Gram block is symmetric,
-so only its entries on and above the diagonal are summed.  One
-``SpanSolver`` pass over its columns picks the basis, expands every
-lowering in it (from the reduction that finds the column dependent) and
-checks that the form is positive semidefinite: each independent column
-must pivot on its own diagonal entry, with a positive value.  Blocks are
+Gram block is int rows over one denominator, as the module keeps it;
+``Fraction``s are made only for ``weights``, the e/f matrices and, on first
+read, ``blocks``.  The Gram block is symmetric, so only its entries on and
+above the diagonal are summed.  One fraction-free Gauss-Jordan pass over
+its rows picks the basis, expands every lowering in it and checks that the
+form is positive semidefinite: each independent row's residual must be
+first nonzero, and positive, on its own diagonal entry.  Blocks are
 accepted in basis order (depth, then weight), so each one's offset and its
 e/f entries are written when it is accepted.  Finally every generator of
 the realization is transported to the module by closing the simple
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from operator import add, mul
 
 from ..exact import SpanSolver, SparseMat, commutator, nullspace
@@ -103,7 +104,7 @@ class HWModule:
         self.realization = realization
         self.lam = tuple(lam)
         self.weights = weights          # weight tuple per basis index
-        self.blocks = blocks            # weight -> (offset, size, gram rows)
+        self._gram = blocks             # weight -> (offset, size, den, int gram rows)
         self.dim = len(weights)
         self._e = e_mats                # simple index -> global SparseMat
         self._f = f_mats
@@ -112,28 +113,27 @@ class HWModule:
 
     # -- contravariant form ------------------------------------------------
 
+    @cached_property
+    def blocks(self):
+        """weight -> (offset, size, Fraction gram rows), made on first read."""
+        return {w: (off, size, [[Fraction(v, den) for v in row] for row in gram])
+                for w, (off, size, den, gram) in self._gram.items()}
+
     def inner(self, u, v) -> Fraction:
         """Contravariant form; basis vectors of distinct weights are
         orthogonal, within a weight space the stored Gram block applies."""
         total = Fraction(0)
-        for w, (off, size, gram) in self.blocks.items():
-            for a in range(size):
-                ua = u[off + a]
-                if not ua:
-                    continue
-                row = gram[a]
-                for b in range(size):
-                    vb = v[off + b]
-                    if vb:
-                        total += ua * row[b] * vb
+        for off, size, den, gram in self._gram.values():
+            vs = v[off:off + size]
+            total += Fraction(sum(x * y * z for x, row in zip(u[off:off + size], gram) if x
+                                  for y, z in zip(row, vs) if z), den)
         return total
 
     def gram_matrix(self) -> SparseMat:
-        ent = {(off + a, off + b): v for off, size, gram in self.blocks.values()
-               for a, row in enumerate(gram) for b, v in enumerate(row) if v}
-        den = math.lcm(*(v.denominator for v in ent.values()))
+        L = math.lcm(*(den for _, _, den, _ in self._gram.values()))
         return SparseMat.from_num(self.dim, self.dim, {
-            k: v.numerator * (den // v.denominator) for k, v in ent.items()}, den)
+            (off + a, off + b): v * (L // den) for off, size, den, gram in self._gram.values()
+            for a, row in enumerate(gram) for b, v in enumerate(row) if v}, L)
 
     # -- realized generators -------------------------------------------------
 
@@ -154,11 +154,12 @@ class HWModule:
         if self._span is not None:
             return self._span
         real = self.realization
+        # roots as ints over one lcm, so sums of roots add ints
+        es = [real.fdef(i, j) for i, j in real.simples]
+        _, roots = _over_lcm([real.root_of(e) for e in es])
         simple = []
-        for (i, j), me, mf in zip(real.simples, self._e, self._f):
-            e = real.fdef(i, j)
-            root = real.root_of(e)
-            simple += [(root, e, me), (tuple(-x for x in root), real.fdef(j, i), mf)]
+        for (i, j), e, root, me, mf in zip(real.simples, es, roots, self._e, self._f):
+            simple += [(tuple(root), e, me), (tuple(-x for x in root), real.fdef(j, i), mf)]
         pairs = [(real.fdef(c, c), self.cartan_matrix(c)) for c in real.cartan]
         seen = {(0,) * real.rank, *(root for root, _, _ in simple)}
         frontier = simple
@@ -200,7 +201,7 @@ class HWModule:
                                      ((c, mm) for c, (_, mm) in zip(coeffs, pairs)))
 
     def weight_slices(self):
-        return {w: (off, size) for w, (off, size, _) in self.blocks.items()}
+        return {w: (off, size) for w, (off, size, _, _) in self._gram.items()}
 
     def __repr__(self):
         return "HWModule(lam=%s, dim=%d)" % (self.lam, self.dim)
@@ -261,7 +262,7 @@ def build_module(real: Realization, lam, max_dim=600) -> HWModule:
 
     top = (0,) * nsimple
     index = {top: (0, 1, 1, [[1]])}             # k -> (offset, size, gram den, gram)
-    blocks = {lam: (0, 1, [[Fraction(1)]])}     # weight -> (offset, size, gram rows)
+    blocks = {lam: index[top]}                  # weight -> the same
     weights = [lam]
     # simple index -> global column -> (den, [(global row, int)])
     e_cols = [{} for _ in range(nsimple)]
@@ -341,8 +342,7 @@ def build_module(real: Realization, lam, max_dim=600) -> HWModule:
             g = math.gcd(L, *(v for row in sub for v in row))
             sub = [[v // g for v in row] for row in sub]
             wd = tuple(Fraction(x, wden) for x in cand_weight[kd])
-            index[kd] = (off, size, L // g, sub)
-            blocks[wd] = (off, size, [[Fraction(v, L // g) for v in row] for row in sub])
+            index[kd] = blocks[wd] = (off, size, L // g, sub)
             weights.extend([wd] * size)
             for j, cols in raises.items():
                 oj = index[up(kd, j)][0]
@@ -379,30 +379,47 @@ def _column(den, vals, off):
 
 
 def _gram_basis(gram):
-    """Basis and expansions of a positive semidefinite Gram block.
+    """Basis and expansions of a positive semidefinite Gram block of int rows.
 
-    The columns go in order through one SpanSolver: the independent ones
-    are the chosen basis, and expansions[b] = (den, ints) writes column b
-    over them, coefficients ints / den (a unit vector for a chosen column),
-    from the reduction that found column b dependent.  In a symmetric
-    matrix the residual of column j vanishes on every earlier row, so the
-    form is positive semidefinite exactly when each independent column
-    pivots at its own row with a positive value; any other pivot raises
-    ArithmeticError.  A positive multiple of gram gives the same result.
+    Fraction-free Gauss-Jordan on the rows in order (row j is column j),
+    against kept pivot rows, each positive at its own column and zero at
+    the other chosen ones.  A zero residual is a dependent column; any other
+    is a positive multiple of the Schur complement of column j, so the form
+    is positive semidefinite exactly when each vanishes before j and is
+    positive at j; else ArithmeticError.  expansions[b] = (den, ints) writes
+    column b over the chosen ones: row_c[b] / row_c[c] on chosen c (a unit
+    vector for a chosen b).  A positive multiple of gram gives the same
+    result.
     """
-    solver = SpanSolver([], len(gram))
-    chosen, found = [], []
-    for j, col in enumerate(gram):          # symmetric: row j is column j
-        res, k, steps = solver._reduce(col)
-        if solver._append(res, k, steps):
-            p, v = solver.last_pivot
-            if p != j or v < 0:
+    chosen, rows = [], []
+    for j, res in enumerate(gram):
+        for c, row in zip(chosen, rows):
+            res = _clear(res, row, c)
+        if any(res):
+            if res[j] <= 0 or any(res[:j]):
                 raise ArithmeticError("contravariant form is not positive semidefinite")
+            res = _primitive(res)
+            rows = [_clear(row, res, j) for row in rows] + [res]
             chosen.append(j)
-            found.append(({j: 1}, 1))
-        else:
-            found.append(solver._expansion(k, steps))
-    return chosen, [(den, [acc.get(c, 0) for c in chosen]) for acc, den in found]
+    den = math.lcm(*(row[c] for c, row in zip(chosen, rows)))
+    return chosen, [(1, [int(c == b) for c in chosen]) if b in chosen else
+                    (den, [row[b] * (den // row[c]) for c, row in zip(chosen, rows)])
+                    for b in range(len(gram))]
+
+
+def _clear(v, row, c):
+    """v with entry c cleared by row (positive there), divided by its content."""
+    f = v[c]
+    if not f:
+        return v
+    g = math.gcd(row[c], f)
+    a, f = row[c] // g, f // g
+    return _primitive([a * x - f * y for x, y in zip(v, row)])
+
+
+def _primitive(v):
+    g = math.gcd(*v)
+    return [x // g for x in v] if g > 1 else v
 
 
 def _flat(m: SparseMat, n):

@@ -197,7 +197,7 @@ def _cached(rep: BCDIrrep, key, build):
 
 def _f_values(rep: BCDIrrep):
     """The f values of each weight of the module, in block order."""
-    return [rep.algebra.f_values(w) for w in rep.module.blocks]
+    return [rep.algebra.f_values(w) for w in rep.module.weight_slices()]
 
 
 def _chain_sum(rep: BCDIrrep, i, a, k, pool):

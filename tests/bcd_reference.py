@@ -17,9 +17,11 @@ every pair, the weight of every entry of every vector, and each operator
 applied to one vector at a time.
 ``construction.build_module`` runs on int numerators: the raising action,
 the Gram blocks and the weight keys are ints over per-block denominators,
-and ``_gram_basis`` returns each expansion as (den, ints).
-``build_module`` and ``_gram_basis`` below are the ``Fraction`` forms they
-replaced.
+``_gram_basis`` is a fraction-free Gauss-Jordan pass over the int rows of a
+block that returns each expansion as (den, ints), and the module keeps its
+Gram blocks as ints.  ``build_module`` and ``_gram_basis`` below are the
+``Fraction`` forms they replaced; ``build_parts`` returns the ``Fraction``
+Gram blocks, and ``build_module`` hands them to the module as ints.
 ``signed_realization`` forms each chain sum behind ``apply_pf``, ``apply_z``
 and ``apply_z_nminus`` once per module as one operator.  The functions of
 the same names below sum the chains for every vector they are applied to.
@@ -54,9 +56,11 @@ from math import lcm, prod
 from gtbases import branching, patterns
 from gtbases.exact import SpanSolver, SparseMat, rank
 from gtbases.liealg_bcd import orthogonal_chain, signed_realization as sr
-from gtbases.liealg_bcd.construction import DeskScaleError, HWModule, Realization, _flat
+from gtbases.liealg_bcd.construction import (DeskScaleError, HWModule, Realization, _flat,
+                                              _over_lcm)
 from gtbases.liealg_bcd.signed_realization import _SERIES_FAMILY, BCDIrrep, _halves
 
+import exact_reference
 from exact_reference import commutator, vec_add, vec_scale, vec_zero
 
 
@@ -672,8 +676,20 @@ def build_module(real: Realization, lam, max_dim=600) -> HWModule:
     """Irreducible highest-weight module with highest weight lam.
 
     lam is a tuple of Fractions (eigenvalues of F_cc on the highest
-    vector in cartan order).  Raises DeskScaleError beyond max_dim.
+    vector in cartan order).  Raises DeskScaleError beyond max_dim.  The
+    module keeps each Gram block as int rows over one denominator,
+    converted from the ``Fraction`` blocks of ``build_parts``.
     """
+    lam = tuple(Fraction(x) for x in lam)
+    weights, blocks, e_mats, f_mats = build_parts(real, lam, max_dim)
+    int_blocks = {w: (off, size, *_over_lcm(gram)) for w, (off, size, gram) in blocks.items()}
+    return HWModule(real, lam, weights, int_blocks, e_mats, f_mats)
+
+
+def build_parts(real: Realization, lam, max_dim=600):
+    """(weights, blocks, e matrices, f matrices) of the module with highest
+    weight lam, blocks mapping each weight to (offset, size, Fraction Gram
+    rows)."""
     lam = tuple(Fraction(x) for x in lam)
     nsimple = len(real.simples)
     e_real = [real.fdef(i, j) for i, j in real.simples]
@@ -774,31 +790,33 @@ def build_module(real: Realization, lam, max_dim=600) -> HWModule:
     def assemble(cols):
         return SparseMat(dim, dim, {(r, c): v for c, col in cols.items() for r, v in col})
 
-    return HWModule(real, lam, weights, blocks,
-                    [assemble(c) for c in e_cols], [assemble(c) for c in f_cols])
+    return weights, blocks, [assemble(c) for c in e_cols], [assemble(c) for c in f_cols]
 
 
 def _gram_basis(gram):
     """Basis and expansions of a positive semidefinite Gram block.
 
-    The columns go in order through one SpanSolver: the independent ones
-    are the chosen basis, and expansions[b] writes column b over them (a
-    unit vector for a chosen column), from the reduction that found column
-    b dependent.  In a symmetric matrix the residual of column j vanishes
-    on every earlier row, so the form is positive semidefinite exactly when
-    each independent column pivots at its own row with a positive value;
-    any other pivot raises ArithmeticError.
+    The columns go in order through one ``Fraction`` SpanSolver
+    (``exact_reference``): the independent ones are the chosen basis, and
+    expansions[b] writes column b over them (a unit vector for a chosen
+    column), solved over the columns up to b.  In a symmetric matrix the
+    residual of column j vanishes on every earlier row, so the form is
+    positive semidefinite exactly when each independent column pivots at
+    its own row with a positive value; any other pivot raises
+    ArithmeticError.
     """
-    solver = SpanSolver([], len(gram))
+    solver = exact_reference.SpanSolver([], len(gram))
     chosen = []
     coeffs = []
     for j, col in enumerate(gram):          # symmetric: row j is column j
-        x = solver._add_or_solve(col)
-        if x is None:
+        x = None
+        if solver.add(col):
             p, v = solver.last_pivot
             if p != j or v < 0:
                 raise ArithmeticError("contravariant form is not positive semidefinite")
             chosen.append(j)
+        else:
+            x = solver.solve(col)
         coeffs.append(x)
     expansions = []
     for b, x in enumerate(coeffs):

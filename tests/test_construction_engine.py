@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gtbases import branching, gln
+from gtbases import branching, cli, gln
 from gtbases.exact import SparseMat, commutator
 from gtbases.liealg_bcd import OrthogonalChain, Realization, build_bcd_irrep, build_module
 from gtbases.liealg_bcd import construction
@@ -115,7 +115,9 @@ class TestConventionsAgree:
 
 def greedy_then_solve(gram):
     """The parent construction of a Gram block: dense greedy pivots, then
-    the expansion of every column over the chosen principal sub-block."""
+    the expansion of every column over the chosen principal sub-block,
+    all in Fractions."""
+    gram = [[Fraction(v) for v in row] for row in gram]
     chosen = _greedy_psd_pivots(gram)
     sub_cols = [tuple(gram[a][c] for a in chosen) for c in chosen]
     return chosen, [rref_solve_in_span(sub_cols, tuple(gram[a][b] for a in chosen))
@@ -128,42 +130,59 @@ def fraction_expansions(expansions):
 
 
 def gram_of(rows, m):
-    """A^T A for the integer matrix A with the given rows of length m."""
-    return [[Fraction(sum(r[a] * r[b] for r in rows)) for b in range(m)] for a in range(m)]
+    """A^T A, as int rows, for the integer matrix A with the given rows of
+    length m."""
+    return [[sum(r[a] * r[b] for r in rows) for b in range(m)] for a in range(m)]
+
+
+def draw_rows(data, m, k, entry):
+    """k rows of length m with entries drawn from entry: random, zero,
+    repeated and dependent rows, then zero and repeated columns (which
+    give zero and repeated Gram columns)."""
+    rows = []
+    for _ in range(k):
+        kind = data.draw(st.sampled_from(["random", "zero", "repeat", "dependent"]))
+        if kind == "zero" or (kind != "random" and not rows):
+            rows.append([0] * m)
+        elif kind == "repeat":
+            rows.append(list(data.draw(st.sampled_from(rows))))
+        elif kind == "dependent":
+            row = [0] * m
+            for r in rows:
+                c = data.draw(st.integers(-2, 2))
+                row = [x + c * y for x, y in zip(row, r)]
+            rows.append(row)
+        else:
+            rows.append([data.draw(entry) for _ in range(m)])
+    for c in range(m):
+        kind = data.draw(st.sampled_from(["keep", "zero", "copy"]))
+        for r in rows:
+            if kind == "zero":
+                r[c] = 0
+            elif kind == "copy" and c:
+                r[c] = r[c - 1]
+    return rows
+
+
+def gram_outcome(gram_basis, gram, expansions_of):
+    """(chosen, expansions_of(expansions)) of gram_basis(gram), or the
+    message of the ArithmeticError it raised."""
+    try:
+        chosen, expansions = gram_basis(gram)
+    except ArithmeticError as exc:
+        return str(exc)
+    return chosen, expansions_of(expansions)
 
 
 class TestGramBasis:
-    """_gram_basis (one SpanSolver pass, diagonal-pivot PSD rule) against
-    greedy Schur-complement pivoting followed by a dense solve."""
+    """_gram_basis (fraction-free Gauss-Jordan on int rows, diagonal-pivot
+    PSD rule) against greedy Schur-complement pivoting followed by a dense
+    solve, and against the Fraction SpanSolver form it replaced."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 6), st.integers(0, 5), st.data())
     def test_psd_matches_greedy_then_solve(self, m, k, data):
-        entry = st.integers(-2, 2)
-        rows = []
-        for _ in range(k):
-            kind = data.draw(st.sampled_from(["random", "zero", "repeat", "dependent"]))
-            if kind == "zero" or (kind != "random" and not rows):
-                rows.append([0] * m)
-            elif kind == "repeat":
-                rows.append(list(data.draw(st.sampled_from(rows))))
-            elif kind == "dependent":
-                row = [0] * m
-                for r in rows:
-                    c = data.draw(entry)
-                    row = [x + c * y for x, y in zip(row, r)]
-                rows.append(row)
-            else:
-                rows.append([data.draw(entry) for _ in range(m)])
-        # zero and repeated columns of A give zero and repeated Gram columns
-        for c in range(m):
-            kind = data.draw(st.sampled_from(["keep", "zero", "copy"]))
-            for r in rows:
-                if kind == "zero":
-                    r[c] = 0
-                elif kind == "copy" and c:
-                    r[c] = r[c - 1]
-        gram = gram_of(rows, m)
+        gram = gram_of(draw_rows(data, m, k, st.integers(-2, 2)), m)
         chosen, expansions = _gram_basis(gram)
         want_chosen, want_exp = greedy_then_solve(gram)
         assert chosen == want_chosen
@@ -185,7 +204,7 @@ class TestGramBasis:
             a = data.draw(st.integers(0, m - 1))
             b = data.draw(st.integers(a, m - 1))
             upper[(a, b)] += data.draw(st.integers(-2, 2))
-        gram = [[Fraction(upper[min(a, b), max(a, b)]) for b in range(m)] for a in range(m)]
+        gram = [[upper[min(a, b), max(a, b)] for b in range(m)] for a in range(m)]
         try:
             want = greedy_then_solve(gram)
         except ArithmeticError:
@@ -194,6 +213,27 @@ class TestGramBasis:
         else:
             chosen, expansions = _gram_basis(gram)
             assert (chosen, fraction_expansions(expansions)) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 6), st.booleans(), st.data())
+    def test_matches_fraction_span_solver(self, m, k, perturb, data):
+        """Gram matrices of int rows with entries up to 10^9, with zero,
+        repeated and dependent columns, and the same with one symmetric
+        pair of entries moved: _gram_basis and the Fraction SpanSolver form
+        both raise, or agree on the chosen set and the expansions."""
+        big = st.integers(-10 ** 9, 10 ** 9)
+        gram = gram_of(draw_rows(data, m, k, st.one_of(st.integers(-2, 2), big)), m)
+        if perturb and m:
+            a = data.draw(st.integers(0, m - 1))
+            b = data.draw(st.integers(a, m - 1))
+            d = data.draw(st.one_of(st.integers(-2, 2), big))
+            gram[a][b] += d
+            if a != b:
+                gram[b][a] += d
+        got = gram_outcome(_gram_basis, gram, fraction_expansions)
+        want = gram_outcome(bcd_reference._gram_basis, gram,
+                            lambda xs: [tuple(x) for x in xs])
+        assert got == want
 
 
 class TestRefusesNonDominant:
@@ -261,6 +301,28 @@ class TestBuildModulePins:
         assert gram == gram.transpose()
         for e, f in zip(mod._e, mod._f):
             assert gram @ f == e.transpose() @ gram
+
+
+class TestIntGramBlocks:
+    """The module keeps its Gram blocks as int rows; ``blocks``, with
+    Fraction rows, is made only when it is read."""
+
+    def test_blocks_match_fraction_reference(self, pinned):
+        mod, _ = pinned
+        _, want, _, _ = bcd_reference.build_parts(mod.realization, mod.lam)
+        assert list(mod.blocks.items()) == list(want.items())
+        assert all(type(v) is Fraction for _, _, g in mod.blocks.values() for row in g for v in row)
+
+    def test_build_gram_and_export_leave_blocks_unbuilt(self, monkeypatch, tmp_path, capsys):
+        def never(self):
+            raise AssertionError("HWModule.blocks was read")
+        mod = build_bcd_irrep("C", (0, 0, -2)).module
+        mod.gram_matrix()
+        assert "blocks" not in vars(mod)
+        monkeypatch.setattr(construction.HWModule, "blocks", property(never))
+        for args in (["sp", "0,0,-1"], ["so7", "1,0,0", "--convention", "s4"]):
+            assert cli.run(["export", *args, "--json", str(tmp_path / "out.json")]) == 0
+        capsys.readouterr()
 
 
 def build_outcome(build, real, lam, max_dim):

@@ -134,18 +134,6 @@ class TestSolvers:
         with pytest.raises(ValueError):
             solver.solve((F(1), F(2)))
 
-    def test_span_solver_last_pivot(self):
-        solver = SpanSolver([], 3)
-        assert solver.last_pivot is None
-        assert solver.add((F(0), F(2), F(4)))
-        assert solver.last_pivot == (1, F(2))
-        # residual (3, 0, -2) of the next column: first nonzero at row 0
-        assert solver.add((F(3), F(1), F(0)))
-        assert solver.last_pivot == (0, F(3))
-        # a dependent column appends no row and leaves the pivot as it was
-        assert not solver.add((F(3), F(3), F(4)))
-        assert solver.last_pivot == (0, F(3))
-
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 5), st.data())
     def test_span_solver_matches_solve_in_span(self, n, k, data):
@@ -189,7 +177,7 @@ class TestSolvers:
     def test_span_solver_matches_fraction_reference(self, n, k, data):
         """The integer SpanSolver against the Fraction one it replaced:
         columns of ints, of mixed small and large denominators, zero and
-        dependent columns, negative pivots; every add, ncols, last_pivot,
+        dependent columns, negative pivots; every add, ncols,
         spans and solve agree, and _add_or_solve returns what the
         reference's add and solve give."""
         big = st.integers(1, 10 ** 12)
@@ -229,9 +217,6 @@ class TestSolvers:
             else:
                 assert expansion == want.solve(col)[:j]
             assert solver.ncols == twin.ncols == want.ncols
-            assert solver.last_pivot == twin.last_pivot == want.last_pivot
-            if want.last_pivot is not None:
-                assert type(solver.last_pivot[1]) is Fraction
         for target in (combination(cols), rand_vec(), (0,) * n):
             expected = want.solve(target)
             assert solver.solve(target) == twin.solve(target) == expected
