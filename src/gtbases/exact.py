@@ -3,9 +3,10 @@
 Everything downstream (representation matrices, lowering operators, quantum
 minors) is built on top of the three types defined here: ``Rat`` (an alias of
 ``fractions.Fraction``), ``SparseMat`` and ``OpPoly``.  A ``SparseMat`` keeps
-integer numerators over one common denominator, so its products and sums run
-on plain ints; every value it hands out is a ``Fraction``.  No floating point
-arithmetic is used anywhere in the package.
+integer numerators over one common denominator; every value it hands out is a
+``Fraction``.  Its products, sums and scalings, and those of ``OpPoly``, are
+all calls of one int kernel, ``sum_products``.  No floating point arithmetic
+is used anywhere in the package.
 """
 
 from __future__ import annotations
@@ -168,23 +169,8 @@ class SparseMat:
 
     @staticmethod
     def combination(nrows, ncols, terms):
-        """Sum of c * m over the (scalar c, SparseMat m) pairs of terms, with
-        every m of shape nrows x ncols; one pass over one denominator."""
-        terms = [(Fraction(c), m) for c, m in terms if c]
-        for _, m in terms:
-            if (m.nrows, m.ncols) != (nrows, ncols):
-                raise ValueError("shape mismatch: %r in a %dx%d combination"
-                                 % (m, nrows, ncols))
-        if len(terms) == 1:
-            return terms[0][1].scale(terms[0][0])
-        den = math.lcm(*(c.denominator * m.den for c, m in terms))
-        ent = {}
-        get = ent.get
-        for c, m in terms:
-            f = c.numerator * (den // (c.denominator * m.den))
-            for k, v in m.num.items():
-                ent[k] = get(k, 0) + f * v
-        return SparseMat.from_num(nrows, ncols, {k: v for k, v in ent.items() if v}, den)
+        """Sum of c * m over the (scalar c, SparseMat m) pairs of terms."""
+        return sum_products(nrows, ncols, [(c, m, None) for c, m in terms])
 
     # -- basic access ------------------------------------------------------
 
@@ -223,46 +209,17 @@ class SparseMat:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        self._require_shape(other)
-        if not self.num:
-            return other
-        if not other.num:
-            return self
-        da, db = self.den, other.den
-        if da == db:
-            ent = dict(self.num)
-            fb = 1
-        else:
-            g = math.gcd(da, db)
-            fa, fb = db // g, da // g
-            ent = {k: v * fa for k, v in self.num.items()}
-            da *= fa
-        get = ent.get
-        for k, v in other.num.items():
-            ent[k] = get(k, 0) + v * fb
-        return SparseMat.from_num(self.nrows, self.ncols,
-                                  {k: v for k, v in ent.items() if v}, da)
+        return sum_products(self.nrows, self.ncols, ((1, self, None), (1, other, None)))
 
     def __sub__(self, other):
-        return self + (-other)
+        return sum_products(self.nrows, self.ncols, ((1, self, None), (-1, other, None)))
 
     def __neg__(self):
         return SparseMat._lowest(self.nrows, self.ncols,
                                  {k: -v for k, v in self.num.items()}, self.den)
 
     def scale(self, a):
-        a = Fraction(a)
-        p, q = a.numerator, a.denominator
-        if not p or not self.num:
-            return SparseMat.zero(self.nrows, self.ncols)
-        # num/den is in lowest terms and so is p/q, so the product num*p /
-        # (den*q) reduces by gcd(den, p) * gcd(q, num) alone
-        g = math.gcd(self.den, p)
-        h = math.gcd(q, *self.num.values()) if q != 1 else 1
-        p //= g
-        return SparseMat._lowest(self.nrows, self.ncols,
-                                 {k: v // h * p for k, v in self.num.items()},
-                                 self.den // g * (q // h))
+        return sum_products(self.nrows, self.ncols, ((Fraction(a), self, None),))
 
     def __mul__(self, a):
         return self.scale(a)
@@ -270,25 +227,7 @@ class SparseMat:
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in matmul: %r @ %r" % (self, other))
-        by_row = {}
-        for (r, c), v in other.num.items():
-            by_row.setdefault(r, []).append((c, v))
-        rows = {}           # result row r -> {c: numerator}
-        for (r, k), v in self.num.items():
-            row = by_row.get(k)
-            if row:
-                acc = rows.get(r)
-                if acc is None:
-                    acc = rows[r] = {}
-                get = acc.get
-                for c, w in row:
-                    acc[c] = get(c, 0) + v * w
-        return SparseMat.from_num(
-            self.nrows, other.ncols,
-            {(r, c): v for r, acc in rows.items() for c, v in acc.items() if v},
-            self.den * other.den)
+        return sum_products(self.nrows, other.ncols, ((1, self, other),))
 
     def transpose(self):
         return SparseMat._lowest(self.ncols, self.nrows,
@@ -320,9 +259,66 @@ class SparseMat:
                 out[r] = Fraction(x, den)
         return tuple(out)
 
-    def _require_shape(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch: %r vs %r" % (self, other))
+
+def sum_products(nrows, ncols, terms) -> SparseMat:
+    """The nrows x ncols sum of c * (a @ b) over the (c, a, b) of terms, c an
+    int or a Fraction; a term with b = None adds c * a.  Every term's shape
+    is checked, also where c or an operand is zero.
+
+    All terms go into one int accumulator over the lcm of c.den * a.den *
+    b.den: the products row by row (Gustavson 1978), each right operand
+    indexed by row once, the b = None terms on their (row, col) keys.  The
+    sum is reduced once."""
+    live = []
+    den = 1
+    for c, a, b in terms:
+        if b is None:
+            if a.nrows != nrows or a.ncols != ncols:
+                raise ValueError("shape mismatch: %r in a %dx%d sum" % (a, nrows, ncols))
+            d = c and a.num and c.denominator * a.den
+        elif a.nrows != nrows or b.ncols != ncols or a.ncols != b.nrows:
+            raise ValueError("shape mismatch: %r @ %r in a %dx%d sum" % (a, b, nrows, ncols))
+        else:
+            d = c and a.num and b.num and c.denominator * a.den * b.den
+        if d:
+            live.append((c.numerator, d, a, b))
+            den = math.lcm(den, d)
+    flat = {}
+    rows = {}           # result row -> {col: numerator over den}
+    by_rows = {}        # id of a right operand -> {row: [(col, numerator)]}
+    for f, d, a, b in live:
+        f *= den // d
+        if b is None:
+            if flat:
+                get = flat.get
+                for k, v in a.num.items():
+                    flat[k] = get(k, 0) + f * v
+            else:
+                flat = dict(a.num) if f == 1 else {k: f * v for k, v in a.num.items()}
+            continue
+        by_row = by_rows.get(id(b))
+        if by_row is None:
+            by_row = by_rows[id(b)] = {}
+            for (r, k), v in b.num.items():
+                by_row.setdefault(r, []).append((k, v))
+        for (r, k), v in a.num.items():
+            row = by_row.get(k)
+            if row:
+                acc = rows.get(r)
+                if acc is None:
+                    acc = rows[r] = {}
+                get = acc.get
+                if f != 1:
+                    v *= f
+                for col, w in row:
+                    acc[col] = get(col, 0) + v * w
+    num = rows and {(r, col): v for r, acc in rows.items() for col, v in acc.items() if v}
+    if flat:
+        get = flat.get
+        for k, v in num.items():
+            flat[k] = get(k, 0) + v
+        num = flat if len(live) == 1 else {k: v for k, v in flat.items() if v}
+    return SparseMat.from_num(nrows, ncols, num, den)
 
 
 def commutator(a: SparseMat, b: SparseMat) -> SparseMat:
@@ -791,12 +787,29 @@ class OpPoly:
     def __hash__(self):
         raise TypeError("OpPoly is not hashable")
 
+    @staticmethod
+    def sum_products(nrows, ncols, terms) -> "OpPoly":
+        """The sum of c(u) P(u) @ Q(u) over the (c, P, Q) of terms, c a scalar
+        polynomial; a term with Q = None adds c(u) P(u).  Every term's shape
+        is checked.  The coefficient of u**k is one ``sum_products`` over the
+        c_i P_j @ Q_l with i + j + l = k."""
+        powers = {}         # power of u -> terms of sum_products
+        for c, p, q in terms:
+            if ((p.nrows, p.ncols) != (nrows, ncols) if q is None
+                    else (p.nrows, q.ncols, q.nrows) != (nrows, ncols, p.ncols)):
+                raise ValueError("shape mismatch: %r @ %r in a %dx%d sum" % (p, q, nrows, ncols))
+            qs = (None,) if q is None else q.coeffs
+            for i, x in enumerate(c):
+                if x:
+                    for j, a in enumerate(p.coeffs):
+                        for k, b in enumerate(qs, i + j):
+                            powers.setdefault(k, []).append((x, a, b))
+        return OpPoly(nrows, ncols, [sum_products(nrows, ncols, powers.get(k, ()))
+                                     for k in range(max(powers, default=-1) + 1)])
+
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for j in range(n):
-            out.append(self.coeff(j) + other.coeff(j))
-        return OpPoly(self.nrows, self.ncols, out)
+        return OpPoly.sum_products(self.nrows, self.ncols,
+                                   [((1,), self, None), ((1,), other, None)])
 
     def __sub__(self, other):
         return self + (-other)
@@ -809,44 +822,19 @@ class OpPoly:
 
     def __matmul__(self, other):
         """Product; left factor coefficients stay on the left."""
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        if self.is_zero() or other.is_zero():
-            return OpPoly(self.nrows, other.ncols, [])
-        out = [SparseMat.zero(self.nrows, other.ncols)
-               for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a @ b
-        return OpPoly(self.nrows, other.ncols, out)
+        return OpPoly.sum_products(self.nrows, other.ncols, [((1,), self, other)])
 
     def mul_scalar_poly(self, p):
-        out = OpPoly(self.nrows, self.ncols, [])
-        for j, c in enumerate(p):
-            if c:
-                shifted = [SparseMat.zero(self.nrows, self.ncols)] * j + [m.scale(c) for m in self.coeffs]
-                out = out + OpPoly(self.nrows, self.ncols, shifted)
-        return out
+        return OpPoly.sum_products(self.nrows, self.ncols, [(p, self, None)])
 
     def shift_u(self, s):
         """Substitute u -> u + s for a scalar s."""
         s = Fraction(s)
-        d = self.degree()
-        if d < 0:
-            return self
-        out = [SparseMat.zero(self.nrows, self.ncols) for _ in range(d + 1)]
-        for j, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            # (u + s)^j expanded by binomials
-            pw = _ONE
-            for t in range(j, -1, -1):
-                out[t] = out[t] + c.scale(math.comb(j, j - t) * pw)
-                pw *= s
-        return OpPoly(self.nrows, self.ncols, out)
+        cs = self.coeffs
+        return OpPoly(self.nrows, self.ncols, [
+            sum_products(self.nrows, self.ncols,
+                         [(math.comb(j, t) * s ** (j - t), cs[j], None) for j in range(t, len(cs))])
+            for t in range(len(cs))])
 
     def negate_u(self):
         """Substitute u -> -u."""
@@ -855,24 +843,19 @@ class OpPoly:
 
     def eval_at(self, u0) -> SparseMat:
         u0 = Fraction(u0)
-        acc = SparseMat.zero(self.nrows, self.ncols)
-        pw = _ONE
-        for c in self.coeffs:
-            acc = acc + c.scale(pw)
-            pw *= u0
-        return acc
+        return sum_products(self.nrows, self.ncols,
+                            [(u0 ** j, c, None) for j, c in enumerate(self.coeffs)])
 
     def eval_left(self, h: SparseMat) -> SparseMat:
         """Evaluate at a matrix argument, coefficients left of powers."""
         if h.nrows != h.ncols or h.ncols != self.ncols:
             raise ValueError("shape mismatch in eval_left")
-        acc = SparseMat.zero(self.nrows, self.ncols)
-        hp = SparseMat.identity(h.nrows)
+        terms, hp = [], None
         for j, c in enumerate(self.coeffs):
-            if j > 0:
-                hp = hp @ h
-            acc = acc + c @ hp
-        return acc
+            if j:
+                hp = h if hp is None else hp @ h
+            terms.append((1, c, hp))
+        return sum_products(self.nrows, self.ncols, terms)
 
     def divide_by_u(self) -> "OpPoly":
         """Exact division by u; raises if the constant term is nonzero."""
@@ -882,20 +865,16 @@ class OpPoly:
 
     def divide_linear(self, a, b) -> "OpPoly":
         """Exact division by the scalar polynomial (a*u + b); raises if inexact."""
-        a = Fraction(a)
-        b = Fraction(b)
-        if a == 0:
+        a, b = Fraction(a), Fraction(b)
+        if not a:
             raise ZeroDivisionError
-        rem = list(self.coeffs)
-        out = [SparseMat.zero(self.nrows, self.ncols) for _ in range(max(len(rem) - 1, 0))]
-        for j in range(len(rem) - 1, 0, -1):
-            q = rem[j].scale(1 / a)
-            out[j - 1] = q
-            rem[j] = SparseMat.zero(self.nrows, self.ncols)
-            rem[j - 1] = rem[j - 1] - q.scale(b)
-        if rem and not rem[0].is_zero():
+        out = []        # q_(j-1) = (c_j - b q_j) / a, then the remainder / a
+        for c in reversed(self.coeffs):
+            out.append(sum_products(self.nrows, self.ncols,
+                                    [(1 / a, c, None)] + [(-b / a, q, None) for q in out[-1:]]))
+        if out and not out.pop().is_zero():
             raise ArithmeticError("inexact division by linear factor")
-        return OpPoly(self.nrows, self.ncols, out)
+        return OpPoly(self.nrows, self.ncols, out[::-1])
 
     def apply_to(self, vec):
         """Apply to a vector: list of vector coefficients per power of u."""

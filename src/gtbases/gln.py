@@ -13,7 +13,8 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 
 from .exact import (OpPoly, SparseMat, apply_words, chain_sum, chevalley_serre_check,
-                    commutator, kron, nullspace, spoly_from_roots, vec_is_zero, vec_unit)
+                    commutator, kron, nullspace, spoly_from_roots, sum_products, vec_is_zero,
+                    vec_unit)
 from .patterns import GTPatternA, enumerate_patterns, weight
 from . import patterns as _patterns
 
@@ -310,16 +311,6 @@ def _xi_mu_vector(rep, mu):
 # quantum minors, Capelli determinant, Drinfeld generators
 # ---------------------------------------------------------------------------
 
-def _entry_poly(rep, a, b, shift) -> OpPoly:
-    """E(u + shift)_{ab} = delta_ab (u + shift) + E_ab as an OpPoly."""
-    d = rep.dim
-    const = rep.gen(a, b)
-    if a == b:
-        const = const + SparseMat.identity(d).scale(shift)
-        return OpPoly(d, d, [const, SparseMat.identity(d)])
-    return OpPoly(d, d, [const])
-
-
 def quantum_minor(rep: GlnIrrep, rows, cols) -> OpPoly:
     """Quantum minor of E(u) in its column-ordered expansion
 
@@ -353,23 +344,21 @@ def _minor(rep, rows, cols) -> OpPoly:
 
 def _expand_last_column(rep, rows, cols) -> OpPoly:
     """sum_a (-1)^(s - a) M_a(u) E(u - s + 1)_{rows[a], cols[s]}, with M_a
-    the minor on the rows without rows[a] and the first s - 1 columns."""
+    the minor on the rows without rows[a] and the first s - 1 columns, as
+    one ``OpPoly.sum_products``."""
     s = len(rows)
-    if s == 1:
-        return _entry_poly(rep, rows[0], cols[0], 0)
     d = rep.dim
     c = cols[-1]
-    terms = [[] for _ in range(s + 1)]      # power of u -> [(scalar, matrix)]
+    if s == 1:
+        return OpPoly(d, d, [rep.gen(rows[0], c)] + [SparseMat.identity(d)] * (rows[0] == c))
+    terms = []
     for a, r in enumerate(rows):
         sign = -1 if (s - 1 - a) % 2 else 1
-        e = rep.gen(r, c)
-        for j, m in enumerate(_minor(rep, rows[:a] + rows[a + 1:], cols[:-1]).coeffs):
-            terms[j].append((sign, m @ e))
-            if r == c:
-                # the diagonal entry also carries u - s + 1
-                terms[j].append((sign * (1 - s), m))
-                terms[j + 1].append((sign, m))
-    return OpPoly(d, d, [SparseMat.combination(d, d, t) for t in terms])
+        m = _minor(rep, rows[:a] + rows[a + 1:], cols[:-1])
+        terms.append(((sign,), m, OpPoly.constant(rep.gen(r, c))))
+        if r == c:
+            terms.append(((sign * (1 - s), sign), m, None))
+    return OpPoly.sum_products(d, d, terms)
 
 
 def capelli_det(rep: GlnIrrep, m=None) -> OpPoly:
@@ -407,13 +396,12 @@ def _eval_left_on(poly: OpPoly, h: SparseMat, cols: SparseMat) -> SparseMat:
 
     Exact arithmetic and the unique lowest-terms form of a SparseMat make
     the two equal, and every product here has only the columns of cols."""
-    acc = SparseMat.zero(poly.nrows, cols.ncols)
-    hp = cols
+    terms, hp = [], cols
     for j, c in enumerate(poly.coeffs):
         if j:
             hp = h @ hp
-        acc = acc + c @ hp
-    return acc
+        terms.append((1, c, hp))
+    return sum_products(poly.nrows, cols.ncols, terms)
 
 
 def capelli_interpolation_check(rep: GlnIrrep) -> bool:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import prod
 
 from ..exact import (OpPoly, SpanSolver, SparseMat, apply_words, chain_sum, rank,
-                     spoly_from_roots, vec_unit)
+                     spoly_from_roots, sum_products, vec_unit)
 from .. import patterns as _patterns
 from .. import branching as _branching
 from .construction import (MAX_RANK, HWModule, Realization, build_module, raising_kernel,
@@ -164,8 +164,8 @@ def _column_sum(rep: BCDIrrep, terms):
     for (mat, raises), s in terms:
         col = _columns(rep, s)
         bad.update(c for c, x in enumerate(col) if x is None or x and c in raises)
-        mats.append((1, mat @ SparseMat.diag([x or 0 for x in col])))
-    return SparseMat.combination(rep.dim, rep.dim, mats), frozenset(bad)
+        mats.append((1, mat, SparseMat.diag([x or 0 for x in col])))
+    return sum_products(rep.dim, rep.dim, mats), frozenset(bad)
 
 
 def _at(form, u0, div=1):

@@ -110,19 +110,19 @@ class YTensorModule:
         reps = [gln.build_irrep(2, (f.alpha2, f.beta2)) for f in self.factors]
         self.dims = [r.dim for r in reps]
         self.dim = math.prod(self.dims)
-        # fold the coproduct: T = slot_1, then T_ab <- sum_c T_ac slot_s(c, b)
-        # with slot_s(c, d) = E^{(s)}_cd + delta_cd u on the full tensor space
-        ident = SparseMat.identity(self.dim)
+        # fold the coproduct from T = Id: T_ab <- sum_c T_ac E^{(s)}_cb + u T_ab,
+        # with E^{(s)}_cb the slot-s generator on the full tensor space
+        n = self.dim
+        ident = OpPoly.constant(SparseMat.identity(n))
+        self.T = {(a, b): ident if a == b else OpPoly(n, n) for a, b in _KEYS}
         for s, r in enumerate(reps):
             before = SparseMat.identity(math.prod(self.dims[:s]))
             after = SparseMat.identity(math.prod(self.dims[s + 1:]))
-            slot = {(c, d): OpPoly(self.dim, self.dim,
-                                   [kron(kron(before, r.gen(_gl2_index(c), _gl2_index(d))), after)]
-                                   + [ident] * (c == d))
-                    for c, d in _KEYS}
-            self.T = slot if s == 0 else {
-                (a, b): self.T[(a, MINUS)] @ slot[(MINUS, b)] + self.T[(a, PLUS)] @ slot[(PLUS, b)]
-                for a, b in _KEYS}
+            slot = {(c, d): OpPoly.constant(
+                kron(kron(before, r.gen(_gl2_index(c), _gl2_index(d))), after)) for c, d in _KEYS}
+            self.T = {(a, b): OpPoly.sum_products(
+                n, n, [((1,), self.T[(a, c)], slot[(c, b)]) for c in _LABELS]
+                + [((0, 1), self.T[(a, b)], None)]) for a, b in _KEYS}
         self.eta = vec_unit(self.dim, 0)
         self._check_highest()
 
@@ -221,7 +221,9 @@ def eta_action_checks(module: YTensorModule) -> bool:
     zero = (Fraction(0),) * module.dim
     # T_{-n,-n}(u) display, cleared of the denominators prod(u+gamma_i+1)
     num = spoly_mul(spoly_from_roots([a + 1 for a in alphas]), spoly_from_roots(betas))
-    rhs = OpPoly.from_scalar_poly(num, module.dim) + tmp @ tpm.shift_u(1)
+    rhs = OpPoly.sum_products(module.dim, module.dim, [
+        (num, OpPoly.constant(SparseMat.identity(module.dim)), None),
+        ((1,), tmp, tpm.shift_u(1))])
     for gamma, v in basis.items():
         gvals = [Fraction(g, 2) for g in gamma]
         if not _is_scalar_action(tpp, v, spoly_from_roots(gvals)):
@@ -258,8 +260,9 @@ def quantum_det(module: YTensorModule) -> OpPoly:
     tmm = module.T[(MINUS, MINUS)]
     tpm = module.T[(PLUS, MINUS)]
     tmp = module.T[(MINUS, PLUS)]
-    d1 = tmm.shift_u(1) @ tpp - tpm.shift_u(1) @ tmp
-    d2 = tmm @ tpp.shift_u(1) - tmp @ tpm.shift_u(1)
+    n = module.dim
+    d1 = OpPoly.sum_products(n, n, [((1,), tmm.shift_u(1), tpp), ((-1,), tpm.shift_u(1), tmp)])
+    d2 = OpPoly.sum_products(n, n, [((1,), tmm, tpp.shift_u(1)), ((-1,), tmp, tpm.shift_u(1))])
     assert d1 == d2, "the two quantum-determinant forms disagree"
     return d1
 
@@ -300,9 +303,9 @@ def rtt_check(module: YTensorModule, pairs) -> bool:
             for b in _LABELS:
                 for c in _LABELS:
                     for d in _LABELS:
-                        lhs = (uv[(a, b), (c, d)] - vu[(a, b), (c, d)]).scale(u0 - v0)
-                        rhs = uv[(c, b), (a, d)] - vu[(a, d), (c, b)]
-                        if lhs != rhs:
+                        if SparseMat.combination(module.dim, module.dim, [
+                                (u0 - v0, uv[(a, b), (c, d)]), (v0 - u0, vu[(a, b), (c, d)]),
+                                (-1, uv[(c, b), (a, d)]), (1, vu[(a, d), (c, b)])]).num:
                             return False
     return True
 
@@ -329,14 +332,10 @@ def _twist(sign, delta2, need_delta=True):
 
 def _sigma(module: YTensorModule, sign, weights, keys):
     """{(a, b): Sigma_ab(u)} = sum_d w_d(u) theta_bd T_ad(u) T_{-b,-d}(-u)."""
-    out = {}
-    for a, b in keys:
-        total = OpPoly(module.dim, module.dim, [])
-        for d in (PLUS, MINUS):
-            term = (module.T[(a, d)] @ module.T[(-b, -d)].negate_u()).scale(_theta(sign, b, d))
-            total = total + (term if weights is None else term.mul_scalar_poly(weights[d]))
-        out[(a, b)] = total
-    return out
+    return {(a, b): OpPoly.sum_products(module.dim, module.dim, [
+        ([_theta(sign, b, d) * w for w in ((1,) if weights is None else weights[d])],
+         module.T[(a, d)], module.T[(-b, -d)].negate_u()) for d in (PLUS, MINUS)])
+        for a, b in keys}
 
 
 def sigma_operators(module: YTensorModule, sign, delta2=None):

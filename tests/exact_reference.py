@@ -14,6 +14,14 @@ the library once summed combinations of vectors with; it now applies
 writer once built for every matrix; ``cli.write_export`` now writes a
 ``SparseMat`` straight from its numerators, and its test compares the two.
 
+``matmul`` and ``combination`` are the forms of ``SparseMat.__matmul__``
+and ``SparseMat.combination`` that reduced each product and each sum on
+its own; the library sums every term into ``exact.sum_products``.
+``sum_products`` and ``oppoly_sum_products`` are the readings of
+``exact.sum_products`` and ``OpPoly.sum_products`` in the reference
+classes, and ``to_ref``/``from_ref`` move a matrix or an operator polynomial between
+the library and the reference classes.
+
 ``commutator`` is the two-product form a @ b - b @ a; on library matrices
 it is the reference for ``gtbases.exact.commutator``, which sums both
 products in one pass.  ``from_rows`` and ``from_columns`` are the forms of
@@ -210,6 +218,84 @@ class SparseMat:
 
 def commutator(a: SparseMat, b: SparseMat) -> SparseMat:
     return a @ b - b @ a
+
+
+def matmul(a, b):
+    """``gtbases.exact.SparseMat.__matmul__`` as one product reduced on its
+    own, before ``sum_products``."""
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch in matmul: %r @ %r" % (a, b))
+    by_row = {}
+    for (r, c), v in b.num.items():
+        by_row.setdefault(r, []).append((c, v))
+    rows = {}           # result row r -> {c: numerator}
+    for (r, k), v in a.num.items():
+        row = by_row.get(k)
+        if row:
+            acc = rows.get(r)
+            if acc is None:
+                acc = rows[r] = {}
+            get = acc.get
+            for c, w in row:
+                acc[c] = get(c, 0) + v * w
+    return _exact.SparseMat.from_num(
+        a.nrows, b.ncols,
+        {(r, c): v for r, acc in rows.items() for c, v in acc.items() if v},
+        a.den * b.den)
+
+
+def combination(nrows, ncols, terms):
+    """``gtbases.exact.SparseMat.combination`` before ``sum_products``: the
+    terms with a zero coefficient are dropped before the shape check."""
+    terms = [(Fraction(c), m) for c, m in terms if c]
+    for _, m in terms:
+        if (m.nrows, m.ncols) != (nrows, ncols):
+            raise ValueError("shape mismatch: %r in a %dx%d combination"
+                             % (m, nrows, ncols))
+    if len(terms) == 1:
+        return terms[0][1].scale(terms[0][0])
+    den = math.lcm(*(c.denominator * m.den for c, m in terms))
+    ent = {}
+    get = ent.get
+    for c, m in terms:
+        f = c.numerator * (den // (c.denominator * m.den))
+        for k, v in m.num.items():
+            ent[k] = get(k, 0) + f * v
+    return _exact.SparseMat.from_num(nrows, ncols, {k: v for k, v in ent.items() if v}, den)
+
+
+def sum_products(nrows, ncols, terms):
+    """Sum of c * (a @ b) over the (c, a, b) of terms (b None adds c * a) on
+    library matrices, formed in the dict-of-Fraction classes."""
+    out = SparseMat.zero(nrows, ncols)
+    for c, a, b in terms:
+        x = to_ref(a) if b is None else to_ref(a) @ to_ref(b)
+        out = out + x.scale(c)
+    return from_ref(out)
+
+
+def oppoly_sum_products(nrows, ncols, terms):
+    """Sum of c(u) P(u) @ Q(u) over the (c, P, Q) of terms (Q None adds
+    c(u) P(u)) on library polynomials, formed in the reference classes."""
+    out = OpPoly(nrows, ncols, [])
+    for c, p, q in terms:
+        x = to_ref(p) if q is None else to_ref(p) @ to_ref(q)
+        out = out + x.mul_scalar_poly(c)
+    return from_ref(out)
+
+
+def to_ref(m):
+    """The reference twin of a library SparseMat or OpPoly."""
+    if isinstance(m, _exact.OpPoly):
+        return OpPoly(m.nrows, m.ncols, [to_ref(c) for c in m.coeffs])
+    return SparseMat(m.nrows, m.ncols, dict(m.entries))
+
+
+def from_ref(m):
+    """The library twin of a reference SparseMat or OpPoly."""
+    if isinstance(m, OpPoly):
+        return _exact.OpPoly(m.nrows, m.ncols, [from_ref(c) for c in m.coeffs])
+    return _exact.SparseMat(m.nrows, m.ncols, m.entries)
 
 
 def from_rows(rows):

@@ -16,7 +16,11 @@ the L(lam)^+ relations as full dim x dim products restricted to L^+
 afterwards, the lowering operators with their Cartan factors as
 products of diagonal matrices, the adjointness relations as products with
 the diagonal norm matrix, and the scalar actions of an operator
-polynomial as comparisons with diagonal matrices.  ``lowering_operator_by_chain_adds`` is the
+polynomial as comparisons with diagonal matrices.  ``expand_last_column`` is
+the two-step Laplace expansion that ``gln._expand_last_column`` made before
+``OpPoly.sum_products`` (each product reduced on its own, then each power
+of u summed), and ``_entry_poly`` the entry polynomial it started from.
+``lowering_operator_by_chain_adds`` is the
 form that ``gln.lowering_operator`` had before ``exact.chain_sum``: one
 integer diagonal and one sum per chain.
 
@@ -29,9 +33,10 @@ from fractions import Fraction
 from itertools import permutations
 from math import prod
 
+import exact_reference
 from gtbases.exact import (OpPoly, SparseMat, commutator, factorial,
                            spoly_from_roots, vec_is_zero, vec_unit)
-from gtbases.gln import (_big_e, _entry_poly, capelli_det,
+from gtbases.gln import (_big_e, capelli_det,
                          l_plus_matrix, lowering_operator, tau_poly)
 from gtbases.patterns import validate, weight
 
@@ -48,6 +53,47 @@ def _sgn(perm):
             if perm[x] > perm[y]:
                 s = -s
     return s
+
+
+def _entry_poly(rep, a, b, shift) -> OpPoly:
+    """E(u + shift)_{ab} = delta_ab (u + shift) + E_ab as an OpPoly."""
+    d = rep.dim
+    const = rep.gen(a, b)
+    if a == b:
+        const = const + SparseMat.identity(d).scale(shift)
+        return OpPoly(d, d, [const, SparseMat.identity(d)])
+    return OpPoly(d, d, [const])
+
+
+def expand_last_column(rep, rows, cols, memo=None) -> OpPoly:
+    """The quantum minor by Laplace along the last column in two steps, as
+    ``gln._expand_last_column`` formed it before ``OpPoly.sum_products``:
+    every product M_a,j @ E_{rows[a], cols[s]} made and reduced on its own
+    (``exact_reference.matmul``), then each power of u summed by
+    ``exact_reference.combination``.  The sub-minors recurse here, memoized
+    in memo."""
+    memo = {} if memo is None else memo
+    key = (rows, cols)
+    if key in memo:
+        return memo[key]
+    s = len(rows)
+    if s == 1:
+        return _entry_poly(rep, rows[0], cols[0], 0)
+    d = rep.dim
+    c = cols[-1]
+    terms = [[] for _ in range(s + 1)]      # power of u -> [(scalar, matrix)]
+    for a, r in enumerate(rows):
+        sign = -1 if (s - 1 - a) % 2 else 1
+        e = rep.gen(r, c)
+        for j, m in enumerate(expand_last_column(rep, rows[:a] + rows[a + 1:], cols[:-1],
+                                                 memo).coeffs):
+            terms[j].append((sign, exact_reference.matmul(m, e)))
+            if r == c:
+                # the diagonal entry also carries u - s + 1
+                terms[j].append((sign * (1 - s), m))
+                terms[j + 1].append((sign, m))
+    out = memo[key] = OpPoly(d, d, [exact_reference.combination(d, d, t) for t in terms])
+    return out
 
 
 def quantum_minor_expansions(rep, rows, cols):

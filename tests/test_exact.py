@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import exact_reference as ref
 from gtbases.exact import (OpPoly, SpanSolver, SparseMat, apply_words, chain_sum,
                            commutator, factorial, kron, nullspace, rank, rref,
-                           solve_in_span)
+                           solve_in_span, sum_products)
 from rref_reference import rref_nullspace, rref_rank, rref_solve_in_span
 
 
@@ -548,6 +548,127 @@ class TestIntegerCoreMatchesReference:
         a = a.scale(data.draw(RAT))
         assert ref.entry_strings(a) == [[r, c, "%d/%d" % (v.numerator, v.denominator)]
                                         for (r, c), v in sorted(a.entries.items())]
+
+
+# coefficients: ints and Fractions of distinct denominators, zero included
+COEF = st.one_of(st.integers(-3, 3), RAT)
+
+
+@st.composite
+def product_terms(draw, n, m):
+    """Up to 5 terms (c, a, b) of an n x m sum_products: products a @ b
+    through inner sizes 0..3, b = None terms, and, on square shapes, a @ a.
+    Operands may be zero (density 0)."""
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        c = draw(COEF)
+        kind = draw(st.sampled_from(["product", "plain", "square"]))
+        density = draw(st.sampled_from([0, 0.3, 0.7]))
+        if kind == "plain" or kind == "square" and n != m:
+            terms.append((c, draw(mat_pair(n, m, density))[0], None))
+        elif kind == "square":
+            a = draw(mat_pair(n, n, density))[0]
+            terms.append((c, a, a))
+        else:
+            k = draw(st.integers(0, 3))
+            terms.append((c, draw(mat_pair(n, k, density))[0], draw(mat_pair(k, m, density))[0]))
+    return terms
+
+
+class TestSumProducts:
+    """exact.sum_products and OpPoly.sum_products against their readings in
+    the dict-of-Fraction classes, and the shape check on every term."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(SHAPE, SHAPE, st.data())
+    def test_matches_reference(self, n, m, data):
+        terms = data.draw(product_terms(n, m))
+        got = sum_products(n, m, terms)
+        assert got == ref.sum_products(n, m, terms) and in_lowest_terms(got)
+        assert same(got, ref.to_ref(got))
+        # the one-term forms against the bodies they replaced
+        for c, a, b in terms:
+            if b is not None:
+                assert a @ b == ref.matmul(a, b)
+        plain = [(c, a) for c, a, b in terms if b is None]
+        assert SparseMat.combination(n, m, plain) == ref.combination(n, m, plain)
+
+    def test_empty_and_zero_terms(self):
+        a = SparseMat(2, 3, {(0, 1): Fraction(1, 2), (1, 2): 3})
+        b = SparseMat(3, 2, {(1, 0): Fraction(2, 3)})
+        zero = SparseMat.zero(2, 2)
+        assert sum_products(2, 2, []) == zero and sum_products(0, 0, []).den == 1
+        for terms in ([(0, a, b)], [(Fraction(0), a, b)], [(1, SparseMat.zero(2, 3), b)],
+                      [(1, a, SparseMat.zero(3, 2))], [(0, zero, None)],
+                      [(1, a, b), (-1, a, b)]):
+            got = sum_products(2, 2, terms)
+            assert got == zero and got.den == 1
+        assert sum_products(2, 2, [(2, a, b), (Fraction(1, 3), zero, None)]) == (a @ b).scale(2)
+
+    @pytest.mark.parametrize("c", [1, 0, Fraction(0), Fraction(1, 2)])
+    @pytest.mark.parametrize("density", [0, 1])
+    def test_every_term_shape_is_checked(self, c, density):
+        """A mismatched term raises ValueError whether or not its
+        coefficient or operands are zero: inner size, outer rows, outer
+        columns, and a b = None term of the wrong shape."""
+        def mat(r, k):
+            return SparseMat(r, k, {(0, 0): 1} if density else {})
+        good = (1, mat(2, 3), mat(3, 2))
+        for bad in ((c, mat(2, 3), mat(2, 2)),      # inner: 3 != 2
+                    (c, mat(3, 2), mat(2, 2)),      # outer rows
+                    (c, mat(2, 2), mat(2, 3)),      # outer columns
+                    (c, mat(2, 3), None), (c, mat(3, 2), None)):
+            for terms in ([bad], [good, bad], [bad, good]):
+                with pytest.raises(ValueError):
+                    sum_products(2, 2, terms)
+
+    def test_zero_terms_of_the_wrong_shape_raise(self):
+        """Terms with a zero coefficient or a zero operand once skipped the
+        shape check: combination returned a 2 x 2 matrix here, and the sum
+        of two zero polynomials of different sizes a 2 x 2 zero."""
+        i2, i3 = SparseMat.identity(2), SparseMat.identity(3)
+        with pytest.raises(ValueError):
+            SparseMat.combination(2, 2, [(1, i2), (0, i3)])
+        with pytest.raises(ValueError):
+            SparseMat.combination(2, 2, [(1, i2), (1, SparseMat.zero(3, 3))])
+        with pytest.raises(ValueError):
+            OpPoly(2, 2, []) + OpPoly(3, 3, [])
+        with pytest.raises(ValueError):
+            OpPoly(2, 2, []) - OpPoly(3, 3, [])
+        with pytest.raises(ValueError):
+            OpPoly(2, 3, []) @ OpPoly(2, 2, [])
+        with pytest.raises(ValueError):
+            OpPoly.sum_products(2, 2, [((0,), OpPoly.constant(i3), None)])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.data())
+    def test_oppoly_matches_reference(self, n, m, data):
+        def poly(r, k):
+            return OpPoly(r, k, [data.draw(mat_pair(r, k, data.draw(st.sampled_from([0, 0.5]))))[0]
+                                 for _ in range(data.draw(st.integers(0, 2)))])
+        terms = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            c = data.draw(st.lists(COEF, max_size=3))
+            if data.draw(st.booleans()):
+                terms.append((c, poly(n, m), None))
+            else:
+                k = data.draw(st.integers(1, 3))
+                terms.append((c, poly(n, k), poly(k, m)))
+        got = OpPoly.sum_products(n, m, terms)
+        assert got == ref.oppoly_sum_products(n, m, terms)
+        assert all(in_lowest_terms(x) for x in got.coeffs)
+        assert not got.coeffs or not got.coeffs[-1].is_zero()
+
+    def test_oppoly_forms_no_sparse_sum_or_scale(self, monkeypatch):
+        """OpPoly products and evaluations sum into the kernel directly."""
+        def refuse(*args):
+            raise AssertionError("a SparseMat sum or scale was formed")
+        p = OpPoly(2, 2, [SparseMat(2, 2, {(0, 1): Fraction(1, 2)}), SparseMat.identity(2),
+                          SparseMat(2, 2, {(1, 0): 3})])
+        want = (p @ p, p.eval_at(Fraction(2, 3)))
+        for name in ("__add__", "__sub__", "scale"):
+            monkeypatch.setattr(SparseMat, name, refuse)
+        assert (p @ p, p.eval_at(Fraction(2, 3))) == want
 
 
 class TestApplyWords:

@@ -55,6 +55,36 @@ class TestLaplaceMinor:
         first, second = ref.quantum_minor_expansions(rep, rows, cols)
         assert gln.quantum_minor(rep, rows, cols) == first == second
 
+    @pytest.mark.parametrize("lam", [d(3, 2, 1, 0), d(1, 0, -1, -2)])
+    def test_verify_minors_match_the_two_step_expansion(self, lam):
+        """Every quantum minor that `gt verify gl` builds (the Capelli
+        determinant, A_m, B_m, C_m and the tau polynomials with their
+        sub-minors), on the weight 3,2,1,0 and its shift by -2, equals the
+        expansion that formed each product M_a,j @ E on its own and then
+        summed each power of u."""
+        rep = gln.build_irrep(4, lam)
+        for name, check in cli._gl_verify_checks(rep):
+            assert check(), name
+        assert len(rep._minors) == 24
+        memo = {}
+        for (rows, cols), poly in rep._minors.items():
+            assert poly == ref.expand_last_column(rep, rows, cols, memo), (rows, cols)
+
+    def test_minors_form_no_sparse_sum_or_scale(self, monkeypatch):
+        """quantum_minor sums every power of u in one kernel call: it forms
+        no SparseMat sum and no scale."""
+        rep = gln.build_irrep(4, d(3, 2, 1, 0))
+        want = {which: [gln.drinfeld_poly(rep, m, which) for m in range(1, 4)] for which in "ABC"}
+        rep._minors.clear()
+
+        def refuse(*args):
+            raise AssertionError("a SparseMat sum or scale was formed")
+        for name in ("__add__", "__sub__", "scale"):
+            monkeypatch.setattr(SparseMat, name, refuse)
+        assert {which: [gln.drinfeld_poly(rep, m, which) for m in range(1, 4)]
+                for which in "ABC"} == want
+        assert gln.capelli_det(rep).degree() == 4
+
     def test_rejects_empty_and_ragged(self):
         rep = gln.build_irrep(2, d(1, 0))
         for rows, cols in [((), ()), ((1, 2), (1,))]:

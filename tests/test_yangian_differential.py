@@ -3,13 +3,17 @@ folded from the coproduct against T(u) summed over every label chain, the
 one Sigma_ab(u) against the untwisted and the W(delta)-twisted forms
 written out separately, S_{n,-n}(u) read off Sigma_{n,-n}(u) against its
 displayed formula, the brute-force verdicts on the generators of each, and
-the RTT check against the loop that forms every product afresh."""
+the RTT check against the loop that forms every product afresh.  T(u), d(u)
+and Sigma_ab(u) are also compared with the forms that made each product and
+each sum on their own, in the dict-of-Fraction classes."""
 
 import copy
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import exact_reference as eref
 import yangian_reference as ref
 from gtbases import yangian as y
 from gtbases.exact import OpPoly, SparseMat
@@ -96,3 +100,54 @@ def test_rtt_forms_32_products_per_sample_pair(monkeypatch):
     calls.clear()
     assert y.rtt_check(m, RTT_PAIRS) is True
     assert len(calls) == 32 * len(RTT_PAIRS) == 160
+
+
+def _same_as_old_forms(m, delta2):
+    """T(u), d(u) and every Sigma_ab(u) of m equal the fold, the two
+    displays and the add loop that formed each product and sum alone."""
+    def lib(polys):
+        return {key: eref.from_ref(p) for key, p in polys.items()}
+    T = ref.fold_T(m)
+    assert lib(T) == m.T
+    assert eref.from_ref(ref.quantum_det(T)) == y.quantum_det(m)
+    for sign, d2 in (("-", None), ("+", None), ("+", delta2)):
+        weights = y._twist(sign, d2, need_delta=False)
+        assert lib(ref.sigma(T, sign, weights, y._KEYS)) == y.sigma_operators(m, sign, d2)
+
+
+# the Y(2) modules of the bench's yangian-closure group, at string offsets
+# -1 and 0: two brute-force Y(2) cases, the twisted case (never offset) and
+# the yangian-demo module
+BENCH_MODULES = [[(2 * (a + k), 2 * (b + k)) for a, b in strings]
+                 for strings in ([(2, 0), (4, 3)], [(2, 0), (3, 2)], [(1, 0), (3, 2), (5, 4)])
+                 for k in (-1, 0)] + [[(2, 0), (2, -2)]]
+
+
+@pytest.mark.parametrize("strings", BENCH_MODULES)
+def test_bench_modules_match_the_old_forms(strings):
+    _same_as_old_forms(y.build_tensor_module(strings), 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(string_lists(), st.sampled_from(DELTAS))
+def test_random_modules_match_the_old_forms(factors, delta2):
+    _same_as_old_forms(y.build_tensor_module(factors), delta2)
+
+
+def test_rtt_products_on_the_demo_module_are_distinct(monkeypatch):
+    """On the `yangian-demo` module 0,-1;2,1;4,3 with the demo's five
+    sample pairs, rtt_check makes 160 products and no operand pair repeats
+    (each pair is compared by its entries)."""
+    m = y.build_tensor_module([y.HWString(0, -2), y.HWString(4, 2), y.HWString(8, 6)])
+    seen = []
+    real = SparseMat.__matmul__
+
+    def spy(self, other):
+        seen.append((self.den, sorted(self.num.items()), other.den, sorted(other.num.items())))
+        return real(self, other)
+    monkeypatch.setattr(SparseMat, "__matmul__", spy)
+    pairs = [(1, 2), (Fraction(1, 2), 3), (5, Fraction(-7, 3)), (2, 9),
+             (Fraction(11, 7), Fraction(3, 5))]
+    assert y.rtt_check(m, pairs) is True
+    assert len(seen) == 160
+    assert len({repr(x) for x in seen}) == 160

@@ -9,14 +9,22 @@ and its W(delta)-twisted orthogonal form written out separately, the
 displayed formula for S_{n,-n}(u) in each sign, the brute-force
 irreducibility test that picks its generators by the sign, and the RTT
 check that forms the four products of each relation afresh.
+
+``fold_T``, ``quantum_det`` and ``sigma`` are the coproduct fold, the two
+quantum-determinant displays and the Sigma_ab(u) add loop as the library
+formed them before ``OpPoly.sum_products``: each product and each sum made
+on its own.  They run in the dict-of-``Fraction`` classes of
+``exact_reference`` on the reference twins of the module's matrices.
 """
 
+import math
 from fractions import Fraction
 from itertools import product as iproduct
 
+import exact_reference as eref
 from gtbases import gln
 from gtbases.exact import OpPoly, SparseMat, kron
-from gtbases.yangian import (MINUS, PLUS, _LABELS, _gl2_index, _theta,
+from gtbases.yangian import (_KEYS, MINUS, PLUS, _LABELS, _gl2_index, _theta,
                              brute_force_irreducible)
 
 
@@ -146,3 +154,49 @@ def rtt_check(module, pairs) -> bool:
                         if lhs != rhs:
                             return False
     return True
+
+
+def fold_T(module):
+    """{(a, b): T_ab(u)} in the reference classes: T = slot_1, then
+    T_ab <- T_{a,-n} slot_s(-n, b) + T_{a,n} slot_s(n, b), with
+    slot_s(c, d) = E^{(s)}_cd + delta_cd u on the full tensor space."""
+    reps = [gln.build_irrep(2, (f.alpha2, f.beta2)) for f in module.factors]
+    dims = [r.dim for r in reps]
+    ident = eref.SparseMat.identity(module.dim)
+    for s, r in enumerate(reps):
+        before = eref.SparseMat.identity(math.prod(dims[:s]))
+        after = eref.SparseMat.identity(math.prod(dims[s + 1:]))
+        slot = {(c, d): eref.OpPoly(module.dim, module.dim,
+                                    [eref.kron(eref.kron(before, eref.to_ref(
+                                        r.gen(_gl2_index(c), _gl2_index(d)))), after)]
+                                    + [ident] * (c == d))
+                for c, d in _KEYS}
+        T = slot if s == 0 else {
+            (a, b): T[(a, MINUS)] @ slot[(MINUS, b)] + T[(a, PLUS)] @ slot[(PLUS, b)]
+            for a, b in _KEYS}
+    return T
+
+
+def quantum_det(T):
+    """d(u) of {(a, b): T_ab(u)} from the first display, asserted equal to
+    the second."""
+    tpp, tmm = T[(PLUS, PLUS)], T[(MINUS, MINUS)]
+    tpm, tmp = T[(PLUS, MINUS)], T[(MINUS, PLUS)]
+    d1 = tmm.shift_u(1) @ tpp - tpm.shift_u(1) @ tmp
+    d2 = tmm @ tpp.shift_u(1) - tmp @ tpm.shift_u(1)
+    assert d1 == d2, "the two quantum-determinant forms disagree"
+    return d1
+
+
+def sigma(T, sign, weights, keys):
+    """{(a, b): Sigma_ab(u)} = sum_d w_d(u) theta_bd T_ad(u) T_{-b,-d}(-u)
+    of {(a, b): T_ab(u)}, each term scaled and added on its own."""
+    out = {}
+    for a, b in keys:
+        total = None
+        for d in (PLUS, MINUS):
+            term = (T[(a, d)] @ T[(-b, -d)].negate_u()).scale(_theta(sign, b, d))
+            term = term if weights is None else term.mul_scalar_poly(weights[d])
+            total = term if total is None else total + term
+        out[(a, b)] = total
+    return out
