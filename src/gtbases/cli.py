@@ -148,15 +148,11 @@ def cmd_patterns(args):
     lam = parse_weight(args.weight)
     kind, data = parse_algebra(args.algebra, len(lam), args.convention, args.series)
     fam = _family(kind, data, args.convention)
-    # each line is json.JSONEncoder(sort_keys=True).encode(patterns.to_json(p)),
-    # filled in from the pattern's field values in the order of their keys
-    keys = [patterns.JSON_KEY[name] for name in patterns.PATTERN_TYPES[fam].__dataclass_fields__]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    line = '{"family": "%s"%s}\n' % (fam, "".join(', "%s": [%%s]' % keys[i] for i in order))
-    # the text of a row of ints, or of an int of sigma
+    # each line is json.JSONEncoder(sort_keys=True).encode(patterns.to_json(p));
+    # text is that of a row of ints, or of an int of sigma
     text = _Memo(lambda x: repr(list(x)) if type(x) is tuple else repr(x)).__getitem__
-    sys.stdout.writelines(line % tuple([", ".join(map(text, fields[i])) for i in order])
-                          for fields in patterns.pattern_fields(fam, lam))
+    sys.stdout.writelines(patterns.json_texts(fam, patterns.pattern_fields(fam, lam), "", ", ",
+                                              "}\n", lambda x: "[%s]" % ", ".join(map(text, x))))
     return 0
 
 
@@ -217,8 +213,7 @@ def export_dict(kind, data, lam, convention, rep):
             "algebra": "sp" if kind == "sp" else "so", "n": len(lam),
             "lambda": list(lam), "dim": rep.dim,
             "convention": "s4" if isinstance(rep, OrthogonalChain) else "s3",
-            "patterns": [patterns.to_json(p)
-                         for p in patterns.enumerate_patterns(fam, lam)],
+            "patterns": patterns.PatternFields(fam, patterns.pattern_fields(fam, lam)),
             "generators": gens,
             "gram": rep.module.gram_matrix(),
         }
@@ -235,13 +230,14 @@ def write_export(payload, fh):
     sort_keys=True, indent=1), with each ``SparseMat`` in it written as its
     [row, col, "p/q"] entries in position order, in lowest terms.
 
-    Only dicts with str keys, lists, ints, bools, None, strs and
-    ``SparseMat``s are accepted; anything else, floats included, raises
-    TypeError.  The dicts down to depth 1 are written item by item, so the
-    document is never held whole; each value below them is formatted as
-    one string, a ``SparseMat`` straight from its numerators.  The texts
-    that repeat are made once per call: that of each list of ints, and the
-    row, column and value pieces of matrix entries.
+    Only dicts with str keys, lists, ints, bools, None, strs,
+    ``SparseMat``s and ``patterns.PatternFields`` are accepted; anything
+    else, floats included, raises TypeError.  The dicts down to depth 1
+    are written item by item, so the document is never held whole; each
+    value below them is formatted as one string, a ``SparseMat`` straight
+    from its numerators.  The texts that repeat are made once per call:
+    that of each list of ints, and the row, column and value pieces of
+    matrix entries.
     """
     _write(payload, fh, 0, _Memo(_texts))
 
@@ -276,6 +272,8 @@ def _encode(value, depth, texts):
         text = fractions(value.den)
         return _block([rows[k[0]] + cols[k[1]] + text[num[k]] for k in sorted(num)],
                       depth, "[]")
+    if t is patterns.PatternFields:
+        return _pattern_list(value, depth, texts)
     if t is not dict and t is not list:
         raise TypeError("%s is not a gt-export/1 value" % t.__name__)
     if not value:
@@ -286,6 +284,18 @@ def _encode(value, depth, texts):
     if all(type(x) is int for x in value):
         return texts[depth][0][tuple(value)]
     return _block([_encode(x, depth + 1, texts) for x in value], depth, "[]")
+
+
+def _pattern_list(value, depth, texts):
+    """A patterns.PatternFields as the list of the to_json dicts of its
+    patterns, each filled in from the texts of its rows at their depth."""
+    ind = "\n" + " " * (depth + 2)
+    rows, ints = texts[depth + 3][0], texts[depth + 2][0]
+    items = list(patterns.json_texts(
+        value.family, value, ind, "," + ind, "\n" + " " * (depth + 1) + "}", lambda x: (
+            "[]" if not x else ints[x] if type(x[0]) is int else
+            _block([rows[r] for r in x], depth + 2, "[]"))))
+    return _block(items, depth, "[]") if items else "[]"
 
 
 def _sorted_keys(dct):
@@ -465,13 +475,17 @@ def cmd_verify(args):
         checks = _orth_verify_checks(rep)
     else:
         checks = _bcd_verify_checks(rep)
+    return _report(checks)
+
+
+def _report(checks):
+    """Print a PASS/FAIL line per (name, thunk) check; 1 if any failed."""
     failed = 0
     for name, thunk in checks:
         ok = bool(thunk())
         print("%s: %s" % (name, "PASS" if ok else "FAIL"))
-        if not ok:
-            failed += 1
-    return 0 if failed == 0 else 1
+        failed += not ok
+    return 1 if failed else 0
 
 
 def cmd_yangian_demo(args):
@@ -493,13 +507,11 @@ def cmd_yangian_demo(args):
     pairs = [(Fraction(1), Fraction(2)), (Fraction(1, 2), Fraction(3)),
              (Fraction(5), Fraction(-7, 3)), (Fraction(2), Fraction(9)),
              (Fraction(11, 7), Fraction(3, 5))]
-    print("rtt-relation: %s" % ("PASS" if yangian.rtt_check(module, pairs) else "FAIL"))
-    print("quantum-determinant-scalar: %s" %
-          ("PASS" if yangian.quantum_det_scalar_check(module) else "FAIL"))
+    checks = [("rtt-relation", lambda: yangian.rtt_check(module, pairs)),
+              ("quantum-determinant-scalar", lambda: yangian.quantum_det_scalar_check(module))]
     if yangian.irreducible_Y2(module.factors) and yangian._pairwise_disjoint(module.factors):
-        ok = yangian.eta_action_checks(module)
-        print("gt-basis-actions: %s" % ("PASS" if ok else "FAIL"))
-    return 0
+        checks.append(("gt-basis-actions", lambda: yangian.eta_action_checks(module)))
+    return _report(checks)
 
 
 # gt's grammar.  An option maps to (default, kind, help): kind is int

@@ -400,7 +400,7 @@ def kron(a: SparseMat, b: SparseMat) -> SparseMat:
     return SparseMat.from_num(a.nrows * b.nrows, a.ncols * b.ncols, ent, a.den * b.den)
 
 
-# -- vectors (plain tuples of Fraction) -------------------------------------
+# -- vectors (tuples of Fraction, and int columns) ---------------------------
 
 def vec_unit(n, i):
     return tuple(_ONE if j == i else _ZERO for j in range(n))
@@ -408,6 +408,44 @@ def vec_unit(n, i):
 
 def vec_is_zero(u):
     return all(x == 0 for x in u)
+
+
+def column_apply(m: SparseMat, bad=()):
+    """m as a function on int columns (num, den), {row: nonzero int} over
+    den > 0 in lowest terms.  It reads only the columns of m where the
+    vector is nonzero and raises ZeroDivisionError if one is in bad."""
+    cols = {}
+    for (r, c), v in m.num.items():
+        cols.setdefault(c, []).append((r, v))
+
+    def apply(vec):
+        acc = {}
+        get = acc.get
+        for c, x in vec[0].items():
+            if c in bad:
+                raise ZeroDivisionError("vanishing Cartan denominator")
+            for r, v in cols.get(c, ()):
+                acc[r] = get(r, 0) + v * x
+        acc = {r: v for r, v in acc.items() if v}
+        den = vec[1] * m.den
+        g = math.gcd(den, *acc.values())
+        return {r: v // g for r, v in acc.items()}, den // g
+    return apply
+
+
+def column_fractions(vec, n):
+    """The int column vec as a tuple of n Fractions."""
+    out = [_ZERO] * n
+    for r, v in vec[0].items():
+        out[r] = Fraction(v, vec[1])
+    return tuple(out)
+
+
+def columns_matrix(cols, nrows) -> SparseMat:
+    """The matrix of the int columns cols."""
+    den = math.lcm(*(d for _, d in cols))
+    return SparseMat.from_num(nrows, len(cols), {
+        (r, c): v * (den // d) for c, (num, d) in enumerate(cols) for r, v in num.items()}, den)
 
 
 def apply_words(start, words, operator, root=None):
@@ -435,7 +473,7 @@ def apply_words(start, words, operator, root=None):
     return out
 
 
-def chain_sum(dim, start, indices, end, gen, pool, diff, den):
+def chain_sum(dim, start, indices, end, gen, pool, diff, den, memo=None):
     """The chain sum of a lowering operator and the columns where it is
     singular.
 
@@ -446,18 +484,24 @@ def chain_sum(dim, start, indices, end, gen, pool, diff, den):
     of int numerators over den, one per column.  Returns (matrix, bad): bad
     is the frozenset of columns where, for a nonzero monomial, a denominator
     vanishes under a nonzero numerator.  Where a term's denominator
-    vanishes, the matrix leaves that term out."""
+    vanishes, the matrix leaves that term out.  Each monomial is
+    gen(start, c_1) @ (that of its suffix path), kept in memo by path, which
+    calls with one gen and end may share."""
+    if memo is None:
+        memo = {}
+
+    def mono(path):
+        if path not in memo:
+            memo[path] = gen(*path[:2]) @ mono(path[1:]) if path[2:] else gen(*path)
+        return memo[path]
     chains = [()]
     for x in indices:
         chains += [c + (x,) for c in chains]
     terms = []
     bad = set()
     for c in chains:
-        path = (start,) + c + (end,)
-        mono = gen(start, path[1])
-        for p, q in zip(path[1:], path[2:]):
-            mono = mono @ gen(p, q)
-        if mono.is_zero():
+        m = mono((start,) + c + (end,))
+        if m.is_zero():
             continue
         ups = [j for j in pool if j not in c]
         downs = [t for t in c if t not in pool]
@@ -468,8 +512,8 @@ def chain_sum(dim, start, indices, end, gen, pool, diff, den):
         lcd = math.lcm(*(x for x in down if x))
         num = [u * (lcd // x) * den ** len(downs) if x else 0 for u, x in zip(up, down)]
         terms.append((1, SparseMat.from_num(
-            dim, dim, {(r, col): v * num[col] for (r, col), v in mono.num.items() if num[col]},
-            mono.den * lcd * den ** len(ups))))
+            dim, dim, {(r, col): v * num[col] for (r, col), v in m.num.items() if num[col]},
+            m.den * lcd * den ** len(ups))))
     return SparseMat.combination(dim, dim, terms), frozenset(bad)
 
 
@@ -706,30 +750,13 @@ def _combine(steps):
 
 # -- scalar polynomials (coefficient lists, index = power of u) -------------
 
-def spoly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def spoly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [_ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return spoly_trim(out)
-
-
-def spoly_from_roots(roots):
-    """Product of (u + r) over the given values r."""
-    p = [_ONE]
+def spoly(roots, den=1):
+    """prod (u + r / den) over the ints r of roots, as int coefficient
+    numerators over den ** len(roots)."""
+    p = [1]
     for r in roots:
-        p = spoly_mul(p, [Fraction(r), _ONE])
-    return p
+        p = [r * a + den * b for a, b in zip(p + [0], [0] + p)]
+    return p, den ** len(roots)
 
 
 class OpPoly:
@@ -856,12 +883,6 @@ class OpPoly:
                 hp = h if hp is None else hp @ h
             terms.append((1, c, hp))
         return sum_products(self.nrows, self.ncols, terms)
-
-    def divide_by_u(self) -> "OpPoly":
-        """Exact division by u; raises if the constant term is nonzero."""
-        if self.coeffs and not self.coeffs[0].is_zero():
-            raise ArithmeticError("polynomial not divisible by u")
-        return OpPoly(self.nrows, self.ncols, self.coeffs[1:])
 
     def divide_linear(self, a, b) -> "OpPoly":
         """Exact division by the scalar polynomial (a*u + b); raises if inexact."""

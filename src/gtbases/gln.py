@@ -13,8 +13,7 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 
 from .exact import (OpPoly, SparseMat, apply_words, chain_sum, chevalley_serre_check,
-                    commutator, kron, nullspace, spoly_from_roots, sum_products, vec_is_zero,
-                    vec_unit)
+                    commutator, kron, spoly, sum_products, vec_is_zero, vec_unit)
 from .patterns import GTPatternA, enumerate_patterns, weight
 from . import patterns as _patterns
 
@@ -56,9 +55,6 @@ class GlnIrrep:
         if i < j:
             return commutator(self.gen(i, j - 1), self.gen(j - 1, j))
         return commutator(self.gen(i, i - 1), self.gen(i - 1, j))
-
-    def weight_of(self, idx):
-        return weight(self.basis[idx])
 
     @property
     def highest_index(self):
@@ -259,18 +255,6 @@ def l_plus_matrix(rep: GlnIrrep) -> SparseMat:
     return SparseMat(rep.dim, len(cols), {(idx, c): Fraction(1) for c, idx in enumerate(cols)})
 
 
-def l_plus_nullspace(rep: GlnIrrep):
-    """Independent computation of L^+ as the joint kernel of E_ij, i<j<n."""
-    rows = []
-    for i in range(1, rep.n):
-        for j in range(i + 1, rep.n):
-            rows.extend(rep.gen(i, j).to_rows())
-    if not rows:
-        return [vec_unit(rep.dim, t) for t in range(rep.dim)]
-    stacked = SparseMat.from_rows(rows)
-    return nullspace(stacked)
-
-
 def lemma_aximu_check(rep: GlnIrrep, mu, i) -> Fraction:
     """Apply z_in to xi_mu and compare with -(m_i - l_1)...(m_i - l_n) xi_{mu+d_i}.
 
@@ -371,22 +355,21 @@ def capelli_det(rep: GlnIrrep, m=None) -> OpPoly:
 
 def capelli_scalar_check(rep: GlnIrrep) -> bool:
     """C(u) acts on every basis vector as prod(u + l_i)."""
-    lam_l = [Fraction(rep.lam[i], 2) - i for i in range(rep.n)]
-    return _acts_diagonally(capelli_det(rep), [spoly_from_roots(lam_l)] * rep.dim)
+    return _acts_diagonally(capelli_det(rep), [spoly(_doubled_lvals(rep.lam), 2)] * rep.dim)
 
 
 def _acts_diagonally(poly: OpPoly, scalars) -> bool:
-    """poly(u) acts on basis vector t as the scalar polynomial scalars[t]:
-    each coefficient matrix num/den is the diagonal matrix of those
-    coefficients x, read off the numerators as num_tt x.den = x.num den."""
-    for j in range(max(len(poly.coeffs), max(len(w) for w in scalars))):
+    """poly(u) acts on basis vector t as the scalar polynomial scalars[t],
+    an ``exact.spoly`` (nums, d): each coefficient matrix num/den is the
+    diagonal matrix of those coefficients x / d, read off the numerators as
+    num_tt d = x den."""
+    for j in range(max(len(poly.coeffs), max(len(w) for w, _ in scalars))):
         c = poly.coeff(j)
         num, den = c.num, c.den
         if any(r != col for r, col in num):
             return False
-        for t, w in enumerate(scalars):
-            x = w[j] if j < len(w) else 0
-            if num.get((t, t), 0) * x.denominator != x.numerator * den:
+        for t, (w, d) in enumerate(scalars):
+            if num.get((t, t), 0) * d != (w[j] if j < len(w) else 0) * den:
                 return False
     return True
 
@@ -483,11 +466,6 @@ def drinfeld_poly(rep: GlnIrrep, m, which) -> OpPoly:
     raise ValueError("which must be A, B or C")
 
 
-def drinfeld_action(rep: GlnIrrep, m, which, u0) -> SparseMat:
-    """The operator A_m/B_m/C_m(u0) for a fixed rational evaluation point."""
-    return drinfeld_poly(rep, m, which).eval_at(u0)
-
-
 def drinfeld_checks(rep: GlnIrrep, m) -> bool:
     """Eigenvalue and shift displays for A_m, B_m, C_m on every pattern.
 
@@ -501,7 +479,7 @@ def drinfeld_checks(rep: GlnIrrep, m) -> bool:
     for p in rep.basis:
         row = p.row(m)
         if row not in eigen:
-            eigen[row] = spoly_from_roots([Fraction(x, 2) for x in _doubled_lvals(row)])
+            eigen[row] = spoly(_doubled_lvals(row), 2)
     if not _acts_diagonally(drinfeld_poly(rep, m, "A"), [eigen[p.row(m)] for p in rep.basis]):
         return False
     if m == n:
@@ -714,7 +692,7 @@ def export_json(rep: GlnIrrep):
         "n": rep.n,
         "lambda": list(rep.lam),
         "dim": rep.dim,
-        "patterns": [_patterns.to_json(p) for p in rep.basis],
+        "patterns": _patterns.PatternFields("A", [(p.rows,) for p in rep.basis]),
         "generators": gens,
         "normsq": ["%d/%d" % (v.numerator, v.denominator) for v in rep.normsq],
     }

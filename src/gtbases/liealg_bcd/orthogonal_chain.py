@@ -21,8 +21,10 @@ coordinate the middle index mixes.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 
-from ..exact import SpanSolver, SparseMat, apply_words, vec_unit
+from ..exact import (SpanSolver, SparseMat, _columns, apply_words, column_apply,
+                     column_fractions, columns_matrix)
 from .. import branching as _branching
 from .. import patterns as _patterns
 from .construction import MAX_RANK, Realization, build_module, raising_kernel, refuse_beyond_caps
@@ -112,7 +114,7 @@ class OrthogonalChain:
             return w[label - 1]
         if self.N - label + 1 <= self.n:
             return -w[self.N - label]
-        return Fraction(0)
+        return 0
 
     # -- the extremal projector ------------------------------------------------
 
@@ -138,22 +140,26 @@ class OrthogonalChain:
             gram = {}
             for (i, j), v in self.module.gram_matrix().num.items():
                 gram.setdefault(i, []).append((j, v))
-            ent = {}
+            parts = []
             for _, cols, kernel in raising_kernel(self.module, raising, key):
                 if not kernel:
                     continue
                 pos = {c: j for j, c in enumerate(cols)}
                 g = SparseMat.from_num(len(cols), len(cols), {
                     (pos[i], pos[j]): v for i in cols for j, v in gram.get(i, ())})
-                h = SparseMat.from_columns(kernel, len(cols))
+                # H scaled to ints, which leaves the projector as it is
+                h = SparseMat.from_num(len(cols), len(kernel),
+                                       SparseMat.from_columns(kernel, len(cols)).num)
                 gh = g @ h
                 # h^T g h is symmetric, so its rows are its columns; and
                 # h^T g = (g h)^T, so the rows of g h are the columns to solve
-                solver = SpanSolver((h.transpose() @ gh).to_rows(), h.ncols)
-                p = h @ SparseMat.from_columns([solver.solve(row) for row in gh.to_rows()],
-                                               h.ncols)
-                ent.update(((cols[i], cols[j]), v) for (i, j), v in p.entries.items())
-            self._proj[L] = SparseMat(self.dim, self.dim, ent)
+                solver = SpanSolver(_columns(h.transpose() @ gh), h.ncols)
+                parts.append((cols, h @ SparseMat.from_columns(
+                    [solver.solve(row) for row in _columns(gh.transpose())], h.ncols)))
+            den = lcm(*(p.den for _, p in parts))
+            self._proj[L] = SparseMat.from_num(self.dim, self.dim, {
+                (cols[i], cols[j]): v * (den // p.den)
+                for cols, p in parts for (i, j), v in p.num.items()}, den)
         return self._proj[L]
 
     # -- the normalized lowering operators -------------------------------------
@@ -167,50 +173,31 @@ class OrthogonalChain:
             M = 2 * k + 1 if kind == "s'" else 2 * k
             if M > self.N:
                 raise ValueError("level %d exceeds N" % M)
-            # pi_i: the f_{ij} over j = i+1..top and primed j (skip i'),
-            # and for s the short root factor
+            # pi_i per weight from its doubled Cartan values c: the 2 f_{ij}
+            # over j = i+1..top and primed j (skip i'), each over 2, and for
+            # s the short root factor
             top = k if kind == "s'" else k - 1
-            vals = []
-            for w in self.module.weights:
-                fi = self.cartan_value(M, i, w)
-                total = Fraction(1)
-                for j in range(i + 1, top + 1):
-                    total *= fi - self.cartan_value(M, j, w) + (j - i)
-                for m in range(top, 0, -1):
-                    if m != i:
-                        total *= fi + self.cartan_value(M, m, w) + M - 1 - i - m
+            pis, e = {}, 0
+            for w, (off, size) in self.module.weight_slices().items():
+                w = tuple(int(2 * x) for x in w)
+                c = {j: self.cartan_value(M, j, w) for j in range(1, top + 1)}
+                fs = [c[i] - c[j] + 2 * (j - i) for j in range(i + 1, top + 1)] + [
+                    c[i] + c[m] + 2 * (M - 1 - i - m) for m in range(top, 0, -1) if m != i]
+                total, e = prod(fs), len(fs)
                 if kind == "s":
-                    f_short = 2 * (fi + k - i)
-                    total *= f_short * (f_short + 1)
-                vals.append(total)
+                    total *= (c[i] + 2 * (k - i)) * (c[i] + 2 * (k - i) + 1)
+                pis.update((t, total) for t in range(off, off + size) if total)
             if kind == "s'":
                 gen = self.f_level(M, k + 1, i)
             else:
                 gen = self.f_level(M, k, i) + self.f_level(M, M + 1 - k, i)
-            self._low[key] = self.projector(M - 1) @ gen @ SparseMat.diag(vals)
+            self._low[key] = self.projector(M - 1) @ gen @ SparseMat.from_num(
+                self.dim, self.dim, {(t, t): v for t, v in pis.items()}, 2 ** e)
         return self._low[key]
 
-    def s_prime(self, k, i, vec):
-        """s'_{ki}: lowering for o_{2k+1} down to o_{2k} (1 <= i <= k)."""
-        return self.lowering("s'", k, i).apply(vec)
 
-    def s_plain(self, k, i, vec):
-        """s_{ki}: lowering for o_{2k} down to o_{2k-1} (1 <= i <= k-1)."""
-        return self.lowering("s", k, i).apply(vec)
-
-
-def orth_gt_basis(chain: OrthogonalChain):
-    """One vector per B4/D4 pattern by the chain product formulas.
-
-    Returns (patterns, vectors).  The operator products are applied in
-    branching order: for each level the odd-to-even lowerings s' act
-    before the even-to-odd lowerings s of the same level, descending the
-    chain from the top.  (Applying the printed products rightmost factor
-    first instead produces zero or non-orthogonal vectors, e.g. for o_5
-    with top row (1,1); the factors do not commute across the two
-    reduction types, and only the branching order keeps every operator on
-    the highest-vector subspace it is defined on.)
-    """
+def _orth_walk(chain: OrthogonalChain):
+    """(patterns, the int columns of orth_gt_basis)."""
     pats = _patterns.enumerate_patterns(chain.family, chain.lam)
     n = chain.n
     words = []
@@ -230,17 +217,33 @@ def orth_gt_basis(chain: OrthogonalChain):
                 for i in range(k, 0, -1):
                     word += [("s'", k, i)] * ((p.lamp[k - 1][i - 1] - p.lam[k - 1][i - 1]) // 2)
         words.append(word)
-    return pats, apply_words(vec_unit(chain.dim, 0), words,
-                             lambda letter: chain.lowering(*letter).apply)
+    return pats, apply_words(({0: 1}, 1), words,
+                             lambda letter: column_apply(chain.lowering(*letter)))
+
+
+def orth_gt_basis(chain: OrthogonalChain):
+    """One vector per B4/D4 pattern by the chain product formulas.
+
+    Returns (patterns, vectors).  The operator products are applied in
+    branching order: for each level the odd-to-even lowerings s' act
+    before the even-to-odd lowerings s of the same level, descending the
+    chain from the top.  (Applying the printed products rightmost factor
+    first instead produces zero or non-orthogonal vectors, e.g. for o_5
+    with top row (1,1); the factors do not commute across the two
+    reduction types, and only the branching order keeps every operator on
+    the highest-vector subspace it is defined on.)
+    """
+    pats, cols = _orth_walk(chain)
+    return pats, [column_fractions(c, chain.dim) for c in cols]
 
 
 def orth_basis_checks(chain: OrthogonalChain) -> bool:
     """Count, and B^T G B diagonal with a positive diagonal, B the basis as
     columns and G the Gram matrix: pairwise orthogonality and positive
     norms.  Independence follows, since B^T G B is then invertible."""
-    pats, vecs = orth_gt_basis(chain)
-    if len(vecs) != chain.dim:
+    pats, cols = _orth_walk(chain)
+    if len(cols) != chain.dim:
         return False
-    b = SparseMat.from_columns(vecs, chain.dim)
+    b = columns_matrix(cols, chain.dim)
     d = b.transpose() @ (chain.module.gram_matrix() @ b)
     return len(d.num) == chain.dim and all(r == c and v > 0 for (r, c), v in d.num.items())

@@ -10,18 +10,17 @@ boundaries.  All weights entering or leaving this module are doubled ints.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
+from operator import mul
 
-from ..exact import (OpPoly, SpanSolver, SparseMat, apply_words, chain_sum, rank,
-                     spoly_from_roots, sum_products, vec_unit)
+from ..exact import (OpPoly, SpanSolver, SparseMat, apply_words, chain_sum, column_apply,
+                     column_fractions, columns_matrix, rank, spoly, sum_products, vec_unit)
 from .. import patterns as _patterns
 from .. import branching as _branching
 from .construction import (MAX_RANK, HWModule, Realization, build_module, raising_kernel,
                            refuse_beyond_caps)
 
 _SERIES_FAMILY = {"B": "B3", "C": "C3", "D": "D3"}
-_ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
 
 
 class ClassicalAlgebra:
@@ -138,8 +137,10 @@ def build_bcd_irrep(series_or_algebra, lam, max_dim=600) -> BCDIrrep:
 # ---------------------------------------------------------------------------
 #
 # A table (matrix, raise columns) raises ZeroDivisionError on a vector that
-# meets a raise column.  A form is a list of (table, p) terms, the sum of
-# table @ diag(p(u)); p holds a coefficient list per weight (in block order).
+# meets a raise column.  A scale (values, den) holds an int per weight (in
+# block order) over den, None at a pole.  A form is a list of (table, ps,
+# den) terms, the sum of table @ diag(p(u) / den), p an int coefficient list
+# per weight, or None.
 
 def _apply(table, vec):
     mat, bad = table
@@ -151,40 +152,43 @@ def _apply(table, vec):
 def _columns(rep: BCDIrrep, values):
     """Values per weight of the module spread over its columns."""
     col = [0] * rep.dim
-    for (off, size), x in zip(rep.module.weight_slices().values(), values):
+    for (off, size), x in zip(_cached(rep, "slices", lambda: [
+            *rep.module.weight_slices().values()]), values):
         col[off:off + size] = [x] * size
     return col
 
 
 def _column_sum(rep: BCDIrrep, terms):
-    """The table of the sum of t @ diag(s) over the (table t, scale s) terms,
-    s a value per weight, None where a denominator vanishes: it raises
-    where s is None, and where t raises under a nonzero s."""
+    """The table of the sum of t @ diag(s) over the (table t, scale s)
+    terms; it raises where s is None, and where t raises under a nonzero s."""
     mats, bad = [], set()
-    for (mat, raises), s in terms:
-        col = _columns(rep, s)
+    for (mat, raises), (values, den) in terms:
+        col = _columns(rep, values)
         bad.update(c for c, x in enumerate(col) if x is None or x and c in raises)
-        mats.append((1, mat, SparseMat.diag([x or 0 for x in col])))
+        mats.append((1, mat, SparseMat.from_num(
+            rep.dim, rep.dim, {(c, c): x for c, x in enumerate(col) if x}, den)))
     return sum_products(rep.dim, rep.dim, mats), frozenset(bad)
 
 
 def _at(form, u0, div=1):
     """The (table, scale) terms of a form at u = u0, divided by div."""
-    def value(p):
-        if not p or not div:
-            return p and None   # a zero polynomial stays 0, a pole is None
-        x = _ZERO
-        for c in reversed(p):
-            x = x * u0 + c
-        return x / div
-    return [(t, [value(p) for p in ps]) for t, ps in form]
+    q, div = u0.denominator, Fraction(div)
+    out = []
+    for t, ps, den in form:
+        deg = max(map(len, filter(None, ps)), default=1) - 1
+        # p(u0) = sum_j p_j u0.num^j q^(deg - j) / q^deg
+        pows = [u0.numerator ** j * q ** (deg - j) for j in range(deg + 1)]
+        f = div.denominator if div > 0 else -div.denominator
+        out.append((t, ([p and (f * sum(map(mul, p, pows)) if div else None) for p in ps],
+                        den * q ** deg * (abs(div.numerator) or 1))))
+    return out
 
 
 def _poly_on(rep: BCDIrrep, solver: SpanSolver, vecs, form, error) -> OpPoly:
     """The OpPoly of a form on the basis vecs, factored by solver."""
-    deg = max((len(p) for _, ps in form for p in ps if p), default=0)
-    tables = (_column_sum(rep, [(t, [p and (p[j] if j < len(p) else 0) for p in ps])
-                                for t, ps in form]) for j in range(deg))
+    deg = max((len(p) for _, ps, _ in form for p in ps if p), default=0)
+    tables = (_column_sum(rep, [(t, ([p and (p[j] if j < len(p) else 0) for p in ps], den))
+                                for t, ps, den in form]) for j in range(deg))
     return OpPoly(len(vecs), len(vecs), [
         _matrix_on(solver, vecs, lambda v: _apply(table, v), error) for table in tables])
 
@@ -196,8 +200,9 @@ def _cached(rep: BCDIrrep, key, build):
 
 
 def _f_values(rep: BCDIrrep):
-    """The f values of each weight of the module, in block order."""
-    return [rep.algebra.f_values(w) for w in rep.module.weight_slices()]
+    """2 f_i (ClassicalAlgebra.f_values) per weight, in block order."""
+    return _cached(rep, "f", lambda: [{i: int(2 * x) for i, x in rep.algebra.f_values(w).items()}
+                                      for w in rep.module.weight_slices()])
 
 
 def _chain_sum(rep: BCDIrrep, i, a, k, pool):
@@ -205,24 +210,16 @@ def _chain_sum(rep: BCDIrrep, i, a, k, pool):
     F_{i i_1} ... F_{i_s a} times a Cartan factor acting first: the product
     of (f_i - f_j) over j in pool but not in the chain, over the product of
     (f_i - f_t) over t in the chain but not in pool, formed once per module
-    and key by exact.chain_sum."""
+    and key by exact.chain_sum, each chain product once per module."""
     def build():
         # the chain indices of the rank-k subalgebra (0 only for B), and
-        # 2 (f_i - f_j) over the basis, as ints
+        # 2 (f_i - f_j) over the basis
         indices = [j for j in range(i - 1, -k, -1) if j or rep.algebra.series == "B"]
         fs = _f_values(rep)
-        diff = {j: _columns(rep, [int(2 * (f[i] - f[j])) for f in fs]) for j in indices}
-        return chain_sum(rep.dim, i, indices, a, rep.F, pool, diff, 2)
+        diff = {j: _columns(rep, [f[i] - f[j] for f in fs]) for j in indices}
+        return chain_sum(rep.dim, i, indices, a, rep.F, pool, diff, 2,
+                         _cached(rep, "chains", dict))
     return _cached(rep, (i, a, k, pool), build)
-
-
-def apply_pf(rep: BCDIrrep, i, a, vec, rank_k=None):
-    """Apply pF_ia (the extremal-projector image of F_ia) to vec.
-
-    The scalar denominators 1/((f_i - f_{i_1})...) act first, evaluated
-    componentwise on the input; raises if a needed denominator vanishes."""
-    k = rep.algebra.n if rank_k is None else rank_k
-    return _apply(_chain_sum(rep, i, a, k, ()), vec)
 
 
 def _z(rep: BCDIrrep, i, a, k):
@@ -272,14 +269,17 @@ def apply_z_nminus(rep: BCDIrrep, vec, rank_k=None):
     k = rep.algebra.n if rank_k is None else rank_k
     table = _z(rep, k, -k, k)
     if rep.algebra.series == "D":
-        table = _column_sum(rep, [(table, [1 / (2 * f[k]) if f[k] else None
-                                           for f in _f_values(rep)])])
+        fk = [f[k] for f in _f_values(rep)]
+        lcd = lcm(*filter(None, fk))
+        table = _column_sum(rep, [(table, ([x and lcd // x or None for x in fk], lcd))])
     return _apply(table, vec)
 
 
-def _poly(roots, c):
-    """c prod_r (u + r)."""
-    return [c * x for x in spoly_from_roots(roots)]
+def _over(ps, dens, zero=None):
+    """(ps, den) of a form term: the int lists ps over the int dens, one
+    each per weight, over their lcm; zero where a den is 0."""
+    lcd = lcm(*filter(None, dens))
+    return [[lcd // d * x for x in p] if d else zero for p, d in zip(ps, dens)], lcd
 
 
 def _display(rep: BCDIrrep, a, b, k):
@@ -297,17 +297,19 @@ def _display(rep: BCDIrrep, a, b, k):
         idx = [j for j in range(-k + 1, k) if j or alg.series == "B"]
         sign = 1 if alg.series == "C" else -1
         fs = _f_values(rep)
-        gs = [[f[j] + _HALF for j in idx] for f in fs]
-        form = [((rep.F(a, b), frozenset()), [_poly(g, sign) for g in gs])]
+        gs = [[f[j] + 1 for j in idx] for f in fs]      # 2 g_j
+        m = len(idx)
+        form = [((rep.F(a, b), frozenset()),
+                 *_over([spoly(g, 2)[0] for g in gs], [sign << m] * len(gs)))]
         if a == b:
+            r = int(2 * alg.rho(k)) + 1
             form.append(((SparseMat.identity(rep.dim), frozenset()),
-                         [_poly(g + [alg.rho(k) + _HALF], sign) for g in gs]))
+                         *_over([spoly(g + [r], 2)[0] for g in gs], [sign << m + 1] * len(gs))))
         for t, i in enumerate(idx):
-            polys = []
-            for f, g in zip(fs, gs):
-                den = prod(f[i] - f[j] for j in idx if j != i and (alg.series != "D" or j != -i))
-                polys.append(_poly(g[:t] + g[t + 1:], Fraction(-sign) / den) if den else None)
-            form.append((_zz(rep, a, i, b, k), polys))
+            js = [j for j in idx if j != i and (alg.series != "D" or j != -i)]
+            form.append((_zz(rep, a, i, b, k), *_over(
+                [spoly(g[:t] + g[t + 1:], 2)[0] for g in gs],
+                [-sign * prod(f[i] - f[j] for j in js) << m - 1 - len(js) for f in fs])))
         return form
     return _cached(rep, ("display", a, b, k), build)
 
@@ -319,17 +321,16 @@ def _interp(rep: BCDIrrep, k):
     nodes collide; and there, the display form of Z_{k,-k}(u), 0 elsewhere."""
     def build():
         top = k if rep.algebra.series in ("B", "C") else k - 1
-        nodes = [[f[i] + _HALF for i in range(1, top + 1)] for f in _f_values(rep)]
+        nodes = [[f[i] + 1 for i in range(1, top + 1)] for f in _f_values(rep)]    # 2 g_i
         colliding = {w for w, g in enumerate(nodes) if len({x * x for x in g}) < top}
         form = []
         for i in range(top):
-            polys = [0 if w in colliding else _poly(
-                [s * x for x in g[:i] + g[i + 1:] for s in (1, -1)],
-                Fraction(1) / prod(g[i] ** 2 - x ** 2 for x in g[:i] + g[i + 1:]))
-                for w, g in enumerate(nodes)]
-            form.append((_z(rep, k, -k, k) if i + 1 == k else _zz(rep, k, i + 1, -k, k), polys))
-        shown = [(t, [p if w in colliding else 0 for w, p in enumerate(ps)])
-                 for t, ps in _display(rep, k, -k, k)] if colliding else []
+            form.append((_z(rep, k, -k, k) if i + 1 == k else _zz(rep, k, i + 1, -k, k), *_over(
+                [spoly([s * x for x in g[:i] + g[i + 1:] for s in (1, -1)], 2)[0] for g in nodes],
+                [w not in colliding and prod(g[i] ** 2 - x ** 2 for x in g[:i] + g[i + 1:])
+                 for w, g in enumerate(nodes)], [])))
+        shown = [(t, [p if w in colliding else [] for w, p in enumerate(ps)], den)
+                 for t, ps, den in _display(rep, k, -k, k)] if colliding else []
         return form, shown
     return _cached(rep, ("interp", k), build)
 
@@ -339,23 +340,19 @@ def _div(rep: BCDIrrep, u0):
     return 2 * u0 + 1 if rep.algebra.series == "D" else 1
 
 
-def apply_z_interp(rep: BCDIrrep, u0, vec, rank_k=None):
-    """Z_{k,-k}(u0): the interpolation form where its nodes are regular, the
-    display form where two collide; one table per module, k and u0."""
-    k = rep.algebra.n if rank_k is None else rank_k
-    u0 = Fraction(u0)
-
+def _z_interp_table(rep: BCDIrrep, k, u0):
+    """The table of Z_{k,-k}(u0): the interpolation form where its nodes
+    are regular, the display form where two collide."""
     def build():
         form, shown = _interp(rep, k)
         return _column_sum(rep, _at(form, u0) + _at(shown, u0, _div(rep, u0)))
-    return _apply(_cached(rep, ("Z", k, u0), build), vec)
+    return _cached(rep, ("Z", k, u0), build)
 
 
-def _apply_zab_point(rep: BCDIrrep, a, b, u0, vec, rank_k=None):
-    """Z_ab(u0) applied to a vector, by the display form (a, b in {-k, k})."""
-    k = rep.algebra.n if rank_k is None else rank_k
-    u0 = Fraction(u0)
-    return _apply(_column_sum(rep, _at(_display(rep, a, b, k), u0, _div(rep, u0))), vec)
+def apply_z_interp(rep: BCDIrrep, u0, vec, rank_k=None):
+    """Z_{k,-k}(u0) applied to vec (see _z_interp_table)."""
+    return _apply(_z_interp_table(rep, rep.algebra.n if rank_k is None else rank_k,
+                                  Fraction(u0)), vec)
 
 
 # ---------------------------------------------------------------------------
@@ -453,21 +450,17 @@ def _level_word(rep: BCDIrrep, k, top, prime, below, sigma=0):
     l(prime_k) - 1 (D: l(prime_{k-1}) - 2), then for i = k-1..1 the powers
     of z_{i,-k} and z_{ki}, then z_{k0} when sigma is set (B only).  In D
     the derived entry max(top_1, below_1) is prepended to prime.  The D
-    word at k = 1 is empty, as in gt_basis_bcd: o_2 is abelian.
+    word at k = 1 is empty, as in gt_basis_bcd: o_2 is abelian.  The u are
+    doubled: 2 l(x) = x + 2 rho_k + 1, and in D 2 rho_{k-1} = 2 rho_k + 2.
     """
     alg = rep.algebra
+    if alg.series == "D" and k == 1:
+        return []
+    rho = int(2 * alg.rho(k))
+    stop = prime[-1] + rho - 1
     if alg.series == "D":
-        if k == 1:
-            return []
-        stop = _halves(prime[-1]) + alg.rho(k - 1) + Fraction(1, 2) - 2
         prime = (max(top[0], below[0]),) + tuple(prime)
-    else:
-        stop = _halves(prime[-1]) + alg.rho(k) + Fraction(1, 2) - 1
-    arg = _halves(top[-1]) + alg.rho(k) + Fraction(1, 2)
-    word = []
-    while arg <= stop:
-        word.append(("Z", k, arg))
-        arg += 1
+    word = [("Z", k, x) for x in range(top[-1] + rho + 1, stop + 1, 2)]
     for i in range(k - 1, 0, -1):
         word += [("z", k, i)] * ((prime[i - 1] - top[i - 1]) // 2)
         word += [("zk", k, i)] * ((prime[i - 1] - below[i - 1]) // 2)
@@ -477,21 +470,20 @@ def _level_word(rep: BCDIrrep, k, top, prime, below, sigma=0):
 
 
 def _letter(rep: BCDIrrep, letter):
-    """The function a letter applies: ("Z", k, u0) is Z_{k,-k}(u0), ("z", k, i)
-    is z_{i,-k} and ("zk", k, i) is z_{ki}, all of the rank-k subalgebra."""
+    """The function a letter applies to an int column: ("Z", k, x) is
+    Z_{k,-k}(x / 2), ("z", k, i) is z_{i,-k} and ("zk", k, i) is z_{ki}, all
+    of the rank-k subalgebra."""
     kind, k, x = letter
-    if kind == "Z":
-        return lambda v: apply_z_interp(rep, x, v, rank_k=k)
-    if kind == "z":
-        return lambda v: apply_z(rep, x, -k, v, rank_k=k)
-    return lambda v: apply_z_ai(rep, k, x, v, rank_k=k)
+    return _cached(rep, ("columns", letter), lambda: column_apply(*(
+        _z_interp_table(rep, k, Fraction(x, 2)) if kind == "Z" else
+        _z(rep, x, -k, k) if kind == "z" else _zai(rep, k, x, k))))
 
 
 def _walk(rep: BCDIrrep, words):
-    """The vectors of the words from the highest vector, on the module's
-    trie: a multiplicity word is the top-level factor of GT basis words, so
-    multiplicity_basis after gt_basis_bcd applies no prefix again."""
-    return apply_words(rep.highest_vector, words, lambda letter: _letter(rep, letter),
+    """The int columns of the words from the highest vector, on the
+    module's trie: a multiplicity word is the top-level factor of GT basis
+    words, so multiplicity_basis after gt_basis_bcd applies no prefix again."""
+    return apply_words(({0: 1}, 1), words, lambda letter: _letter(rep, letter),
                        _cached(rep, "words", dict))
 
 
@@ -509,16 +501,15 @@ def multiplicity_basis(rep: BCDIrrep, mu):
     for tup in spec.data:
         sigma, nu = (tup[0], tup[1:]) if alg.series == "B" else (0, tup)
         words.append(_level_word(rep, alg.n, rep.lam, nu, mu, sigma))
-    vecs = _walk(rep, words)
-    if vecs:
-        mat = SparseMat.from_columns(vecs, rep.dim)
-        assert rank(mat) == len(vecs), "multiplicity vectors are dependent"
-    return list(spec.data), vecs
+    cols = _walk(rep, words)
+    if cols:
+        assert rank(columns_matrix(cols, rep.dim)) == len(cols), \
+            "multiplicity vectors are dependent"
+    return list(spec.data), [column_fractions(c, rep.dim) for c in cols]
 
 
-def gt_basis_bcd(rep: BCDIrrep):
-    """One vector per pattern, by the interleaved products of z-powers and
-    evaluated interpolation polynomials; returns (patterns, vectors)."""
+def _gt_walk(rep: BCDIrrep):
+    """(patterns, the int columns of gt_basis_bcd)."""
     alg = rep.algebra
     n = alg.n
     pats = _patterns.enumerate_patterns(_SERIES_FAMILY[alg.series], rep.lam)
@@ -537,14 +528,21 @@ def gt_basis_bcd(rep: BCDIrrep):
     return pats, _walk(rep, words)
 
 
+def gt_basis_bcd(rep: BCDIrrep):
+    """One vector per pattern, by the interleaved products of z-powers and
+    evaluated interpolation polynomials; returns (patterns, vectors)."""
+    pats, cols = _gt_walk(rep)
+    return pats, [column_fractions(c, rep.dim) for c in cols]
+
+
 def gt_basis_checks(rep: BCDIrrep) -> bool:
     """Full rank, matching dimension, and the predicted weight on each
     basis vector: every stored entry (r, c) of B, the basis as columns,
     lies on the weight of pattern c."""
-    pats, vecs = gt_basis_bcd(rep)
-    if len(vecs) != rep.dim:
+    pats, cols = _gt_walk(rep)
+    if len(cols) != rep.dim:
         return False
-    b = SparseMat.from_columns(vecs, rep.dim)
+    b = columns_matrix(cols, rep.dim)
     if rank(b) != rep.dim:
         return False
     weights = [rep.weight_doubled(r) for r in range(rep.dim)]

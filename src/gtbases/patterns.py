@@ -540,6 +540,26 @@ PATTERN_TYPES = {family: cls for cls, family in _FAMILY_OF_TYPE.items()}
 JSON_KEY = {"rows": "rows", "lam": "rows", "lamp": "primed", "sigma": "sigma"}
 
 
+def json_texts(family, fields, first, sep, close, field):
+    """The JSON text of the to_json dict of each of the field tuples of the
+    family: first and sep before the first and each later item, close
+    after the last, field(x) the text of a field value x."""
+    keys = sorted(enumerate(JSON_KEY[f] for f in PATTERN_TYPES[family].__dataclass_fields__),
+                  key=lambda x: x[1])
+    line = '{%s"family": "%s"%s%s' % (first, family, "".join(
+        '%s"%s": %%s' % (sep, key) for _, key in keys), close)
+    return (line % tuple([field(f[i]) for i, _ in keys]) for f in fields)
+
+
+class PatternFields(list):
+    """The field tuples of patterns of one family (see pattern_fields),
+    which cli.write_export writes as their to_json dicts."""
+
+    def __init__(self, family, fields):
+        super().__init__(fields)
+        self.family = family
+
+
 def family_of(p):
     return _FAMILY_OF_TYPE[type(p)]
 

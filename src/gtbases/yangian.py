@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations, product as iproduct
 
 from .exact import (OpPoly, SpanSolver, SparseMat, apply_words, kron, rank,
-                    spoly_from_roots, spoly_mul, vec_is_zero, vec_unit)
+                    spoly, vec_is_zero, vec_unit)
 from . import gln
 
 PLUS, MINUS = 1, -1
@@ -128,10 +128,10 @@ class YTensorModule:
 
     def _check_highest(self):
         assert all(vec_is_zero(v) for v in self.T[(MINUS, PLUS)].apply_to(self.eta))
-        a_roots = [Fraction(f.alpha2, 2) for f in self.factors]
-        b_roots = [Fraction(f.beta2, 2) for f in self.factors]
-        assert _is_scalar_action(self.T[(MINUS, MINUS)], self.eta, spoly_from_roots(a_roots))
-        assert _is_scalar_action(self.T[(PLUS, PLUS)], self.eta, spoly_from_roots(b_roots))
+        assert _is_scalar_action(self.T[(MINUS, MINUS)], self.eta,
+                                 spoly([f.alpha2 for f in self.factors], 2))
+        assert _is_scalar_action(self.T[(PLUS, PLUS)], self.eta,
+                                 spoly([f.beta2 for f in self.factors], 2))
 
     def t_coefficients(self):
         """Matrices of t^(r)_ab, r = 1..k (the identity top term dropped)."""
@@ -150,13 +150,14 @@ def _gl2_index(label):
     return 1 if label == MINUS else 2
 
 
-def _is_scalar_action(poly: OpPoly, vec, spoly) -> bool:
+def _is_scalar_action(poly: OpPoly, vec, scalar) -> bool:
+    """poly(u) acts on vec as the ``exact.spoly`` (nums, den) scalar."""
     got = poly.apply_to(vec)
-    n = max(len(got), len(spoly))
+    nums, den = scalar
     zero = (Fraction(0),) * len(vec)
-    for j in range(n):
+    for j in range(max(len(got), len(nums))):
         g = got[j] if j < len(got) else zero
-        s = spoly[j] if j < len(spoly) else Fraction(0)
+        s = Fraction(nums[j], den) if j < len(nums) else 0
         if g != tuple(s * x for x in vec):
             return False
     return True
@@ -220,13 +221,13 @@ def eta_action_checks(module: YTensorModule) -> bool:
     betas = [Fraction(f.beta2, 2) for f in module.factors]
     zero = (Fraction(0),) * module.dim
     # T_{-n,-n}(u) display, cleared of the denominators prod(u+gamma_i+1)
-    num = spoly_mul(spoly_from_roots([a + 1 for a in alphas]), spoly_from_roots(betas))
+    num, den = spoly([f.alpha2 + 2 for f in module.factors] + [f.beta2 for f in module.factors], 2)
     rhs = OpPoly.sum_products(module.dim, module.dim, [
-        (num, OpPoly.constant(SparseMat.identity(module.dim)), None),
+        ([Fraction(x, den) for x in num], OpPoly.constant(SparseMat.identity(module.dim)), None),
         ((1,), tmp, tpm.shift_u(1))])
     for gamma, v in basis.items():
         gvals = [Fraction(g, 2) for g in gamma]
-        if not _is_scalar_action(tpp, v, spoly_from_roots(gvals)):
+        if not _is_scalar_action(tpp, v, spoly(gamma, 2)):
             return False
         for i in range(k):
             up = list(gamma)
@@ -244,7 +245,8 @@ def eta_action_checks(module: YTensorModule) -> bool:
             want = basis.get(tuple(down), zero)
             if got != tuple(coeff * x for x in want):
                 return False
-        lhs = tmm.mul_scalar_poly(spoly_from_roots([g + 1 for g in gvals]))
+        num, den = spoly([g + 2 for g in gamma], 2)
+        lhs = tmm.mul_scalar_poly([Fraction(x, den) for x in num])
         if lhs.apply_to(v) != rhs.apply_to(v):
             return False
     return True
@@ -269,9 +271,9 @@ def quantum_det(module: YTensorModule) -> OpPoly:
 
 def quantum_det_scalar_check(module: YTensorModule) -> bool:
     """d(u) acts as prod (u+alpha_i+1)(u+beta_i) on the whole module."""
-    spoly = spoly_from_roots([Fraction(f.alpha2, 2) + 1 for f in module.factors])
-    spoly = spoly_mul(spoly, spoly_from_roots([Fraction(f.beta2, 2) for f in module.factors]))
-    return quantum_det(module) == OpPoly.from_scalar_poly(spoly, module.dim)
+    num, den = spoly([f.alpha2 + 2 for f in module.factors] + [f.beta2 for f in module.factors], 2)
+    return quantum_det(module) == OpPoly.from_scalar_poly([Fraction(x, den) for x in num],
+                                                          module.dim)
 
 
 def qdet_centrality_check(module: YTensorModule, points) -> bool:

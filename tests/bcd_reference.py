@@ -6,8 +6,10 @@ fresh ``realize``.  ``commutation_all_pairs`` is the bracket loop it
 replaced, over every ordered pair of generators.
 
 ``gt_basis_bcd``, ``multiplicity_basis`` and ``orth_gt_basis`` walk the
-lowering words of all patterns as one trie (``exact.apply_words``).  The
-functions below apply every pattern's word from the highest vector.
+lowering words of all patterns as one trie (``exact.apply_words``), on int
+columns through column-indexed tables (``exact.column_apply``).  The
+functions below apply every pattern's word from the highest vector, through
+the library's tables applied to tuples of ``Fraction``s.
 ``orth_basis_checks``, ``gt_basis_checks`` and ``fnn_action_check`` check
 one matrix B, the basis as columns: B^T G B is diagonal and positive, the
 stored entries of B sit on the weights of their patterns, and F_nn B and
@@ -29,10 +31,14 @@ the same names below sum the chains for every vector they are applied to.
 before ``exact.chain_sum``: each chain monomial built on its own, with its
 Cartan factor and vanishing denominators worked out in place.
 ``signed_realization`` applies Z_ab(u0) and z_{ki} z_{i,-k} as tables formed
-once per module from the display and interpolation forms of Z_ab(u).
+once per module, on ints, from the display and interpolation forms of
+Z_ab(u).
 ``_apply_zab_point``, ``apply_z_interp`` and ``apply_znizin`` below apply
 them to one vector at a time, through the z operators, with the Cartan
 factors evaluated on the vector's support.
+``table_pf``, ``table_zab_point``, ``s_prime`` and ``s_plain`` apply the
+library's tables of pF_ia, Z_ab(u0) and s'/s to tuples of ``Fraction``s; the
+library walks int columns and has no such wrappers. 
 ``OrthogonalChain`` applies each s'/s as one table, the extremal projector
 of the level below (the projection onto the kernel of its raising
 operators) after the first factor.  ``PerVectorChain`` is the chain as it
@@ -148,24 +154,24 @@ def orth_gt_basis(chain):
                 for i in range(k, 0, -1):
                     e = (p.lam[k - 1][i - 1] - p.lamp[k - 1][i - 1]) // 2
                     for _ in range(e):
-                        v = chain.s_prime(k, i, v)
+                        v = s_prime(chain, k, i, v)
                 for i in range(k - 1, 0, -1):
                     e = (p.lamp[k - 1][i - 1] - p.lam[k - 2][i - 1]) // 2
                     for _ in range(e):
-                        v = chain.s_plain(k, i, v)
+                        v = s_plain(chain, k, i, v)
             e = (p.lam[0][0] - p.lamp[0][0]) // 2
             for _ in range(e):
-                v = chain.s_prime(1, 1, v)
+                v = s_prime(chain, 1, 1, v)
         else:
             for k in range(n - 1, 0, -1):
                 for i in range(k, 0, -1):
                     e = (p.lam[k][i - 1] - p.lamp[k - 1][i - 1]) // 2
                     for _ in range(e):
-                        v = chain.s_plain(k + 1, i, v)
+                        v = s_plain(chain, k + 1, i, v)
                 for i in range(k, 0, -1):
                     e = (p.lamp[k - 1][i - 1] - p.lam[k - 1][i - 1]) // 2
                     for _ in range(e):
-                        v = chain.s_prime(k, i, v)
+                        v = s_prime(chain, k, i, v)
         out.append(v)
     return pats, out
 
@@ -664,6 +670,36 @@ def _apply_zab_point(rep: BCDIrrep, a, b, u0, vec, rank_k=None):
     if 2 * u0 + 1 == 0:
         raise ZeroDivisionError("D-case Z_ab cannot be evaluated at -1/2")
     return vec_scale(Fraction(-1) / (2 * u0 + 1), total)
+
+
+# -- the library's tables, applied to tuples of Fractions ----------------------
+#
+# The library walks int columns (exact.apply_columns) on the tables of its
+# z operators; only these test wrappers apply the tables of pF_ia, Z_ab(u0)
+# and the s'/s lowerings to tuples of Fractions.
+
+def table_pf(rep: BCDIrrep, i, a, vec, rank_k=None):
+    """pF_ia applied to vec through its chain-sum table."""
+    k = rep.algebra.n if rank_k is None else rank_k
+    return sr._apply(sr._chain_sum(rep, i, a, k, ()), vec)
+
+
+def table_zab_point(rep: BCDIrrep, a, b, u0, vec, rank_k=None):
+    """Z_ab(u0) applied to vec through the table of its display form."""
+    k = rep.algebra.n if rank_k is None else rank_k
+    u0 = Fraction(u0)
+    return sr._apply(sr._column_sum(rep, sr._at(sr._display(rep, a, b, k), u0,
+                                                sr._div(rep, u0))), vec)
+
+
+def s_prime(chain, k, i, vec):
+    """s'_{ki}: lowering for o_{2k+1} down to o_{2k} (1 <= i <= k)."""
+    return chain.lowering("s'", k, i).apply(vec)
+
+
+def s_plain(chain, k, i, vec):
+    """s_{ki}: lowering for o_{2k} down to o_{2k-1} (1 <= i <= k-1)."""
+    return chain.lowering("s", k, i).apply(vec)
 
 
 # -- the Fraction construction of highest-weight modules -----------------------

@@ -22,6 +22,20 @@ its own; the library sums every term into ``exact.sum_products``.
 classes, and ``to_ref``/``from_ref`` move a matrix or an operator polynomial between
 the library and the reference classes.
 
+``spoly_trim``, ``spoly_mul`` and ``spoly_from_roots`` are the ``Fraction``
+scalar polynomials that ``exact.spoly`` (int numerators over one
+denominator) replaced for every caller.
+
+``int_column`` writes a tuple of ``Fraction``s as the int column that
+``exact.column_apply`` applies tables to.
+
+``divide_by_u`` is the division of a library ``OpPoly`` by u that only
+the tests use.
+
+``chain_sum`` below is the form
+``exact.chain_sum`` had before it shared suffix products, each chain's
+monomial multiplied out from its start.
+
 ``commutator`` is the two-product form a @ b - b @ a; on library matrices
 it is the reference for ``gtbases.exact.commutator``, which sums both
 products in one pass.  ``from_rows`` and ``from_columns`` are the forms of
@@ -350,6 +364,75 @@ def vec_add(u, v):
 def vec_scale(a, u):
     a = Fraction(a)
     return tuple(a * x for x in u)
+
+
+def spoly_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def spoly_mul(p, q):
+    if not p or not q:
+        return []
+    out = [_ZERO] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                if b:
+                    out[i + j] += a * b
+    return spoly_trim(out)
+
+
+def spoly_from_roots(roots):
+    """Product of (u + r) over the given values r."""
+    p = [_ONE]
+    for r in roots:
+        p = spoly_mul(p, [Fraction(r), _ONE])
+    return p
+
+
+def chain_sum(dim, start, indices, end, gen, pool, diff, den):
+    """exact.chain_sum with each chain's monomial multiplied out from its
+    start, gen(start, c_1) @ gen(c_1, c_2) @ ..., for every chain."""
+    chains = [()]
+    for x in indices:
+        chains += [c + (x,) for c in chains]
+    terms = []
+    bad = set()
+    for c in chains:
+        path = (start,) + c + (end,)
+        mono = gen(start, path[1])
+        for p, q in zip(path[1:], path[2:]):
+            mono = mono @ gen(p, q)
+        if mono.is_zero():
+            continue
+        ups = [j for j in pool if j not in c]
+        downs = [t for t in c if t not in pool]
+        up = [math.prod(xs) for xs in zip([1] * dim, *(diff[j] for j in ups))]
+        down = [math.prod(xs) for xs in zip([1] * dim, *(diff[t] for t in downs))]
+        bad.update(col for col in range(dim) if up[col] and not down[col])
+        lcd = math.lcm(*(x for x in down if x))
+        num = [u * (lcd // x) * den ** len(downs) if x else 0 for u, x in zip(up, down)]
+        terms.append((1, _exact.SparseMat.from_num(
+            dim, dim, {(r, col): v * num[col] for (r, col), v in mono.num.items() if num[col]},
+            mono.den * lcd * den ** len(ups))))
+    return _exact.SparseMat.combination(dim, dim, terms), frozenset(bad)
+
+
+def int_column(vec):
+    """The sequence vec of ints or Fractions as an int column (num, den) of
+    exact.column_apply."""
+    den = math.lcm(*(x.denominator for x in vec if x))
+    return {c: x.numerator * (den // x.denominator) for c, x in enumerate(vec) if x}, den
+
+
+def divide_by_u(p):
+    """Exact division of a library OpPoly by u; raises if the constant term
+    is nonzero."""
+    if p.coeffs and not p.coeffs[0].is_zero():
+        raise ArithmeticError("polynomial not divisible by u")
+    return _exact.OpPoly(p.nrows, p.ncols, p.coeffs[1:])
 
 
 def kron(a: SparseMat, b: SparseMat) -> SparseMat:

@@ -34,8 +34,9 @@ from itertools import permutations
 from math import prod
 
 import exact_reference
-from gtbases.exact import (OpPoly, SparseMat, commutator, factorial,
-                           spoly_from_roots, vec_is_zero, vec_unit)
+from exact_reference import spoly_from_roots
+from gtbases.exact import (OpPoly, SparseMat, commutator, factorial, nullspace, vec_is_zero,
+                           vec_unit)
 from gtbases.gln import (_big_e, capelli_det,
                          l_plus_matrix, lowering_operator, tau_poly)
 from gtbases.patterns import validate, weight
@@ -518,3 +519,15 @@ def acts_diagonally(poly, scalars) -> bool:
         if poly.coeff(j) != want:
             return False
     return True
+
+
+def l_plus_nullspace(rep):
+    """Independent computation of L^+ as the joint kernel of E_ij, i<j<n."""
+    rows = []
+    for i in range(1, rep.n):
+        for j in range(i + 1, rep.n):
+            rows.extend(rep.gen(i, j).to_rows())
+    if not rows:
+        return [vec_unit(rep.dim, t) for t in range(rep.dim)]
+    stacked = SparseMat.from_rows(rows)
+    return nullspace(stacked)

@@ -12,6 +12,7 @@ interpolation forms applied per vector."""
 import functools
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,11 +20,12 @@ from hypothesis import assume, given, settings, strategies as st
 import bcd_reference as ref
 from gtbases import branching, cli
 from exact_reference import vec_zero
-from gtbases.exact import SparseMat, nullspace, vec_unit
+from exact_reference import int_column
+from gtbases.exact import SparseMat, column_fractions, columns_matrix, nullspace, vec_unit
 from gtbases.liealg_bcd import (OrthogonalChain, build_bcd_irrep, gt_basis_bcd,
                                 multiplicity_basis, orth_basis_checks, orth_gt_basis,
                                 orthogonal_chain, signed_realization)
-from test_liealg_bcd import ORTH_BASIS_PINS
+from test_liealg_bcd import BASIS_PINS, ORTH_BASIS_PINS
 
 
 @pytest.mark.parametrize("series,lam", [
@@ -46,6 +48,32 @@ CHAINS = [(3, (2,)), (4, (2, 2)), (4, (4, -2)), (5, (2, 2)), (5, (3, 1)),
 def test_orth_basis_matches_per_pattern_words(N, lam):
     chain = OrthogonalChain(N, lam)
     assert orth_gt_basis(chain) == ref.orth_gt_basis(chain)
+
+
+@pytest.mark.parametrize("series,lam", [(s, lam) for s, lam, _, _, _ in BASIS_PINS])
+def test_signed_b_from_int_columns_is_from_columns_of_the_vectors(monkeypatch, series, lam):
+    """B read off the walk's int columns, as gt_basis_checks reads it, is
+    from_columns of the vectors gt_basis_bcd returns; the same for the B
+    whose rank multiplicity_basis checks, on every child."""
+    rep = build_bcd_irrep(series, lam)
+    pats, cols = signed_realization._gt_walk(rep)
+    assert columns_matrix(cols, rep.dim) == SparseMat.from_columns(gt_basis_bcd(rep)[1], rep.dim)
+    read = []
+    monkeypatch.setattr(signed_realization, "columns_matrix",
+                        lambda *a: read.append(columns_matrix(*a)) or read[-1])
+    for mu, _ in branching.branch_children_BCD(series, lam):
+        vecs = multiplicity_basis(rep, mu)[1]
+        assert read.pop() == SparseMat.from_columns(vecs, rep.dim) if vecs else not read
+
+
+@pytest.mark.parametrize("N,lam", [(N, lam) for N, lam, _, _ in ORTH_BASIS_PINS])
+def test_orth_b_from_int_columns_is_from_columns_of_the_vectors(N, lam):
+    """B read off the walk's int columns, as orth_basis_checks reads it, is
+    from_columns of the vectors orth_gt_basis returns."""
+    chain = OrthogonalChain(N, lam)
+    pats, cols = orthogonal_chain._orth_walk(chain)
+    assert columns_matrix(cols, chain.dim) == \
+        SparseMat.from_columns(orth_gt_basis(chain)[1], chain.dim)
 
 
 # Each perturbation replaces vector a of a basis; weights holds the weight
@@ -76,6 +104,13 @@ def _moved(vecs, a, weights):
 PERTURBATIONS = [None, _zeroed, _negated, _sum_of_two, _moved]
 
 
+def _substitute(monkeypatch, module, public, walk, pats, vecs):
+    """Make module's public basis function return (pats, vecs), and its
+    walk, which the library's checks read, their int columns."""
+    monkeypatch.setattr(module, public, lambda rep: (pats, vecs))
+    monkeypatch.setattr(module, walk, lambda rep: (pats, [int_column(v) for v in vecs]))
+
+
 def _perturbed(vecs, weights, perturb):
     """The basis itself, or its copies with perturb applied at each
     position."""
@@ -95,7 +130,7 @@ def test_orth_verdicts_match_rank_and_all_pairs(monkeypatch, N, lam, perturb):
     chain = OrthogonalChain(N, lam)
     pats, vecs = orth_gt_basis(chain)
     for got in _perturbed(vecs, chain.module.weights, perturb):
-        monkeypatch.setattr(orthogonal_chain, "orth_gt_basis", lambda ch: (pats, got))
+        _substitute(monkeypatch, orthogonal_chain, "orth_gt_basis", "_orth_walk", pats, got)
         want = ref.orth_basis_checks(chain)
         assert orth_basis_checks(chain) is want
         assert want is (perturb in (None, _negated))
@@ -116,7 +151,7 @@ def test_gt_basis_verdicts_match_rank_and_dense_weights(monkeypatch, series, lam
     pats, vecs = gt_basis_bcd(rep)
     weights = [rep.weight_doubled(t) for t in range(rep.dim)]
     for got in _perturbed(vecs, weights, perturb):
-        monkeypatch.setattr(signed_realization, "gt_basis_bcd", lambda r: (pats, got))
+        _substitute(monkeypatch, signed_realization, "gt_basis_bcd", "_gt_walk", pats, got)
         want = ref.gt_basis_checks(rep)
         assert signed_realization.gt_basis_checks(rep) is want
         assert want is (perturb in (None, _negated))
@@ -178,14 +213,14 @@ def test_fnn_verdicts_match_on_corrupted_generators(monkeypatch, series, lam):
 def test_orth_short_basis_fails(monkeypatch):
     chain = OrthogonalChain(5, (2, 2))
     pats, vecs = orth_gt_basis(chain)
-    monkeypatch.setattr(orthogonal_chain, "orth_gt_basis", lambda ch: (pats, vecs[1:]))
+    _substitute(monkeypatch, orthogonal_chain, "orth_gt_basis", "_orth_walk", pats, vecs[1:])
     assert orth_basis_checks(chain) is ref.orth_basis_checks(chain) is False
 
 
 def _spy_walk(monkeypatch):
     """The (letter, vector, image) of every table application of the
-    orth_gt_basis walks that follow, and the letters whose table the walks
-    fetched, in order."""
+    orth_gt_basis walks that follow, the vectors as int columns, and the
+    letters whose table the walks fetched, in order."""
     applied, fetched = [], []
     walk = orthogonal_chain.apply_words
 
@@ -233,6 +268,7 @@ def test_orth_tables_match_per_vector_projector_chains(monkeypatch, N, lam):
     old = ref.PerVectorChain(chain)
     lowering = {"s'": old.s_prime, "s": old.s_plain}
     for (kind, k, i), vec, got in applied:
+        got, vec = (column_fractions(v, chain.dim) for v in (got, vec))
         assert got == lowering[kind](k, i, vec)
     assert len(applied) == chain.dim - 1
 
@@ -290,6 +326,13 @@ def test_verify_applies_each_word_prefix_once(monkeypatch, capsys):
     assert len(walks) > 1 and len(applied) == len(prefixes)
 
 
+# the library's tables applied to tuples of Fractions, under the names of
+# the per-vector forms in bcd_reference
+LIBRARY = SimpleNamespace(
+    apply_pf=ref.table_pf, apply_z=signed_realization.apply_z,
+    apply_z_nminus=signed_realization.apply_z_nminus,
+    apply_z_interp=signed_realization.apply_z_interp, _apply_zab_point=ref.table_zab_point)
+
 # modules where some chain sum meets a vanishing Cartan denominator
 RAISING = [("D", (0, -2)), ("D", (2, -2, -2)), ("B", (-2, -2)), ("C", (-2, -4))]
 _rep = functools.cache(build_bcd_irrep)
@@ -328,12 +371,12 @@ def _by_columns(series, lam, i, a, k, pool):
 
 
 def _by_columns_outcome(rep, call, vec):
-    """_outcome through signed_realization with each chain sum formed by
+    """_outcome through the library with each chain sum formed by
     bcd_reference.chain_sum_by_columns, once per module and key."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(signed_realization, "_chain_sum",
                    lambda rep, *key: _by_columns(rep.algebra.series, rep.lam, *key))
-        return _outcome(signed_realization, rep, call, vec)
+        return _outcome(LIBRARY, rep, call, vec)
 
 
 @pytest.mark.parametrize("series,lam", RAISING)
@@ -347,7 +390,7 @@ def test_chain_sums_match_per_vector_sums(series, lam):
     for call in _chain_calls(rep):
         for vec in vecs:
             want = _outcome(ref, rep, call, vec)
-            assert _outcome(signed_realization, rep, call, vec) == want
+            assert _outcome(LIBRARY, rep, call, vec) == want
             assert _by_columns_outcome(rep, call, vec) == want
             raised += isinstance(want, str)
     assert raised
@@ -362,7 +405,7 @@ def test_chain_sums_match_per_vector_sums_on_dense_vectors(data):
     vec = tuple(data.draw(st.lists(st.fractions(-3, 3, max_denominator=6),
                                    min_size=rep.dim, max_size=rep.dim), label="vector"))
     want = _outcome(ref, rep, call, vec)
-    assert _outcome(signed_realization, rep, call, vec) == want
+    assert _outcome(LIBRARY, rep, call, vec) == want
     assert _by_columns_outcome(rep, call, vec) == want
 
 
@@ -423,7 +466,7 @@ def test_z_tables_match_per_vector_forms(series, lam):
             for t in range(rep.dim):
                 vec = vec_unit(rep.dim, t)
                 want = _z_outcome(ref, rep, call, u0, vec)
-                assert _z_outcome(signed_realization, rep, call, u0, vec) == want
+                assert _z_outcome(LIBRARY, rep, call, u0, vec) == want
                 outcomes.add(want == "raises")
     assert outcomes == {True, False}
 
@@ -440,7 +483,7 @@ def test_z_products_raise_where_the_inner_image_meets_a_raise_column():
             for t in range(rep.dim):
                 vec = vec_unit(rep.dim, t)
                 want = _z_outcome(ref, rep, (a, b, 3), 1, vec)
-                assert _z_outcome(signed_realization, rep, (a, b, 3), 1, vec) == want
+                assert _z_outcome(LIBRARY, rep, (a, b, 3), 1, vec) == want
                 raised += want == "raises"
     assert raised
 
@@ -461,5 +504,5 @@ def test_z_tables_match_per_vector_forms_on_weight_vectors(data):
                                min_size=size, max_size=size), label="entries")
     assume(any(block))
     vec = (Fraction(0),) * off + tuple(block) + (Fraction(0),) * (rep.dim - off - size)
-    assert _z_outcome(signed_realization, rep, call, u0, vec) == \
+    assert _z_outcome(LIBRARY, rep, call, u0, vec) == \
         _z_outcome(ref, rep, call, u0, vec)

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 import bcd_reference
 import cli_reference
 import exact_reference
-from gtbases import branching, cli, patterns
+from gtbases import branching, cli, patterns, yangian
 from gtbases.exact import SparseMat, commutator
 from gtbases.liealg_bcd import build_bcd_irrep, orthogonal_chain, signed_realization
 
@@ -377,6 +377,24 @@ class TestYangianDemo:
         code, _, _ = run_capture(capsys, ["yangian-demo", "--strings", "0,1"])
         assert code == 3
 
+    @pytest.mark.parametrize("check,line", [
+        ("rtt_check", "rtt-relation: FAIL"),
+        ("quantum_det_scalar_check", "quantum-determinant-scalar: FAIL"),
+        ("eta_action_checks", "gt-basis-actions: FAIL")])
+    def test_a_failed_check_exits_1(self, capsys, monkeypatch, check, line):
+        """Exit 1, after every check line, when a check reads FAIL."""
+        monkeypatch.setattr(yangian, check, lambda *args: False)
+        code, out, _ = run_capture(capsys, ["yangian-demo", "--strings", "1,0;3,2"])
+        assert code == 1 and line in out.splitlines()
+        assert [x.split(":")[0] for x in out.splitlines()][-3:] == [
+            "rtt-relation", "quantum-determinant-scalar", "gt-basis-actions"]
+
+    @pytest.mark.parametrize("strings", ["1,0;3,2", "1,0;3,2;5,4", "0,-1;2,1;4,3", "1,0;1,-1"])
+    def test_passing_modules_exit_0(self, capsys, strings):
+        """The bench demo (1,0;3,2;5,4 and its shift by -1) among them."""
+        code, out, _ = run_capture(capsys, ["yangian-demo", "--strings", strings])
+        assert code == 0 and "FAIL" not in out
+
 
 GRID_WEIGHTS = {"gl": ["1,0"], "sp": ["0,-1", "1,0"], "so4": ["0,-1", "1,0"],
                 "so5": ["-1/2,-1/2", "1,0"]}
@@ -550,6 +568,10 @@ class TestPatternText:
         assert out == _stdout(cli_reference.cmd_patterns, cli.parse_args(cli.make_parser(), argv))
         payload = {"patterns": pats, "lambda": list(lam)}
         assert _write_export(payload) == _json_dump(payload)
+        fields = patterns.PatternFields(family, list(patterns.pattern_fields(family, lam)))
+        for tree, want in [({"patterns": fields, "lambda": list(lam)}, payload),
+                           ([[fields]], [[pats]]), ({"a": {"b": fields}}, {"a": {"b": pats}})]:
+            assert _write_export(tree) == _json_dump(want)
 
     @pytest.mark.parametrize("family,lam", [
         ("A", (4, 2, 0)), ("B3", (-1, -3)), ("C3", (0, -2, -2)), ("D3", (0, -2, -2)),
@@ -564,6 +586,29 @@ class TestPatternText:
         assert _stdout(cli.run, argv) == want
         with pytest.raises(AssertionError):
             patterns.enumerate_patterns(family, lam)
+
+    @pytest.mark.parametrize("argv", [
+        ["sp", "-1,-1,-3"], ["so7", "2,1,0", "--convention", "s4"], ["so6", "0,-1,-1"],
+        ["so5", "-1/2,-3/2"], ["so2", "-1"], ["so4", "1,-1", "--convention", "s4"]])
+    def test_export_makes_no_pattern_object(self, monkeypatch, tmp_path, argv):
+        """The patterns field of an o/sp export is written from the plan
+        walk's rows, with the bytes of json.dump of the to_json dicts."""
+        args = cli.parse_args(cli.make_parser(), ["export"] + argv)
+        lam = cli.parse_weight(args.weight)
+        kind, data = cli.parse_algebra(args.algebra, len(lam), args.convention, args.series)
+        fam = cli._family(kind, data, args.convention)
+        want = [patterns.to_json(p) for p in patterns.enumerate_patterns(fam, lam)]
+        monkeypatch.setattr(patterns, "enumerate_patterns", _never)
+        monkeypatch.setattr(patterns, "_unchecked", _never)
+        for cls in (patterns.GTPatternA, patterns.PatternB3, patterns._PairPattern):
+            monkeypatch.setattr(cls, "__post_init__", _never)
+        path = tmp_path / "out.json"
+        assert _stdout(cli.run, ["export"] + argv + ["--json", str(path)])
+        text = path.read_text()
+        assert json.loads(text)["patterns"] == want
+        monkeypatch.undo()
+        tree = json.loads(text)
+        assert text == _json_dump(tree)
 
 
 class TestRankOneD:

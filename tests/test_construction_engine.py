@@ -13,6 +13,7 @@ from gtbases.liealg_bcd import OrthogonalChain, Realization, build_bcd_irrep, bu
 from gtbases.liealg_bcd import construction
 from gtbases.liealg_bcd.construction import _gram_basis
 from gtbases.liealg_bcd.signed_realization import ClassicalAlgebra
+from gtbases.patterns import weight
 import bcd_reference
 from rref_reference import _greedy_psd_pivots, rref_solve_in_span
 
@@ -38,8 +39,7 @@ class TestEngineAgainstGlFormulas:
         rep = gln.build_irrep(n, lam)
         assert eng.dim == rep.dim
         eng_weights = sorted(eng.weights)
-        gt_weights = sorted(tuple(Fraction(x, 2) for x in rep.weight_of(t))
-                            for t in range(rep.dim))
+        gt_weights = sorted(tuple(Fraction(x, 2) for x in weight(p)) for p in rep.basis)
         assert eng_weights == gt_weights
         for i in range(1, n + 1):
             for j in range(1, n + 1):

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import exact_reference as ref
 from gtbases.exact import (OpPoly, SpanSolver, SparseMat, apply_words, chain_sum,
-                           commutator, factorial, kron, nullspace, rank, rref,
-                           solve_in_span, sum_products)
+                           column_apply, column_fractions, columns_matrix, commutator,
+                           factorial, kron, nullspace, rank, rref, solve_in_span, spoly,
+                           sum_products)
 from rref_reference import rref_nullspace, rref_rank, rref_solve_in_span
 
 
@@ -273,9 +274,9 @@ class TestOpPoly:
 
     def test_divide_by_u(self):
         p = OpPoly.variable(2)
-        assert p.divide_by_u() == OpPoly.constant(SparseMat.identity(2))
+        assert ref.divide_by_u(p) == OpPoly.constant(SparseMat.identity(2))
         with pytest.raises(ArithmeticError):
-            OpPoly.constant(SparseMat.identity(2)).divide_by_u()
+            ref.divide_by_u(OpPoly.constant(SparseMat.identity(2)))
 
     def test_divide_linear(self):
         ident = SparseMat.identity(2)
@@ -775,3 +776,83 @@ class TestChainSum:
                     factor.append(up / down if down else 0)
                 want = want + mono @ SparseMat.diag(factor)
         assert (table, bad) == (want, want_bad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_shared_suffixes_match_the_per_chain_form(self, data):
+        """Calls from every start that share one memo, in a random order,
+        against exact_reference.chain_sum, which multiplies each chain out
+        from its start; each path's product is formed once, as
+        gen(start, c_1) @ (the product of its suffix path)."""
+        mat = st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                       min_size=3, max_size=3)
+        ints = st.sampled_from([0, 1, -1, 2])
+        nodes = [4, 3, 2, 1]
+        gens = {(p, q): SparseMat.from_rows(data.draw(mat))
+                for p in nodes for q in nodes + [0] if q < p}
+        diff = {j: data.draw(st.lists(ints, min_size=3, max_size=3)) for j in nodes}
+        made = []
+
+        def gen(p, q):
+            made.append((p, q))
+            return gens[(p, q)]
+        memo = {}
+        for start in data.draw(st.permutations(nodes)):
+            indices = [j for j in nodes if j < start]
+            pool = data.draw(st.lists(st.sampled_from(indices), unique=True)) if indices else []
+            got = chain_sum(3, start, indices, 0, gen, pool, diff, 2, memo)
+            assert got == ref.chain_sum(3, start, indices, 0, lambda p, q: gens[(p, q)],
+                                        pool, diff, 2)
+        # one factor per path, and the paths are the chains of every start
+        assert len(made) == len(memo) == sum(2 ** len(range(1, j)) for j in nodes)
+
+
+# -- the int scalar polynomials and the int-column tables -------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-9, 9), max_size=6), st.sampled_from([1, 2, 3, 4]))
+def test_spoly_matches_the_fraction_product(roots, den):
+    """exact.spoly against the Fraction product of the (u + r / den) that
+    it replaced, exact_reference.spoly_from_roots."""
+    nums, d = spoly(roots, den)
+    assert d == den ** len(roots) and all(type(x) is int for x in nums)
+    assert [Fraction(x, d) for x in nums] == \
+        ref.spoly_from_roots([Fraction(r, den) for r in roots])
+
+
+_VALUES = st.fractions(-4, 4, max_denominator=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_column_apply_matches_sparse_apply(data):
+    """The column-indexed apply of an int column against the reference
+    SparseMat.apply of its tuple of Fractions, with raise columns:
+    ZeroDivisionError exactly when the vector is nonzero on one of them,
+    and the image in lowest terms."""
+    nrows = data.draw(st.integers(1, 5), label="rows")
+    ncols = data.draw(st.integers(1, 5), label="cols")
+    m = SparseMat(nrows, ncols, data.draw(st.dictionaries(
+        st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)), _VALUES,
+        max_size=8), label="entries"))
+    vec = tuple(data.draw(st.lists(_VALUES, min_size=ncols, max_size=ncols), label="vector"))
+    bad = frozenset(data.draw(st.lists(st.integers(0, ncols - 1), max_size=2), label="bad"))
+    col = ref.int_column(vec)
+    assert column_fractions(col, ncols) == vec
+    if any(vec[c] for c in bad):
+        with pytest.raises(ZeroDivisionError):
+            column_apply(m, bad)(col)
+        return
+    num, d = column_apply(m, bad)(col)
+    assert math.gcd(d, *num.values()) == 1 and all(num.values())
+    assert column_fractions((num, d), nrows) == ref.to_ref(m).apply(vec) == m.apply(vec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(_VALUES, min_size=3, max_size=3), max_size=4))
+def test_columns_matrix_matches_from_columns(vecs):
+    cols = [ref.int_column(v) for v in vecs]
+    assert all(math.gcd(d, *num.values()) == 1 for num, d in cols)
+    assert columns_matrix(cols, 3) == SparseMat.from_columns(vecs, 3)
+    assert [column_fractions(c, 3) for c in cols] == [tuple(v) for v in vecs]
+

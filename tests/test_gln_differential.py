@@ -4,6 +4,7 @@ formula against the Fraction one, and the per-point, per-coefficient and
 streaming checks against the per-vector checks, on intact modules and on
 corrupted copies of them."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
@@ -13,7 +14,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import gln_reference as ref
 from gtbases import branching, cli, gln
-from gtbases.exact import OpPoly, SparseMat, spoly_from_roots, vec_unit
+from exact_reference import spoly_from_roots
+from gtbases.exact import OpPoly, SparseMat, vec_unit
 from gtbases.patterns import enumerate_patterns
 
 
@@ -432,5 +434,13 @@ def test_acts_diagonally_on_random_polynomials(data):
     want = spoly_from_roots(lam_l)
     scalars = [data.draw(st.sampled_from([want, want[:-1], want + [Fraction(1)]]),
                          label="scalar polynomial") for _ in range(dim)]
-    assert gln._acts_diagonally(changed, scalars) is ref.acts_diagonally(changed, scalars)
-    assert gln._acts_diagonally(poly, [want] * dim) is True
+    assert gln._acts_diagonally(changed, [_int_poly(w) for w in scalars]) \
+        is ref.acts_diagonally(changed, scalars)
+    assert gln._acts_diagonally(poly, [_int_poly(want)] * dim) is True
+
+
+def _int_poly(p):
+    """The Fraction coefficient list p as (int numerators, one denominator),
+    the form of exact.spoly."""
+    den = math.lcm(*(x.denominator for x in p))
+    return [x.numerator * (den // x.denominator) for x in p], den

@@ -6,8 +6,8 @@ from itertools import product
 import pytest
 
 from gtbases import branching, patterns
-from gtbases.exact import (SpanSolver, SparseMat, commutator, rank, solve_in_span,
-                           vec_is_zero, vec_unit)
+from gtbases.exact import (SpanSolver, SparseMat, column_fractions, commutator, rank,
+                           solve_in_span, vec_is_zero, vec_unit)
 from gtbases.liealg_bcd import signed_realization
 from gtbases.liealg_bcd import (DeskScaleError, OrthogonalChain, apply_z,
                                 apply_z_interp, build_bcd_irrep,
@@ -15,9 +15,8 @@ from gtbases.liealg_bcd import (DeskScaleError, OrthogonalChain, apply_z,
                                 lowering_zia, multiplicity_basis,
                                 orth_basis_checks, orth_gt_basis, v_plus_basis,
                                 v_plus_mu, z_interp, z_interp_poly, zab_operators)
-from gtbases.liealg_bcd.signed_realization import (_apply_zab_point, _matrix_on, apply_pf,
-                                                    apply_z_nminus)
-from bcd_reference import _f_diag, apply_znizin
+from gtbases.liealg_bcd.signed_realization import _matrix_on, apply_z_nminus
+from bcd_reference import _f_diag, apply_znizin, table_pf, table_zab_point
 from exact_reference import vec_add, vec_scale, vec_zero
 from rref_reference import rref_solve_in_span
 
@@ -141,7 +140,7 @@ class TestZOperators:
         # every vector (the s = 0 term alone)
         for t in range(sp4_vec.dim):
             v = vec_unit(sp4_vec.dim, t)
-            got = apply_pf(sp4_vec, -1, -2, v)
+            got = table_pf(sp4_vec, -1, -2, v)
             assert got == sp4_vec.F(-1, -2).apply(v)
 
     def test_commutativity_on_vplus(self, sp4_5):
@@ -564,7 +563,7 @@ class TestZab:
         assert zab[(2, -2)].is_zero() and zab[(-2, 2)].is_zero()
 
     @pytest.mark.xfail(strict=True, raises=ZeroDivisionError,
-                       reason="known defect: _apply_zab_point meets a vanishing "
+                       reason="known defect: the display form meets a vanishing "
                               "Cartan denominator on integer-weight B modules")
     def test_integer_weight_b_module(self):
         zab_operators(build_bcd_irrep("B", (-2, -2)), (0,))
@@ -582,7 +581,7 @@ class TestZab:
                 for u0 in (Fraction(-3), Fraction(7, 3)):
                     m = _z_value(rep, poly, u0)
                     for c, v in enumerate(vecs):
-                        img = _apply_zab_point(rep, a, b, u0, v)
+                        img = table_zab_point(rep, a, b, u0, v)
                         assert tuple(m.col_vector(c)) == solve_in_span(vecs, img)
                         checked += 1
         assert checked
@@ -602,16 +601,23 @@ class TestZab:
     @staticmethod
     def _spied_walk(monkeypatch, series, lam):
         """The module and every (k, u0, vector, image) for which gt_basis_bcd
-        applies Z_{k,-k}(u0) in the interpolation form."""
+        applies Z_{k,-k}(u0) in the interpolation form: each application of
+        a ("Z", k, 2 u0) letter of its walk, as tuples of Fractions."""
         rep = build_bcd_irrep(series, lam)
         seen = []
 
-        def spy(rep_, u0, vec, rank_k=None):
-            out = interp(rep_, u0, vec, rank_k=rank_k)
-            seen.append((rank_k, u0, vec, out))
-            return out
-        interp = signed_realization.apply_z_interp
-        monkeypatch.setattr(signed_realization, "apply_z_interp", spy)
+        def spy(rep_, x):
+            act = letter(rep_, x)
+
+            def applied(v):
+                out = act(v)
+                if x[0] == "Z":
+                    seen.append((x[1], Fraction(x[2], 2), column_fractions(v, rep.dim),
+                                 column_fractions(out, rep.dim)))
+                return out
+            return applied
+        letter = signed_realization._letter
+        monkeypatch.setattr(signed_realization, "_letter", spy)
         gt_basis_bcd(rep)
         return rep, seen
 
@@ -621,12 +627,12 @@ class TestZab:
     ])
     def test_interp_form_equals_display_on_gt_walk(self, monkeypatch, series, lam):
         """Z_{k,-k}(u0) in the interpolation form (apply_z_interp) equals the
-        display form (_apply_zab_point) on every vector the GT basis walk
+        display form (table_zab_point) on every vector the GT basis walk
         applies it to."""
         rep, seen = self._spied_walk(monkeypatch, series, lam)
         assert seen
         for k, u0, vec, out in seen:
-            assert _apply_zab_point(rep, k, -k, u0, vec, rank_k=k) == out
+            assert table_zab_point(rep, k, -k, u0, vec, rank_k=k) == out
 
     @pytest.mark.parametrize("lam,failing", [((0, -2), 1), ((0, 0, -2), 2)])
     def test_display_fails_where_interp_holds_on_integer_b(self, monkeypatch, lam, failing):
@@ -638,7 +644,7 @@ class TestZab:
         for k, u0, vec, out in seen:
             assert len(out) == rep.dim
             try:
-                assert _apply_zab_point(rep, k, -k, u0, vec, rank_k=k) == out
+                assert table_zab_point(rep, k, -k, u0, vec, rank_k=k) == out
             except ZeroDivisionError:
                 raised += 1
         assert raised == failing
@@ -648,7 +654,7 @@ class TestZab:
         # V^+_mu is the predicted tensor module: the Y-highest vector is
         # annihilated by Z_{-n,n}(u) and has the product eigenvalue under
         # (u + 1/2) Z_{nn}(u)
-        from gtbases.exact import spoly_from_roots, spoly_mul
+        from exact_reference import spoly_from_roots, spoly_mul
         tups, vecs, zab = zab_operators(_sp4(lam), mu)
         alphas = [Fraction(-1, 2), min(Fraction(lam[0], 2), Fraction(mu[0], 2))
                   - 2 + Fraction(1, 2)]
@@ -692,7 +698,7 @@ class TestZab:
     @pytest.mark.parametrize("lam,count", [(d(-1, -2), 60), (d(-1, -3), 84)])
     def test_twisted_symmetry_through_display_d(self, lam, count):
         """The symmetry relation on D modules with lambda_1 != 0, with Z_ab(u)
-        evaluated at each point by ``_apply_zab_point``."""
+        evaluated at each point by ``table_zab_point``."""
         rep = build_bcd_irrep("D", lam)
         failed = total = 0
         for mu, _ in branching.branch_children_BCD("D", lam):
@@ -706,7 +712,7 @@ class TestZab:
     ])
     def test_quaternary_relation_on_vplus(self, series, lam):
         """The twisted-Yangian relation on every V(lam)^+_mu, with Z_ab(u)
-        evaluated at each point by ``_apply_zab_point``."""
+        evaluated at each point by ``table_zab_point``."""
         rep = build_bcd_irrep(series, lam)
         failed = total = 0
         for mu, _ in branching.branch_children_BCD(series, lam):
@@ -735,7 +741,7 @@ def _z_value(rep, poly, u0):
 
 def _display_z_at(rep, mu):
     """z_at(a, b, u0): the matrix of Z_ab(u0) on V(lam)^+_mu, evaluated by
-    ``_apply_zab_point`` once per (a, b, u0)."""
+    ``table_zab_point`` once per (a, b, u0)."""
     _, vecs = multiplicity_basis(rep, mu)
     solver = SpanSolver(vecs, rep.dim)
     cache = {}
@@ -743,7 +749,7 @@ def _display_z_at(rep, mu):
     def z_at(a, b, u0):
         if (a, b, u0) not in cache:
             cache[(a, b, u0)] = _matrix_on(
-                solver, vecs, lambda v: _apply_zab_point(rep, a, b, u0, v),
+                solver, vecs, lambda v: table_zab_point(rep, a, b, u0, v),
                 "Z_ab image left V^+_mu")
         return cache[(a, b, u0)]
     return z_at

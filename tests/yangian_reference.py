@@ -121,7 +121,7 @@ def twisted_snn_display(module, sign, delta2=None) -> OpPoly:
         raw = um @ tpm @ tpp.negate_u() + up @ tpm.negate_u() @ tpp
     else:
         raise ValueError("sign must be '+' or '-'")
-    out = raw.divide_by_u().scale(Fraction((-1) ** k))
+    out = eref.divide_by_u(raw).scale(Fraction((-1) ** k))
     assert all(c.is_zero() for j, c in enumerate(out.coeffs) if j % 2 == 1), \
         "S_{n,-n} is not even"
     assert out.degree() <= 2 * k - 2
