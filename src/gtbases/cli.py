@@ -59,10 +59,7 @@ def parse_weight(text):
 
 
 def format_weight(doubled):
-    toks = []
-    for d in doubled:
-        toks.append(str(d // 2) if d % 2 == 0 else "%d/2" % d)
-    return ",".join(toks)
+    return ",".join(str(d // 2) if d % 2 == 0 else "%d/2" % d for d in doubled)
 
 
 def parse_algebra(token, nentries, convention, series=None):
@@ -73,80 +70,57 @@ def parse_algebra(token, nentries, convention, series=None):
     token = token.lower()
     if series and not token.startswith(series):
         raise CliError("--series %s contradicts algebra %r" % (series, token), 2)
-    if token == "gl":
-        return ("gl", nentries)
-    if token.startswith("gl") and token[2:].isdigit():
-        n = int(token[2:])
-        if n < 1:
-            raise CliError("gl%d: the matrix size of gl must be at least 1" % n, 2)
-        if n != nentries:
-            raise CliError("gl%d needs %d weight entries" % (n, n), 2)
-        return ("gl", n)
-    if token == "sp":
-        return ("sp", nentries)
-    if token.startswith("sp") and token[2:].isdigit():
-        size = int(token[2:])
-        if size % 2 or size < 2:
-            raise CliError("sp%d: the matrix size of sp must be even and at least 2" % size, 2)
-        if size // 2 != nentries:
-            raise CliError("sp%d needs %d weight entries" % (size, size // 2), 2)
-        return ("sp", size // 2)
-    if token.startswith("so") and token[2:].isdigit():
-        size = int(token[2:])
-        if size < 2:
-            raise CliError("so%d: the matrix size of so must be at least 2" % size, 2)
-        if size // 2 != nentries:
-            raise CliError("so%d needs %d weight entries" % (size, size // 2), 2)
-        return ("so", size)
-    if token == "so":
-        raise CliError("orthogonal algebras need an explicit size, e.g. so5", 2)
-    raise CliError("unknown algebra %r" % token, 2)
+    kind, size = token[:2], token[2:]
+    if kind not in ("gl", "sp", "so") or size and not size.isdigit():
+        raise CliError("unknown algebra %r" % token, 2)
+    if not size:
+        if kind == "so":
+            raise CliError("orthogonal algebras need an explicit size, e.g. so5", 2)
+        return (kind, nentries)
+    # the least matrix size, whether it must be even, and the rank
+    size = int(size)
+    least, even, rank = (1, False, size) if kind == "gl" else (2, kind == "sp", size // 2)
+    if size < least or even and size % 2:
+        raise CliError("%s%d: the matrix size of %s must be %sat least %d"
+                       % (kind, size, kind, "even and " * even, least), 2)
+    if rank != nentries:
+        raise CliError("%s%d needs %d weight entries" % (kind, size, rank), 2)
+    return (kind, size if kind == "so" else rank)
+
+
+def _target(args):
+    """(lam, kind, data) of the weight and algebra arguments."""
+    lam = parse_weight(args.weight)
+    return (lam, *parse_algebra(args.algebra, len(lam), args.convention, args.series))
 
 
 def _series_of(kind, size):
-    if kind == "sp":
-        return "C"
-    return "B" if size % 2 else "D"
+    return "C" if kind == "sp" else "B" if size % 2 else "D"
 
 
 def _family(kind, size, convention):
     if kind == "gl":
         return "A"
-    if kind == "sp":
-        return "C3"
-    series = _series_of(kind, size)
-    if convention == "s4":
-        return series + "4"
-    return series + "3"
+    return _series_of(kind, size) + ("4" if kind == "so" and convention == "s4" else "3")
 
 
 def _dimension(kind, data, lam, convention):
-    if kind == "gl":
-        cnt = patterns.count_patterns("A", lam)
-        oracle = branching.weyl_dim("A", lam)
-    else:
-        series = _series_of(kind, data)
-        fam = _family(kind, data, convention)
-        cnt = patterns.count_patterns(fam, lam)
-        if fam.endswith("4"):
-            oracle = branching.weyl_dim(series, lam)
-        else:
-            oracle = branching.weyl_dim_s3(series, lam)
+    fam = _family(kind, data, convention)     # its series, then its convention
+    cnt = patterns.count_patterns(fam, lam)
+    oracle = (branching.weyl_dim_s3 if fam[1:] == "3" else branching.weyl_dim)(fam[0], lam)
     if cnt != oracle:
         raise AssertionError("pattern count %d != Weyl dimension %d" % (cnt, oracle))
     return cnt
 
 
 def cmd_dims(args):
-    lam = parse_weight(args.weight)
-    kind, data = parse_algebra(args.algebra, len(lam), args.convention, args.series)
+    lam, kind, data = _target(args)
     print(_dimension(kind, data, lam, args.convention))
     return 0
 
 
 def cmd_patterns(args):
-    lam = parse_weight(args.weight)
-    kind, data = parse_algebra(args.algebra, len(lam), args.convention, args.series)
+    lam, kind, data = _target(args)
     fam = _family(kind, data, args.convention)
     # each line is json.JSONEncoder(sort_keys=True).encode(patterns.to_json(p));
     # text is that of a row of ints, or of an int of sigma
@@ -169,8 +143,7 @@ class _Memo(dict):
 
 
 def cmd_branch(args):
-    lam = parse_weight(args.weight)
-    kind, data = parse_algebra(args.algebra, len(lam), args.convention, args.series)
+    lam, kind, data = _target(args)
     if kind != "gl" and args.convention == "s4":
         raise CliError("branch tables are emitted in the s3 convention", 2)
     patterns.check_dominant(_family(kind, data, args.convention), lam)
@@ -235,9 +208,8 @@ def write_export(payload, fh):
     else, floats included, raises TypeError.  The dicts down to depth 1
     are written item by item, so the document is never held whole; each
     value below them is formatted as one string, a ``SparseMat`` straight
-    from its numerators.  The texts that repeat are made once per call:
-    that of each list of ints, and the row, column and value pieces of
-    matrix entries.
+    from its numerators; the texts that repeat are made once per call
+    (_texts).
     """
     _write(payload, fh, 0, _Memo(_texts))
 
@@ -358,8 +330,7 @@ def _mat_from_entries(ent, dim):
 def cmd_build(args):
     if args.verb == "export" and not args.json:
         raise CliError("export needs --json PATH", 2)
-    lam = parse_weight(args.weight)
-    kind, data = parse_algebra(args.algebra, len(lam), args.convention, args.series)
+    lam, kind, data = _target(args)
     rep = _build(kind, data, lam, args.convention, args.max_dim)
     dim = rep.dim
     print("algebra: %s" % args.algebra)
@@ -465,8 +436,7 @@ def _orth_verify_checks(chain):
 
 
 def cmd_verify(args):
-    lam = parse_weight(args.weight)
-    kind, data = parse_algebra(args.algebra, len(lam), args.convention, args.series)
+    lam, kind, data = _target(args)
     rep = _build(kind, data, lam, args.convention, args.max_dim)
     if kind == "gl":
         checks = _gl_verify_checks(rep)
@@ -504,8 +474,8 @@ def cmd_yangian_demo(args):
     print("dim: %d" % module.dim)
     print("irreducible(Y2): %s" % yangian.irreducible_Y2(module.factors))
     print("irreducible(Y-): %s" % yangian.irreducible_Yminus(module.factors))
-    pairs = [(Fraction(1), Fraction(2)), (Fraction(1, 2), Fraction(3)),
-             (Fraction(5), Fraction(-7, 3)), (Fraction(2), Fraction(9)),
+    # rtt_check takes each point as a Fraction
+    pairs = [(1, 2), (Fraction(1, 2), 3), (5, Fraction(-7, 3)), (2, 9),
              (Fraction(11, 7), Fraction(3, 5))]
     checks = [("rtt-relation", lambda: yangian.rtt_check(module, pairs)),
               ("quantum-determinant-scalar", lambda: yangian.quantum_det_scalar_check(module))]
@@ -557,10 +527,9 @@ def parse_args(parser, argv):
     """The namespace argv gives under parser (from make_parser): verb, cmd,
     the verb's positionals and every option, with the defaults filled in.
 
-    The global options go before the verb and the verb's options anywhere
-    after it, as "--opt value" or "--opt=value"; a token is read as an
-    option when its name before any "=" is one, or else when _is_option
-    says so, and after a "--" token every token is a positional.  Raises CliError with code 0 and the help text
+    The grammar is the module docstring's; a token is read as an option
+    when its name before any "=" is one, or else when _is_option says so,
+    and after a "--" token every token is a positional.  Raises CliError with code 0 and the help text
     on -h/--help, and with code 2 and the usage on a usage error.  A
     missing or bad option value and an unknown verb stop the parse where
     they stand; unknown options and missing or extra positionals are

@@ -252,12 +252,7 @@ class SparseMat:
         acc = {}
         for r, c, v in terms:
             acc[r] = acc.get(r, 0) + v * ivec[c]
-        den = self.den * vden
-        out = [_ZERO] * self.nrows
-        for r, x in acc.items():
-            if x:
-                out[r] = Fraction(x, den)
-        return tuple(out)
+        return column_fractions((acc, self.den * vden), self.nrows)
 
 
 def sum_products(nrows, ncols, terms) -> SparseMat:
@@ -426,10 +421,9 @@ def column_apply(m: SparseMat, bad=()):
                 raise ZeroDivisionError("vanishing Cartan denominator")
             for r, v in cols.get(c, ()):
                 acc[r] = get(r, 0) + v * x
-        acc = {r: v for r, v in acc.items() if v}
         den = vec[1] * m.den
         g = math.gcd(den, *acc.values())
-        return {r: v // g for r, v in acc.items()}, den // g
+        return {r: v // g for r, v in acc.items() if v}, den // g
     return apply
 
 
@@ -484,23 +478,17 @@ def chain_sum(dim, start, indices, end, gen, pool, diff, den, memo=None):
     of int numerators over den, one per column.  Returns (matrix, bad): bad
     is the frozenset of columns where, for a nonzero monomial, a denominator
     vanishes under a nonzero numerator.  Where a term's denominator
-    vanishes, the matrix leaves that term out.  Each monomial is
-    gen(start, c_1) @ (that of its suffix path), kept in memo by path, which
-    calls with one gen and end may share."""
+    vanishes, the matrix leaves that term out.  The monomials are kept in
+    memo (_monomial), which calls with one gen and end may share."""
     if memo is None:
         memo = {}
-
-    def mono(path):
-        if path not in memo:
-            memo[path] = gen(*path[:2]) @ mono(path[1:]) if path[2:] else gen(*path)
-        return memo[path]
     chains = [()]
     for x in indices:
         chains += [c + (x,) for c in chains]
     terms = []
     bad = set()
     for c in chains:
-        m = mono((start,) + c + (end,))
+        m = _monomial(memo, gen, (start,) + c + (end,))
         if m.is_zero():
             continue
         ups = [j for j in pool if j not in c]
@@ -511,10 +499,22 @@ def chain_sum(dim, start, indices, end, gen, pool, diff, den, memo=None):
         # the factor at a column is up den^|downs| / (down den^|ups|)
         lcd = math.lcm(*(x for x in down if x))
         num = [u * (lcd // x) * den ** len(downs) if x else 0 for u, x in zip(up, down)]
-        terms.append((1, SparseMat.from_num(
-            dim, dim, {(r, col): v * num[col] for (r, col), v in m.num.items() if num[col]},
-            m.den * lcd * den ** len(ups))))
+        terms.append((1, scale_columns(m, num, lcd * den ** len(ups))))
     return SparseMat.combination(dim, dim, terms), frozenset(bad)
+
+
+def scale_columns(m: SparseMat, num, den=1) -> SparseMat:
+    """m @ diag(num) / den, num a list of ints, one per column."""
+    return SparseMat.from_num(m.nrows, m.ncols, {
+        (r, c): v * num[c] for (r, c), v in m.num.items() if num[c]}, m.den * den)
+
+
+def _monomial(memo, gen, path):
+    """gen(p_0, p_1) @ gen(p_1, p_2) @ ... over the path p, kept in memo with
+    the products of its suffixes."""
+    if path not in memo:
+        memo[path] = gen(*path[:2]) @ _monomial(memo, gen, path[1:]) if path[2:] else gen(*path)
+    return memo[path]
 
 
 # -- exact elimination -------------------------------------------------------
@@ -750,13 +750,13 @@ def _combine(steps):
 
 # -- scalar polynomials (coefficient lists, index = power of u) -------------
 
-def spoly(roots, den=1):
-    """prod (u + r / den) over the ints r of roots, as int coefficient
-    numerators over den ** len(roots)."""
+def spoly(doubled):
+    """prod (u + r / 2) over the ints r of doubled, as int coefficient
+    numerators over 2 ** len(doubled)."""
     p = [1]
-    for r in roots:
-        p = [r * a + den * b for a, b in zip(p + [0], [0] + p)]
-    return p, den ** len(roots)
+    for r in doubled:
+        p = [r * a + 2 * b for a, b in zip(p + [0], [0] + p)]
+    return p
 
 
 class OpPoly:
@@ -789,11 +789,6 @@ class OpPoly:
     @staticmethod
     def constant(m: SparseMat):
         return OpPoly(m.nrows, m.ncols, [m])
-
-    @staticmethod
-    def variable(n):
-        """The polynomial u * Id of size n."""
-        return OpPoly(n, n, [SparseMat.zero(n, n), SparseMat.identity(n)])
 
     def degree(self):
         return len(self.coeffs) - 1

@@ -99,6 +99,11 @@ def _doubled_lvals(row):
     return [x - 2 * i for i, x in enumerate(row)]
 
 
+def _l_poly(row):
+    """prod_i (u + l_ki) over a pattern row, as (int numerators, their den)."""
+    return spoly(_doubled_lvals(row)), 2 ** len(row)
+
+
 def build_irrep(n, lam) -> GlnIrrep:
     """Construct L(lam) for gl_n; lam is a doubled dominant weight.
 
@@ -355,14 +360,13 @@ def capelli_det(rep: GlnIrrep, m=None) -> OpPoly:
 
 def capelli_scalar_check(rep: GlnIrrep) -> bool:
     """C(u) acts on every basis vector as prod(u + l_i)."""
-    return _acts_diagonally(capelli_det(rep), [spoly(_doubled_lvals(rep.lam), 2)] * rep.dim)
+    return _acts_diagonally(capelli_det(rep), [_l_poly(rep.lam)] * rep.dim)
 
 
 def _acts_diagonally(poly: OpPoly, scalars) -> bool:
-    """poly(u) acts on basis vector t as the scalar polynomial scalars[t],
-    an ``exact.spoly`` (nums, d): each coefficient matrix num/den is the
-    diagonal matrix of those coefficients x / d, read off the numerators as
-    num_tt d = x den."""
+    """poly(u) acts on basis vector t as the scalar polynomial with int
+    coefficients w over d, (w, d) = scalars[t]: num_tt d = w_j den on the
+    diagonal coefficient matrices num/den."""
     for j in range(max(len(poly.coeffs), max(len(w) for w, _ in scalars))):
         c = poly.coeff(j)
         num, den = c.num, c.den
@@ -479,7 +483,7 @@ def drinfeld_checks(rep: GlnIrrep, m) -> bool:
     for p in rep.basis:
         row = p.row(m)
         if row not in eigen:
-            eigen[row] = spoly(_doubled_lvals(row), 2)
+            eigen[row] = _l_poly(row)
     if not _acts_diagonally(drinfeld_poly(rep, m, "A"), [eigen[p.row(m)] for p in rep.basis]):
         return False
     if m == n:
@@ -554,12 +558,10 @@ def gt_eigenvalues(pattern: GTPatternA):
 
 
 def _row_eigenvalues(row):
-    """Elementary symmetric values e_1..e_m of the l-values of a row: the
-    int e_i of the doubled l-values, over 2^i."""
-    es = [1]
-    for x in _doubled_lvals(row):
-        es = [1] + [a + x * b for a, b in zip(es[1:], es)] + [x * es[-1]]
-    return [Fraction(e, 2 ** i) for i, e in enumerate(es) if i]
+    """Elementary symmetric values e_1..e_m of the l-values of a row: e_i is
+    the coefficient of u^(m - i) in prod (u + l_i)."""
+    nums, den = _l_poly(row)
+    return [Fraction(x, den) for x in nums[-2::-1]]
 
 
 def gt_separation_check(rep: GlnIrrep) -> bool:

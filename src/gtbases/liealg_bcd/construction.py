@@ -16,13 +16,12 @@ Gram block is int rows over one denominator, as the module keeps it;
 ``Fraction``s are made only for ``weights``, the e/f matrices and, on first
 read, ``blocks``.  The Gram block is symmetric, so only its entries on and
 above the diagonal are summed.  One fraction-free Gauss-Jordan pass over
-its rows picks the basis, expands every lowering in it and checks that the
-form is positive semidefinite: each independent row's residual must be
-first nonzero, and positive, on its own diagonal entry.  Blocks are
-accepted in basis order (depth, then weight), so each one's offset and its
-e/f entries are written when it is accepted.  Finally every generator of
-the realization is transported to the module by closing the simple
-generators under commutators with them, one bracket per root.
+its rows (_gram_basis) picks the basis, expands every lowering in it and
+checks that the form is positive semidefinite.  Blocks are accepted in
+basis order (depth, then weight), so each one's offset and its e/f
+entries are written when it is accepted.  Finally every generator of the
+realization is transported to the module, one bracket per root
+(HWModule._algebra_span).
 """
 
 from __future__ import annotations

@@ -9,13 +9,8 @@ those combinations are dropped, which only rescales the lowering
 operators and leaves spans and orthogonality untouched).
 
 The lowering operators s'_{ki} and s_{ki} are the extremal projector of the
-level below applied after a generator and a Cartan factor pi_i.  On a
-finite-dimensional module that projector is the projection onto the vectors
-its raising operators kill, along the image of its lowering ones
-(Asherova-Smirnov-Tolstoy), so each s'/s is one table per chain, formed from
-the kernel and the Gram matrix group by group of weight blocks; at an odd
-level below the top a group joins the blocks that differ only in the weight
-coordinate the middle index mixes.
+level below (Asherova-Smirnov-Tolstoy; see OrthogonalChain.projector)
+applied after a generator and a Cartan factor pi_i, one table per chain.
 """
 
 from __future__ import annotations
@@ -24,7 +19,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from ..exact import (SpanSolver, SparseMat, _columns, apply_words, column_apply,
-                     column_fractions, columns_matrix)
+                     column_fractions, columns_matrix, scale_columns)
 from .. import branching as _branching
 from .. import patterns as _patterns
 from .construction import MAX_RANK, Realization, build_module, raising_kernel, refuse_beyond_caps
@@ -177,7 +172,7 @@ class OrthogonalChain:
             # over j = i+1..top and primed j (skip i'), each over 2, and for
             # s the short root factor
             top = k if kind == "s'" else k - 1
-            pis, e = {}, 0
+            pis, e = [0] * self.dim, 0
             for w, (off, size) in self.module.weight_slices().items():
                 w = tuple(int(2 * x) for x in w)
                 c = {j: self.cartan_value(M, j, w) for j in range(1, top + 1)}
@@ -186,13 +181,12 @@ class OrthogonalChain:
                 total, e = prod(fs), len(fs)
                 if kind == "s":
                     total *= (c[i] + 2 * (k - i)) * (c[i] + 2 * (k - i) + 1)
-                pis.update((t, total) for t in range(off, off + size) if total)
+                pis[off:off + size] = [total] * size
             if kind == "s'":
                 gen = self.f_level(M, k + 1, i)
             else:
                 gen = self.f_level(M, k, i) + self.f_level(M, M + 1 - k, i)
-            self._low[key] = self.projector(M - 1) @ gen @ SparseMat.from_num(
-                self.dim, self.dim, {(t, t): v for t, v in pis.items()}, 2 ** e)
+            self._low[key] = scale_columns(self.projector(M - 1) @ gen, pis, 2 ** e)
         return self._low[key]
 
 
@@ -204,12 +198,11 @@ def _orth_walk(chain: OrthogonalChain):
     for p in pats:
         word = []
         if chain.family == "B4":
-            for k in range(n, 1, -1):
+            for k in range(n, 0, -1):
                 for i in range(k, 0, -1):
                     word += [("s'", k, i)] * ((p.lam[k - 1][i - 1] - p.lamp[k - 1][i - 1]) // 2)
                 for i in range(k - 1, 0, -1):
                     word += [("s", k, i)] * ((p.lamp[k - 1][i - 1] - p.lam[k - 2][i - 1]) // 2)
-            word += [("s'", 1, 1)] * ((p.lam[0][0] - p.lamp[0][0]) // 2)
         else:
             for k in range(n - 1, 0, -1):
                 for i in range(k, 0, -1):

@@ -14,7 +14,7 @@ from math import lcm, prod
 from operator import mul
 
 from ..exact import (OpPoly, SpanSolver, SparseMat, apply_words, chain_sum, column_apply,
-                     column_fractions, columns_matrix, rank, spoly, sum_products, vec_unit)
+                     column_fractions, columns_matrix, rank, scale_columns, spoly, vec_unit)
 from .. import patterns as _patterns
 from .. import branching as _branching
 from .construction import (MAX_RANK, HWModule, Realization, build_module, raising_kernel,
@@ -165,22 +165,24 @@ def _column_sum(rep: BCDIrrep, terms):
     for (mat, raises), (values, den) in terms:
         col = _columns(rep, values)
         bad.update(c for c, x in enumerate(col) if x is None or x and c in raises)
-        mats.append((1, mat, SparseMat.from_num(
-            rep.dim, rep.dim, {(c, c): x for c, x in enumerate(col) if x}, den)))
-    return sum_products(rep.dim, rep.dim, mats), frozenset(bad)
+        mats.append((1, scale_columns(mat, [x or 0 for x in col], den)))
+    return SparseMat.combination(rep.dim, rep.dim, mats), frozenset(bad)
 
 
 def _at(form, u0, div=1):
-    """The (table, scale) terms of a form at u = u0, divided by div."""
+    """The (table, scale) terms of a form at u = u0, divided by div; if div
+    is 0, a pole wherever p is nonzero."""
     q, div = u0.denominator, Fraction(div)
+    # x / div = x f / |div.numerator|
+    f = div.denominator if div > 0 else -div.denominator
     out = []
     for t, ps, den in form:
         deg = max(map(len, filter(None, ps)), default=1) - 1
-        # p(u0) = sum_j p_j u0.num^j q^(deg - j) / q^deg
+        # p(u0) = sum_j p_j u0.numerator^j q^(deg - j) / q^deg
         pows = [u0.numerator ** j * q ** (deg - j) for j in range(deg + 1)]
-        f = div.denominator if div > 0 else -div.denominator
-        out.append((t, ([p and (f * sum(map(mul, p, pows)) if div else None) for p in ps],
-                        den * q ** deg * (abs(div.numerator) or 1))))
+        values = [p and f * sum(map(mul, p, pows)) for p in ps] if div else \
+            [p and None for p in ps]
+        out.append((t, (values, den * q ** deg * (abs(div.numerator) or 1))))
     return out
 
 
@@ -206,11 +208,9 @@ def _f_values(rep: BCDIrrep):
 
 
 def _chain_sum(rep: BCDIrrep, i, a, k, pool):
-    """The table of the sum over the chains i > i_1 > ... > i_s > -k of
-    F_{i i_1} ... F_{i_s a} times a Cartan factor acting first: the product
-    of (f_i - f_j) over j in pool but not in the chain, over the product of
-    (f_i - f_t) over t in the chain but not in pool, formed once per module
-    and key by exact.chain_sum, each chain product once per module."""
+    """The exact.chain_sum table over the chains i > i_1 > ... > i_s > -k,
+    gen = F and diff[j] = f_i - f_j, once per module and key; the chain
+    products are shared through the module's memo (see _walk)."""
     def build():
         # the chain indices of the rank-k subalgebra (0 only for B), and
         # 2 (f_i - f_j) over the basis
@@ -300,15 +300,15 @@ def _display(rep: BCDIrrep, a, b, k):
         gs = [[f[j] + 1 for j in idx] for f in fs]      # 2 g_j
         m = len(idx)
         form = [((rep.F(a, b), frozenset()),
-                 *_over([spoly(g, 2)[0] for g in gs], [sign << m] * len(gs)))]
+                 *_over([spoly(g) for g in gs], [sign << m] * len(gs)))]
         if a == b:
             r = int(2 * alg.rho(k)) + 1
             form.append(((SparseMat.identity(rep.dim), frozenset()),
-                         *_over([spoly(g + [r], 2)[0] for g in gs], [sign << m + 1] * len(gs))))
+                         *_over([spoly(g + [r]) for g in gs], [sign << m + 1] * len(gs))))
         for t, i in enumerate(idx):
             js = [j for j in idx if j != i and (alg.series != "D" or j != -i)]
             form.append((_zz(rep, a, i, b, k), *_over(
-                [spoly(g[:t] + g[t + 1:], 2)[0] for g in gs],
+                [spoly(g[:t] + g[t + 1:]) for g in gs],
                 [-sign * prod(f[i] - f[j] for j in js) << m - 1 - len(js) for f in fs])))
         return form
     return _cached(rep, ("display", a, b, k), build)
@@ -326,7 +326,7 @@ def _interp(rep: BCDIrrep, k):
         form = []
         for i in range(top):
             form.append((_z(rep, k, -k, k) if i + 1 == k else _zz(rep, k, i + 1, -k, k), *_over(
-                [spoly([s * x for x in g[:i] + g[i + 1:] for s in (1, -1)], 2)[0] for g in nodes],
+                [spoly([s * x for x in g[:i] + g[i + 1:] for s in (1, -1)]) for g in nodes],
                 [w not in colliding and prod(g[i] ** 2 - x ** 2 for x in g[:i] + g[i + 1:])
                  for w, g in enumerate(nodes)], [])))
         shown = [(t, [p if w in colliding else [] for w, p in enumerate(ps)], den)
@@ -350,7 +350,7 @@ def _z_interp_table(rep: BCDIrrep, k, u0):
 
 
 def apply_z_interp(rep: BCDIrrep, u0, vec, rank_k=None):
-    """Z_{k,-k}(u0) applied to vec (see _z_interp_table)."""
+    """Z_{k,-k}(u0) applied to vec."""
     return _apply(_z_interp_table(rep, rep.algebra.n if rank_k is None else rank_k,
                                   Fraction(u0)), vec)
 
@@ -371,11 +371,8 @@ def v_plus_basis(rep: BCDIrrep):
 def _v_plus_basis(rep: BCDIrrep):
     alg = rep.algebra
     n = alg.n
-    raising = []
-    for i in alg.indices:
-        for j in alg.indices:
-            if i < j and abs(i) < n and abs(j) < n:
-                raising.append(rep.F(i, j))
+    raising = [rep.F(i, j) for i in alg.indices for j in alg.indices
+               if i < j and abs(i) < n and abs(j) < n]
     out = []
     for w, cols, kernel in raising_kernel(rep.module, raising):
         wd = tuple(int(2 * x) for x in w)
@@ -437,10 +434,6 @@ def z_interp_poly(rep: BCDIrrep) -> OpPoly:
 # multiplicity bases and the GT bases
 # ---------------------------------------------------------------------------
 
-def _halves(x):
-    return Fraction(x, 2)
-
-
 def _level_word(rep: BCDIrrep, k, top, prime, below, sigma=0):
     """The letters (see _letter) of the level-k factor of a GT basis vector.
 
@@ -470,21 +463,39 @@ def _level_word(rep: BCDIrrep, k, top, prime, below, sigma=0):
 
 
 def _letter(rep: BCDIrrep, letter):
-    """The function a letter applies to an int column: ("Z", k, x) is
-    Z_{k,-k}(x / 2), ("z", k, i) is z_{i,-k} and ("zk", k, i) is z_{ki}, all
-    of the rank-k subalgebra."""
+    """The column_apply of a letter's table: ("Z", k, x) is Z_{k,-k}(x / 2),
+    ("z", k, i) is z_{i,-k} and ("zk", k, i) is z_{ki}, of the rank-k
+    subalgebra."""
     kind, k, x = letter
-    return _cached(rep, ("columns", letter), lambda: column_apply(*(
-        _z_interp_table(rep, k, Fraction(x, 2)) if kind == "Z" else
-        _z(rep, x, -k, k) if kind == "z" else _zai(rep, k, x, k))))
+    return column_apply(*(_z_interp_table(rep, k, Fraction(x, 2)) if kind == "Z" else
+                          _z(rep, x, -k, k) if kind == "z" else _zai(rep, k, x, k)))
 
 
 def _walk(rep: BCDIrrep, words):
     """The int columns of the words from the highest vector, on the
     module's trie: a multiplicity word is the top-level factor of GT basis
-    words, so multiplicity_basis after gt_basis_bcd applies no prefix again."""
-    return apply_words(({0: 1}, 1), words, lambda letter: _letter(rep, letter),
+    words, so multiplicity_basis after gt_basis_bcd applies no prefix again.
+    The chain products that the walk's tables shared are then dropped."""
+    cols = apply_words(({0: 1}, 1), words, lambda letter: _letter(rep, letter),
                        _cached(rep, "words", dict))
+    rep._tables.pop("chains", None)
+    return cols
+
+
+def _multiplicity(rep: BCDIrrep, mu):
+    """(tuples, int columns, B) of multiplicity_basis, B the columns as a
+    matrix, asserted independent."""
+    alg = rep.algebra
+    mu = tuple(mu)
+    spec = _branching.branch_BCD(alg.series, rep.lam, mu)
+    words = []
+    for tup in spec.data:
+        sigma, nu = (tup[0], tup[1:]) if alg.series == "B" else (0, tup)
+        words.append(_level_word(rep, alg.n, rep.lam, nu, mu, sigma))
+    cols = _walk(rep, words)
+    b = columns_matrix(cols, rep.dim)
+    assert rank(b) == len(cols), "multiplicity vectors are dependent"
+    return list(spec.data), cols, b
 
 
 def multiplicity_basis(rep: BCDIrrep, mu):
@@ -494,18 +505,8 @@ def multiplicity_basis(rep: BCDIrrep, mu):
     Returns (tuples, vectors); tuples as produced by the branching module
     ((sigma, nu...) for B).  Vectors are asserted independent.
     """
-    alg = rep.algebra
-    mu = tuple(mu)
-    spec = _branching.branch_BCD(alg.series, rep.lam, mu)
-    words = []
-    for tup in spec.data:
-        sigma, nu = (tup[0], tup[1:]) if alg.series == "B" else (0, tup)
-        words.append(_level_word(rep, alg.n, rep.lam, nu, mu, sigma))
-    cols = _walk(rep, words)
-    if cols:
-        assert rank(columns_matrix(cols, rep.dim)) == len(cols), \
-            "multiplicity vectors are dependent"
-    return list(spec.data), [column_fractions(c, rep.dim) for c in cols]
+    tuples, cols, _ = _multiplicity(rep, mu)
+    return tuples, [column_fractions(c, rep.dim) for c in cols]
 
 
 def _gt_walk(rep: BCDIrrep):
@@ -560,39 +561,32 @@ def fnn_action_check(rep: BCDIrrep, mu) -> bool:
     F_{n,-n} B = B S, S the shift coefficients."""
     alg = rep.algebra
     n = alg.n
-    tuples, vecs = multiplicity_basis(rep, mu)
-    if not vecs:
+    tuples, _, basis = _multiplicity(rep, mu)
+    if not tuples:
         return True
     lam = rep.lam
     mu = tuple(mu)
     evs = []
     for tup in tuples:
         sigma, nu = (tup[0], tup[1:]) if alg.series == "B" else (0, tup)
-        if alg.series == "D":
-            ext = (max(lam[0], mu[0]),) + nu
-            evs.append(Fraction(2 * sum(ext) - sum(lam) - sum(mu), 2))
-        else:
-            evs.append(Fraction(2 * sum(nu) - sum(lam) - sum(mu) + 2 * sigma, 2))
-    basis = SparseMat.from_columns(vecs, rep.dim)
+        # D: nu extended by the derived entry max(lam_1, mu_1)
+        extra = max(lam[0], mu[0]) if alg.series == "D" else sigma
+        evs.append(Fraction(2 * (sum(nu) + extra) - sum(lam) - sum(mu), 2))
     if rep.F(n, n) @ basis != basis @ SparseMat.diag(evs):
         return False
     if alg.series != "C":
         return True
-    index = {t: i for i, t in enumerate(tuples)}
+    index = {t: c for c, t in enumerate(tuples)}
     shift = {}
     for c, tup in enumerate(tuples):
-        gammas = [_halves(tup[i - 1]) + alg.rho(i) + Fraction(1, 2) for i in range(1, n + 1)]
-        for i in range(1, n + 1):
-            up = list(tup)
-            up[i - 1] += 2
-            if tuple(up) not in index:
-                continue
-            coeff = Fraction(1)
-            for a in range(1, n + 1):
-                if a != i:
-                    coeff /= gammas[i - 1] ** 2 - gammas[a - 1] ** 2
-            shift[(index[tuple(up)], c)] = coeff
-    return rep.F(n, -n) @ basis == basis @ SparseMat(len(vecs), len(vecs), shift)
+        g = [x + int(2 * alg.rho(i)) + 1 for i, x in enumerate(tup, 1)]    # 2 gamma_i
+        for i in range(n):
+            up = tup[:i] + (tup[i] + 2,) + tup[i + 1:]
+            if up in index:
+                # prod over a != i of 1 / (gamma_i^2 - gamma_a^2)
+                shift[(index[up], c)] = Fraction(
+                    4 ** (n - 1), prod(g[i] ** 2 - x ** 2 for x in g[:i] + g[i + 1:]))
+    return rep.F(n, -n) @ basis == basis @ SparseMat(len(tuples), len(tuples), shift)
 
 
 def zab_operators(rep: BCDIrrep, mu):

@@ -74,12 +74,6 @@ class GTPatternA:
     def flatten(self):
         return tuple(x for row in self.rows for x in row)
 
-    def shift(self, k, i, delta2):
-        """Array with lambda_{ki} changed by delta2 (doubled units)."""
-        rows = [list(r) for r in self.rows]
-        rows[self.n - k][i - 1] += delta2
-        return GTPatternA(tuple(tuple(r) for r in rows))
-
 
 @dataclass(frozen=True)
 class PatternB3:
@@ -175,8 +169,7 @@ def _choice_rows(p):
 # ---------------------------------------------------------------------------
 
 def _uniform_parity(values):
-    vals = [v for v in values]
-    return not vals or all((v - vals[0]) % 2 == 0 for v in vals)
+    return all((v - values[0]) % 2 == 0 for v in values)
 
 
 def check_dominant(family, lam):
@@ -567,24 +560,14 @@ def family_of(p):
 def to_json(p):
     """JSON-ready dict: family tag plus nested arrays of doubled integers."""
     d = {"family": family_of(p)}
-    if isinstance(p, GTPatternA):
-        d["rows"] = [list(r) for r in p.rows]
-    else:
-        d["rows"] = [list(r) for r in p.lam]
-        d["primed"] = [list(r) for r in p.lamp]
-        if isinstance(p, PatternB3):
-            d["sigma"] = list(p.sigma)
+    for name in p.__dataclass_fields__:
+        x = getattr(p, name)
+        d[JSON_KEY[name]] = list(x) if name == "sigma" else [list(r) for r in x]
     return d
 
 
 def from_json(d):
-    fam = d["family"]
-    if fam == "A":
-        return GTPatternA(tuple(tuple(r) for r in d["rows"]))
-    lam = tuple(tuple(r) for r in d["rows"])
-    lamp = tuple(tuple(r) for r in d["primed"])
-    if fam == "B3":
-        return PatternB3(tuple(d["sigma"]), lam, lamp)
-    cls = {"C3": PatternC3, "D3": PatternD3, "B4": PatternB4, "D4": PatternD4}[fam]
-    return cls(lam, lamp)
+    cls = PATTERN_TYPES[d["family"]]
+    return cls(*(tuple(d["sigma"]) if name == "sigma" else
+                 tuple(map(tuple, d[JSON_KEY[name]])) for name in cls.__dataclass_fields__))
 

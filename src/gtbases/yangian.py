@@ -129,9 +129,9 @@ class YTensorModule:
     def _check_highest(self):
         assert all(vec_is_zero(v) for v in self.T[(MINUS, PLUS)].apply_to(self.eta))
         assert _is_scalar_action(self.T[(MINUS, MINUS)], self.eta,
-                                 spoly([f.alpha2 for f in self.factors], 2))
+                                 _fpoly([f.alpha2 for f in self.factors]))
         assert _is_scalar_action(self.T[(PLUS, PLUS)], self.eta,
-                                 spoly([f.beta2 for f in self.factors], 2))
+                                 _fpoly([f.beta2 for f in self.factors]))
 
     def t_coefficients(self):
         """Matrices of t^(r)_ab, r = 1..k (the identity top term dropped)."""
@@ -150,14 +150,18 @@ def _gl2_index(label):
     return 1 if label == MINUS else 2
 
 
+def _fpoly(doubled):
+    """prod (u + r / 2) over the ints r of doubled, as Fractions."""
+    den = 2 ** len(doubled)
+    return [Fraction(x, den) for x in spoly(doubled)]
+
+
 def _is_scalar_action(poly: OpPoly, vec, scalar) -> bool:
-    """poly(u) acts on vec as the ``exact.spoly`` (nums, den) scalar."""
     got = poly.apply_to(vec)
-    nums, den = scalar
     zero = (Fraction(0),) * len(vec)
-    for j in range(max(len(got), len(nums))):
+    for j in range(max(len(got), len(scalar))):
         g = got[j] if j < len(got) else zero
-        s = Fraction(nums[j], den) if j < len(nums) else 0
+        s = scalar[j] if j < len(scalar) else 0
         if g != tuple(s * x for x in vec):
             return False
     return True
@@ -221,13 +225,13 @@ def eta_action_checks(module: YTensorModule) -> bool:
     betas = [Fraction(f.beta2, 2) for f in module.factors]
     zero = (Fraction(0),) * module.dim
     # T_{-n,-n}(u) display, cleared of the denominators prod(u+gamma_i+1)
-    num, den = spoly([f.alpha2 + 2 for f in module.factors] + [f.beta2 for f in module.factors], 2)
     rhs = OpPoly.sum_products(module.dim, module.dim, [
-        ([Fraction(x, den) for x in num], OpPoly.constant(SparseMat.identity(module.dim)), None),
+        (_fpoly([f.alpha2 + 2 for f in module.factors] + [f.beta2 for f in module.factors]),
+         OpPoly.constant(SparseMat.identity(module.dim)), None),
         ((1,), tmp, tpm.shift_u(1))])
     for gamma, v in basis.items():
         gvals = [Fraction(g, 2) for g in gamma]
-        if not _is_scalar_action(tpp, v, spoly(gamma, 2)):
+        if not _is_scalar_action(tpp, v, _fpoly(gamma)):
             return False
         for i in range(k):
             up = list(gamma)
@@ -245,8 +249,7 @@ def eta_action_checks(module: YTensorModule) -> bool:
             want = basis.get(tuple(down), zero)
             if got != tuple(coeff * x for x in want):
                 return False
-        num, den = spoly([g + 2 for g in gamma], 2)
-        lhs = tmm.mul_scalar_poly([Fraction(x, den) for x in num])
+        lhs = tmm.mul_scalar_poly(_fpoly([g + 2 for g in gamma]))
         if lhs.apply_to(v) != rhs.apply_to(v):
             return False
     return True
@@ -271,9 +274,9 @@ def quantum_det(module: YTensorModule) -> OpPoly:
 
 def quantum_det_scalar_check(module: YTensorModule) -> bool:
     """d(u) acts as prod (u+alpha_i+1)(u+beta_i) on the whole module."""
-    num, den = spoly([f.alpha2 + 2 for f in module.factors] + [f.beta2 for f in module.factors], 2)
-    return quantum_det(module) == OpPoly.from_scalar_poly([Fraction(x, den) for x in num],
-                                                          module.dim)
+    return quantum_det(module) == OpPoly.from_scalar_poly(
+        _fpoly([f.alpha2 + 2 for f in module.factors] + [f.beta2 for f in module.factors]),
+        module.dim)
 
 
 def qdet_centrality_check(module: YTensorModule, points) -> bool:

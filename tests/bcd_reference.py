@@ -64,10 +64,14 @@ from gtbases.exact import SpanSolver, SparseMat, rank
 from gtbases.liealg_bcd import orthogonal_chain, signed_realization as sr
 from gtbases.liealg_bcd.construction import (DeskScaleError, HWModule, Realization, _flat,
                                               _over_lcm)
-from gtbases.liealg_bcd.signed_realization import _SERIES_FAMILY, BCDIrrep, _halves
+from gtbases.liealg_bcd.signed_realization import _SERIES_FAMILY, BCDIrrep
 
 import exact_reference
 from exact_reference import commutator, vec_add, vec_scale, vec_zero
+
+
+def _halves(x):
+    return Fraction(x, 2)
 
 
 def commutation_all_pairs(rep):
@@ -674,9 +678,9 @@ def _apply_zab_point(rep: BCDIrrep, a, b, u0, vec, rank_k=None):
 
 # -- the library's tables, applied to tuples of Fractions ----------------------
 #
-# The library walks int columns (exact.apply_columns) on the tables of its
-# z operators; only these test wrappers apply the tables of pF_ia, Z_ab(u0)
-# and the s'/s lowerings to tuples of Fractions.
+# The library walks its GT words on int columns (exact.column_apply); these
+# test wrappers apply the tables of pF_ia, Z_ab(u0) and the s'/s lowerings
+# to tuples of Fractions, as the library's apply_z functions do.
 
 def table_pf(rep: BCDIrrep, i, a, vec, rank_k=None):
     """pF_ia applied to vec through its chain-sum table."""

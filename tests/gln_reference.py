@@ -39,7 +39,14 @@ from gtbases.exact import (OpPoly, SparseMat, commutator, factorial, nullspace, 
                            vec_unit)
 from gtbases.gln import (_big_e, capelli_det,
                          l_plus_matrix, lowering_operator, tau_poly)
-from gtbases.patterns import validate, weight
+from gtbases.patterns import GTPatternA, validate, weight
+
+
+def shift(p, k, i, delta2):
+    """The gl_n array p with lambda_{ki} changed by delta2 (doubled units)."""
+    rows = [list(r) for r in p.rows]
+    rows[p.n - k][i - 1] += delta2
+    return GTPatternA(tuple(tuple(r) for r in rows))
 
 
 def _lvals(pattern, k):
@@ -185,7 +192,7 @@ def drinfeld_checks(rep, m):
         for j in range(1, m + 1):
             u0 = -lm[j - 1]
             got_b = b_poly.eval_at(u0).apply(vec)
-            plus = p.shift(m, j, 2)
+            plus = shift(p, m, j, 2)
             coeff = Fraction(-1)
             for i in range(1, m + 2):
                 coeff *= lm1[i - 1] - lm[j - 1]
@@ -197,7 +204,7 @@ def drinfeld_checks(rep, m):
             if got_b != want_b:
                 return False
             got_c = c_poly.eval_at(u0).apply(vec)
-            minus = p.shift(m, j, -2)
+            minus = shift(p, m, j, -2)
             coeff = Fraction(1)
             for i in range(1, m):
                 coeff *= lmm[i - 1] - lm[j - 1]
@@ -304,13 +311,13 @@ def near_diagonal_generators(n, basis):
                 for j in range(1, k + 1):
                     if j != i:
                         den *= li - lk[j - 1]
-                plus = p.shift(k, i, 2)
+                plus = shift(p, k, i, 2)
                 if validate(plus):
                     num = Fraction(1)
                     for x in lk1:
                         num *= li - x
                     up[(index[plus], col)] = -num / den
-                minus = p.shift(k, i, -2)
+                minus = shift(p, k, i, -2)
                 if validate(minus):
                     num = Fraction(1)
                     for x in lkm:

@@ -54,7 +54,8 @@ def test_orth_basis_matches_per_pattern_words(N, lam):
 def test_signed_b_from_int_columns_is_from_columns_of_the_vectors(monkeypatch, series, lam):
     """B read off the walk's int columns, as gt_basis_checks reads it, is
     from_columns of the vectors gt_basis_bcd returns; the same for the B
-    whose rank multiplicity_basis checks, on every child."""
+    whose rank multiplicity_basis checks and fnn_action_check reads, on
+    every child."""
     rep = build_bcd_irrep(series, lam)
     pats, cols = signed_realization._gt_walk(rep)
     assert columns_matrix(cols, rep.dim) == SparseMat.from_columns(gt_basis_bcd(rep)[1], rep.dim)
@@ -63,7 +64,7 @@ def test_signed_b_from_int_columns_is_from_columns_of_the_vectors(monkeypatch, s
                         lambda *a: read.append(columns_matrix(*a)) or read[-1])
     for mu, _ in branching.branch_children_BCD(series, lam):
         vecs = multiplicity_basis(rep, mu)[1]
-        assert read.pop() == SparseMat.from_columns(vecs, rep.dim) if vecs else not read
+        assert read.pop() == SparseMat.from_columns(vecs, rep.dim) and not read
 
 
 @pytest.mark.parametrize("N,lam", [(N, lam) for N, lam, _, _ in ORTH_BASIS_PINS])
@@ -104,10 +105,10 @@ def _moved(vecs, a, weights):
 PERTURBATIONS = [None, _zeroed, _negated, _sum_of_two, _moved]
 
 
-def _substitute(monkeypatch, module, public, walk, pats, vecs):
-    """Make module's public basis function return (pats, vecs), and its
-    walk, which the library's checks read, their int columns."""
-    monkeypatch.setattr(module, public, lambda rep: (pats, vecs))
+def _substitute(monkeypatch, module, walk, pats, vecs):
+    """Make module's walk return (pats, the int columns of vecs): the
+    library's check reads the walk, and its public basis function, which
+    the reference check reads, converts the walk's columns."""
     monkeypatch.setattr(module, walk, lambda rep: (pats, [int_column(v) for v in vecs]))
 
 
@@ -130,7 +131,7 @@ def test_orth_verdicts_match_rank_and_all_pairs(monkeypatch, N, lam, perturb):
     chain = OrthogonalChain(N, lam)
     pats, vecs = orth_gt_basis(chain)
     for got in _perturbed(vecs, chain.module.weights, perturb):
-        _substitute(monkeypatch, orthogonal_chain, "orth_gt_basis", "_orth_walk", pats, got)
+        _substitute(monkeypatch, orthogonal_chain, "_orth_walk", pats, got)
         want = ref.orth_basis_checks(chain)
         assert orth_basis_checks(chain) is want
         assert want is (perturb in (None, _negated))
@@ -151,20 +152,26 @@ def test_gt_basis_verdicts_match_rank_and_dense_weights(monkeypatch, series, lam
     pats, vecs = gt_basis_bcd(rep)
     weights = [rep.weight_doubled(t) for t in range(rep.dim)]
     for got in _perturbed(vecs, weights, perturb):
-        _substitute(monkeypatch, signed_realization, "gt_basis_bcd", "_gt_walk", pats, got)
+        _substitute(monkeypatch, signed_realization, "_gt_walk", pats, got)
         want = ref.gt_basis_checks(rep)
         assert signed_realization.gt_basis_checks(rep) is want
         assert want is (perturb in (None, _negated))
 
 
+def _multiplicity(rep, tuples, vecs):
+    """The (tuples, int columns, B) that _multiplicity returns for the basis
+    vecs, which multiplicity_basis converts back to vecs."""
+    return tuples, [int_column(v) for v in vecs], SparseMat.from_columns(vecs, rep.dim)
+
+
 def _mult_bases(monkeypatch, rep):
     """The children mu of rep with their multiplicity bases, built before
-    multiplicity_basis is patched to return them."""
+    the library's _multiplicity, which fnn_action_check and
+    multiplicity_basis read, is patched to return them."""
     out = [(mu, multiplicity_basis(rep, mu))
            for mu, _ in branching.branch_children_BCD(rep.algebra.series, rep.lam)]
-    bases = dict(out)
-    monkeypatch.setattr(signed_realization, "multiplicity_basis",
-                        lambda r, mu: bases[tuple(mu)])
+    bases = {mu: _multiplicity(rep, *basis) for mu, basis in out}
+    monkeypatch.setattr(signed_realization, "_multiplicity", lambda r, mu: bases[tuple(mu)])
     return out
 
 
@@ -181,8 +188,8 @@ def test_fnn_verdicts_match_per_vector_actions(monkeypatch, series, lam, perturb
     fnn = [rep.weight_doubled(t)[n - 1] for t in range(rep.dim)]
     for mu, (tuples, vecs) in _mult_bases(monkeypatch, rep):
         for got in _perturbed(vecs, fnn, perturb):
-            monkeypatch.setattr(signed_realization, "multiplicity_basis",
-                                lambda r, m: (tuples, got))
+            monkeypatch.setattr(signed_realization, "_multiplicity",
+                                lambda r, m: _multiplicity(rep, tuples, got))
             want = ref.fnn_action_check(rep, mu)
             assert signed_realization.fnn_action_check(rep, mu) is want
             if perturb is None or series != "C" and perturb in (_zeroed, _negated):
@@ -213,7 +220,7 @@ def test_fnn_verdicts_match_on_corrupted_generators(monkeypatch, series, lam):
 def test_orth_short_basis_fails(monkeypatch):
     chain = OrthogonalChain(5, (2, 2))
     pats, vecs = orth_gt_basis(chain)
-    _substitute(monkeypatch, orthogonal_chain, "orth_gt_basis", "_orth_walk", pats, vecs[1:])
+    _substitute(monkeypatch, orthogonal_chain, "_orth_walk", pats, vecs[1:])
     assert orth_basis_checks(chain) is ref.orth_basis_checks(chain) is False
 
 

@@ -226,10 +226,15 @@ class TestSolvers:
                 assert all(type(c) is Fraction for c in solver.solve(target))
 
 
+def _variable(n):
+    """The polynomial u * Id of size n."""
+    return OpPoly(n, n, [SparseMat.zero(n, n), SparseMat.identity(n)])
+
+
 class TestOpPoly:
     def test_eval_left_identity_coefficient(self):
         h = SparseMat.diag([2, 3])
-        p = OpPoly.variable(2)
+        p = _variable(2)
         assert p.eval_left(h) == h
 
     def test_constant(self):
@@ -273,7 +278,7 @@ class TestOpPoly:
         assert p.shift_u(1).shift_u(-1) == p
 
     def test_divide_by_u(self):
-        p = OpPoly.variable(2)
+        p = _variable(2)
         assert ref.divide_by_u(p) == OpPoly.constant(SparseMat.identity(2))
         with pytest.raises(ArithmeticError):
             ref.divide_by_u(OpPoly.constant(SparseMat.identity(2)))
@@ -810,14 +815,15 @@ class TestChainSum:
 # -- the int scalar polynomials and the int-column tables -------------------
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(-9, 9), max_size=6), st.sampled_from([1, 2, 3, 4]))
-def test_spoly_matches_the_fraction_product(roots, den):
-    """exact.spoly against the Fraction product of the (u + r / den) that
-    it replaced, exact_reference.spoly_from_roots."""
-    nums, d = spoly(roots, den)
-    assert d == den ** len(roots) and all(type(x) is int for x in nums)
-    assert [Fraction(x, d) for x in nums] == \
-        ref.spoly_from_roots([Fraction(r, den) for r in roots])
+@given(st.lists(st.integers(-9, 9), max_size=6))
+def test_spoly_matches_the_fraction_product(doubled):
+    """exact.spoly, int numerators over 2 ** len(doubled), against the
+    Fraction product of the (u + r / 2) that it replaced,
+    exact_reference.spoly_from_roots."""
+    nums = spoly(doubled)
+    assert all(type(x) is int for x in nums)
+    assert [Fraction(x, 2 ** len(doubled)) for x in nums] == \
+        ref.spoly_from_roots([Fraction(r, 2) for r in doubled])
 
 
 _VALUES = st.fractions(-4, 4, max_denominator=6)

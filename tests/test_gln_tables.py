@@ -99,7 +99,7 @@ class TestShiftTable:
         for (k, i, e), column in table.items():
             assert len(column) == rep.dim
             for t, p in enumerate(rep.basis):
-                q = p.shift(k, i, 2 * e)
+                q = ref.shift(p, k, i, 2 * e)
                 assert column[t] == (rep.index[q] if validate(q) else None), (k, i, e, t)
 
     @settings(max_examples=60, deadline=None)
