@@ -349,11 +349,9 @@ def _gl_verify_checks(rep):
     yield "adjointness", lambda: gln.adjointness_check(rep)
     yield "highest-vector", lambda: gln.highest_vector_check(rep)
     yield "dimension-oracle", lambda: rep.dim == branching.weyl_dim("A", rep.lam)
-    # each vector is the coordinate vector of its pattern: entry t is 1 and
-    # every other entry is 0
+    # each int column is the coordinate vector of its pattern
     yield "lowering-basis", lambda: all(
-        v[t] == 1 and not any(v[:t]) and not any(v[t + 1:])
-        for t, v in enumerate(gln.basis_via_lowering(rep)))
+        c == ({t: 1}, 1) for t, c in enumerate(gln.basis_via_lowering(rep, columns=True)))
     yield "capelli-scalar", lambda: gln.capelli_scalar_check(rep)
     yield "capelli-interpolation", lambda: gln.capelli_interpolation_check(rep)
     yield "z-relations", lambda: gln.zrelation_checks(rep)
@@ -361,7 +359,8 @@ def _gl_verify_checks(rep):
         gln.tau_equals_z_check(rep, i) for i in range(1, rep.n))
     yield "drinfeld-actions", lambda: all(
         gln.drinfeld_checks(rep, m) for m in range(1, rep.n + 1))
-    yield "kappa-basis", lambda: len(gln.kappa_basis(rep)) == rep.dim
+    yield "kappa-basis", lambda: all(
+        list(num) == [t] for t, (num, _) in enumerate(gln.kappa_basis(rep, columns=True)))
     yield "gt-separation", lambda: gln.gt_separation_check(rep)
     yield "characteristic-identity", lambda: gln.characteristic_identity_check(rep)
 

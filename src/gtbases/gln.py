@@ -13,7 +13,8 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 
 from .exact import (OpPoly, SparseMat, apply_words, chain_sum, chevalley_serre_check,
-                    commutator, kron, spoly, sum_products, vec_is_zero, vec_unit)
+                    column_apply, column_fractions, commutator, kron, poly_apply, poly_columns,
+                    spoly, sum_products, vec_unit)
 from .patterns import GTPatternA, enumerate_patterns, weight
 from . import patterns as _patterns
 
@@ -221,9 +222,10 @@ def lowering_operator(rep: GlnIrrep, i, kind="lowering", m=None) -> SparseMat:
     return rep._lowering[key]
 
 
-def basis_via_lowering(rep: GlnIrrep):
+def basis_via_lowering(rep: GlnIrrep, columns=False):
     """Vectors z_{k1}^.. z_{k,k-1}^.. applied to the highest vector, per
-    pattern, with the level-n factors acting first."""
+    pattern, with the level-n factors acting first, walked on int columns;
+    with columns, those are returned."""
     words = []
     for p in rep.basis:
         word = []
@@ -231,9 +233,9 @@ def basis_via_lowering(rep: GlnIrrep):
             for i in range(k - 1, 0, -1):
                 word += [(i, k)] * ((p.entry(k, i) - p.entry(k - 1, i)) // 2)
         words.append(word)
-    return apply_words(vec_unit(rep.dim, rep.highest_index), words,
-                       lambda letter: lowering_operator(rep, letter[0], "lowering",
-                                                        m=letter[1]).apply)
+    cols = apply_words(({rep.highest_index: 1}, 1), words, lambda letter: column_apply(
+        lowering_operator(rep, letter[0], "lowering", m=letter[1])))
+    return cols if columns else [column_fractions(c, rep.dim) for c in cols]
 
 
 def l_plus_indices(rep: GlnIrrep):
@@ -258,42 +260,6 @@ def l_plus_matrix(rep: GlnIrrep) -> SparseMat:
     """Columns are the coordinate vectors spanning L(lam)^+."""
     cols = [idx for _, idx in l_plus_indices(rep)]
     return SparseMat(rep.dim, len(cols), {(idx, c): Fraction(1) for c, idx in enumerate(cols)})
-
-
-def lemma_aximu_check(rep: GlnIrrep, mu, i) -> Fraction:
-    """Apply z_in to xi_mu and compare with -(m_i - l_1)...(m_i - l_n) xi_{mu+d_i}.
-
-    Returns the closed-form coefficient; raises AssertionError on mismatch.
-    """
-    n = rep.n
-    mu = tuple(mu)
-    xi_mu = _xi_mu_vector(rep, mu)
-    z = lowering_operator(rep, i, "raising")
-    got = z.apply(xi_mu)
-    mi = Fraction(mu[i - 1], 2) - i + 1
-    coeff = Fraction(-1)
-    for j in range(1, n + 1):
-        coeff *= mi - (Fraction(rep.lam[j - 1], 2) - j + 1)
-    if mu[i - 1] == rep.lam[i - 1]:
-        assert vec_is_zero(got) and coeff == 0
-        return Fraction(0)
-    up = list(mu)
-    up[i - 1] += 2
-    expected = vec_unit(rep.dim, dict(l_plus_indices(rep))[tuple(up)])
-    xi_up = _xi_mu_vector(rep, tuple(up))
-    assert got == tuple(coeff * x for x in xi_up)
-    assert xi_up == expected
-    return coeff
-
-
-def _xi_mu_vector(rep, mu):
-    v = vec_unit(rep.dim, rep.highest_index)
-    for i in range(rep.n - 1, 0, -1):
-        e = (rep.lam[i - 1] - mu[i - 1]) // 2
-        z = lowering_operator(rep, i, "lowering")
-        for _ in range(e):
-            v = z.apply(v)
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +441,9 @@ def drinfeld_checks(rep: GlnIrrep, m) -> bool:
 
     A_m(u) is compared coefficient by coefficient with the diagonal matrix
     of the eigenvalue polynomials, made once per distinct row m.  B_m and
-    C_m are evaluated once at each distinct point u0 = -l_mj and compared
-    column by column with the shift displays of the patterns that have
-    that point; the shifted patterns come from ``shift_table``."""
+    C_m are read by column: column t is evaluated at each u0 = -x/2, x a
+    doubled l-value of row m of pattern t, and compared with the shift
+    display at the neighbour from ``shift_table``."""
     n = rep.n
     eigen = {}      # row m -> eigenvalue polynomial of A_m
     for p in rep.basis:
@@ -489,48 +455,35 @@ def drinfeld_checks(rep: GlnIrrep, m) -> bool:
     if m == n:
         return True
     table = rep.shift_table
-    want_b, want_c = {}, {}     # u0 -> {pattern index: expected column}
-    for t, p in enumerate(rep.basis):
-        # doubled l-values: a product of r differences carries 2^r
-        lm1 = _doubled_lvals(p.row(m + 1))
-        lmm = _doubled_lvals(p.row(m - 1)) if m > 1 else ()
-        for j, x in enumerate(_doubled_lvals(p.row(m)), 1):
-            u0 = Fraction(-x, 2)
-            up, down = table[(m, j, 1)][t], table[(m, j, -1)][t]
-            b = -prod(y - x for y in lm1)
-            c = prod(y - x for y in lmm)
-            want_b.setdefault(u0, {})[t] = (
-                {up: Fraction(b, 2 ** (m + 1))} if b and up is not None else {})
-            want_c.setdefault(u0, {})[t] = (
-                {down: Fraction(c, 2 ** (m - 1))} if c and down is not None else {})
-    return (_columns_match(drinfeld_poly(rep, m, "B"), want_b)
-            and _columns_match(drinfeld_poly(rep, m, "C"), want_c))
-
-
-def _columns_match(poly: OpPoly, want) -> bool:
-    """poly(u0) has the columns want[u0][t], with one evaluation per point.
-
-    The integer numerators of poly(u0) are compared with den * want."""
-    for u0, columns in want.items():
-        m = poly.eval_at(u0)
-        got = {t: {} for t in columns}
-        for (r, c), v in m.num.items():
-            if c in got:
-                got[c][r] = v
-        if got != {t: {r: v * m.den for r, v in col.items()} for t, col in columns.items()}:
-            return False
+    # B_m moves lambda_mj up with -prod over row k = m + 1, C_m down with
+    # prod over row k = m - 1; a product over row k carries 2^k
+    for which, e, k in (("B", 1, m + 1), ("C", -1, m - 1)):
+        cols, den = poly_columns(drinfeld_poly(rep, m, which))
+        for t, p in enumerate(rep.basis):
+            other = _doubled_lvals(p.row(k)) if k else ()
+            for j, x in enumerate(_doubled_lvals(p.row(m)), 1):
+                to = table[(m, j, e)][t]
+                c = -e * prod(y - x for y in other) if to is not None else 0
+                got = {}
+                for r, cs in cols.get(t, ()):
+                    h = 0
+                    for a in reversed(cs):
+                        h = h * -x + a
+                    if h:
+                        got[r] = h << k
+                if got != ({to: c * den} if c else {}):
+                    return False
     return True
 
 
-def kappa_basis(rep: GlnIrrep):
+def kappa_basis(rep: GlnIrrep, columns=False):
     """Vectors built by iterated evaluated C_m operators, one per pattern.
 
-    Each result is asserted to be a nonzero multiple of the corresponding
-    coordinate basis vector: its entry t is nonzero and every other entry
-    is 0.
-    """
+    The words are walked on int columns; with columns, those are returned.
+    Else each result must be a nonzero multiple of the corresponding
+    coordinate vector (AssertionError if not)."""
     n = rep.n
-    cpolys = {m: drinfeld_poly(rep, m, "C") for m in range(1, n)}
+    c_cols = {m: poly_columns(drinfeld_poly(rep, m, "C")) for m in range(1, n)}
     words = []
     for p in rep.basis:
         word = []
@@ -542,13 +495,14 @@ def kappa_basis(rep: GlnIrrep):
             for m in range(k, n):
                 word += [(m, start + 2 * j) for j in range((rep.lam[k - 1] - p.entry(m, k)) // 2)]
         words.append(word)
-    out = apply_words(vec_unit(rep.dim, rep.highest_index), words,
-                      lambda letter: cpolys[letter[0]].eval_at(Fraction(letter[1], 2)).apply)
-    for t, v in enumerate(out):
-        assert any(v), "kappa vector vanished"
-        if not v[t] or any(v[:t]) or any(v[t + 1:]):
-            raise AssertionError("kappa vector not proportional to basis vector")
-    return out
+    cols = apply_words(({rep.highest_index: 1}, 1), words,
+                       lambda letter: lambda vec: poly_apply(c_cols[letter[0]], vec, letter[1]))
+    if columns:
+        return cols
+    for t, (num, _) in enumerate(cols):
+        if list(num) != [t]:
+            raise AssertionError("kappa vector %d is no multiple of e_%d" % (t, t))
+    return [column_fractions(c, rep.dim) for c in cols]
 
 
 def gt_eigenvalues(pattern: GTPatternA):
@@ -673,7 +627,7 @@ def highest_vector_check(rep: GlnIrrep) -> bool:
     for i in range(1, rep.n + 1):
         for j in range(i, rep.n + 1):
             got = rep.gen(i, j).apply(xi)
-            if i < j and not vec_is_zero(got):
+            if i < j and any(got):
                 return False
             if i == j and got != tuple(Fraction(rep.lam[i - 1], 2) * x for x in xi):
                 return False

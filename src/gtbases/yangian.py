@@ -24,8 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
-from .exact import (OpPoly, SpanSolver, SparseMat, apply_words, kron, rank,
-                    spoly, vec_is_zero, vec_unit)
+from .exact import (OpPoly, SpanSolver, SparseMat, apply_words, column_fractions,
+                    columns_matrix, kron, lowest_terms, poly_apply, poly_columns, rank, spoly,
+                    vec_unit)
 from . import gln
 
 PLUS, MINUS = 1, -1
@@ -127,11 +128,12 @@ class YTensorModule:
         self._check_highest()
 
     def _check_highest(self):
-        assert all(vec_is_zero(v) for v in self.T[(MINUS, PLUS)].apply_to(self.eta))
-        assert _is_scalar_action(self.T[(MINUS, MINUS)], self.eta,
-                                 _fpoly([f.alpha2 for f in self.factors]))
-        assert _is_scalar_action(self.T[(PLUS, PLUS)], self.eta,
-                                 _fpoly([f.beta2 for f in self.factors]))
+        eta = {0: 1}, 1
+        assert not poly_apply(poly_columns(self.T[(MINUS, PLUS)]), eta)[0]
+        assert poly_apply(poly_columns(self.T[(MINUS, MINUS)]), eta) == \
+            _times([f.alpha2 for f in self.factors], ({(0, 0): 1}, 1))
+        assert poly_apply(poly_columns(self.T[(PLUS, PLUS)]), eta) == \
+            _times([f.beta2 for f in self.factors], ({(0, 0): 1}, 1))
 
     def t_coefficients(self):
         """Matrices of t^(r)_ab, r = 1..k (the identity top term dropped)."""
@@ -156,15 +158,17 @@ def _fpoly(doubled):
     return [Fraction(x, den) for x in spoly(doubled)]
 
 
-def _is_scalar_action(poly: OpPoly, vec, scalar) -> bool:
-    got = poly.apply_to(vec)
-    zero = (Fraction(0),) * len(vec)
-    for j in range(max(len(got), len(scalar))):
-        g = got[j] if j < len(got) else zero
-        s = scalar[j] if j < len(scalar) else 0
-        if g != tuple(s * x for x in vec):
-            return False
-    return True
+def _times(doubled, vp):
+    """The int vector polynomial vp times prod (u + r/2) = prod (y + r)/2
+    over the ints r of doubled, reduced."""
+    acc, den = vp
+    for r in doubled:
+        out = {}
+        for (j, row), v in acc.items():
+            out[j + 1, row] = out.get((j + 1, row), 0) + v
+            out[j, row] = out.get((j, row), 0) + r * v
+        acc, den = out, 2 * den
+    return lowest_terms(acc, den)
 
 
 def build_tensor_module(factors) -> YTensorModule:
@@ -188,69 +192,70 @@ def _pairwise_disjoint(factors, reflected=False):
         (g.reflected() if reflected else g).values()))
 
 
-def eta_basis(module: YTensorModule):
+def eta_basis(module: YTensorModule, columns=False):
     """Vectors eta_gamma built by iterated evaluated T_{n,-n}; requires an
-    irreducible module with pairwise disjoint strings."""
+    irreducible module with pairwise disjoint strings.  With columns, their
+    int columns, unchecked."""
     if not irreducible_Y2(module.factors):
         raise ValueError("module is not irreducible")
     if not _pairwise_disjoint(module.factors):
         raise ValueError("strings are not pairwise disjoint")
-    out = _walk_strings(module, module.T[(PLUS, MINUS)], -1)
-    mat = SparseMat.from_columns(list(out.values()), module.dim)
-    assert rank(mat) == module.dim, "eta vectors do not form a basis"
-    return out
+    return _walk_strings(module, module.T[(PLUS, MINUS)], -1, columns)
 
 
-def _walk_strings(module: YTensorModule, op: OpPoly, sign):
+def _independent(module, cols):
+    return rank(columns_matrix(list(cols.values()), module.dim)) == module.dim
+
+
+def _walk_strings(module: YTensorModule, op: OpPoly, sign, columns=False):
     """{gamma: v_gamma} in gamma_tuples order: v_gamma is op(sign * val/2)
-    applied to eta for each doubled val = beta_i, beta_i + 2, ..., gamma_i - 2,
-    factor by factor.  The words are walked with exact.apply_words, so each
-    distinct point is evaluated once and each prefix applied once."""
+    applied to eta for each doubled val = beta_i, ..., gamma_i - 2, factor
+    by factor, walked on int columns.  Unless columns, they must be
+    independent and are given as Fractions."""
     gammas = gamma_tuples(module.factors)
-    words = [[Fraction(sign * val, 2) for f, g in zip(module.factors, gamma)
-              for val in range(f.beta2, g, 2)] for gamma in gammas]
-    return dict(zip(gammas, apply_words(module.eta, words,
-                                        lambda u0: op.eval_at(u0).apply)))
+    words = [[sign * val for f, g in zip(module.factors, gamma) for val in range(f.beta2, g, 2)]
+             for gamma in gammas]
+    table = poly_columns(op)
+    out = dict(zip(gammas, apply_words(({0: 1}, 1), words,
+                                       lambda y: lambda vec: poly_apply(table, vec, y))))
+    if columns:
+        return out
+    if not _independent(module, out):
+        raise AssertionError("the basis vectors are dependent")
+    return {g: column_fractions(c, module.dim) for g, c in out.items()}
 
 
 def eta_action_checks(module: YTensorModule) -> bool:
-    """All four displayed actions of the generators on every eta_gamma."""
-    basis = eta_basis(module)
+    """The eta_gamma are independent, and the four displayed actions of
+    the generators hold on their int columns."""
+    basis = eta_basis(module, columns=True)
+    if not _independent(module, basis):
+        return False
     k = module.k
-    tpm = module.T[(PLUS, MINUS)]
-    tmp = module.T[(MINUS, PLUS)]
-    tpp = module.T[(PLUS, PLUS)]
-    tmm = module.T[(MINUS, MINUS)]
-    alphas = [Fraction(f.alpha2, 2) for f in module.factors]
-    betas = [Fraction(f.beta2, 2) for f in module.factors]
-    zero = (Fraction(0),) * module.dim
+    tab = {key: poly_columns(p) for key, p in module.T.items()}
     # T_{-n,-n}(u) display, cleared of the denominators prod(u+gamma_i+1)
-    rhs = OpPoly.sum_products(module.dim, module.dim, [
+    rhs = poly_columns(OpPoly.sum_products(module.dim, module.dim, [
         (_fpoly([f.alpha2 + 2 for f in module.factors] + [f.beta2 for f in module.factors]),
          OpPoly.constant(SparseMat.identity(module.dim)), None),
-        ((1,), tmp, tpm.shift_u(1))])
+        ((1,), module.T[(MINUS, PLUS)], module.T[(PLUS, MINUS)].shift_u(1))]))
+    zero = {}, 1
     for gamma, v in basis.items():
-        gvals = [Fraction(g, 2) for g in gamma]
-        if not _is_scalar_action(tpp, v, _fpoly(gamma)):
+        const = {(0, r): x for r, x in v[0].items()}, v[1]
+        if poly_apply(tab[(PLUS, PLUS)], v) != _times(gamma, const):
             return False
-        for i in range(k):
-            up = list(gamma)
-            up[i] += 2
-            got = tpm.eval_at(-gvals[i]).apply(v)
-            want = basis[tuple(up)] if tuple(up) in basis else zero
-            if got != want:
+        for i, g in enumerate(gamma):
+            up = gamma[:i] + (g + 2,) + gamma[i + 1:]
+            if poly_apply(tab[(PLUS, MINUS)], v, -g) != basis.get(up, zero):
                 return False
-            down = list(gamma)
-            down[i] -= 2
-            got = tmp.eval_at(-gvals[i]).apply(v)
-            coeff = Fraction(-1)
-            for m in range(k):
-                coeff *= (alphas[m] - gvals[i] + 1) * (betas[m] - gvals[i])
-            want = basis.get(tuple(down), zero)
-            if got != tuple(coeff * x for x in want):
+            down = gamma[:i] + (g - 2,) + gamma[i + 1:]
+            # -prod (alpha_m - g/2 + 1)(beta_m - g/2) over the factors m
+            coeff = -math.prod((f.alpha2 - g + 2) * (f.beta2 - g) for f in module.factors)
+            want = basis.get(down, zero)
+            if poly_apply(tab[(MINUS, PLUS)], v, -g) != lowest_terms(
+                    {r: coeff * x for r, x in want[0].items()}, want[1] * 4 ** k):
                 return False
-        lhs = tmm.mul_scalar_poly(_fpoly([g + 2 for g in gamma]))
-        if lhs.apply_to(v) != rhs.apply_to(v):
+        if _times([g + 2 for g in gamma], poly_apply(tab[(MINUS, MINUS)], v)) != \
+                poly_apply(rhs, v):
             return False
     return True
 
@@ -277,18 +282,6 @@ def quantum_det_scalar_check(module: YTensorModule) -> bool:
     return quantum_det(module) == OpPoly.from_scalar_poly(
         _fpoly([f.alpha2 + 2 for f in module.factors] + [f.beta2 for f in module.factors]),
         module.dim)
-
-
-def qdet_centrality_check(module: YTensorModule, points) -> bool:
-    """d(u) commutes with all T_ab(v) at the given sample pairs."""
-    d = quantum_det(module)
-    for u0, v0 in points:
-        dm = d.eval_at(u0)
-        for key in module.T:
-            tv = module.T[key].eval_at(v0)
-            if dm @ tv != tv @ dm:
-                return False
-    return True
 
 
 def rtt_check(module: YTensorModule, pairs) -> bool:
@@ -408,10 +401,7 @@ def twisted_basis(module: YTensorModule, sign, delta2=None):
         raise ValueError("strings meet the reflected strings")
     if not (irreducible_Yminus(facts) if sign == "-" else irreducible_Yplus(facts, delta2)):
         raise ValueError("module is not irreducible over the twisted Yangian")
-    out = _walk_strings(module, twisted_snn(module, sign, delta2), 1)
-    mat = SparseMat.from_columns(list(out.values()), module.dim)
-    assert rank(mat) == module.dim, "twisted basis is not linearly independent"
-    return out
+    return _walk_strings(module, twisted_snn(module, sign, delta2), 1)
 
 
 def _theta(sign, i, j):
@@ -439,16 +429,6 @@ def twisted_symmetry_check(module: YTensorModule, sign, points) -> bool:
     return True
 
 
-def snn_commutativity_check(module: YTensorModule, sign, points, delta2=None) -> bool:
-    s = twisted_snn(module, sign, delta2)
-    for u0, v0 in points:
-        a = s.eval_at(u0)
-        b = s.eval_at(v0)
-        if a @ b != b @ a:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # brute-force irreducibility over QQ.  By Burnside's theorem a module over a
 # field of characteristic 0 is absolutely irreducible iff the unital algebra
@@ -465,30 +445,37 @@ def algebra_closure(gens, n):
     closed under left multiplication by them.  Independence is tested on
     the row-major n*n vector of integer numerators (a multiple of the
     matrix, which is independent of the others exactly when the matrix
-    is), and the spin stops once n*n elements are kept.
+    is), and the spin stops once n*n elements are kept.  All g @ b of one
+    b are one product, of the kept g stacked, so b is indexed once.
     """
     solver = SpanSolver((), n * n)
-    basis = []
 
-    def keep(m):
+    def keep(num):
         vec = [0] * (n * n)
-        for (r, c), x in m.num.items():
+        for (r, c), x in num.items():
             vec[r * n + c] = x
-        if solver.add(vec):
-            basis.append(m)
-            return True
-        return False
+        return solver.add(vec)
 
-    keep(SparseMat.identity(n))
-    kept = [g for g in gens if keep(g)]
+    basis = [SparseMat.identity(n)]
+    keep(basis[0].num)
+    kept = [g for g in gens if keep(g.num)]
+    basis += kept
+    den = math.lcm(*(g.den for g in kept))
+    stacked = SparseMat.from_num(len(kept) * n, n, {
+        (i * n + r, c): v * (den // g.den) for i, g in enumerate(kept)
+        for (r, c), v in g.num.items()}, den)
     frontier = kept
     while frontier and len(basis) < n * n:
         new = []
         for b in frontier:
-            for g in kept:
-                prod = g @ b
-                if keep(prod):
-                    new.append(prod)
+            full = stacked @ b
+            prods = [{} for _ in kept]
+            for (r, c), v in full.num.items():
+                prods[r // n][r % n, c] = v
+            for num in prods:
+                if keep(num):
+                    new.append(SparseMat.from_num(n, n, num, full.den))
+                    basis.append(new[-1])
                     if len(basis) == n * n:
                         return basis
         frontier = new

@@ -30,7 +30,9 @@ denominator) replaced for every caller.
 ``exact.column_apply`` applies tables to.
 
 ``divide_by_u`` is the division of a library ``OpPoly`` by u that only
-the tests use.
+the tests use, and ``vec_is_zero`` the zero test of a tuple of
+``Fraction``s that the library's walks read before they moved to int
+columns.
 
 ``chain_sum`` below is the form
 ``exact.chain_sum`` had before it shared suffix products, each chain's
@@ -425,6 +427,10 @@ def int_column(vec):
     exact.column_apply."""
     den = math.lcm(*(x.denominator for x in vec if x))
     return {c: x.numerator * (den // x.denominator) for c, x in enumerate(vec) if x}, den
+
+
+def vec_is_zero(u):
+    return all(x == 0 for x in u)
 
 
 def divide_by_u(p):

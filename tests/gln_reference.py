@@ -22,7 +22,12 @@ the two-step Laplace expansion that ``gln._expand_last_column`` made before
 of u summed), and ``_entry_poly`` the entry polynomial it started from.
 ``lowering_operator_by_chain_adds`` is the
 form that ``gln.lowering_operator`` had before ``exact.chain_sum``: one
-integer diagonal and one sum per chain.
+integer diagonal and one sum per chain.  ``drinfeld_checks_by_point``
+is the form ``gln.drinfeld_checks`` had before it read B_m and C_m by
+column: one evaluation of each at every point, compared with per-pattern
+``Fraction`` columns.  ``walk_fractions`` walks the lowering and kappa
+words as ``gln`` did before the int columns, on tuples of ``Fraction``s
+through ``exact.apply_words`` and ``SparseMat.apply``.
 
 The reference checks use the column-ordered expansion alone, so that they
 return a verdict (rather than fail on the equality of the two expansions)
@@ -34,10 +39,11 @@ from itertools import permutations
 from math import prod
 
 import exact_reference
-from exact_reference import spoly_from_roots
-from gtbases.exact import (OpPoly, SparseMat, commutator, factorial, nullspace, vec_is_zero,
+from exact_reference import spoly_from_roots, vec_is_zero
+from gtbases.exact import (OpPoly, SparseMat, apply_words, commutator, factorial, nullspace,
                            vec_unit)
-from gtbases.gln import (_big_e, capelli_det,
+from gtbases import gln
+from gtbases.gln import (_big_e, _doubled_lvals, capelli_det, l_plus_indices,
                          l_plus_matrix, lowering_operator, tau_poly)
 from gtbases.patterns import GTPatternA, validate, weight
 
@@ -538,3 +544,118 @@ def l_plus_nullspace(rep):
         return [vec_unit(rep.dim, t) for t in range(rep.dim)]
     stacked = SparseMat.from_rows(rows)
     return nullspace(stacked)
+
+
+def drinfeld_checks_by_point(rep, m) -> bool:
+    """The B_m and C_m shift displays of ``gln.drinfeld_checks``, each
+    polynomial evaluated once at every point u0 = -l_mj and compared with
+    the columns of the patterns that have that point (the A_m display is
+    left to ``drinfeld_checks``).  The polynomials come from
+    ``gln.drinfeld_poly``."""
+    if m == rep.n:
+        return True
+    table = rep.shift_table
+    want_b, want_c = {}, {}     # u0 -> {pattern index: expected column}
+    for t, p in enumerate(rep.basis):
+        lm1 = _doubled_lvals(p.row(m + 1))
+        lmm = _doubled_lvals(p.row(m - 1)) if m > 1 else ()
+        for j, x in enumerate(_doubled_lvals(p.row(m)), 1):
+            u0 = Fraction(-x, 2)
+            up, down = table[(m, j, 1)][t], table[(m, j, -1)][t]
+            b = -prod(y - x for y in lm1)
+            c = prod(y - x for y in lmm)
+            want_b.setdefault(u0, {})[t] = (
+                {up: Fraction(b, 2 ** (m + 1))} if b and up is not None else {})
+            want_c.setdefault(u0, {})[t] = (
+                {down: Fraction(c, 2 ** (m - 1))} if c and down is not None else {})
+    return (_columns_match(gln.drinfeld_poly(rep, m, "B"), want_b)
+            and _columns_match(gln.drinfeld_poly(rep, m, "C"), want_c))
+
+
+def _columns_match(poly, want) -> bool:
+    """poly(u0) has the columns want[u0][t], with one evaluation per point.
+
+    The integer numerators of poly(u0) are compared with den * want."""
+    for u0, columns in want.items():
+        m = poly.eval_at(u0)
+        got = {t: {} for t in columns}
+        for (r, c), v in m.num.items():
+            if c in got:
+                got[c][r] = v
+        if got != {t: {r: v * m.den for r, v in col.items()} for t, col in columns.items()}:
+            return False
+    return True
+
+
+def lowering_words(rep):
+    """Per pattern, the z_{ik} as letters (i, k) in the order they act."""
+    return [[(i, k) for k in range(rep.n, 1, -1) for i in range(k - 1, 0, -1)
+             for _ in range((p.entry(k, i) - p.entry(k - 1, i)) // 2)]
+            for p in rep.basis]
+
+
+def kappa_words(rep):
+    """Per pattern, the C_m(arg) as letters (m, 2 arg) in the order they act."""
+    out = []
+    for p in rep.basis:
+        word = []
+        for k in range(rep.n - 1, 0, -1):
+            for m in range(k, rep.n):
+                arg = -(Fraction(rep.lam[k - 1], 2) - k + 1)
+                while arg <= -(Fraction(p.entry(m, k), 2) - k + 1) - 1:
+                    word.append((m, int(2 * arg)))
+                    arg += 1
+        out.append(word)
+    return out
+
+
+def walk_fractions(rep, words, kind):
+    """The words walked from the highest vector on tuples of Fractions with
+    exact.apply_words and SparseMat.apply: kind "lowering" reads a letter
+    (i, k) as z_{ki}, kind "kappa" a letter (m, x) as C_m(x / 2)."""
+    if kind == "lowering":
+        def matrix(letter):
+            return lowering_operator(rep, letter[0], "lowering", m=letter[1])
+    else:
+        def matrix(letter):
+            return gln.drinfeld_poly(rep, letter[0], "C").eval_at(Fraction(letter[1], 2))
+    return apply_words(vec_unit(rep.dim, rep.highest_index), words,
+                       lambda letter: matrix(letter).apply)
+
+
+# The z_in xi_mu lemma, which no verify line runs.
+
+def lemma_aximu_check(rep, mu, i) -> Fraction:
+    """Apply z_in to xi_mu and compare with -(m_i - l_1)...(m_i - l_n) xi_{mu+d_i}.
+
+    Returns the closed-form coefficient; raises AssertionError on mismatch.
+    """
+    n = rep.n
+    mu = tuple(mu)
+    xi_mu = _xi_mu_vector(rep, mu)
+    z = lowering_operator(rep, i, "raising")
+    got = z.apply(xi_mu)
+    mi = Fraction(mu[i - 1], 2) - i + 1
+    coeff = Fraction(-1)
+    for j in range(1, n + 1):
+        coeff *= mi - (Fraction(rep.lam[j - 1], 2) - j + 1)
+    if mu[i - 1] == rep.lam[i - 1]:
+        assert vec_is_zero(got) and coeff == 0
+        return Fraction(0)
+    up = list(mu)
+    up[i - 1] += 2
+    expected = vec_unit(rep.dim, dict(l_plus_indices(rep))[tuple(up)])
+    xi_up = _xi_mu_vector(rep, tuple(up))
+    assert got == tuple(coeff * x for x in xi_up)
+    assert xi_up == expected
+    return coeff
+
+
+def _xi_mu_vector(rep, mu):
+    v = vec_unit(rep.dim, rep.highest_index)
+    for i in range(rep.n - 1, 0, -1):
+        e = (rep.lam[i - 1] - mu[i - 1]) // 2
+        z = lowering_operator(rep, i, "lowering")
+        for _ in range(e):
+            v = z.apply(v)
+    return v

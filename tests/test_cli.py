@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 import bcd_reference
 import cli_reference
 import exact_reference
-from gtbases import branching, cli, patterns, yangian
+from gtbases import branching, cli, gln, patterns, yangian
 from gtbases.exact import SparseMat, commutator
 from gtbases.liealg_bcd import build_bcd_irrep, orthogonal_chain, signed_realization
 
@@ -318,6 +318,26 @@ class TestExitCodes:
         assert code == 0
         assert "FAIL" not in out and "PASS" in out
 
+    def test_broken_kappa_walk_reads_fail(self, capsys, monkeypatch):
+        """With C_1(u) scaled by 0 the kappa vectors of the patterns below
+        the top vanish: kappa-basis reads FAIL, the checks after it still
+        run, and the exit code is 1."""
+        build = gln.build_irrep
+
+        def broken(n, lam):
+            rep = build(n, lam)
+            rep._minors[((2,), (1,))] = gln.drinfeld_poly(rep, 1, "C").scale(0)
+            return rep
+        monkeypatch.setattr(gln, "build_irrep", broken)
+        code, out, err = run_capture(capsys, ["verify", "gl", "2,1,0"])
+        lines = out.splitlines()
+        assert [x.split(":")[0] for x in lines] == [
+            name for name, _ in cli._gl_verify_checks(gln.build_irrep(3, (4, 2, 0)))]
+        assert lines[-5:] == ["tau-equals-z: FAIL", "drinfeld-actions: FAIL",
+                              "kappa-basis: FAIL", "gt-separation: PASS",
+                              "characteristic-identity: PASS"]
+        assert code == 1 and err == ""
+
 
 class TestBranchVerb:
     def test_gl(self, capsys):
@@ -388,6 +408,16 @@ class TestYangianDemo:
         assert code == 1 and line in out.splitlines()
         assert [x.split(":")[0] for x in out.splitlines()][-3:] == [
             "rtt-relation", "quantum-determinant-scalar", "gt-basis-actions"]
+
+    def test_dependent_eta_walk_reads_fail(self, capsys):
+        """On L(0,0) x L(1,0) the strings are disjoint and the module is
+        irreducible, but the trivial factor makes T(u) = u T'(u) and the
+        eta walk's one point is u = 0: the eta vectors are dependent, so
+        gt-basis-actions reads FAIL, with exit 1."""
+        code, out, err = run_capture(capsys, ["yangian-demo", "--strings", "0,0;1,0"])
+        assert out.splitlines()[-3:] == ["rtt-relation: PASS", "quantum-determinant-scalar: PASS",
+                                         "gt-basis-actions: FAIL"]
+        assert code == 1 and err == ""
 
     @pytest.mark.parametrize("strings", ["1,0;3,2", "1,0;3,2;5,4", "0,-1;2,1;4,3", "1,0;1,-1"])
     def test_passing_modules_exit_0(self, capsys, strings):

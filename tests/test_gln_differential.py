@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 import gln_reference as ref
 from gtbases import branching, cli, gln
 from exact_reference import spoly_from_roots
-from gtbases.exact import OpPoly, SparseMat, vec_unit
+from gtbases.exact import OpPoly, SparseMat, column_fractions, vec_unit
 from gtbases.patterns import enumerate_patterns
 
 
@@ -327,19 +327,101 @@ def _kappa_words(rep):
                                         ("kappa_basis", _kappa_words)])
 @pytest.mark.parametrize("n,lam", INTACT + [(4, d(3, 2, 1, 0)), (4, d(2, 2, 0, 0))])
 def test_one_apply_per_distinct_prefix(monkeypatch, n, lam, name, words):
-    """The word walk gives the per-pattern vectors with one SparseMat.apply
-    per distinct nonempty word prefix."""
+    """The word walk gives the per-pattern vectors with one letter apply
+    per distinct nonempty word prefix, and no SparseMat.apply."""
     rep = gln.build_irrep(n, lam)
     want = getattr(ref, name)(rep)
     calls = []
-    real = SparseMat.apply
+    walk = gln.apply_words
 
-    def spy(self, vec):
-        calls.append(1)
-        return real(self, vec)
-    monkeypatch.setattr(SparseMat, "apply", spy)
+    def spy(start, words, operator, root=None):
+        def counted(letter):
+            apply = operator(letter)
+            return lambda vec: calls.append(1) or apply(vec)
+        return walk(start, words, counted, root)
+    monkeypatch.setattr(gln, "apply_words", spy)
+    monkeypatch.setattr(SparseMat, "apply", None)
     assert getattr(gln, name)(rep) == want
     assert len(calls) == len({w[:j] for w in words(rep) for j in range(1, len(w) + 1)})
+
+
+# the gl_4 weights of the bench's gl-verify group at its shifts c = -2, -1, 0
+BENCH_GL4 = [tuple(2 * (x + c) for x in lam) for lam in ((3, 2, 1, 0), (3, 1, 0, 0), (2, 1, 0, 0))
+             for c in (-2, -1, 0)]
+
+
+def _same_walks(rep):
+    """basis_via_lowering and kappa_basis, and their int columns, equal the
+    Fraction walks of the same words through SparseMat.apply."""
+    for name, kind, words in (("basis_via_lowering", "lowering", ref.lowering_words),
+                              ("kappa_basis", "kappa", ref.kappa_words)):
+        want = ref.walk_fractions(rep, words(rep), kind)
+        assert getattr(gln, name)(rep) == want, name
+        cols = getattr(gln, name)(rep, columns=True)
+        assert [column_fractions(c, rep.dim) for c in cols] == want, name
+
+
+@pytest.mark.parametrize("lam", BENCH_GL4)
+def test_int_walks_on_bench_weights(lam):
+    _same_walks(gln.build_irrep(4, lam))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=2, max_size=2), st.integers(-4, 4))
+def test_int_walks_on_random_gl3_weights(gaps, low):
+    _same_walks(gln.build_irrep(3, (low + 2 * (gaps[0] + gaps[1]), low + 2 * gaps[1], low)))
+
+
+def _bumped(rep, m, which, j, r, c, bump):
+    """rep with entry (r, c) of the u^j coefficient of the memoized B_m or
+    C_m changed by bump (the memo key as gln.drinfeld_poly makes it)."""
+    poly = gln.drinfeld_poly(rep, m, which)
+    key = next(k for k, v in rep._minors.items() if v is poly)
+    coeffs = list(poly.coeffs) + [SparseMat.zero(rep.dim, rep.dim)] * (j + 1 - len(poly.coeffs))
+    coeffs[j] = coeffs[j] + SparseMat(rep.dim, rep.dim, {(r, c): bump})
+    rep._minors[key] = OpPoly(rep.dim, rep.dim, coeffs)
+    return rep
+
+
+def _drinfeld_verdicts(monkeypatch, rep):
+    """(gln, reference per vector, reference per point) verdicts of every
+    m, the references reading the memoized polynomials as gln does."""
+    monkeypatch.setattr(ref, "drinfeld_poly", gln.drinfeld_poly)
+    return [(gln.drinfeld_checks(rep, m), ref.drinfeld_checks(rep, m),
+             ref.drinfeld_checks(rep, m) and ref.drinfeld_checks_by_point(rep, m))
+            for m in range(1, rep.n + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_drinfeld_on_bumped_b_and_c(data):
+    """drinfeld_checks, which reads B_m and C_m by column, against the
+    per-vector reference and the per-point form, with one entry of one
+    coefficient of one B_m or C_m changed."""
+    n = data.draw(st.sampled_from([2, 3]), label="n")
+    lam = data.draw(st.sampled_from([d(1, 0), d(2, 0), (1, -1)] if n == 2 else
+                                    [d(2, 1, 0), (3, 1, -1), d(1, 1, 0), d(2, 0, -1)]), label="lam")
+    rep = gln.build_irrep(n, lam)
+    m = data.draw(st.integers(1, n - 1), label="m")
+    which = data.draw(st.sampled_from("BC"), label="B or C")
+    j = data.draw(st.integers(0, m), label="power")
+    r = data.draw(st.integers(0, rep.dim - 1), label="row")
+    c = data.draw(st.integers(0, rep.dim - 1), label="col")
+    bump = data.draw(st.sampled_from([1, -1, Fraction(1, 2)]), label="bump")
+    with pytest.MonkeyPatch.context() as mp:
+        for new, old, by_point in _drinfeld_verdicts(mp, _bumped(rep, m, which, j, r, c, bump)):
+            assert new is old is by_point
+
+
+@pytest.mark.parametrize("power,want", [(0, False), (1, True)])
+def test_drinfeld_bump_seen_only_where_evaluated(monkeypatch, power, want):
+    """On gl_2 (2, 0) the pattern with lambda_11 = 0 is column 2, and B_1
+    is evaluated on it at u0 = 0 alone: a bump of its constant coefficient
+    there fails the check, a bump of its u coefficient is never seen."""
+    rep = gln.build_irrep(2, d(2, 0))
+    assert [p.row(1) for p in rep.basis] == [(4,), (2,), (0,)]
+    verdicts = _drinfeld_verdicts(monkeypatch, _bumped(rep, 1, "B", power, 0, 2, 1))
+    assert verdicts[0] == (want, want, want)
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,8 +6,9 @@ from itertools import product
 import pytest
 
 from gtbases import branching, patterns
+from exact_reference import vec_is_zero
 from gtbases.exact import (SpanSolver, SparseMat, column_fractions, commutator, rank,
-                           solve_in_span, vec_is_zero, vec_unit)
+                           solve_in_span, vec_unit)
 from gtbases.liealg_bcd import signed_realization
 from gtbases.liealg_bcd import (DeskScaleError, OrthogonalChain, apply_z,
                                 apply_z_interp, build_bcd_irrep,

@@ -146,7 +146,7 @@ class TestQuantumDet:
             assert dd.coeff(j) == SparseMat.identity(4).scale(want[j])
 
     def test_centrality(self, mod2):
-        assert y.qdet_centrality_check(mod2, RTT_PAIRS)
+        assert ref.qdet_centrality_check(mod2, RTT_PAIRS)
 
     @pytest.mark.parametrize("fixture", ["mod2", "mod3"])
     def test_scalar(self, fixture, request):
@@ -190,8 +190,8 @@ class TestTwisted:
         assert all(c.is_zero() for j, c in enumerate(s.coeffs) if j % 2)
 
     def test_snn_commutativity(self, mod2):
-        assert y.snn_commutativity_check(mod2, "-", RTT_PAIRS)
-        assert y.snn_commutativity_check(mod2, "+", RTT_PAIRS, delta2=4)
+        assert ref.snn_commutativity_check(mod2, "-", RTT_PAIRS)
+        assert ref.snn_commutativity_check(mod2, "+", RTT_PAIRS, delta2=4)
 
     @pytest.mark.parametrize("sign", ["-", "+"])
     def test_symmetry_relation(self, mod2, sign):

@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 import exact_reference as eref
 import yangian_reference as ref
+from test_yangian import generator_sets
 from gtbases import yangian as y
-from gtbases.exact import OpPoly, SparseMat
+from gtbases.exact import OpPoly, SparseMat, column_fractions
 
 DELTAS = (-3, 0, 2, 4, 9)
 
@@ -151,3 +152,79 @@ def test_rtt_products_on_the_demo_module_are_distinct(monkeypatch):
     assert y.rtt_check(m, pairs) is True
     assert len(seen) == 160
     assert len({repr(x) for x in seen}) == 160
+
+
+def _corrupted(m, data):
+    """A copy of m with one entry of one coefficient of one T_ab(u) changed."""
+    key = data.draw(st.sampled_from(sorted(m.T)), label="T entry")
+    poly = m.T[key]
+    j = data.draw(st.integers(0, len(poly.coeffs)), label="coefficient")
+    r = data.draw(st.integers(0, m.dim - 1), label="row")
+    c = data.draw(st.integers(0, m.dim - 1), label="col")
+    bump = data.draw(st.sampled_from([1, -1, Fraction(1, 2)]), label="bump")
+    coeffs = list(poly.coeffs) + [SparseMat.zero(m.dim, m.dim)]
+    coeffs[j] = coeffs[j] + SparseMat(m.dim, m.dim, {(r, c): bump})
+    out = copy.copy(m)
+    out.T = dict(m.T)
+    out.T[key] = OpPoly(m.dim, m.dim, coeffs)
+    return out
+
+
+def _eta_modules(factors):
+    return y.irreducible_Y2(factors) and y._pairwise_disjoint(factors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(string_lists().filter(_eta_modules), st.data())
+def test_eta_verdicts_match_the_reference(factors, data):
+    """eta_action_checks, which walks and checks on int columns, against
+    the Fraction form with one evaluation per point and vector, on the
+    module as built and with one T_ab(u) entry changed; eta_basis against
+    the Fraction walk."""
+    m = y.build_tensor_module(factors)
+    assert {g: column_fractions(c, m.dim) for g, c in y.eta_basis(m, columns=True).items()} == \
+        ref.eta_basis(m)
+    assert y.eta_action_checks(m) is ref.eta_action_checks(m)
+    corrupted = _corrupted(m, data)
+    assert y.eta_action_checks(corrupted) is ref.eta_action_checks(corrupted)
+
+
+@pytest.mark.parametrize("strings", [s for s in BENCH_MODULES if _eta_modules(
+    [y.HWString(*f) for f in s])])
+def test_eta_checks_pass_on_bench_modules(strings):
+    m = y.build_tensor_module(strings)
+    assert y.eta_basis(m) == ref.eta_basis(m)
+    assert y.eta_action_checks(m) is ref.eta_action_checks(m) is True
+
+
+@pytest.mark.parametrize("strings", [[(2, 0), (6, 4)], [(0, 0), (2, 0)]])
+def test_eta_checks_fail_on_a_dependent_walk(strings):
+    """The eta_gamma are dependent when T_{n,-n}(u) is scaled by 0, and on
+    L(0,0) x L(1,0), where the trivial factor makes T(u) = u T'(u) and the
+    walk's one point is u = 0: the check reads False where eta_basis
+    raises."""
+    m = copy.copy(y.build_tensor_module(strings))
+    if strings[0] != (0, 0):
+        m.T = dict(m.T)
+        m.T[(y.PLUS, y.MINUS)] = m.T[(y.PLUS, y.MINUS)].scale(0)
+    assert _eta_modules(m.factors)
+    assert y.eta_action_checks(m) is ref.eta_action_checks(m) is False
+    with pytest.raises(AssertionError):
+        y.eta_basis(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets())
+def test_closure_matches_the_reference(case):
+    """algebra_closure, which forms the products of one b with all kept
+    generators as one product, keeps the same matrices in the same order as
+    the loop that forms each g @ b on its own."""
+    gens, n = case
+    assert y.algebra_closure(gens, n) == ref.algebra_closure(gens, n)
+
+
+@pytest.mark.parametrize("strings", BENCH_MODULES)
+def test_bench_closures_match_the_reference(strings):
+    m = y.build_tensor_module(strings)
+    gens = m.t_coefficients()
+    assert y.algebra_closure(gens, m.dim) == ref.algebra_closure(gens, m.dim)

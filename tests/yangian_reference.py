@@ -10,6 +10,13 @@ displayed formula for S_{n,-n}(u) in each sign, the brute-force
 irreducibility test that picks its generators by the sign, and the RTT
 check that forms the four products of each relation afresh.
 
+``eta_basis``, ``eta_action_checks`` and ``algebra_closure`` are the
+library forms before the int columns: the eta walk on tuples of
+``Fraction``s through ``OpPoly.eval_at`` and ``SparseMat.apply``, the four
+displays with an evaluation per point and vector and one ``OpPoly`` product
+per gamma for the T_{-n,-n}(u) display, and the spin closure that forms
+each product g @ b on its own.
+
 ``fold_T``, ``quantum_det`` and ``sigma`` are the coproduct fold, the two
 quantum-determinant displays and the Sigma_ab(u) add loop as the library
 formed them before ``OpPoly.sum_products``: each product and each sum made
@@ -22,10 +29,10 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import exact_reference as eref
-from gtbases import gln
-from gtbases.exact import OpPoly, SparseMat, kron
-from gtbases.yangian import (_KEYS, MINUS, PLUS, _LABELS, _gl2_index, _theta,
-                             brute_force_irreducible)
+from gtbases import gln, yangian
+from gtbases.exact import OpPoly, SpanSolver, SparseMat, apply_words, kron, rank, vec_unit
+from gtbases.yangian import (_KEYS, MINUS, PLUS, _LABELS, _fpoly, _gl2_index, _theta,
+                             brute_force_irreducible, gamma_tuples, twisted_snn)
 
 
 def chain_expansion_T(module):
@@ -200,3 +207,127 @@ def sigma(T, sign, weights, keys):
             total = term if total is None else total + term
         out[(a, b)] = total
     return out
+
+
+def eta_basis(module):
+    """{gamma: eta_gamma} as tuples of Fractions: T_{n,-n}(-val/2) applied
+    to eta for each doubled val = beta_i, ..., gamma_i - 2, factor by
+    factor, one evaluation per distinct point.  The hypotheses are not
+    checked."""
+    gammas = gamma_tuples(module.factors)
+    words = [[Fraction(-val, 2) for f, g in zip(module.factors, gamma)
+              for val in range(f.beta2, g, 2)] for gamma in gammas]
+    op = module.T[(PLUS, MINUS)]
+    return dict(zip(gammas, apply_words(vec_unit(module.dim, 0), words,
+                                        lambda u0: op.eval_at(u0).apply)))
+
+
+def _is_scalar_action(poly, vec, scalar) -> bool:
+    got = [c.apply(vec) for c in poly.coeffs]
+    zero = (Fraction(0),) * len(vec)
+    for j in range(max(len(got), len(scalar))):
+        g = got[j] if j < len(got) else zero
+        s = scalar[j] if j < len(scalar) else 0
+        if g != tuple(s * x for x in vec):
+            return False
+    return True
+
+
+def eta_action_checks(module) -> bool:
+    """The eta_gamma are independent, and all four displayed actions of the
+    generators hold on every eta_gamma."""
+    basis = eta_basis(module)
+    if rank(SparseMat.from_columns(list(basis.values()), module.dim)) != module.dim:
+        return False
+    k = module.k
+    tpm = module.T[(PLUS, MINUS)]
+    tmp = module.T[(MINUS, PLUS)]
+    tpp = module.T[(PLUS, PLUS)]
+    tmm = module.T[(MINUS, MINUS)]
+    alphas = [Fraction(f.alpha2, 2) for f in module.factors]
+    betas = [Fraction(f.beta2, 2) for f in module.factors]
+    zero = (Fraction(0),) * module.dim
+    # T_{-n,-n}(u) display, cleared of the denominators prod(u+gamma_i+1)
+    rhs = OpPoly.sum_products(module.dim, module.dim, [
+        (_fpoly([f.alpha2 + 2 for f in module.factors] + [f.beta2 for f in module.factors]),
+         OpPoly.constant(SparseMat.identity(module.dim)), None),
+        ((1,), tmp, tpm.shift_u(1))])
+    for gamma, v in basis.items():
+        gvals = [Fraction(g, 2) for g in gamma]
+        if not _is_scalar_action(tpp, v, _fpoly(gamma)):
+            return False
+        for i in range(k):
+            up = list(gamma)
+            up[i] += 2
+            got = tpm.eval_at(-gvals[i]).apply(v)
+            want = basis[tuple(up)] if tuple(up) in basis else zero
+            if got != want:
+                return False
+            down = list(gamma)
+            down[i] -= 2
+            got = tmp.eval_at(-gvals[i]).apply(v)
+            coeff = Fraction(-1)
+            for m in range(k):
+                coeff *= (alphas[m] - gvals[i] + 1) * (betas[m] - gvals[i])
+            want = basis.get(tuple(down), zero)
+            if got != tuple(coeff * x for x in want):
+                return False
+        lhs = OpPoly.sum_products(module.dim, module.dim,
+                                  [(_fpoly([g + 2 for g in gamma]), tmm, None)])
+        if [c.apply(v) for c in lhs.coeffs] != [c.apply(v) for c in rhs.coeffs]:
+            return False
+    return True
+
+
+def algebra_closure(gens, n):
+    """The spin closure with each product g @ b formed on its own."""
+    solver = SpanSolver((), n * n)
+    basis = []
+
+    def keep(m):
+        vec = [0] * (n * n)
+        for (r, c), x in m.num.items():
+            vec[r * n + c] = x
+        if solver.add(vec):
+            basis.append(m)
+            return True
+        return False
+
+    keep(SparseMat.identity(n))
+    kept = [g for g in gens if keep(g)]
+    frontier = kept
+    while frontier and len(basis) < n * n:
+        new = []
+        for b in frontier:
+            for g in kept:
+                prod = g @ b
+                if keep(prod):
+                    new.append(prod)
+                    if len(basis) == n * n:
+                        return basis
+        frontier = new
+    return basis
+
+
+# Two Y(2) identities that no verify line runs.
+
+def qdet_centrality_check(module, points) -> bool:
+    """d(u) commutes with all T_ab(v) at the given sample pairs."""
+    d = yangian.quantum_det(module)
+    for u0, v0 in points:
+        dm = d.eval_at(u0)
+        for key in module.T:
+            tv = module.T[key].eval_at(v0)
+            if dm @ tv != tv @ dm:
+                return False
+    return True
+
+
+def snn_commutativity_check(module, sign, points, delta2=None) -> bool:
+    s = twisted_snn(module, sign, delta2)
+    for u0, v0 in points:
+        a = s.eval_at(u0)
+        b = s.eval_at(v0)
+        if a @ b != b @ a:
+            return False
+    return True
