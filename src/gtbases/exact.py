@@ -427,42 +427,6 @@ def lowest_terms(num, den):
     return {k: v // g for k, v in num.items() if v}, den // g
 
 
-def poly_columns(poly: OpPoly):
-    """poly by columns, as int polynomials in y = 2u: (cols, den), cols[c]
-    the (row, [a_0, a_1, ...]) of column c, the entry sum_j a_j y^j / den."""
-    d = len(poly.coeffs) - 1
-    lcd = math.lcm(*(c.den for c in poly.coeffs))
-    ent = {}
-    for j, c in enumerate(poly.coeffs):
-        f = lcd // c.den << d - j
-        for key, v in c.num.items():
-            ent.setdefault(key, [0] * (d + 1))[j] = v * f
-    cols = {}
-    for (r, c), cs in ent.items():
-        cols.setdefault(c, []).append((r, cs))
-    return cols, lcd << max(d, 0)
-
-
-def poly_apply(table, vec, y=None):
-    """poly(y / 2) vec, for the poly_columns table of poly and an int
-    column vec, reduced; with y None, poly(u) vec as {(j, row): int} over a
-    den, j the power of y = 2u.  Reads only the columns where vec is
-    nonzero."""
-    cols, den = table
-    acc = {}
-    for c, x in vec[0].items():
-        for r, cs in cols.get(c, ()):
-            if y is None:
-                for j, a in enumerate(cs):
-                    acc[j, r] = acc.get((j, r), 0) + a * x
-            else:
-                h = 0
-                for a in reversed(cs):
-                    h = h * y + a
-                acc[r] = acc.get(r, 0) + h * x
-    return lowest_terms(acc, vec[1] * den)
-
-
 def column_fractions(vec, n):
     """The int column vec as a tuple of n Fractions."""
     out = [_ZERO] * n
@@ -882,9 +846,6 @@ class OpPoly:
         """Product; left factor coefficients stay on the left."""
         return OpPoly.sum_products(self.nrows, other.ncols, [((1,), self, other)])
 
-    def mul_scalar_poly(self, p):
-        return OpPoly.sum_products(self.nrows, self.ncols, [(p, self, None)])
-
     def shift_u(self, s):
         """Substitute u -> u + s for a scalar s."""
         s = Fraction(s)
@@ -927,10 +888,6 @@ class OpPoly:
         if out and not out.pop().is_zero():
             raise ArithmeticError("inexact division by linear factor")
         return OpPoly(self.nrows, self.ncols, out[::-1])
-
-    def apply_to(self, vec):
-        """Apply to a vector: list of vector coefficients per power of u."""
-        return [c.apply(vec) for c in self.coeffs]
 
     def __repr__(self):
         return "OpPoly(%dx%d, deg=%d)" % (self.nrows, self.ncols, self.degree())

@@ -13,8 +13,9 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 
 from .exact import (OpPoly, SparseMat, apply_words, chain_sum, chevalley_serre_check,
-                    column_apply, column_fractions, commutator, kron, poly_apply, poly_columns,
-                    spoly, sum_products, vec_unit)
+                    column_apply, column_fractions, commutator, kron, spoly, sum_products,
+                    vec_unit)
+from .polycolumns import poly_apply, poly_columns
 from .patterns import GTPatternA, enumerate_patterns, weight
 from . import patterns as _patterns
 

@@ -25,8 +25,8 @@ from fractions import Fraction
 from itertools import combinations, product as iproduct
 
 from .exact import (OpPoly, SpanSolver, SparseMat, apply_words, column_fractions,
-                    columns_matrix, kron, lowest_terms, poly_apply, poly_columns, rank, spoly,
-                    vec_unit)
+                    columns_matrix, kron, lowest_terms, rank, spoly, vec_unit)
+from .polycolumns import poly_apply, poly_columns
 from . import gln
 
 PLUS, MINUS = 1, -1

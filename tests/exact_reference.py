@@ -30,7 +30,10 @@ denominator) replaced for every caller.
 ``exact.column_apply`` applies tables to.
 
 ``divide_by_u`` is the division of a library ``OpPoly`` by u that only
-the tests use, and ``vec_is_zero`` the zero test of a tuple of
+the tests use, ``oppoly_mul_scalar_poly`` and ``oppoly_apply_to`` the
+scalar-polynomial multiple of a library ``OpPoly`` and its coefficients
+applied to a tuple of ``Fraction``s, methods of the library class until
+its display checks moved to int columns, and ``vec_is_zero`` the zero test of a tuple of
 ``Fraction``s that the library's walks read before they moved to int
 columns.
 
@@ -427,6 +430,19 @@ def int_column(vec):
     exact.column_apply."""
     den = math.lcm(*(x.denominator for x in vec if x))
     return {c: x.numerator * (den // x.denominator) for c, x in enumerate(vec) if x}, den
+
+
+def oppoly_mul_scalar_poly(poly, p):
+    """p(u) poly(u) for the scalar polynomial p, on a library or a
+    reference OpPoly."""
+    if isinstance(poly, OpPoly):
+        return poly.mul_scalar_poly(p)
+    return _exact.OpPoly.sum_products(poly.nrows, poly.ncols, [(p, poly, None)])
+
+
+def oppoly_apply_to(poly, vec):
+    """The coefficients of the library OpPoly poly applied to vec, per power of u."""
+    return [c.apply(vec) for c in poly.coeffs]
 
 
 def vec_is_zero(u):

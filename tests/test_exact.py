@@ -10,6 +10,7 @@ from gtbases.exact import (OpPoly, SpanSolver, SparseMat, apply_words, chain_sum
                            column_apply, column_fractions, columns_matrix, commutator,
                            factorial, kron, nullspace, rank, rref, solve_in_span, spoly,
                            sum_products)
+from gtbases.polycolumns import poly_apply, poly_columns
 from rref_reference import rref_nullspace, rref_rank, rref_solve_in_span
 
 
@@ -852,6 +853,33 @@ def test_column_apply_matches_sparse_apply(data):
     num, d = column_apply(m, bad)(col)
     assert math.gcd(d, *num.values()) == 1 and all(num.values())
     assert column_fractions((num, d), nrows) == ref.to_ref(m).apply(vec) == m.apply(vec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_poly_apply_matches_eval_and_coefficient_applies(data):
+    """poly_apply on the poly_columns table of an OpPoly, against
+    eval_at(y / 2).apply of the tuple of Fractions for an int y, and with y
+    None against each coefficient's apply (the power j of y = 2u read as
+    2^j times that of u); the result in lowest terms."""
+    nrows = data.draw(st.integers(1, 4), label="rows")
+    ncols = data.draw(st.integers(1, 4), label="cols")
+    coeffs = [SparseMat(nrows, ncols, data.draw(st.dictionaries(
+        st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)), _VALUES,
+        max_size=6), label="coefficient")) for _ in range(data.draw(st.integers(0, 3)))]
+    poly = OpPoly(nrows, ncols, coeffs)
+    vec = tuple(data.draw(st.lists(_VALUES, min_size=ncols, max_size=ncols), label="vector"))
+    table = poly_columns(poly)
+    y = data.draw(st.none() | st.integers(-6, 6), label="y")
+    num, d = poly_apply(table, ref.int_column(vec), y)
+    assert math.gcd(d, *num.values()) == 1 and all(num.values())
+    if y is not None:
+        assert column_fractions((num, d), nrows) == poly.eval_at(Fraction(y, 2)).apply(vec)
+        return
+    assert all(j < len(coeffs) for j, _ in num)
+    for j, c in enumerate(coeffs):
+        got = tuple(Fraction(num.get((j, r), 0) * 2 ** j, d) for r in range(nrows))
+        assert got == c.apply(vec)
 
 
 @settings(max_examples=100, deadline=None)

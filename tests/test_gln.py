@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gtbases import branching, cli, gln
-from exact_reference import vec_is_zero
+from exact_reference import oppoly_apply_to, vec_is_zero
 from gtbases.exact import SparseMat, commutator, vec_unit
 from gtbases.patterns import GTPatternA
 import gln_reference
@@ -229,7 +229,7 @@ class TestDrinfeld:
         poly = gln.drinfeld_poly(rep, 1, "A")
         for t, p in enumerate(rep.basis):
             vec = vec_unit(rep.dim, t)
-            got = poly.apply_to(vec)
+            got = oppoly_apply_to(poly, vec)
             lam11 = Fraction(p.row(1)[0], 2)
             assert got[0] == tuple(lam11 * x for x in vec)
 

@@ -203,7 +203,7 @@ def sigma(T, sign, weights, keys):
         total = None
         for d in (PLUS, MINUS):
             term = (T[(a, d)] @ T[(-b, -d)].negate_u()).scale(_theta(sign, b, d))
-            term = term if weights is None else term.mul_scalar_poly(weights[d])
+            term = term if weights is None else eref.oppoly_mul_scalar_poly(term, weights[d])
             total = term if total is None else total + term
         out[(a, b)] = total
     return out
