@@ -19,64 +19,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-
 def to_dominant(lam):
     """Non-positive-convention weight -> standard dominant weight (doubled)."""
     return tuple(-x for x in reversed(tuple(lam)))
 
 
-def _positive_roots(series, n):
-    """Positive roots as coefficient vectors over the epsilon basis."""
-    roots = []
-    if series == "A":
-        for i in range(n):
-            for j in range(i + 1, n):
-                r = [0] * n
-                r[i], r[j] = 1, -1
-                roots.append(tuple(r))
-        return roots
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = [0] * n
-            r[i], r[j] = 1, -1
-            roots.append(tuple(r))
-            r = [0] * n
-            r[i], r[j] = 1, 1
-            roots.append(tuple(r))
-    if series == "B":
-        for i in range(n):
-            r = [0] * n
-            r[i] = 1
-            roots.append(tuple(r))
-    elif series == "C":
-        for i in range(n):
-            r = [0] * n
-            r[i] = 2
-            roots.append(tuple(r))
-    elif series != "D":
-        raise ValueError("unknown series %r" % (series,))
-    return roots
-
-
-def _rho(series, n):
-    if series == "A":
-        # any vector with rho_i - rho_{i+1} = 1 works; fix a symmetric choice
-        return [Fraction(n - 1, 2) - i for i in range(n)]
-    if series == "B":
-        return [Fraction(2 * (n - i) + 1, 2) for i in range(1, n + 1)]
-    if series == "C":
-        return [Fraction(n - i + 1) for i in range(1, n + 1)]
-    if series == "D":
-        return [Fraction(n - i) for i in range(1, n + 1)]
-    raise ValueError("unknown series %r" % (series,))
+_RHO_SHIFT = {"B": 1, "C": 0, "D": 2}     # 2 rho_i = 2 (n - i) - shift, i from 0
 
 
 def _check_dominant_std(series, lam):
-    lam = [Fraction(x, 2) for x in lam]
+    """lam (doubled) as a list; ValueError unless it is dominant for the
+    series."""
+    lam = list(lam)
     n = len(lam)
-    for i in range(n - 1):
-        d = lam[i] - lam[i + 1]
-        if d < 0 or d.denominator != 1:
+    for a, b in zip(lam, lam[1:]):
+        if a < b or (a - b) % 2:
             raise ValueError("weight is not dominant")
     if series == "A":
         return lam
@@ -84,7 +41,7 @@ def _check_dominant_std(series, lam):
         if n and lam[-1] < 0:
             raise ValueError("B weight needs lam_n >= 0")
     elif series == "C":
-        if n and (lam[-1] < 0 or lam[-1].denominator != 1):
+        if n and (lam[-1] < 0 or lam[-1] % 2):
             raise ValueError("C weight needs nonnegative integer lam_n")
     elif series == "D":
         if n >= 2 and lam[-2] + lam[-1] < 0:
@@ -96,18 +53,27 @@ def _check_dominant_std(series, lam):
 
 def weyl_dim(series, lam) -> int:
     """dim of the irreducible with highest weight lam (doubled, standard
-    dominant convention), by the product over positive roots."""
+    dominant convention): the product of <lam + rho, alpha> / <rho, alpha>
+    over the positive roots, on doubled ints."""
     lam = _check_dominant_std(series, lam)
     n = len(lam)
-    rho = _rho(series, n)
-    num = Fraction(1)
-    den = Fraction(1)
-    for alpha in _positive_roots(series, n):
-        num *= sum((lam[i] + rho[i]) * alpha[i] for i in range(n))
-        den *= sum(rho[i] * alpha[i] for i in range(n))
-    d = num / den
-    assert d.denominator == 1 and d > 0
-    return int(d)
+    rho = [n - 1 - 2 * i if series == "A" else 2 * (n - i) - _RHO_SHIFT[series]
+           for i in range(n)]
+    top = [x + r for x, r in zip(lam, rho)]
+    num = den = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= top[i] - top[j]
+            den *= rho[i] - rho[j]
+            if series != "A":
+                num *= top[i] + top[j]
+                den *= rho[i] + rho[j]
+        if series in ("B", "C"):    # e_i, or 2 e_i: the same ratio
+            num *= top[i]
+            den *= rho[i]
+    d, r = divmod(num, den)
+    assert r == 0 and d > 0
+    return d
 
 
 def weyl_dim_s3(series, lam) -> int:

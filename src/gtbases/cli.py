@@ -366,24 +366,19 @@ def _gl_verify_checks(rep):
 
 
 def bcd_commutation_check(rep):
-    """The realized generators satisfy the commutation relations of the
-    realization: [F_ij, F_kl] = realize([F_ij, F_kl]) for all signed index
-    pairs.
+    """[F_ij, F_kl] = realize([F_ij, F_kl]) for all signed index pairs.
 
     Every cached generator must equal a fresh realize(fdef(i, j)), and the
     Cartan F_cc, e_s = F_ij and f_s = F_ji (simple (i, j)), read through
-    rep.F, must pass ``exact.chevalley_serre_check``.  realize is linear,
+    rep.F, must pass ``exact.chevalley_serre_check``.  realize is linear
     and sums module matrices that are brackets of the Cartan and simple
-    ones along the brackets of the realization; rep.F is realize of fdef.
-    By Serre's theorem the module's Chevalley matrices extend to a
-    representation rho exactly when the Chevalley-Serre relations hold;
-    then realize = rho and [F_x, F_y] = rho([x, y]) = realize([x, y]).
-    Conversely the all-pairs relations give them when the F_cc are
-    diagonal, as ``build_module`` makes them.  So the verdict is the
-    all-pairs one on built modules, and at least as strict on a corrupted
-    cache.  The partner relations F_{-j,-i} = -theta_ij F_ij need no check:
-    fdef(-j, -i) = -theta_ij fdef(i, j), as theta_{-j,-i} = theta_ij, so
-    fresh realizes satisfy them and the cache comparison covers the rest.
+    ones along the realization's brackets.  By Serre's theorem these
+    extend to a representation rho exactly when the Chevalley-Serre
+    relations hold; then realize = rho.  Conversely the all-pairs
+    relations give them when the F_cc are diagonal, as ``build_module``
+    makes them.  So the verdict is the all-pairs one on built modules, and
+    at least as strict on a corrupted cache.  F_{-j,-i} = -theta_ij F_ij
+    holds of fdef, so of fresh realizes.
     """
     alg = rep.algebra
     real = rep.module.realization
@@ -478,7 +473,8 @@ def cmd_yangian_demo(args):
              (Fraction(11, 7), Fraction(3, 5))]
     checks = [("rtt-relation", lambda: yangian.rtt_check(module, pairs)),
               ("quantum-determinant-scalar", lambda: yangian.quantum_det_scalar_check(module))]
-    if yangian.irreducible_Y2(module.factors) and yangian._pairwise_disjoint(module.factors):
+    if (yangian.irreducible_Y2(module.factors) and yangian._pairwise_disjoint(module.factors)
+            and all(f.alpha2 != f.beta2 for f in module.factors)):
         checks.append(("gt-basis-actions", lambda: yangian.eta_action_checks(module)))
     return _report(checks)
 

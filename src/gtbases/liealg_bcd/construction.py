@@ -1,37 +1,30 @@
 """Exact construction of finite-dimensional highest-weight modules.
 
-The constructor is realization-agnostic: it takes the defining matrix
-realization of a semisimple Lie algebra (generators F_ij as small exact
-matrices), a choice of simple raising/lowering pairs, and a highest weight,
-and builds the irreducible quotient weight space by weight space.
-
-Each weight space is spanned by simple lowerings of the spaces one level
-up; the contravariant form is computed recursively and the space is cut to
-the rank of its Gram matrix (the kernel of the form is exactly the maximal
-submodule of the Verma module, so the quotient is the irreducible module).
-The loop runs on int numerators: a weight lam - sum_s k_s alpha_s is keyed
-by its root coordinates k and sorted by its ints over one denominator, each
-stored e/f column and each raising of a candidate is (den, ints), and each
-Gram block is int rows over one denominator, as the module keeps it;
-``Fraction``s are made only for ``weights``, the e/f matrices and, on first
-read, ``blocks``.  The Gram block is symmetric, so only its entries on and
-above the diagonal are summed.  One fraction-free Gauss-Jordan pass over
-its rows (_gram_basis) picks the basis, expands every lowering in it and
-checks that the form is positive semidefinite.  Blocks are accepted in
-basis order (depth, then weight), so each one's offset and its e/f
-entries are written when it is accepted.  Finally every generator of the
-realization is transported to the module, one bracket per root
-(HWModule._algebra_span).
+The constructor takes the defining matrix realization of a semisimple Lie
+algebra (generators F_ij as small int matrices), a choice of simple
+raising/lowering pairs and a highest weight, and builds the irreducible
+quotient weight space by weight space: each space is spanned by simple
+lowerings of the spaces one level up and cut to the rank of its Gram
+matrix, whose kernel is the maximal submodule of the Verma module.  The
+loop runs on ints: weights are keyed by root coordinates, e/f columns and
+raisings are (den, ints), and each symmetric Gram block is summed on and
+above its diagonal as int rows over one denominator; one fraction-free
+Gauss-Jordan pass (_gram_basis) picks each block's basis, in order (depth,
+then weight), expands the lowerings in it and checks that the form is
+positive semidefinite.  ``Fraction``s are made only for ``weights``, the
+e/f matrices and, on first read, ``blocks``.  Generators are transported
+to the module by root (HWModule._algebra_span and realize).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from operator import add, mul
 
-from ..exact import SpanSolver, SparseMat, commutator, nullspace
+from ..exact import SparseMat, commutator, nullspace
 
 
 class DeskScaleError(RuntimeError):
@@ -53,6 +46,13 @@ def refuse_beyond_caps(name, rank, max_rank, dimension, max_dim):
                              % (name, dim, max_dim))
 
 
+def unit_pair(n, pq, rs, theta=1) -> SparseMat:
+    """The n x n int matrix E_pq - theta E_rs."""
+    ent = {pq: 1}
+    ent[rs] = ent.get(rs, 0) - theta
+    return SparseMat.from_num(n, n, {k: v for k, v in ent.items() if v})
+
+
 class Realization:
     """Defining matrix realization used to drive the construction.
 
@@ -70,30 +70,27 @@ class Realization:
         self.rank = len(self.cartan)
 
     def weight_pairing(self, h_real: SparseMat, w) -> Fraction:
-        """Value of a Cartan realization element on a weight vector.
-
-        h_real must lie in the span of the fdef(c, c); its coefficient over
-        F_cc is read off the diagonal at position c.
-        """
+        """Value on a weight of h_real in the span of the fdef(c, c), whose
+        coefficient over F_cc is read off the diagonal at position c."""
         return sum((h_real.get(self.pos[c], self.pos[c]) * w[t]
                     for t, c in enumerate(self.cartan)), Fraction(0))
 
-    def root_of(self, mat: SparseMat):
-        """Weight of a realization root vector under ad of the Cartan."""
+    def _root(self, mat: SparseMat):
+        """root_of(mat) as ints, each over the den of its fdef(c, c)."""
         out = []
         for c in self.cartan:
-            h = self.fdef(c, c)
-            br = commutator(h, mat)
-            scal = Fraction(0)
-            for key, v in mat.entries.items():
-                if br.get(*key) != 0:
-                    scal = br.get(*key) / v
-                    break
-            # consistency of the eigenvalue
-            if br != mat.scale(scal):
+            h = self.fdef(c, c).num
+            vals = {h.get((p, p), 0) - h.get((q, q), 0) for p, q in mat.num}
+            if len(vals) > 1:
                 raise ValueError("not a weight vector for the Cartan")
-            out.append(scal)
+            out.append(max(vals, default=0))
         return tuple(out)
+
+    def root_of(self, mat: SparseMat):
+        """Weight of a realization root vector under ad of the diagonal
+        Cartan: [h, E_pq] = (h_pp - h_qq) E_pq at every entry (p, q)."""
+        return tuple(Fraction(x, self.fdef(c, c).den)
+                     for x, c in zip(self._root(mat), self.cartan))
 
 
 class HWModule:
@@ -138,27 +135,31 @@ class HWModule:
 
     def cartan_matrix(self, c) -> SparseMat:
         t = self.realization.cartan.index(c)
-        return SparseMat.diag([w[t] for w in self.weights])
+        den = math.lcm(*(w[t].denominator for w in self._gram))
+        return SparseMat.from_num(self.dim, self.dim, {
+            (i, i): w[t].numerator * (den // w[t].denominator)
+            for w, (off, size, _, _) in self._gram.items() if w[t]
+            for i in range(off, off + size)}, den)
 
     def _algebra_span(self):
-        """(realization, module) pairs over a basis of the algebra, and a
-        solver over the flattened realization matrices of the pairs.
+        """(realization, module) pairs over a basis of the algebra, and
+        {key: t}, key an entry where pair t's realization matrix alone is
+        nonzero (root vectors of distinct roots have disjoint supports, the
+        Cartan is diagonal; else ValueError).
 
         The basis is the Cartan and one vector per root: root spaces are
         lines, each reached from a simple one by brackets with the simple
         e_s and f_s, and a bracket of root vectors is zero only if the sum
-        of their roots is not a root (Humphreys 8.4, 10.2).  So a bracket
-        is formed only when the sum is a root not seen.
+        of their roots is not a root (Humphreys 8.4, 10.2), so a bracket is
+        formed only for a root not seen.
         """
         if self._span is not None:
             return self._span
         real = self.realization
-        # roots as ints over one lcm, so sums of roots add ints
-        es = [real.fdef(i, j) for i, j in real.simples]
-        _, roots = _over_lcm([real.root_of(e) for e in es])
         simple = []
-        for (i, j), e, root, me, mf in zip(real.simples, es, roots, self._e, self._f):
-            simple += [(tuple(root), e, me), (tuple(-x for x in root), real.fdef(j, i), mf)]
+        for (i, j), me, mf in zip(real.simples, self._e, self._f):
+            simple += [(real._root(rm), rm, mm) for rm, mm in ((real.fdef(i, j), me),
+                                                              (real.fdef(j, i), mf))]
         pairs = [(real.fdef(c, c), self.cartan_matrix(c)) for c in real.cartan]
         seen = {(0,) * real.rank, *(root for root, _, _ in simple)}
         frontier = simple
@@ -174,8 +175,19 @@ class HWModule:
                         if not rc.is_zero():
                             new.append((root, rc, commutator(mm, ms)))
             frontier = new
-        n = len(real.labels)
-        self._span = (pairs, SpanSolver([_flat(rm, n) for rm, _ in pairs], n * n))
+        count = Counter(k for rm, _ in pairs for k in rm.num)
+        own = {}
+        for t, (rm, mm) in enumerate(pairs):
+            k = next((k for k in rm.num if count[k] == 1), None)
+            if k is None:
+                raise ValueError("a basis element of the algebra has no entry of its own")
+            # c fdef(i, j), i, j the labels of k, becomes fdef(i, j)
+            f = real.fdef(real.labels[k[0]], real.labels[k[1]])
+            c = Fraction(f.num.get(k, 0) * rm.den, rm.num[k] * f.den)
+            if c not in (0, 1) and rm.scale(c) == f:
+                pairs[t] = (f, mm.scale(c))
+            own[k] = t
+        self._span = (pairs, own)
         return self._span
 
     def F(self, i, j) -> SparseMat:
@@ -191,13 +203,21 @@ class HWModule:
         return all(m == self.realize(fdef(*key)) for key, m in self._fmat.items())
 
     def realize(self, real_mat: SparseMat) -> SparseMat:
-        """Transport an arbitrary realization element to the module."""
-        pairs, solver = self._algebra_span()
-        coeffs = solver.solve(_flat(real_mat, len(self.realization.labels)))
-        if coeffs is None:
+        """Transport a realization element to the module: each pair's
+        coefficient is read at its own entry, and the sum checked."""
+        pairs, own = self._algebra_span()
+        terms = []
+        for key, x in real_mat.num.items():
+            if key in own:
+                rm, mm = pairs[own[key]]
+                terms.append((Fraction(x * rm.den, rm.num[key] * real_mat.den), rm, mm))
+        n = len(self.realization.labels)
+        if SparseMat.combination(n, n, [t[:2] for t in terms]) != real_mat:
             raise ValueError("element is not in the realized algebra span")
-        return SparseMat.combination(self.dim, self.dim,
-                                     ((c, mm) for c, (_, mm) in zip(coeffs, pairs)))
+        if len(terms) == 1 and abs(terms[0][0]) == 1:
+            c, _, mm = terms[0]
+            return mm if c > 0 else -mm
+        return SparseMat.combination(self.dim, self.dim, [(c, mm) for c, _, mm in terms])
 
     def weight_slices(self):
         return {w: (off, size) for w, (off, size, _, _) in self._gram.items()}
@@ -242,22 +262,19 @@ def build_module(real: Realization, lam, max_dim=600) -> HWModule:
     """
     lam = tuple(Fraction(x) for x in lam)
     nsimple = len(real.simples)
-    e_real = [real.fdef(i, j) for i, j in real.simples]
-    f_real = [real.fdef(j, i) for i, j in real.simples]
-    h_real = [commutator(e_real[s], f_real[s]) for s in range(nsimple)]
-    alphas = [real.root_of(e_real[s]) for s in range(nsimple)]
+    h_real = [commutator(real.fdef(i, j), real.fdef(j, i)) for i, j in real.simples]
+    alphas = [real.root_of(real.fdef(i, j)) for i, j in real.simples]
     # a weight lam - sum_t k_t alpha_t is keyed by its root coordinates k;
     # h_s takes the value h[s][0] - sum_t k_t h[s][1 + t] on it (weights are
     # ints over wden, values of h_s ints over hden)
     wden, (lam_n, *alpha_n) = _over_lcm([lam] + alphas)
     hden, h = _over_lcm([[real.weight_pairing(x, w) for w in [lam] + alphas] for x in h_real])
-    unit = [tuple(int(t == s) for t in range(nsimple)) for s in range(nsimple)]
 
     def down(k, s):
-        return tuple(x + y for x, y in zip(k, unit[s]))
+        return k[:s] + (k[s] + 1,) + k[s + 1:]
 
     def up(k, s):
-        return tuple(x - y for x, y in zip(k, unit[s]))
+        return k[:s] + (k[s] - 1,) + k[s + 1:]
 
     top = (0,) * nsimple
     index = {top: (0, 1, 1, [[1]])}             # k -> (offset, size, gram den, gram)
@@ -380,15 +397,14 @@ def _column(den, vals, off):
 def _gram_basis(gram):
     """Basis and expansions of a positive semidefinite Gram block of int rows.
 
-    Fraction-free Gauss-Jordan on the rows in order (row j is column j),
+    Fraction-free Gauss-Jordan on the rows in order (row j is column j)
     against kept pivot rows, each positive at its own column and zero at
-    the other chosen ones.  A zero residual is a dependent column; any other
-    is a positive multiple of the Schur complement of column j, so the form
-    is positive semidefinite exactly when each vanishes before j and is
-    positive at j; else ArithmeticError.  expansions[b] = (den, ints) writes
-    column b over the chosen ones: row_c[b] / row_c[c] on chosen c (a unit
-    vector for a chosen b).  A positive multiple of gram gives the same
-    result.
+    the other chosen ones.  A nonzero residual is a positive multiple of
+    the Schur complement of column j: the form is positive semidefinite
+    iff each vanishes before j and is positive at j; else ArithmeticError.
+    expansions[b] = (den, ints) writes column b over the chosen ones:
+    row_c[b] / row_c[c] on chosen c.  A positive multiple of gram gives the
+    same result.
     """
     chosen, rows = [], []
     for j, res in enumerate(gram):
@@ -419,12 +435,3 @@ def _clear(v, row, c):
 def _primitive(v):
     g = math.gcd(*v)
     return [x // g for x in v] if g > 1 else v
-
-
-def _flat(m: SparseMat, n):
-    """Row-major entries of an n x n realization matrix: ints if it is
-    integral, else Fractions."""
-    out = [0] * (n * n)
-    for (r, c), v in m.num.items():
-        out[r * n + c] = v if m.den == 1 else Fraction(v, m.den)
-    return out

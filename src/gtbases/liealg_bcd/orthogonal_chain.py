@@ -22,7 +22,8 @@ from ..exact import (SpanSolver, SparseMat, _columns, apply_words, column_apply,
                      column_fractions, columns_matrix, scale_columns)
 from .. import branching as _branching
 from .. import patterns as _patterns
-from .construction import MAX_RANK, Realization, build_module, raising_kernel, refuse_beyond_caps
+from .construction import (MAX_RANK, Realization, build_module, raising_kernel,
+                           refuse_beyond_caps, unit_pair)
 
 
 class OrthogonalChain:
@@ -42,6 +43,7 @@ class OrthogonalChain:
                            max_dim)
         self.family = fam
         self.lam = lam
+        self._fdefs = {}
         real = self._realization()
         self.module = build_module(real, [Fraction(x, 2) for x in lam], max_dim)
         self.dim = self.module.dim
@@ -51,11 +53,11 @@ class OrthogonalChain:
     # -- realization ---------------------------------------------------------
 
     def _fdef(self, i, j) -> SparseMat:
-        N = self.N
-        ent = {(i - 1, j - 1): Fraction(1)}
-        key = (N - j, N - i)
-        ent[key] = ent.get(key, Fraction(0)) - 1
-        return SparseMat(N, N, ent)
+        """F_ij, made once per (i, j)."""
+        if (i, j) not in self._fdefs:
+            N = self.N
+            self._fdefs[i, j] = unit_pair(N, (i - 1, j - 1), (N - j, N - i))
+        return self._fdefs[i, j]
 
     def _realization(self) -> Realization:
         n, N = self.n, self.N

@@ -18,7 +18,7 @@ from ..exact import (OpPoly, SpanSolver, SparseMat, apply_words, chain_sum, colu
 from .. import patterns as _patterns
 from .. import branching as _branching
 from .construction import (MAX_RANK, HWModule, Realization, build_module, raising_kernel,
-                           refuse_beyond_caps)
+                           refuse_beyond_caps, unit_pair)
 
 _SERIES_FAMILY = {"B": "B3", "C": "C3", "D": "D3"}
 
@@ -39,6 +39,7 @@ class ClassicalAlgebra:
             self.indices = list(range(-n, 0)) + list(range(1, n + 1))
         self.N = len(self.indices)
         self._pos = {a: t for t, a in enumerate(self.indices)}
+        self._fdefs = {}
 
     def theta(self, i, j):
         if self.series == "C":
@@ -53,11 +54,11 @@ class ClassicalAlgebra:
         return Fraction(1 - i)
 
     def fdef(self, i, j) -> SparseMat:
-        ent = {(self._pos[i], self._pos[j]): Fraction(1)}
-        key = (self._pos[-j], self._pos[-i])
-        th = self.theta(i, j)
-        ent[key] = ent.get(key, Fraction(0)) - th
-        return SparseMat(self.N, self.N, ent)
+        """F_ij, made once per (i, j)."""
+        if (i, j) not in self._fdefs:
+            p, th = self._pos, int(self.theta(i, j))
+            self._fdefs[i, j] = unit_pair(self.N, (p[i], p[j]), (p[-j], p[-i]), th)
+        return self._fdefs[i, j]
 
     def simple_pairs(self):
         out = [(i, i + 1) for i in range(1, self.n)]
@@ -186,13 +187,16 @@ def _at(form, u0, div=1):
     return out
 
 
-def _poly_on(rep: BCDIrrep, solver: SpanSolver, vecs, form, error) -> OpPoly:
-    """The OpPoly of a form on the basis vecs, factored by solver."""
-    deg = max((len(p) for _, ps, _ in form for p in ps if p), default=0)
-    tables = (_column_sum(rep, [(t, ([p and (p[j] if j < len(p) else 0) for p in ps], den))
-                                for t, ps, den in form]) for j in range(deg))
-    return OpPoly(len(vecs), len(vecs), [
-        _matrix_on(solver, vecs, lambda v: _apply(table, v), error) for table in tables])
+def _poly_on(rep: BCDIrrep, solver: SpanSolver, cols, key, form, error) -> OpPoly:
+    """The OpPoly of a form on the basis of int columns cols, factored by
+    solver; its tables' column_applys are made once per module and key."""
+    def build():
+        deg = max((len(p) for _, ps, _ in form for p in ps if p), default=0)
+        return [column_apply(*_column_sum(rep, [
+            (t, ([p and (p[j] if j < len(p) else 0) for p in ps], den)) for t, ps, den in form]))
+            for j in range(deg)]
+    return OpPoly(len(cols), len(cols), [_matrix_on(solver, cols, apply, error)
+                                         for apply in _cached(rep, ("poly", key), build)])
 
 
 def _cached(rep: BCDIrrep, key, build):
@@ -389,44 +393,46 @@ def v_plus_mu(rep: BCDIrrep, mu):
     return [(w, v) for w, v in v_plus_basis(rep) if w[:len(mu)] == mu]
 
 
-def _matrix_on(solver: SpanSolver, vecs, op, error) -> SparseMat:
-    """Matrix on the basis vecs, factored by solver, of the operator that
-    the function op applies; ArithmeticError(error) if an image leaves
-    their span."""
-    out_cols = []
-    for v in vecs:
-        coeffs = solver.solve(op(v))
-        if coeffs is None:
-            raise ArithmeticError(error)
-        out_cols.append(coeffs)
-    return SparseMat.from_columns(out_cols, len(vecs))
+def _matrix_on(solver: SpanSolver, cols, apply, error) -> SparseMat:
+    """Matrix of a column_apply on the basis of int columns cols, factored
+    by solver; ArithmeticError(error) if an image leaves their span."""
+    out = [solver.solve(column_fractions(apply(c), solver.n)) for c in cols]
+    if None in out:
+        raise ArithmeticError(error)
+    return SparseMat.from_columns(out, len(cols))
 
 
 def _vplus_solver(rep: BCDIrrep):
-    """The ordered basis vectors of V(lam)^+ and their solver, factored
-    once per module."""
-    vecs = [v for _, v in v_plus_basis(rep)]
-    return _cached(rep, "vsolver", lambda: SpanSolver(vecs, rep.dim)), vecs
+    """The solver of the ordered basis of V(lam)^+, factored once per
+    module, and its int columns."""
+    def build():
+        vecs = [v for _, v in v_plus_basis(rep)]
+        return SpanSolver(vecs, rep.dim), [
+            ({r: x.numerator * (d // x.denominator) for r, x in enumerate(v) if x}, d)
+            for v in vecs for d in [lcm(*(x.denominator for x in v))]]
+    return _cached(rep, "vsolver", build)
 
 
 def lowering_zia(rep: BCDIrrep, i, a) -> SparseMat:
     """Matrix of z_ia on the ordered basis of V(lam)^+."""
-    return _matrix_on(*_vplus_solver(rep), lambda v: apply_z(rep, i, a, v),
+    return _matrix_on(*_vplus_solver(rep), column_apply(*_z(rep, i, a, rep.algebra.n)),
                       "z_ia image left V(lam)^+")
 
 
 def z_interp(rep: BCDIrrep, u0) -> SparseMat:
     """Matrix of Z_{n,-n}(u0) on the ordered basis of V(lam)^+."""
-    return _matrix_on(*_vplus_solver(rep), lambda v: apply_z_interp(rep, u0, v),
-                      "Z_{n,-n} image left V(lam)^+")
+    table = _z_interp_table(rep, rep.algebra.n, Fraction(u0))
+    return _matrix_on(*_vplus_solver(rep), column_apply(*table), "Z_{n,-n} image left V(lam)^+")
 
 
 def z_interp_poly(rep: BCDIrrep) -> OpPoly:
     """Z_{n,-n}(u) as an operator polynomial on V(lam)^+ (even in u): the
     interpolation form, and where two nodes collide the display form (in D
     divided by 2u + 1, exactly on V(lam)^+).  On o_2 it is 0."""
-    form, shown = [_poly_on(rep, *_vplus_solver(rep), f, "Z_{n,-n} image left V(lam)^+")
-                   for f in _interp(rep, rep.algebra.n)]
+    n = rep.algebra.n
+    form, shown = [_poly_on(rep, *_vplus_solver(rep), ("interp", n, t), f,
+                            "Z_{n,-n} image left V(lam)^+")
+                   for t, f in enumerate(_interp(rep, n))]
     return form + (shown.divide_linear(2, 1) if rep.algebra.series == "D" else shown)
 
 
@@ -598,8 +604,9 @@ def zab_operators(rep: BCDIrrep, mu):
     times -u^-2n for B, (u+1/2) u^-2n for C and -2 u^(-2n+2) / (2u+1) for D.
     """
     n = rep.algebra.n
-    tuples, vecs = multiplicity_basis(rep, mu)
+    tuples, cols, _ = _multiplicity(rep, mu)
+    vecs = [column_fractions(c, rep.dim) for c in cols]
     solver = SpanSolver(vecs, rep.dim)
-    return tuples, vecs, {(a, b): _poly_on(rep, solver, vecs, _display(rep, a, b, n),
-                                           "Z_ab image left V^+_mu")
+    return tuples, vecs, {(a, b): _poly_on(rep, solver, cols, ("display", a, b, n),
+                                           _display(rep, a, b, n), "Z_ab image left V^+_mu")
                           for a in (-n, n) for b in (-n, n)}

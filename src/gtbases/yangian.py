@@ -194,12 +194,15 @@ def _pairwise_disjoint(factors, reflected=False):
 
 def eta_basis(module: YTensorModule, columns=False):
     """Vectors eta_gamma built by iterated evaluated T_{n,-n}; requires an
-    irreducible module with pairwise disjoint strings.  With columns, their
-    int columns, unchecked."""
+    irreducible module with pairwise disjoint strings and no trivial factor
+    (L(0, 0) makes T(u) = u T'(u)).  With columns, their int columns,
+    unchecked."""
     if not irreducible_Y2(module.factors):
         raise ValueError("module is not irreducible")
     if not _pairwise_disjoint(module.factors):
         raise ValueError("strings are not pairwise disjoint")
+    if any(f.alpha2 == f.beta2 for f in module.factors):
+        raise ValueError("a factor is trivial")
     return _walk_strings(module, module.T[(PLUS, MINUS)], -1, columns)
 
 

@@ -51,6 +51,15 @@ replaced, which brackets every frontier pair with every accepted pair and
 keeps a bracket when it is independent of the earlier ones.  Every bracket
 here is the two-product ``exact_reference.commutator``, not the one-pass
 ``exact.commutator`` of the library.
+``HWModule.realize`` reads each coefficient at the entry that only its span
+pair has, and ``Realization.root_of`` reads a root off the diagonal of the
+Cartan; ``realize_over`` (with ``_flat``) is the solve over flattened N x N
+matrices, and ``root_of`` the commutator eigenvalue, that they replaced.
+``ClassicalAlgebra.fdef`` and ``OrthogonalChain._fdef`` build each F_ij
+once, as ints; ``fdef_fraction`` and ``chain_fdef_fraction`` are the
+``Fraction`` forms built on every call.  ``matrix_on`` applies an operator
+to one ``Fraction`` vector at a time, where the library's ``_matrix_on``
+applies a table by its columns to int columns.
 
 The differential tests compare the two forms.
 """
@@ -62,8 +71,7 @@ from math import lcm, prod
 from gtbases import branching, patterns
 from gtbases.exact import SpanSolver, SparseMat, rank
 from gtbases.liealg_bcd import orthogonal_chain, signed_realization as sr
-from gtbases.liealg_bcd.construction import (DeskScaleError, HWModule, Realization, _flat,
-                                              _over_lcm)
+from gtbases.liealg_bcd.construction import DeskScaleError, HWModule, Realization, _over_lcm
 from gtbases.liealg_bcd.signed_realization import _SERIES_FAMILY, BCDIrrep
 
 import exact_reference
@@ -696,6 +704,21 @@ def table_zab_point(rep: BCDIrrep, a, b, u0, vec, rank_k=None):
                                                 sr._div(rep, u0))), vec)
 
 
+def matrix_on(solver, vecs, op, error) -> SparseMat:
+    """The matrix on the basis vecs (tuples of ``Fraction``s), factored by
+    solver, of the operator that the function op applies, one vector at a
+    time; ArithmeticError(error) if an image leaves their span.  The
+    library's ``_matrix_on`` applies a table by its columns to int
+    columns."""
+    out_cols = []
+    for v in vecs:
+        coeffs = solver.solve(op(v))
+        if coeffs is None:
+            raise ArithmeticError(error)
+        out_cols.append(coeffs)
+    return SparseMat.from_columns(out_cols, len(vecs))
+
+
 def s_prime(chain, k, i, vec):
     """s'_{ki}: lowering for o_{2k+1} down to o_{2k} (1 <= i <= k)."""
     return chain.lowering("s'", k, i).apply(vec)
@@ -916,3 +939,50 @@ def realize_over(span, module: HWModule, real_mat: SparseMat) -> SparseMat:
         raise ValueError("element is not in the realized algebra span")
     return SparseMat.combination(module.dim, module.dim,
                                  ((c, mm) for c, (_, mm) in zip(coeffs, pairs)))
+
+
+# -- the flattened matrices, commutator roots and Fraction fdefs ---------------
+
+def _flat(m: SparseMat, n):
+    """Row-major entries of an n x n realization matrix: ints if it is
+    integral, else Fractions."""
+    out = [0] * (n * n)
+    for (r, c), v in m.num.items():
+        out[r * n + c] = v if m.den == 1 else Fraction(v, m.den)
+    return out
+
+
+def root_of(real: Realization, mat: SparseMat):
+    """Realization.root_of by commutators: the eigenvalue of ad fdef(c, c)
+    on mat, read at the first entry where the bracket is nonzero and
+    checked on the whole bracket."""
+    out = []
+    for c in real.cartan:
+        br = commutator(real.fdef(c, c), mat)
+        scal = Fraction(0)
+        for key, v in mat.entries.items():
+            if br.get(*key) != 0:
+                scal = br.get(*key) / v
+                break
+        if br != mat.scale(scal):
+            raise ValueError("not a weight vector for the Cartan")
+        out.append(scal)
+    return tuple(out)
+
+
+def fdef_fraction(alg, i, j) -> SparseMat:
+    """ClassicalAlgebra.fdef as it was built before, from Fraction entries
+    on every call."""
+    ent = {(alg._pos[i], alg._pos[j]): Fraction(1)}
+    key = (alg._pos[-j], alg._pos[-i])
+    ent[key] = ent.get(key, Fraction(0)) - alg.theta(i, j)
+    return SparseMat(alg.N, alg.N, ent)
+
+
+def chain_fdef_fraction(chain, i, j) -> SparseMat:
+    """OrthogonalChain._fdef as it was built before."""
+    N = chain.N
+    ent = {(i - 1, j - 1): Fraction(1)}
+    key = (N - j, N - i)
+    ent[key] = ent.get(key, Fraction(0)) - 1
+    return SparseMat(N, N, ent)

@@ -1,11 +1,17 @@
-"""The branching rules of ``gtbases.branching``, written out by hand.
+"""The branching rules and the Weyl oracle of ``gtbases.branching``,
+written out by hand.
 
 ``branching.branch_A``, ``branch_BCD`` and ``branch_children_BCD`` read the
 children of a weight off the top level of the pattern plans in
 ``gtbases.patterns``.  The functions below are the forms they replaced,
 which restate the interlacing inequalities of gl_n, o_N and sp_2n as
-recursions over bounds.  The differential tests compare the two.
+recursions over bounds.  ``branching.weyl_dim`` forms the root products on
+doubled ints with one exact division; ``weyl_dim`` below is the form it
+replaced, over the root vectors and rho in ``Fraction``s.  The
+differential tests compare the two.
 """
+
+from fractions import Fraction
 
 from gtbases.branching import BranchSpec
 
@@ -161,3 +167,91 @@ def branch_children_BCD(series, lam):
 
     rec(0)
     return out
+
+
+# -- the Fraction Weyl oracle -------------------------------------------------
+
+def _positive_roots(series, n):
+    """Positive roots as coefficient vectors over the epsilon basis."""
+    roots = []
+    if series == "A":
+        for i in range(n):
+            for j in range(i + 1, n):
+                r = [0] * n
+                r[i], r[j] = 1, -1
+                roots.append(tuple(r))
+        return roots
+    for i in range(n):
+        for j in range(i + 1, n):
+            r = [0] * n
+            r[i], r[j] = 1, -1
+            roots.append(tuple(r))
+            r = [0] * n
+            r[i], r[j] = 1, 1
+            roots.append(tuple(r))
+    if series == "B":
+        for i in range(n):
+            r = [0] * n
+            r[i] = 1
+            roots.append(tuple(r))
+    elif series == "C":
+        for i in range(n):
+            r = [0] * n
+            r[i] = 2
+            roots.append(tuple(r))
+    elif series != "D":
+        raise ValueError("unknown series %r" % (series,))
+    return roots
+
+
+def _rho(series, n):
+    if series == "A":
+        # any vector with rho_i - rho_{i+1} = 1 works; fix a symmetric choice
+        return [Fraction(n - 1, 2) - i for i in range(n)]
+    if series == "B":
+        return [Fraction(2 * (n - i) + 1, 2) for i in range(1, n + 1)]
+    if series == "C":
+        return [Fraction(n - i + 1) for i in range(1, n + 1)]
+    if series == "D":
+        return [Fraction(n - i) for i in range(1, n + 1)]
+    raise ValueError("unknown series %r" % (series,))
+
+
+def _check_dominant_std(series, lam):
+    lam = [Fraction(x, 2) for x in lam]
+    n = len(lam)
+    for i in range(n - 1):
+        d = lam[i] - lam[i + 1]
+        if d < 0 or d.denominator != 1:
+            raise ValueError("weight is not dominant")
+    if series == "A":
+        return lam
+    if series == "B":
+        if n and lam[-1] < 0:
+            raise ValueError("B weight needs lam_n >= 0")
+    elif series == "C":
+        if n and (lam[-1] < 0 or lam[-1].denominator != 1):
+            raise ValueError("C weight needs nonnegative integer lam_n")
+    elif series == "D":
+        if n >= 2 and lam[-2] + lam[-1] < 0:
+            raise ValueError("D weight needs lam_{n-1} + lam_n >= 0")
+    else:
+        raise ValueError("unknown series %r" % (series,))
+    return lam
+
+
+def weyl_dim(series, lam) -> int:
+    """dim of the irreducible with highest weight lam (doubled, standard
+    dominant convention), by the product over positive roots, on
+    ``Fraction``s."""
+    lam = _check_dominant_std(series, lam)
+    n = len(lam)
+    rho = _rho(series, n)
+    num = Fraction(1)
+    den = Fraction(1)
+    for alpha in _positive_roots(series, n):
+        num *= sum((lam[i] + rho[i]) * alpha[i] for i in range(n))
+        den *= sum(rho[i] * alpha[i] for i in range(n))
+    d = num / den
+    assert d.denominator == 1 and d > 0
+    return int(d)

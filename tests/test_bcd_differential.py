@@ -513,3 +513,161 @@ def test_z_tables_match_per_vector_forms_on_weight_vectors(data):
     vec = (Fraction(0),) * off + tuple(block) + (Fraction(0),) * (rep.dim - off - size)
     assert _z_outcome(LIBRARY, rep, call, u0, vec) == \
         _z_outcome(ref, rep, call, u0, vec)
+
+
+# -- the realization layer: fdef, root_of and realize by root ------------------
+
+# B/C/D ranks 1-3 and the s4 chains N = 2..7 (weights doubled)
+REALIZE_MODULES = [("B", (-1,)), ("B", (-1, -1)), ("B", (-1, -1, -1)),
+                   ("C", (-2,)), ("C", (0, -2)), ("C", (0, 0, -2)),
+                   ("D", (-2,)), ("D", (0, -2)), ("D", (0, 0, -2)),
+                   (2, (2,)), (3, (2,)), (4, (2, 2)), (5, (2, 0)), (6, (2, 0, 0)),
+                   (7, (2, 0, 0))]
+
+
+@functools.cache
+def _realize_module(family, lam):
+    """(module, the reference's all-pairs span over flattened matrices),
+    the span built from the module's Cartan and simple matrices alone."""
+    if family in ("B", "C", "D"):
+        mod = build_bcd_irrep(family, lam).module
+    else:
+        mod = OrthogonalChain(family, lam).module
+    return mod, ref.algebra_span_all_pairs(mod)
+
+
+def _fraction_fdef(family, lam, i, j):
+    """fdef(i, j) in the Fraction form it replaced."""
+    if family in ("B", "C", "D"):
+        return ref.fdef_fraction(signed_realization.ClassicalAlgebra(family, len(lam)), i, j)
+    return ref.chain_fdef_fraction(SimpleNamespace(N=family), i, j)
+
+
+@pytest.mark.parametrize("family,lam", REALIZE_MODULES)
+def test_fdef_is_one_int_matrix_per_pair(family, lam):
+    """fdef(i, j) is made once per (i, j), as int numerators, and equals
+    the Fraction form it replaced; root_of reads the same roots as the
+    commutators; every generator is realized as +-1 times a span pair's
+    module matrix; and cartan_matrix is diag of the weights."""
+    mod = _realize_module(family, lam)[0]
+    real = mod.realization
+    spans = [mm for _, mm in mod._algebra_span()[0]]
+    for i in real.labels:
+        for j in real.labels:
+            m = real.fdef(i, j)
+            assert m is real.fdef(i, j) and m.den == 1
+            assert m == _fraction_fdef(family, lam, i, j)
+            if m.nnz() and i != j:
+                assert real.root_of(m) == ref.root_of(real, m)
+            if m.nnz():
+                got = mod.realize(m)
+                assert any(got is mm or got == -mm for mm in spans)
+    for t, c in enumerate(real.cartan):
+        assert mod.cartan_matrix(c) == SparseMat.diag([w[t] for w in mod.weights])
+
+
+def _combination(data, labels):
+    """Random (rational coefficient, i, j) terms of a combination of the
+    fdef(i, j)."""
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    label = st.sampled_from(labels)
+    return data.draw(st.lists(st.tuples(coeff, label, label), max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(REALIZE_MODULES), st.data())
+def test_realize_by_root_matches_the_flattened_solver(case, data):
+    """realize, which reads each coefficient at its pair's own entry, against
+    the flattened SpanSolver solve it replaced, on random rational
+    combinations of the generators; both equal the same combination of the
+    realized generators."""
+    mod, span = _realize_module(*case)
+    real = mod.realization
+    n = len(real.labels)
+    terms = _combination(data, real.labels)
+    x = SparseMat.combination(n, n, [(c, real.fdef(i, j)) for c, i, j in terms])
+    got = mod.realize(x)
+    assert got == ref.realize_over(span, mod, x)
+    assert got == SparseMat.combination(mod.dim, mod.dim, [(c, mod.F(i, j)) for c, i, j in terms])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(REALIZE_MODULES), st.data())
+def test_realize_refuses_what_the_flattened_solver_refuses(case, data):
+    """On random N x N matrices (most outside the span, some inside it),
+    realize and the flattened solve both raise the same ValueError or
+    agree."""
+    mod, span = _realize_module(*case)
+    real = mod.realization
+    n = len(real.labels)
+    x = SparseMat.combination(n, n, [(c, real.fdef(i, j)) for c, i, j in _combination(
+        data, real.labels)])
+    entries = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                           st.integers(-2, 2)), max_size=3))
+    x = x + SparseMat(n, n, {(r, c): v for r, c, v in entries})
+    outcomes = []
+    for f in (mod.realize, lambda m: ref.realize_over(span, mod, m)):
+        try:
+            outcomes.append(f(x))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    if isinstance(outcomes[0], str):
+        assert outcomes[0] == "element is not in the realized algebra span"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(REALIZE_MODULES), st.data())
+def test_root_of_refuses_two_units_of_different_weights(case, data):
+    """root_of, read off the diagonal of the Cartan, raises the commutator
+    form's ValueError on E_pq + c E_rs when the two units have different
+    weights, and agrees with it otherwise."""
+    mod = _realize_module(*case)[0]
+    real = mod.realization
+    n = len(real.labels)
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    a, b = data.draw(cell), data.draw(cell)
+    c = data.draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]))
+    m = SparseMat(n, n, {a: 1}) + SparseMat(n, n, {b: c})
+    outcomes = []
+    for f in (real.root_of, lambda x: ref.root_of(real, x)):
+        try:
+            outcomes.append(f(m))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    unit = [real.root_of(SparseMat(n, n, {k: 1})) for k in (a, b)]
+    if unit[0] != unit[1] and not m.is_zero() and m.nnz() == 2:
+        assert outcomes[0] == "not a weight vector for the Cartan"
+
+
+def test_realize_refuses_a_span_without_own_entries():
+    """_algebra_span raises ValueError when a basis element has no entry
+    of its own: here the Cartan E_11 - E_22, E_22 - E_33 of sl_3 in a
+    realization that also puts E_22 in the Cartan."""
+    from gtbases.liealg_bcd import Realization, build_module
+
+    def fdef(i, j):
+        return SparseMat(3, 3, {(i - 1, j - 1): 1})
+    mod = build_module(Realization([1, 2, 3], fdef, [1, 2, 3], [(1, 2), (2, 3)]), (1, 0, 0))
+    real = mod.realization
+    real.fdef = lambda i, j: (fdef(i, j) - fdef(i % 3 + 1, j % 3 + 1) if i == j else fdef(i, j))
+    with pytest.raises(ValueError, match="no entry of its own"):
+        mod._algebra_span()
+
+
+@pytest.mark.parametrize("series,lam", [("C", (-2, -4)), ("B", (-1, -3)), ("D", (-2, -4))])
+def test_zab_tables_are_made_once_per_module(monkeypatch, series, lam):
+    """zab_operators over every child sums the coefficient tables of each
+    display form once per module: a second pass sums none, and gives the
+    same operators."""
+    rep = build_bcd_irrep(series, lam)
+    kids = [mu for mu, _ in branching.branch_children_BCD(series, lam)]
+    calls = []
+    column_sum = signed_realization._column_sum
+    monkeypatch.setattr(signed_realization, "_column_sum",
+                        lambda *args: calls.append(1) or column_sum(*args))
+    first = [signed_realization.zab_operators(rep, mu) for mu in kids]
+    made = len(calls)
+    assert made and [signed_realization.zab_operators(rep, mu) for mu in kids] == first
+    assert len(calls) == made

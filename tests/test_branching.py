@@ -60,6 +60,29 @@ class TestWeylDim:
         with pytest.raises(ValueError):
             branching.weyl_dim("C", (1, 1))
 
+    @settings(max_examples=600, deadline=None)
+    @given(st.sampled_from("ABCDE"), st.data())
+    def test_int_oracle_matches_the_fraction_form(self, series, data):
+        """weyl_dim, on doubled ints with one exact division, against the
+        Fraction form it replaced, on random doubled weights of ranks 0-4,
+        most of them dominant: the same dimension or the same ValueError."""
+        n = data.draw(st.integers(0, 4), label="rank")
+        if data.draw(st.booleans(), label="dominant-shaped"):
+            lam = sorted(data.draw(st.lists(st.integers(-4, 6), min_size=n, max_size=n)),
+                         reverse=True)
+            odd = data.draw(st.booleans(), label="half-integer")
+            lam = [2 * x + odd for x in lam]
+        else:
+            lam = data.draw(st.lists(st.integers(-6, 8), min_size=n, max_size=n))
+        outcomes = []
+        for oracle in (branching.weyl_dim, reference.weyl_dim):
+            try:
+                outcomes.append(oracle(series, tuple(lam)))
+            except ValueError as exc:
+                outcomes.append(("ValueError", str(exc)))
+        assert outcomes[0] == outcomes[1]
+        assert type(outcomes[0]) is type(outcomes[1])
+
 
 class TestBranchA:
     def test_trivial(self):

@@ -16,8 +16,8 @@ from gtbases.liealg_bcd import (DeskScaleError, OrthogonalChain, apply_z,
                                 lowering_zia, multiplicity_basis,
                                 orth_basis_checks, orth_gt_basis, v_plus_basis,
                                 v_plus_mu, z_interp, z_interp_poly, zab_operators)
-from gtbases.liealg_bcd.signed_realization import _matrix_on, apply_z_nminus
-from bcd_reference import _f_diag, apply_znizin, table_pf, table_zab_point
+from gtbases.liealg_bcd.signed_realization import apply_z_nminus
+from bcd_reference import _f_diag, apply_znizin, matrix_on, table_pf, table_zab_point
 from exact_reference import vec_add, vec_scale, vec_zero
 from rref_reference import rref_solve_in_span
 
@@ -749,7 +749,7 @@ def _display_z_at(rep, mu):
 
     def z_at(a, b, u0):
         if (a, b, u0) not in cache:
-            cache[(a, b, u0)] = _matrix_on(
+            cache[(a, b, u0)] = matrix_on(
                 solver, vecs, lambda v: table_zab_point(rep, a, b, u0, v),
                 "Z_ab image left V^+_mu")
         return cache[(a, b, u0)]

@@ -171,7 +171,8 @@ def _corrupted(m, data):
 
 
 def _eta_modules(factors):
-    return y.irreducible_Y2(factors) and y._pairwise_disjoint(factors)
+    return (y.irreducible_Y2(factors) and y._pairwise_disjoint(factors)
+            and all(f.alpha2 != f.beta2 for f in factors))
 
 
 @settings(max_examples=60, deadline=None)
@@ -197,20 +198,32 @@ def test_eta_checks_pass_on_bench_modules(strings):
     assert y.eta_action_checks(m) is ref.eta_action_checks(m) is True
 
 
-@pytest.mark.parametrize("strings", [[(2, 0), (6, 4)], [(0, 0), (2, 0)]])
+@pytest.mark.parametrize("strings", [[(2, 0), (6, 4)]])
 def test_eta_checks_fail_on_a_dependent_walk(strings):
-    """The eta_gamma are dependent when T_{n,-n}(u) is scaled by 0, and on
-    L(0,0) x L(1,0), where the trivial factor makes T(u) = u T'(u) and the
-    walk's one point is u = 0: the check reads False where eta_basis
-    raises."""
+    """The eta_gamma are dependent when T_{n,-n}(u) is scaled by 0: the
+    check reads False where eta_basis raises."""
     m = copy.copy(y.build_tensor_module(strings))
-    if strings[0] != (0, 0):
-        m.T = dict(m.T)
-        m.T[(y.PLUS, y.MINUS)] = m.T[(y.PLUS, y.MINUS)].scale(0)
+    m.T = dict(m.T)
+    m.T[(y.PLUS, y.MINUS)] = m.T[(y.PLUS, y.MINUS)].scale(0)
     assert _eta_modules(m.factors)
     assert y.eta_action_checks(m) is ref.eta_action_checks(m) is False
     with pytest.raises(AssertionError):
         y.eta_basis(m)
+
+
+@pytest.mark.parametrize("strings", [[(0, 0), (2, 0)], [(2, 0), (5, 5)], [(-3, -3)]])
+def test_eta_basis_refuses_a_trivial_factor(strings):
+    """On L(0,0) x L(1,0) the module is irreducible and its strings are
+    disjoint, but the trivial factor makes T(u) = u T'(u) and the walk's
+    one point is u = 0, where the reference's eta vectors are dependent:
+    eta_basis and eta_action_checks refuse every factor L(alpha, alpha)."""
+    m = y.build_tensor_module(strings)
+    assert y.irreducible_Y2(m.factors) and y._pairwise_disjoint(m.factors)
+    for check in (y.eta_basis, y.eta_action_checks):
+        with pytest.raises(ValueError, match="a factor is trivial"):
+            check(m)
+    if strings[0] == (0, 0):
+        assert ref.eta_action_checks(m) is False
 
 
 @settings(max_examples=150, deadline=None)
